@@ -99,24 +99,46 @@ let prof_out_arg =
            then carry the engine spans on the same timeline. Profiling \
            never perturbs simulation results.")
 
-let prof_setup = function None -> () | Some _ -> Sim.Prof.enable ()
+(* Every file the CLI writes goes through [write_file]: an unwritable
+   path is a clean error (exit code 2), not an uncaught exception at the
+   end of the run. *)
+let or_cannot_write path f =
+  try f ()
+  with Sys_error msg ->
+    (* [Sys_error] messages usually lead with the path already. *)
+    let prefix = path ^ ": " in
+    let n = String.length prefix in
+    let reason =
+      if String.starts_with ~prefix msg then
+        String.sub msg n (String.length msg - n)
+      else msg
+    in
+    Printf.eprintf "bcp_sim: cannot write %s: %s\n" path reason;
+    exit 2
+
+let write_file path write =
+  or_cannot_write path (fun () ->
+      let oc = open_out path in
+      write oc;
+      close_out oc)
+
+let write_json_file path doc =
+  write_file path (fun oc ->
+      output_string oc (Eval.Json.to_string ~indent:2 doc);
+      output_char oc '\n')
 
 let prof_finish = function
   | None -> ()
   | Some path ->
     let report = Sim.Prof.report () in
     Sim.Prof.print_top Format.err_formatter;
-    let oc = open_out path in
-    output_string oc
-      (Eval.Json.to_string ~indent:2 (Eval.Telemetry.prof_to_json report));
-    output_char oc '\n';
-    close_out oc;
+    write_json_file path (Eval.Telemetry.prof_to_json report);
     Printf.printf "wrote profile to %s\n" path
 
 (* Output context shared by every subcommand: rendering mode, optional
-   JSON sink, and the domain-pool size.  [extra] holds additional
-   top-level JSON sections (e.g. telemetry) — empty for every command
-   that predates it, so their JSON output is unchanged. *)
+   JSON sink, and the profile path.  [extra] holds additional top-level
+   JSON sections (e.g. telemetry) — empty for every command that
+   predates it, so their JSON output is unchanged. *)
 type ctx = {
   csv : bool;
   json : string option;
@@ -125,13 +147,27 @@ type ctx = {
   prof_out : string option;
 }
 
+(* --jobs and --prof-out, taken by every subcommand: size the domain
+   pool and switch the profiler on before the body runs.  Commands with
+   their own JSON schema (audit, swarm, churn) print tables plainly. *)
+let plain_ctx_term =
+  Term.(
+    const (fun jobs prof_out ->
+        Sim.Pool.set_jobs jobs;
+        if prof_out <> None then Sim.Prof.enable ();
+        {
+          csv = false;
+          json = None;
+          collected = ref [];
+          extra = ref [];
+          prof_out;
+        })
+    $ jobs_arg $ prof_out_arg)
+
 let ctx_term =
   Term.(
-    const (fun csv json jobs prof_out ->
-        Sim.Pool.set_jobs jobs;
-        prof_setup prof_out;
-        { csv; json; collected = ref []; extra = ref []; prof_out })
-    $ csv_arg $ json_arg $ jobs_arg $ prof_out_arg)
+    const (fun csv json ctx -> { ctx with csv; json })
+    $ csv_arg $ json_arg $ plain_ctx_term)
 
 let emit ctx report =
   ctx.collected := report :: !(ctx.collected);
@@ -153,17 +189,15 @@ let write_json ctx =
          ]
         @ List.rev !(ctx.extra))
     in
-    let oc = open_out path in
-    output_string oc (Eval.Json.to_string ~indent:2 doc);
-    output_char oc '\n';
-    close_out oc
+    write_json_file path doc
 
 (* Run a subcommand body, then flush the JSON sink and the profile
    report if requested. *)
 let finishing ctx body =
-  body ();
+  let result = body () in
   write_json ctx;
-  prof_finish ctx.prof_out
+  prof_finish ctx.prof_out;
+  result
 
 let scenario_count_arg =
   Arg.(
@@ -217,24 +251,6 @@ let table3_cmd =
       const (fun ctx n s d -> finishing ctx (fun () -> run_table3 ctx n s d))
       $ ctx_term $ network_arg $ seed_arg $ double_sample_arg)
 
-let run_delay ctx network backups seed scenarios =
-  let est = Eval.Setup.build ~seed ~backups ~mux_degree:3 network in
-  Printf.printf "established %d connections (rejected %d), spare %.2f%%\n\n"
-    est.Eval.Setup.established est.Eval.Setup.rejected est.Eval.Setup.spare;
-  let stats =
-    Eval.Recovery_delay.measure ~seed ~scenario_count:scenarios est.Eval.Setup.ns
-  in
-  emit ctx (Eval.Recovery_delay.report [ stats ])
-
-let delay_cmd =
-  let doc = "Section 5.3: measured recovery delay vs the analytic bound." in
-  Cmd.v
-    (Cmd.info "delay" ~doc)
-    Term.(
-      const (fun ctx n b s sc ->
-          finishing ctx (fun () -> run_delay ctx n b s sc))
-      $ ctx_term $ network_arg $ backups_arg $ seed_arg $ scenario_count_arg)
-
 let metrics_arg =
   Arg.(
     value & flag
@@ -254,59 +270,87 @@ let trace_out_arg =
            .jsonl, Chrome trace_event JSON (chrome://tracing, Perfetto) \
            otherwise.")
 
+(* --metrics and --trace-out: either one turns the telemetry collector
+   on, and every subcommand that takes them hands it to its experiment
+   as [?obs]. *)
+type obs = {
+  collector : Eval.Telemetry.collector option;
+  show_metrics : bool;
+  trace_out : string option;
+}
+
+let no_obs = { collector = None; show_metrics = false; trace_out = None }
+
+let obs_term =
+  Term.(
+    const (fun show_metrics trace_out ->
+        let collector =
+          if show_metrics || trace_out <> None then
+            Some (Eval.Telemetry.create ())
+          else None
+        in
+        { collector; show_metrics; trace_out })
+    $ metrics_arg $ trace_out_arg)
+
 (* Event logs go to FILE as JSONL or a Chrome trace, by file suffix.
    When the profiler is on, Chrome traces also carry the engine spans
    recorded so far, merged onto the protocol timeline. *)
 let write_trace path events =
-  let oc = open_out path in
   if Filename.check_suffix path ".jsonl" then
-    output_string oc (Eval.Telemetry.events_to_jsonl events)
+    write_file path (fun oc ->
+        output_string oc (Eval.Telemetry.events_to_jsonl events))
   else begin
     let prof =
       if Sim.Prof.enabled () then Some (Sim.Prof.report ()) else None
     in
-    output_string oc
-      (Eval.Json.to_string ~indent:2
-         (Eval.Telemetry.events_to_chrome ?prof events));
-    output_char oc '\n'
+    write_json_file path (Eval.Telemetry.events_to_chrome ?prof events)
   end;
-  close_out oc;
   Printf.printf "wrote %d events to %s\n" (List.length events) path
 
-(* Emit the phase-breakdown and metrics tables (and their JSON sections)
-   from a merged metrics snapshot — shared by every telemetry-capable
-   subcommand. *)
-let emit_metrics ctx metrics =
-  let phases = Eval.Recovery_delay.phases_of_snapshot metrics in
-  emit ctx (Eval.Recovery_delay.phases_report phases);
-  emit ctx (Eval.Telemetry.metrics_report metrics);
-  ctx.extra :=
-    ("metrics", Eval.Telemetry.metrics_to_json metrics)
-    :: ("phases", Eval.Recovery_delay.phases_to_json phases)
-    :: !(ctx.extra)
+(* Emit what the collector holds: the phase-breakdown and metrics
+   tables (and their JSON sections) with --metrics, the event log with
+   --trace-out.  Establishment-time multiplexing updates lead the log
+   under the pseudo-scenario -1; the experiment's events follow per
+   scenario. *)
+let finish_obs ctx obs =
+  Option.iter
+    (fun c ->
+      if obs.show_metrics then begin
+        let metrics = Eval.Telemetry.metrics c in
+        let phases = Eval.Recovery_delay.phases_of_snapshot metrics in
+        emit ctx (Eval.Recovery_delay.phases_report phases);
+        emit ctx (Eval.Telemetry.metrics_report metrics);
+        ctx.extra :=
+          ("metrics", Eval.Telemetry.metrics_to_json metrics)
+          :: ("phases", Eval.Recovery_delay.phases_to_json phases)
+          :: !(ctx.extra)
+      end;
+      Option.iter
+        (fun path -> write_trace path (Eval.Telemetry.events c))
+        obs.trace_out)
+    obs.collector
 
-let run_recovery ctx network backups seed scenarios use_metrics trace_out =
-  let telemetry = use_metrics || trace_out <> None in
-  if not telemetry then run_delay ctx network backups seed scenarios
-  else begin
-    (* Establishment-time multiplexing updates land at time 0.0 under the
-       pseudo-scenario -1; the sweep's events follow per scenario. *)
-    let setup_events = ref [] in
-    let mux_sink ev = setup_events := (-1, 0.0, ev) :: !setup_events in
-    let est = Eval.Setup.build ~seed ~backups ~mux_degree:3 ~mux_sink network in
-    Printf.printf "established %d connections (rejected %d), spare %.2f%%\n\n"
-      est.Eval.Setup.established est.Eval.Setup.rejected est.Eval.Setup.spare;
-    let stats, tele =
-      Eval.Recovery_delay.measure_telemetry ~seed ~scenario_count:scenarios
-        est.Eval.Setup.ns
-    in
-    emit ctx (Eval.Recovery_delay.report [ stats ]);
-    if use_metrics then emit_metrics ctx tele.Eval.Recovery_delay.metrics;
-    match trace_out with
-    | None -> ()
-    | Some path ->
-      write_trace path (List.rev !setup_events @ tele.Eval.Recovery_delay.events)
-  end
+let run_delay ?(obs = no_obs) ctx network backups seed scenarios =
+  let est =
+    Eval.Setup.build ?obs:obs.collector ~seed ~backups ~mux_degree:3 network
+  in
+  Printf.printf "established %d connections (rejected %d), spare %.2f%%\n\n"
+    est.Eval.Setup.established est.Eval.Setup.rejected est.Eval.Setup.spare;
+  let stats =
+    Eval.Recovery_delay.measure ?obs:obs.collector ~seed
+      ~scenario_count:scenarios est.Eval.Setup.ns
+  in
+  emit ctx (Eval.Recovery_delay.report [ stats ]);
+  finish_obs ctx obs
+
+let delay_cmd =
+  let doc = "Section 5.3: measured recovery delay vs the analytic bound." in
+  Cmd.v
+    (Cmd.info "delay" ~doc)
+    Term.(
+      const (fun ctx n b s sc ->
+          finishing ctx (fun () -> run_delay ctx n b s sc))
+      $ ctx_term $ network_arg $ backups_arg $ seed_arg $ scenario_count_arg)
 
 let recovery_cmd =
   let doc =
@@ -318,10 +362,10 @@ let recovery_cmd =
   Cmd.v
     (Cmd.info "recovery" ~doc)
     Term.(
-      const (fun ctx n b s sc m t ->
-          finishing ctx (fun () -> run_recovery ctx n b s sc m t))
-      $ ctx_term $ network_arg $ backups_arg $ seed_arg $ scenario_count_arg
-      $ metrics_arg $ trace_out_arg)
+      const (fun ctx obs n b s sc ->
+          finishing ctx (fun () -> run_delay ~obs ctx n b s sc))
+      $ ctx_term $ obs_term $ network_arg $ backups_arg $ seed_arg
+      $ scenario_count_arg)
 
 let run_schemes ctx network seed scenarios =
   let est = Eval.Setup.build ~seed ~backups:1 ~mux_degree:3 network in
@@ -411,22 +455,13 @@ let baseline_cmd =
       const (fun ctx n s d -> finishing ctx (fun () -> run_baseline ctx n s d))
       $ ctx_term $ network_arg $ seed_arg $ double_sample_arg)
 
-let run_multi ?(use_metrics = false) ?trace_out ctx network seed =
-  if not (use_metrics || trace_out <> None) then
-    emit ctx (Eval.Multi_failure.sweep ~seed network)
-  else begin
-    let setup_events = ref [] in
-    let mux_sink ev = setup_events := (-1, 0.0, ev) :: !setup_events in
-    let rep, tele, _ns =
-      Eval.Multi_failure.sweep_telemetry ~seed ~mux_sink network
-    in
-    emit ctx rep;
-    if use_metrics then emit_metrics ctx tele.Eval.Multi_failure.metrics;
-    match trace_out with
-    | None -> ()
-    | Some path ->
-      write_trace path (List.rev !setup_events @ tele.Eval.Multi_failure.events)
-  end
+let run_multi ?(obs = no_obs) ctx network seed =
+  (* The analytic engine has no event stream, so observing switches the
+     sweep to the event-driven simulator. *)
+  (match obs.collector with
+  | None -> emit ctx (Eval.Multi_failure.sweep ~seed network)
+  | Some c -> emit ctx (Eval.Multi_failure.simulate ~obs:c ~seed network));
+  finish_obs ctx obs
 
 let multi_cmd =
   let doc =
@@ -438,10 +473,9 @@ let multi_cmd =
   Cmd.v
     (Cmd.info "multi" ~doc)
     Term.(
-      const (fun ctx n s m t ->
-          finishing ctx (fun () ->
-              run_multi ~use_metrics:m ?trace_out:t ctx n s))
-      $ ctx_term $ network_arg $ seed_arg $ metrics_arg $ trace_out_arg)
+      const (fun ctx obs n s ->
+          finishing ctx (fun () -> run_multi ~obs ctx n s))
+      $ ctx_term $ obs_term $ network_arg $ seed_arg)
 
 let detector_conv =
   let parse = function
@@ -507,27 +541,11 @@ let chaos_levels loss gray =
   | Some p ->
     Some [ Eval.Chaos.level p ~dup:(p /. 2.0) ~jitter:5e-4 ~gray_frac:gray ]
 
-let run_chaos ?(use_metrics = false) ?trace_out ctx network seed scenarios
-    detector loss gray horizon =
-  let levels = chaos_levels loss gray in
-  if not (use_metrics || trace_out <> None) then
-    emit ctx
-      (Eval.Chaos.sweep ~seed ~scenario_count:scenarios ?horizon ~detector
-         ?levels network)
-  else begin
-    let setup_events = ref [] in
-    let mux_sink ev = setup_events := (-1, 0.0, ev) :: !setup_events in
-    let rep, tele, _ns =
-      Eval.Chaos.sweep_telemetry ~seed ~scenario_count:scenarios ?horizon
-        ~detector ?levels ~mux_sink network
-    in
-    emit ctx rep;
-    if use_metrics then emit_metrics ctx tele.Eval.Chaos.metrics;
-    match trace_out with
-    | None -> ()
-    | Some path ->
-      write_trace path (List.rev !setup_events @ tele.Eval.Chaos.events)
-  end
+let run_chaos ctx obs network seed scenarios detector loss gray horizon =
+  emit ctx
+    (Eval.Chaos.sweep ?obs:obs.collector ~seed ~scenario_count:scenarios
+       ?horizon ~detector ?levels:(chaos_levels loss gray) network);
+  finish_obs ctx obs
 
 let chaos_cmd =
   let doc =
@@ -539,11 +557,10 @@ let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos" ~doc)
     Term.(
-      const (fun ctx n s sc d l g h m t ->
-          finishing ctx (fun () ->
-              run_chaos ~use_metrics:m ?trace_out:t ctx n s sc d l g h))
-      $ ctx_term $ network_arg $ seed_arg $ scenario_count_arg $ detector_arg
-      $ loss_arg $ gray_arg $ horizon_arg $ metrics_arg $ trace_out_arg)
+      const (fun ctx obs n s sc d l g h ->
+          finishing ctx (fun () -> run_chaos ctx obs n s sc d l g h))
+      $ ctx_term $ obs_term $ network_arg $ seed_arg $ scenario_count_arg
+      $ detector_arg $ loss_arg $ gray_arg $ horizon_arg)
 
 (* ---------- audit ---------- *)
 
@@ -625,9 +642,7 @@ let resolve_filters network filters =
     filters
 
 let run_audit network seed scenarios detector loss gray trace_file filters
-    json_out prof_out jobs =
-  Sim.Pool.set_jobs jobs;
-  prof_setup prof_out;
+    json_out =
   let filters = resolve_filters network filters in
   let source, events, context =
     match trace_file with
@@ -646,36 +661,30 @@ let run_audit network seed scenarios detector loss gray trace_file filters
       (* Live mode: a seeded chaos sweep (single level — clean unless
          --loss is given) with the full network context for the
          link-budget checks. *)
-      let setup_events = ref [] in
-      let mux_sink ev = setup_events := (-1, 0.0, ev) :: !setup_events in
+      let obs = Eval.Telemetry.create () in
       let levels =
         match chaos_levels loss gray with
         | None -> Some [ Eval.Chaos.level 0.0 ]
         | levels -> levels
       in
-      let _rep, tele, ns =
-        Eval.Chaos.sweep_telemetry ~seed ~scenario_count:scenarios ~detector
-          ?levels ~mux_sink network
-      in
+      let est = Eval.Setup.build ~obs ~seed ~backups:1 ~mux_degree:3 network in
+      ignore
+        (Eval.Chaos.run ~obs ~seed ~scenario_count:scenarios ~detector ?levels
+           est.Eval.Setup.ns);
       ( Printf.sprintf "live:%s seed=%d" (Eval.Setup.network_label network) seed,
-        List.rev !setup_events @ tele.Eval.Chaos.events,
-        Some (Eval.Audit.context_of_netstate ns) )
+        Eval.Telemetry.events obs,
+        Some (Eval.Audit.context_of_netstate est.Eval.Setup.ns) )
   in
   let result =
     Eval.Audit.apply_filters filters (Eval.Audit.replay ?context events)
   in
   Eval.Audit.print result;
-  (match json_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc
-      (Eval.Json.to_string ~indent:2 (Eval.Audit.to_json ~source result));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote audit to %s\n" path);
-  prof_finish prof_out;
-  if result.Eval.Audit.total_violations > 0 then exit 1
+  Option.iter
+    (fun path ->
+      write_json_file path (Eval.Audit.to_json ~source result);
+      Printf.printf "wrote audit to %s\n" path)
+    json_out;
+  result
 
 let audit_cmd =
   let doc =
@@ -688,11 +697,14 @@ let audit_cmd =
   Cmd.v
     (Cmd.info "audit" ~doc)
     Term.(
-      const (fun n s sc d l g tr f j p jobs ->
-          run_audit n s sc d l g tr f j p jobs)
-      $ network_arg $ seed_arg $ scenario_count_arg $ detector_arg $ loss_arg
-      $ gray_arg $ trace_in_arg $ filter_arg $ audit_json_arg $ prof_out_arg
-      $ jobs_arg)
+      const (fun ctx n s sc d l g tr f j ->
+          let result =
+            finishing ctx (fun () -> run_audit n s sc d l g tr f j)
+          in
+          if result.Eval.Audit.total_violations > 0 then Stdlib.exit 1)
+      $ plain_ctx_term $ network_arg $ seed_arg $ scenario_count_arg
+      $ detector_arg $ loss_arg $ gray_arg $ trace_in_arg $ filter_arg
+      $ audit_json_arg)
 
 (* ---------- swarm ---------- *)
 
@@ -774,19 +786,9 @@ let swarm_json_arg =
     & info [ "json" ] ~docv:"FILE"
         ~doc:"Write the swarm summary to FILE (schema bcp-swarm/v1).")
 
-let run_swarm network seed budget wall strategy detector max_faults horizon
-    use_metrics trace_out json_out artifact_dir prof_out jobs =
-  Sim.Pool.set_jobs jobs;
-  prof_setup prof_out;
-  let telemetry = use_metrics || trace_out <> None in
-  (* Establishment-time multiplexing updates land at time 0.0 under the
-     pseudo-scenario -1, ahead of the per-scenario swarm streams. *)
-  let setup_events = ref [] in
-  let mux_sink ev = setup_events := (-1, 0.0, ev) :: !setup_events in
-  let est =
-    if telemetry then Eval.Setup.build ~mux_sink network
-    else Eval.Setup.build network
-  in
+let run_swarm ctx obs network seed budget wall strategy detector max_faults
+    horizon json_out artifact_dir =
+  let est = Eval.Setup.build ?obs:obs.collector network in
   let deadline =
     Option.map
       (fun secs ->
@@ -794,63 +796,34 @@ let run_swarm network seed budget wall strategy detector max_faults horizon
         fun () -> Unix.gettimeofday () -. t0 >= secs)
       wall
   in
-  let network_label = Eval.Setup.network_label network in
-  let report, tele =
-    if telemetry then begin
-      let report, tele =
-        Eval.Swarm.run_telemetry ~seed ~budget ~strategy ~detector ~max_faults
-          ?horizon ?deadline ~network:network_label est.Eval.Setup.ns
-      in
-      (report, Some tele)
-    end
-    else
-      ( Eval.Swarm.run ~seed ~budget ~strategy ~detector ~max_faults ?horizon
-          ?deadline ~network:network_label est.Eval.Setup.ns,
-        None )
+  let report =
+    Eval.Swarm.run ?obs:obs.collector ~seed ~budget ~strategy ~detector
+      ~max_faults ?horizon ?deadline
+      ~network:(Eval.Setup.network_label network)
+      est.Eval.Setup.ns
   in
   Eval.Swarm.print report;
-  (match tele with
-  | None -> ()
-  | Some t ->
-    if use_metrics then begin
-      let phases =
-        Eval.Recovery_delay.phases_of_snapshot t.Eval.Swarm.metrics
-      in
-      Eval.Report.print (Eval.Recovery_delay.phases_report phases);
-      Eval.Report.print (Eval.Telemetry.metrics_report t.Eval.Swarm.metrics)
-    end;
-    match trace_out with
-    | None -> ()
-    | Some path ->
-      write_trace path (List.rev !setup_events @ t.Eval.Swarm.events));
-  (match json_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc
-      (Eval.Json.to_string ~indent:2 (Eval.Swarm.report_to_json report));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote swarm summary to %s\n" path);
+  finish_obs ctx obs;
+  Option.iter
+    (fun path ->
+      write_json_file path (Eval.Swarm.report_to_json report);
+      Printf.printf "wrote swarm summary to %s\n" path)
+    json_out;
   (match artifact_dir with
-  | None -> ()
   | Some dir when report.Eval.Swarm.violations <> [] ->
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    or_cannot_write dir (fun () ->
+        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
     List.iter
       (fun v ->
         let path =
           Filename.concat dir
             (Printf.sprintf "violation-%04d.json" v.Eval.Swarm.scenario)
         in
-        let oc = open_out path in
-        output_string oc (Eval.Json.to_string ~indent:2 v.Eval.Swarm.artifact);
-        output_char oc '\n';
-        close_out oc;
+        write_json_file path v.Eval.Swarm.artifact;
         Printf.printf "wrote artifact %s\n" path)
       report.Eval.Swarm.violations
-  | Some _ -> ());
-  prof_finish prof_out;
-  if report.Eval.Swarm.violations <> [] then exit 1
+  | _ -> ());
+  report
 
 let swarm_cmd =
   let doc =
@@ -867,12 +840,15 @@ let swarm_cmd =
   Cmd.v
     (Cmd.info "swarm" ~doc)
     Term.(
-      const (fun n s b w st d mf h m t j ad p jobs ->
-          run_swarm n s b w st d mf h m t j ad p jobs)
-      $ network_arg $ seed_arg $ budget_arg $ wall_arg $ strategy_arg
-      $ detector_arg $ max_faults_arg $ horizon_arg $ metrics_arg
-      $ trace_out_arg $ swarm_json_arg $ artifact_dir_arg $ prof_out_arg
-      $ jobs_arg)
+      const (fun ctx obs n s b w st d mf h j ad ->
+          let report =
+            finishing ctx (fun () ->
+                run_swarm ctx obs n s b w st d mf h j ad)
+          in
+          if report.Eval.Swarm.violations <> [] then Stdlib.exit 1)
+      $ plain_ctx_term $ obs_term $ network_arg $ seed_arg $ budget_arg
+      $ wall_arg $ strategy_arg $ detector_arg $ max_faults_arg $ horizon_arg
+      $ swarm_json_arg $ artifact_dir_arg)
 
 (* ---------- churn ---------- *)
 
@@ -988,25 +964,14 @@ let churn_json_arg =
     & info [ "json" ] ~docv:"FILE"
         ~doc:"Write the churn summary to FILE (schema bcp-churn/v1).")
 
-let run_churn network seed events offered holding bandwidth backups fault_every
-    horizon windows detector max_blocking use_metrics trace_out json_out
-    prof_out jobs =
-  Sim.Pool.set_jobs jobs;
-  prof_setup prof_out;
+let run_churn ctx obs network seed events offered holding bandwidth backups
+    fault_every horizon windows detector json_out =
   let horizon = Option.value ~default:0.25 horizon in
   let t0 = Unix.gettimeofday () in
-  let outcomes, tele =
-    if use_metrics || trace_out <> None then begin
-      let outcomes, tele =
-        Eval.Churn.run_telemetry ~seed ~events ~offered ~mean_holding:holding
-          ~bandwidth ~backups ~fault_every ~horizon ~detector ~windows network
-      in
-      (outcomes, Some tele)
-    end
-    else
-      ( Eval.Churn.run ~seed ~events ~offered ~mean_holding:holding ~bandwidth
-          ~backups ~fault_every ~horizon ~detector ~windows network,
-        None )
+  let outcomes =
+    Eval.Churn.run ?obs:obs.collector ~seed ~events ~offered
+      ~mean_holding:holding ~bandwidth ~backups ~fault_every ~horizon
+      ~detector ~windows network
   in
   let wall = Unix.gettimeofday () -. t0 in
   Eval.Report.print
@@ -1019,30 +984,14 @@ let run_churn network seed events offered holding bandwidth backups fault_every
   List.iter
     (fun o -> Eval.Report.print (Eval.Churn.windows_report o))
     outcomes;
-  (match tele with
-  | None -> ()
-  | Some t ->
-    if use_metrics then begin
-      let phases =
-        Eval.Recovery_delay.phases_of_snapshot t.Eval.Churn.metrics
-      in
-      Eval.Report.print (Eval.Recovery_delay.phases_report phases);
-      Eval.Report.print (Eval.Telemetry.metrics_report t.Eval.Churn.metrics)
-    end;
-    (match trace_out with
-    | None -> ()
-    | Some path -> write_trace path t.Eval.Churn.events));
-  (match json_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc
-      (Eval.Json.to_string ~indent:2
-         (Eval.Churn.report_to_json ~seed ~events ~fault_every ~horizon
-            ~detector ~network outcomes));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote churn summary to %s\n" path);
+  finish_obs ctx obs;
+  Option.iter
+    (fun path ->
+      write_json_file path
+        (Eval.Churn.report_to_json ~seed ~events ~fault_every ~horizon
+           ~detector ~network outcomes);
+      Printf.printf "wrote churn summary to %s\n" path)
+    json_out;
   let total_events =
     List.fold_left
       (fun a (o : Eval.Churn.outcome) -> a + o.Eval.Churn.events)
@@ -1051,7 +1000,10 @@ let run_churn network seed events offered holding bandwidth backups fault_every
   Printf.printf "timing: churn wall %.3f s (%d lifecycle events, %.0f events/s)\n"
     wall total_events
     (float_of_int total_events /. wall);
-  prof_finish prof_out;
+  outcomes
+
+(* Exit 1 on any monitor violation or a --max-blocking breach. *)
+let check_churn max_blocking outcomes =
   let violations = Eval.Churn.total_violations outcomes in
   if violations > 0 then begin
     Printf.eprintf "churn: %d monitor violation(s) during fault episodes\n"
@@ -1085,12 +1037,14 @@ let churn_cmd =
   Cmd.v
     (Cmd.info "churn" ~doc)
     Term.(
-      const (fun n s e off h bw b fe hz w d mb m t j p jobs ->
-          run_churn n s e off h bw b fe hz w d mb m t j p jobs)
-      $ network_arg $ seed_arg $ events_arg $ offered_arg $ holding_arg
-      $ churn_bandwidth_arg $ backups_arg $ fault_every_arg $ horizon_arg
-      $ windows_arg $ detector_arg $ max_blocking_arg $ metrics_arg
-      $ trace_out_arg $ churn_json_arg $ prof_out_arg $ jobs_arg)
+      const (fun ctx obs n s e off h bw b fe hz w d mb j ->
+          check_churn mb
+            (finishing ctx (fun () ->
+                 run_churn ctx obs n s e off h bw b fe hz w d j)))
+      $ plain_ctx_term $ obs_term $ network_arg $ seed_arg $ events_arg
+      $ offered_arg $ holding_arg $ churn_bandwidth_arg $ backups_arg
+      $ fault_every_arg $ horizon_arg $ windows_arg $ detector_arg
+      $ max_blocking_arg $ churn_json_arg)
 
 let run_markov ctx () =
   let rows = Eval.Reliability_cmp.compute ~hops:[ 1; 2; 4; 7; 10; 14 ] () in

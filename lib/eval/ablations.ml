@@ -46,7 +46,7 @@ let inhomogeneous ?(seed = 42) ?count ?(hotspot_fraction = 0.35) network =
   in
   let proposed_ns = Bcp.Netstate.create (Setup.topology_of network) () in
   let proposed =
-    Setup.establish_all ~seed proposed_ns (requests (Sim.Prng.create seed))
+    Setup.establish_all proposed_ns (requests (Sim.Prng.create seed))
   in
   let per_link =
     Rtchan.Resource.total_spare (Bcp.Netstate.resources proposed.Setup.ns)
@@ -58,7 +58,7 @@ let inhomogeneous ?(seed = 42) ?count ?(hotspot_fraction = 0.35) network =
       (Setup.topology_of network) ()
   in
   let brute =
-    Setup.establish_all ~seed brute_ns (requests (Sim.Prng.create seed))
+    Setup.establish_all brute_ns (requests (Sim.Prng.create seed))
   in
   let r =
     Report.make

@@ -154,7 +154,7 @@ let build_with ~seed ~backups ~mux_degree ~bandwidth network =
     Workload.Generator.shuffled rng
       (Workload.Generator.all_pairs ~bandwidth ~backups ~mux_degree topo)
   in
-  Setup.establish_all ~seed ns requests
+  Setup.establish_all ns requests
 
 let compare ?(seed = 42) ?(double_sample = 300) ?(mux_degree = 3)
     ?(bandwidth = 1.0) network =

@@ -50,12 +50,8 @@ let config_for detector =
       Bcp.Protocol.detector = Bcp.Protocol.Heartbeat Bcp.Detector.default_params;
     }
 
-type telemetry = {
-  metrics : Sim.Metrics.snapshot;
-  events : (int * float * Sim.Event.t) list;
-}
-
-let run_impl ~telemetry ~seed ~scenario_count ~horizon ~detector ~levels ns =
+let run ?obs ?(seed = 11) ?(scenario_count = 16) ?(horizon = 0.25)
+    ?(detector = `Oracle) ?(levels = default_levels) ns =
   let topo = Bcp.Netstate.topology ns in
   let m = Net.Topology.num_links topo in
   let rng = Sim.Prng.create seed in
@@ -65,131 +61,94 @@ let run_impl ~telemetry ~seed ~scenario_count ~horizon ~detector ~levels ns =
   let nscen = List.length failed_links in
   let config = config_for detector in
   let t_fail = 0.01 in
-  let merged = if telemetry then Some (Sim.Metrics.create ()) else None in
-  let all_events = ref [] in
-  let outcomes =
-    List.mapi
-      (fun li lvl ->
-      (* Every scenario is seeded from (seed, level, scenario index), so
-         the per-scenario simulations are independent and run on the
-         domain pool; the observations are merged in scenario order,
-         keeping the sweep byte-identical to a sequential run. *)
-      let observe (si, l) =
-        let sim = Bcp.Simnet.create ~config ~telemetry ns in
-        let profile =
-          Failures.Impair.make ~loss:lvl.loss ~dup:lvl.dup ~jitter:lvl.jitter
-            ()
-        in
-        let imp =
-          Failures.Impair.create
-            ~seed:(seed + (7919 * li) + (104729 * si))
-            ~default:profile ()
-        in
-        (* A fraction of links is gray: reported up, silently dropping
-           every control message and ack. *)
-        let gray_count = int_of_float (Float.round (lvl.gray_frac *. float_of_int m)) in
-        if gray_count > 0 then begin
-          let grng = Sim.Prng.create (seed + (31 * li) + si) in
-          List.iter
-            (fun gl ->
-              Failures.Impair.set_link imp ~link:gl
-                (Failures.Impair.make ~gray:true ()))
-            (Sim.Prng.sample_without_replacement grng gray_count m)
-        end;
-        Bcp.Simnet.set_impairment sim imp;
-        Bcp.Simnet.inject sim ~at:t_fail (Failures.Scenario.single_link topo l);
-        Bcp.Simnet.run ~until:(t_fail +. horizon) sim;
-        Bcp.Simnet.finalize sim;
-        let obs_affected = ref 0 and obs_disruptions = ref [] in
-        List.iter
-          (fun r ->
-            if not r.Bcp.Simnet.excluded then begin
-              incr obs_affected;
-              match (r.Bcp.Simnet.resumed_at, r.Bcp.Simnet.recovered_serial) with
-              | Some resumed, Some _ ->
-                obs_disruptions :=
-                  (resumed -. r.Bcp.Simnet.failure_time) :: !obs_disruptions
-              | _ -> ()
-            end)
-          (Bcp.Simnet.records sim);
-        let tele =
-          if telemetry then
-            Some (Bcp.Simnet.metrics sim, Sim.Trace.events (Bcp.Simnet.trace sim))
-          else None
-        in
-        ( !obs_affected,
-          List.rev !obs_disruptions,
-          Bcp.Simnet.rcc_messages_sent sim,
-          Bcp.Simnet.rcc_messages_dropped sim,
-          Bcp.Simnet.heartbeat_confirms sim,
-          Bcp.Simnet.heartbeat_recoveries sim,
-          tele )
+  List.mapi
+    (fun li lvl ->
+    (* Every scenario is seeded from (seed, level, scenario index), so
+       the per-scenario simulations are independent and run on the
+       domain pool; the observations are merged in scenario order,
+       keeping the sweep byte-identical to a sequential run. *)
+    let observe (si, l) =
+      let sim = Bcp.Simnet.create ~config ~telemetry:(obs <> None) ns in
+      let profile =
+        Failures.Impair.make ~loss:lvl.loss ~dup:lvl.dup ~jitter:lvl.jitter
+          ()
       in
-      let affected = ref 0 and recovered = ref 0 in
-      let rcc_sent = ref 0 and rcc_dropped = ref 0 in
-      let hb_confirms = ref 0 and hb_recoveries = ref 0 in
-      let disruptions = Sim.Stats.Sample.create () in
-      List.iteri
-        (fun si (aff, disr, sent, dropped, confirms, recoveries, tele) ->
-          affected := !affected + aff;
-          recovered := !recovered + List.length disr;
-          List.iter (Sim.Stats.Sample.add disruptions) disr;
-          rcc_sent := !rcc_sent + sent;
-          rcc_dropped := !rcc_dropped + dropped;
-          hb_confirms := !hb_confirms + confirms;
-          hb_recoveries := !hb_recoveries + recoveries;
-          match (tele, merged) with
-          | Some (m, evs), Some into ->
-            Sim.Metrics.merge_into ~into m;
-            (* Global scenario tag: levels are disjoint runs, so number
-               them level-major to keep exported streams per-run. *)
-            let tag = (li * nscen) + si in
-            List.iter
-              (fun (time, ev) -> all_events := (tag, time, ev) :: !all_events)
-              evs
-          | _ -> ())
-        (Sim.Pool.map observe
-           (List.mapi (fun si l -> (si, l)) failed_links));
-      {
-        level = lvl;
-        scenarios = List.length failed_links;
-        affected = !affected;
-        recovered = !recovered;
-        r_fast =
-          (if !affected = 0 then 100.0 else Sim.Stats.ratio !recovered !affected);
-        mean_disruption =
-          (if !recovered = 0 then 0.0 else Sim.Stats.Sample.mean disruptions);
-        p99_disruption =
-          (if !recovered = 0 then 0.0
-           else Sim.Stats.Sample.percentile disruptions 99.0);
-        rcc_sent = !rcc_sent;
-        rcc_dropped = !rcc_dropped;
-        hb_confirms = !hb_confirms;
-        hb_recoveries = !hb_recoveries;
-      })
-      levels
-  in
-  let tele =
-    Option.map
-      (fun m ->
-        { metrics = Sim.Metrics.snapshot m; events = List.rev !all_events })
-      merged
-  in
-  (outcomes, tele)
-
-let run ?(seed = 11) ?(scenario_count = 16) ?(horizon = 0.25)
-    ?(detector = `Oracle) ?(levels = default_levels) ns =
-  fst
-    (run_impl ~telemetry:false ~seed ~scenario_count ~horizon ~detector ~levels
-       ns)
-
-let run_telemetry ?(seed = 11) ?(scenario_count = 16) ?(horizon = 0.25)
-    ?(detector = `Oracle) ?(levels = default_levels) ns =
-  match
-    run_impl ~telemetry:true ~seed ~scenario_count ~horizon ~detector ~levels ns
-  with
-  | outcomes, Some tele -> (outcomes, tele)
-  | _, None -> assert false
+      let imp =
+        Failures.Impair.create
+          ~seed:(seed + (7919 * li) + (104729 * si))
+          ~default:profile ()
+      in
+      (* A fraction of links is gray: reported up, silently dropping
+         every control message and ack. *)
+      let gray_count = int_of_float (Float.round (lvl.gray_frac *. float_of_int m)) in
+      if gray_count > 0 then begin
+        let grng = Sim.Prng.create (seed + (31 * li) + si) in
+        List.iter
+          (fun gl ->
+            Failures.Impair.set_link imp ~link:gl
+              (Failures.Impair.make ~gray:true ()))
+          (Sim.Prng.sample_without_replacement grng gray_count m)
+      end;
+      Bcp.Simnet.set_impairment sim imp;
+      Bcp.Simnet.inject sim ~at:t_fail (Failures.Scenario.single_link topo l);
+      Bcp.Simnet.run ~until:(t_fail +. horizon) sim;
+      Bcp.Simnet.finalize sim;
+      let obs_affected = ref 0 and obs_disruptions = ref [] in
+      List.iter
+        (fun r ->
+          if not r.Bcp.Simnet.excluded then begin
+            incr obs_affected;
+            match (r.Bcp.Simnet.resumed_at, r.Bcp.Simnet.recovered_serial) with
+            | Some resumed, Some _ ->
+              obs_disruptions :=
+                (resumed -. r.Bcp.Simnet.failure_time) :: !obs_disruptions
+            | _ -> ()
+          end)
+        (Bcp.Simnet.records sim);
+      ( !obs_affected,
+        List.rev !obs_disruptions,
+        Bcp.Simnet.rcc_messages_sent sim,
+        Bcp.Simnet.rcc_messages_dropped sim,
+        Bcp.Simnet.heartbeat_confirms sim,
+        Bcp.Simnet.heartbeat_recoveries sim,
+        Telemetry.capture obs sim )
+    in
+    let affected = ref 0 and recovered = ref 0 in
+    let rcc_sent = ref 0 and rcc_dropped = ref 0 in
+    let hb_confirms = ref 0 and hb_recoveries = ref 0 in
+    let disruptions = Sim.Stats.Sample.create () in
+    List.iteri
+      (fun si (aff, disr, sent, dropped, confirms, recoveries, run) ->
+        affected := !affected + aff;
+        recovered := !recovered + List.length disr;
+        List.iter (Sim.Stats.Sample.add disruptions) disr;
+        rcc_sent := !rcc_sent + sent;
+        rcc_dropped := !rcc_dropped + dropped;
+        hb_confirms := !hb_confirms + confirms;
+        hb_recoveries := !hb_recoveries + recoveries;
+        (* Global scenario tag: levels are disjoint runs, so number
+           them level-major to keep exported streams per-run. *)
+        Telemetry.add obs ~tag:((li * nscen) + si) run)
+      (Sim.Pool.map observe
+         (List.mapi (fun si l -> (si, l)) failed_links));
+    {
+      level = lvl;
+      scenarios = List.length failed_links;
+      affected = !affected;
+      recovered = !recovered;
+      r_fast =
+        (if !affected = 0 then 100.0 else Sim.Stats.ratio !recovered !affected);
+      mean_disruption =
+        (if !recovered = 0 then 0.0 else Sim.Stats.Sample.mean disruptions);
+      p99_disruption =
+        (if !recovered = 0 then 0.0
+         else Sim.Stats.Sample.percentile disruptions 99.0);
+      rcc_sent = !rcc_sent;
+      rcc_dropped = !rcc_dropped;
+      hb_confirms = !hb_confirms;
+      hb_recoveries = !hb_recoveries;
+    })
+    levels
 
 let detector_label = function
   | `Oracle -> "oracle detector"
@@ -232,11 +191,11 @@ let report ?(title = "Chaos sweep: recovery vs control-plane impairment")
     outcomes;
   r
 
-let sweep ?(seed = 11) ?(backups = 1) ?(mux_degree = 3) ?scenario_count ?horizon
-    ?(detector = `Oracle) ?levels network =
-  let est = Setup.build ~seed ~backups ~mux_degree network in
+let sweep ?obs ?(seed = 11) ?(backups = 1) ?(mux_degree = 3) ?scenario_count
+    ?horizon ?(detector = `Oracle) ?levels network =
+  let est = Setup.build ?obs ~seed ~backups ~mux_degree network in
   let outcomes =
-    run ~seed ?scenario_count ?horizon ~detector ?levels est.Setup.ns
+    run ?obs ~seed ?scenario_count ?horizon ~detector ?levels est.Setup.ns
   in
   report
     ~title:
@@ -244,18 +203,3 @@ let sweep ?(seed = 11) ?(backups = 1) ?(mux_degree = 3) ?scenario_count ?horizon
          (Setup.network_label network)
          (detector_label detector))
     outcomes
-
-let sweep_telemetry ?(seed = 11) ?(backups = 1) ?(mux_degree = 3)
-    ?scenario_count ?horizon ?(detector = `Oracle) ?levels ?mux_sink network =
-  let est = Setup.build ~seed ~backups ~mux_degree ?mux_sink network in
-  let outcomes, tele =
-    run_telemetry ~seed ?scenario_count ?horizon ~detector ?levels est.Setup.ns
-  in
-  ( report
-      ~title:
-        (Printf.sprintf "Chaos sweep (%s, %s)"
-           (Setup.network_label network)
-           (detector_label detector))
-      outcomes,
-    tele,
-    est.Setup.ns )

@@ -40,6 +40,7 @@ type outcome = {
 }
 
 val run :
+  ?obs:Telemetry.collector ->
   ?seed:int ->
   ?scenario_count:int ->
   ?horizon:float ->
@@ -50,50 +51,15 @@ val run :
 (** Simulate every level over the same seeded set of single-link
     scenarios on an established network.  [horizon] is how long each run
     is driven past the fault (default 250 ms, safely below the rejoin
-    timer). *)
+    timer).  With [obs], every simulation records typed telemetry, added
+    to the collector under a level-major tag
+    ([level_index * scenario_count + scenario_index]), so every simulated
+    run keeps a distinct stream. *)
 
 val report : ?title:string -> outcome list -> Report.t
 
-(** {2 Telemetry} *)
-
-type telemetry = {
-  metrics : Sim.Metrics.snapshot;
-      (** merged across all levels and scenarios, in sweep order *)
-  events : (int * float * Sim.Event.t) list;
-      (** (global scenario tag, sim time, event); the tag is
-          level-major: [level_index * scenario_count + scenario_index],
-          so every simulated run keeps a distinct stream *)
-}
-
-val run_telemetry :
-  ?seed:int ->
-  ?scenario_count:int ->
-  ?horizon:float ->
-  ?detector:[ `Oracle | `Heartbeat ] ->
-  ?levels:level list ->
-  Bcp.Netstate.t ->
-  outcome list * telemetry
-(** {!run} with per-scenario typed telemetry on.  The outcomes are
-    identical to {!run}'s (instrumentation is passive) and the telemetry
-    is byte-identical under any {!Sim.Pool.set_jobs} setting. *)
-
-val sweep_telemetry :
-  ?seed:int ->
-  ?backups:int ->
-  ?mux_degree:int ->
-  ?scenario_count:int ->
-  ?horizon:float ->
-  ?detector:[ `Oracle | `Heartbeat ] ->
-  ?levels:level list ->
-  ?mux_sink:(Sim.Event.t -> unit) ->
-  Setup.network ->
-  Report.t * telemetry * Bcp.Netstate.t
-(** {!sweep} with telemetry: also returns the established netstate so
-    callers can derive a {!Sim.Monitor.context} for auditing.
-    [mux_sink] observes establishment-time multiplexing updates (see
-    {!Setup.build}). *)
-
 val sweep :
+  ?obs:Telemetry.collector ->
   ?seed:int ->
   ?backups:int ->
   ?mux_degree:int ->
@@ -103,4 +69,6 @@ val sweep :
   ?levels:level list ->
   Setup.network ->
   Report.t
-(** Build the standard 8x8 evaluation network, {!run}, and tabulate. *)
+(** Build the standard evaluation network, {!run}, and tabulate.  [obs]
+    observes both: establishment through {!Setup.build}, then the
+    sweep. *)

@@ -44,11 +44,6 @@ type outcome = {
   windows : window list;
 }
 
-type telemetry = {
-  metrics : Sim.Metrics.snapshot;
-  events : (int * float * Sim.Event.t) list;
-}
-
 let config_for = function
   | `Oracle -> Bcp.Protocol.default_config
   | `Heartbeat ->
@@ -91,7 +86,7 @@ let establish_request_of (r : Workload.Generator.request) =
    [fault_every] sim seconds (0 = none).  Fully self-contained (own
    netstate, own PRNG streams derived from the cell seed), so cells run
    on the domain pool and merge deterministically in cell order. *)
-let run_cell ~telemetry ~seed ~events ~fault_every ~horizon ~detector ~windows
+let run_cell ~observe ~seed ~events ~fault_every ~horizon ~detector ~windows
     ~network ~cell params =
   Sim.Prof.span "churn.cell" @@ fun () ->
   let topo = Setup.topology_of network in
@@ -100,8 +95,8 @@ let run_cell ~telemetry ~seed ~events ~fault_every ~horizon ~detector ~windows
   let driver = Workload.Churn.create ~seed:cseed topo params in
   let erng = Sim.Prng.create (Sim.Prng.derive ~seed:cseed ~index:104729) in
   let config = config_for detector in
-  let metrics = if telemetry then Some (Sim.Metrics.create ()) else None in
-  let tagged = ref [] in
+  let metrics = if observe then Some (Sim.Metrics.create ()) else None in
+  let timed = ref [] in
   let life op conn =
     match metrics with
     | None -> ()
@@ -110,12 +105,11 @@ let run_cell ~telemetry ~seed ~events ~fault_every ~horizon ~detector ~windows
         (Sim.Metrics.counter m
            ~labels:[ ("op", Sim.Event.lifecycle_op_to_string op) ]
            "workload.lifecycle");
-      tagged :=
-        ( cell,
-          Workload.Churn.now driver,
+      timed :=
+        ( Workload.Churn.now driver,
           Sim.Event.Lifecycle
             { conn; op; active = Workload.Churn.active driver } )
-        :: !tagged
+        :: !timed
   in
   let arrivals = ref 0 and admitted = ref 0 and blocked = ref 0 in
   let departures = ref 0 and readmitted = ref 0 and readmit_blocked = ref 0 in
@@ -198,7 +192,7 @@ let run_cell ~telemetry ~seed ~events ~fault_every ~horizon ~detector ~windows
     | Some m ->
       Sim.Metrics.merge_into ~into:m (Bcp.Simnet.metrics sim);
       List.iter
-        (fun (t, ev) -> tagged := (cell, at +. t, ev) :: !tagged)
+        (fun (t, ev) -> timed := (at +. t, ev) :: !timed)
         (Sim.Trace.events (Bcp.Simnet.trace sim))
     | None -> ());
     List.iter
@@ -298,11 +292,13 @@ let run_cell ~telemetry ~seed ~events ~fault_every ~horizon ~detector ~windows
       windows = List.rev !windows_acc;
     }
   in
-  (outcome, metrics, List.rev !tagged)
+  (outcome, Option.map (fun m -> (m, List.rev !timed)) metrics)
 
-let run_impl ~telemetry ~seed ~events ~offered ~mean_holding ~bandwidth
-    ~hop_slack ~backups ~mux_degree ~fault_every ~horizon ~detector ~windows
-    network =
+let run ?obs ?(seed = 42) ?(events = 20_000) ?(offered = [ 2.0; 4.0; 6.0 ])
+    ?(mean_holding = 50.0) ?(bandwidth = 1.0) ?(hop_slack = 2) ?(backups = 1)
+    ?(mux_degree = 3) ?(fault_every = 0.0) ?(horizon = 0.25)
+    ?(detector = `Oracle) ?(windows = 8) network =
+  if offered = [] then invalid_arg "Churn.run: empty offered-load ladder";
   let cells =
     List.mapi
       (fun i off ->
@@ -314,56 +310,15 @@ let run_impl ~telemetry ~seed ~events ~offered ~mean_holding ~bandwidth
   let results =
     Sim.Pool.map
       (fun (cell, params) ->
-        run_cell ~telemetry ~seed ~events ~fault_every ~horizon ~detector
-          ~windows ~network ~cell params)
+        run_cell ~observe:(obs <> None) ~seed ~events ~fault_every ~horizon
+          ~detector ~windows ~network ~cell params)
       cells
   in
-  let merged = if telemetry then Some (Sim.Metrics.create ()) else None in
-  let all_events = ref [] in
-  let outcomes =
-    List.map
-      (fun (outcome, cell_metrics, cell_events) ->
-        (match (cell_metrics, merged) with
-        | Some m, Some into ->
-          Sim.Metrics.merge_into ~into m;
-          all_events := cell_events :: !all_events
-        | _ -> ());
-        outcome)
-      results
-  in
-  let tele =
-    Option.map
-      (fun m ->
-        {
-          metrics = Sim.Metrics.snapshot m;
-          events = List.concat (List.rev !all_events);
-        })
-      merged
-  in
-  (outcomes, tele)
-
-let run ?(seed = 42) ?(events = 20_000) ?(offered = [ 2.0; 4.0; 6.0 ])
-    ?(mean_holding = 50.0) ?(bandwidth = 1.0) ?(hop_slack = 2) ?(backups = 1)
-    ?(mux_degree = 3) ?(fault_every = 0.0) ?(horizon = 0.25)
-    ?(detector = `Oracle) ?(windows = 8) network =
-  if offered = [] then invalid_arg "Churn.run: empty offered-load ladder";
-  fst
-    (run_impl ~telemetry:false ~seed ~events ~offered ~mean_holding ~bandwidth
-       ~hop_slack ~backups ~mux_degree ~fault_every ~horizon ~detector ~windows
-       network)
-
-let run_telemetry ?(seed = 42) ?(events = 20_000) ?(offered = [ 2.0; 4.0; 6.0 ])
-    ?(mean_holding = 50.0) ?(bandwidth = 1.0) ?(hop_slack = 2) ?(backups = 1)
-    ?(mux_degree = 3) ?(fault_every = 0.0) ?(horizon = 0.25)
-    ?(detector = `Oracle) ?(windows = 8) network =
-  if offered = [] then invalid_arg "Churn.run_telemetry: empty offered-load ladder";
-  match
-    run_impl ~telemetry:true ~seed ~events ~offered ~mean_holding ~bandwidth
-      ~hop_slack ~backups ~mux_degree ~fault_every ~horizon ~detector ~windows
-      network
-  with
-  | outcomes, Some tele -> (outcomes, tele)
-  | _, None -> assert false
+  List.mapi
+    (fun cell (outcome, run) ->
+      Telemetry.add obs ~tag:cell run;
+      outcome)
+    results
 
 (* ---------- reports ---------- *)
 

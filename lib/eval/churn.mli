@@ -58,14 +58,8 @@ type outcome = {
   windows : window list;
 }
 
-type telemetry = {
-  metrics : Sim.Metrics.snapshot;
-  events : (int * float * Sim.Event.t) list;
-      (** (cell, time, event): lifecycle events plus episode traces,
-          episode event times shifted to the cell's churn clock *)
-}
-
 val run :
+  ?obs:Telemetry.collector ->
   ?seed:int ->
   ?events:int ->
   ?offered:float list ->
@@ -84,26 +78,11 @@ val run :
     seed 42, 20k events per cell, ladder [2; 4; 6] E/node, holding 50 s,
     1 Mbps, slack 2, 1 backup, mux degree 3, no fault episodes
     ([fault_every = 0]), horizon 0.25 s, oracle detector, 8 windows.
+    With [obs], each cell adds, tagged with its ladder index, its
+    lifecycle counters and events plus every fault episode's protocol
+    metrics and trace, episode event times shifted to the cell's churn
+    clock.
     @raise Invalid_argument on an empty ladder. *)
-
-val run_telemetry :
-  ?seed:int ->
-  ?events:int ->
-  ?offered:float list ->
-  ?mean_holding:float ->
-  ?bandwidth:float ->
-  ?hop_slack:int ->
-  ?backups:int ->
-  ?mux_degree:int ->
-  ?fault_every:float ->
-  ?horizon:float ->
-  ?detector:[ `Oracle | `Heartbeat ] ->
-  ?windows:int ->
-  Setup.network ->
-  outcome list * telemetry
-(** {!run} with the typed telemetry plane on: merged metrics registry
-    (lifecycle counters + episode protocol metrics) and the tagged event
-    stream for [--metrics] / [--trace-out]. *)
 
 val summary_report : ?title:string -> outcome list -> Report.t
 val windows_report : ?title:string -> outcome -> Report.t

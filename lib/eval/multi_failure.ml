@@ -77,20 +77,15 @@ let sweep ?(seed = 42) ?(ks = [ 1; 2; 3; 4; 5; 6; 7; 8 ])
     ks;
   report
 
-(* ---------- event-driven telemetry variant ---------- *)
-
-type telemetry = {
-  metrics : Sim.Metrics.snapshot;
-  events : (int * float * Sim.Event.t) list;
-}
+(* ---------- event-driven variant ---------- *)
 
 (* The analytic [Bcp.Recovery.simulate] path above has no event stream;
-   when telemetry is requested the k-failure sweep runs the event-driven
-   protocol simulator instead (one configuration, reduced defaults), so
-   audited traces exist for burst failures too. *)
-let sweep_telemetry ?(seed = 42) ?(ks = [ 1; 2; 4 ]) ?(scenarios_per_k = 8)
-    ?(backups = 1) ?(mux_degree = 3) ?mux_sink network =
-  let est = Setup.build ~seed ~backups ~mux_degree ?mux_sink network in
+   this variant runs every k-link burst through the event-driven protocol
+   simulator instead (one configuration, reduced defaults), so audited
+   traces exist for burst failures too. *)
+let simulate ?obs ?(seed = 42) ?(ks = [ 1; 2; 4 ]) ?(scenarios_per_k = 8)
+    ?(backups = 1) ?(mux_degree = 3) network =
+  let est = Setup.build ?obs ~seed ~backups ~mux_degree network in
   let ns = est.Setup.ns in
   let topo = Bcp.Netstate.topology ns in
   let report =
@@ -103,19 +98,16 @@ let sweep_telemetry ?(seed = 42) ?(ks = [ 1; 2; 4 ]) ?(scenarios_per_k = 8)
            (Setup.network_label network))
       ~columns:[ "affected"; "recovered"; "R_fast" ]
   in
-  let merged = Sim.Metrics.create () in
-  let all_events = ref [] in
   let t_fail = 0.01 in
-  let scen_base = ref 0 in
-  List.iter
-    (fun k ->
+  List.iteri
+    (fun ki k ->
       let rng = Sim.Prng.create (seed + (1000 * k)) in
       let scenarios = ref [] in
       for _ = 1 to scenarios_per_k do
         scenarios := Failures.Scenario.random_links rng topo ~count:k :: !scenarios
       done;
       let observe sc =
-        let sim = Bcp.Simnet.create ~telemetry:true ns in
+        let sim = Bcp.Simnet.create ~telemetry:(obs <> None) ns in
         Bcp.Simnet.inject sim ~at:t_fail sc;
         Bcp.Simnet.run ~until:(t_fail +. 0.25) sim;
         Bcp.Simnet.finalize sim;
@@ -129,23 +121,15 @@ let sweep_telemetry ?(seed = 42) ?(ks = [ 1; 2; 4 ]) ?(scenarios_per_k = 8)
               | _ -> ()
             end)
           (Bcp.Simnet.records sim);
-        ( !affected,
-          !recovered,
-          Bcp.Simnet.metrics sim,
-          Sim.Trace.events (Bcp.Simnet.trace sim) )
+        (!affected, !recovered, Telemetry.capture obs sim)
       in
       let affected = ref 0 and recovered = ref 0 in
       List.iteri
-        (fun si (aff, rec_, m, evs) ->
+        (fun si (aff, rec_, run) ->
           affected := !affected + aff;
           recovered := !recovered + rec_;
-          Sim.Metrics.merge_into ~into:merged m;
-          List.iter
-            (fun (time, ev) ->
-              all_events := (!scen_base + si, time, ev) :: !all_events)
-            evs)
+          Telemetry.add obs ~tag:((ki * scenarios_per_k) + si) run)
         (Sim.Pool.map observe (List.rev !scenarios));
-      scen_base := !scen_base + scenarios_per_k;
       Report.add_row report
         ~label:(Printf.sprintf "k = %d" k)
         ~cells:
@@ -157,6 +141,4 @@ let sweep_telemetry ?(seed = 42) ?(ks = [ 1; 2; 4 ]) ?(scenarios_per_k = 8)
                else Sim.Stats.ratio !recovered !affected);
           ])
     ks;
-  ( report,
-    { metrics = Sim.Metrics.snapshot merged; events = List.rev !all_events },
-    ns )
+  report

@@ -22,27 +22,20 @@ val sweep :
     (2,6)); cells = R_fast over [scenarios_per_k] (default 100) sampled
     scenarios. *)
 
-(** {2 Telemetry} *)
+(** {2 Event-driven variant} *)
 
-type telemetry = {
-  metrics : Sim.Metrics.snapshot;
-  events : (int * float * Sim.Event.t) list;
-      (** (scenario tag, sim time, event); tags number the simulated runs
-          k-major in sweep order *)
-}
-
-val sweep_telemetry :
+val simulate :
+  ?obs:Telemetry.collector ->
   ?seed:int ->
   ?ks:int list ->
   ?scenarios_per_k:int ->
   ?backups:int ->
   ?mux_degree:int ->
-  ?mux_sink:(Sim.Event.t -> unit) ->
   Setup.network ->
-  Report.t * telemetry * Bcp.Netstate.t
-(** Event-driven variant of {!sweep} for one protection configuration
-    (default 1 backup, degree 3) with typed telemetry on: the analytic
-    engine has no event stream, so each k-link burst runs the full
-    protocol simulator (reduced defaults: k in 1/2/4, 8 scenarios per k).
-    Also returns the established netstate so callers can derive a
-    {!Sim.Monitor.context}. *)
+  Report.t
+(** {!sweep} on the event-driven protocol simulator, for one protection
+    configuration (default 1 backup, degree 3) with reduced defaults
+    (k in 1/2/4, 8 scenarios per k): the analytic engine behind {!sweep}
+    has no event stream, so this is the variant to observe.  With [obs],
+    establishment ({!Setup.build}) and every burst simulation record
+    typed telemetry; bursts are tagged k-major in sweep order. *)

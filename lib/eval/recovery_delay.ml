@@ -40,12 +40,6 @@ type phases = {
   switch : phase_stats;
 }
 
-type telemetry = {
-  phases : phases;
-  metrics : Sim.Metrics.snapshot;
-  events : (int * float * Sim.Event.t) list;
-}
-
 let phase_of snapshot name =
   match
     List.find_opt (fun (n, labels, _) -> n = name && labels = []) snapshot
@@ -67,7 +61,8 @@ let phases_of_snapshot snapshot =
     switch = phase_of snapshot "phase.switch";
   }
 
-let measure_impl ~telemetry ~config ~seed ~scenario_count ~node_failures ns =
+let measure ?obs ?(config = Bcp.Protocol.default_config) ?(seed = 11)
+    ?(scenario_count = 16) ?(node_failures = true) ns =
   let topo = Bcp.Netstate.topology ns in
   let rng = Sim.Prng.create seed in
   let links =
@@ -95,7 +90,7 @@ let measure_impl ~telemetry ~config ~seed ~scenario_count ~node_failures ns =
      pool; merging the per-scenario observations in scenario order makes
      the statistics byte-identical to the sequential sweep. *)
   let observe sc =
-    let sim = Bcp.Simnet.create ~config ~telemetry ns in
+    let sim = Bcp.Simnet.create ~config ~telemetry:(obs <> None) ns in
     Bcp.Simnet.inject sim ~at:t_fail sc;
     (* Stop before the rejoin timers tear anything down. *)
     Bcp.Simnet.run ~until:(t_fail +. (0.5 *. config.Bcp.Protocol.rejoin_timeout)) sim;
@@ -120,19 +115,12 @@ let measure_impl ~telemetry ~config ~seed ~scenario_count ~node_failures ns =
             | _ -> Some `Unrecovered)
         (Bcp.Simnet.records sim)
     in
-    let tele =
-      if telemetry then
-        Some (Bcp.Simnet.metrics sim, Sim.Trace.events (Bcp.Simnet.trace sim))
-      else None
-    in
-    (Bcp.Simnet.rcc_messages_sent sim, events, tele)
+    (Bcp.Simnet.rcc_messages_sent sim, events, Telemetry.capture obs sim)
   in
-  let merged = Sim.Metrics.create () in
-  let tagged_events = ref [] in
   (* [Sim.Pool.map] preserves scenario order, so both the delay statistics
      and the telemetry merge below are byte-identical under [--jobs N]. *)
   List.iteri
-    (fun idx (sent, events, tele) ->
+    (fun idx (sent, events, run) ->
       rcc_sent := !rcc_sent + sent;
       List.iter
         (function
@@ -146,55 +134,21 @@ let measure_impl ~telemetry ~config ~seed ~scenario_count ~node_failures ns =
               if from_detection <= b +. 1e-12 then incr within)
           | `Unrecovered -> incr unrecovered)
         events;
-      match tele with
-      | None -> ()
-      | Some (m, evs) ->
-        Sim.Metrics.merge_into ~into:merged m;
-        List.iter (fun (time, ev) -> tagged_events := (idx, time, ev) :: !tagged_events) evs)
+      Telemetry.add obs ~tag:idx run)
     (Sim.Pool.map observe scenarios);
-  let stats =
-    {
-      scheme = config.Bcp.Protocol.scheme;
-      scenarios = List.length scenarios;
-      samples = !samples;
-      unrecovered = !unrecovered;
-      mean = (if !samples = 0 then 0.0 else Sim.Stats.Sample.mean delays);
-      p50 = (if !samples = 0 then 0.0 else Sim.Stats.Sample.median delays);
-      p99 = (if !samples = 0 then 0.0 else Sim.Stats.Sample.percentile delays 99.0);
-      max = (if !samples = 0 then 0.0 else Sim.Stats.Sample.max delays);
-      mean_bound = Sim.Stats.Running.mean bounds;
-      within_bound_pct = Sim.Stats.ratio !within !samples;
-      rcc_sent = !rcc_sent;
-    }
-  in
-  let tele =
-    if not telemetry then None
-    else begin
-      let snapshot = Sim.Metrics.snapshot merged in
-      Some
-        {
-          phases = phases_of_snapshot snapshot;
-          metrics = snapshot;
-          events = List.rev !tagged_events;
-        }
-    end
-  in
-  (stats, tele)
-
-let measure ?(config = Bcp.Protocol.default_config) ?(seed = 11)
-    ?(scenario_count = 16) ?(node_failures = true) ns =
-  fst
-    (measure_impl ~telemetry:false ~config ~seed ~scenario_count
-       ~node_failures ns)
-
-let measure_telemetry ?(config = Bcp.Protocol.default_config) ?(seed = 11)
-    ?(scenario_count = 16) ?(node_failures = true) ns =
-  match
-    measure_impl ~telemetry:true ~config ~seed ~scenario_count ~node_failures
-      ns
-  with
-  | stats, Some tele -> (stats, tele)
-  | _, None -> assert false
+  {
+    scheme = config.Bcp.Protocol.scheme;
+    scenarios = List.length scenarios;
+    samples = !samples;
+    unrecovered = !unrecovered;
+    mean = (if !samples = 0 then 0.0 else Sim.Stats.Sample.mean delays);
+    p50 = (if !samples = 0 then 0.0 else Sim.Stats.Sample.median delays);
+    p99 = (if !samples = 0 then 0.0 else Sim.Stats.Sample.percentile delays 99.0);
+    max = (if !samples = 0 then 0.0 else Sim.Stats.Sample.max delays);
+    mean_bound = Sim.Stats.Running.mean bounds;
+    within_bound_pct = Sim.Stats.ratio !within !samples;
+    rcc_sent = !rcc_sent;
+  }
 
 let ms v = Printf.sprintf "%.3f ms" (1000.0 *. v)
 

@@ -24,6 +24,7 @@ type stats = {
 val scheme_label : Bcp.Protocol.scheme -> string
 
 val measure :
+  ?obs:Telemetry.collector ->
   ?config:Bcp.Protocol.config ->
   ?seed:int ->
   ?scenario_count:int ->
@@ -32,7 +33,8 @@ val measure :
   stats
 (** Samples [scenario_count] (default 16) single-link (plus single-node
     when [node_failures], default true) scenarios, one fresh protocol
-    simulation each. *)
+    simulation each.  With [obs], every simulation records typed
+    telemetry, added to the collector under its scenario index. *)
 
 (** {2 Telemetry}
 
@@ -58,28 +60,8 @@ type phases = {
 
 val phases_of_snapshot : Sim.Metrics.snapshot -> phases
 (** Extract the phase breakdown from any metrics snapshot carrying the
-    [phase.*] timers (all-zero rows for missing timers) — usable on
-    snapshots merged by other sweeps (chaos, multi-failure) too. *)
-
-type telemetry = {
-  phases : phases;
-  metrics : Sim.Metrics.snapshot;
-      (** merged across scenarios in scenario order *)
-  events : (int * float * Sim.Event.t) list;
-      (** (scenario index, sim time, event), scenario-major order *)
-}
-
-val measure_telemetry :
-  ?config:Bcp.Protocol.config ->
-  ?seed:int ->
-  ?scenario_count:int ->
-  ?node_failures:bool ->
-  Bcp.Netstate.t ->
-  stats * telemetry
-(** Same sweep as {!measure} with per-scenario telemetry on; the returned
-    [stats] are identical to {!measure}'s (instrumentation is passive),
-    and the telemetry is byte-identical under any {!Sim.Pool.set_jobs}
-    setting. *)
+    [phase.*] timers (all-zero rows for missing timers), such as
+    {!Telemetry.metrics} of any experiment's collector. *)
 
 val report : stats list -> Report.t
 

@@ -209,7 +209,7 @@ let table_brute_force ?(seed = 42) ?double_sample ?(degrees = [ 1; 3; 5; 6 ])
           Workload.Generator.shuffled rng
             (Workload.Generator.all_pairs ~backups:1 ~mux_degree:d topo)
         in
-        let est' = Setup.establish_all ~seed ns requests in
+        let est' = Setup.establish_all ns requests in
         (d, est'))
       proposed
   in

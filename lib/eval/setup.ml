@@ -59,15 +59,12 @@ type establishment = {
   spare : float;
 }
 
-let establish_all ?(seed = 42) ?policy ?backup_routing ?(progress_every = 250) ?on_progress ns requests =
+let establish_all ?backup_routing ?(progress_every = 250) ?on_progress ns
+    requests =
   (* Deterministic lowest-link-id tie-breaking matches the paper's plain
-     sequential shortest-path routing and its reported spare levels;
-     [seed] only shuffles the request order (done by the caller). *)
-  ignore seed;
-  ignore policy;
+     sequential shortest-path routing and its reported spare levels. *)
   let established = ref 0 and rejected = ref 0 in
-  let to_req i (r : Workload.Generator.request) =
-    ignore i;
+  let to_req (r : Workload.Generator.request) =
     {
       Bcp.Establish.src = r.Workload.Generator.src;
       dst = r.dst;
@@ -124,7 +121,7 @@ let establish_all ?(seed = 42) ?policy ?backup_routing ?(progress_every = 250) ?
       let plans =
         Sim.Prof.span "establish.plan_batch" (fun () ->
             Sim.Pool.map
-              (fun j -> Bcp.Establish.plan ns ~conn_id:j (to_req j arr.(j)))
+              (fun j -> Bcp.Establish.plan ns ~conn_id:j (to_req arr.(j)))
               idxs)
       in
       Sim.Prof.span "establish.merge" (fun () ->
@@ -135,7 +132,7 @@ let establish_all ?(seed = 42) ?policy ?backup_routing ?(progress_every = 250) ?
                 | Some r -> r
                 | None ->
                   Bcp.Establish.establish ?backup_routing ns ~conn_id:j
-                    (to_req j arr.(j))
+                    (to_req arr.(j))
               in
               note j outcome)
             idxs plans);
@@ -148,7 +145,7 @@ let establish_all ?(seed = 42) ?policy ?backup_routing ?(progress_every = 250) ?
           (fun i r ->
             note i
               (Bcp.Establish.establish ?backup_routing ns ~conn_id:i
-                 (to_req i r)))
+                 (to_req r)))
           requests);
   {
     ns;
@@ -159,18 +156,20 @@ let establish_all ?(seed = 42) ?policy ?backup_routing ?(progress_every = 250) ?
   }
 
 let build ?(seed = 42) ?(backups = 1) ?(mux_degree = 1) ?(lambda = 1e-4)
-    ?(policy = Bcp.Netstate.Multiplexed) ?backup_routing ?mux_sink network =
+    ?(policy = Bcp.Netstate.Multiplexed) ?backup_routing ?obs network =
   let topo = topology_of network in
   let ns = Bcp.Netstate.create ~lambda ~policy topo () in
-  (match mux_sink with
-  | None -> ()
-  | Some f -> Bcp.Mux.set_event_sink (Bcp.Netstate.mux ns) (Some f));
+  Option.iter
+    (fun c ->
+      Bcp.Mux.set_event_sink (Bcp.Netstate.mux ns)
+        (Some (Telemetry.setup_sink c)))
+    obs;
   let rng = Sim.Prng.create seed in
   let requests =
     Workload.Generator.shuffled rng
       (Workload.Generator.all_pairs ~backups ~mux_degree topo)
   in
-  establish_all ~seed ?backup_routing ns requests
+  establish_all ?backup_routing ns requests
 
 let build_scaled ?(seed = 42) ?(backups = 1) ?(mux_degree = 3) ?(lambda = 1e-4)
     ?(per_node = 8) ?backup_routing network =
@@ -181,7 +180,7 @@ let build_scaled ?(seed = 42) ?(backups = 1) ?(mux_degree = 3) ?(lambda = 1e-4)
   let requests =
     Workload.Generator.random_pairs rng ~backups ~mux_degree topo ~count
   in
-  establish_all ~seed ?backup_routing ns requests
+  establish_all ?backup_routing ns requests
 
 let build_mixed ?(seed = 42) ?(backups = 1) ?(degrees = [ 1; 3; 5; 6 ])
     ?(lambda = 1e-4) network =
@@ -193,4 +192,4 @@ let build_mixed ?(seed = 42) ?(backups = 1) ?(degrees = [ 1; 3; 5; 6 ])
       (Workload.Generator.shuffled rng
          (Workload.Generator.all_pairs ~backups topo))
   in
-  establish_all ~seed ns requests
+  establish_all ns requests

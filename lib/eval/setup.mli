@@ -39,8 +39,6 @@ type establishment = {
 }
 
 val establish_all :
-  ?seed:int ->
-  ?policy:Bcp.Netstate.spare_policy ->
   ?backup_routing:Bcp.Establish.backup_routing ->
   ?progress_every:int ->
   ?on_progress:(established:int -> load:float -> spare:float -> unit) ->
@@ -49,9 +47,7 @@ val establish_all :
   establishment
 (** Establish the requests in order (callers shuffle beforehand if
     desired), reporting progress every [progress_every] (default 250)
-    connections.  [seed] feeds the
-    routing tie-breaker; [policy] is only documentation here (the netstate
-    carries it).  Rejected requests are skipped and counted.
+    connections.  Rejected requests are skipped and counted.
 
     When the global {!Sim.Pool} would actually fan out
     ([Sim.Pool.parallel_now ()]) and the routing configuration is the
@@ -68,15 +64,16 @@ val build :
   ?lambda:float ->
   ?policy:Bcp.Netstate.spare_policy ->
   ?backup_routing:Bcp.Establish.backup_routing ->
-  ?mux_sink:(Sim.Event.t -> unit) ->
+  ?obs:Telemetry.collector ->
   network ->
   establishment
 (** The paper's standard pass: all 4032 ordered-pair connections, 1 Mbps
     each, hop slack 2, shuffled with [seed] (default 42), uniform backup
     count (default 1) and multiplexing degree (default 1).
-    [mux_sink] is attached to the netstate's multiplexing engine before
-    establishment, so it sees one {!Sim.Event.Mux} per backup-link
-    registration (with its |Π| / |Ψ| sizes). *)
+    With [obs], {!Telemetry.setup_sink} is attached to the netstate's
+    multiplexing engine before establishment, so the collector receives
+    one {!Sim.Event.Mux} per backup-link registration (with its |Π| / |Ψ|
+    sizes) under the pseudo-scenario tag [-1]. *)
 
 val build_scaled :
   ?seed:int ->

@@ -18,7 +18,7 @@ let run ?(seed = 42) ?(degrees = [ 0; 1; 3; 5; 6 ]) network ~backups =
       in
       let points = ref [] in
       let est =
-        Setup.establish_all ~seed
+        Setup.establish_all
           ~on_progress:(fun ~established:_ ~load ~spare ->
             points := (load, spare) :: !points)
           ns requests

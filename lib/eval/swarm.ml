@@ -114,22 +114,16 @@ let artifact_of ~seed ~strategy ~lineage ~plan ~replay_context ?context
 
 (* ---------- one scenario ---------- *)
 
-type telemetry = {
-  metrics : Sim.Metrics.snapshot;
-  events : (int * float * Sim.Event.t) list;
-}
-
 type run_result = {
   rr_coverage : string list;
   rr_affected : int;
   rr_recovered : int;
   rr_perturbed : int;
   rr_violation : violation_report option;
-  rr_metrics : Sim.Metrics.t option;
-  rr_events : (int * float * Sim.Event.t) list;
+  rr_run : Telemetry.run option;
 }
 
-let run_one ~telemetry ~seed ~strategy ~max_faults ~horizon ~config ~context
+let run_one ~obs ~seed ~strategy ~max_faults ~horizon ~config ~context
     topo ns (exec_idx, lineage) =
   let plan = plan_of_lineage ~seed ~strategy ~max_faults ~horizon topo lineage in
   let plan_seed = seed_chain ~seed lineage in
@@ -230,33 +224,25 @@ let run_one ~telemetry ~seed ~strategy ~max_faults ~horizon ~config ~context
               outcome;
         }
   in
-  let rr_metrics, rr_events =
-    (* The monitor already forces the typed-telemetry plane on, so this
-       only reads what every swarm run records anyway — the summary is
-       byte-identical whether or not the caller asked for telemetry. *)
-    if not telemetry then (None, [])
-    else
-      ( Some (Bcp.Simnet.metrics sim),
-        List.map
-          (fun (time, ev) -> (exec_idx, time, ev))
-          (Sim.Trace.events (Bcp.Simnet.trace sim)) )
-  in
   {
     rr_coverage = Sim.Monitor.coverage monitor;
     rr_affected = !rr_affected;
     rr_recovered = !rr_recovered;
     rr_perturbed = Sim.Schedule.perturbed sched;
     rr_violation;
-    rr_metrics;
-    rr_events;
+    (* The monitor already forces the typed-telemetry plane on, so this
+       only reads what every swarm run records anyway — the summary is
+       byte-identical whether or not the caller observes. *)
+    rr_run = Telemetry.capture obs sim;
   }
 
 (* ---------- the swarm loop ---------- *)
 
 let batch_size = 8
 
-let run_impl ~telemetry ~seed ~budget ~strategy ~detector ~max_faults ~horizon
-    ~deadline ~network ns =
+let run ?obs ?(seed = 11) ?(budget = 64) ?(strategy = Coverage)
+    ?(detector = `Oracle) ?(max_faults = 3) ?(horizon = 0.25) ?deadline
+    ?(network = "") ns =
   if budget < 1 then invalid_arg "Swarm.run: budget < 1";
   let topo = Bcp.Netstate.topology ns in
   let config = config_for detector in
@@ -269,8 +255,6 @@ let run_impl ~telemetry ~seed ~budget ~strategy ~detector ~max_faults ~horizon
   let executed = ref 0 in
   let affected = ref 0 and recovered = ref 0 and perturbed = ref 0 in
   let violations = ref [] in
-  let merged = if telemetry then Some (Sim.Metrics.create ()) else None in
-  let all_events = ref [] in
   let expired = match deadline with None -> fun () -> false | Some f -> f in
   while !executed < budget && not (expired ()) do
     (* Batch composition and result merging are serial, so the schedule
@@ -292,12 +276,12 @@ let run_impl ~telemetry ~seed ~budget ~strategy ~detector ~max_faults ~horizon
     in
     let results =
       Sim.Pool.map
-        (run_one ~telemetry ~seed ~strategy ~max_faults ~horizon ~config
+        (run_one ~obs ~seed ~strategy ~max_faults ~horizon ~config
            ~context topo ns)
         items
     in
     List.iter2
-      (fun (_, lineage) rr ->
+      (fun (exec_idx, lineage) rr ->
         let fresh =
           List.filter (fun k -> not (Hashtbl.mem cov k)) rr.rr_coverage
         in
@@ -305,10 +289,7 @@ let run_impl ~telemetry ~seed ~budget ~strategy ~detector ~max_faults ~horizon
         affected := !affected + rr.rr_affected;
         recovered := !recovered + rr.rr_recovered;
         perturbed := !perturbed + rr.rr_perturbed;
-        (match (rr.rr_metrics, merged) with
-        | Some m, Some into -> Sim.Metrics.merge_into ~into m
-        | _ -> ());
-        List.iter (fun e -> all_events := e :: !all_events) rr.rr_events;
+        Telemetry.add obs ~tag:exec_idx rr.rr_run;
         (match rr.rr_violation with
         | Some v -> violations := v :: !violations
         | None -> ());
@@ -325,48 +306,24 @@ let run_impl ~telemetry ~seed ~budget ~strategy ~detector ~max_faults ~horizon
     executed := !executed + n;
     curve := (!executed, Hashtbl.length cov) :: !curve
   done;
-  let report =
-    {
-      seed;
-      strategy;
-      network;
-      detector = detector_label detector;
-      budget;
-      executed = !executed;
-      horizon;
-      max_faults;
-      coverage =
-        List.sort String.compare
-          (Hashtbl.fold (fun k () acc -> k :: acc) cov []);
-      curve = List.rev !curve;
-      affected = !affected;
-      recovered = !recovered;
-      perturbed = !perturbed;
-      violations = List.rev !violations;
-    }
-  in
-  let tele =
-    Option.map
-      (fun m ->
-        { metrics = Sim.Metrics.snapshot m; events = List.rev !all_events })
-      merged
-  in
-  (report, tele)
-
-let run ?(seed = 11) ?(budget = 64) ?(strategy = Coverage) ?(detector = `Oracle)
-    ?(max_faults = 3) ?(horizon = 0.25) ?deadline ?(network = "") ns =
-  fst
-    (run_impl ~telemetry:false ~seed ~budget ~strategy ~detector ~max_faults
-       ~horizon ~deadline ~network ns)
-
-let run_telemetry ?(seed = 11) ?(budget = 64) ?(strategy = Coverage)
-    ?(detector = `Oracle) ?(max_faults = 3) ?(horizon = 0.25) ?deadline
-    ?(network = "") ns =
-  let report, tele =
-    run_impl ~telemetry:true ~seed ~budget ~strategy ~detector ~max_faults
-      ~horizon ~deadline ~network ns
-  in
-  (report, Option.get tele)
+  {
+    seed;
+    strategy;
+    network;
+    detector = detector_label detector;
+    budget;
+    executed = !executed;
+    horizon;
+    max_faults;
+    coverage =
+      List.sort String.compare
+        (Hashtbl.fold (fun k () acc -> k :: acc) cov []);
+    curve = List.rev !curve;
+    affected = !affected;
+    recovered = !recovered;
+    perturbed = !perturbed;
+    violations = List.rev !violations;
+  }
 
 (* ---------- rendering ---------- *)
 

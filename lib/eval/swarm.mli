@@ -88,14 +88,8 @@ val artifact_of :
     embedded ["trace"] member {!Audit.load_trace} knows how to replay.
     [context] is only consulted when [replay_context] is set. *)
 
-type telemetry = {
-  metrics : Sim.Metrics.snapshot;
-      (** every scenario's metric registry, merged in execution order *)
-  events : (int * float * Sim.Event.t) list;
-      (** (execution index, time, event), execution order *)
-}
-
 val run :
+  ?obs:Telemetry.collector ->
   ?seed:int ->
   ?budget:int ->
   ?strategy:strategy ->
@@ -111,23 +105,12 @@ val run :
     [true] no further batch starts (wall-clock budgets trade the
     executed-count determinism away — the per-scenario results that did
     run are still exact).  Defaults: seed 11, [Coverage] strategy,
-    oracle detector, max 3 faults per plan, horizon 0.25 s. *)
+    oracle detector, max 3 faults per plan, horizon 0.25 s.
 
-val run_telemetry :
-  ?seed:int ->
-  ?budget:int ->
-  ?strategy:strategy ->
-  ?detector:[ `Oracle | `Heartbeat ] ->
-  ?max_faults:int ->
-  ?horizon:float ->
-  ?deadline:(unit -> bool) ->
-  ?network:string ->
-  Bcp.Netstate.t ->
-  report * telemetry
-(** {!run}, also returning the typed telemetry every scenario records
-    for its invariant monitor anyway: the merged metric registry and the
-    full event streams tagged with the execution index.  The report is
-    byte-identical to {!run}'s — collection is read-only. *)
+    With [obs], the collector receives the typed telemetry every
+    scenario records for its invariant monitor anyway — its registry and
+    its full event stream, tagged with the execution index.  The report
+    is byte-identical either way: collection is read-only. *)
 
 val report_to_json : report -> Json.t
 (** The [bcp-swarm/v1] summary.  Deliberately independent of

@@ -446,3 +446,32 @@ let metrics_report snapshot =
       Report.add_row r ~label:(name ^ render_labels labels) ~cells:[ kind; rendered ])
     snapshot;
   r
+
+(* ---------- collector ---------- *)
+
+type collector = {
+  registry : Sim.Metrics.t;
+  mutable rev_events : (int * float * Sim.Event.t) list;
+}
+
+type run = Sim.Metrics.t * (float * Sim.Event.t) list
+
+let create () = { registry = Sim.Metrics.create (); rev_events = [] }
+
+let capture obs sim =
+  Option.map
+    (fun _ -> (Bcp.Simnet.metrics sim, Sim.Trace.events (Bcp.Simnet.trace sim)))
+    obs
+
+let add obs ~tag run =
+  match (obs, run) with
+  | Some c, Some (metrics, events) ->
+    Sim.Metrics.merge_into ~into:c.registry metrics;
+    List.iter
+      (fun (time, ev) -> c.rev_events <- (tag, time, ev) :: c.rev_events)
+      events
+  | _ -> ()
+
+let setup_sink c ev = c.rev_events <- (-1, 0.0, ev) :: c.rev_events
+let metrics c = Sim.Metrics.snapshot c.registry
+let events c = List.rev c.rev_events

@@ -58,3 +58,41 @@ val prof_to_json : Sim.Prof.report -> Json.t
     raw-span/dropped-span tallies.  Raw spans themselves are exported
     through {!events_to_chrome}'s [?prof] argument, not duplicated
     here. *)
+
+(** {2 Collector}
+
+    The one observer every event-driven experiment takes, as its [?obs]
+    argument: a merged metrics registry and the tagged event stream.
+    Experiments simulate their scenarios on {!Sim.Pool}, each with a
+    private registry and trace, and {!add} the finished runs in scenario
+    order, so what a collector holds is byte-identical under any
+    {!Sim.Pool.set_jobs} setting.  Observation is passive: an
+    experiment's result is the same with or without [?obs]. *)
+
+type collector
+
+type run = Sim.Metrics.t * (float * Sim.Event.t) list
+(** One finished scenario: its private registry and its [(time, event)]
+    list. *)
+
+val create : unit -> collector
+
+val capture : collector option -> Bcp.Simnet.t -> run option
+(** A finished simulation's registry and trace when observing, [None]
+    otherwise.  Safe on a pool domain: it only reads the simulation. *)
+
+val add : collector option -> tag:int -> run option -> unit
+(** Merge one run: fold its registry into the collector's
+    ({!Sim.Metrics.merge_into}) and append its events under the scenario
+    tag [tag].  A no-op unless both options are [Some]. *)
+
+val setup_sink : collector -> Sim.Event.t -> unit
+(** Sink for establishment-time multiplexing updates ({!Setup.build}):
+    appends each event under the pseudo-scenario tag [-1] at time
+    [0.0]. *)
+
+val metrics : collector -> Sim.Metrics.snapshot
+(** Snapshot of the merged registry. *)
+
+val events : collector -> (int * float * Sim.Event.t) list
+(** [(tag, time, event)] triples in merge order. *)

@@ -207,6 +207,11 @@ let run_cli args =
     (Filename.quote bcp_sim ^ " " ^ args ^ " > "
     ^ Filename.quote Filename.null)
 
+(* A file under a directory that does not exist. *)
+let unwritable name =
+  Filename.quote
+    (Filename.concat (Filename.concat "no-such-dir" "for-bcp-sim") name)
+
 let test_cli_exit_codes () =
   if not (Sys.file_exists bcp_sim) then
     Alcotest.fail (Printf.sprintf "missing CLI binary %s" bcp_sim);
@@ -221,7 +226,20 @@ let test_cli_exit_codes () =
   Alcotest.(check int) "tripped blocking gate exits 1" 1
     (run_cli
        "churn --seed 7 --network torus4 --events 2000 --offered 24 \
-        --bandwidth 4 --max-blocking 1")
+        --bandwidth 4 --max-blocking 1");
+  (* Every file the CLI writes fails cleanly on an unwritable path. *)
+  Alcotest.(check int) "unwritable --json exits 2" 2
+    (run_cli
+       ("churn --network torus4 --events 200 --offered 2 --json "
+       ^ unwritable "churn.json"));
+  Alcotest.(check int) "unwritable --trace-out exits 2" 2
+    (run_cli
+       ("chaos --network torus4 --scenarios 1 --trace-out "
+       ^ unwritable "chaos.jsonl"));
+  Alcotest.(check int) "unwritable --prof-out exits 2" 2
+    (run_cli
+       ("recovery --network torus4 --scenarios 1 --prof-out "
+       ^ unwritable "prof.json"))
 
 let () =
   Alcotest.run "churn"

@@ -202,27 +202,6 @@ let prop_dijkstra_matches_bruteforce =
       | Some (_, c), Some b -> Float.abs (c -. b) < 1e-9
       | Some _, None | None, Some _ -> false)
 
-let prop_ksp_matches_bruteforce =
-  QCheck.Test.make ~name:"KSP = brute-force k shortest hop counts" ~count:60
-    QCheck.(triple (int_bound 10000) (int_bound 5) (int_bound 5))
-    (fun (seed, src, dst) ->
-      QCheck.assume (src <> dst);
-      let rng = Sim.Prng.create (seed + 1) in
-      let topo =
-        Net.Builders.random_connected rng ~nodes:6 ~extra_edges:4 ~capacity:1.0
-      in
-      let brute =
-        List.sort Int.compare
-          (List.map List.length (all_paths topo ~src ~dst ~max_hops:5))
-      in
-      let k = min 4 (List.length brute) in
-      let expected = List.filteri (fun i _ -> i < k) brute in
-      let got =
-        List.map Net.Path.hops
-          (Routing.Ksp.k_shortest ~max_hops:5 topo ~src ~dst ~k)
-      in
-      got = expected)
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -241,7 +220,6 @@ let () =
         [
           prop_budget_respected;
           prop_dijkstra_matches_bruteforce;
-          prop_ksp_matches_bruteforce;
         ];
       ( "spare-aware",
         [

@@ -265,15 +265,16 @@ let test_live_simnet_clean () =
 let test_chaos_torus4_audits_clean () =
   (* The acceptance bar: a seeded chaos sweep with impairment > 0 replays
      through the auditor with zero violations. *)
-  let setup = ref [] in
-  let mux_sink ev = setup := (-1, 0.0, ev) :: !setup in
-  let _report, tele, ns =
-    Eval.Chaos.sweep_telemetry ~seed:42 ~scenario_count:3
-      ~levels:[ Eval.Chaos.level 0.0; Eval.Chaos.level 0.05 ]
-      ~mux_sink Eval.Setup.Torus4
+  let obs = Eval.Telemetry.create () in
+  let est =
+    Eval.Setup.build ~obs ~seed:42 ~backups:1 ~mux_degree:3 Eval.Setup.Torus4
   in
-  let events = List.rev !setup @ tele.Eval.Chaos.events in
-  let context = Eval.Audit.context_of_netstate ns in
+  ignore
+    (Eval.Chaos.run ~obs ~seed:42 ~scenario_count:3
+       ~levels:[ Eval.Chaos.level 0.0; Eval.Chaos.level 0.05 ]
+       est.Eval.Setup.ns);
+  let events = Eval.Telemetry.events obs in
+  let context = Eval.Audit.context_of_netstate est.Eval.Setup.ns in
   let result = Eval.Audit.replay ~context events in
   Alcotest.(check int) "zero violations" 0 result.Eval.Audit.total_violations;
   Alcotest.(check bool) "audited the whole stream" true

@@ -1,4 +1,4 @@
-(* Tests for shortest-path, disjoint-path and k-shortest-path routing. *)
+(* Tests for shortest-path and disjoint-path routing. *)
 
 let torus44 () = Net.Builders.torus ~rows:4 ~cols:4 ~capacity:10.0
 let mesh33 () = Net.Builders.mesh ~rows:3 ~cols:3 ~capacity:10.0
@@ -117,49 +117,6 @@ let test_max_disjoint_bound () =
   Alcotest.(check int) "bound = degree" 4
     (Routing.Disjoint.max_disjoint_bound t ~src:0 ~dst:5)
 
-(* ---------- KSP ---------- *)
-
-let test_ksp_counts_and_order () =
-  let t = mesh33 () in
-  let paths = Routing.Ksp.k_shortest t ~src:0 ~dst:8 ~k:6 in
-  Alcotest.(check int) "six corner-to-corner paths" 6 (List.length paths);
-  let hops = List.map Net.Path.hops paths in
-  Alcotest.(check (list int)) "non-decreasing" (List.sort Int.compare hops) hops;
-  (* The 3x3 mesh has exactly C(4,2)=6 monotone 4-hop corner paths. *)
-  List.iter (fun h -> Alcotest.(check int) "all shortest" 4 h) hops
-
-let test_ksp_distinct () =
-  let t = mesh33 () in
-  let paths = Routing.Ksp.k_shortest t ~src:0 ~dst:8 ~k:6 in
-  let keys = List.map Net.Path.links paths in
-  Alcotest.(check int) "all distinct" 6
-    (List.length (List.sort_uniq compare keys))
-
-let test_ksp_loopless () =
-  let t = torus44 () in
-  let paths = Routing.Ksp.k_shortest t ~src:0 ~dst:15 ~k:10 in
-  List.iter
-    (fun p ->
-      let nodes = Net.Path.nodes t p in
-      Alcotest.(check int) "no repeated node" (List.length nodes)
-        (List.length (List.sort_uniq Int.compare nodes)))
-    paths
-
-let test_ksp_max_hops () =
-  let t = mesh33 () in
-  let paths = Routing.Ksp.k_shortest ~max_hops:4 t ~src:0 ~dst:8 ~k:20 in
-  List.iter
-    (fun p -> Alcotest.(check bool) "within budget" true (Net.Path.hops p <= 4))
-    paths;
-  Alcotest.(check int) "exactly the six 4-hop paths" 6 (List.length paths)
-
-let test_ksp_k_zero_or_unreachable () =
-  let t = mesh33 () in
-  Alcotest.(check int) "k=0" 0 (List.length (Routing.Ksp.k_shortest t ~src:0 ~dst:8 ~k:0));
-  let island = Net.Topology.create ~num_nodes:2 in
-  Alcotest.(check int) "unreachable" 0
-    (List.length (Routing.Ksp.k_shortest island ~src:0 ~dst:1 ~k:3))
-
 (* ---------- properties ---------- *)
 
 let prop_disjoint_paths_are_disjoint =
@@ -176,15 +133,6 @@ let prop_disjoint_paths_are_disjoint =
           List.for_all (fun y -> Net.Path.disjoint t x y) rest && pairwise rest
       in
       pairwise paths)
-
-let prop_ksp_sorted =
-  QCheck.Test.make ~name:"ksp returns non-decreasing hop counts" ~count:60
-    QCheck.(pair (int_bound 15) (int_bound 15))
-    (fun (a, b) ->
-      QCheck.assume (a <> b);
-      let t = torus44 () in
-      let hops = List.map Net.Path.hops (Routing.Ksp.k_shortest t ~src:a ~dst:b ~k:5) in
-      hops = List.sort Int.compare hops)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -211,14 +159,5 @@ let () =
           Alcotest.test_case "avoiding" `Quick test_disjoint_avoiding;
           Alcotest.test_case "bound" `Quick test_max_disjoint_bound;
         ] );
-      ( "ksp",
-        [
-          Alcotest.test_case "counts and order" `Quick test_ksp_counts_and_order;
-          Alcotest.test_case "distinct" `Quick test_ksp_distinct;
-          Alcotest.test_case "loopless" `Quick test_ksp_loopless;
-          Alcotest.test_case "max hops" `Quick test_ksp_max_hops;
-          Alcotest.test_case "k=0 / unreachable" `Quick
-            test_ksp_k_zero_or_unreachable;
-        ] );
-      qsuite "props" [ prop_disjoint_paths_are_disjoint; prop_ksp_sorted ];
+      qsuite "props" [ prop_disjoint_paths_are_disjoint ];
     ]

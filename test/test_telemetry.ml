@@ -176,27 +176,33 @@ let test_exporters_shape () =
 
 (* ---------- instrumented recovery sweep ---------- *)
 
+let torus4 () =
+  Eval.Setup.build ~seed:42 ~backups:1 ~mux_degree:3 Eval.Setup.Torus4
+
 let sweep ?(jobs = 1) () =
   Sim.Pool.set_jobs jobs;
-  let est = Eval.Setup.build ~seed:42 ~backups:1 ~mux_degree:3 Eval.Setup.Torus4 in
-  let out =
-    Eval.Recovery_delay.measure_telemetry ~seed:11 ~scenario_count:4
+  let est = torus4 () in
+  let obs = Eval.Telemetry.create () in
+  let stats =
+    Eval.Recovery_delay.measure ~obs ~seed:11 ~scenario_count:4
       est.Eval.Setup.ns
   in
   Sim.Pool.set_jobs 1;
-  out
+  (stats, obs)
 
 let test_recovery_telemetry () =
-  let stats, tele = sweep () in
-  let ph = tele.Eval.Recovery_delay.phases in
+  let stats, obs = sweep () in
+  let ph =
+    Eval.Recovery_delay.phases_of_snapshot (Eval.Telemetry.metrics obs)
+  in
   Alcotest.(check bool) "recovered something" true (stats.Eval.Recovery_delay.samples > 0);
   Alcotest.(check bool) "phase samples collected" true
     (ph.Eval.Recovery_delay.detect.Eval.Recovery_delay.samples > 0
     && ph.Eval.Recovery_delay.switch.Eval.Recovery_delay.samples > 0);
   Alcotest.(check bool) "events recorded" true
-    (tele.Eval.Recovery_delay.events <> []);
+    (Eval.Telemetry.events obs <> []);
   Alcotest.(check bool) "metrics recorded" true
-    (tele.Eval.Recovery_delay.metrics <> []);
+    (Eval.Telemetry.metrics obs <> []);
   (* Phases are durations: non-negative, and p50 <= max. *)
   List.iter
     (fun (p : Eval.Recovery_delay.phase_stats) ->
@@ -212,38 +218,94 @@ let test_recovery_telemetry () =
 let test_recovery_stats_unchanged_by_telemetry () =
   (* The instrumented sweep must report the same statistics as the plain
      one: telemetry is strictly passive. *)
-  let est = Eval.Setup.build ~seed:42 ~backups:1 ~mux_degree:3 Eval.Setup.Torus4 in
   let plain =
-    Eval.Recovery_delay.measure ~seed:11 ~scenario_count:4 est.Eval.Setup.ns
+    Eval.Recovery_delay.measure ~seed:11 ~scenario_count:4
+      (torus4 ()).Eval.Setup.ns
   in
   let stats, _ = sweep () in
   Alcotest.(check bool) "stats identical" true (stats = plain)
 
 let test_recovery_telemetry_parallel_identical () =
-  let stats_s, tele_s = sweep () in
-  let stats_p, tele_p = sweep ~jobs:4 () in
+  let stats_s, obs_s = sweep () in
+  let stats_p, obs_p = sweep ~jobs:4 () in
   Alcotest.(check bool) "stats identical" true (stats_s = stats_p);
   Alcotest.(check bool) "metrics identical" true
-    (tele_s.Eval.Recovery_delay.metrics = tele_p.Eval.Recovery_delay.metrics);
+    (Eval.Telemetry.metrics obs_s = Eval.Telemetry.metrics obs_p);
   Alcotest.(check bool) "events identical" true
-    (tele_s.Eval.Recovery_delay.events = tele_p.Eval.Recovery_delay.events);
-  Alcotest.(check bool) "phases identical" true
-    (tele_s.Eval.Recovery_delay.phases = tele_p.Eval.Recovery_delay.phases)
+    (Eval.Telemetry.events obs_s = Eval.Telemetry.events obs_p)
 
 let test_setup_mux_sink () =
-  let regs = ref 0 in
-  let sink = function
-    | Sim.Event.Mux { op = Sim.Event.Register; pi; psi; _ } ->
-      if pi < 0 || psi < 0 then Alcotest.fail "negative set size";
-      incr regs
-    | _ -> ()
-  in
+  let obs = Eval.Telemetry.create () in
   let est =
-    Eval.Setup.build ~seed:42 ~backups:1 ~mux_degree:3 ~mux_sink:sink
-      Eval.Setup.Torus4
+    Eval.Setup.build ~obs ~seed:42 ~backups:1 ~mux_degree:3 Eval.Setup.Torus4
   in
   Alcotest.(check bool) "established" true (est.Eval.Setup.established > 0);
-  Alcotest.(check bool) "saw registrations" true (!regs > 0)
+  let regs =
+    List.fold_left
+      (fun n (tag, time, ev) ->
+        if tag <> -1 || time <> 0.0 then
+          Alcotest.fail "setup events belong to pseudo-scenario -1 at 0.0";
+        match ev with
+        | Sim.Event.Mux { op = Sim.Event.Register; pi; psi; _ } ->
+          if pi < 0 || psi < 0 then Alcotest.fail "negative set size";
+          n + 1
+        | _ -> n)
+      0 (Eval.Telemetry.events obs)
+  in
+  Alcotest.(check bool) "saw registrations" true (regs > 0);
+  Alcotest.(check bool) "no metrics from establishment" true
+    (Eval.Telemetry.metrics obs = [])
+
+(* ---------- observing a run must not change it ---------- *)
+
+(* Every experiment that takes [?obs], with the outcome type hidden: the
+   checks below only compare two outcomes of the same experiment. *)
+type experiment =
+  | Experiment : (?obs:Eval.Telemetry.collector -> unit -> 'a) -> experiment
+
+let experiments =
+  let ns = lazy (torus4 ()).Eval.Setup.ns in
+  [
+    ( "recovery_delay",
+      Experiment
+        (fun ?obs () ->
+          Eval.Recovery_delay.measure ?obs ~seed:11 ~scenario_count:4
+            (Lazy.force ns)) );
+    ( "chaos",
+      Experiment
+        (fun ?obs () ->
+          Eval.Chaos.run ?obs ~seed:5 ~scenario_count:3 ~detector:`Heartbeat
+            ~levels:[ Eval.Chaos.level 0.0; Eval.Chaos.level 0.2 ]
+            (Lazy.force ns)) );
+    ( "churn",
+      Experiment
+        (fun ?obs () ->
+          Eval.Churn.run ?obs ~seed:13 ~events:1500 ~offered:[ 2.0; 4.0 ]
+            ~bandwidth:4.0 ~fault_every:20.0 Eval.Setup.Torus4) );
+    ( "swarm",
+      Experiment
+        (fun ?obs () ->
+          Eval.Swarm.run ?obs ~seed:3 ~budget:8 (Lazy.force ns)) );
+  ]
+
+let test_observation_passive (Experiment run) () =
+  let plain = run () in
+  let observed jobs =
+    Sim.Pool.set_jobs jobs;
+    let obs = Eval.Telemetry.create () in
+    let outcome = run ~obs () in
+    Sim.Pool.set_jobs 1;
+    (outcome, Eval.Telemetry.metrics obs, Eval.Telemetry.events obs)
+  in
+  let outcome_1, metrics_1, events_1 = observed 1 in
+  let _, metrics_2, events_2 = observed 2 in
+  Alcotest.(check bool) "outcome unchanged by ~obs" true (outcome_1 = plain);
+  Alcotest.(check bool) "events collected" true (events_1 <> []);
+  Alcotest.(check bool) "metrics collected" true (metrics_1 <> []);
+  Alcotest.(check bool) "metrics identical at jobs 1 and 2" true
+    (metrics_1 = metrics_2);
+  Alcotest.(check bool) "events identical at jobs 1 and 2" true
+    (events_1 = events_2)
 
 let () =
   Alcotest.run "telemetry"
@@ -277,4 +339,9 @@ let () =
             test_recovery_telemetry_parallel_identical;
           Alcotest.test_case "setup mux sink" `Quick test_setup_mux_sink;
         ] );
+      ( "observer",
+        List.map
+          (fun (name, e) ->
+            Alcotest.test_case name `Quick (test_observation_passive e))
+          experiments );
     ]
