@@ -20,45 +20,135 @@ let r_fast_of_degree r degree =
   | None | Some (0, _) -> 100.0
   | Some (affected, recovered) -> Sim.Stats.ratio recovered affected
 
-let failed_nodes failed =
-  List.filter_map
-    (function Net.Component.Node v -> Some v | Net.Component.Link _ -> None)
-    failed
+(* Reusable per-domain scenario workspace, in the style of
+   [Routing.Shortest]'s BFS workspace.  One epoch per call:
+   - [left.(l)] is link [l]'s spare pool after this scenario's
+     activations iff [stamp.(l) = epoch]; an unstamped link still holds
+     the netstate's own spare, so no pool is ever copied;
+   - [seen.(cid) = epoch] marks the primary channel [cid] as already
+     collected, deduplicating connections hit by several components.
+   The epoch only ever grows, so arrays grown mid-life (fresh zeros)
+   never alias a live stamp.  Keyed by [Domain.DLS]: sweeps run
+   scenarios on several domains over one shared, read-only netstate. *)
+type ws = {
+  mutable epoch : int;
+  mutable stamp : int array;
+  mutable left : float array;
+  mutable seen : int array;
+}
+
+let ws_key =
+  Domain.DLS.new_key (fun () ->
+      { epoch = 0; stamp = [||]; left = [||]; seen = [||] })
+
+(* Acquire the workspace for one scenario on [topo]: a fresh epoch, and
+   the domain's scratch mask holding the in-range components of [failed]
+   (an id outside the topology lies on no path, so dropping it changes
+   nothing).  Nothing in a scenario routes, so no other user reacquires
+   the scratch mask while it is live. *)
+let acquire topo failed =
+  let ws = Domain.DLS.get ws_key in
+  let nodes = Net.Topology.num_nodes topo and links = Net.Topology.num_links topo in
+  if Array.length ws.stamp < links then begin
+    ws.stamp <- Array.make links 0;
+    ws.left <- Array.make links 0.0
+  end;
+  ws.epoch <- ws.epoch + 1;
+  let mask = Net.Component.Mask.scratch ~num_nodes:nodes ~num_links:links in
+  List.iter
+    (fun c ->
+      let in_range =
+        match c with
+        | Net.Component.Node v -> v >= 0 && v < nodes
+        | Net.Component.Link l -> l >= 0 && l < links
+      in
+      if in_range then Net.Component.Mask.add mask c)
+    failed;
+  (ws, mask)
+
+(* Mark [cid] collected this epoch; [false] if it already was. *)
+let first_visit ws cid =
+  let n = Array.length ws.seen in
+  if cid >= n then begin
+    let grown = Array.make (max (cid + 1) (2 * n)) 0 in
+    Array.blit ws.seen 0 grown 0 n;
+    ws.seen <- grown
+  end;
+  if ws.seen.(cid) = ws.epoch then false
+  else begin
+    ws.seen.(cid) <- ws.epoch;
+    true
+  end
+
+(* Connections whose primary crosses a failed component, in the order the
+   components list them (first occurrence wins), minus those with a
+   failed end node, which are only counted.  A connection's current
+   primary channel is its own, so its id keys the deduplication. *)
+let collect ws mask ns failed =
+  let considered = ref [] and excluded = ref 0 in
+  List.iter
+    (fun comp ->
+      List.iter
+        (fun conn ->
+          if first_visit ws conn.Dconn.primary.Rtchan.Channel.id then
+            if
+              Net.Component.Mask.mem_node mask conn.Dconn.src
+              || Net.Component.Mask.mem_node mask conn.Dconn.dst
+            then incr excluded
+            else considered := conn :: !considered)
+        (Netstate.conns_with_primary_on ns comp))
+    failed;
+  (List.rev !considered, !excluded)
 
 let affected_conns ns ~failed =
-  let dead_nodes = failed_nodes failed in
-  let candidates =
-    List.concat_map (fun c -> Netstate.conns_with_primary_on ns c) failed
-  in
-  let seen = Hashtbl.create 64 in
-  let distinct =
-    List.filter
-      (fun conn ->
-        if Hashtbl.mem seen conn.Dconn.id then false
-        else begin
-          Hashtbl.add seen conn.Dconn.id ();
-          true
-        end)
-      candidates
-  in
-  let excluded, considered =
-    List.partition
-      (fun conn ->
-        List.mem conn.Dconn.src dead_nodes || List.mem conn.Dconn.dst dead_nodes)
-      distinct
-  in
-  (considered, List.length excluded)
+  let ws, mask = acquire (Netstate.topology ns) failed in
+  collect ws mask ns failed
 
 let min_nu conn =
   List.fold_left (fun m b -> Float.min m b.Dconn.nu) infinity conn.Dconn.backups
 
+(* A path is healthy when none of its components failed: its source and,
+   for every link, the link and the node it enters.  Top-level recursion
+   rather than closures, so the walk allocates nothing. *)
+let rec links_healthy topo mask links i =
+  i = Array.length links
+  || (not (Net.Component.Mask.mem_link mask links.(i)))
+     && (not
+           (Net.Component.Mask.mem_node mask
+              (Net.Topology.link_unsafe topo links.(i)).Net.Topology.dst))
+     && links_healthy topo mask links (i + 1)
+
+let path_healthy topo mask (path : Net.Path.t) =
+  (not (Net.Component.Mask.mem_node mask path.src))
+  && links_healthy topo mask path.links 0
+
+(* Link [l]'s spare pool in this scenario: the overlay if an activation
+   drew from it this epoch, the netstate's spare otherwise.  Inlined so
+   the float stays unboxed. *)
+let[@inline] pool ws res l =
+  if ws.stamp.(l) = ws.epoch then ws.left.(l) else Rtchan.Resource.spare res l
+
+let eps = 1e-9
+
+let rec fits ws res bw links i =
+  i = Array.length links
+  || (pool ws res links.(i) +. eps >= bw && fits ws res bw links (i + 1))
+
+(* Each link's pool is read before it is stamped, so the subtraction
+   sequence (and every float) is the one a fresh copy of the pools
+   would see. *)
+let draw ws res bw links =
+  for i = 0 to Array.length links - 1 do
+    let l = links.(i) in
+    ws.left.(l) <- pool ws res l -. bw;
+    ws.stamp.(l) <- ws.epoch
+  done
+
 let simulate ?(order = By_id) ns ~failed =
   let topo = Netstate.topology ns in
-  let failed_set =
-    List.fold_left (fun s c -> Net.Component.Set.add c s) Net.Component.Set.empty
-      failed
-  in
-  let considered, excluded = affected_conns ns ~failed in
+  let res = Netstate.resources ns in
+  let ws, mask = acquire topo failed in
+  let considered, excluded = collect ws mask ns failed in
   let ordered =
     match order with
     | By_id -> List.sort (fun a b -> Int.compare a.Dconn.id b.Dconn.id) considered
@@ -73,61 +163,60 @@ let simulate ?(order = By_id) ns ~failed =
           | c -> c)
         considered
   in
-  let pool = Netstate.spare_pool ns in
-  let eps = 1e-9 in
-  let path_healthy path =
-    Net.Component.Set.is_empty
-      (Net.Component.Set.inter (Net.Path.components topo path) failed_set)
-  in
+  (* Healthy standby backups are tried in serial order; the first whose
+     every link still has [bw] of pool draws it. *)
   let try_activate conn =
     let bw = Dconn.bandwidth conn in
-    let healthy =
-      List.filter
-        (fun b -> b.Dconn.state = Dconn.Standby && path_healthy b.Dconn.path)
-        conn.Dconn.backups
-    in
-    let rec attempt = function
-      | [] -> if healthy = [] then No_healthy_backup else Mux_failure
+    let rec attempt any_healthy = function
+      | [] -> if any_healthy then Mux_failure else No_healthy_backup
       | b :: rest ->
-        let links = Net.Path.links b.Dconn.path in
-        if List.for_all (fun l -> pool.(l) +. eps >= bw) links then begin
-          List.iter (fun l -> pool.(l) <- pool.(l) -. bw) links;
-          Recovered b.Dconn.serial
+        if b.Dconn.state = Dconn.Standby && path_healthy topo mask b.Dconn.path
+        then begin
+          let links = b.Dconn.path.Net.Path.links in
+          if fits ws res bw links 0 then begin
+            draw ws res bw links;
+            Recovered b.Dconn.serial
+          end
+          else attempt true rest
         end
-        else attempt rest
+        else attempt any_healthy rest
     in
-    attempt healthy
+    attempt false conn.Dconn.backups
   in
   let lambda = Netstate.lambda ns in
-  let outcomes = List.map (fun conn -> (conn, try_activate conn)) ordered in
-  let recovered =
-    List.length (List.filter (function _, Recovered _ -> true | _ -> false) outcomes)
-  in
-  let mux_failures =
-    List.length (List.filter (fun (_, o) -> o = Mux_failure) outcomes)
-  in
-  let no_healthy =
-    List.length (List.filter (fun (_, o) -> o = No_healthy_backup) outcomes)
-  in
+  let affected = ref 0 and recovered = ref 0 and mux_failures = ref 0 in
+  let no_healthy = ref 0 and outcomes = ref [] in
   let degree_tbl = Hashtbl.create 8 in
   List.iter
-    (fun (conn, o) ->
+    (fun conn ->
+      let o = try_activate conn in
       let d = Dconn.mux_degree conn ~lambda in
       let aff, rec_ = Option.value ~default:(0, 0) (Hashtbl.find_opt degree_tbl d) in
-      let rec_ = match o with Recovered _ -> rec_ + 1 | _ -> rec_ in
-      Hashtbl.replace degree_tbl d (aff + 1, rec_))
-    outcomes;
-  let per_degree =
-    List.sort
-      (fun (a, _) (b, _) -> Int.compare a b)
-      (Hashtbl.fold (fun d v acc -> (d, v) :: acc) degree_tbl [])
-  in
+      let rec_ =
+        match o with
+        | Recovered _ ->
+          incr recovered;
+          rec_ + 1
+        | Mux_failure ->
+          incr mux_failures;
+          rec_
+        | No_healthy_backup ->
+          incr no_healthy;
+          rec_
+      in
+      Hashtbl.replace degree_tbl d (aff + 1, rec_);
+      incr affected;
+      outcomes := (conn.Dconn.id, o) :: !outcomes)
+    ordered;
   {
-    affected = List.length ordered;
+    affected = !affected;
     excluded;
-    recovered;
-    mux_failures;
-    no_healthy_backup = no_healthy;
-    outcomes = List.map (fun (c, o) -> (c.Dconn.id, o)) outcomes;
-    per_degree;
+    recovered = !recovered;
+    mux_failures = !mux_failures;
+    no_healthy_backup = !no_healthy;
+    outcomes = List.rev !outcomes;
+    per_degree =
+      List.sort
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (Hashtbl.fold (fun d v acc -> (d, v) :: acc) degree_tbl []);
   }

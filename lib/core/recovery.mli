@@ -5,8 +5,12 @@
     Activation draws bandwidth from each link's spare pool; when a pool
     runs dry the remaining activations on that link suffer *multiplexing
     failures*.  Connections whose end nodes fail are excluded, exactly as
-    in Section 7.2.  The engine does not mutate the network state, so many
-    failure scenarios can be evaluated on one established network. *)
+    in Section 7.2.  The engine only reads the network state: activations
+    draw from a per-domain overlay on the spare pools, never from the
+    netstate itself.  Many failure scenarios can therefore be evaluated on
+    one established network, and {!simulate} and {!affected_conns} may run
+    concurrently on several domains over one shared netstate (as long as
+    nothing mutates it meanwhile). *)
 
 (** Order in which failed connections attempt activation. *)
 type order =
@@ -41,6 +45,10 @@ val r_fast_of_degree : result -> int -> float
 
 val simulate :
   ?order:order -> Netstate.t -> failed:Net.Component.t list -> result
+(** Activate the affected connections' healthy standby backups one
+    connection at a time in [order], each drawing its bandwidth from every
+    link of the first backup whose links all still have it.  A scenario
+    allocates only in proportion to the connections it affects. *)
 
 val affected_conns :
   Netstate.t -> failed:Net.Component.t list -> Dconn.t list * int

@@ -49,11 +49,11 @@ let measure ?seed ?(order = Bcp.Recovery.By_id) ns model =
   let simulate sc =
     Bcp.Recovery.simulate ~order ns ~failed:sc.Failures.Scenario.components
   in
-  (* The recovery engine only reads the established netstate (it copies
-     the spare pools), so scenarios run on the domain pool; folding the
-     per-scenario results in index order is byte-identical to the
-     sequential sweep.  [Shuffled] threads one generator across
-     scenarios and must stay sequential. *)
+  (* The recovery engine only reads the established netstate (activations
+     draw from a per-domain overlay on the spare pools), so scenarios run
+     on the domain pool; folding the per-scenario results in index order
+     is byte-identical to the sequential sweep.  [Shuffled] threads one
+     generator across scenarios and must stay sequential. *)
   let results =
     match order with
     | Bcp.Recovery.Shuffled _ -> List.map simulate scenarios

@@ -34,10 +34,11 @@ let nodes topo t =
   :: List.map (fun id -> (Topology.link topo id).Topology.dst)
        (Array.to_list t.links)
 
+(* The node each link but the last enters. *)
 let intermediate_nodes topo t =
-  match nodes topo t with
-  | [] | [ _ ] -> []
-  | _ :: rest -> List.filteri (fun i _ -> i < List.length rest - 1) rest
+  List.init
+    (max 0 (hops t - 1))
+    (fun i -> (Topology.link topo t.links.(i)).Topology.dst)
 
 let links t = Array.to_list t.links
 
@@ -58,11 +59,14 @@ let interior_components topo t =
   in
   Array.fold_left (fun acc id -> Component.Set.add (Component.Link id) acc) s t.links
 
-let uses_component topo t c = Component.Set.mem c (components topo t)
-
 let uses_link t id = Array.exists (fun l -> l = id) t.links
 
-let uses_node topo t v = List.mem v (nodes topo t)
+let uses_node topo t v =
+  t.src = v || Array.exists (fun l -> (Topology.link topo l).Topology.dst = v) t.links
+
+let uses_component topo t = function
+  | Component.Link l -> uses_link t l
+  | Component.Node v -> uses_node topo t v
 
 let disjoint topo a b =
   Component.inter_card (interior_components topo a) (interior_components topo b) = 0

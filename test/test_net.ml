@@ -212,6 +212,33 @@ let prop_torus_distance =
       | None -> false
       | Some p -> Net.Path.hops p = expected)
 
+(* Property: the allocation-free path queries answer exactly as the
+   component-set view does, on every component of the topology. *)
+let prop_path_queries_match_components =
+  QCheck.Test.make ~name:"uses_component/intermediate_nodes = component-set view"
+    ~count:100
+    QCheck.(pair (int_bound 63) (int_bound 63))
+    (fun (a, b) ->
+      let t = Net.Builders.torus ~rows:8 ~cols:8 ~capacity:1.0 in
+      match Routing.Shortest.shortest_path t ~src:a ~dst:b with
+      | None -> false
+      | Some p ->
+        let comps = Net.Path.components t p in
+        let interior =
+          match Net.Path.nodes t p with
+          | [] | [ _ ] -> []
+          | _ :: rest -> List.rev (List.tl (List.rev rest))
+        in
+        let all =
+          List.init (Net.Topology.num_nodes t) (fun v -> Net.Component.Node v)
+          @ List.init (Net.Topology.num_links t) (fun l -> Net.Component.Link l)
+        in
+        Net.Path.intermediate_nodes t p = interior
+        && List.for_all
+             (fun c ->
+               Net.Path.uses_component t p c = Net.Component.Set.mem c comps)
+             all)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -250,5 +277,5 @@ let () =
           Alcotest.test_case "sharing/disjoint" `Quick test_path_sharing;
           Alcotest.test_case "of_links" `Quick test_path_of_links;
         ] );
-      qsuite "path-props" [ prop_torus_distance ];
+      qsuite "path-props" [ prop_torus_distance; prop_path_queries_match_components ];
     ]

@@ -266,6 +266,125 @@ let prop_mux1_single_failure_guarantee =
       done;
       !all_ok)
 
+(* ---------- the overlay/mask engine against its reference twin ---------- *)
+
+(* A seeded loaded network: a 4x4 or 8x8 torus or mesh, a random set of
+   connections with mux degrees 1-6 and 1-2 backups each, and a few
+   backups marked broken so the standby filter is exercised. *)
+let random_network seed =
+  let rng = Sim.Prng.create seed in
+  let size = if Sim.Prng.bool rng then 4 else 8 in
+  let capacity = [| 6.0; 12.0; 30.0 |].(Sim.Prng.int rng 3) in
+  let topo =
+    if Sim.Prng.bool rng then Net.Builders.torus ~rows:size ~cols:size ~capacity
+    else Net.Builders.mesh ~rows:size ~cols:size ~capacity
+  in
+  let ns = Bcp.Netstate.create ~lambda topo () in
+  let n = Net.Topology.num_nodes topo in
+  for i = 0 to (4 * n) - 1 do
+    let src, dst = Workload.Generator.distinct_pair rng n in
+    let req =
+      request
+        ~backups:(1 + Sim.Prng.int rng 2)
+        ~mux_degree:(1 + Sim.Prng.int rng 6)
+        src dst
+    in
+    match Bcp.Establish.establish ns ~conn_id:i req with
+    | Ok c ->
+      List.iter
+        (fun b -> if Sim.Prng.int rng 10 = 0 then b.Bcp.Dconn.state <- Bcp.Dconn.Broken)
+        c.Bcp.Dconn.backups
+    | Error _ -> ()
+  done;
+  (rng, ns)
+
+(* 1-3 distinct components, links and nodes mixed. *)
+let random_failure rng topo =
+  let pick () =
+    if Sim.Prng.int rng 3 = 0 then
+      Net.Component.Node (Sim.Prng.int rng (Net.Topology.num_nodes topo))
+    else Net.Component.Link (Sim.Prng.int rng (Net.Topology.num_links topo))
+  in
+  let rec draw k acc =
+    if k = 0 then List.rev acc
+    else
+      let c = pick () in
+      if List.exists (Net.Component.equal c) acc then draw k acc
+      else draw (k - 1) (c :: acc)
+  in
+  draw (1 + Sim.Prng.int rng 3) []
+
+let ids (conns, excluded) = (List.map (fun c -> c.Bcp.Dconn.id) conns, excluded)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"simulate = reference twin (all orders)" ~count:30
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng, ns = random_network seed in
+      let topo = Bcp.Netstate.topology ns in
+      List.for_all
+        (fun _ ->
+          let failed = random_failure rng topo in
+          let shuffle_seed = Sim.Prng.int rng 1_000_000 in
+          let same order order' =
+            Bcp.Recovery.simulate ~order ns ~failed
+            = Recovery_ref.simulate ~order:order' ns ~failed
+          in
+          ids (Bcp.Recovery.affected_conns ns ~failed)
+          = ids (Recovery_ref.affected_conns ns ~failed)
+          && same Bcp.Recovery.By_id Bcp.Recovery.By_id
+          && same Bcp.Recovery.By_priority Bcp.Recovery.By_priority
+          && same
+               (Bcp.Recovery.Shuffled (Sim.Prng.create shuffle_seed))
+               (Bcp.Recovery.Shuffled (Sim.Prng.create shuffle_seed)))
+        (List.init 12 Fun.id))
+
+(* ---------- per-domain scratch reuse ---------- *)
+
+let loaded_network () = snd (random_network 4)
+
+let single_scenarios ns =
+  let topo = Bcp.Netstate.topology ns in
+  List.map
+    (fun sc -> sc.Failures.Scenario.components)
+    (Failures.Scenario.all_single_links topo @ Failures.Scenario.all_single_nodes topo)
+
+let test_scratch_reuse () =
+  let ns = loaded_network () in
+  let hit =
+    List.filter
+      (fun failed -> (Bcp.Recovery.simulate ns ~failed).Bcp.Recovery.affected > 0)
+      (single_scenarios ns)
+  in
+  let a = List.nth hit 0 and b = List.nth hit 1 in
+  let ra = Bcp.Recovery.simulate ns ~failed:a in
+  let rb = Bcp.Recovery.simulate ns ~failed:b in
+  Alcotest.(check bool) "A then B differ" true (ra <> rb);
+  Alcotest.(check bool) "A again" true (Bcp.Recovery.simulate ns ~failed:a = ra)
+
+let test_pools_unchanged_by_sweep () =
+  let ns = loaded_network () in
+  let before = Bcp.Netstate.spare_pool ns in
+  List.iter (fun failed -> ignore (Bcp.Recovery.simulate ns ~failed)) (single_scenarios ns);
+  Alcotest.(check bool) "spare pools bit-identical" true
+    (Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       before (Bcp.Netstate.spare_pool ns))
+
+let test_pool_jobs_identical () =
+  let ns = loaded_network () in
+  let scenarios = single_scenarios ns in
+  let sweep jobs =
+    Sim.Pool.set_jobs jobs;
+    Fun.protect
+      ~finally:(fun () -> Sim.Pool.set_jobs 1)
+      (fun () -> Sim.Pool.map (fun failed -> Bcp.Recovery.simulate ns ~failed) scenarios)
+  in
+  let serial = sweep 1 in
+  Alcotest.(check bool) "jobs 1 = jobs 2" true (serial = sweep 2);
+  Alcotest.(check bool) "jobs 1 = reference" true
+    (serial = List.map (fun failed -> Recovery_ref.simulate ns ~failed) scenarios)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -293,5 +412,12 @@ let () =
           Alcotest.test_case "affected dedup" `Quick test_affected_conns_dedup;
           Alcotest.test_case "brute-force pool" `Quick test_brute_force_pool;
         ] );
-      qsuite "props" [ prop_mux1_single_failure_guarantee ];
+      ( "scratch",
+        [
+          Alcotest.test_case "A, B, A" `Quick test_scratch_reuse;
+          Alcotest.test_case "pools unchanged by sweep" `Quick
+            test_pools_unchanged_by_sweep;
+          Alcotest.test_case "pool jobs 1 = 2" `Quick test_pool_jobs_identical;
+        ] );
+      qsuite "props" [ prop_mux1_single_failure_guarantee; prop_matches_reference ];
     ]
