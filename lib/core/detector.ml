@@ -45,7 +45,10 @@ let beat t ~now =
 let misses t ~now =
   int_of_float (Float.max 0.0 (now -. t.last_beat) /. t.params.period)
 
+let check_count = Sim.Prof.counter "detector.check"
+
 let check t ~now =
+  Sim.Prof.incr check_count;
   let m = misses t ~now in
   match t.state with
   | Confirmed -> `Fine

@@ -29,6 +29,10 @@ type t = {
      mutation that goes through this module (callers touching RNMP
      directly bump via {!bump_path}). *)
   link_version : int array;
+  (* Bumped by every mutator below, so state derived from the whole
+     network (the event-driven simulator's channel template) can be
+     cached under (physical netstate, generation). *)
+  mutable generation : int;
 }
 
 let create ?(lambda = 1e-4) ?(policy = Multiplexed) topo () =
@@ -56,6 +60,7 @@ let create ?(lambda = 1e-4) ?(policy = Multiplexed) topo () =
     backups_through_node =
       Array.init (Net.Topology.num_nodes topo) (fun _ -> Ids.Ivec.create ());
     link_version = Array.make (max 1 num_links) 0;
+    generation = 0;
   }
 
 let topology t = t.topo
@@ -73,7 +78,13 @@ let fresh_backup_id t = Ids.fresh t.bid_ids
 
 let link_version t ~link = t.link_version.(link)
 
-let bump_link t ~link = t.link_version.(link) <- t.link_version.(link) + 1
+let generation t = t.generation
+
+let bump t = t.generation <- t.generation + 1
+
+let bump_link t ~link =
+  t.link_version.(link) <- t.link_version.(link) + 1;
+  bump t
 
 let bump_path t path =
   List.iter (fun link -> bump_link t ~link) (Net.Path.links path)
@@ -91,6 +102,7 @@ let backup_info_of t (conn : Dconn.t) (b : Dconn.backup) =
   }
 
 let refresh_spare t ~link =
+  bump t;
   match t.policy with
   | Brute_force _ -> ()
   | Multiplexed ->
@@ -99,6 +111,7 @@ let refresh_spare t ~link =
     bump_link t ~link
 
 let register_backup t conn (b : Dconn.backup) =
+  bump t;
   let info = backup_info_of t conn b in
   List.iter
     (fun link ->
@@ -113,6 +126,7 @@ let register_backup t conn (b : Dconn.backup) =
   Ids.Slab.set t.by_bid b.Dconn.bid (Some (conn, b))
 
 let unregister_backup t conn (b : Dconn.backup) =
+  bump t;
   List.iter
     (fun link ->
       Mux.unregister t.mux ~link ~backup:b.Dconn.bid;
@@ -152,12 +166,14 @@ let add_dconn t conn =
   if Hashtbl.mem t.dconns conn.Dconn.id then
     invalid_arg (Printf.sprintf "Netstate.add_dconn: duplicate id %d" conn.Dconn.id);
   Hashtbl.replace t.dconns conn.Dconn.id conn;
+  bump t;
   Ids.Slab.set t.by_primary conn.Dconn.primary.Rtchan.Channel.id (Some conn)
 
 let remove_dconn t id =
   match Hashtbl.find_opt t.dconns id with
   | None -> ()
   | Some conn ->
+    bump t;
     List.iter (fun b -> unregister_backup t conn b) conn.Dconn.backups;
     Rtchan.Rnmp.teardown t.rnmp conn.Dconn.primary.Rtchan.Channel.id;
     bump_path t conn.Dconn.primary.Rtchan.Channel.path;

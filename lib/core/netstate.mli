@@ -43,6 +43,16 @@ val bump_link : t -> link:int -> unit
 
 val bump_path : t -> Net.Path.t -> unit
 
+val generation : t -> int
+(** Network-wide mutation counter.  Every mutator of this module bumps
+    it: {!add_dconn}, {!remove_dconn}, {!register_backup},
+    {!unregister_backup}, {!refresh_spare} and {!bump_link} (so
+    {!bump_path} too).  State derived from the whole network and cached
+    under (physical netstate, generation) — {!Simnet}'s channel template
+    — is stale as soon as the generation moves.  Code that changes a
+    connection's channels or a link's spare without going through these
+    mutators must bump a link itself. *)
+
 val topology : t -> Net.Topology.t
 val rnmp : t -> Rtchan.Rnmp.t
 val resources : t -> Rtchan.Resource.t

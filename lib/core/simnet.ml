@@ -1,4 +1,17 @@
+(* A simulation is a shared, immutable channel template plus a small
+   per-simulation overlay.  The template holds every channel's entry at
+   every node of its path and every end node's view of its connection,
+   as they stand in one netstate generation; it is built once and cached
+   under (physical netstate, [Netstate.generation]).  The overlay holds
+   what a run changes: channel states, rejoin timers, end-node views and
+   spare-pool draws.  Nothing in the template is ever written after it is
+   built, so simulations on several domains (and several live
+   simulations on one domain) share it safely. *)
+
+(* One channel's entry at one node of its path.  [id] is dense over the
+   template and keys the overlay's state bytes. *)
 type entry = {
+  id : int;
   cid : int;
   conn : int;
   serial : int;
@@ -7,23 +20,35 @@ type entry = {
   path : Net.Path.t;
   pnodes : int array;
   pos : int;
-  mutable state : Protocol.chan_state;
-  mutable rejoin : Sim.Engine.handle option;
 }
 
-(* End-node bookkeeping for one D-connection. *)
-type view = {
+(* An end node's view of one D-connection as established. *)
+type view_tpl = {
+  vid : int;
   vconn : int;
   is_src : bool;
-  healthy : (int, bool) Hashtbl.t; (* serial -> usable as standby *)
-  mutable attempting : int option;
-  mutable pending : Sim.Engine.handle option; (* delayed activation *)
+  serials : int array;
+      (* the primary's 0, then every backup: a primary repaired by rejoin
+         becomes a backup of its connection *)
+  standby : bool array; (* serials.(i) is usable at creation *)
 }
 
-type daemon = {
-  node : int;
-  chans : (int, entry) Hashtbl.t;
-  views : (int, view) Hashtbl.t; (* conn -> view (end nodes only) *)
+type template = {
+  init_state : Bytes.t; (* entry id -> initial state code *)
+  chans : (int, entry) Hashtbl.t array; (* node -> cid -> entry *)
+  order : entry array array;
+      (* node -> its entries in the order [detect] visits them, the
+         [Hashtbl.fold] order over [chans]; recovery times depend on it *)
+  views : (int, view_tpl) Hashtbl.t array; (* node -> conn -> view *)
+  pool : float array; (* per-link spare pools when built *)
+}
+
+(* Overlay of one view, made on first use. *)
+type view = {
+  tv : view_tpl;
+  healthy : bool array; (* parallel to [tv.serials]: usable as standby *)
+  mutable attempting : int option;
+  mutable pending : Sim.Engine.handle option; (* delayed activation *)
 }
 
 type record = {
@@ -47,11 +72,15 @@ type t = {
   ns : Netstate.t;
   cfg : Protocol.config;
   trace : Sim.Trace.t;
-  daemons : daemon array;
+  tpl : template;
+  state : Bytes.t; (* entry id -> current state code *)
+  rejoin : (int, Sim.Engine.handle) Hashtbl.t; (* entry id -> running timer *)
+  views : (int, view) Hashtbl.t; (* view id -> overlay *)
   mutable rcc : Rcc.Transport.t array;
   link_failed : bool array;
   node_alive : bool array;
-  pool : float array;
+  mutable pool : float array; (* [tpl.pool] until the first draw *)
+  mutable pool_owned : bool;
   activated : (int, activation_hold list) Hashtbl.t; (* link -> holds *)
   recs : (int, record) Hashtbl.t;
   mutable impair : Failures.Impair.t option;
@@ -63,6 +92,8 @@ type t = {
   telemetry : bool;
   monitor : Sim.Monitor.t option;
   metrics : Sim.Metrics.t;
+  counters : Sim.Metrics.counter option array; (* slot -> handle *)
+  reconfig_counters : (string, Sim.Metrics.counter) Hashtbl.t;
   mutable phases_observed : bool;
 }
 
@@ -76,6 +107,88 @@ let now t = Sim.Engine.now t.engine
 
 let tracef t tag fmt = Sim.Trace.recordf t.trace ~time:(now t) ~tag fmt
 
+(* ---------- per-event counters ---------- *)
+
+(* Every event kind but [Reconfig] has a fixed, finite label set, so its
+   counter gets a slot: the (name, labels) key below is registered on
+   the slot's first event and its handle kept, so the registry sees the
+   same keys in the same order as one lookup per event would give. *)
+let chan_states = [| Sim.Event.N; P; B; U |]
+let rcc_ops = [| Sim.Event.Send; Retransmit; Deliver; Ack; Drop |]
+let detector_signals = [| Sim.Event.Suspect; Confirm; Clear |]
+let timer_ops = [| Sim.Event.Started; Cancelled; Expired |]
+let mux_ops = [| Sim.Event.Register; Unregister |]
+let lifecycle_ops = [| Sim.Event.Arrive; Admit; Block; Depart; Readmit |]
+
+let index_of arr x =
+  let rec go i = if arr.(i) == x then i else go (i + 1) in
+  go 0
+
+let transition_slot = 0
+let rcc_slot = transition_slot + 16
+let detector_slot = rcc_slot + Array.length rcc_ops
+let activation_slot = detector_slot + Array.length detector_signals
+let rejoin_slot = activation_slot + 1
+let mux_slot = rejoin_slot + Array.length timer_ops
+let fault_slot = mux_slot + Array.length mux_ops
+let lifecycle_slot = fault_slot + 2
+
+let slot_keys =
+  let keys name label to_string values =
+    Array.to_list
+      (Array.map (fun v -> (name, [ (label, to_string v) ])) values)
+  in
+  Array.of_list
+    (List.concat
+       [
+         List.concat_map
+           (fun from_ ->
+             List.map
+               (fun to_ ->
+                 ( "bcp.chan_transitions",
+                   [
+                     ("from", Sim.Event.chan_state_to_string from_);
+                     ("to", Sim.Event.chan_state_to_string to_);
+                   ] ))
+               (Array.to_list chan_states))
+           (Array.to_list chan_states);
+         keys "rcc.messages" "op" Sim.Event.rcc_op_to_string rcc_ops;
+         keys "detector.signals" "signal" Sim.Event.detector_signal_to_string
+           detector_signals;
+         [ ("bcp.activations", []) ];
+         keys "bcp.rejoin_timers" "op" Sim.Event.timer_op_to_string timer_ops;
+         keys "mux.updates" "op" Sim.Event.mux_op_to_string mux_ops;
+         keys "faults" "dir" Fun.id [| "fail"; "repair" |];
+         keys "workload.lifecycle" "op" Sim.Event.lifecycle_op_to_string
+           lifecycle_ops;
+       ])
+
+let incr_slot t slot =
+  let c =
+    match t.counters.(slot) with
+    | Some c -> c
+    | None ->
+      let name, labels = slot_keys.(slot) in
+      let c = Sim.Metrics.counter t.metrics ~labels name in
+      t.counters.(slot) <- Some c;
+      c
+  in
+  Sim.Metrics.incr c
+
+let incr_reconfig t action =
+  let c =
+    match Hashtbl.find_opt t.reconfig_counters action with
+    | Some c -> c
+    | None ->
+      let c =
+        Sim.Metrics.counter t.metrics ~labels:[ ("action", action) ]
+          "bcp.reconfig"
+      in
+      Hashtbl.replace t.reconfig_counters action c;
+      c
+  in
+  Sim.Metrics.incr c
+
 (* Record one typed event and bump its registry counter.  The whole body
    is behind [t.telemetry], so untraced runs pay a single branch. *)
 let emit t ev =
@@ -84,30 +197,39 @@ let emit t ev =
     (match t.monitor with
     | Some m -> Sim.Monitor.feed m ~time:(now t) ev
     | None -> ());
-    let c name labels = Sim.Metrics.incr (Sim.Metrics.counter t.metrics ~labels name) in
     match ev with
     | Sim.Event.Chan_transition { from_; to_; _ } ->
-      c "bcp.chan_transitions"
-        [
-          ("from", Sim.Event.chan_state_to_string from_);
-          ("to", Sim.Event.chan_state_to_string to_);
-        ]
-    | Sim.Event.Rcc { op; _ } ->
-      c "rcc.messages" [ ("op", Sim.Event.rcc_op_to_string op) ]
+      incr_slot t
+        (transition_slot + (4 * index_of chan_states from_)
+        + index_of chan_states to_)
+    | Sim.Event.Rcc { op; _ } -> incr_slot t (rcc_slot + index_of rcc_ops op)
     | Sim.Event.Detector { signal; _ } ->
-      c "detector.signals" [ ("signal", Sim.Event.detector_signal_to_string signal) ]
-    | Sim.Event.Activation _ -> c "bcp.activations" []
+      incr_slot t (detector_slot + index_of detector_signals signal)
+    | Sim.Event.Activation _ -> incr_slot t activation_slot
     | Sim.Event.Rejoin_timer { op; _ } ->
-      c "bcp.rejoin_timers" [ ("op", Sim.Event.timer_op_to_string op) ]
-    | Sim.Event.Reconfig { action; _ } ->
-      c "bcp.reconfig" [ ("action", action) ]
-    | Sim.Event.Mux { op; _ } ->
-      c "mux.updates" [ ("op", Sim.Event.mux_op_to_string op) ]
-    | Sim.Event.Fault { up; _ } ->
-      c "faults" [ ("dir", if up then "repair" else "fail") ]
+      incr_slot t (rejoin_slot + index_of timer_ops op)
+    | Sim.Event.Reconfig { action; _ } -> incr_reconfig t action
+    | Sim.Event.Mux { op; _ } -> incr_slot t (mux_slot + index_of mux_ops op)
+    | Sim.Event.Fault { up; _ } -> incr_slot t (fault_slot + Bool.to_int up)
     | Sim.Event.Lifecycle { op; _ } ->
-      c "workload.lifecycle" [ ("op", Sim.Event.lifecycle_op_to_string op) ]
+      incr_slot t (lifecycle_slot + index_of lifecycle_ops op)
   end
+
+(* ---------- channel state overlay ---------- *)
+
+let code_of = function
+  | Protocol.N -> '\000'
+  | Protocol.P -> '\001'
+  | Protocol.B -> '\002'
+  | Protocol.U -> '\003'
+
+let state_of_code = function
+  | '\000' -> Protocol.N
+  | '\001' -> Protocol.P
+  | '\002' -> Protocol.B
+  | _ -> Protocol.U
+
+let state t e = state_of_code (Bytes.unsafe_get t.state e.id)
 
 let chan_state_ev = function
   | Protocol.N -> Sim.Event.N
@@ -115,11 +237,11 @@ let chan_state_ev = function
   | Protocol.B -> Sim.Event.B
   | Protocol.U -> Sim.Event.U
 
-(* Every [e.state <- _] on a channel entry goes through here so the typed
-   stream sees each N/P/B/U transition exactly once, with its cause. *)
+(* Every channel-state write goes through here so the typed stream sees
+   each N/P/B/U transition exactly once, with its cause. *)
 let set_chan_state t node e to_ ~cause =
-  let from_ = e.state in
-  e.state <- to_;
+  let from_ = state t e in
+  Bytes.unsafe_set t.state e.id (code_of to_);
   if t.telemetry && from_ <> to_ then
     emit t
       (Sim.Event.Chan_transition
@@ -130,6 +252,41 @@ let set_chan_state t node e to_ ~cause =
            to_ = chan_state_ev to_;
            cause;
          })
+
+let find_entry t node cid = Hashtbl.find_opt t.tpl.chans.(node) cid
+
+(* The node's view of a connection, overlaid on first use. *)
+let view_of t node conn_id =
+  match Hashtbl.find_opt t.tpl.views.(node) conn_id with
+  | None -> None
+  | Some tv -> (
+    match Hashtbl.find_opt t.views tv.vid with
+    | Some _ as v -> v
+    | None ->
+      let v =
+        {
+          tv;
+          healthy = Array.copy tv.standby;
+          attempting = None;
+          pending = None;
+        }
+      in
+      Hashtbl.replace t.views tv.vid v;
+      Some v)
+
+let set_healthy v serial ok =
+  Array.iteri (fun i s -> if s = serial then v.healthy.(i) <- ok) v.tv.serials
+
+(* ---------- spare-pool overlay ---------- *)
+
+let pool_remaining t l = t.pool.(l)
+
+let set_pool t l x =
+  if not t.pool_owned then begin
+    t.pool <- Array.copy t.pool;
+    t.pool_owned <- true
+  end;
+  t.pool.(l) <- x
 
 let link_alive t l =
   let lk = Net.Topology.link t.topo l in
@@ -144,53 +301,93 @@ let refresh_link_transport t l =
      drop-based detector. *)
   if up && Array.length t.sender_reported > 0 then t.sender_reported.(l) <- false
 
-(* ---------- construction ---------- *)
+(* ---------- the channel template ---------- *)
 
-let add_entry t conn_id serial nu bw path =
-  let pnodes = Array.of_list (Net.Path.nodes t.topo path) in
-  let cid = Protocol.cid ~conn:conn_id ~serial in
-  Array.iteri
-    (fun pos node ->
-      let e =
-        {
-          cid;
-          conn = conn_id;
-          serial;
-          nu;
-          bw;
-          path;
-          pnodes;
-          pos;
-          state = (if serial = 0 then Protocol.P else Protocol.B);
-          rejoin = None;
-        }
-      in
-      Hashtbl.replace t.daemons.(node).chans cid e)
-    pnodes
-
-let add_view t conn node ~is_src =
-  let v =
-    {
-      vconn = conn.Dconn.id;
-      is_src;
-      healthy = Hashtbl.create 4;
-      attempting = None;
-      pending = None;
-    }
+(* Connections are added in [Netstate.dconns] order, each primary then
+   its standby backups along their paths, into per-node tables created
+   with 64 buckets.  The fold order this gives is [detect]'s visiting
+   order, which every recorded recovery time depends on, so neither the
+   insertion order nor the initial sizes may change. *)
+let build_template ns =
+  let topo = Netstate.topology ns in
+  let n = Net.Topology.num_nodes topo in
+  let chans = Array.init n (fun _ -> Hashtbl.create 64) in
+  let views = Array.init n (fun _ -> Hashtbl.create 8) in
+  let init = Buffer.create 4096 and nviews = ref 0 in
+  let add_entry conn serial nu bw path =
+    let pnodes = Array.of_list (Net.Path.nodes topo path) in
+    let cid = Protocol.cid ~conn ~serial in
+    Array.iteri
+      (fun pos node ->
+        let id = Buffer.length init in
+        Buffer.add_char init
+          (code_of (if serial = 0 then Protocol.P else Protocol.B));
+        Hashtbl.replace chans.(node) cid
+          { id; cid; conn; serial; nu; bw; path; pnodes; pos })
+      pnodes
+  in
+  let add_view conn node ~is_src =
+    let backups = conn.Dconn.backups in
+    let tv =
+      {
+        vid = !nviews;
+        vconn = conn.Dconn.id;
+        is_src;
+        serials =
+          Array.of_list (0 :: List.map (fun b -> b.Dconn.serial) backups);
+        standby =
+          Array.of_list
+            (false
+            :: List.map (fun b -> b.Dconn.state = Dconn.Standby) backups);
+      }
+    in
+    incr nviews;
+    Hashtbl.replace views.(node) conn.Dconn.id tv
   in
   List.iter
-    (fun b ->
-      Hashtbl.replace v.healthy b.Dconn.serial (b.Dconn.state = Dconn.Standby))
-    conn.Dconn.backups;
-  Hashtbl.replace t.daemons.(node).views conn.Dconn.id v
+    (fun conn ->
+      let bw = Dconn.bandwidth conn in
+      add_entry conn.Dconn.id 0 infinity bw
+        conn.Dconn.primary.Rtchan.Channel.path;
+      List.iter
+        (fun b ->
+          if b.Dconn.state = Dconn.Standby then
+            add_entry conn.Dconn.id b.Dconn.serial b.Dconn.nu bw b.Dconn.path)
+        conn.Dconn.backups;
+      add_view conn conn.Dconn.src ~is_src:true;
+      add_view conn conn.Dconn.dst ~is_src:false)
+    (Netstate.dconns ns);
+  {
+    init_state = Buffer.to_bytes init;
+    chans;
+    order =
+      Array.map
+        (fun tbl ->
+          Array.of_list (Hashtbl.fold (fun _ e acc -> e :: acc) tbl []))
+        chans;
+    views;
+    pool = Netstate.spare_pool ns;
+  }
+
+let templates : (Netstate.t, int * template) Sim.Memo.t = Sim.Memo.create ()
+
+let template_of ns =
+  let generation = Netstate.generation ns in
+  match Sim.Memo.find templates ns with
+  | Some (g, tpl) when g = generation -> tpl
+  | _ ->
+    Sim.Prof.count "simnet.template_builds";
+    let tpl = build_template ns in
+    Sim.Memo.set templates ns (generation, tpl);
+    tpl
 
 let create ?(config = Protocol.default_config) ?(telemetry = false) ?monitor ns
     =
+  Sim.Prof.span "simnet.create" @@ fun () ->
   (* An attached monitor needs the event stream: force telemetry on. *)
   let telemetry = telemetry || monitor <> None in
   let topo = Netstate.topology ns in
-  let n = Net.Topology.num_nodes topo in
-  let m = Net.Topology.num_links topo in
+  let tpl = template_of ns in
   let t =
     {
       engine = Sim.Engine.create ();
@@ -198,13 +395,15 @@ let create ?(config = Protocol.default_config) ?(telemetry = false) ?monitor ns
       ns;
       cfg = config;
       trace = Sim.Trace.create ();
-      daemons =
-        Array.init n (fun node ->
-            { node; chans = Hashtbl.create 64; views = Hashtbl.create 8 });
+      tpl;
+      state = Bytes.copy tpl.init_state;
+      rejoin = Hashtbl.create 16;
+      views = Hashtbl.create 16;
       rcc = [||];
-      link_failed = Array.make m false;
-      node_alive = Array.make n true;
-      pool = Netstate.spare_pool ns;
+      link_failed = Array.make (Net.Topology.num_links topo) false;
+      node_alive = Array.make (Net.Topology.num_nodes topo) true;
+      pool = tpl.pool;
+      pool_owned = false;
       activated = Hashtbl.create 64;
       recs = Hashtbl.create 64;
       impair = None;
@@ -216,6 +415,8 @@ let create ?(config = Protocol.default_config) ?(telemetry = false) ?monitor ns
       telemetry;
       monitor;
       metrics = Sim.Metrics.create ();
+      counters = Array.make (Array.length slot_keys) None;
+      reconfig_counters = Hashtbl.create 4;
       phases_observed = false;
     }
   in
@@ -228,19 +429,6 @@ let create ?(config = Protocol.default_config) ?(telemetry = false) ?monitor ns
     if config.Protocol.reconfigure_netstate then
       Mux.set_event_sink (Netstate.mux ns) (Some (emit t))
   end;
-  List.iter
-    (fun conn ->
-      let bw = Dconn.bandwidth conn in
-      add_entry t conn.Dconn.id 0 infinity bw
-        conn.Dconn.primary.Rtchan.Channel.path;
-      List.iter
-        (fun b ->
-          if b.Dconn.state = Dconn.Standby then
-            add_entry t conn.Dconn.id b.Dconn.serial b.Dconn.nu bw b.Dconn.path)
-        conn.Dconn.backups;
-      add_view t conn conn.Dconn.src ~is_src:true;
-      add_view t conn conn.Dconn.dst ~is_src:false)
-    (Netstate.dconns ns);
   t
 
 (* RCC deliver closures need [t]; fill the transports afterwards. *)
@@ -422,28 +610,27 @@ and ensure_record t conn_id =
 (* ---------- rejoin timers & soft-state teardown ---------- *)
 
 and start_rejoin_timer t node e =
-  if e.rejoin = None then begin
-    e.rejoin <-
-      Some
-        (Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
-           ~delay:t.cfg.Protocol.rejoin_timeout
-           (fun () -> rejoin_expired t node e));
+  if not (Hashtbl.mem t.rejoin e.id) then begin
+    Hashtbl.replace t.rejoin e.id
+      (Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
+         ~delay:t.cfg.Protocol.rejoin_timeout
+         (fun () -> rejoin_expired t node e));
     emit t
       (Sim.Event.Rejoin_timer { node; channel = e.cid; op = Sim.Event.Started })
   end
 
 and cancel_rejoin_timer t node e =
-  match e.rejoin with
+  match Hashtbl.find_opt t.rejoin e.id with
   | None -> ()
   | Some h ->
     Sim.Engine.cancel t.engine h;
-    e.rejoin <- None;
+    Hashtbl.remove t.rejoin e.id;
     emit t
       (Sim.Event.Rejoin_timer { node; channel = e.cid; op = Sim.Event.Cancelled })
 
 and rejoin_expired t node e =
-  e.rejoin <- None;
-  if e.state = Protocol.U then begin
+  Hashtbl.remove t.rejoin e.id;
+  if state t e = Protocol.U then begin
     emit t
       (Sim.Event.Rejoin_timer { node; channel = e.cid; op = Sim.Event.Expired });
     set_chan_state t node e Protocol.N ~cause:"expire";
@@ -460,6 +647,7 @@ and reconfigure_teardown t e =
   | Some conn ->
     if e.serial = 0 then begin
       Rtchan.Rnmp.teardown (Netstate.rnmp t.ns) conn.Dconn.primary.Rtchan.Channel.id;
+      Netstate.bump_path t.ns conn.Dconn.primary.Rtchan.Channel.path;
       conn.Dconn.primary_alive <- false
     end
     else begin
@@ -505,7 +693,7 @@ and scheme_reports_to_dst t =
   | Protocol.Scheme2 -> false
 
 and process_failure_report t node e comp ~tag =
-  match e.state with
+  match state t e with
   | Protocol.U | Protocol.N -> () (* duplicate reports are ignored *)
   | Protocol.P | Protocol.B ->
     set_chan_state t node e Protocol.U ~cause:tag;
@@ -539,7 +727,7 @@ and send_rejoin_request t node e =
 and forward_rejoin_request t node e =
   (* Forward toward the destination; hold and retry while the next hop is
      dead, as long as the channel is still repairable (state U). *)
-  if e.state = Protocol.U then begin
+  if state t e = Protocol.U then begin
     let next = e.pnodes.(e.pos + 1) in
     if not (be_send t ~from_node:node ~to_node:next
               (Protocol.Rejoin_request { channel = e.cid }))
@@ -552,8 +740,6 @@ and forward_rejoin_request t node e =
 
 (* ---------- end-node failure handling & activation ---------- *)
 
-and view_of t node conn_id = Hashtbl.find_opt t.daemons.(node).views conn_id
-
 and source_learns_failure t node e =
   match view_of t node e.conn with
   | None -> ()
@@ -565,7 +751,7 @@ and source_learns_failure t node e =
       if scheme_reports_to_src t then try_activate t node v
     end
     else begin
-      Hashtbl.replace v.healthy e.serial false;
+      set_healthy v e.serial false;
       if v.attempting = Some e.serial then begin
         cancel_pending t v;
         v.attempting <- None;
@@ -584,7 +770,7 @@ and dest_learns_failure t node e =
       if scheme_reports_to_dst t then try_activate t node v
     end
     else begin
-      Hashtbl.replace v.healthy e.serial false;
+      set_healthy v e.serial false;
       if v.attempting = Some e.serial then begin
         cancel_pending t v;
         v.attempting <- None;
@@ -602,27 +788,26 @@ and cancel_pending t v =
 (* Pick the lowest-serial locally healthy standby; both end nodes apply
    the same rule so they agree on which backup to activate. *)
 and next_candidate t node v =
-  let d = t.daemons.(node) in
-  let candidates =
-    Hashtbl.fold
-      (fun serial ok acc ->
-        if not ok then acc
-        else
-          match Hashtbl.find_opt d.chans (Protocol.cid ~conn:v.vconn ~serial) with
-          | Some e when e.state = Protocol.B -> (serial, e) :: acc
-          | _ -> acc)
-      v.healthy []
-  in
-  match List.sort (fun (a, _) (b, _) -> Int.compare a b) candidates with
-  | [] -> None
-  | c :: _ -> Some c
+  let best = ref None in
+  Array.iteri
+    (fun i serial ->
+      if v.healthy.(i) then
+        match find_entry t node (Protocol.cid ~conn:v.tv.vconn ~serial) with
+        | Some e when state t e = Protocol.B -> (
+          match !best with
+          | Some (s, _) when s <= serial -> ()
+          | _ -> best := Some (serial, e))
+        | _ -> ())
+    v.tv.serials;
+  !best
 
 and try_activate t node v =
   match v.attempting with
   | Some _ -> () (* an activation is already in flight *)
   | None ->
     (match next_candidate t node v with
-    | None -> tracef t "give-up" "node %d: conn %d has no usable backup" node v.vconn
+    | None ->
+      tracef t "give-up" "node %d: conn %d has no usable backup" node v.tv.vconn
     | Some (serial, e) ->
       v.attempting <- Some serial;
       (match t.cfg.Protocol.priority with
@@ -632,7 +817,7 @@ and try_activate t node v =
         in
         let delay = slot *. float_of_int degree in
         tracef t "act-delay" "node %d: conn %d serial %d waits %.6fs" node
-          v.vconn serial delay;
+          v.tv.vconn serial delay;
         v.pending <-
           Some
             (Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
@@ -643,40 +828,38 @@ and try_activate t node v =
         initiate_wave t node v serial))
 
 and initiate_wave t node v serial =
-  let d = t.daemons.(node) in
-  match Hashtbl.find_opt d.chans (Protocol.cid ~conn:v.vconn ~serial) with
+  let conn = v.tv.vconn in
+  match find_entry t node (Protocol.cid ~conn ~serial) with
   | None -> ()
   | Some e ->
-    if e.state <> Protocol.B then begin
-      Hashtbl.replace v.healthy serial false;
+    if state t e <> Protocol.B then begin
+      set_healthy v serial false;
       v.attempting <- None;
       try_activate t node v
     end
     else if transition_to_p t node e then begin
-      emit t
-        (Sim.Event.Activation { node; conn = v.vconn; serial; channel = e.cid });
-      (match record_for t v.vconn with
+      emit t (Sim.Event.Activation { node; conn; serial; channel = e.cid });
+      (match record_for t conn with
       | Some r when r.activated_at = None -> r.activated_at <- Some (now t)
       | _ -> ());
       let hops = Net.Path.hops e.path in
-      if v.is_src then begin
-        let r = ensure_record t v.vconn in
+      if v.tv.is_src then begin
+        let r = ensure_record t conn in
         r.resumed_at <- Some (now t);
         r.activations <- (serial, now t) :: r.activations;
-        tracef t "resume" "node %d: conn %d resumes on backup %d" node v.vconn
+        tracef t "resume" "node %d: conn %d resumes on backup %d" node conn
           serial;
         if hops > 0 then
           rcc_send t ~from_node:node ~to_node:e.pnodes.(1)
-            (Rcc.Control.Activation
-               { conn = v.vconn; serial; channel = e.cid })
+            (Rcc.Control.Activation { conn; serial; channel = e.cid })
       end
       else if hops > 0 then
         rcc_send t ~from_node:node ~to_node:e.pnodes.(hops - 1)
-          (Rcc.Control.Activation { conn = v.vconn; serial; channel = e.cid })
+          (Rcc.Control.Activation { conn; serial; channel = e.cid })
     end
     else begin
       (* Multiplexing failure right at the end node. *)
-      Hashtbl.replace v.healthy serial false;
+      set_healthy v serial false;
       v.attempting <- None;
       try_activate t node v
     end
@@ -690,7 +873,7 @@ and transition_to_p t node e =
     else begin
       let l = e.path.Net.Path.links.(e.pos) in
       if t.pool.(l) +. 1e-9 >= e.bw then begin
-        t.pool.(l) <- t.pool.(l) -. e.bw;
+        set_pool t l (t.pool.(l) -. e.bw);
         hold_activation t l e;
         true
       end
@@ -731,7 +914,7 @@ and preempt_for t node e l =
       match remaining with
       | [] -> None
       | v :: rest ->
-        t.pool.(l) <- t.pool.(l) +. v.a_bw;
+        set_pool t l (t.pool.(l) +. v.a_bw);
         Hashtbl.replace t.activated l
           (List.filter (fun h -> h <> v)
              (Option.value ~default:[] (Hashtbl.find_opt t.activated l)));
@@ -740,7 +923,7 @@ and preempt_for t node e l =
   in
   match go [] victims with
   | Some _ ->
-    t.pool.(l) <- t.pool.(l) -. e.bw;
+    set_pool t l (t.pool.(l) -. e.bw);
     hold_activation t l e;
     true
   | None -> false
@@ -749,7 +932,7 @@ and preempt_for t node e l =
    (Section 4.3). *)
 and preempt_victim t node v l =
   let cid = Protocol.cid ~conn:v.a_conn ~serial:v.a_serial in
-  match Hashtbl.find_opt t.daemons.(node).chans cid with
+  match find_entry t node cid with
   | None -> ()
   | Some victim_entry ->
     tracef t "preempt" "node %d: ch %d preempted on link %d" node cid l;
@@ -762,7 +945,7 @@ and mux_failure_at t node e =
   let hops = Net.Path.hops e.path in
   let l = if e.pos < hops then e.path.Net.Path.links.(e.pos) else -1 in
   tracef t "mux-fail" "node %d: ch %d spare exhausted on link %d" node e.cid l;
-  (match e.state with
+  (match state t e with
   | Protocol.P | Protocol.B ->
     set_chan_state t node e Protocol.U ~cause:"mux-fail";
     start_rejoin_timer t node e
@@ -779,24 +962,23 @@ and mux_failure_at t node e =
 (* ---------- control-plane dispatch ---------- *)
 
 and handle_control t node ~via c =
-  let d = t.daemons.(node) in
   match c with
   | Rcc.Control.Heartbeat _ -> hb_beat t ~via
   | Rcc.Control.Failure_report { channel; component } ->
-    (match Hashtbl.find_opt d.chans channel with
+    (match find_entry t node channel with
     | None -> ()
     | Some e -> process_failure_report t node e component ~tag:"report")
   | Rcc.Control.Mux_failure_report { channel; link } ->
-    (match Hashtbl.find_opt d.chans channel with
+    (match find_entry t node channel with
     | None -> ()
     | Some e ->
       process_failure_report t node e (Net.Component.Link link)
         ~tag:"mux-report")
   | Rcc.Control.Activation { conn; serial; channel } ->
-    (match Hashtbl.find_opt d.chans channel with
+    (match find_entry t node channel with
     | None -> ()
     | Some e ->
-      (match e.state with
+      (match state t e with
       | Protocol.P | Protocol.U | Protocol.N ->
         (* Already activated from the other end, or a fresher failure is
            being reported: discard (Section 4.2). *)
@@ -809,7 +991,7 @@ and handle_control t node ~via c =
           (* Scheme 1: the source resumes when the activation reaches it. *)
           if e.pos = 0 then begin
             match view_of t node conn with
-            | Some v when v.is_src ->
+            | Some v when v.tv.is_src ->
               let r = ensure_record t conn in
               if r.resumed_at = None then begin
                 r.resumed_at <- Some (now t);
@@ -828,9 +1010,8 @@ and handle_control t node ~via c =
 (* ---------- best-effort (reconfiguration) dispatch ---------- *)
 
 and handle_be t node msg =
-  let d = t.daemons.(node) in
   let channel = Protocol.be_channel msg in
-  match Hashtbl.find_opt d.chans channel with
+  match find_entry t node channel with
   | None -> ()
   | Some e ->
     let hops = Net.Path.hops e.path in
@@ -838,7 +1019,7 @@ and handle_be t node msg =
     | Protocol.Rejoin_request _ ->
       if e.pos = hops then begin
         (* Destination: channel is repairable — answer with a rejoin. *)
-        if e.state = Protocol.U then begin
+        if state t e = Protocol.U then begin
           cancel_rejoin_timer t node e;
           set_chan_state t node e Protocol.B ~cause:"rejoin";
           tracef t "rejoin" "node %d: ch %d repaired (dst) -> B" node e.cid;
@@ -848,9 +1029,9 @@ and handle_be t node msg =
                  (Protocol.Rejoin { channel = e.cid }))
         end
       end
-      else if e.state = Protocol.U then forward_rejoin_request t node e
+      else if state t e = Protocol.U then forward_rejoin_request t node e
     | Protocol.Rejoin _ ->
-      (match e.state with
+      (match state t e with
       | Protocol.U ->
         cancel_rejoin_timer t node e;
         set_chan_state t node e Protocol.B ~cause:"rejoin";
@@ -863,7 +1044,7 @@ and handle_be t node msg =
           (* Repaired channel becomes a backup of its connection. *)
           match view_of t node e.conn with
           | None -> ()
-          | Some v -> Hashtbl.replace v.healthy e.serial true
+          | Some v -> set_healthy v e.serial true
         end
       | Protocol.N ->
         (* Rejoin arrived after the timer expired: undo with a closure
@@ -876,7 +1057,7 @@ and handle_be t node msg =
       | Protocol.P | Protocol.B -> ())
     | Protocol.Closure _ ->
       cancel_rejoin_timer t node e;
-      if e.state <> Protocol.N then begin
+      if state t e <> Protocol.N then begin
         set_chan_state t node e Protocol.N ~cause:"closure";
         tracef t "closure" "node %d: ch %d closed" node e.cid
       end;
@@ -888,12 +1069,10 @@ and handle_be t node msg =
 (* ---------- local failure detection ---------- *)
 
 and detect t node comp =
-  if t.node_alive.(node) then begin
-    let d = t.daemons.(node) in
-    let entries = Hashtbl.fold (fun _ e acc -> e :: acc) d.chans [] in
-    List.iter
+  if t.node_alive.(node) then
+    Array.iter
       (fun e ->
-        match e.state with
+        match state t e with
         | Protocol.P | Protocol.B ->
           if Net.Path.uses_component t.topo e.path comp then begin
             tracef t "detect" "node %d: ch %d lost %a" node e.cid
@@ -905,8 +1084,7 @@ and detect t node comp =
             process_failure_report t node e comp ~tag:"detect"
           end
         | Protocol.U | Protocol.N -> ())
-      entries
-  end
+      t.tpl.order.(node)
 
 (* ---------- fault injection ---------- *)
 
@@ -1005,6 +1183,7 @@ let inject t ~at (sc : Failures.Scenario.t) =
     sc.Failures.Scenario.components
 
 let run ?until t =
+  Sim.Prof.span "simnet.run" @@ fun () ->
   wire_transports t;
   Sim.Engine.run ?until t.engine
 
@@ -1025,9 +1204,9 @@ let state_of t ~conn ~serial =
     | Some p ->
       List.map
         (fun node ->
-          match Hashtbl.find_opt t.daemons.(node).chans cid with
+          match find_entry t node cid with
           | None -> Protocol.N
-          | Some e -> e.state)
+          | Some e -> state t e)
         (Net.Path.nodes t.topo p))
 
 let fully_activated t ~conn ~serial =
@@ -1097,12 +1276,10 @@ let records t =
     (fun a b -> Int.compare a.conn b.conn)
     (Hashtbl.fold (fun _ r acc -> r :: acc) t.recs [])
 
-let pool_remaining t l = t.pool.(l)
-
 let chan_state_at t ~node ~conn ~serial =
-  match Hashtbl.find_opt t.daemons.(node).chans (Protocol.cid ~conn ~serial) with
+  match find_entry t node (Protocol.cid ~conn ~serial) with
   | None -> Protocol.N
-  | Some e -> e.state
+  | Some e -> state t e
 
 let link_is_alive = link_alive
 

@@ -25,6 +25,14 @@ val create :
     [config.reconfigure_netstate = true] the simulation writes back into
     it (see {!Protocol.config}).
 
+    The per-node channel entries and end-node views come from an
+    immutable channel template, built on the first [create] for a
+    netstate and cached under (physical netstate,
+    {!Netstate.generation}); later [create]s for the same generation
+    reuse it, on any domain.  Each simulation keeps its own overlay of
+    channel states, timers, views and spare-pool draws, so several live
+    simulations over one netstate stay independent.
+
     [telemetry] (default [false]) turns on the typed observability
     plane: every channel-state transition, RCC message, detector signal,
     activation, rejoin-timer update, multiplexing update and fault is

@@ -113,6 +113,9 @@ let note_airborne t seq delta =
   if n <= 0 then Hashtbl.remove t.airborne seq
   else Hashtbl.replace t.airborne seq n
 
+let send_count = Sim.Prof.counter "rcc.send"
+let deliver_count = Sim.Prof.counter "rcc.deliver"
+
 let receive t (m : rcc_message) =
   if not (Hashtbl.mem t.seen m.seq) then begin
     emit t ~op:Sim.Event.Deliver ~seq:m.seq ~bytes:m.bytes;
@@ -129,6 +132,7 @@ let receive t (m : rcc_message) =
     List.iter
       (fun c ->
         t.delivered <- t.delivered + 1;
+        Sim.Prof.incr deliver_count;
         t.deliver c)
       m.payload
   end
@@ -155,6 +159,7 @@ let send_ack t (m : rcc_message) =
 
 let rec transmit t (m : rcc_message) ~attempt =
   t.sent <- t.sent + 1;
+  Sim.Prof.incr send_count;
   emit t
     ~op:(if attempt = 1 then Sim.Event.Send else Sim.Event.Retransmit)
     ~seq:m.seq ~bytes:m.bytes;

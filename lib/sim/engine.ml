@@ -176,6 +176,10 @@ let free_slot t s =
   t.free.(t.free_len) <- s;
   t.free_len <- t.free_len + 1
 
+let scheduled_count = Prof.counter "engine.scheduled"
+let events_count = Prof.counter "engine.events"
+let cancelled_count = Prof.counter "engine.events.cancelled"
+
 let schedule ?(klass = Internal) t ~at action =
   if at < t.clock then
     invalid_arg
@@ -188,7 +192,7 @@ let schedule ?(klass = Internal) t ~at action =
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
   heap_push t s;
-  Prof.count "engine.scheduled";
+  Prof.incr scheduled_count;
   pack ~gen:t.gens.(s) ~slot:s
 
 let schedule_after ?(klass = Internal) t ~delay action =
@@ -217,12 +221,12 @@ let rec step t =
     if Bytes.get t.cancelled s = '\001' then begin
       (* Counters observe the dispatch stream without influencing it:
          one predictable branch each when profiling is disabled. *)
-      Prof.count "engine.events.cancelled";
+      Prof.incr cancelled_count;
       free_slot t s;
       step t
     end
     else begin
-      Prof.count "engine.events";
+      Prof.incr events_count;
       t.clock <- t.times.(s);
       t.live <- t.live - 1;
       let action = t.actions.(s) in

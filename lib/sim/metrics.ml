@@ -16,8 +16,10 @@ let compare_key a b =
 
 type t = { mutable entries : (key * metric) list }
 (* Association list keyed by (name, labels).  Registries hold tens of
-   metrics, and registration returns a direct handle, so lookup cost is
-   paid once per metric per simulation, not per observation. *)
+   metrics, and registration returns a direct handle.  Lookup sorts both
+   label lists on every comparison, so a caller must resolve each handle
+   once (per simulation, on first use) and keep it, never per
+   observation. *)
 
 let create () = { entries = [] }
 

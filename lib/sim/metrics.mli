@@ -22,7 +22,9 @@ val create : unit -> t
 val counter : t -> ?labels:(string * string) list -> string -> counter
 (** Find-or-create.  @raise Invalid_argument if [(name, labels)] is
     already registered with a different kind.  Label order is
-    irrelevant. *)
+    irrelevant.  The lookup is linear and sorts label lists, so resolve
+    a handle once (on its first use) and keep it; do not look it up per
+    observation. *)
 
 val gauge : t -> ?labels:(string * string) list -> string -> gauge
 

@@ -87,6 +87,51 @@ type timeline = {
 
 module Iset = Set.Make (Int)
 
+(* Lookups derived from a context.  Nothing writes them after
+   [lookups_of], so one set of lookups serves every monitor over the same
+   (physical) context, on any domain. *)
+type lookups = {
+  chan_by_id : (int, chan_ctx) Hashtbl.t;
+  bw_by_bid : (int, float) Hashtbl.t;
+  src_by_conn : (int, int) Hashtbl.t;
+}
+
+let no_lookups =
+  {
+    chan_by_id = Hashtbl.create 1;
+    bw_by_bid = Hashtbl.create 1;
+    src_by_conn = Hashtbl.create 1;
+  }
+
+let build_lookups c =
+  let ix =
+    {
+      chan_by_id = Hashtbl.create 256;
+      bw_by_bid = Hashtbl.create 256;
+      src_by_conn = Hashtbl.create 64;
+    }
+  in
+  List.iter
+    (fun ci ->
+      Hashtbl.replace ix.chan_by_id ci.channel ci;
+      if ci.cc_serial = 0 && Array.length ci.nodes > 0 then
+        Hashtbl.replace ix.src_by_conn ci.cc_conn ci.nodes.(0))
+    c.chan_ctx;
+  List.iter (fun (bid, bw) -> Hashtbl.replace ix.bw_by_bid bid bw) c.mux_bw;
+  ix
+
+let memo : (context, lookups) Memo.t = Memo.create ()
+
+let lookups_of = function
+  | None -> no_lookups
+  | Some c -> (
+    match Memo.find memo c with
+    | Some ix -> ix
+    | None ->
+      let ix = build_lookups c in
+      Memo.set memo c ix;
+      ix)
+
 type t = {
   ctx : context option;
   decode_channel : (int -> int * int) option;
@@ -104,9 +149,7 @@ type t = {
   mux_regs : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* link -> bid set *)
   mux_incomplete : (int, unit) Hashtbl.t; (* links with unseen registers *)
   mux_unreg_seen : (int, unit) Hashtbl.t;
-  chan_by_id : (int, chan_ctx) Hashtbl.t;
-  bw_by_bid : (int, float) Hashtbl.t;
-  src_by_conn : (int, int) Hashtbl.t;
+  ix : lookups;
   tls : (int, timeline) Hashtbl.t;
   mutable pending_switch : (int * float * int) list; (* conn, time, index *)
   mutable finished : bool;
@@ -115,45 +158,30 @@ type t = {
 let eps = 1e-9
 
 let create ?context ?decode_channel ?(fail_fast = false) () =
-  let t =
-    {
-      ctx = context;
-      decode_channel;
-      fail_fast;
-      seen = 0;
-      viols = [];
-      cov = Hashtbl.create 64;
-      shadow = Hashtbl.create 256;
-      origin_seen = Hashtbl.create 64;
-      failed_conns = Hashtbl.create 64;
-      p_serials = Hashtbl.create 64;
-      timers = Hashtbl.create 64;
-      drawn =
-        (match context with
-        | None -> [||]
-        | Some c -> Array.make (Array.length c.link_ctx) 0.0);
-      mux_regs = Hashtbl.create 64;
-      mux_incomplete = Hashtbl.create 16;
-      mux_unreg_seen = Hashtbl.create 16;
-      chan_by_id = Hashtbl.create 256;
-      bw_by_bid = Hashtbl.create 256;
-      src_by_conn = Hashtbl.create 64;
-      tls = Hashtbl.create 64;
-      pending_switch = [];
-      finished = false;
-    }
-  in
-  (match context with
-  | None -> ()
-  | Some c ->
-    List.iter
-      (fun ci ->
-        Hashtbl.replace t.chan_by_id ci.channel ci;
-        if ci.cc_serial = 0 && Array.length ci.nodes > 0 then
-          Hashtbl.replace t.src_by_conn ci.cc_conn ci.nodes.(0))
-      c.chan_ctx;
-    List.iter (fun (bid, bw) -> Hashtbl.replace t.bw_by_bid bid bw) c.mux_bw);
-  t
+  {
+    ctx = context;
+    decode_channel;
+    fail_fast;
+    seen = 0;
+    viols = [];
+    cov = Hashtbl.create 64;
+    shadow = Hashtbl.create 256;
+    origin_seen = Hashtbl.create 64;
+    failed_conns = Hashtbl.create 64;
+    p_serials = Hashtbl.create 64;
+    timers = Hashtbl.create 64;
+    drawn =
+      (match context with
+      | None -> [||]
+      | Some c -> Array.make (Array.length c.link_ctx) 0.0);
+    mux_regs = Hashtbl.create 64;
+    mux_incomplete = Hashtbl.create 16;
+    mux_unreg_seen = Hashtbl.create 16;
+    ix = lookups_of context;
+    tls = Hashtbl.create 64;
+    pending_switch = [];
+    finished = false;
+  }
 
 let events_seen t = t.seen
 let violations t = List.rev t.viols
@@ -173,7 +201,7 @@ let violate t ~index ~time ?conn ?link ?node ?channel kind ~expected ~actual =
 
 (* (conn, serial) of a channel id: context first, then the cid codec. *)
 let decode t channel =
-  match Hashtbl.find_opt t.chan_by_id channel with
+  match Hashtbl.find_opt t.ix.chan_by_id channel with
   | Some ci -> Some (ci.cc_conn, ci.cc_serial)
   | None -> (
     match t.decode_channel with
@@ -320,10 +348,10 @@ let check_transition t ~index ~time ~node ~channel ~from_ ~to_ ~cause =
     end;
     (* ...and the switch (source resumes on an activated backup). *)
     if serial > 0 && to_ = Event.P && cause = "activate" then begin
-      (match Hashtbl.find_opt t.chan_by_id channel with
+      (match Hashtbl.find_opt t.ix.chan_by_id channel with
       | Some ci -> draw_pool t ~index ~time ~node ~channel ci ~release:false
       | None -> ());
-      match Hashtbl.find_opt t.src_by_conn conn with
+      match Hashtbl.find_opt t.ix.src_by_conn conn with
       | Some src when src = node ->
         update_timeline t conn (fun tl ->
             if tl.switch_at = None then { tl with switch_at = Some time } else tl);
@@ -337,7 +365,7 @@ let check_transition t ~index ~time ~node ~channel ~from_ ~to_ ~cause =
           update_timeline t conn (fun tl -> { tl with switch_at = Some time })
     end;
     if cause = "preempt" then
-      match Hashtbl.find_opt t.chan_by_id channel with
+      match Hashtbl.find_opt t.ix.chan_by_id channel with
       | Some ci -> draw_pool t ~index ~time ~node ~channel ci ~release:true
       | None -> ()
 
@@ -542,7 +570,7 @@ let finish t =
             let known = ref true and sum = ref 0.0 and max_bw = ref 0.0 in
             Hashtbl.iter
               (fun bid () ->
-                match Hashtbl.find_opt t.bw_by_bid bid with
+                match Hashtbl.find_opt t.ix.bw_by_bid bid with
                 | None -> known := false
                 | Some bw ->
                   sum := !sum +. bw;

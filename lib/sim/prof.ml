@@ -66,6 +66,7 @@ type dstate = {
   mutable stack : frame list;
   aggs : (string, agg) Hashtbl.t;
   counts : (string, int ref) Hashtbl.t;
+  mutable cvals : int array; (* counter handle -> value *)
   mutable raw : raw_span list; (* newest first; reversed at report time *)
   mutable raw_n : int;
   mutable dropped : int;
@@ -107,6 +108,7 @@ let key =
         stack = [];
         aggs = Hashtbl.create 32;
         counts = Hashtbl.create 32;
+        cvals = [||];
         raw = [];
         raw_n = 0;
         dropped = 0;
@@ -121,6 +123,7 @@ let state () =
     st.stack <- [];
     Hashtbl.reset st.aggs;
     Hashtbl.reset st.counts;
+    Array.fill st.cvals 0 (Array.length st.cvals) 0;
     st.raw <- [];
     st.raw_n <- 0;
     st.dropped <- 0;
@@ -227,12 +230,45 @@ let count ?(by = 1) name =
     | None -> Hashtbl.add st.counts name (ref by)
   end
 
+(* Counter handles are dense ids into a name table that only grows,
+   under the registry mutex. *)
+type counter = int
+
+let counter_names : string array ref = ref [||]
+
+let counter name =
+  Mutex.lock registry_mutex;
+  let names = !counter_names in
+  let rec find i =
+    if i = Array.length names then begin
+      counter_names := Array.append names [| name |];
+      i
+    end
+    else if String.equal names.(i) name then i
+    else find (i + 1)
+  in
+  let c = find 0 in
+  Mutex.unlock registry_mutex;
+  c
+
+let incr ?(by = 1) c =
+  if Atomic.get on then begin
+    let st = state () in
+    if c >= Array.length st.cvals then begin
+      let grown = Array.make (c + 1) 0 in
+      Array.blit st.cvals 0 grown 0 (Array.length st.cvals);
+      st.cvals <- grown
+    end;
+    st.cvals.(c) <- st.cvals.(c) + by
+  end
+
 let depth () =
   if not (Atomic.get on) then 0 else List.length (state ()).stack
 
 let report () =
   Mutex.lock registry_mutex;
   let states = !registry in
+  let names = !counter_names in
   let t0 = !origin in
   Mutex.unlock registry_mutex;
   let wall_ns = if t0 < 0.0 then 0.0 else now_ns () -. t0 in
@@ -271,6 +307,13 @@ let report () =
           | None -> Hashtbl.add merged_counts name (ref !r)
           | Some m -> m := !m + !r)
         st.counts;
+      Array.iteri
+        (fun c v ->
+          if v <> 0 then
+            match Hashtbl.find_opt merged_counts names.(c) with
+            | None -> Hashtbl.add merged_counts names.(c) (ref v)
+            | Some m -> m := !m + v)
+        st.cvals;
       List.iter
         (fun (s : raw_span) ->
           raw :=

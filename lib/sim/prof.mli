@@ -87,6 +87,20 @@ val leave : string -> unit
 val count : ?by:int -> string -> unit
 (** Add [by] (default 1) to a labelled counter on this domain. *)
 
+type counter
+(** A handle on a named counter, for call sites too hot for {!count}'s
+    name lookup (one per engine event, RCC message or detector check).
+    Resolve it once, at module initialisation, then {!incr} it. *)
+
+val counter : string -> counter
+(** The handle for [name]; the same name always gives the same handle. *)
+
+val incr : ?by:int -> counter -> unit
+(** {!count} through a handle: one atomic load and a branch when
+    disabled, an array increment when enabled.  A handle's counter shows
+    in {!report} once it is nonzero, merged with {!count}s of the same
+    name. *)
+
 val depth : unit -> int
 (** Open-span nesting depth on the calling domain (0 when disabled). *)
 

@@ -2,7 +2,7 @@ type entry = { time : float; tag : string; detail : string }
 
 type t = {
   capacity : int;
-  buf : entry option array;
+  mutable buf : entry option array; (* [||] until the first [record] *)
   mutable next : int; (* next write slot *)
   mutable total : int;
   index : (string, int Queue.t) Hashtbl.t;
@@ -20,7 +20,7 @@ let create ?(capacity = 65536) () =
          capacity);
   {
     capacity;
-    buf = Array.make capacity None;
+    buf = [||];
     next = 0;
     total = 0;
     index = Hashtbl.create 32;
@@ -30,6 +30,7 @@ let create ?(capacity = 65536) () =
   }
 
 let record t ~time ~tag detail =
+  if Array.length t.buf = 0 then t.buf <- Array.make t.capacity None;
   (* Overwriting a full ring evicts the globally oldest entry, which is
      also the oldest of its own tag — drop it from the index head. *)
   (match t.buf.(t.next) with
@@ -103,7 +104,7 @@ let events t = Array.to_list (Array.sub t.events 0 t.nevents)
 let event_count t = t.nevents
 
 let clear t =
-  Array.fill t.buf 0 t.capacity None;
+  Array.fill t.buf 0 (Array.length t.buf) None;
   t.next <- 0;
   t.total <- 0;
   Hashtbl.reset t.index;

@@ -15,7 +15,8 @@ type entry = { time : float; tag : string; detail : string }
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Ring buffer; default capacity 65536.  When full, oldest entries drop.
+(** Ring buffer; default capacity 65536, allocated on the first
+    {!record}.  When full, oldest entries drop.
     @raise Invalid_argument if [capacity] is zero or negative. *)
 
 val record : t -> time:float -> tag:string -> string -> unit

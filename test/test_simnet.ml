@@ -438,6 +438,272 @@ let test_duplicate_failures_single_report_processing () =
     Alcotest.(check int) "single activation" 1 (List.length r.Bcp.Simnet.activations)
   end
 
+(* ---------- shared channel template ---------- *)
+
+(* A loaded 4x4 torus: 24 connections, some with two backups, so most
+   nodes hold many channel entries. *)
+let loaded_ns () =
+  let ns = torus_ns ~capacity:40.0 () in
+  for i = 0 to 23 do
+    let src = i mod 16 and dst = ((i * 7) + 5) mod 16 in
+    if src <> dst then
+      ignore
+        (Bcp.Establish.establish ns ~conn_id:i
+           (request ~backups:(1 + (i mod 2)) ~mux_degree:3 src dst))
+  done;
+  ns
+
+let sorted_conns ns =
+  List.sort
+    (fun a b -> Int.compare a.Bcp.Dconn.id b.Bcp.Dconn.id)
+    (Bcp.Netstate.dconns ns)
+
+(* Every channel the netstate has ever given a serial: primaries and all
+   backups, whatever their state. *)
+let channels ns =
+  List.concat_map
+    (fun c ->
+      (c.Bcp.Dconn.id, 0)
+      :: List.map
+           (fun b -> (c.Bcp.Dconn.id, b.Bcp.Dconn.serial))
+           c.Bcp.Dconn.backups)
+    (sorted_conns ns)
+
+(* The link the most channels cross. *)
+let busiest_link ns =
+  let topo = Bcp.Netstate.topology ns in
+  let load = Array.make (Net.Topology.num_links topo) 0 in
+  List.iter
+    (fun c ->
+      let paths =
+        c.Bcp.Dconn.primary.Rtchan.Channel.path
+        :: List.map (fun b -> b.Bcp.Dconn.path) c.Bcp.Dconn.backups
+      in
+      List.iter
+        (fun p ->
+          List.iter (fun l -> load.(l) <- load.(l) + 1) (Net.Path.links p))
+        paths)
+    (Bcp.Netstate.dconns ns);
+  let best = ref 0 in
+  Array.iteri (fun l n -> if n > load.(!best) then best := l) load;
+  !best
+
+type observed = {
+  records : Bcp.Simnet.record list;
+  states : ((int * int) * Bcp.Protocol.chan_state list) list;
+  pools : float list;
+  events : (float * Sim.Event.t) list;
+}
+
+let observe ns sim =
+  Bcp.Simnet.finalize sim;
+  {
+    records = Bcp.Simnet.records sim;
+    states =
+      List.map
+        (fun (conn, serial) ->
+          ((conn, serial), Bcp.Simnet.state_of sim ~conn ~serial))
+        (channels ns);
+    pools =
+      List.init
+        (Net.Topology.num_links (Bcp.Netstate.topology ns))
+        (Bcp.Simnet.pool_remaining sim);
+    events = Sim.Trace.events (Bcp.Simnet.trace sim);
+  }
+
+let check_same what a b =
+  Alcotest.(check bool) (what ^ ": records") true (a.records = b.records);
+  Alcotest.(check bool) (what ^ ": channel states") true (a.states = b.states);
+  Alcotest.(check (list (float 0.0))) (what ^ ": pools") a.pools b.pools;
+  Alcotest.(check int)
+    (what ^ ": event count") (List.length a.events) (List.length b.events);
+  Alcotest.(check bool) (what ^ ": events") true (a.events = b.events)
+
+let start ns comps =
+  let sim = Bcp.Simnet.create ~telemetry:true ns in
+  List.iter
+    (function
+      | Net.Component.Link l -> Bcp.Simnet.fail_link sim ~at:0.01 l
+      | Net.Component.Node v -> Bcp.Simnet.fail_node sim ~at:0.01 v)
+    comps;
+  sim
+
+let episode ns comps =
+  let sim = start ns comps in
+  Bcp.Simnet.run ~until:0.3 sim;
+  observe ns sim
+
+let scenario_a ns = [ Net.Component.Link (busiest_link ns) ]
+let scenario_b = [ Net.Component.Node 5 ]
+
+let test_template_aba () =
+  let ns = loaded_ns () in
+  let a1 = episode ns (scenario_a ns) in
+  Alcotest.(check bool) "episode A recovers something" true
+    (List.exists (fun r -> r.Bcp.Simnet.recovered_serial <> None) a1.records);
+  let b = episode ns scenario_b in
+  Alcotest.(check bool) "episode B changes other state" true
+    (b.states <> a1.states);
+  let a2 = episode ns (scenario_a ns) in
+  check_same "A after B" a1 a2
+
+let test_two_live_sims () =
+  let ns = loaded_ns () in
+  let sa = start ns (scenario_a ns) and sb = start ns scenario_b in
+  List.iter
+    (fun until ->
+      Bcp.Simnet.run ~until sa;
+      Bcp.Simnet.run ~until sb)
+    [ 0.0101; 0.0105; 0.012; 0.02; 0.3 ];
+  let a = observe ns sa and b = observe ns sb in
+  check_same "A interleaved" (episode ns (scenario_a ns)) a;
+  check_same "B interleaved" (episode ns scenario_b) b
+
+(* What a simulation built from scratch sees: primaries P and standby
+   backups B at every node of their paths, every other channel N, and
+   the netstate's own spare pools. *)
+let check_matches_netstate what ns =
+  let sim = Bcp.Simnet.create ns in
+  List.iter
+    (fun c ->
+      let expect serial path st =
+        let n = List.length (Net.Path.nodes (Bcp.Netstate.topology ns) path) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: conn %d serial %d" what c.Bcp.Dconn.id serial)
+          true
+          (Bcp.Simnet.state_of sim ~conn:c.Bcp.Dconn.id ~serial
+          = List.init n (fun _ -> st))
+      in
+      expect 0 c.Bcp.Dconn.primary.Rtchan.Channel.path Bcp.Protocol.P;
+      List.iter
+        (fun b ->
+          expect b.Bcp.Dconn.serial b.Bcp.Dconn.path
+            (if b.Bcp.Dconn.state = Bcp.Dconn.Standby then Bcp.Protocol.B
+             else Bcp.Protocol.N))
+        c.Bcp.Dconn.backups)
+    (sorted_conns ns);
+  let res = Bcp.Netstate.resources ns in
+  for l = 0 to Net.Topology.num_links (Bcp.Netstate.topology ns) - 1 do
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "%s: pool of link %d" what l)
+      (Rtchan.Resource.spare res l)
+      (Bcp.Simnet.pool_remaining sim l)
+  done
+
+let template_builds f =
+  Sim.Prof.reset ();
+  Sim.Prof.enable ();
+  Fun.protect ~finally:Sim.Prof.disable f;
+  Option.value ~default:0
+    (List.assoc_opt "simnet.template_builds"
+       (Sim.Prof.report ()).Sim.Prof.counters)
+
+let write_back ns =
+  let config =
+    {
+      Bcp.Protocol.default_config with
+      Bcp.Protocol.rejoin_timeout = 0.05;
+      reconfigure_netstate = true;
+    }
+  in
+  let sim = Bcp.Simnet.create ~config ns in
+  Bcp.Simnet.fail_link sim ~at:0.01 (busiest_link ns);
+  Bcp.Simnet.run ~until:1.0 sim;
+  Alcotest.(check bool) "a backup was written back broken" true
+    (List.exists
+       (fun c ->
+         List.exists
+           (fun b -> b.Bcp.Dconn.state = Bcp.Dconn.Broken)
+           c.Bcp.Dconn.backups)
+       (Bcp.Netstate.dconns ns))
+
+let commit ns =
+  let failed = [ Net.Component.Link (busiest_link ns) ] in
+  let result = Bcp.Recovery.simulate ns ~failed in
+  ignore (Bcp.Reconfig.commit ns ~failed ~result)
+
+let establish ns = ignore (establish_exn ns 100 (request ~backups:2 1 11))
+
+let remove ns =
+  Alcotest.(check bool) "conn 3 established" true
+    (Bcp.Netstate.find ns 3 <> None);
+  Bcp.Netstate.remove_dconn ns 3
+
+(* After each kind of network change, a new simulation must see the
+   changed network: it matches the netstate itself, and it replays like
+   a simulation over the same network rebuilt from scratch (a distinct
+   netstate, so no template of it was ever cached). *)
+let test_template_invalidation () =
+  List.iter
+    (fun (what, change) ->
+      let ns = loaded_ns () in
+      Alcotest.(check int) (what ^ ": built once, then reused") 1
+        (template_builds (fun () ->
+             ignore (episode ns (scenario_a ns));
+             ignore (Bcp.Simnet.create ns)));
+      change ns;
+      Alcotest.(check int) (what ^ ": rebuilt once after the change") 1
+        (template_builds (fun () ->
+             ignore (Bcp.Simnet.create ns);
+             ignore (Bcp.Simnet.create ns)));
+      check_matches_netstate what ns;
+      let scratch = loaded_ns () in
+      change scratch;
+      check_same what
+        (episode scratch (scenario_a scratch))
+        (episode ns (scenario_a ns)))
+    [
+      ("establish", establish);
+      ("remove_dconn", remove);
+      ("Reconfig.commit", commit);
+      ("write-back", write_back);
+    ]
+
+(* [detect] visits a node's channels in the order the pre-template
+   simulator's per-node table folded them: a [Hashtbl.create 64] filled
+   by [Hashtbl.replace] in [Netstate.dconns] order, primary then standby
+   backups.  Recovery times depend on that order. *)
+let test_detect_order () =
+  let ns = loaded_ns () in
+  let topo = Bcp.Netstate.topology ns in
+  let link = busiest_link ns in
+  let node = (Net.Topology.link topo link).Net.Topology.src in
+  let tbl = Hashtbl.create 64 and inserted = ref [] in
+  let add conn serial path =
+    if List.mem node (Net.Path.nodes topo path) then begin
+      let cid = Bcp.Protocol.cid ~conn ~serial in
+      Hashtbl.replace tbl cid ();
+      inserted := cid :: !inserted
+    end
+  in
+  List.iter
+    (fun c ->
+      add c.Bcp.Dconn.id 0 c.Bcp.Dconn.primary.Rtchan.Channel.path;
+      List.iter
+        (fun b ->
+          if b.Bcp.Dconn.state = Bcp.Dconn.Standby then
+            add c.Bcp.Dconn.id b.Bcp.Dconn.serial b.Bcp.Dconn.path)
+        c.Bcp.Dconn.backups)
+    (Bcp.Netstate.dconns ns);
+  let folded = Hashtbl.fold (fun cid () acc -> cid :: acc) tbl [] in
+  let sim = Bcp.Simnet.create ns in
+  Bcp.Simnet.fail_link sim ~at:0.01 link;
+  Bcp.Simnet.run ~until:0.3 sim;
+  let detected =
+    List.filter_map
+      (fun e ->
+        Scanf.sscanf e.Sim.Trace.detail "node %d: ch %d" (fun n cid ->
+            if n = node then Some cid else None))
+      (Sim.Trace.find_all (Bcp.Simnet.trace sim) ~tag:"detect")
+  in
+  let expected = List.filter (fun cid -> List.mem cid detected) folded in
+  Alcotest.(check bool) "several channels detected" true
+    (List.length detected >= 3);
+  Alcotest.(check bool) "fold order is not insertion order" true
+    (expected
+    <> List.filter (fun cid -> List.mem cid detected) (List.rev !inserted));
+  Alcotest.(check (list int)) "detect order" expected detected
+
 let () =
   Alcotest.run "simnet"
     [
@@ -489,5 +755,12 @@ let () =
           Alcotest.test_case "counters" `Quick test_rcc_counters_move;
           Alcotest.test_case "duplicate reports" `Quick
             test_duplicate_failures_single_report_processing;
+        ] );
+      ( "template",
+        [
+          Alcotest.test_case "A-B-A reuse" `Quick test_template_aba;
+          Alcotest.test_case "two live sims" `Quick test_two_live_sims;
+          Alcotest.test_case "invalidation" `Quick test_template_invalidation;
+          Alcotest.test_case "detect order" `Quick test_detect_order;
         ] );
     ]
