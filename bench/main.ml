@@ -247,14 +247,46 @@ let build_tier (label, net) =
 
 (* ------------- Routing micro tier: oracle vs reference --------------- *)
 
-(* Dry-runs [Establish.plan] over a fixed request sample against the
-   loaded scaling netstates, once with the routing acceleration on and
-   once under [set_oracle_disabled] — byte-identical outputs, different
-   work.  Probe counts and the path-digest comparison are deterministic
-   (table cells, gated against the committed baseline); the wall clocks
-   go through "timing:" lines and kernel_timings only, so the table stays
-   byte-identical across machines and job counts. *)
+(* Establishes a fixed request sample on the loaded scaling netstates and
+   tears each request down again with [Netstate.remove_dconn], once with
+   the routing acceleration on and once under [set_oracle_disabled] —
+   identical paths, different work.  Admission-check counts and the
+   path-digest comparison are deterministic (table cells, gated against
+   the committed baseline); the wall clocks go through "timing:" lines and
+   kernel_timings only, so the table stays byte-identical across machines
+   and job counts. *)
 let routing_sample = 256
+
+(* Admission checks and search times come from [Sim.Prof], so the tier
+   runs with the profiler on; a [--profile] run keeps its data, otherwise
+   the profiler is switched off and cleared again afterwards. *)
+let with_profiler f =
+  if Sim.Prof.enabled () then f ()
+  else begin
+    Sim.Prof.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Sim.Prof.disable ();
+        Sim.Prof.reset ())
+      f
+  end
+
+(* Admission checks so far, and seconds spent in the primary and backup
+   searches: registration and teardown are left out of the timing, so the
+   oracle-vs-reference speedup stays a routing figure. *)
+let routing_work () =
+  let r = Sim.Prof.report () in
+  let search_ns =
+    List.fold_left
+      (fun acc (s : Sim.Prof.span_stat) ->
+        if s.name = "establish.primary" || s.name = "establish.backup_route"
+        then acc +. s.total_ns
+        else acc)
+      0.0 r.spans
+  in
+  ( Option.value ~default:0
+      (List.assoc_opt "establish.admission_checks" r.counters),
+    search_ns /. 1e9 )
 
 let routing_micro runs =
   hr "ROUTING: goal-directed plan search, oracle vs reference";
@@ -273,42 +305,44 @@ let routing_micro runs =
         ~count:routing_sample
     in
     (* Paths, not just path lengths: the acceleration must leave every
-       chosen link identical, and a plan's probe record is internal, so
-       the digest keeps exactly the plan's externally visible outcome. *)
-    let digest (p : Bcp.Establish.plan) =
-      match p.Bcp.Establish.plan_outcome with
-      | Ok (primary, backups) ->
-        Ok
-          ( Net.Path.links primary,
-            List.map
-              (fun (b : Bcp.Establish.planned_backup) ->
-                ( b.Bcp.Establish.pb_serial,
-                  Net.Path.links b.Bcp.Establish.pb_path ))
-              backups )
-      | Error e -> Error e
+       chosen link identical. *)
+    let digest (conn : Bcp.Dconn.t) =
+      ( Net.Path.links conn.Bcp.Dconn.primary.Rtchan.Channel.path,
+        List.map
+          (fun (b : Bcp.Dconn.backup) ->
+            (b.Bcp.Dconn.serial, Net.Path.links b.Bcp.Dconn.path))
+          conn.Bcp.Dconn.backups )
     in
+    (* Ids far above the established connections' 0 .. n-1, and each
+       request is removed before the next, so every request meets the
+       loaded state exactly as the scaling run left it. *)
     let run_mode disabled =
       Routing.Shortest.set_oracle_disabled disabled;
-      let t0 = Unix.gettimeofday () in
-      let plans =
+      let checks0, search0 = routing_work () in
+      let digests =
         List.mapi
           (fun i (r : Workload.Generator.request) ->
-            Bcp.Establish.plan ns ~conn_id:i
-              {
-                Bcp.Establish.src = r.Workload.Generator.src;
-                dst = r.dst;
-                traffic = r.traffic;
-                qos = r.qos;
-                backups = r.backups;
-                mux_degree = r.mux_degree;
-              })
+            let conn_id = 10_000_000 + i in
+            match
+              Bcp.Establish.establish ns ~conn_id
+                {
+                  Bcp.Establish.src = r.Workload.Generator.src;
+                  dst = r.dst;
+                  traffic = r.traffic;
+                  qos = r.qos;
+                  backups = r.backups;
+                  mux_degree = r.mux_degree;
+                }
+            with
+            | Ok conn ->
+              let d = digest conn in
+              Bcp.Netstate.remove_dconn ns conn_id;
+              Ok d
+            | Error e -> Error e)
           requests
       in
-      let dt = Unix.gettimeofday () -. t0 in
-      let probes =
-        List.fold_left (fun a p -> a + Bcp.Establish.plan_probes p) 0 plans
-      in
-      (List.map digest plans, probes, dt)
+      let checks1, search1 = routing_work () in
+      (digests, checks1 - checks0, search1 -. search0)
     in
     let oracle_digests, oracle_probes, oracle_dt = run_mode false in
     let ref_digests, ref_probes, ref_dt = run_mode true in
@@ -320,7 +354,9 @@ let routing_micro runs =
       oracle_dt,
       ref_dt )
   in
-  let rows = List.map measure tiers in
+  let rows = with_profiler (fun () -> List.map measure tiers) in
+  (* Title and columns are the committed baseline's keys: do not reword
+     them. *)
   table (fun () ->
       let r =
         Eval.Report.make
@@ -382,10 +418,9 @@ let routing_only_suite () =
 
 let scaling () =
   hr "SCALING: establishment at fixed per-node load (8 req/node, mux=3)";
-  (* Tiers run serially (not through the pool): the 64x64 tier dominates
-     wall time, and establishment itself shards across the pool's domains
-     inside each tier (see [Eval.Setup.establish_all]) — which it could
-     not do from inside a pool task, where nested maps run inline. *)
+  (* Tiers run serially, and so does establishment inside each tier (see
+     [Eval.Setup.establish_all]): each request is routed against the
+     state its predecessors left, so --jobs does not change the tables. *)
   let runs = List.map build_tier scaling_tiers in
   table (fun () ->
       let r =

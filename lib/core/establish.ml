@@ -45,20 +45,19 @@ let get_cost_ws num_links =
   ws.cepoch <- ws.cepoch + 1;
   ws
 
+(* Admission checks against a link's mutable state, summed over the
+   primary search ({!Rtchan.Rnmp.route}) and every backup search. *)
+let admission_checks = Sim.Prof.counter "establish.admission_checks"
+
 (* Route one backup disjoint from [avoid], admissible at threshold [nu],
    optionally avoiding failed components.  [strategy] picks between the
    paper's shortest-path search and the spare-increment-minimising
-   extension.  [on_admission_check] (speculative planning) observes the id
-   and verdict of every admission probe against a link's mutable state
-   ([Min_hops] only — the spare-increment costs are not captured). *)
+   extension. *)
 let route_backup ?tie_break ?(strategy = Min_hops)
-    ?(avoid_components = Net.Component.Set.empty) ?on_admission_check ns ~conn
-    ~bid ~serial ~nu ~avoid =
+    ?(avoid_components = Net.Component.Set.empty) ns ~conn ~bid ~serial ~nu
+    ~avoid =
   let topo = Netstate.topology ns in
   let src = conn.Dconn.src and dst = conn.Dconn.dst in
-  let touch =
-    match on_admission_check with None -> fun _ _ -> () | Some f -> f
-  in
   let info =
     {
       Mux.backup = bid;
@@ -118,11 +117,8 @@ let route_backup ?tie_break ?(strategy = Min_hops)
             (Net.Component.Link l.Net.Topology.id)
             avoid_components))
       &&
-      let v =
-        Netstate.backup_admissible_probe ns probe ~link:l.Net.Topology.id
-      in
-      touch l.Net.Topology.id v;
-      v
+      (Sim.Prof.incr admission_checks;
+       Netstate.backup_admissible_probe ns probe ~link:l.Net.Topology.id)
     in
     let node_ok v =
       not (Net.Component.Set.mem (Net.Component.Node v) avoid_components)
@@ -201,7 +197,7 @@ let establish ?tie_break ?backup_routing ns ~conn_id request =
   with
   | Error r -> Error (Primary_rejected r)
   | Ok primary ->
-    Netstate.bump_path ns primary.Rtchan.Channel.path;
+    Netstate.bump ns;
     let conn =
       {
         Dconn.id = conn_id;
@@ -246,7 +242,7 @@ let establish ?tie_break ?backup_routing ns ~conn_id request =
       (* Roll back everything reserved for this connection. *)
       List.iter (fun b -> Netstate.unregister_backup ns conn b) conn.Dconn.backups;
       Rtchan.Rnmp.teardown rnmp primary.Rtchan.Channel.id;
-      Netstate.bump_path ns primary.Rtchan.Channel.path;
+      Netstate.bump ns;
       Error e)
 
 let add_backup ?tie_break ?avoid_components ns conn ~mux_degree =
@@ -325,7 +321,7 @@ let establish_with_reliability ?tie_break ?(max_backups = 3) ns ~conn_id ~src
   match Rtchan.Rnmp.establish ?tie_break rnmp ~src ~dst ~traffic ~qos with
   | Error r -> Error (Primary_rejected r)
   | Ok primary ->
-    Netstate.bump_path ns primary.Rtchan.Channel.path;
+    Netstate.bump ns;
     let conn =
       {
         Dconn.id = conn_id;
@@ -342,7 +338,7 @@ let establish_with_reliability ?tie_break ?(max_backups = 3) ns ~conn_id ~src
     let rollback () =
       List.iter (fun b -> Netstate.unregister_backup ns conn b) conn.Dconn.backups;
       Rtchan.Rnmp.teardown rnmp primary.Rtchan.Channel.id;
-      Netstate.bump_path ns primary.Rtchan.Channel.path
+      Netstate.bump ns
     in
     (* Try to attach one more backup: scan degrees from largest (cheapest)
        to smallest, keeping the largest degree whose resulting P_r meets
@@ -403,273 +399,3 @@ let establish_with_reliability ?tie_break ?(max_backups = 3) ns ~conn_id ~src
       Ok (conn, achieved_pr ns conn)
     end
     else grow 1
-
-(* ---------------- speculative establishment (sharded admission) --------- *)
-
-(* A plan is a dry run of {!establish} against a frozen network state: it
-   routes the primary and every backup without reserving anything, and
-   records every admission probe against a link's *mutable* state
-   (primary bandwidth headroom, spare sizing, mux tables) together with
-   its boolean verdict and the link's version at plan time.
-
-   The serial merge replays a plan only when every recorded verdict still
-   holds.  Links whose version is unchanged hold trivially; for the rest
-   the verdict is recomputed against the live tables (cheap: one O(1)
-   headroom test for primary probes, one memoized admission probe for
-   backup probes) — a predecessor consuming bandwidth elsewhere on a
-   consulted link almost never flips its verdict, so plans survive heavy
-   write traffic.  Under [Min_hops] routing, the search outcome is a
-   deterministic function of the topology, the avoid set and these
-   verdicts, so unchanged verdicts guarantee that serial re-execution
-   would reproduce the planned paths — reservation can skip straight to
-   {!Rtchan.Rnmp.establish_on_path} plus backup registration.  Everything
-   else falls back to the ordinary serial {!establish}, keeping the
-   result stream byte-identical to a purely sequential run whatever the
-   interleaving of the planning domains. *)
-
-type planned_backup = { pb_serial : int; pb_path : Net.Path.t; pb_nu : float }
-
-(* Reads are packed two ints per probe — [link * 2 + verdict; version] —
-   into one flat array, with [rd_seg.(k)] the end offset (in pairs) of
-   the probes made by search [k] (0 = primary, k >= 1 = backup #k).
-   Searches run in serial order, so segment boundaries replace a
-   per-read serial field; the flat encoding keeps planning allocation
-   per probe at two unboxed stores (tens of millions of probes are
-   recorded per bulk run — boxed read lists made the planning domains
-   allocation-bound and the merge cache-bound). *)
-type plan_reads = { rd_data : int array; rd_seg : int array }
-
-type plan = {
-  plan_conn_id : int;
-  plan_request : request;
-  plan_outcome : (Net.Path.t * planned_backup list, reject) result;
-  plan_reads : plan_reads;
-}
-
-let plan_probes p = Array.length p.plan_reads.rd_data / 2
-
-let plan ns ~conn_id request =
-  if request.backups < 0 then invalid_arg "Establish.plan: negative backups";
-  if request.mux_degree < 0 then invalid_arg "Establish.plan: negative mux degree";
-  Sim.Prof.span "establish.plan" @@ fun () ->
-  let topo = Netstate.topology ns in
-  let res = Netstate.resources ns in
-  let buf = Ids.Ivec.create () in
-  let seg = Ids.Ivec.create () in
-  (* No dedup: each search probes a link at most a handful of times (the
-     BFS examines each directed edge once), and duplicate entries are
-     merely re-checked at commit. *)
-  let record link verdict =
-    Ids.Ivec.push buf ((link * 2) + Bool.to_int verdict);
-    Ids.Ivec.push buf (Netstate.link_version ns ~link)
-  in
-  let close_segment () = Ids.Ivec.push seg (Ids.Ivec.length buf / 2) in
-  let finish outcome =
-    Sim.Prof.count ~by:(Ids.Ivec.length buf / 2) "establish.plan.probes";
-    {
-      plan_conn_id = conn_id;
-      plan_request = request;
-      plan_outcome = outcome;
-      plan_reads =
-        { rd_data = Ids.Ivec.to_array buf; rd_seg = Ids.Ivec.to_array seg };
-    }
-  in
-  (* Primary: the same search as {!Rtchan.Rnmp.route}, with every
-     bandwidth test recorded. *)
-  let bw = Rtchan.Traffic.bandwidth request.traffic in
-  match Routing.Shortest.shortest_hops topo ~src:request.src ~dst:request.dst with
-  | None -> finish (Error (Primary_rejected Rtchan.Rnmp.No_route))
-  | Some shortest ->
-    let budget = Rtchan.Qos.max_hops request.qos ~shortest in
-    let link_ok l =
-      let v = Rtchan.Resource.can_reserve_primary res l.Net.Topology.id bw in
-      record l.Net.Topology.id v;
-      v
-    in
-    let primary_result =
-      Routing.Shortest.shortest_path ~link_ok ~max_hops:budget topo
-        ~src:request.src ~dst:request.dst
-    in
-    close_segment ();
-    (match primary_result with
-    | None -> finish (Error (Primary_rejected Rtchan.Rnmp.No_bandwidth))
-    | Some primary_path ->
-      (* Backups: the same loop as {!establish}, probing with a
-         placeholder bid (-1, never registered, so admission scans behave
-         exactly as for a fresh id) and a scratch connection carrying the
-         planned primary. *)
-      let scratch_conn =
-        {
-          Dconn.id = conn_id;
-          src = request.src;
-          dst = request.dst;
-          traffic = request.traffic;
-          qos = request.qos;
-          primary =
-            {
-              Rtchan.Channel.id = -1;
-              path = primary_path;
-              traffic = request.traffic;
-              qos = request.qos;
-            };
-          backups = [];
-          primary_alive = true;
-          target_backups = request.backups;
-        }
-      in
-      let nu =
-        Reliability.Combinatorial.nu_of_degree ~lambda:(Netstate.lambda ns)
-          request.mux_degree
-      in
-      let rec add serial acc avoid =
-        if serial > request.backups then
-          finish (Ok (primary_path, List.rev acc))
-        else begin
-          let routed =
-            route_backup ~on_admission_check:record ns ~conn:scratch_conn
-              ~bid:(-1) ~serial ~nu ~avoid
-          in
-          close_segment ();
-          match routed with
-          | None -> finish (Error (Backup_rejected serial))
-          | Some path ->
-            add (serial + 1)
-              ({ pb_serial = serial; pb_path = path; pb_nu = nu } :: acc)
-              (avoid @ [ path ])
-        end
-      in
-      add 1 [] [ primary_path ])
-
-(* Do all recorded verdicts still hold against the live state?
-   Version-unchanged links hold trivially; the rest recompute the single
-   verdict — an O(1) headroom test for primary probes, a (fast-accepting,
-   memoized) admission probe for backups, reconstructed lazily once per
-   serial from the planned primary, mirroring the probe [plan] used. *)
-let plan_valid ns plan =
-  let bw = Rtchan.Traffic.bandwidth plan.plan_request.traffic in
-  let res = Netstate.resources ns in
-  let topo = Netstate.topology ns in
-  (* Backup segments only exist once a primary was found, so the [Error]
-     arm is never forced. *)
-  let primary_components =
-    lazy
-      (match plan.plan_outcome with
-      | Ok (primary_path, _) ->
-        Mux.encode_components (Net.Path.components topo primary_path)
-      | Error _ -> [||])
-  in
-  let nu =
-    Reliability.Combinatorial.nu_of_degree ~lambda:(Netstate.lambda ns)
-      plan.plan_request.mux_degree
-  in
-  let data = plan.plan_reads.rd_data and seg = plan.plan_reads.rd_seg in
-  let probe = ref None (* for the segment currently being checked *) in
-  let probe_for serial =
-    match !probe with
-    | Some p -> p
-    | None ->
-      let p =
-        Netstate.admission_probe ns
-          {
-            Mux.backup = -1;
-            conn = plan.plan_conn_id;
-            serial;
-            nu;
-            bw;
-            primary_components = Lazy.force primary_components;
-          }
-      in
-      probe := Some p;
-      p
-  in
-  let ok = ref true in
-  let i = ref 0 in
-  let recomputed = ref 0 in
-  Array.iteri
-    (fun serial stop ->
-      probe := None;
-      while !ok && !i < stop do
-        let lv = data.(2 * !i) and version = data.((2 * !i) + 1) in
-        let link = lv lsr 1 in
-        (if Netstate.link_version ns ~link <> version then begin
-           incr recomputed;
-           let live =
-             if serial = 0 then Rtchan.Resource.can_reserve_primary res link bw
-             else Netstate.backup_admissible_probe ns (probe_for serial) ~link
-           in
-           if live <> (lv land 1 = 1) then ok := false
-         end);
-        incr i
-      done;
-      i := stop)
-    seg;
-  if !recomputed > 0 then
-    Sim.Prof.count ~by:!recomputed "establish.plan.recompute";
-  !ok
-
-(* Merge-outcome counters: [replay] plans skipped the serial search
-   entirely, [fallback] plans were recomputed by the ordinary serial
-   path.  First-class observability for the speculative merge — its hit
-   rate was previously invisible. *)
-let commit_replay () = Sim.Prof.count "establish.commit.replay"
-
-let commit_fallback r =
-  Sim.Prof.count "establish.commit.fallback";
-  r
-
-let try_commit ns plan =
-  match plan.plan_outcome with
-  | Error (Primary_rejected _ as e) ->
-    (* A valid primary rejection consumed nothing: count it and move on. *)
-    if plan_valid ns plan then begin
-      commit_replay ();
-      Some (Error e)
-    end
-    else commit_fallback None
-  | Error _ ->
-    (* A backup rejection consumes a channel id and backup ids before
-       rolling back; replaying that consumption is exactly the serial
-       path, so always recompute. *)
-    commit_fallback None
-  | Ok (primary_path, backups) ->
-    if not (plan_valid ns plan) then commit_fallback None
-    else begin
-      let rnmp = Netstate.rnmp ns in
-      match
-        Rtchan.Rnmp.establish_on_path rnmp ~path:primary_path
-          ~traffic:plan.plan_request.traffic ~qos:plan.plan_request.qos
-      with
-      | Error _ ->
-        (* Unreachable when the plan validated; recompute serially. *)
-        commit_fallback None
-      | Ok primary ->
-        Netstate.bump_path ns primary_path;
-        let conn =
-          {
-            Dconn.id = plan.plan_conn_id;
-            src = plan.plan_request.src;
-            dst = plan.plan_request.dst;
-            traffic = plan.plan_request.traffic;
-            qos = plan.plan_request.qos;
-            primary;
-            backups = [];
-            primary_alive = true;
-            target_backups = plan.plan_request.backups;
-          }
-        in
-        List.iter
-          (fun pb ->
-            let bid = Netstate.fresh_backup_id ns in
-            attach ns conn
-              {
-                Dconn.bid;
-                serial = pb.pb_serial;
-                path = pb.pb_path;
-                nu = pb.pb_nu;
-                state = Dconn.Standby;
-              })
-          backups;
-        Netstate.add_dconn ns conn;
-        commit_replay ();
-        Some (Ok conn)
-    end

@@ -4,7 +4,11 @@
     over a shortest admissible path, then each backup disjointly from the
     primary and from earlier backups, every path within the QoS hop
     budget.  Spare bandwidth for backups is admitted and reserved through
-    the multiplexing engine.
+    the multiplexing engine.  Connections are established one at a time:
+    each request is routed against the state its predecessors left.
+    Every admission check of a link, in the primary search and in each
+    backup search, adds one to the [Sim.Prof] counter
+    [establish.admission_checks].
 
     Two client interfaces are provided, mirroring Section 3.4:
     {!establish} (the "loose" scheme: the client fixes the backup count
@@ -74,56 +78,6 @@ val establish_with_reliability :
   (Dconn.t * float, reject) result
 (** Negotiated scheme; returns the connection and its achieved P_r.
     [max_backups] defaults to 3. *)
-
-(** {1 Speculative establishment}
-
-    Sharded admission for bulk workloads ({!Eval.Setup.establish_all}):
-    planner domains dry-run establishment against a frozen network state
-    with {!plan}, and a serial merge replays each plan with {!try_commit}
-    in request order.  A plan records every admission probe of a link's
-    mutable state together with its boolean verdict and the link's
-    version (see [Netstate.link_version]) at plan time; {!try_commit}
-    replays it only when every verdict still holds — version-unchanged
-    links trivially, the rest by recomputing the single probe against
-    the live tables.  Under [Min_hops] routing the search outcome is a
-    deterministic function of the topology, the avoid set and these
-    verdicts, so unchanged verdicts guarantee the serial searches would
-    reproduce the planned paths — the merged result stream is
-    byte-identical to a purely sequential run. *)
-
-type planned_backup = {
-  pb_serial : int;
-  pb_path : Net.Path.t;
-  pb_nu : float;
-}
-
-type plan_reads
-(** Packed per-search probe log: for every admission probe, the link,
-    its version at plan time, and the boolean verdict. *)
-
-type plan = {
-  plan_conn_id : int;
-  plan_request : request;
-  plan_outcome : (Net.Path.t * planned_backup list, reject) result;
-  plan_reads : plan_reads;
-}
-
-val plan_probes : plan -> int
-(** Number of admission probes the plan recorded — the work the search
-    did and the footprint {!try_commit} must replay. *)
-
-val plan : Netstate.t -> conn_id:int -> request -> plan
-(** Dry-run [establish] without reserving anything or consuming any ids.
-    Safe to call concurrently from several domains as long as nothing
-    mutates the network state meanwhile.  Only the default routing
-    configuration is planned (no tie-break PRNG, [Min_hops] backups). *)
-
-val try_commit : Netstate.t -> plan -> (Dconn.t, reject) result option
-(** Replay a plan against the live state.  [Some result] when the plan
-    was still valid and has been committed (or its primary rejection
-    confirmed); [None] when the caller must fall back to the serial
-    {!establish} (stale reads, or an outcome whose serial execution
-    consumes ids). *)
 
 val achieved_pr : Netstate.t -> Dconn.t -> float
 (** Combinatorial P_r of an established connection from the live

@@ -155,9 +155,8 @@ let create topo ~lambda =
           });
     lambda;
     sink = None;
-    (* Pre-sized so concurrent read-only probes (the speculative
-       establishment planners) never race a growth of the memo table: the
-       exponent is bounded by the component count of two paths, at most
+    (* Pre-sized so the memo never grows in practice: the exponent is
+       bounded by the component count of two paths, at most
        2·(2·nodes+1). *)
     pows =
       Array.make

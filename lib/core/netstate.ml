@@ -22,13 +22,6 @@ type t = {
   by_primary : Dconn.t option Ids.Slab.t; (* primary channel id -> conn *)
   backups_on_link : Ids.Ivec.t array; (* link -> bids, insertion order *)
   backups_through_node : Ids.Ivec.t array;
-  (* Per-link mutation counter for optimistic concurrency: speculative
-     establishment planners record the versions of every link whose
-     mutable state they consult; the serial merge replays a plan only if
-     those versions still match.  Bumped on every spare/mux/primary
-     mutation that goes through this module (callers touching RNMP
-     directly bump via {!bump_path}). *)
-  link_version : int array;
   (* Bumped by every mutator below, so state derived from the whole
      network (the event-driven simulator's channel template) can be
      cached under (physical netstate, generation). *)
@@ -59,7 +52,6 @@ let create ?(lambda = 1e-4) ?(policy = Multiplexed) topo () =
     backups_on_link = Array.init num_links (fun _ -> Ids.Ivec.create ());
     backups_through_node =
       Array.init (Net.Topology.num_nodes topo) (fun _ -> Ids.Ivec.create ());
-    link_version = Array.make (max 1 num_links) 0;
     generation = 0;
   }
 
@@ -70,24 +62,13 @@ let mux t = t.mux
 let lambda t = t.lambda
 let policy t = t.policy
 
-let set_self_check t on = Mux.set_self_check t.mux on
-
 (* Backup ids are never recycled: they appear in telemetry, traces and
    benchmark artifacts, so the stream must be a pure watermark. *)
 let fresh_backup_id t = Ids.fresh t.bid_ids
 
-let link_version t ~link = t.link_version.(link)
-
 let generation t = t.generation
 
 let bump t = t.generation <- t.generation + 1
-
-let bump_link t ~link =
-  t.link_version.(link) <- t.link_version.(link) + 1;
-  bump t
-
-let bump_path t path =
-  List.iter (fun link -> bump_link t ~link) (Net.Path.links path)
 
 let backup_info_of t (conn : Dconn.t) (b : Dconn.backup) =
   {
@@ -107,8 +88,7 @@ let refresh_spare t ~link =
   | Brute_force _ -> ()
   | Multiplexed ->
     let req = Mux.spare_requirement t.mux ~link in
-    Rtchan.Resource.set_spare (resources t) link req;
-    bump_link t ~link
+    Rtchan.Resource.set_spare (resources t) link req
 
 let register_backup t conn (b : Dconn.backup) =
   bump t;
@@ -117,7 +97,6 @@ let register_backup t conn (b : Dconn.backup) =
     (fun link ->
       Mux.register t.mux ~link info;
       refresh_spare t ~link;
-      bump_link t ~link;
       Ids.Ivec.push t.backups_on_link.(link) b.Dconn.bid)
     (Net.Path.links b.Dconn.path);
   List.iter
@@ -131,7 +110,6 @@ let unregister_backup t conn (b : Dconn.backup) =
     (fun link ->
       Mux.unregister t.mux ~link ~backup:b.Dconn.bid;
       refresh_spare t ~link;
-      bump_link t ~link;
       Ids.Ivec.remove_first t.backups_on_link.(link) b.Dconn.bid)
     (Net.Path.links b.Dconn.path);
   List.iter
@@ -176,7 +154,6 @@ let remove_dconn t id =
     bump t;
     List.iter (fun b -> unregister_backup t conn b) conn.Dconn.backups;
     Rtchan.Rnmp.teardown t.rnmp conn.Dconn.primary.Rtchan.Channel.id;
-    bump_path t conn.Dconn.primary.Rtchan.Channel.path;
     Ids.Slab.clear_id t.by_primary conn.Dconn.primary.Rtchan.Channel.id;
     Hashtbl.remove t.dconns id
 

@@ -24,34 +24,18 @@ val create :
 (** [lambda] defaults to 1e-4 (component failure probability per time
     unit); [policy] defaults to [Multiplexed]. *)
 
-val set_self_check : t -> bool -> unit
-(** Debug mode: cross-check the flat hot-path state against the reference
-    recomputations on every mutation (currently {!Mux.set_self_check}).
-    Off by default. *)
-
-val link_version : t -> link:int -> int
-(** Mutation counter of the link's admission-relevant state (primary
-    reservation, spare sizing, mux table).  Speculative establishment
-    records versions of consulted links and replays only if they still
-    match. *)
-
-val bump_link : t -> link:int -> unit
-(** Record a mutation of the link's admission-relevant state.  Mutations
-    driven through this module bump automatically; callers reserving or
-    releasing primary bandwidth via RNMP directly must bump the path
-    themselves (see {!bump_path}). *)
-
-val bump_path : t -> Net.Path.t -> unit
-
 val generation : t -> int
 (** Network-wide mutation counter.  Every mutator of this module bumps
     it: {!add_dconn}, {!remove_dconn}, {!register_backup},
-    {!unregister_backup}, {!refresh_spare} and {!bump_link} (so
-    {!bump_path} too).  State derived from the whole network and cached
-    under (physical netstate, generation) — {!Simnet}'s channel template
-    — is stale as soon as the generation moves.  Code that changes a
-    connection's channels or a link's spare without going through these
-    mutators must bump a link itself. *)
+    {!unregister_backup} and {!refresh_spare}.  State derived from the
+    whole network and cached under (physical netstate, generation) —
+    {!Simnet}'s channel template — is stale as soon as the generation
+    moves. *)
+
+val bump : t -> unit
+(** Advance {!generation} by hand.  Code that changes the network without
+    going through this module's mutators — reserving or releasing primary
+    bandwidth via RNMP directly — must call it. *)
 
 val topology : t -> Net.Topology.t
 val rnmp : t -> Rtchan.Rnmp.t

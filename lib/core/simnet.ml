@@ -647,7 +647,7 @@ and reconfigure_teardown t e =
   | Some conn ->
     if e.serial = 0 then begin
       Rtchan.Rnmp.teardown (Netstate.rnmp t.ns) conn.Dconn.primary.Rtchan.Channel.id;
-      Netstate.bump_path t.ns conn.Dconn.primary.Rtchan.Channel.path;
+      Netstate.bump t.ns;
       conn.Dconn.primary_alive <- false
     end
     else begin

@@ -84,69 +84,16 @@ let establish_all ?backup_routing ?(progress_every = 250) ?on_progress ns
         ~spare:(Bcp.Netstate.spare_fraction ns)
     | _ -> ()
   in
-  (* Build the static distance oracle up front: every domain's searches
-     share the one read-only matrix, and the one-time build cost lands
-     under its own [route.oracle_build] span instead of inside the first
-     request's search. *)
+  (* Build the static distance oracle up front, so the one-time build
+     cost lands under its own [route.oracle_build] span instead of inside
+     the first request's search. *)
   Routing.Oracle.warm (Bcp.Netstate.topology ns);
-  (* Speculative sharding: planner domains dry-run chunks of requests
-     against the frozen state; the serial merge replays each plan in
-     request order, falling back to the ordinary serial [establish] when
-     a plan read state a predecessor has since changed.  Byte-identical
-     to the sequential loop by construction (see [Bcp.Establish.plan]),
-     so it is safe to engage whenever the pool would actually fan out.
-     Tie-break PRNGs and non-default routing strategies are never used
-     with this entry point's bulk workloads, but guard anyway. *)
-  let speculate =
-    Sim.Pool.parallel_now ()
-    && (match backup_routing with
-       | None | Some Bcp.Establish.Min_hops -> true
-       | Some Bcp.Establish.Min_spare_increment -> false)
-    (* Only worth it where the search dominates: on paper-scale networks
-       the fast-accepting admission makes routing nearly free and
-       establishment is registration-bound, which the merge must replay
-       serially anyway — sharding would only add planning overhead.
-       From ~1k nodes up, BFS frontiers and probe volume grow with the
-       diameter and speculation wins (1.4x at 64x64, 4 domains). *)
-    && Net.Topology.num_nodes (Bcp.Netstate.topology ns) >= 1024
-  in
-  if speculate then begin
-    let arr = Array.of_list requests in
-    let n = Array.length arr in
-    let chunk = max 1 (4 * Sim.Pool.current_jobs ()) in
-    let i = ref 0 in
-    while !i < n do
-      let stop = min n (!i + chunk) in
-      let idxs = List.init (stop - !i) (fun k -> !i + k) in
-      let plans =
-        Sim.Prof.span "establish.plan_batch" (fun () ->
-            Sim.Pool.map
-              (fun j -> Bcp.Establish.plan ns ~conn_id:j (to_req arr.(j)))
-              idxs)
-      in
-      Sim.Prof.span "establish.merge" (fun () ->
-          List.iter2
-            (fun j p ->
-              let outcome =
-                match Bcp.Establish.try_commit ns p with
-                | Some r -> r
-                | None ->
-                  Bcp.Establish.establish ?backup_routing ns ~conn_id:j
-                    (to_req arr.(j))
-              in
-              note j outcome)
-            idxs plans);
-      i := stop
-    done
-  end
-  else
-    Sim.Prof.span "establish.serial_batch" (fun () ->
-        List.iteri
-          (fun i r ->
-            note i
-              (Bcp.Establish.establish ?backup_routing ns ~conn_id:i
-                 (to_req r)))
-          requests);
+  Sim.Prof.span "establish.serial_batch" (fun () ->
+      List.iteri
+        (fun i r ->
+          note i
+            (Bcp.Establish.establish ?backup_routing ns ~conn_id:i (to_req r)))
+        requests);
   {
     ns;
     established = !established;

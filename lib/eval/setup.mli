@@ -49,13 +49,9 @@ val establish_all :
     desired), reporting progress every [progress_every] (default 250)
     connections.  Rejected requests are skipped and counted.
 
-    When the global {!Sim.Pool} would actually fan out
-    ([Sim.Pool.parallel_now ()]) and the routing configuration is the
-    default, admission is sharded: planner domains dry-run chunks of
-    requests ({!Bcp.Establish.plan}) and a serial merge replays each plan
-    in request order, recomputing serially whenever a predecessor
-    invalidated a plan's reads — the result is byte-identical to the
-    sequential loop at any [--jobs]. *)
+    Establishment is serial, as in the paper's sequential shortest-path
+    set-up (Section 7): each request is routed against the state its
+    predecessors left, so the result does not depend on [--jobs]. *)
 
 val build :
   ?seed:int ->

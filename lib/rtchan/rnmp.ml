@@ -56,6 +56,11 @@ let unregister t ch =
     (fun v -> index_remove t.through_node v ch.Channel.id)
     (Net.Path.nodes t.topo ch.Channel.path)
 
+(* One admission check per bandwidth test of the primary search; the
+   backup searches of D-connection establishment count into the same
+   name. *)
+let admission_checks = Sim.Prof.counter "establish.admission_checks"
+
 let route ?tie_break t ~src ~dst ~traffic ~qos =
   let bw = Traffic.bandwidth traffic in
   match Routing.Shortest.shortest_hops t.topo ~src ~dst with
@@ -63,6 +68,7 @@ let route ?tie_break t ~src ~dst ~traffic ~qos =
   | Some shortest ->
     let budget = Qos.max_hops qos ~shortest in
     let link_ok l =
+      Sim.Prof.incr admission_checks;
       Resource.can_reserve_primary t.resources l.Net.Topology.id bw
     in
     (match

@@ -186,21 +186,6 @@ let set_jobs n =
 
 let current_jobs () = !global_jobs
 
-(* Would a global-pool map started right now actually fan out?  False when
-   jobs = 1 or when called from inside a running task (nested maps run
-   inline).  Speculative phases use this to skip planning overhead that
-   could not be repaid by parallelism. *)
-let parallel_now () =
-  !global_jobs > 1
-  &&
-  match !global with
-  | None -> true (* pool is created on demand *)
-  | Some p ->
-    Mutex.lock p.mutex;
-    let inline = p.busy || p.stop in
-    Mutex.unlock p.mutex;
-    not inline
-
 let map f xs =
   if !global_jobs = 1 then List.map f xs
   else begin

@@ -62,13 +62,6 @@ val set_jobs : int -> unit
 val current_jobs : unit -> int
 (** Current global parallelism (1 unless [set_jobs] was called). *)
 
-val parallel_now : unit -> bool
-(** Would a global-pool {!map} started right now actually run tasks in
-    parallel?  [false] when [current_jobs () = 1] or when the caller is
-    itself inside a pool task (nested maps run inline sequentially).
-    Speculative phases consult this to skip planning overhead that
-    parallelism could not repay. *)
-
 val map : ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving map on the global pool; sequential when
     [current_jobs () = 1]. *)

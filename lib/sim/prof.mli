@@ -4,8 +4,8 @@
     The protocol layer has been observable since the typed event stream
     and metrics registry landed; this module makes the {e engine that
     runs it} observable — where does establishment wall time go, how
-    often does the speculative merge replay a plan versus falling back
-    to serial, how busy are the pool domains.  Instrumentation sites
+    many admission checks do its routing searches make, how busy are
+    the pool domains.  Instrumentation sites
     call {!span} / {!count}; both reduce to a single atomic load and a
     branch while profiling is disabled, so instrumented hot paths stay
     on their baseline cost in ordinary runs.

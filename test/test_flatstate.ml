@@ -4,13 +4,13 @@
 
    The equivalence property drives random scenario prefixes (establish /
    add-backup / remove / drain) through two identical netstates, one with
-   [Netstate.set_self_check] enabled — every mutation then recomputes the
+   [Mux.set_self_check] enabled — every mutation then recomputes the
    spare requirement from first principles over the flat tables and
    asserts it matches the incremental value — and checks that the two
    evolve identically (same admission verdicts, loads and spare levels).
-   A third run routes establishment through the speculative
-   [Establish.plan] / [try_commit] pair and must match the serial
-   [establish] transcript exactly. *)
+   A second property checks that establishing one request and removing
+   it again with [Netstate.remove_dconn] leaves the state exactly as it
+   was, which bench's routing micro tier relies on. *)
 
 let bw1 = Rtchan.Traffic.of_bandwidth 1.0
 
@@ -85,15 +85,25 @@ let arb_ops =
     ~print:(fun l -> Printf.sprintf "<%d ops>" (List.length l))
     gen_ops
 
+let request_of pairs i =
+  let r = pairs.(i mod Array.length pairs) in
+  {
+    Bcp.Establish.src = r.Workload.Generator.src;
+    dst = r.dst;
+    traffic = bw1;
+    qos = r.qos;
+    backups = 1 + (i mod 2);
+    mux_degree = 1 + (i mod 4);
+  }
+
 (* Deterministic interpreter; the returned transcript captures every
    admission verdict plus the final load/spare, so equal transcripts mean
-   the runs took identical decisions.  [speculative] routes establishment
-   through plan/try_commit (the replay is exercised on every request:
-   with no concurrent mutator a plan is always valid). *)
-let run_scenario ~self_check ~speculative ops =
+   the runs took identical decisions.  Also returns the netstate and the
+   workload the requests were drawn from. *)
+let run_scenario ~self_check ops =
   let topo = Net.Builders.torus ~rows:4 ~cols:4 ~capacity:50.0 in
   let ns = Bcp.Netstate.create ~lambda:1e-4 topo () in
-  Bcp.Netstate.set_self_check ns self_check;
+  Bcp.Mux.set_self_check (Bcp.Netstate.mux ns) self_check;
   let rng = Sim.Prng.create 42 in
   let pairs =
     Array.of_list
@@ -107,29 +117,10 @@ let run_scenario ~self_check ~speculative ops =
   List.iter
     (fun op ->
       match op with
-      | Establish i ->
-        let r = pairs.(i mod Array.length pairs) in
-        let req =
-          {
-            Bcp.Establish.src = r.Workload.Generator.src;
-            dst = r.dst;
-            traffic = bw1;
-            qos = r.qos;
-            backups = 1 + (i mod 2);
-            mux_degree = 1 + (i mod 4);
-          }
-        in
+      | Establish i -> (
         let conn_id = !next in
         incr next;
-        let outcome =
-          if speculative then
-            let p = Bcp.Establish.plan ns ~conn_id req in
-            match Bcp.Establish.try_commit ns p with
-            | Some r -> r
-            | None -> Bcp.Establish.establish ns ~conn_id req
-          else Bcp.Establish.establish ns ~conn_id req
-        in
-        (match outcome with
+        match Bcp.Establish.establish ns ~conn_id (request_of pairs i) with
         | Ok conn ->
           live := !live @ [ conn ];
           note "E%d+;" conn_id
@@ -168,21 +159,65 @@ let run_scenario ~self_check ~speculative ops =
   note "load=%.9f;spare=%.9f"
     (Bcp.Netstate.network_load ns)
     (Bcp.Netstate.spare_fraction ns);
-  Buffer.contents t
+  (Buffer.contents t, ns, pairs)
 
 let prop_flat_equals_reference =
   QCheck.Test.make ~count:40
     ~name:"flat tables = map reference on random prefixes" arb_ops (fun ops ->
-      let checked = run_scenario ~self_check:true ~speculative:false ops in
-      let plain = run_scenario ~self_check:false ~speculative:false ops in
+      let checked, _, _ = run_scenario ~self_check:true ops in
+      let plain, _, _ = run_scenario ~self_check:false ops in
       String.equal checked plain)
 
-let prop_speculative_equals_serial =
-  QCheck.Test.make ~count:40 ~name:"plan/try_commit = serial establish"
-    arb_ops (fun ops ->
-      let serial = run_scenario ~self_check:false ~speculative:false ops in
-      let spec = run_scenario ~self_check:false ~speculative:true ops in
-      String.equal serial spec)
+(* Spare pool, load and spare fraction as raw bits: "as it was" means
+   bit-identical, not equal within a tolerance. *)
+let snapshot ns =
+  ( Array.map Int64.bits_of_float (Bcp.Netstate.spare_pool ns),
+    Int64.bits_of_float (Bcp.Netstate.network_load ns),
+    Int64.bits_of_float (Bcp.Netstate.spare_fraction ns) )
+
+let admission_checks () =
+  Option.value ~default:0
+    (List.assoc_opt "establish.admission_checks"
+       (Sim.Prof.report ()).Sim.Prof.counters)
+
+(* Establish [req], then tear it down again; returns the admission checks
+   the request made and its outcome (the chosen paths, or the reject). *)
+let establish_and_remove ns ~conn_id req =
+  let before = admission_checks () in
+  let outcome =
+    match Bcp.Establish.establish ns ~conn_id req with
+    | Ok conn ->
+      Bcp.Netstate.remove_dconn ns conn_id;
+      Ok
+        ( Net.Path.links conn.Bcp.Dconn.primary.Rtchan.Channel.path,
+          List.map
+            (fun (b : Bcp.Dconn.backup) ->
+              (b.Bcp.Dconn.serial, Net.Path.links b.Bcp.Dconn.path))
+            conn.Bcp.Dconn.backups )
+    | Error e -> Error (Format.asprintf "%a" Bcp.Establish.pp_reject e)
+  in
+  (admission_checks () - before, outcome)
+
+let prop_establish_remove_restores =
+  QCheck.Test.make ~count:40
+    ~name:"establish + remove_dconn restores the state"
+    QCheck.(pair arb_ops (int_bound 1000))
+    (fun (ops, i) ->
+      Sim.Prof.enable ();
+      Fun.protect
+        ~finally:(fun () ->
+          Sim.Prof.disable ();
+          Sim.Prof.reset ())
+      @@ fun () ->
+      let _, probed, pairs = run_scenario ~self_check:false ops in
+      let _, untouched, _ = run_scenario ~self_check:false ops in
+      let before = snapshot probed in
+      ignore (establish_and_remove probed ~conn_id:1_000_000 (request_of pairs i));
+      let restored = snapshot probed = before in
+      let next = request_of pairs (i + 1) in
+      let after_probe = establish_and_remove probed ~conn_id:1_000_001 next in
+      let fresh = establish_and_remove untouched ~conn_id:1_000_001 next in
+      restored && after_probe = fresh && fst fresh > 0)
 
 let () =
   Alcotest.run "flatstate"
@@ -197,5 +232,5 @@ let () =
         ] );
       ( "equivalence",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_flat_equals_reference; prop_speculative_equals_serial ] );
+          [ prop_flat_equals_reference; prop_establish_remove_restores ] );
     ]
