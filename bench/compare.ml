@@ -1,25 +1,21 @@
 (* Benchmark comparison gate.
 
-   Usage: compare BASELINE.json FRESH.json [--tolerance PCT] [--json FILE]
+   Usage: compare BASELINE.json FRESH.json [--json FILE]
 
    Diffs a fresh bcp-bench/v1 results file against a committed baseline:
-
-   - Correctness: every table in the baseline must appear in the fresh
-     run with identical columns, row labels and cells (the cells are the
-     rendered strings of the text tables, so this is the same check as a
-     byte-diff of the rendered output).  Any mismatch fails the gate.
-   - Timing: when both files carry wall-clock data, a fresh table (or
-     the total) slower than baseline by more than the tolerance
-     (default 20%) fails the gate.  Baselines committed with
-     [--omit-timings] skip this check, keeping the gate independent of
-     the machine that produced the baseline.
+   every table in the baseline must appear in the fresh run with
+   identical columns, row labels and cells (the cells are the rendered
+   strings of the text tables, so this is the same check as a byte-diff
+   of the rendered output).  Any mismatch fails the gate.  A baseline
+   with no tables checks nothing, so it is an error, not a pass.
 
    [--json FILE] additionally writes the complete drift set as a
    bcp-compare/v1 document: one record per failure with the table, row,
    column, both values and a failure kind, so CI tooling can triage
    drift without scraping FAIL lines.
 
-   Exit codes: 0 ok, 1 drift or regression, 2 usage / IO / parse error. *)
+   Exit codes: 0 ok, 1 drift, 2 usage / IO / parse error or an empty
+   baseline. *)
 
 let errors = ref 0
 let findings : Eval.Json.t list ref = ref []
@@ -48,8 +44,7 @@ let fail fmt =
 
 let usage () =
   prerr_endline
-    "usage: compare BASELINE.json FRESH.json [--tolerance PCT] [--json FILE]\n\
-  (--timing-tolerance is accepted as an alias)";
+    "usage: compare BASELINE.json FRESH.json [--json FILE]";
   exit 2
 
 let load path =
@@ -72,9 +67,6 @@ let load path =
 
 let str_member k j =
   Option.bind (Eval.Json.member k j) Eval.Json.to_string_opt
-
-let float_member k j =
-  Option.bind (Eval.Json.member k j) Eval.Json.to_float_opt
 
 let list_member k j =
   match Eval.Json.member k j with Some v -> Eval.Json.to_list v | None -> []
@@ -151,32 +143,11 @@ let compare_table ~baseline_path ~title base fresh =
             (List.combine bcells fcells))
       br fr
 
-let check_timing ~tolerance ~what base fresh =
-  match (base, fresh) with
-  | Some b, Some f when b > 0.0 ->
-    let ratio = f /. b in
-    if ratio > 1.0 +. tolerance then begin
-      fail "%s: %.3fs -> %.3fs (+%.0f%% > %.0f%% tolerance)" what b f
-        ((ratio -. 1.0) *. 100.0)
-        (tolerance *. 100.0);
-      note ~kind:"timing" ~table:what
-        ~baseline:(Printf.sprintf "%.3f" b)
-        ~fresh:(Printf.sprintf "%.3f" f)
-        ()
-    end
-  | _ -> () (* baseline committed without timings: skip *)
-
 let () =
-  let tolerance = ref 0.20 in
   let json_out = ref None in
   let positional = ref [] in
   let rec parse = function
     | [] -> ()
-    | ("--tolerance" | "--timing-tolerance") :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some p when p >= 0.0 -> tolerance := p /. 100.0
-      | _ -> usage ());
-      parse rest
     | "--json" :: path :: rest ->
       json_out := Some path;
       parse rest
@@ -202,6 +173,11 @@ let () =
     List.find_opt (fun t -> table_title t = title) fresh_tables
   in
   let base_tables = list_member "tables" base in
+  if base_tables = [] then begin
+    Printf.eprintf "compare: %s: baseline has no tables, nothing to check\n"
+      baseline_path;
+    exit 2
+  end;
   List.iter
     (fun bt ->
       let title = table_title bt in
@@ -209,14 +185,8 @@ let () =
       | None ->
         fail "%s: missing from fresh results (baseline %s)" title baseline_path;
         note ~kind:"missing-table" ~table:title ~baseline:title ~fresh:"" ()
-      | Some ft ->
-        compare_table ~baseline_path ~title bt ft;
-        check_timing ~tolerance:!tolerance ~what:title
-          (float_member "wall_s" bt) (float_member "wall_s" ft))
+      | Some ft -> compare_table ~baseline_path ~title bt ft)
     base_tables;
-  check_timing ~tolerance:!tolerance ~what:"total wall time"
-    (float_member "total_wall_s" base)
-    (float_member "total_wall_s" fresh);
   (match !json_out with
   | None -> ()
   | Some path ->
@@ -226,16 +196,14 @@ let () =
           ("schema", Eval.Json.String "bcp-compare/v1");
           ("baseline", Eval.Json.String baseline_path);
           ("fresh", Eval.Json.String fresh_path);
-          ("tolerance", Eval.Json.Float !tolerance);
           ("tables", Eval.Json.Int (List.length base_tables));
           ("ok", Eval.Json.Bool (!errors = 0));
           ("failures", Eval.Json.List (List.rev !findings));
         ]
     in
-    let oc = open_out path in
-    output_string oc (Eval.Json.to_string ~indent:2 doc);
-    output_char oc '\n';
-    close_out oc);
+    Eval.Json.write_file ~prog:"compare" path (fun oc ->
+        output_string oc (Eval.Json.to_string ~indent:2 doc);
+        output_char oc '\n'));
   if !errors > 0 then begin
     Printf.printf "\n%d failure(s) vs baseline %s\n" !errors baseline_path;
     exit 1

@@ -102,25 +102,8 @@ let prof_out_arg =
 (* Every file the CLI writes goes through [write_file]: an unwritable
    path is a clean error (exit code 2), not an uncaught exception at the
    end of the run. *)
-let or_cannot_write path f =
-  try f ()
-  with Sys_error msg ->
-    (* [Sys_error] messages usually lead with the path already. *)
-    let prefix = path ^ ": " in
-    let n = String.length prefix in
-    let reason =
-      if String.starts_with ~prefix msg then
-        String.sub msg n (String.length msg - n)
-      else msg
-    in
-    Printf.eprintf "bcp_sim: cannot write %s: %s\n" path reason;
-    exit 2
-
-let write_file path write =
-  or_cannot_write path (fun () ->
-      let oc = open_out path in
-      write oc;
-      close_out oc)
+let or_cannot_write path f = Eval.Json.or_cannot_write ~prog:"bcp_sim" path f
+let write_file path write = Eval.Json.write_file ~prog:"bcp_sim" path write
 
 let write_json_file path doc =
   write_file path (fun oc ->

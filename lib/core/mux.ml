@@ -123,7 +123,6 @@ type t = {
   reg_count : (int, int) Hashtbl.t; (* backup id -> #links registered on *)
   mutable retired : Iset.t; (* fully-unregistered ids pending cache sweep *)
   mutable stamp : int; (* bumped on every register/unregister *)
-  mutable self_check : bool; (* cross-check vs the full recompute *)
 }
 
 let create topo ~lambda =
@@ -166,14 +165,11 @@ let create topo ~lambda =
     reg_count = Hashtbl.create 256;
     retired = Iset.empty;
     stamp = 0;
-    self_check = false;
   }
 
 let lambda t = t.lambda
 
 let set_event_sink t s = t.sink <- s
-
-let set_self_check t on = t.self_check <- on
 
 let emit t ~link ~backup ~op ~pi ~psi =
   match t.sink with
@@ -246,17 +242,6 @@ let s_between_slots t tab ~a_bid ~a_comps ~a_bits ~b_slot =
 
 let contribution tab s = tab.bws.(s) +. tab.pi_bws.(s)
 
-(* The pre-optimization full-table scan, kept as the debug-mode reference
-   for the incremental requirement (see {!set_self_check}). *)
-let reference_requirement t ~link =
-  let tab = table t link in
-  let req = ref 0.0 in
-  for s = 0 to tab.n - 1 do
-    if tab.bids.(s) >= 0 && contribution tab s > !req then
-      req := contribution tab s
-  done;
-  !req
-
 (* Drop stale heap tops, refresh the cached requirement from the live
    maximum, and compact the heap when lazy deletions pile up. *)
 let settle tab =
@@ -280,15 +265,6 @@ let settle tab =
           { hc = contribution tab s; hbid = tab.bids.(s); hgen = tab.gens.(s) }
     done
   end
-
-let verify t tab ~link =
-  let reference = reference_requirement t ~link in
-  if tab.requirement <> reference then
-    failwith
-      (Printf.sprintf
-         "Mux: incremental requirement %.17g <> full recompute %.17g on link \
-          %d"
-         tab.requirement reference link)
 
 let next_gen tab =
   tab.gen_counter <- tab.gen_counter + 1;
@@ -435,7 +411,6 @@ let register t ~link info =
   push_contribution tab slot;
   settle tab;
   note_registered t info.backup;
-  if t.self_check then verify t tab ~link;
   emit t ~link ~backup:info.backup ~op:Sim.Event.Register
     ~pi:(Ids.Ivec.length fresh_pi)
     ~psi:(tab.live - Ids.Ivec.length fresh_pi - 1)
@@ -463,7 +438,6 @@ let unregister t ~link ~backup =
     done;
     settle tab;
     note_unregistered t backup;
-    if t.self_check then verify t tab ~link;
     emit t ~link ~backup ~op:Sim.Event.Unregister ~pi ~psi
 
 let spare_requirement t ~link = (table t link).requirement

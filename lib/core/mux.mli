@@ -24,8 +24,8 @@
     - each link's spare requirement is maintained incrementally in a
       lazy-deletion max-heap over per-backup contributions, so
       register/unregister cost O(log n) for the max update instead of a
-      full-table rescan (the full recompute survives as a debug-mode
-      reference, see {!set_self_check});
+      full-table rescan (the tests recompute it from first principles
+      over {!on_link} after every update);
     - per-link tables are structure-of-arrays: each registered backup
       occupies a dense slot and the admission-scan fields (ν, bw, cached
       Π bandwidth, component bitset) live in parallel flat arrays, so the
@@ -131,15 +131,6 @@ val max_requirement_victims : t -> link:int -> int list
 (** Backup ids realising the current spare requirement (the ones whose
     Π-set drives the max) — candidates for closure during resource
     reconfiguration when the pool must shrink. *)
-
-val set_self_check : t -> bool -> unit
-(** Debug mode: when on, every register/unregister cross-checks the
-    incrementally maintained spare requirement against
-    {!reference_requirement} and fails on any mismatch.  Off by default. *)
-
-val reference_requirement : t -> link:int -> float
-(** The pre-optimization full-table recompute of the spare requirement
-    (kept as the debug/testing reference; does not modify the table). *)
 
 (** {2 Candidate admission probes}
 

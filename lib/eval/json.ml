@@ -271,3 +271,25 @@ let to_float_opt = function
 
 let to_string_opt = function String s -> Some s | _ -> None
 let to_list = function List xs -> xs | _ -> []
+
+(* ---------- file output ---------- *)
+
+let or_cannot_write ~prog path f =
+  try f ()
+  with Sys_error msg ->
+    (* [Sys_error] messages usually lead with the path already. *)
+    let prefix = path ^ ": " in
+    let n = String.length prefix in
+    let reason =
+      if String.starts_with ~prefix msg then
+        String.sub msg n (String.length msg - n)
+      else msg
+    in
+    Printf.eprintf "%s: cannot write %s: %s\n" prog path reason;
+    exit 2
+
+let write_file ~prog path write =
+  or_cannot_write ~prog path (fun () ->
+      let oc = open_out path in
+      write oc;
+      close_out oc)

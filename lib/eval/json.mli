@@ -38,3 +38,18 @@ val to_string_opt : t -> string option
 
 val to_list : t -> t list
 (** Elements of [List], [[]] on anything else. *)
+
+(** {2 File output}
+
+    Shared by every tool that writes results ([bcp_sim], the benchmark
+    harness and its comparison gate), so an unwritable path is one clean
+    error everywhere. *)
+
+val or_cannot_write : prog:string -> string -> (unit -> 'a) -> 'a
+(** [or_cannot_write ~prog path f] runs [f]; a [Sys_error] it raises
+    prints [PROG: cannot write PATH: REASON] on stderr and exits with
+    code 2 instead of escaping as an uncaught exception. *)
+
+val write_file : prog:string -> string -> (out_channel -> unit) -> unit
+(** Create or truncate [path] and fill it with [write], under
+    {!or_cannot_write}. *)

@@ -1,10 +1,12 @@
 (* Fuzz the optimized multiplexing engine (bitset overlap, S-cache, pow
-   memo, incremental max-heap spare accounting) against a naive
-   full-recompute reference: after arbitrary register / unregister /
-   required_with sequences on random topologies, every observable — spare
-   requirement, Π sizes, conflict sets, Ψ, admission what-ifs — must match
-   the reference EXACTLY (bandwidths are dyadic rationals, so sums are
-   order-independent and float equality is legitimate). *)
+   memo, incremental max-heap spare accounting) against the naive
+   full-recompute reference in [Mux_ref]: after every register /
+   unregister the touched link's spare requirement must match, and after
+   arbitrary register / unregister / required_with sequences on random
+   topologies every observable — spare requirement, Π sizes, conflict
+   sets, Ψ, admission what-ifs — must match the reference EXACTLY
+   (bandwidths are dyadic rationals, so sums are order-independent and
+   float equality is legitimate). *)
 
 let lambda = 1e-4
 
@@ -35,43 +37,9 @@ let info_of ~bid ~degree ~family ~variant ~bw_idx =
     primary_components = components_of ~family ~variant;
   }
 
-(* ---------------- naive reference ---------------- *)
-
-let s_naive (a : Bcp.Mux.backup_info) (b : Bcp.Mux.backup_info) =
-  let sc = Bcp.Mux.shared_count a.primary_components b.primary_components in
-  Reliability.Combinatorial.s_activation ~lambda
-    ~c_i:(Array.length a.primary_components)
-    ~c_j:(Array.length b.primary_components)
-    ~sc
-
-let conflicts_naive (a : Bcp.Mux.backup_info) (b : Bcp.Mux.backup_info) =
-  b.nu <= a.nu && (a.conn = b.conn || s_naive a b >= a.nu)
-
-let pi_naive entries (a : Bcp.Mux.backup_info) =
-  List.filter
-    (fun (b : Bcp.Mux.backup_info) ->
-      b.backup <> a.backup && conflicts_naive a b)
-    entries
-
-let requirement_naive entries =
-  List.fold_left
-    (fun acc (a : Bcp.Mux.backup_info) ->
-      let c =
-        a.bw
-        +. List.fold_left
-             (fun s (b : Bcp.Mux.backup_info) -> s +. b.bw)
-             0.0 (pi_naive entries a)
-      in
-      if c > acc then c else acc)
-    0.0 entries
-
-let required_with_naive entries (cand : Bcp.Mux.backup_info) =
-  if
-    List.exists
-      (fun (e : Bcp.Mux.backup_info) -> e.backup = cand.backup)
-      entries
-  then requirement_naive entries
-  else requirement_naive (entries @ [ cand ])
+let pi_naive = Mux_ref.pi_naive ~lambda
+let requirement_naive = Mux_ref.requirement_naive ~lambda
+let required_with_naive = Mux_ref.required_with_naive ~lambda
 
 (* ---------------- op sequences ---------------- *)
 
@@ -113,15 +81,21 @@ let check_int what expected got =
   if expected <> got then
     QCheck.Test.fail_reportf "%s: expected %d got %d" what expected got
 
+(* The touched link against the recompute, after a register/unregister. *)
+let check_link m ~link =
+  match Mux_ref.mismatch m ~link with
+  | None -> ()
+  | Some (got, expected) ->
+    QCheck.Test.fail_reportf
+      "link %d: incremental requirement %.17g, reference %.17g" link got
+      expected
+
 let prop_matches_reference =
   QCheck.Test.make ~name:"incremental mux == naive full recompute" ~count:150
     arbitrary_ops (fun (nodes, ops) ->
       let topo = Net.Builders.ring ~nodes ~capacity:100.0 in
       let nlinks = Net.Topology.num_links topo in
       let m = Bcp.Mux.create topo ~lambda in
-      (* debug mode: every update cross-checks the incremental requirement
-         against the full recompute inside the engine itself *)
-      Bcp.Mux.set_self_check m true;
       let model = Hashtbl.create 16 in
       (* link -> infos, insertion order *)
       let entries link =
@@ -143,10 +117,12 @@ let prop_matches_reference =
                   ~variant:o.variant ~bw_idx:o.bw_idx
               in
               Bcp.Mux.register m ~link info;
+              check_link m ~link;
               Hashtbl.replace model link (entries link @ [ info ])
             end
           | 2 ->
             Bcp.Mux.unregister m ~link ~backup:o.bid;
+            check_link m ~link;
             Hashtbl.replace model link
               (List.filter
                  (fun (e : Bcp.Mux.backup_info) -> e.backup <> o.bid)
@@ -169,9 +145,9 @@ let prop_matches_reference =
           (requirement_naive es)
           (Bcp.Mux.spare_requirement m ~link);
         check_exact
-          (Printf.sprintf "reference_requirement link %d" link)
+          (Printf.sprintf "on_link recompute link %d" link)
           (requirement_naive es)
-          (Bcp.Mux.reference_requirement m ~link);
+          (Mux_ref.requirement m ~link);
         check_int
           (Printf.sprintf "count link %d" link)
           (List.length es)
@@ -305,7 +281,6 @@ let test_descriptive_lookup_errors () =
    cached S-value (physical-equality guard on the component arrays). *)
 let test_bid_recycling_no_stale_cache () =
   let m = Bcp.Mux.create (Net.Builders.line ~nodes:2 ~capacity:10.0) ~lambda in
-  Bcp.Mux.set_self_check m true;
   let nu = Reliability.Combinatorial.nu_of_degree ~lambda 1 in
   let mk bid cs =
     {
@@ -317,14 +292,24 @@ let test_bid_recycling_no_stale_cache () =
       primary_components = Array.of_list (List.sort_uniq Int.compare cs);
     }
   in
+  let matches_reference what =
+    Alcotest.(check (float 0.0))
+      (what ^ ": incremental = recompute")
+      (Mux_ref.requirement m ~link:0)
+      (Bcp.Mux.spare_requirement m ~link:0)
+  in
   Bcp.Mux.register m ~link:0 (mk 1 [ 0; 2; 4 ]);
+  matches_reference "first";
   (* overlapping: conflict, spare = 2 *)
   Bcp.Mux.register m ~link:0 (mk 2 [ 0; 2; 4 ]);
+  matches_reference "overlap";
   Alcotest.(check (float 0.0)) "overlap conflicts" 2.0
     (Bcp.Mux.spare_requirement m ~link:0);
   Bcp.Mux.unregister m ~link:0 ~backup:2;
+  matches_reference "unregister";
   (* same id, now disjoint: must multiplex *)
   Bcp.Mux.register m ~link:0 (mk 2 [ 10; 12; 14 ]);
+  matches_reference "recycled";
   Alcotest.(check (float 0.0)) "recycled id re-evaluated" 1.0
     (Bcp.Mux.spare_requirement m ~link:0)
 
@@ -354,7 +339,7 @@ let test_heap_gen_collision () =
   Bcp.Mux.unregister m ~link ~backup:2;
   Alcotest.(check (float 0.0))
     "incremental requirement survives bid-generation reuse"
-    (Bcp.Mux.reference_requirement m ~link)
+    (Mux_ref.requirement m ~link)
     (Bcp.Mux.spare_requirement m ~link)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
