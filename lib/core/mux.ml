@@ -19,9 +19,8 @@ let encode_components set =
   a
 
 (* Reference intersection count: two-pointer merge over the sorted encoded
-   arrays.  Kept as the fallback for component encodings outside the bitset
-   range and as the oracle the bitset path is tested (and benchmarked)
-   against. *)
+   arrays.  Kept as the fallback for candidates whose encodings do not fit
+   a bitset and as the oracle the sparse count is tested against. *)
 let shared_count a b =
   let la = Array.length a and lb = Array.length b in
   let rec go i j acc =
@@ -32,47 +31,63 @@ let shared_count a b =
   in
   go 0 0 0
 
-(* ---------------- fixed-width bitsets over encoded components ----------- *)
+(* ---------------- sparse overlap counting ---------------- *)
 
 let bits_per_word = 63 (* OCaml native ints: stay within the positive range *)
 let max_bitset_bits = 65536 (* ~1k words: caps memory for hostile encodings *)
 
+(* Words a bitset over [a] needs, or [None] when an element is negative or
+   beyond the bitset range. *)
+let bitset_words a =
+  let lo = ref 0 and hi = ref (-1) in
+  for k = 0 to Array.length a - 1 do
+    let c = a.(k) in
+    if c < !lo then lo := c;
+    if c > !hi then hi := c
+  done;
+  if !lo < 0 || !hi >= max_bitset_bits then None
+  else Some ((!hi + bits_per_word) / bits_per_word)
+
+let set_bits b a =
+  for k = 0 to Array.length a - 1 do
+    let c = a.(k) in
+    let w = c / bits_per_word in
+    b.(w) <- b.(w) lor (1 lsl (c - (w * bits_per_word)))
+  done
+
 let bitset_of_components a =
-  let n = Array.length a in
-  if n = 0 then Some [||]
-  else begin
-    let lo = ref a.(0) and hi = ref a.(0) in
-    Array.iter
-      (fun c ->
-        if c < !lo then lo := c;
-        if c > !hi then hi := c)
-      a;
-    if !lo < 0 || !hi >= max_bitset_bits then None
-    else begin
-      let words = (!hi / bits_per_word) + 1 in
-      let b = Array.make words 0 in
-      Array.iter
-        (fun c ->
-          b.(c / bits_per_word) <-
-            b.(c / bits_per_word) lor (1 lsl (c mod bits_per_word)))
-        a;
-      Some b
-    end
-  end
+  match bitset_words a with
+  | None -> None
+  | Some words ->
+    let b = Array.make words 0 in
+    set_bits b a;
+    Some b
 
-let popcount w =
-  let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
-  go w 0
-
-let shared_count_bitset a b =
-  let n = min (Array.length a) (Array.length b) in
+(* One test per peer component: O(|peer|), whatever the bitset's width.
+   Peer components outside the bitset (negative or past its last word)
+   cannot be in the candidate's set, so any peer encoding is counted
+   exactly. *)
+let shared_count_sparse bits peer =
+  let words = Array.length bits in
   let acc = ref 0 in
-  for i = 0 to n - 1 do
-    acc := !acc + popcount (a.(i) land b.(i))
+  for k = 0 to Array.length peer - 1 do
+    let c = Array.unsafe_get peer k in
+    if c >= 0 then begin
+      let w = c / bits_per_word in
+      if
+        w < words
+        && (Array.unsafe_get bits w lsr (c - (w * bits_per_word))) land 1 = 1
+      then incr acc
+    end
   done;
   !acc
 
-module Iset = Set.Make (Int)
+let register_count = Sim.Prof.counter "mux.register"
+let unregister_count = Sim.Prof.counter "mux.unregister"
+let probe_count = Sim.Prof.counter "mux.probe"
+let scan_count = Sim.Prof.counter "mux.scan"
+let scan_slots_count = Sim.Prof.counter "mux.scan_slots"
+let s_values_count = Sim.Prof.counter "mux.s_values"
 
 (* Lazy-deletion max-heap item: an item is live iff the backup is still
    registered in the slot and its generation matches (its contribution has
@@ -95,8 +110,9 @@ type link_table = {
   mutable bws : float array;
   mutable pi_bws : float array; (* cached Σ bw over Π *)
   mutable gens : int array; (* bumped when the contribution changes *)
-  mutable comps : int array array; (* sorted encoded primary components *)
-  mutable bits : int array option array; (* None -> merge-scan fallback *)
+  mutable comps : int array array;
+      (* sorted encoded primary components, shared by every link the
+         backup is registered on *)
   mutable pis : Ids.Ivec.t array; (* Π as an ascending-sorted bid vector *)
   index : (int, int) Hashtbl.t; (* backup id -> slot *)
   mutable free : int array;
@@ -111,17 +127,14 @@ type link_table = {
          reborn entry's generation *)
 }
 
-type s_cached = { ca : int array; cb : int array; s : float }
-
 type t = {
   tables : link_table array;
   lambda : float;
   mutable sink : (Sim.Event.t -> unit) option;
-  mutable pows : float array; (* (1-λ)^c memo; NaN = not yet computed *)
-  scache : (int * int, s_cached) Hashtbl.t;
-      (* symmetric S(B_i, B_j) by backup-id pair, for registered pairs *)
-  reg_count : (int, int) Hashtbl.t; (* backup id -> #links registered on *)
-  mutable retired : Iset.t; (* fully-unregistered ids pending cache sweep *)
+  pows : float array; (* (1-λ)^c for small c *)
+  mutable scratch : int array;
+      (* the registrant's bitset during {!register}; all zero between
+         calls *)
   mutable stamp : int; (* bumped on every register/unregister *)
 }
 
@@ -141,7 +154,6 @@ let create topo ~lambda =
             pi_bws = [||];
             gens = [||];
             comps = [||];
-            bits = [||];
             pis = [||];
             index = Hashtbl.create 16;
             free = [||];
@@ -154,16 +166,13 @@ let create topo ~lambda =
           });
     lambda;
     sink = None;
-    (* Pre-sized so the memo never grows in practice: the exponent is
-       bounded by the component count of two paths, at most
-       2·(2·nodes+1). *)
+    (* Covers every exponent in practice: it is bounded by the component
+       count of two paths, at most 2·(2·nodes+1). *)
     pows =
-      Array.make
+      Array.init
         (max 64 ((4 * Net.Topology.num_nodes topo) + 8))
-        Float.nan;
-    scache = Hashtbl.create 1024;
-    reg_count = Hashtbl.create 256;
-    retired = Iset.empty;
+        (fun c -> (1.0 -. lambda) ** float_of_int c);
+    scratch = [||];
     stamp = 0;
   }
 
@@ -181,66 +190,38 @@ let table t link =
     invalid_arg (Printf.sprintf "Mux: unknown link %d" link);
   t.tables.(link)
 
-(* (1-λ)^c, memoized per [t] (λ is fixed at creation).  Computed with the
-   same [Float.pow] expression as {!Reliability.Combinatorial.survival}, so
-   cached and uncached S-values are bit-identical. *)
-let pow t c =
-  if c > 1_000_000 then (1.0 -. t.lambda) ** float_of_int c
-  else begin
-    if c >= Array.length t.pows then begin
-      let np =
-        Array.make (max (c + 1) (2 * Array.length t.pows)) Float.nan
-      in
-      Array.blit t.pows 0 np 0 (Array.length t.pows);
-      t.pows <- np
-    end;
-    let v = t.pows.(c) in
-    if Float.is_nan v then begin
-      let v = (1.0 -. t.lambda) ** float_of_int c in
-      t.pows.(c) <- v;
-      v
-    end
-    else v
-  end
+(* (1-λ)^c from the table [create] fills (λ is fixed at creation).
+   Computed with the same [Float.pow] expression as
+   {!Reliability.Combinatorial.survival}, so tabulated and direct S-values
+   are bit-identical.  This, [s_value] and [contribution] are inlined so
+   the scan loops keep their floats unboxed: no allocation per peer. *)
+let[@inline] pow t c =
+  if c < Array.length t.pows then t.pows.(c)
+  else (1.0 -. t.lambda) ** float_of_int c
 
-(* Same expression shape as [Combinatorial.s_activation]. *)
-let s_of_counts t ~c_i ~c_j ~sc =
+(* |candidate ∩ peer| from the candidate's sorted components, their
+   bitset when they fit one, and the peer's sorted components. *)
+let overlap comps bits peer =
+  match bits with
+  | Some b -> shared_count_sparse b peer
+  | None -> shared_count comps peer
+
+(* S(candidate, peer), in the same expression shape as
+   [Combinatorial.s_activation]. *)
+let[@inline] s_value t comps bits peer =
+  let c_i = Array.length comps and c_j = Array.length peer in
+  let sc = overlap comps bits peer in
   1.0 -. (pow t c_i +. pow t c_j -. pow t ((c_i + c_j) - sc))
-
-let overlap a_comps a_bits b_comps b_bits =
-  match (a_bits, b_bits) with
-  | Some x, Some y -> shared_count_bitset x y
-  | _ -> shared_count a_comps b_comps
-
-(* S(B_i, B_j) from the two primaries' component sets (symmetric). *)
-let s_value_raw t a_comps a_bits b_comps b_bits =
-  let c_i = Array.length a_comps and c_j = Array.length b_comps in
-  let sc = overlap a_comps a_bits b_comps b_bits in
-  s_of_counts t ~c_i ~c_j ~sc
-
-(* Cached S for a registered (or being-registered) pair.  The stored
-   component arrays are compared physically: a backup id recycled with a
-   different primary can never see a stale value. *)
-let s_between_slots t tab ~a_bid ~a_comps ~a_bits ~b_slot =
-  let b_bid = tab.bids.(b_slot) in
-  let b_comps = tab.comps.(b_slot) in
-  let lo_comps, hi_comps =
-    if a_bid <= b_bid then (a_comps, b_comps) else (b_comps, a_comps)
-  in
-  let key = (min a_bid b_bid, max a_bid b_bid) in
-  match Hashtbl.find_opt t.scache key with
-  | Some c when c.ca == lo_comps && c.cb == hi_comps -> c.s
-  | _ ->
-    let s = s_value_raw t a_comps a_bits b_comps tab.bits.(b_slot) in
-    if Hashtbl.length t.scache > 2_000_000 then Hashtbl.reset t.scache;
-    Hashtbl.replace t.scache key { ca = lo_comps; cb = hi_comps; s };
-    s
 
 (* Two backups of the same connection protect the same primary: they are
    never multiplexed together (both activate when the primary dies).
-   b belongs to Π(a) iff ν_b ≤ ν_a and (same conn or S ≥ ν_a). *)
+   b belongs to Π(a) iff ν_b ≤ ν_a and (same conn or S ≥ ν_a).  [register]
+   and [admission_scan] test both directions from one S, computed up front
+   exactly when one of the tests reads it: for a peer of another
+   connection whose ν is ordered against the candidate's (any non-NaN
+   ν). *)
 
-let contribution tab s = tab.bws.(s) +. tab.pi_bws.(s)
+let[@inline] contribution tab s = tab.bws.(s) +. tab.pi_bws.(s)
 
 (* Drop stale heap tops, refresh the cached requirement from the live
    maximum, and compact the heap when lazy deletions pile up. *)
@@ -274,37 +255,6 @@ let push_contribution tab s =
   Sim.Heap.push tab.heap
     { hc = contribution tab s; hbid = tab.bids.(s); hgen = tab.gens.(s) }
 
-let note_registered t bid =
-  Hashtbl.replace t.reg_count bid
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.reg_count bid));
-  t.retired <- Iset.remove bid t.retired;
-  t.stamp <- t.stamp + 1
-
-(* On the last unregistration of a backup id, queue its S-cache entries for
-   removal; sweeps are batched to stay O(cache) only once per 128 retired
-   ids. *)
-let note_unregistered t bid =
-  t.stamp <- t.stamp + 1;
-  match Hashtbl.find_opt t.reg_count bid with
-  | None -> ()
-  | Some n when n > 1 -> Hashtbl.replace t.reg_count bid (n - 1)
-  | Some _ ->
-    Hashtbl.remove t.reg_count bid;
-    t.retired <- Iset.add bid t.retired;
-    if Iset.cardinal t.retired >= 128 then begin
-      (* One batched S-cache sweep per 128 retired ids; the counter
-         exposes the sweep cadence (kernel batches) under churn. *)
-      Sim.Prof.count "mux.scache.sweep";
-      let doomed = ref [] in
-      Hashtbl.iter
-        (fun ((a, b) as key) _ ->
-          if Iset.mem a t.retired || Iset.mem b t.retired then
-            doomed := key :: !doomed)
-        t.scache;
-      List.iter (Hashtbl.remove t.scache) !doomed;
-      t.retired <- Iset.empty
-    end
-
 let grow_table tab =
   let cap = Array.length tab.bids in
   let ncap = max 8 (2 * cap) in
@@ -321,7 +271,6 @@ let grow_table tab =
   tab.pi_bws <- gi 0.0 tab.pi_bws;
   tab.gens <- gi 0 tab.gens;
   tab.comps <- gi [||] tab.comps;
-  tab.bits <- gi None tab.bits;
   let npis = Array.make ncap (Ids.Ivec.create ()) in
   Array.blit tab.pis 0 npis 0 cap;
   for i = cap to ncap - 1 do
@@ -344,7 +293,6 @@ let alloc_slot tab =
 let free_slot tab s =
   tab.bids.(s) <- -1;
   tab.comps.(s) <- [||];
-  tab.bits.(s) <- None;
   Ids.Ivec.clear tab.pis.(s);
   if tab.free_len = Array.length tab.free then begin
     let nf = Array.make (max 8 (2 * tab.free_len)) 0 in
@@ -354,13 +302,32 @@ let free_slot tab s =
   tab.free.(tab.free_len) <- s;
   tab.free_len <- tab.free_len + 1
 
+(* The registrant's bitset, built in [t.scratch]; [None] when its
+   components do not fit one.  {!register} zeroes it again with
+   [clear_scratch] before returning. *)
+let fill_scratch t comps =
+  match bitset_words comps with
+  | None -> None
+  | Some words ->
+    if words > Array.length t.scratch then
+      t.scratch <- Array.make (max words (2 * Array.length t.scratch)) 0;
+    set_bits t.scratch comps;
+    Some t.scratch
+
+let clear_scratch t comps =
+  for k = 0 to Array.length comps - 1 do
+    t.scratch.(comps.(k) / bits_per_word) <- 0
+  done
+
 let register t ~link info =
-  Sim.Prof.count "mux.register";
+  Sim.Prof.incr register_count;
   let tab = table t link in
   if Hashtbl.mem tab.index info.backup then
     invalid_arg
       (Printf.sprintf "Mux.register: backup %d already on link %d" info.backup
          link);
+  let comps = info.primary_components in
+  let bits = fill_scratch t comps in
   let slot = alloc_slot tab in
   tab.bids.(slot) <- info.backup;
   tab.conns.(slot) <- info.conn;
@@ -369,35 +336,26 @@ let register t ~link info =
   tab.bws.(slot) <- info.bw;
   tab.pi_bws.(slot) <- 0.0;
   tab.gens.(slot) <- next_gen tab;
-  tab.comps.(slot) <- info.primary_components;
-  tab.bits.(slot) <- bitset_of_components info.primary_components;
+  tab.comps.(slot) <- comps;
   let fresh_pi = tab.pis.(slot) in
-  let a_bits = tab.bits.(slot) in
+  let s_values = ref 0 in
   for s = 0 to tab.n - 1 do
     if s <> slot && tab.bids.(s) >= 0 then begin
-      (* Both Π directions share one S computation; the short-circuits are
-         those of the original [conflicts] predicate. *)
-      let computed = ref false and sv = ref 0.0 in
-      let s_val () =
-        if not !computed then begin
-          sv :=
-            s_between_slots t tab ~a_bid:info.backup
-              ~a_comps:info.primary_components ~a_bits ~b_slot:s;
-          computed := true
-        end;
-        !sv
+      let nu_s = tab.nus.(s) in
+      let below = nu_s <= info.nu and above = info.nu <= nu_s in
+      let same = info.conn = tab.conns.(s) in
+      let sv =
+        if same || not (below || above) then 0.0
+        else begin
+          incr s_values;
+          s_value t comps bits tab.comps.(s)
+        end
       in
-      if
-        tab.nus.(s) <= info.nu
-        && (info.conn = tab.conns.(s) || s_val () >= info.nu)
-      then begin
+      if below && (same || sv >= info.nu) then begin
         Ids.Ivec.insert_sorted fresh_pi tab.bids.(s);
         tab.pi_bws.(slot) <- tab.pi_bws.(slot) +. tab.bws.(s)
       end;
-      if
-        info.nu <= tab.nus.(s)
-        && (tab.conns.(s) = info.conn || s_val () >= tab.nus.(s))
-      then begin
+      if above && (same || sv >= nu_s) then begin
         Ids.Ivec.insert_sorted tab.pis.(s) info.backup;
         tab.pi_bws.(s) <- tab.pi_bws.(s) +. info.bw;
         tab.gens.(s) <- next_gen tab;
@@ -405,12 +363,14 @@ let register t ~link info =
       end
     end
   done;
+  if Option.is_some bits then clear_scratch t comps;
+  Sim.Prof.incr ~by:!s_values s_values_count;
   Hashtbl.add tab.index info.backup slot;
   tab.live <- tab.live + 1;
   tab.sum_bw <- tab.sum_bw +. info.bw;
   push_contribution tab slot;
   settle tab;
-  note_registered t info.backup;
+  t.stamp <- t.stamp + 1;
   emit t ~link ~backup:info.backup ~op:Sim.Event.Register
     ~pi:(Ids.Ivec.length fresh_pi)
     ~psi:(tab.live - Ids.Ivec.length fresh_pi - 1)
@@ -420,7 +380,7 @@ let unregister t ~link ~backup =
   match Hashtbl.find_opt tab.index backup with
   | None -> ()
   | Some victim ->
-    Sim.Prof.count "mux.unregister";
+    Sim.Prof.incr unregister_count;
     let vbw = tab.bws.(victim) in
     let pi = Ids.Ivec.length tab.pis.(victim) in
     let psi = tab.live - pi - 1 in
@@ -437,7 +397,7 @@ let unregister t ~link ~backup =
       end
     done;
     settle tab;
-    note_unregistered t backup;
+    t.stamp <- t.stamp + 1;
     emit t ~link ~backup ~op:Sim.Event.Unregister ~pi ~psi
 
 let spare_requirement t ~link = (table t link).requirement
@@ -452,45 +412,42 @@ let upper_bound t ~link info =
   if Hashtbl.mem tab.index info.backup then tab.requirement
   else info.bw +. Float.max tab.sum_bw tab.requirement
 
-(* Shared admission scan: what the requirement would become with [info]
-   added.  [s_with s] must return S(info, slot s) and is invoked at most
-   once per entry. *)
-let admission_scan tab info s_with =
+(* Exact admission scan: what the requirement would become with [info]
+   added.  [bits] is {!bitset_of_components} of its components. *)
+let admission_scan t tab info bits =
+  let comps = info.primary_components in
   let own = ref info.bw in
   let req = ref tab.requirement in
+  let s_values = ref 0 in
   for s = 0 to tab.n - 1 do
     if tab.bids.(s) >= 0 then begin
-      let computed = ref false and sv = ref 0.0 in
-      let s_val () =
-        if not !computed then begin
-          sv := s_with s;
-          computed := true
-        end;
-        !sv
+      let nu_s = tab.nus.(s) in
+      let below = nu_s <= info.nu and above = info.nu <= nu_s in
+      let same = info.conn = tab.conns.(s) in
+      let sv =
+        if same || not (below || above) then 0.0
+        else begin
+          incr s_values;
+          s_value t comps bits tab.comps.(s)
+        end
       in
-      if
-        tab.nus.(s) <= info.nu
-        && (info.conn = tab.conns.(s) || s_val () >= info.nu)
-      then own := !own +. tab.bws.(s);
-      if
-        info.nu <= tab.nus.(s)
-        && (tab.conns.(s) = info.conn || s_val () >= tab.nus.(s))
-      then begin
+      if below && (same || sv >= info.nu) then own := !own +. tab.bws.(s);
+      if above && (same || sv >= nu_s) then begin
         let c = contribution tab s +. info.bw in
         if c > !req then req := c
       end
     end
   done;
+  Sim.Prof.incr scan_count;
+  Sim.Prof.incr ~by:tab.n scan_slots_count;
+  Sim.Prof.incr ~by:!s_values s_values_count;
   Float.max !own !req
 
 let required_with t ~link info =
   let tab = table t link in
   if Hashtbl.mem tab.index info.backup then tab.requirement
-  else begin
-    let bits = bitset_of_components info.primary_components in
-    admission_scan tab info (fun s ->
-        s_value_raw t info.primary_components bits tab.comps.(s) tab.bits.(s))
-  end
+  else
+    admission_scan t tab info (bitset_of_components info.primary_components)
 
 let info_of_slot tab s =
   {
@@ -531,16 +488,15 @@ let psi_size t ~link ~backup =
 
 let psi_size_with t ~link info =
   let tab = table t link in
-  let bits = bitset_of_components info.primary_components in
+  let comps = info.primary_components in
+  let bits = bitset_of_components comps in
   let pi = ref 0 in
   for s = 0 to tab.n - 1 do
     if
       tab.bids.(s) >= 0
       && tab.nus.(s) <= info.nu
       && (info.conn = tab.conns.(s)
-         || s_value_raw t info.primary_components bits tab.comps.(s)
-              tab.bits.(s)
-            >= info.nu)
+         || s_value t comps bits tab.comps.(s) >= info.nu)
     then incr pi
   done;
   tab.live - !pi
@@ -566,81 +522,34 @@ type probe = {
   pt : t;
   pinfo : backup_info;
   pbits : int array option;
-  mutable pstamp : int; (* memos valid while this matches [pt.stamp] *)
-  s_memo : (int, int array * float) Hashtbl.t; (* peer bid -> (comps, S) *)
+  mutable pstamp : int; (* [req_memo] valid while this matches [pt.stamp] *)
   req_memo : (int, float) Hashtbl.t; (* link -> required_with *)
-  psi_memo : (int, int) Hashtbl.t; (* link -> psi_size_with *)
 }
 
 let probe t info =
-  Sim.Prof.count "mux.probe";
+  Sim.Prof.incr probe_count;
   {
     pt = t;
     pinfo = info;
     pbits = bitset_of_components info.primary_components;
     pstamp = t.stamp;
-    s_memo = Hashtbl.create 64;
     req_memo = Hashtbl.create 16;
-    psi_memo = Hashtbl.create 16;
   }
 
-let probe_info p = p.pinfo
-
-let probe_refresh p =
-  if p.pstamp <> p.pt.stamp then begin
-    Hashtbl.reset p.s_memo;
-    Hashtbl.reset p.req_memo;
-    Hashtbl.reset p.psi_memo;
-    p.pstamp <- p.pt.stamp
-  end
-
-(* S(candidate, slot), cached across links while the tables are unchanged;
-   the stored component array is checked physically so an id registered
-   with different primaries on different links cannot alias.  Reads no
-   shared mutable state beyond the slot fields, so concurrent read-only
-   probes on separate domains are safe. *)
-let probe_s p tab s =
-  let bid = tab.bids.(s) in
-  let comps = tab.comps.(s) in
-  match Hashtbl.find_opt p.s_memo bid with
-  | Some (c, sv) when c == comps -> sv
-  | _ ->
-    let sv =
-      s_value_raw p.pt p.pinfo.primary_components p.pbits comps tab.bits.(s)
-    in
-    Hashtbl.replace p.s_memo bid (comps, sv);
-    sv
-
 let probe_required p ~link =
-  probe_refresh p;
+  if p.pstamp <> p.pt.stamp then begin
+    Hashtbl.reset p.req_memo;
+    p.pstamp <- p.pt.stamp
+  end;
   match Hashtbl.find_opt p.req_memo link with
   | Some r -> r
   | None ->
     let tab = table p.pt link in
     let r =
       if Hashtbl.mem tab.index p.pinfo.backup then tab.requirement
-      else admission_scan tab p.pinfo (probe_s p tab)
+      else admission_scan p.pt tab p.pinfo p.pbits
     in
     Hashtbl.add p.req_memo link r;
     r
 
 let probe_upper_bound p ~link = upper_bound p.pt ~link p.pinfo
-
-let probe_psi_size p ~link =
-  probe_refresh p;
-  match Hashtbl.find_opt p.psi_memo link with
-  | Some n -> n
-  | None ->
-    let tab = table p.pt link in
-    let info = p.pinfo in
-    let pi = ref 0 in
-    for s = 0 to tab.n - 1 do
-      if
-        tab.bids.(s) >= 0
-        && tab.nus.(s) <= info.nu
-        && (info.conn = tab.conns.(s) || probe_s p tab s >= info.nu)
-      then incr pi
-    done;
-    let n = tab.live - !pi in
-    Hashtbl.add p.psi_memo link n;
-    n

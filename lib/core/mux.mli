@@ -15,12 +15,15 @@
     only pairwise terms with that backup (the O(n) scheme of Section 6).
     The engine keeps the hot path scalable on large networks:
 
-    - primary-component overlap is counted with fixed-width bitsets
-      (native-int words + popcount) instead of a sorted-array merge;
-    - the [(1-λ)^c] power table is memoized per engine and symmetric
-      [S(B_i, B_j)] values are cached by backup-id pair (invalidated when
-      an id leaves its last link; recycled ids are guarded by physical
-      equality of the component arrays);
+    - primary-component overlap is counted sparsely: the candidate (a
+      probe's backup, or the backup being registered) is packed into a
+      dense bitset (native-int words) once per probe or {!register} call,
+      and each peer's sorted component array is tested against it bit by
+      bit, in O(|peer components|) whatever the bitset's width;
+    - the [(1-λ)^c] power table is memoized per engine; S values
+      themselves are not cached: an overlap count costs a few dozen bit
+      tests, and no overlap state outlives the {!register} call or the
+      {!probe} that built it;
     - each link's spare requirement is maintained incrementally in a
       lazy-deletion max-heap over per-backup contributions, so
       register/unregister cost O(log n) for the max update instead of a
@@ -28,8 +31,9 @@
       over {!on_link} after every update);
     - per-link tables are structure-of-arrays: each registered backup
       occupies a dense slot and the admission-scan fields (ν, bw, cached
-      Π bandwidth, component bitset) live in parallel flat arrays, so the
-      inner loops walk contiguous memory instead of hashtable buckets;
+      Π bandwidth, the primary's component array, shared with the
+      backup's other links) live in parallel flat arrays, so the inner
+      loops walk contiguous memory instead of hashtable buckets;
     - a per-link running Σbw feeds the O(1) {!upper_bound} ceiling, which
       lets admission fast-accept skip the exact scan entirely on
       uncontended links.
@@ -51,18 +55,20 @@ val encode_components : Net.Component.Set.t -> int array
 
 val shared_count : int array -> int array -> int
 (** Intersection size of two sorted, duplicate-free encoded-component
-    arrays (reference two-pointer merge; the engine itself uses the
-    bitset path below whenever the encodings fit). *)
+    arrays (reference two-pointer merge; the engine uses it only for
+    candidates whose encodings do not fit a bitset). *)
 
 val bitset_of_components : int array -> int array option
-(** Pack a sorted, duplicate-free, non-negative encoded-component array
-    into a fixed-width bitset (63 bits per native-int word).  [None] when
-    an element is negative or beyond the bitset range (65536), in which
-    case callers fall back to {!shared_count}. *)
+(** Pack a duplicate-free encoded-component array into a fixed-width
+    bitset (63 bits per native-int word).  [None] when an element is
+    negative or beyond the bitset range (65536), in which case callers
+    fall back to {!shared_count}. *)
 
-val shared_count_bitset : int array -> int array -> int
-(** Intersection size of two component bitsets: AND + popcount per word,
-    O(components/63). *)
+val shared_count_sparse : int array -> int array -> int
+(** [shared_count_sparse bits peer]: how many of [peer]'s components are
+    set in [bits], in O(|peer|).  Equals {!shared_count} [a peer] when
+    [bits] is [bitset_of_components a], for any duplicate-free [peer]
+    (negative or out-of-range elements simply do not count). *)
 
 type t
 
@@ -92,8 +98,8 @@ val required_with : t -> link:int -> backup_info -> float
 (** What the spare requirement would become if the backup were added —
     used by admission control during backup routing; does not modify the
     table.  For repeated probes of one candidate across many links (the
-    establishment inner loop), build a {!probe} instead: it reuses the
-    candidate's bitset and pairwise S-values across calls. *)
+    establishment inner loop), build a {!probe} instead: it packs the
+    candidate's bitset once and memoizes per-link answers. *)
 
 val upper_bound : t -> link:int -> backup_info -> float
 (** O(1) conservative ceiling on {!required_with}: when the backup is not
@@ -135,17 +141,14 @@ val max_requirement_victims : t -> link:int -> int list
 (** {2 Candidate admission probes}
 
     A probe fixes one candidate backup and answers admission questions for
-    it on any link, reusing the candidate's component bitset and caching
-    pairwise S-values and per-link answers.  Memoized answers are
-    invalidated automatically when any registration changes, so a probe
-    may be kept across table mutations; it simply recomputes on first use
-    afterwards. *)
+    it on any link: it packs the candidate's component bitset once and
+    memoizes per-link answers.  The memo is dropped automatically when
+    any registration changes, so a probe may be kept across table
+    mutations; it simply recomputes on first use afterwards. *)
 
 type probe
 
 val probe : t -> backup_info -> probe
-
-val probe_info : probe -> backup_info
 
 val probe_required : probe -> link:int -> float
 (** Same result as {!required_with} for the probe's candidate, memoized
@@ -153,7 +156,3 @@ val probe_required : probe -> link:int -> float
 
 val probe_upper_bound : probe -> link:int -> float
 (** {!upper_bound} for the probe's candidate (O(1), not memoized). *)
-
-val probe_psi_size : probe -> link:int -> int
-(** Same result as {!psi_size_with} for the probe's candidate, memoized
-    per link. *)

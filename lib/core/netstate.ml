@@ -118,20 +118,12 @@ let unregister_backup t conn (b : Dconn.backup) =
   ignore conn;
   Ids.Slab.clear_id t.by_bid b.Dconn.bid
 
+let admission_probe t info = Mux.probe t.mux info
+
 (* Admission fast-accepts on the O(1) conservative ceiling and falls back
    to the exact O(entries) scan only when the ceiling does not fit; the
    verdict is identical because the ceiling is never below the exact
    requirement and [can_set_spare] is monotone. *)
-let backup_admissible t ~link info =
-  match t.policy with
-  | Brute_force _ -> true
-  | Multiplexed ->
-    let res = resources t in
-    Rtchan.Resource.can_set_spare res link (Mux.upper_bound t.mux ~link info)
-    || Rtchan.Resource.can_set_spare res link (Mux.required_with t.mux ~link info)
-
-let admission_probe t info = Mux.probe t.mux info
-
 let backup_admissible_probe t probe ~link =
   match t.policy with
   | Brute_force _ -> true

@@ -64,18 +64,14 @@ val register_backup : t -> Dconn.t -> Dconn.backup -> unit
 val unregister_backup : t -> Dconn.t -> Dconn.backup -> unit
 (** Remove from the tables and shrink spare reservations accordingly. *)
 
-val backup_admissible : t -> link:int -> Mux.backup_info -> bool
-(** Could the link absorb this backup without violating
-    primary + spare ≤ capacity?  Always true under [Brute_force]. *)
-
 val admission_probe : t -> Mux.backup_info -> Mux.probe
 (** Batched admission for one candidate backup across many links: the
-    returned probe reuses the candidate's bitset and pairwise S-values,
-    so routing searches should probe once per candidate rather than call
-    {!backup_admissible} per relaxation. *)
+    returned probe packs the candidate's bitset once and memoizes
+    per-link answers, so routing searches probe once per candidate. *)
 
 val backup_admissible_probe : t -> Mux.probe -> link:int -> bool
-(** {!backup_admissible} through a probe (memoized per link). *)
+(** Could the link absorb the probe's candidate without violating
+    primary + spare ≤ capacity?  Always true under [Brute_force]. *)
 
 val backup_info_of : t -> Dconn.t -> Dconn.backup -> Mux.backup_info
 

@@ -1,4 +1,4 @@
-(* Fuzz the optimized multiplexing engine (bitset overlap, S-cache, pow
+(* Fuzz the optimized multiplexing engine (sparse bitset overlap, pow
    memo, incremental max-heap spare accounting) against the naive
    full-recompute reference in [Mux_ref]: after every register /
    unregister the touched link's spare requirement must match, and after
@@ -175,10 +175,10 @@ let prop_matches_reference =
       done;
       true)
 
-(* Probes must answer exactly like the unbatched required_with /
-   psi_size_with, including after table mutations invalidate their memos. *)
+(* Probes must answer exactly like the unbatched required_with, including
+   after table mutations invalidate their memos. *)
 let prop_probe_matches =
-  QCheck.Test.make ~name:"probe == required_with/psi_size_with across mutations"
+  QCheck.Test.make ~name:"probe == required_with across mutations"
     ~count:100 arbitrary_ops (fun (nodes, ops) ->
       let topo = Net.Builders.ring ~nodes ~capacity:100.0 in
       let nlinks = Net.Topology.num_links topo in
@@ -195,11 +195,7 @@ let prop_probe_matches =
           check_exact
             (Printf.sprintf "probe_required memo link %d" link)
             (Bcp.Mux.required_with m ~link cand)
-            (Bcp.Mux.probe_required probe ~link);
-          check_int
-            (Printf.sprintf "probe_psi_size link %d" link)
-            (Bcp.Mux.psi_size_with m ~link cand)
-            (Bcp.Mux.probe_psi_size probe ~link)
+            (Bcp.Mux.probe_required probe ~link)
         done
       in
       audit ();
@@ -218,26 +214,32 @@ let prop_probe_matches =
         (List.filteri (fun i _ -> i < 12) ops);
       true)
 
-(* Bitset intersection counting agrees with the reference sorted-array
-   merge whenever the encodings fit the bitset range. *)
-let prop_bitset_overlap =
-  let sorted_arr =
+(* The sparse count (candidate bitset x peer array) agrees with the
+   reference merge.  Elements cluster on the 63-bit word boundaries, and
+   peers reach past the candidate's last word and below zero. *)
+let prop_sparse_overlap =
+  let boundary = [| 0; 1; 61; 62; 63; 64; 65; 124; 125; 126; 127; 188; 189 |] in
+  let elem = QCheck.Gen.(frequency [ (1, oneofa boundary); (2, int_range 0 200) ]) in
+  let peer_elem =
+    QCheck.Gen.(
+      frequency [ (4, elem); (1, int_range 201 2000); (1, int_range (-5) (-1)) ])
+  in
+  let sorted_arr g =
     QCheck.Gen.(
       map
         (fun l -> Array.of_list (List.sort_uniq Int.compare l))
-        (list_size (int_range 0 40) (int_range 0 400)))
+        (list_size (int_range 0 40) g))
   in
-  QCheck.Test.make ~name:"shared_count_bitset == shared_count" ~count:300
+  QCheck.Test.make ~name:"shared_count_sparse == shared_count" ~count:500
     (QCheck.make
        ~print:(fun (a, b) ->
          Printf.sprintf "[%s] [%s]"
            (String.concat ";" (List.map string_of_int (Array.to_list a)))
            (String.concat ";" (List.map string_of_int (Array.to_list b))))
-       (QCheck.Gen.pair sorted_arr sorted_arr))
+       (QCheck.Gen.pair (sorted_arr elem) (sorted_arr peer_elem)))
     (fun (a, b) ->
-      let ba = Option.get (Bcp.Mux.bitset_of_components a) in
-      let bb = Option.get (Bcp.Mux.bitset_of_components b) in
-      Bcp.Mux.shared_count_bitset ba bb = Bcp.Mux.shared_count a b)
+      let bits = Option.get (Bcp.Mux.bitset_of_components a) in
+      Bcp.Mux.shared_count_sparse bits b = Bcp.Mux.shared_count a b)
 
 (* ---------------- unit cases ---------------- *)
 
@@ -255,9 +257,9 @@ let test_bitset_fallbacks () =
   let a = [| 0; 62; 63; 125; 126 |] and b = [| 62; 63; 64; 126 |] in
   Alcotest.(check int)
     "boundary overlap" 3
-    (Bcp.Mux.shared_count_bitset
+    (Bcp.Mux.shared_count_sparse
        (Option.get (Bcp.Mux.bitset_of_components a))
-       (Option.get (Bcp.Mux.bitset_of_components b)))
+       b)
 
 let test_descriptive_lookup_errors () =
   let m = Bcp.Mux.create (Net.Builders.line ~nodes:2 ~capacity:10.0) ~lambda in
@@ -277,8 +279,8 @@ let test_descriptive_lookup_errors () =
     "conflict_set names link and backup" "Mux: backup 3 not on link 0"
     (expect_msg (fun () -> Bcp.Mux.conflict_set m ~link:0 ~backup:3))
 
-(* A backup id recycled with a different primary must not see a stale
-   cached S-value (physical-equality guard on the component arrays). *)
+(* A backup id recycled with a different primary must be re-evaluated
+   against its new primary, not the one it was first registered with. *)
 let test_bid_recycling_no_stale_cache () =
   let m = Bcp.Mux.create (Net.Builders.line ~nodes:2 ~capacity:10.0) ~lambda in
   let nu = Reliability.Combinatorial.nu_of_degree ~lambda 1 in
@@ -342,13 +344,56 @@ let test_heap_gen_collision () =
     (Mux_ref.requirement m ~link)
     (Bcp.Mux.spare_requirement m ~link)
 
+(* The registrant's bitset belongs to one register call: A on links 0 and
+   2 with B registered in between, then A' (A's id, another primary) on
+   link 3.  Every primary sits past the first 63-bit word, and each link
+   holds a peer whose verdict flips if the registrant's bits are stale. *)
+let test_registrant_bitset_per_call () =
+  let m = Bcp.Mux.create (Net.Builders.ring ~nodes:4 ~capacity:100.0) ~lambda in
+  let nu = Reliability.Combinatorial.nu_of_degree ~lambda 1 in
+  let mk bid comps =
+    {
+      Bcp.Mux.backup = bid;
+      conn = 100 + bid;
+      serial = 1;
+      nu;
+      bw = 1.0;
+      primary_components = comps;
+    }
+  in
+  let x = [| 64; 66; 68 |] and y = [| 130; 132; 134 |] and z = [| 196; 198; 200 |] in
+  let matches_reference what ~link =
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "%s: link %d incremental = recompute" what link)
+      (Mux_ref.requirement m ~link)
+      (Bcp.Mux.spare_requirement m ~link)
+  in
+  let step what ~link info ~expected =
+    Bcp.Mux.register m ~link info;
+    matches_reference what ~link;
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "%s: link %d requirement" what link)
+      expected
+      (Bcp.Mux.spare_requirement m ~link)
+  in
+  (* peers: x on links 0 and 1, y on link 2, z on link 3 *)
+  step "peer 0" ~link:0 (mk 10 x) ~expected:1.0;
+  step "peer 1" ~link:1 (mk 11 x) ~expected:1.0;
+  step "peer 2" ~link:2 (mk 12 y) ~expected:1.0;
+  step "peer 3" ~link:3 (mk 13 z) ~expected:1.0;
+  step "A on 0 (shares x)" ~link:0 (mk 1 x) ~expected:2.0;
+  step "B on 1 (disjoint from x)" ~link:1 (mk 2 y) ~expected:1.0;
+  step "A on 2 (shares nothing with y)" ~link:2 (mk 1 x) ~expected:1.0;
+  step "A' on 3 (shares z)" ~link:3 (mk 1 z) ~expected:2.0;
+  List.iter (fun link -> matches_reference "final" ~link) [ 0; 1; 2; 3 ]
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
   Alcotest.run "mux_incremental"
     [
       ( "reference",
-        qsuite [ prop_matches_reference; prop_probe_matches; prop_bitset_overlap ]
+        qsuite [ prop_matches_reference; prop_probe_matches; prop_sparse_overlap ]
       );
       ( "units",
         [
@@ -359,5 +404,7 @@ let () =
             test_bid_recycling_no_stale_cache;
           Alcotest.test_case "heap generation collision" `Quick
             test_heap_gen_collision;
+          Alcotest.test_case "registrant bitset per call" `Quick
+            test_registrant_bitset_per_call;
         ] );
     ]
