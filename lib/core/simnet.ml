@@ -102,10 +102,14 @@ let netstate t = t.ns
 let config t = t.cfg
 let trace t = t.trace
 let metrics t = t.metrics
-let telemetry_enabled t = t.telemetry
 let now t = Sim.Engine.now t.engine
 
-let tracef t tag fmt = Sim.Trace.recordf t.trace ~time:(now t) ~tag fmt
+(* String trace entries are formatted only when read: [pp] runs later,
+   so it must capture values (every call site's are immutable), not
+   state a later step may change. *)
+let tracef t tag pp = Sim.Trace.record_pp t.trace ~time:(now t) ~tag pp
+
+let pf = Format.fprintf
 
 (* ---------- per-event counters ---------- *)
 
@@ -480,55 +484,61 @@ and start_heartbeats t hb =
     (fun l tr -> Rcc.Transport.set_drop_handler tr (fun () -> sender_drop t l))
     t.rcc;
   let period = hb.Detector.period in
+  (* Each link's two tick closures are built once and re-armed by
+     themselves.  The send tick arms its successor before sending, so the
+     beat is its last action and the transport may pump it inline (see
+     {!Rcc.Transport.send}); the successor lies a period ahead, after the
+     pump, so the two orders dispatch the same. *)
   for l = 0 to m - 1 do
     let offset = period *. (float_of_int (l + 1) /. float_of_int (m + 1)) in
+    let rec send_tick () =
+      ignore
+        (Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
+           ~delay:period send_tick);
+      hb_send t l
+    in
+    let rec check_tick () =
+      hb_check t l;
+      ignore
+        (Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
+           ~delay:period check_tick)
+    in
     ignore
       (Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
-         ~delay:offset (fun () -> hb_send_tick t l));
+         ~delay:offset send_tick);
     ignore
       (Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
          ~delay:(offset +. (0.5 *. period))
-         (fun () -> hb_check_tick t l))
+         check_tick)
   done
 
-and hb_period t =
-  match t.cfg.Protocol.detector with
-  | Protocol.Heartbeat hb -> hb.Detector.period
-  | Protocol.Oracle -> assert false
-
-and hb_send_tick t l =
-  let lk = Net.Topology.link t.topo l in
-  let src = lk.Net.Topology.src in
+and hb_send t l =
+  let src = (Net.Topology.link t.topo l).Net.Topology.src in
   (* A dead node's daemon is silent, but keep ticking: the node may be
      repaired later. *)
   if t.node_alive.(src) then begin
     t.hb_beats.(l) <- t.hb_beats.(l) + 1;
     Rcc.Transport.send t.rcc.(l)
       (Rcc.Control.Heartbeat { node = src; beat = t.hb_beats.(l) })
-  end;
-  ignore
-    (Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
-       ~delay:(hb_period t) (fun () -> hb_send_tick t l))
+  end
 
-and hb_check_tick t l =
+and hb_check t l =
   let lk = Net.Topology.link t.topo l in
   let dst = lk.Net.Topology.dst in
-  (if t.node_alive.(dst) then
-     match Detector.check t.monitors.(l) ~now:(now t) with
-     | `Confirmed ->
-       t.hb_confirms <- t.hb_confirms + 1;
-       tracef t "hb-confirm" "node %d: link %d declared failed (heartbeats)" dst l;
-       emit t
-         (Sim.Event.Detector { node = dst; link = l; signal = Sim.Event.Confirm });
-       detect t dst (Net.Component.Link l)
-     | `Suspected ->
-       tracef t "hb-suspect" "node %d: link %d suspected" dst l;
-       emit t
-         (Sim.Event.Detector { node = dst; link = l; signal = Sim.Event.Suspect })
-     | `Fine -> ());
-  ignore
-    (Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
-       ~delay:(hb_period t) (fun () -> hb_check_tick t l))
+  if t.node_alive.(dst) then
+    match Detector.check t.monitors.(l) ~now:(now t) with
+    | `Confirmed ->
+      t.hb_confirms <- t.hb_confirms + 1;
+      tracef t "hb-confirm" (fun f ->
+          pf f "node %d: link %d declared failed (heartbeats)" dst l);
+      emit t
+        (Sim.Event.Detector { node = dst; link = l; signal = Sim.Event.Confirm });
+      detect t dst (Net.Component.Link l)
+    | `Suspected ->
+      tracef t "hb-suspect" (fun f -> pf f "node %d: link %d suspected" dst l);
+      emit t
+        (Sim.Event.Detector { node = dst; link = l; signal = Sim.Event.Suspect })
+    | `Fine -> ()
 
 and sender_drop t l =
   if not t.sender_reported.(l) then begin
@@ -537,7 +547,8 @@ and sender_drop t l =
     if t.node_alive.(src) then begin
       t.sender_reported.(l) <- true;
       t.hb_confirms <- t.hb_confirms + 1;
-      tracef t "hb-confirm" "node %d: link %d declared failed (no acks)" src l;
+      tracef t "hb-confirm" (fun f ->
+          pf f "node %d: link %d declared failed (no acks)" src l);
       emit t
         (Sim.Event.Detector { node = src; link = l; signal = Sim.Event.Confirm });
       detect t src (Net.Component.Link l)
@@ -549,8 +560,8 @@ and hb_beat t ~via =
     match Detector.beat t.monitors.(via) ~now:(now t) with
     | `Recovered ->
       t.hb_recoveries <- t.hb_recoveries + 1;
-      tracef t "hb-recover" "link %d heartbeats resumed (repair or false positive)"
-        via;
+      tracef t "hb-recover" (fun f ->
+          pf f "link %d heartbeats resumed (repair or false positive)" via);
       let dst = (Net.Topology.link t.topo via).Net.Topology.dst in
       emit t
         (Sim.Event.Detector { node = dst; link = via; signal = Sim.Event.Clear })
@@ -561,7 +572,9 @@ and hb_beat t ~via =
 and rcc_send t ~from_node ~to_node c =
   wire_transports t;
   match Net.Topology.find_link t.topo ~src:from_node ~dst:to_node with
-  | None -> tracef t "drop" "no link %d->%d for %a" from_node to_node Rcc.Control.pp c
+  | None ->
+    tracef t "drop" (fun f ->
+        pf f "no link %d->%d for %a" from_node to_node Rcc.Control.pp c)
   | Some l -> Rcc.Transport.send t.rcc.(l) c
 
 and be_send t ~from_node ~to_node msg =
@@ -634,7 +647,8 @@ and rejoin_expired t node e =
     emit t
       (Sim.Event.Rejoin_timer { node; channel = e.cid; op = Sim.Event.Expired });
     set_chan_state t node e Protocol.N ~cause:"expire";
-    tracef t "expire" "node %d: ch %d torn down (rejoin timer)" node e.cid;
+    tracef t "expire" (fun f ->
+        pf f "node %d: ch %d torn down (rejoin timer)" node e.cid);
     (* The source node applies the network-wide resource reconfiguration
        exactly once per channel. *)
     if e.pos = 0 && t.cfg.Protocol.reconfigure_netstate then
@@ -697,8 +711,9 @@ and process_failure_report t node e comp ~tag =
   | Protocol.U | Protocol.N -> () (* duplicate reports are ignored *)
   | Protocol.P | Protocol.B ->
     set_chan_state t node e Protocol.U ~cause:tag;
-    tracef t "state" "node %d: ch %d -> U (%s %a)" node e.cid tag
-      Net.Component.pp comp;
+    tracef t "state" (fun f ->
+        pf f "node %d: ch %d -> U (%s %a)" node e.cid tag Net.Component.pp
+          comp);
     start_rejoin_timer t node e;
     let hops = Net.Path.hops e.path in
     (match comp_bounds e comp with
@@ -720,7 +735,7 @@ and process_failure_report t node e comp ~tag =
 
 and send_rejoin_request t node e =
   if Net.Path.hops e.path > 0 then begin
-    tracef t "rejoin-req" "node %d: probing ch %d" node e.cid;
+    tracef t "rejoin-req" (fun f -> pf f "node %d: probing ch %d" node e.cid);
     forward_rejoin_request t node e
   end
 
@@ -807,7 +822,8 @@ and try_activate t node v =
   | None ->
     (match next_candidate t node v with
     | None ->
-      tracef t "give-up" "node %d: conn %d has no usable backup" node v.tv.vconn
+      tracef t "give-up" (fun f ->
+          pf f "node %d: conn %d has no usable backup" node v.tv.vconn)
     | Some (serial, e) ->
       v.attempting <- Some serial;
       (match t.cfg.Protocol.priority with
@@ -816,8 +832,9 @@ and try_activate t node v =
           Float.round (e.nu /. Netstate.lambda t.ns) |> int_of_float |> max 0
         in
         let delay = slot *. float_of_int degree in
-        tracef t "act-delay" "node %d: conn %d serial %d waits %.6fs" node
-          v.tv.vconn serial delay;
+        tracef t "act-delay" (fun f ->
+            pf f "node %d: conn %d serial %d waits %.6fs" node v.tv.vconn
+              serial delay);
         v.pending <-
           Some
             (Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
@@ -847,8 +864,8 @@ and initiate_wave t node v serial =
         let r = ensure_record t conn in
         r.resumed_at <- Some (now t);
         r.activations <- (serial, now t) :: r.activations;
-        tracef t "resume" "node %d: conn %d resumes on backup %d" node conn
-          serial;
+        tracef t "resume" (fun f ->
+            pf f "node %d: conn %d resumes on backup %d" node conn serial);
         if hops > 0 then
           rcc_send t ~from_node:node ~to_node:e.pnodes.(1)
             (Rcc.Control.Activation { conn; serial; channel = e.cid })
@@ -886,7 +903,7 @@ and transition_to_p t node e =
   if drawn then begin
     cancel_rejoin_timer t node e;
     set_chan_state t node e Protocol.P ~cause:"activate";
-    tracef t "activate" "node %d: ch %d -> P" node e.cid;
+    tracef t "activate" (fun f -> pf f "node %d: ch %d -> P" node e.cid);
     true
   end
   else begin
@@ -935,7 +952,8 @@ and preempt_victim t node v l =
   match find_entry t node cid with
   | None -> ()
   | Some victim_entry ->
-    tracef t "preempt" "node %d: ch %d preempted on link %d" node cid l;
+    tracef t "preempt" (fun f ->
+        pf f "node %d: ch %d preempted on link %d" node cid l);
     set_chan_state t node victim_entry Protocol.B ~cause:"preempt"
     (* so the report processing runs *);
     process_failure_report t node victim_entry (Net.Component.Link l)
@@ -944,7 +962,8 @@ and preempt_victim t node v l =
 and mux_failure_at t node e =
   let hops = Net.Path.hops e.path in
   let l = if e.pos < hops then e.path.Net.Path.links.(e.pos) else -1 in
-  tracef t "mux-fail" "node %d: ch %d spare exhausted on link %d" node e.cid l;
+  tracef t "mux-fail" (fun f ->
+      pf f "node %d: ch %d spare exhausted on link %d" node e.cid l);
   (match state t e with
   | Protocol.P | Protocol.B ->
     set_chan_state t node e Protocol.U ~cause:"mux-fail";
@@ -996,8 +1015,9 @@ and handle_control t node ~via c =
               if r.resumed_at = None then begin
                 r.resumed_at <- Some (now t);
                 r.activations <- (serial, now t) :: r.activations;
-                tracef t "resume" "node %d: conn %d resumes on backup %d"
-                  node conn serial
+                tracef t "resume" (fun f ->
+                    pf f "node %d: conn %d resumes on backup %d" node conn
+                      serial)
               end
             | _ -> ()
           end;
@@ -1022,7 +1042,8 @@ and handle_be t node msg =
         if state t e = Protocol.U then begin
           cancel_rejoin_timer t node e;
           set_chan_state t node e Protocol.B ~cause:"rejoin";
-          tracef t "rejoin" "node %d: ch %d repaired (dst) -> B" node e.cid;
+          tracef t "rejoin" (fun f ->
+              pf f "node %d: ch %d repaired (dst) -> B" node e.cid);
           if hops > 0 then
             ignore
               (be_send t ~from_node:node ~to_node:e.pnodes.(hops - 1)
@@ -1035,7 +1056,8 @@ and handle_be t node msg =
       | Protocol.U ->
         cancel_rejoin_timer t node e;
         set_chan_state t node e Protocol.B ~cause:"rejoin";
-        tracef t "rejoin" "node %d: ch %d repaired -> B" node e.cid;
+        tracef t "rejoin" (fun f ->
+            pf f "node %d: ch %d repaired -> B" node e.cid);
         if e.pos > 0 then
           ignore
             (be_send t ~from_node:node ~to_node:e.pnodes.(e.pos - 1)
@@ -1049,7 +1071,8 @@ and handle_be t node msg =
       | Protocol.N ->
         (* Rejoin arrived after the timer expired: undo with a closure
            toward the destination (Fig. 6). *)
-        tracef t "closure" "node %d: ch %d rejoin too late, closing" node e.cid;
+        tracef t "closure" (fun f ->
+            pf f "node %d: ch %d rejoin too late, closing" node e.cid);
         if e.pos < hops then
           ignore
             (be_send t ~from_node:node ~to_node:e.pnodes.(e.pos + 1)
@@ -1059,7 +1082,7 @@ and handle_be t node msg =
       cancel_rejoin_timer t node e;
       if state t e <> Protocol.N then begin
         set_chan_state t node e Protocol.N ~cause:"closure";
-        tracef t "closure" "node %d: ch %d closed" node e.cid
+        tracef t "closure" (fun f -> pf f "node %d: ch %d closed" node e.cid)
       end;
       if e.pos < hops then
         ignore
@@ -1075,8 +1098,8 @@ and detect t node comp =
         match state t e with
         | Protocol.P | Protocol.B ->
           if Net.Path.uses_component t.topo e.path comp then begin
-            tracef t "detect" "node %d: ch %d lost %a" node e.cid
-              Net.Component.pp comp;
+            tracef t "detect" (fun f ->
+                pf f "node %d: ch %d lost %a" node e.cid Net.Component.pp comp);
             if e.serial = 0 then (
               match record_for t e.conn with
               | Some r when r.detected_at = None -> r.detected_at <- Some (now t)
@@ -1106,7 +1129,7 @@ let do_fail_link t l =
   if not t.link_failed.(l) then begin
     t.link_failed.(l) <- true;
     refresh_link_transport t l;
-    tracef t "fail" "link %d down" l;
+    tracef t "fail" (fun f -> pf f "link %d down" l);
     emit t (Sim.Event.Fault { component = Sim.Event.Link l; up = false });
     mark_affected_conns t (Net.Component.Link l);
     let lk = Net.Topology.link t.topo l in
@@ -1125,7 +1148,7 @@ let do_fail_node t v =
   wire_transports t;
   if t.node_alive.(v) then begin
     t.node_alive.(v) <- false;
-    tracef t "fail" "node %d down" v;
+    tracef t "fail" (fun f -> pf f "node %d down" v);
     emit t (Sim.Event.Fault { component = Sim.Event.Node v; up = false });
     let incident = Net.Topology.out_links t.topo v @ Net.Topology.in_links t.topo v in
     List.iter (fun l -> refresh_link_transport t l) incident;
@@ -1158,7 +1181,7 @@ let repair_link t ~at l =
          if t.link_failed.(l) then begin
            t.link_failed.(l) <- false;
            refresh_link_transport t l;
-           tracef t "repair" "link %d up" l;
+           tracef t "repair" (fun f -> pf f "link %d up" l);
            emit t (Sim.Event.Fault { component = Sim.Event.Link l; up = true })
          end))
 
@@ -1168,7 +1191,7 @@ let repair_node t ~at v =
          wire_transports t;
          if not t.node_alive.(v) then begin
            t.node_alive.(v) <- true;
-           tracef t "repair" "node %d up" v;
+           tracef t "repair" (fun f -> pf f "node %d up" v);
            emit t (Sim.Event.Fault { component = Sim.Event.Node v; up = true });
            List.iter
              (fun l -> refresh_link_transport t l)

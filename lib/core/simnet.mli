@@ -56,8 +56,6 @@ val trace : t -> Sim.Trace.t
 val metrics : t -> Sim.Metrics.t
 (** The run's metric registry (empty unless [~telemetry:true]). *)
 
-val telemetry_enabled : t -> bool
-
 (** {2 Fault injection} *)
 
 val fail_link : t -> at:float -> int -> unit

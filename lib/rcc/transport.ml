@@ -24,6 +24,8 @@ let ack_bytes = 8
 
 type rcc_message = { seq : int; payload : Control.t list; bytes : int }
 
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   engine : Sim.Engine.t;
   params : params;
@@ -34,14 +36,18 @@ type t = {
   mutable on_drop : unit -> unit;
   mutable on_event : (Sim.Event.t -> unit) option;
   queue : Control.t Queue.t;
-  pending : (Control.t, unit) Hashtbl.t; (* dedup of queued messages *)
-  unacked : (int, rcc_message) Hashtbl.t; (* awaiting hop-by-hop ack *)
-  seen : (int, unit) Hashtbl.t; (* receiver-side dedup *)
+  pending : (Control.t, unit) Hashtbl.t;
+      (* dedup of queued messages; heartbeats, unique by their beat
+         number, skip it *)
+  unacked : Sim.Engine.handle Itbl.t;
+      (* seq -> retransmit timer of a message awaiting its hop-by-hop ack;
+         each retransmission re-arms it *)
+  seen : unit Itbl.t; (* receiver-side dedup *)
   seen_order : int Queue.t; (* arrival order, for window eviction *)
-  airborne : (int, int) Hashtbl.t; (* copies scheduled but not yet landed *)
+  airborne : int Itbl.t; (* seq -> copies scheduled but not yet landed *)
   mutable next_seq : int;
   mutable next_eligible : float;
-  mutable pump_handle : Sim.Engine.handle option;
+  mutable pump_scheduled : bool;
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
@@ -64,13 +70,13 @@ let create ?impair engine ~params ~link ~deliver =
     on_event = None;
     queue = Queue.create ();
     pending = Hashtbl.create 64;
-    unacked = Hashtbl.create 16;
-    seen = Hashtbl.create 256;
+    unacked = Itbl.create 16;
+    seen = Itbl.create 16;
     seen_order = Queue.create ();
-    airborne = Hashtbl.create 16;
+    airborne = Itbl.create 16;
     next_seq = 0;
     next_eligible = 0.0;
-    pump_handle = None;
+    pump_scheduled = false;
     sent = 0;
     delivered = 0;
     dropped = 0;
@@ -78,12 +84,11 @@ let create ?impair engine ~params ~link ~deliver =
 
 let link t = t.link
 let alive t = t.alive
-let queue_length t = Queue.length t.queue
-let in_flight t = Hashtbl.length t.unacked
+let in_flight t = Itbl.length t.unacked
 let stats_sent t = t.sent
 let stats_delivered t = t.delivered
 let stats_dropped t = t.dropped
-let seen_size t = Hashtbl.length t.seen
+let seen_size t = Itbl.length t.seen
 
 let set_impairment t i = t.impair <- i
 let set_drop_handler t f = t.on_drop <- f
@@ -109,17 +114,16 @@ let copies t ~dir ~bytes =
   | Some f -> f ~dir ~bytes ~now:(Sim.Engine.now t.engine)
 
 let note_airborne t seq delta =
-  let n = delta + Option.value ~default:0 (Hashtbl.find_opt t.airborne seq) in
-  if n <= 0 then Hashtbl.remove t.airborne seq
-  else Hashtbl.replace t.airborne seq n
+  let n = delta + Option.value ~default:0 (Itbl.find_opt t.airborne seq) in
+  if n <= 0 then Itbl.remove t.airborne seq else Itbl.replace t.airborne seq n
 
 let send_count = Sim.Prof.counter "rcc.send"
 let deliver_count = Sim.Prof.counter "rcc.deliver"
 
 let receive t (m : rcc_message) =
-  if not (Hashtbl.mem t.seen m.seq) then begin
+  if not (Itbl.mem t.seen m.seq) then begin
     emit t ~op:Sim.Event.Deliver ~seq:m.seq ~bytes:m.bytes;
-    Hashtbl.add t.seen m.seq ();
+    Itbl.add t.seen m.seq ();
     Queue.add m.seq t.seen_order;
     (* Sliding-window bound on the dedup table: a seq old enough to be
        evicted can no longer be retransmitted (the sender has either been
@@ -127,7 +131,7 @@ let receive t (m : rcc_message) =
        went by). *)
     while Queue.length t.seen_order > t.params.seen_window do
       let old = Queue.pop t.seen_order in
-      Hashtbl.remove t.seen old
+      Itbl.remove t.seen old
     done;
     List.iter
       (fun c ->
@@ -137,11 +141,15 @@ let receive t (m : rcc_message) =
       m.payload
   end
 
+(* The first ack withdraws the retransmit timer: left armed it would
+   fire [retransmit_timeout] later only to find the message acked. *)
 let ack_received t seq =
-  if Hashtbl.mem t.unacked seq then begin
+  match Itbl.find_opt t.unacked seq with
+  | None -> ()
+  | Some timer ->
     emit t ~op:Sim.Event.Ack ~seq ~bytes:ack_bytes;
-    Hashtbl.remove t.unacked seq
-  end
+    Sim.Engine.cancel t.engine timer;
+    Itbl.remove t.unacked seq
 
 (* The hop-by-hop ack traverses the same impaired link in the reverse
    direction: it can be lost or duplicated like any other transmission,
@@ -157,6 +165,7 @@ let send_ack t (m : rcc_message) =
            (fun () -> if t.alive then ack_received t m.seq)))
     (copies t ~dir:`Ack ~bytes:ack_bytes)
 
+(* Returns the handle of the retransmit timer it arms. *)
 let rec transmit t (m : rcc_message) ~attempt =
   t.sent <- t.sent + 1;
   Sim.Prof.incr send_count;
@@ -179,20 +188,19 @@ let rec transmit t (m : rcc_message) ~attempt =
       (copies t ~dir:`Data ~bytes:m.bytes)
   end;
   (* Retransmission timer runs regardless of link state: the paper's BCP
-     daemon "resends the unacknowledged RCC message". *)
-  ignore
-    (Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
-       ~delay:t.params.retransmit_timeout (fun () ->
-         match Hashtbl.find_opt t.unacked m.seq with
-         | None -> ()
-         | Some _ ->
-           if attempt >= t.params.max_retransmits then begin
-             Hashtbl.remove t.unacked m.seq;
-             t.dropped <- t.dropped + 1;
-             emit t ~op:Sim.Event.Drop ~seq:m.seq ~bytes:m.bytes;
-             t.on_drop ()
-           end
-           else transmit t m ~attempt:(attempt + 1)))
+     daemon "resends the unacknowledged RCC message".  It fires only while
+     the message is unacked: [ack_received] cancels it. *)
+  Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
+    ~delay:t.params.retransmit_timeout (fun () ->
+      if attempt >= t.params.max_retransmits then begin
+        Itbl.remove t.unacked m.seq;
+        t.dropped <- t.dropped + 1;
+        emit t ~op:Sim.Event.Drop ~seq:m.seq ~bytes:m.bytes;
+        t.on_drop ()
+      end
+      else Itbl.replace t.unacked m.seq (transmit t m ~attempt:(attempt + 1)))
+
+let is_heartbeat = function Control.Heartbeat _ -> true | _ -> false
 
 let pack t =
   (* Greedy FIFO packing up to s_max bytes, at least one message. *)
@@ -204,33 +212,48 @@ let pack t =
       if acc <> [] && bytes + sz > t.params.s_max then (List.rev acc, bytes)
       else begin
         ignore (Queue.pop t.queue);
-        Hashtbl.remove t.pending c;
+        if not (is_heartbeat c) then Hashtbl.remove t.pending c;
         take (c :: acc) (bytes + sz)
       end
   in
   take [] 0
 
 let rec pump t =
-  t.pump_handle <- None;
+  t.pump_scheduled <- false;
   if not (Queue.is_empty t.queue) then begin
     let payload, bytes = pack t in
     let m = { seq = t.next_seq; payload; bytes } in
     t.next_seq <- t.next_seq + 1;
-    Hashtbl.replace t.unacked m.seq m;
     t.next_eligible <- Sim.Engine.now t.engine +. (1.0 /. t.params.r_max);
-    transmit t m ~attempt:1;
+    Itbl.replace t.unacked m.seq (transmit t m ~attempt:1);
     schedule_pump t
   end
 
 and schedule_pump t =
-  if t.pump_handle = None && not (Queue.is_empty t.queue) then begin
+  if (not t.pump_scheduled) && not (Queue.is_empty t.queue) then begin
     let now = Sim.Engine.now t.engine in
     let at = Float.max now t.next_eligible in
-    t.pump_handle <- Some (Sim.Engine.schedule t.engine ~at (fun () -> pump t))
+    t.pump_scheduled <- true;
+    ignore (Sim.Engine.schedule t.engine ~at (fun () -> pump t))
   end
 
+(* A heartbeat is its sender's last action in its event.  When it finds
+   the RCC idle and may go out now, the pump that [schedule_pump] would
+   queue at [now] is the very next event to run unless another event is
+   already due at [now]; only then is running it inline the same run,
+   event for event and PRNG draw for draw. *)
+let pump_inline t =
+  Queue.length t.queue = 1
+  && (not t.pump_scheduled)
+  && t.next_eligible <= Sim.Engine.now t.engine
+  && not (Sim.Engine.due_now t.engine)
+
 let send t c =
-  if not (Hashtbl.mem t.pending c) then begin
+  if is_heartbeat c then begin
+    Queue.add c t.queue;
+    if pump_inline t then pump t else schedule_pump t
+  end
+  else if not (Hashtbl.mem t.pending c) then begin
     Hashtbl.add t.pending c ();
     Queue.add c t.queue;
     schedule_pump t
@@ -243,13 +266,13 @@ let send t c =
    never re-admitting a duplicate. *)
 let prune_seen t =
   let stale seq =
-    (not (Hashtbl.mem t.unacked seq)) && not (Hashtbl.mem t.airborne seq)
+    (not (Itbl.mem t.unacked seq)) && not (Itbl.mem t.airborne seq)
   in
   if Queue.length t.seen_order > 0 then begin
     let keep = Queue.create () in
     Queue.iter
       (fun seq ->
-        if stale seq then Hashtbl.remove t.seen seq else Queue.add seq keep)
+        if stale seq then Itbl.remove t.seen seq else Queue.add seq keep)
       t.seen_order;
     Queue.clear t.seen_order;
     Queue.transfer keep t.seen_order

@@ -5,7 +5,9 @@
     [S^RCC_max] bytes released no faster than [R^RCC_max] per second, and
     delivered within [D^RCC_max].  Each RCC message carries a sequence
     number and is acknowledged hop-by-hop; unacknowledged messages are
-    retransmitted, and duplicates are discarded by the receiver.
+    retransmitted, and duplicates are discarded by the receiver.  The
+    first acknowledgment cancels the message's retransmit timer, so an
+    acked message leaves no event behind.
 
     Both the RCC message and its hop-by-hop acknowledgment traverse an
     optional {!impairment} hook, so probabilistic loss, duplication and
@@ -52,7 +54,17 @@ val link : t -> int
 
 val send : t -> Control.t -> unit
 (** Queue a control message.  Identical messages already waiting are not
-    queued twice (the paper: duplicate reports are discarded). *)
+    queued twice (the paper: duplicate reports are discarded).
+
+    A [Heartbeat] skips that check (its beat number makes it unique) and
+    must be the caller's last action in its engine event.  When the RCC
+    is idle (nothing queued, no pump pending, the [r_max] pacing allows
+    a send now) and no other event is due at the current time
+    ({!Sim.Engine.due_now}), the heartbeat is packed and transmitted
+    inline instead of through a pump event at the same time: the pump
+    would have been the next event to run, so both paths give the same
+    run, event for event.  Otherwise it waits for the pump like any
+    other message. *)
 
 val set_alive : t -> bool -> unit
 (** A dead link loses RCC messages and their acknowledgments; pending
@@ -78,9 +90,6 @@ val set_event_sink : t -> (Sim.Event.t -> unit) option -> unit
     resends, [Deliver] once per message accepted after dedup, [Ack] when
     an acknowledgment lands, [Drop] on retransmit exhaustion).  [None]
     (the default) is free: no events are constructed. *)
-
-val queue_length : t -> int
-(** Control messages waiting for an RCC slot. *)
 
 val in_flight : t -> int
 (** RCC messages sent but not yet acknowledged. *)

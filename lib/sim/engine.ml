@@ -1,13 +1,14 @@
 type klass = Message | Timer | Internal
 
 (* Flat event pool.  Events live in parallel arrays (time / action / seq /
-   generation / cancelled flag) indexed by a slot; the priority queue is a
+   generation / heap position) indexed by a slot; the priority queue is a
    binary heap of slot ints ordered by (time, seq).  A handle packs
    (generation, slot) into one immediate int, so scheduling and cancelling
    allocate nothing and stale handles (slot since recycled) are detected by
-   a generation mismatch.  Slots are recycled through a free stack the
-   moment their event fires or their cancelled carcass surfaces at the top
-   of the heap. *)
+   a generation mismatch.  Every sift keeps [pos] (slot -> heap index) up
+   to date, so [cancel] takes its event out of the heap at once; the heap
+   therefore holds exactly the pending events.  Slots are recycled through
+   a free stack the moment their event fires or is cancelled. *)
 
 type handle = int
 
@@ -22,14 +23,13 @@ let noop () = ()
 type t = {
   mutable clock : float;
   mutable next_seq : int;
-  mutable live : int; (* scheduled and not cancelled *)
   mutable perturb : (klass -> delay:float -> float) option;
   (* Event slab (SoA). *)
   mutable times : float array;
   mutable actions : (unit -> unit) array;
   mutable seqs : int array;
   mutable gens : int array;
-  mutable cancelled : Bytes.t;
+  mutable pos : int array; (* slot -> index in [heap] while pending *)
   (* Free slot stack. *)
   mutable free : int array;
   mutable free_len : int;
@@ -43,13 +43,12 @@ let create () =
   {
     clock = 0.0;
     next_seq = 0;
-    live = 0;
     perturb = None;
     times = Array.make 64 0.0;
     actions = Array.make 64 noop;
     seqs = Array.make 64 0;
     gens = Array.make 64 0;
-    cancelled = Bytes.make 64 '\000';
+    pos = Array.make 64 0;
     free = Array.make 64 0;
     free_len = 0;
     slots_used = 0;
@@ -75,6 +74,11 @@ let precedes t a b =
   let ta = Array.unsafe_get t.times a and tb = Array.unsafe_get t.times b in
   ta < tb || (ta = tb && Array.unsafe_get t.seqs a < Array.unsafe_get t.seqs b)
 
+(* Write slot [s] at heap index [i], keeping [pos] in step. *)
+let place t i s =
+  t.heap.(i) <- s;
+  t.pos.(s) <- i
+
 let sift_up t i0 =
   let heap = t.heap in
   let s = heap.(i0) in
@@ -86,10 +90,10 @@ let sift_up t i0 =
     precedes t s heap.(p)
   do
     let p = (!i - 1) / 2 in
-    heap.(!i) <- heap.(p);
+    place t !i heap.(p);
     i := p
   done;
-  heap.(!i) <- s
+  place t !i s
 
 let sift_down t i0 =
   let heap = t.heap and len = t.heap_len in
@@ -102,13 +106,13 @@ let sift_down t i0 =
     else begin
       let c = if l + 1 < len && precedes t heap.(l + 1) heap.(l) then l + 1 else l in
       if precedes t heap.(c) s then begin
-        heap.(!i) <- heap.(c);
+        place t !i heap.(c);
         i := c
       end
       else continue := false
     end
   done;
-  heap.(!i) <- s
+  place t !i s
 
 let heap_push t s =
   if t.heap_len = Array.length t.heap then begin
@@ -120,34 +124,30 @@ let heap_push t s =
   t.heap_len <- t.heap_len + 1;
   sift_up t (t.heap_len - 1)
 
-(* Pop the root slot; caller has checked [heap_len > 0]. *)
-let heap_pop t =
-  let s = t.heap.(0) in
+(* Take the slot at heap index [i] out of the heap: the last slot fills
+   the hole and moves whichever way restores the order. *)
+let heap_remove t i =
   t.heap_len <- t.heap_len - 1;
-  if t.heap_len > 0 then begin
-    t.heap.(0) <- t.heap.(t.heap_len);
-    sift_down t 0
-  end;
-  s
+  if i < t.heap_len then begin
+    let last = t.heap.(t.heap_len) in
+    place t i last;
+    if i > 0 && precedes t last t.heap.((i - 1) / 2) then sift_up t i
+    else sift_down t i
+  end
 
 let grow_slab t =
   let cap = Array.length t.times in
   let ncap = 2 * cap in
-  let nt = Array.make ncap 0.0 in
-  Array.blit t.times 0 nt 0 cap;
-  t.times <- nt;
-  let na = Array.make ncap noop in
-  Array.blit t.actions 0 na 0 cap;
-  t.actions <- na;
-  let ns = Array.make ncap 0 in
-  Array.blit t.seqs 0 ns 0 cap;
-  t.seqs <- ns;
-  let ng = Array.make ncap 0 in
-  Array.blit t.gens 0 ng 0 cap;
-  t.gens <- ng;
-  let nc = Bytes.make ncap '\000' in
-  Bytes.blit t.cancelled 0 nc 0 cap;
-  t.cancelled <- nc
+  let grow a fill =
+    let na = Array.make ncap fill in
+    Array.blit a 0 na 0 cap;
+    na
+  in
+  t.times <- grow t.times 0.0;
+  t.actions <- grow t.actions noop;
+  t.seqs <- grow t.seqs 0;
+  t.gens <- grow t.gens 0;
+  t.pos <- grow t.pos 0
 
 let alloc_slot t =
   if t.free_len > 0 then begin
@@ -167,7 +167,6 @@ let alloc_slot t =
 let free_slot t s =
   t.gens.(s) <- t.gens.(s) + 1;
   t.actions.(s) <- noop;
-  Bytes.unsafe_set t.cancelled s '\000';
   if t.free_len = Array.length t.free then begin
     let nf = Array.make (2 * t.free_len) 0 in
     Array.blit t.free 0 nf 0 t.free_len;
@@ -190,7 +189,6 @@ let schedule ?(klass = Internal) t ~at action =
   t.actions.(s) <- action;
   t.seqs.(s) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  t.live <- t.live + 1;
   heap_push t s;
   Prof.incr scheduled_count;
   pack ~gen:t.gens.(s) ~slot:s
@@ -199,43 +197,37 @@ let schedule_after ?(klass = Internal) t ~delay action =
   if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
   schedule ~klass t ~at:(t.clock +. delay) action
 
-(* The slot may have been recycled since the handle was issued; the
-   generation check makes cancelling a fired event a no-op, as before. *)
+(* A slot is pending exactly while its generation matches the handle:
+   firing and cancelling both free the slot and bump the generation, so a
+   fired, cancelled or recycled handle is a no-op. *)
 let cancel t h =
   let s = handle_slot h in
-  if
-    s < t.slots_used
-    && t.gens.(s) = handle_gen h
-    && Bytes.get t.cancelled s = '\000'
-  then begin
-    Bytes.set t.cancelled s '\001';
-    t.live <- t.live - 1
+  if s < t.slots_used && t.gens.(s) = handle_gen h then begin
+    Prof.incr cancelled_count;
+    heap_remove t t.pos.(s);
+    free_slot t s
   end
 
-let pending t = t.live
+let pending t = t.heap_len
 
-let rec step t =
+let due_now t =
+  t.heap_len > 0 && Array.unsafe_get t.times t.heap.(0) <= t.clock
+
+let step t =
   if t.heap_len = 0 then false
   else begin
-    let s = heap_pop t in
-    if Bytes.get t.cancelled s = '\001' then begin
-      (* Counters observe the dispatch stream without influencing it:
-         one predictable branch each when profiling is disabled. *)
-      Prof.incr cancelled_count;
-      free_slot t s;
-      step t
-    end
-    else begin
-      Prof.incr events_count;
-      t.clock <- t.times.(s);
-      t.live <- t.live - 1;
-      let action = t.actions.(s) in
-      (* Free before running: the action may schedule new events into this
-         very slot; the generation bump keeps old handles stale. *)
-      free_slot t s;
-      action ();
-      true
-    end
+    let s = t.heap.(0) in
+    heap_remove t 0;
+    (* Counters observe the dispatch stream without influencing it: one
+       predictable branch when profiling is disabled. *)
+    Prof.incr events_count;
+    t.clock <- t.times.(s);
+    let action = t.actions.(s) in
+    (* Free before running: the action may schedule new events into this
+       very slot; the generation bump keeps old handles stale. *)
+    free_slot t s;
+    action ();
+    true
   end
 
 let run ?until t =
@@ -243,17 +235,7 @@ let run ?until t =
   match until with
   | None -> while step t do () done
   | Some horizon ->
-    let continue = ref true in
-    while !continue do
-      if t.heap_len = 0 then continue := false
-      else begin
-        let s = t.heap.(0) in
-        if Bytes.get t.cancelled s = '\001' then begin
-          ignore (heap_pop t);
-          free_slot t s
-        end
-        else if t.times.(s) > horizon then continue := false
-        else ignore (step t)
-      end
+    while t.heap_len > 0 && t.times.(t.heap.(0)) <= horizon do
+      ignore (step t)
     done;
     if t.clock < horizon then t.clock <- horizon

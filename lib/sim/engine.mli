@@ -43,11 +43,20 @@ val schedule_after : ?klass:klass -> t -> delay:float -> (unit -> unit) -> handl
     [delay] must be non-negative. *)
 
 val cancel : t -> handle -> unit
-(** Cancel a pending event; cancelling an already-fired or already-cancelled
-    event is a no-op. *)
+(** Cancel a pending event: it leaves the queue at once, so it is never
+    dispatched and no longer counts in {!pending}; the other events keep
+    their (time, insertion) order.  Cancelling an already-fired or
+    already-cancelled event is a no-op, even after its slot has been
+    reused by a later event. *)
 
 val pending : t -> int
-(** Number of events still scheduled (excluding cancelled ones). *)
+(** Number of events still scheduled. *)
+
+val due_now : t -> bool
+(** [true] when some scheduled event is due at the current time, i.e. it
+    would run before anything scheduled from now on at [now t].  Lets a
+    caller do inline what an event at [now] would do, once nothing else
+    can come first. *)
 
 val step : t -> bool
 (** Execute the next event.  Returns [false] when the queue is empty. *)

@@ -139,6 +139,7 @@ type t = {
   mutable seen : int;
   mutable viols : violation list; (* newest first *)
   cov : (string, unit) Hashtbl.t; (* coverage signal, see [coverage] *)
+  mutable rcc_covered : int; (* bit i: [rcc_keys.(i)] is in [cov] *)
   (* shadow state *)
   shadow : (int * int, Event.chan_state) Hashtbl.t; (* (node, ch) -> state *)
   origin_seen : (int, unit) Hashtbl.t; (* channels with a failure origin *)
@@ -165,6 +166,7 @@ let create ?context ?decode_channel ?(fail_fast = false) () =
     seen = 0;
     viols = [];
     cov = Hashtbl.create 64;
+    rcc_covered = 0;
     shadow = Hashtbl.create 256;
     origin_seen = Hashtbl.create 64;
     failed_conns = Hashtbl.create 64;
@@ -187,6 +189,27 @@ let events_seen t = t.seen
 let violations t = List.rev t.viols
 
 let cover t key = Hashtbl.replace t.cov key ()
+
+(* RCC events are the bulk of a heartbeat run's stream; each op's key is
+   a constant, entered into [cov] on its first sighting only. *)
+let rcc_keys =
+  Array.map
+    (fun op -> "rcc:" ^ Event.rcc_op_to_string op)
+    [| Event.Send; Retransmit; Deliver; Ack; Drop |]
+
+let cover_rcc t (op : Event.rcc_op) =
+  let i =
+    match op with
+    | Send -> 0
+    | Retransmit -> 1
+    | Deliver -> 2
+    | Ack -> 3
+    | Drop -> 4
+  in
+  if t.rcc_covered land (1 lsl i) = 0 then begin
+    t.rcc_covered <- t.rcc_covered lor (1 lsl i);
+    cover t rcc_keys.(i)
+  end
 
 let coverage t =
   List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) t.cov [])
@@ -522,7 +545,7 @@ let feed t ~time ev =
   | Event.Fault { component; up } -> note_fault t ~time ~component ~up
   (* Not invariant-checked, but each distinct op / signal / action is a
      behaviour worth steering the swarm toward. *)
-  | Event.Rcc { op; _ } -> cover t ("rcc:" ^ Event.rcc_op_to_string op)
+  | Event.Rcc { op; _ } -> cover_rcc t op
   | Event.Detector { signal; _ } ->
     cover t ("det:" ^ Event.detector_signal_to_string signal)
   | Event.Reconfig { action; _ } -> cover t ("reconfig:" ^ action)

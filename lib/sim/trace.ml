@@ -1,15 +1,21 @@
 type entry = { time : float; tag : string; detail : string }
 
+(* The string ring keeps each entry's detail as a printer, run only when
+   the entry is read: a simulation records thousands of steps that nobody
+   ever prints.  Parallel arrays, grown by doubling up to [capacity];
+   the entry with sequence number [n] lives in slot [n mod capacity]. *)
 type t = {
   capacity : int;
-  mutable buf : entry option array; (* [||] until the first [record] *)
-  mutable next : int; (* next write slot *)
+  mutable times : float array;
+  mutable tags : string array;
+  mutable details : (Format.formatter -> unit) array;
   mutable total : int;
   index : (string, int Queue.t) Hashtbl.t;
       (* tag -> live sequence numbers, oldest first; seq [mod] capacity is
          the ring slot, so eviction pops exactly the queue head *)
   mutable events_on : bool;
-  mutable events : (float * Event.t) array; (* typed events, grows on demand *)
+  mutable ev_times : float array; (* typed events, grow on demand *)
+  mutable evs : Event.t array;
   mutable nevents : int;
 }
 
@@ -20,26 +26,46 @@ let create ?(capacity = 65536) () =
          capacity);
   {
     capacity;
-    buf = [||];
-    next = 0;
+    times = [||];
+    tags = [||];
+    details = [||];
     total = 0;
     index = Hashtbl.create 32;
     events_on = false;
-    events = [||];
+    ev_times = [||];
+    evs = [||];
     nevents = 0;
   }
 
-let record t ~time ~tag detail =
-  if Array.length t.buf = 0 then t.buf <- Array.make t.capacity None;
+let no_detail (_ : Format.formatter) = ()
+
+(* Before the ring first wraps, [total] is also the next free slot, so
+   growing keeps every entry where [n mod capacity] expects it. *)
+let grow t =
+  let cap = Array.length t.times in
+  let ncap = if cap = 0 then min 64 t.capacity else min (2 * cap) t.capacity in
+  let extend a fill =
+    let na = Array.make ncap fill in
+    Array.blit a 0 na 0 cap;
+    na
+  in
+  t.times <- extend t.times 0.0;
+  t.tags <- extend t.tags "";
+  t.details <- extend t.details no_detail
+
+let record_pp t ~time ~tag detail =
+  if t.total = Array.length t.times && t.total < t.capacity then grow t;
+  let slot = t.total mod t.capacity in
   (* Overwriting a full ring evicts the globally oldest entry, which is
      also the oldest of its own tag — drop it from the index head. *)
-  (match t.buf.(t.next) with
-  | Some old -> (
-    match Hashtbl.find_opt t.index old.tag with
+  if t.total >= t.capacity then begin
+    match Hashtbl.find_opt t.index t.tags.(slot) with
     | Some q -> ignore (Queue.pop q)
-    | None -> ())
-  | None -> ());
-  t.buf.(t.next) <- Some { time; tag; detail };
+    | None -> ()
+  end;
+  t.times.(slot) <- time;
+  t.tags.(slot) <- tag;
+  t.details.(slot) <- detail;
   (let q =
      match Hashtbl.find_opt t.index tag with
      | Some q -> q
@@ -49,37 +75,29 @@ let record t ~time ~tag detail =
        q
    in
    Queue.push t.total q);
-  t.next <- (t.next + 1) mod t.capacity;
   t.total <- t.total + 1
 
-let recordf t ~time ~tag fmt =
-  Format.kasprintf (fun s -> record t ~time ~tag s) fmt
+let record t ~time ~tag detail =
+  record_pp t ~time ~tag (fun ppf -> Format.pp_print_string ppf detail)
+
+let entry_at t seq =
+  let slot = seq mod t.capacity in
+  {
+    time = t.times.(slot);
+    tag = t.tags.(slot);
+    detail = Format.asprintf "%t" t.details.(slot);
+  }
 
 let entries t =
-  let stored = min t.total t.capacity in
-  let start = (t.next - stored + t.capacity) mod t.capacity in
-  let rec collect i acc =
-    if i = stored then List.rev acc
-    else
-      match t.buf.((start + i) mod t.capacity) with
-      | None -> collect (i + 1) acc
-      | Some e -> collect (i + 1) (e :: acc)
-  in
-  collect 0 []
+  let first = max 0 (t.total - t.capacity) in
+  List.init (t.total - first) (fun i -> entry_at t (first + i))
 
 let count t = t.total
 
 let find_all t ~tag =
   match Hashtbl.find_opt t.index tag with
   | None -> []
-  | Some q ->
-    List.rev
-      (Queue.fold
-         (fun acc seq ->
-           match t.buf.(seq mod t.capacity) with
-           | Some e -> e :: acc
-           | None -> acc)
-         [] q)
+  | Some q -> List.rev (Queue.fold (fun acc seq -> entry_at t seq :: acc) [] q)
 
 (* ---------- typed events ---------- *)
 
@@ -88,27 +106,32 @@ let events_enabled t = t.events_on
 
 let record_event t ~time ev =
   if t.events_on then begin
-    let cap = Array.length t.events in
+    let cap = Array.length t.evs in
     if t.nevents = cap then begin
       let ncap = if cap = 0 then 256 else cap * 2 in
-      let nbuf = Array.make ncap (0.0, ev) in
-      Array.blit t.events 0 nbuf 0 t.nevents;
-      t.events <- nbuf
+      let ntimes = Array.make ncap 0.0 and nevs = Array.make ncap ev in
+      Array.blit t.ev_times 0 ntimes 0 t.nevents;
+      Array.blit t.evs 0 nevs 0 t.nevents;
+      t.ev_times <- ntimes;
+      t.evs <- nevs
     end;
-    t.events.(t.nevents) <- (time, ev);
+    t.ev_times.(t.nevents) <- time;
+    t.evs.(t.nevents) <- ev;
     t.nevents <- t.nevents + 1
   end
 
-let events t = Array.to_list (Array.sub t.events 0 t.nevents)
+let events t = List.init t.nevents (fun i -> (t.ev_times.(i), t.evs.(i)))
 
 let event_count t = t.nevents
 
 let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
-  t.next <- 0;
+  t.times <- [||];
+  t.tags <- [||];
+  t.details <- [||];
   t.total <- 0;
   Hashtbl.reset t.index;
-  t.events <- [||];
+  t.ev_times <- [||];
+  t.evs <- [||];
   t.nevents <- 0
 
 let pp_entry ppf e = Format.fprintf ppf "[%10.6f] %-18s %s" e.time e.tag e.detail

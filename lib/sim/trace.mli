@@ -2,7 +2,9 @@
 
     The protocol simulator records one entry per interesting action
     (message sent, state transition, timer fired...).  Tests assert on the
-    recorded sequences; examples print them.
+    recorded sequences; examples print them.  Most runs never read their
+    string trace, so an entry's detail is kept as a printer and formatted
+    only when {!entries} or {!find_all} reads it.
 
     Alongside the human-readable string ring, a trace can carry {e typed}
     {!Event.t} records for the telemetry exporters.  Typed recording is
@@ -15,18 +17,21 @@ type entry = { time : float; tag : string; detail : string }
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Ring buffer; default capacity 65536, allocated on the first
-    {!record}.  When full, oldest entries drop.
+(** Ring buffer; default capacity 65536.  Storage starts empty and grows
+    by doubling up to the capacity as entries arrive.  When full, oldest
+    entries drop.
     @raise Invalid_argument if [capacity] is zero or negative. *)
+
+val record_pp :
+  t -> time:float -> tag:string -> (Format.formatter -> unit) -> unit
+(** Record an entry whose detail is whatever the printer writes.  The
+    printer runs on every read of the entry, not now, so it must capture
+    values rather than state that changes later. *)
 
 val record : t -> time:float -> tag:string -> string -> unit
 
-val recordf :
-  t -> time:float -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted variant of {!record}. *)
-
 val entries : t -> entry list
-(** Oldest first. *)
+(** Oldest first; each detail is formatted here. *)
 
 val count : t -> int
 (** Number of entries recorded since creation (including dropped ones). *)

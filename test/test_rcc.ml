@@ -124,6 +124,98 @@ let test_transport_no_duplicate_delivery_on_lost_ack () =
   Alcotest.(check int) "exactly one delivery" 1 (List.length !received);
   Alcotest.(check bool) "retransmitted" true (Rcc.Transport.stats_sent tr >= 2)
 
+(* Every RCC lifecycle step the transport reports, with its time. *)
+let record_ops engine tr =
+  let log = ref [] in
+  Rcc.Transport.set_event_sink tr
+    (Some
+       (function
+       | Sim.Event.Rcc { op; seq; _ } ->
+         log := (Sim.Event.rcc_op_to_string op, seq, Sim.Engine.now engine) :: !log
+       | _ -> ()));
+  log
+
+let op_log = Alcotest.(list (triple string int (float 0.0)))
+
+let test_transport_ack_cancels_timer () =
+  let engine, tr, received = make_transport () in
+  Rcc.Transport.send tr (report 1);
+  Rcc.Transport.send tr (Rcc.Control.Heartbeat { node = 0; beat = 1 });
+  (* Both travel in one RCC message, acked well before the 4 ms timer. *)
+  Sim.Engine.run ~until:0.002 engine;
+  Alcotest.(check int) "delivered" 2 (List.length !received);
+  Alcotest.(check int) "acked" 0 (Rcc.Transport.in_flight tr);
+  Alcotest.(check int) "no timer left behind" 0 (Sim.Engine.pending engine)
+
+(* On a dead link the sender makes [max_retransmits] attempts, one every
+   [retransmit_timeout], drops the message one timeout after the last,
+   and leaves no event behind. *)
+let test_transport_dead_link_schedule () =
+  let engine, tr, _ = make_transport () in
+  let log = record_ops engine tr in
+  Rcc.Transport.set_alive tr false;
+  Rcc.Transport.send tr (report 1);
+  Sim.Engine.run engine;
+  let rto = Rcc.Transport.default_params.Rcc.Transport.retransmit_timeout in
+  let expected =
+    let rec go k at acc =
+      if k = 8 then List.rev (("drop", 0, at) :: acc)
+      else
+        let op = if k = 0 then "send" else "retransmit" in
+        go (k + 1) (at +. rto) ((op, 0, at) :: acc)
+    in
+    go 0 0.0 []
+  in
+  Alcotest.check op_log "send, 7 retransmits, drop" expected (List.rev !log);
+  Alcotest.(check (float 0.0)) "drop at 32 ms" 0x1.0624dd2f1a9fcp-5
+    (Sim.Engine.now engine);
+  Alcotest.(check int) "queue drained" 0 (Sim.Engine.pending engine)
+
+(* A heartbeat sent by an event with nothing else due at [now] is pumped
+   inline; one sent while another event is due at [now] waits for a
+   queued pump that runs after that event.  [extra] is that event. *)
+let beat_at ~extra =
+  let engine, tr, received = make_transport () in
+  let log = record_ops engine tr in
+  let pending_after_send = ref (-1) in
+  ignore
+    (Sim.Engine.schedule engine ~at:0.003 (fun () ->
+         if extra then
+           ignore
+             (Sim.Engine.schedule engine ~at:0.003 (fun () ->
+                  log := ("extra", -1, Sim.Engine.now engine) :: !log));
+         Rcc.Transport.send tr (Rcc.Control.Heartbeat { node = 0; beat = 1 });
+         pending_after_send := Sim.Engine.pending engine));
+  Sim.Engine.run engine;
+  Alcotest.(check int) "delivered" 1 (List.length !received);
+  (List.rev !log, !pending_after_send)
+
+let test_transport_inline_matches_queued () =
+  let inline, pending_inline = beat_at ~extra:false in
+  (* The same heartbeat through a queued pump: an idle event due at the
+     same instant makes the transport queue the pump behind it. *)
+  let engine, tr, _ = make_transport () in
+  let log = record_ops engine tr in
+  ignore
+    (Sim.Engine.schedule engine ~at:0.003 (fun () ->
+         Rcc.Transport.send tr (Rcc.Control.Heartbeat { node = 0; beat = 1 })));
+  ignore (Sim.Engine.schedule engine ~at:0.003 (fun () -> ()));
+  Sim.Engine.run engine;
+  let queued = List.rev !log in
+  Alcotest.(check int) "inline: delivery + ack timer pending" 2 pending_inline;
+  Alcotest.check op_log "same send, deliver and ack" queued inline;
+  Alcotest.check op_log "send at 3 ms, seq 0"
+    [ ("send", 0, 0.003) ]
+    (List.filter (fun (op, _, _) -> op = "send") inline)
+
+let test_transport_inline_falls_back () =
+  let log, pending = beat_at ~extra:true in
+  Alcotest.(check int) "pump queued behind the due event" 2 pending;
+  match log with
+  | ("extra", _, t0) :: ("send", 0, t1) :: _ ->
+    Alcotest.(check (float 0.0)) "same instant" t0 t1
+  | _ -> Alcotest.fail "the event due at now must run before the send"
+
 let test_transport_validation () =
   let engine = Sim.Engine.create () in
   let bad params =
@@ -206,6 +298,14 @@ let () =
           Alcotest.test_case "seq dedup on lost ack" `Quick
             test_transport_no_duplicate_delivery_on_lost_ack;
           Alcotest.test_case "validation" `Quick test_transport_validation;
+          Alcotest.test_case "ack cancels retransmit timer" `Quick
+            test_transport_ack_cancels_timer;
+          Alcotest.test_case "dead link retransmit schedule" `Quick
+            test_transport_dead_link_schedule;
+          Alcotest.test_case "inline pump = queued pump" `Quick
+            test_transport_inline_matches_queued;
+          Alcotest.test_case "inline pump falls back" `Quick
+            test_transport_inline_falls_back;
         ] );
       ( "bounds",
         [

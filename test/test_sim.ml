@@ -187,6 +187,167 @@ let test_engine_run_until () =
   Sim.Engine.run e;
   Alcotest.(check int) "rest fired" 10 !count
 
+let test_engine_cancel_keeps_order () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let at t tag = Sim.Engine.schedule e ~at:t (fun () -> log := tag :: !log) in
+  let _a = at 1.0 "a" and b = at 1.0 "b" and _c = at 1.0 "c" in
+  let d = at 0.5 "d" and _e = at 2.0 "e" in
+  Sim.Engine.cancel e b;
+  Sim.Engine.cancel e d;
+  Alcotest.(check int) "pending after cancel" 3 (Sim.Engine.pending e);
+  (* The freed slot is reused at once; the stale handle must not touch
+     the new event. *)
+  let _f = at 1.0 "f" in
+  Sim.Engine.cancel e b;
+  Sim.Engine.run e;
+  Alcotest.(check (list string)) "order" [ "a"; "c"; "f"; "e" ] (List.rev !log)
+
+let test_engine_due_now () =
+  let e = Sim.Engine.create () in
+  Alcotest.(check bool) "empty" false (Sim.Engine.due_now e);
+  ignore
+    (Sim.Engine.schedule e ~at:1.0 (fun () ->
+         Alcotest.(check bool) "alone at 1.0" false (Sim.Engine.due_now e);
+         let h = Sim.Engine.schedule e ~at:1.0 (fun () -> ()) in
+         Alcotest.(check bool) "same-time event" true (Sim.Engine.due_now e);
+         Sim.Engine.cancel e h;
+         Alcotest.(check bool) "cancelled" false (Sim.Engine.due_now e)));
+  ignore (Sim.Engine.schedule e ~at:2.0 (fun () -> ()));
+  Alcotest.(check bool) "future only" false (Sim.Engine.due_now e);
+  Alcotest.(check bool) "step" true (Sim.Engine.step e);
+  Alcotest.(check bool) "later event not due" false (Sim.Engine.due_now e)
+
+(* Model test: random schedule / cancel / step / run-until sequences
+   against a sorted-list reference.  Delays are multiples of 0.25 so
+   ties are common; a scheduled event may schedule one child when it
+   fires; a cancel names any event ever scheduled (pending, fired,
+   cancelled, or with its slot since reused). *)
+type engine_cmd =
+  | Sched of int * int option  (** delay in quarters, child delay *)
+  | Cancel of int  (** event index, modulo the events so far *)
+  | Step
+  | Run_until of int  (** horizon in quarters past now *)
+
+let pp_engine_cmd = function
+  | Sched (d, None) -> Printf.sprintf "Sched %d" d
+  | Sched (d, Some c) -> Printf.sprintf "Sched %d->%d" d c
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Step -> "Step"
+  | Run_until d -> Printf.sprintf "Run_until %d" d
+
+let engine_cmds =
+  let open QCheck.Gen in
+  let cmd =
+    frequency
+      [
+        ( 5,
+          map2
+            (fun d c -> Sched (d, c))
+            (int_range 0 8)
+            (opt ~ratio:0.3 (int_range 0 4)) );
+        (3, map (fun k -> Cancel k) (int_range 0 1_000));
+        (2, return Step);
+        (1, map (fun d -> Run_until d) (int_range 0 6));
+      ]
+  in
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map pp_engine_cmd l))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 0 200) cmd)
+
+type model_ev = { m_at : float; m_seq : int; m_id : int; m_child : int option }
+
+let quarter n = 0.25 *. float_of_int n
+
+let prop_engine_model =
+  QCheck.Test.make ~name:"engine = sorted-list reference" ~count:500
+    engine_cmds (fun cmds ->
+      (* Reference. *)
+      let clock = ref 0.0 and seq = ref 0 and ids = ref 0 in
+      let pending = ref [] and mlog = ref [] in
+      let before a b = a.m_at < b.m_at || (a.m_at = b.m_at && a.m_seq < b.m_seq) in
+      let rec insert ev = function
+        | [] -> [ ev ]
+        | x :: rest as l -> if before ev x then ev :: l else x :: insert ev rest
+      in
+      let m_sched d child =
+        let ev = { m_at = !clock +. quarter d; m_seq = !seq; m_id = !ids; m_child = child } in
+        incr seq;
+        incr ids;
+        pending := insert ev !pending
+      in
+      let m_step () =
+        match !pending with
+        | [] -> ()
+        | ev :: rest ->
+          pending := rest;
+          clock := ev.m_at;
+          mlog := ev.m_id :: !mlog;
+          Option.iter (fun c -> m_sched c None) ev.m_child
+      in
+      (* Engine under test. *)
+      let e = Sim.Engine.create () in
+      let handles = Hashtbl.create 64 and elog = ref [] and eids = ref 0 in
+      let rec e_sched d child =
+        let id = !eids in
+        incr eids;
+        let h =
+          Sim.Engine.schedule_after e ~delay:(quarter d) (fun () ->
+              elog := id :: !elog;
+              Option.iter (fun c -> e_sched c None) child)
+        in
+        Hashtbl.replace handles id h
+      in
+      let agree label =
+        if !elog <> !mlog then QCheck.Test.fail_reportf "%s: dispatch order" label;
+        if Sim.Engine.pending e <> List.length !pending then
+          QCheck.Test.fail_reportf "%s: pending %d, reference %d" label
+            (Sim.Engine.pending e) (List.length !pending);
+        if Sim.Engine.now e <> !clock then
+          QCheck.Test.fail_reportf "%s: clock" label;
+        let due = match !pending with ev :: _ -> ev.m_at <= !clock | [] -> false in
+        if Sim.Engine.due_now e <> due then
+          QCheck.Test.fail_reportf "%s: due_now" label
+      in
+      List.iter
+        (fun cmd ->
+          (match cmd with
+          | Sched (d, child) ->
+            m_sched d child;
+            e_sched d child
+          | Cancel k ->
+            if !ids > 0 then begin
+              let id = k mod !ids in
+              pending := List.filter (fun ev -> ev.m_id <> id) !pending;
+              Sim.Engine.cancel e (Hashtbl.find handles id)
+            end
+          | Step ->
+            let had = !pending <> [] in
+            m_step ();
+            if Sim.Engine.step e <> had then
+              QCheck.Test.fail_report "step: result"
+          | Run_until d ->
+            let horizon = !clock +. quarter d in
+            let rec go () =
+              match !pending with
+              | ev :: _ when ev.m_at <= horizon ->
+                m_step ();
+                go ()
+              | _ -> ()
+            in
+            go ();
+            if !clock < horizon then clock := horizon;
+            Sim.Engine.run ~until:horizon e);
+          agree (pp_engine_cmd cmd))
+        cmds;
+      while !pending <> [] do
+        m_step ()
+      done;
+      Sim.Engine.run e;
+      agree "drain";
+      true)
+
 (* ---------- Stats ---------- *)
 
 let test_running_stats () =
@@ -275,12 +436,41 @@ let prop_welford_matches_naive =
 let test_trace_roundtrip () =
   let t = Sim.Trace.create () in
   Sim.Trace.record t ~time:1.0 ~tag:"a" "one";
-  Sim.Trace.recordf t ~time:2.0 ~tag:"b" "two %d" 2;
+  let formatted = ref 0 in
+  Sim.Trace.record_pp t ~time:2.0 ~tag:"b" (fun f ->
+      incr formatted;
+      Format.fprintf f "two %d" 2);
   Alcotest.(check int) "count" 2 (Sim.Trace.count t);
+  Alcotest.(check int) "not formatted on record" 0 !formatted;
   let entries = Sim.Trace.entries t in
   Alcotest.(check (list string)) "tags" [ "a"; "b" ]
     (List.map (fun e -> e.Sim.Trace.tag) entries);
+  Alcotest.(check (list string)) "details" [ "one"; "two 2" ]
+    (List.map (fun e -> e.Sim.Trace.detail) entries);
+  Alcotest.(check int) "formatted on read" 1 !formatted;
   Alcotest.(check int) "find_all" 1 (List.length (Sim.Trace.find_all t ~tag:"b"))
+
+(* The ring starts small and doubles up to its capacity; entries keep
+   their order across each growth and after it wraps. *)
+let test_trace_ring_growth () =
+  let t = Sim.Trace.create ~capacity:200 () in
+  let tags = [| "a"; "b"; "c" |] in
+  for i = 1 to 300 do
+    Sim.Trace.record t ~time:(float_of_int i) ~tag:tags.(i mod 3)
+      (string_of_int i);
+    if i = 150 then
+      Alcotest.(check (list string)) "before wrap"
+        (List.init 150 (fun k -> string_of_int (k + 1)))
+        (List.map (fun e -> e.Sim.Trace.detail) (Sim.Trace.entries t))
+  done;
+  Alcotest.(check (list string)) "last 200 after wrap"
+    (List.init 200 (fun k -> string_of_int (k + 101)))
+    (List.map (fun e -> e.Sim.Trace.detail) (Sim.Trace.entries t));
+  Alcotest.(check (list string)) "find_all b"
+    (List.filter_map
+       (fun k -> if k mod 3 = 1 then Some (string_of_int k) else None)
+       (List.init 200 (fun k -> k + 101)))
+    (List.map (fun e -> e.Sim.Trace.detail) (Sim.Trace.find_all t ~tag:"b"))
 
 let test_trace_ring_overflow () =
   let t = Sim.Trace.create ~capacity:4 () in
@@ -421,7 +611,11 @@ let () =
           Alcotest.test_case "nested scheduling" `Quick
             test_engine_nested_scheduling;
           Alcotest.test_case "run until" `Quick test_engine_run_until;
+          Alcotest.test_case "cancel keeps order, stale handle" `Quick
+            test_engine_cancel_keeps_order;
+          Alcotest.test_case "due_now" `Quick test_engine_due_now;
         ] );
+      qsuite "engine-model" [ prop_engine_model ];
       ( "stats",
         [
           Alcotest.test_case "running" `Quick test_running_stats;
@@ -438,6 +632,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
           Alcotest.test_case "ring overflow" `Quick test_trace_ring_overflow;
+          Alcotest.test_case "ring growth" `Quick test_trace_ring_growth;
           Alcotest.test_case "tag index" `Quick test_trace_tag_index;
           Alcotest.test_case "clear" `Quick test_trace_clear;
           Alcotest.test_case "create rejects capacity <= 0" `Quick
