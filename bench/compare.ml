@@ -202,7 +202,7 @@ let () =
         ]
     in
     Eval.Json.write_file ~prog:"compare" path (fun oc ->
-        output_string oc (Eval.Json.to_string ~indent:2 doc);
+        Eval.Json.output ~indent:2 oc doc;
         output_char oc '\n'));
   if !errors > 0 then begin
     Printf.printf "\n%d failure(s) vs baseline %s\n" !errors baseline_path;

@@ -433,7 +433,7 @@ let write_json oc ~suite ~profile =
     | None -> []
     | Some report -> [ ("profile", Eval.Telemetry.prof_to_json report) ]
   in
-  output_string oc (Eval.Json.to_string ~indent:2 (Eval.Json.Obj fields));
+  Eval.Json.output ~indent:2 oc (Eval.Json.Obj fields);
   output_char oc '\n';
   close_out oc
 

@@ -107,7 +107,7 @@ let write_file path write = Eval.Json.write_file ~prog:"bcp_sim" path write
 
 let write_json_file path doc =
   write_file path (fun oc ->
-      output_string oc (Eval.Json.to_string ~indent:2 doc);
+      Eval.Json.output ~indent:2 oc doc;
       output_char oc '\n')
 
 let prof_finish = function
@@ -280,8 +280,7 @@ let obs_term =
    recorded so far, merged onto the protocol timeline. *)
 let write_trace path events =
   if Filename.check_suffix path ".jsonl" then
-    write_file path (fun oc ->
-        output_string oc (Eval.Telemetry.events_to_jsonl events))
+    write_file path (fun oc -> Eval.Telemetry.events_to_jsonl oc events)
   else begin
     let prof =
       if Sim.Prof.enabled () then Some (Sim.Prof.report ()) else None

@@ -20,8 +20,9 @@ let encode_components set =
 
 (* Reference intersection count: two-pointer merge over the sorted encoded
    arrays.  Kept as the fallback for candidates whose encodings do not fit
-   a bitset and as the oracle the sparse count is tested against. *)
-let shared_count a b =
+   the stamp array and as the oracle the stamped count is tested
+   against. *)
+let shared_count (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
   let rec go i j acc =
     if i >= la || j >= lb then acc
@@ -31,56 +32,78 @@ let shared_count a b =
   in
   go 0 0 0
 
-(* ---------------- sparse overlap counting ---------------- *)
+(* ---------------- stamped overlap counting ---------------- *)
 
-let bits_per_word = 63 (* OCaml native ints: stay within the positive range *)
-let max_bitset_bits = 65536 (* ~1k words: caps memory for hostile encodings *)
+let max_stamped = 65536 (* stamp array cap: bounds memory for hostile encodings *)
 
-(* Words a bitset over [a] needs, or [None] when an element is negative or
-   beyond the bitset range. *)
-let bitset_words a =
+(* Per-domain stamp array, in the epoch idiom of [Establish.cost_ws]:
+   [marks.(c) = epoch] exactly for the components of the candidate stamped
+   last, and [owner] names that candidate — a probe's token, or [0] for a
+   one-shot candidate ({!register}, {!required_with}) that nothing reuses.
+   [epoch < 0] marks the merge fallback. *)
+type stamps = {
+  mutable marks : int array;
+  mutable epoch : int;
+  mutable owner : int;
+}
+
+let stamps_key =
+  Domain.DLS.new_key (fun () -> { marks = [||]; epoch = 0; owner = 0 })
+
+let merge_fallback = { marks = [||]; epoch = -1; owner = 0 }
+let next_owner = Atomic.make 1
+
+(* Stamp-array length [a] needs (its largest encoding + 1), or [-1] when
+   an element is negative or beyond the stamp range. *)
+let stamp_extent a =
   let lo = ref 0 and hi = ref (-1) in
   for k = 0 to Array.length a - 1 do
     let c = a.(k) in
     if c < !lo then lo := c;
     if c > !hi then hi := c
   done;
-  if !lo < 0 || !hi >= max_bitset_bits then None
-  else Some ((!hi + bits_per_word) / bits_per_word)
+  if !lo < 0 || !hi >= max_stamped then -1 else !hi + 1
 
-let set_bits b a =
-  for k = 0 to Array.length a - 1 do
-    let c = a.(k) in
-    let w = c / bits_per_word in
-    b.(w) <- b.(w) lor (1 lsl (c - (w * bits_per_word)))
-  done
+(* This domain's stamps holding [comps], stamped afresh unless [owner]
+   (non-zero) stamped them last; {!merge_fallback} when [extent < 0]. *)
+let stamp ~owner ~extent comps =
+  if extent < 0 then merge_fallback
+  else begin
+    let ws = Domain.DLS.get stamps_key in
+    if owner = 0 || ws.owner <> owner then begin
+      let len = Array.length ws.marks in
+      if extent > len then begin
+        ws.marks <- Array.make (min max_stamped (max extent (2 * len))) 0;
+        ws.epoch <- 0
+      end;
+      ws.epoch <- ws.epoch + 1;
+      let marks = ws.marks and e = ws.epoch in
+      for k = 0 to Array.length comps - 1 do
+        Array.unsafe_set marks (Array.unsafe_get comps k) e
+      done;
+      ws.owner <- owner
+    end;
+    ws
+  end
 
-let bitset_of_components a =
-  match bitset_words a with
-  | None -> None
-  | Some words ->
-    let b = Array.make words 0 in
-    set_bits b a;
-    Some b
-
-(* One test per peer component: O(|peer|), whatever the bitset's width.
-   Peer components outside the bitset (negative or past its last word)
-   cannot be in the candidate's set, so any peer encoding is counted
-   exactly. *)
-let shared_count_sparse bits peer =
-  let words = Array.length bits in
+(* One test per peer component: O(|peer|).  Peer components outside the
+   stamp array (negative or past its end) cannot be the candidate's, so any
+   peer encoding is counted exactly. *)
+let[@inline] stamped_overlap (marks : int array) (epoch : int) peer =
+  let len = Array.length marks in
   let acc = ref 0 in
   for k = 0 to Array.length peer - 1 do
     let c = Array.unsafe_get peer k in
-    if c >= 0 then begin
-      let w = c / bits_per_word in
-      if
-        w < words
-        && (Array.unsafe_get bits w lsr (c - (w * bits_per_word))) land 1 = 1
-      then incr acc
-    end
+    if c >= 0 && c < len && Array.unsafe_get marks c = epoch then incr acc
   done;
   !acc
+
+(* The stamps of a one-shot candidate. *)
+let stamp_once comps = stamp ~owner:0 ~extent:(stamp_extent comps) comps
+
+let stamped_count a peer =
+  let ws = stamp_once a in
+  if ws.epoch < 0 then None else Some (stamped_overlap ws.marks ws.epoch peer)
 
 let register_count = Sim.Prof.counter "mux.register"
 let unregister_count = Sim.Prof.counter "mux.unregister"
@@ -88,11 +111,6 @@ let probe_count = Sim.Prof.counter "mux.probe"
 let scan_count = Sim.Prof.counter "mux.scan"
 let scan_slots_count = Sim.Prof.counter "mux.scan_slots"
 let s_values_count = Sim.Prof.counter "mux.s_values"
-
-(* Lazy-deletion max-heap item: an item is live iff the backup is still
-   registered in the slot and its generation matches (its contribution has
-   not changed since the push). *)
-type heap_item = { hc : float; hbid : int; hgen : int }
 
 (* Per-link table, structure-of-arrays: each registered backup occupies a
    slot; parallel arrays hold the admission-scan hot fields (ν, bw, cached
@@ -109,7 +127,6 @@ type link_table = {
   mutable nus : float array;
   mutable bws : float array;
   mutable pi_bws : float array; (* cached Σ bw over Π *)
-  mutable gens : int array; (* bumped when the contribution changes *)
   mutable comps : int array array;
       (* sorted encoded primary components, shared by every link the
          backup is registered on *)
@@ -120,11 +137,6 @@ type link_table = {
   mutable live : int; (* registered backups *)
   mutable sum_bw : float; (* Σ bw over registered backups (exact) *)
   mutable requirement : float; (* cached spare requirement *)
-  heap : heap_item Sim.Heap.t; (* contributions, max on top *)
-  mutable gen_counter : int;
-      (* generation source: never reused, so a heap item left over from a
-         previous life of a re-registered backup id can never match the
-         reborn entry's generation *)
 }
 
 type t = {
@@ -132,9 +144,6 @@ type t = {
   lambda : float;
   mutable sink : (Sim.Event.t -> unit) option;
   pows : float array; (* (1-λ)^c for small c *)
-  mutable scratch : int array;
-      (* the registrant's bitset during {!register}; all zero between
-         calls *)
   mutable stamp : int; (* bumped on every register/unregister *)
 }
 
@@ -152,7 +161,6 @@ let create topo ~lambda =
             nus = [||];
             bws = [||];
             pi_bws = [||];
-            gens = [||];
             comps = [||];
             pis = [||];
             index = Hashtbl.create 16;
@@ -161,8 +169,6 @@ let create topo ~lambda =
             live = 0;
             sum_bw = 0.0;
             requirement = 0.0;
-            heap = Sim.Heap.create ~cmp:(fun x y -> Float.compare y.hc x.hc);
-            gen_counter = 0;
           });
     lambda;
     sink = None;
@@ -172,7 +178,6 @@ let create topo ~lambda =
       Array.init
         (max 64 ((4 * Net.Topology.num_nodes topo) + 8))
         (fun c -> (1.0 -. lambda) ** float_of_int c);
-    scratch = [||];
     stamp = 0;
   }
 
@@ -199,18 +204,15 @@ let[@inline] pow t c =
   if c < Array.length t.pows then t.pows.(c)
   else (1.0 -. t.lambda) ** float_of_int c
 
-(* |candidate ∩ peer| from the candidate's sorted components, their
-   bitset when they fit one, and the peer's sorted components. *)
-let overlap comps bits peer =
-  match bits with
-  | Some b -> shared_count_sparse b peer
-  | None -> shared_count comps peer
-
 (* S(candidate, peer), in the same expression shape as
-   [Combinatorial.s_activation]. *)
-let[@inline] s_value t comps bits peer =
+   [Combinatorial.s_activation].  [marks]/[epoch] hold the candidate's
+   stamps; [epoch < 0] counts by merging [comps] instead. *)
+let[@inline] s_value t comps marks epoch peer =
   let c_i = Array.length comps and c_j = Array.length peer in
-  let sc = overlap comps bits peer in
+  let sc =
+    if epoch < 0 then shared_count comps peer
+    else stamped_overlap marks epoch peer
+  in
   1.0 -. (pow t c_i +. pow t c_j -. pow t ((c_i + c_j) - sc))
 
 (* Two backups of the same connection protect the same primary: they are
@@ -222,38 +224,6 @@ let[@inline] s_value t comps bits peer =
    ν). *)
 
 let[@inline] contribution tab s = tab.bws.(s) +. tab.pi_bws.(s)
-
-(* Drop stale heap tops, refresh the cached requirement from the live
-   maximum, and compact the heap when lazy deletions pile up. *)
-let settle tab =
-  let rec top () =
-    match Sim.Heap.peek tab.heap with
-    | None -> tab.requirement <- 0.0
-    | Some it -> (
-      match Hashtbl.find_opt tab.index it.hbid with
-      | Some s when tab.gens.(s) = it.hgen ->
-        tab.requirement <- Float.max 0.0 it.hc
-      | _ ->
-        ignore (Sim.Heap.pop tab.heap);
-        top ())
-  in
-  top ();
-  if Sim.Heap.length tab.heap > (2 * tab.live) + 64 then begin
-    Sim.Heap.clear tab.heap;
-    for s = 0 to tab.n - 1 do
-      if tab.bids.(s) >= 0 then
-        Sim.Heap.push tab.heap
-          { hc = contribution tab s; hbid = tab.bids.(s); hgen = tab.gens.(s) }
-    done
-  end
-
-let next_gen tab =
-  tab.gen_counter <- tab.gen_counter + 1;
-  tab.gen_counter
-
-let push_contribution tab s =
-  Sim.Heap.push tab.heap
-    { hc = contribution tab s; hbid = tab.bids.(s); hgen = tab.gens.(s) }
 
 let grow_table tab =
   let cap = Array.length tab.bids in
@@ -269,7 +239,6 @@ let grow_table tab =
   tab.nus <- gi 0.0 tab.nus;
   tab.bws <- gi 0.0 tab.bws;
   tab.pi_bws <- gi 0.0 tab.pi_bws;
-  tab.gens <- gi 0 tab.gens;
   tab.comps <- gi [||] tab.comps;
   let npis = Array.make ncap (Ids.Ivec.create ()) in
   Array.blit tab.pis 0 npis 0 cap;
@@ -302,23 +271,9 @@ let free_slot tab s =
   tab.free.(tab.free_len) <- s;
   tab.free_len <- tab.free_len + 1
 
-(* The registrant's bitset, built in [t.scratch]; [None] when its
-   components do not fit one.  {!register} zeroes it again with
-   [clear_scratch] before returning. *)
-let fill_scratch t comps =
-  match bitset_words comps with
-  | None -> None
-  | Some words ->
-    if words > Array.length t.scratch then
-      t.scratch <- Array.make (max words (2 * Array.length t.scratch)) 0;
-    set_bits t.scratch comps;
-    Some t.scratch
-
-let clear_scratch t comps =
-  for k = 0 to Array.length comps - 1 do
-    t.scratch.(comps.(k) / bits_per_word) <- 0
-  done
-
+(* Register and unregister already visit every slot to update Π, so each
+   takes the new requirement as the largest live contribution on the way:
+   [Float.max 0.0] of it, or [0.0] on an empty link. *)
 let register t ~link info =
   Sim.Prof.incr register_count;
   let tab = table t link in
@@ -327,7 +282,8 @@ let register t ~link info =
       (Printf.sprintf "Mux.register: backup %d already on link %d" info.backup
          link);
   let comps = info.primary_components in
-  let bits = fill_scratch t comps in
+  let ws = stamp_once comps in
+  let marks = ws.marks and epoch = ws.epoch in
   let slot = alloc_slot tab in
   tab.bids.(slot) <- info.backup;
   tab.conns.(slot) <- info.conn;
@@ -335,10 +291,10 @@ let register t ~link info =
   tab.nus.(slot) <- info.nu;
   tab.bws.(slot) <- info.bw;
   tab.pi_bws.(slot) <- 0.0;
-  tab.gens.(slot) <- next_gen tab;
   tab.comps.(slot) <- comps;
   let fresh_pi = tab.pis.(slot) in
   let s_values = ref 0 in
+  let req = ref neg_infinity in
   for s = 0 to tab.n - 1 do
     if s <> slot && tab.bids.(s) >= 0 then begin
       let nu_s = tab.nus.(s) in
@@ -348,7 +304,7 @@ let register t ~link info =
         if same || not (below || above) then 0.0
         else begin
           incr s_values;
-          s_value t comps bits tab.comps.(s)
+          s_value t comps marks epoch tab.comps.(s)
         end
       in
       if below && (same || sv >= info.nu) then begin
@@ -357,19 +313,17 @@ let register t ~link info =
       end;
       if above && (same || sv >= nu_s) then begin
         Ids.Ivec.insert_sorted tab.pis.(s) info.backup;
-        tab.pi_bws.(s) <- tab.pi_bws.(s) +. info.bw;
-        tab.gens.(s) <- next_gen tab;
-        push_contribution tab s
-      end
+        tab.pi_bws.(s) <- tab.pi_bws.(s) +. info.bw
+      end;
+      let c = contribution tab s in
+      if c > !req then req := c
     end
   done;
-  if Option.is_some bits then clear_scratch t comps;
   Sim.Prof.incr ~by:!s_values s_values_count;
   Hashtbl.add tab.index info.backup slot;
   tab.live <- tab.live + 1;
   tab.sum_bw <- tab.sum_bw +. info.bw;
-  push_contribution tab slot;
-  settle tab;
+  tab.requirement <- Float.max 0.0 (Float.max !req (contribution tab slot));
   t.stamp <- t.stamp + 1;
   emit t ~link ~backup:info.backup ~op:Sim.Event.Register
     ~pi:(Ids.Ivec.length fresh_pi)
@@ -388,34 +342,28 @@ let unregister t ~link ~backup =
     tab.live <- tab.live - 1;
     tab.sum_bw <- tab.sum_bw -. vbw;
     free_slot tab victim;
+    let req = ref neg_infinity in
     for s = 0 to tab.n - 1 do
-      if tab.bids.(s) >= 0 && Ids.Ivec.mem_sorted tab.pis.(s) backup then begin
-        Ids.Ivec.remove_sorted tab.pis.(s) backup;
-        tab.pi_bws.(s) <- tab.pi_bws.(s) -. vbw;
-        tab.gens.(s) <- next_gen tab;
-        push_contribution tab s
+      if tab.bids.(s) >= 0 then begin
+        if Ids.Ivec.mem_sorted tab.pis.(s) backup then begin
+          Ids.Ivec.remove_sorted tab.pis.(s) backup;
+          tab.pi_bws.(s) <- tab.pi_bws.(s) -. vbw
+        end;
+        let c = contribution tab s in
+        if c > !req then req := c
       end
     done;
-    settle tab;
+    tab.requirement <- Float.max 0.0 !req;
     t.stamp <- t.stamp + 1;
     emit t ~link ~backup ~op:Sim.Event.Unregister ~pi ~psi
 
 let spare_requirement t ~link = (table t link).requirement
 
-(* Conservative O(1) ceiling on {!required_with}: the candidate's own term
-   is at most bw + Σ bw(registered), and every existing contribution grows
-   by at most bw.  Used by admission fast-accept — when even the ceiling
-   fits the link, the exact scan is skipped (the verdict is the same
-   because the exact requirement is no larger). *)
-let upper_bound t ~link info =
-  let tab = table t link in
-  if Hashtbl.mem tab.index info.backup then tab.requirement
-  else info.bw +. Float.max tab.sum_bw tab.requirement
-
 (* Exact admission scan: what the requirement would become with [info]
-   added.  [bits] is {!bitset_of_components} of its components. *)
-let admission_scan t tab info bits =
+   added.  [ws] holds the stamps of its components. *)
+let admission_scan t tab info ws =
   let comps = info.primary_components in
+  let marks = ws.marks and epoch = ws.epoch in
   let own = ref info.bw in
   let req = ref tab.requirement in
   let s_values = ref 0 in
@@ -428,7 +376,7 @@ let admission_scan t tab info bits =
         if same || not (below || above) then 0.0
         else begin
           incr s_values;
-          s_value t comps bits tab.comps.(s)
+          s_value t comps marks epoch tab.comps.(s)
         end
       in
       if below && (same || sv >= info.nu) then own := !own +. tab.bws.(s);
@@ -446,8 +394,7 @@ let admission_scan t tab info bits =
 let required_with t ~link info =
   let tab = table t link in
   if Hashtbl.mem tab.index info.backup then tab.requirement
-  else
-    admission_scan t tab info (bitset_of_components info.primary_components)
+  else admission_scan t tab info (stamp_once info.primary_components)
 
 let info_of_slot tab s =
   {
@@ -489,14 +436,14 @@ let psi_size t ~link ~backup =
 let psi_size_with t ~link info =
   let tab = table t link in
   let comps = info.primary_components in
-  let bits = bitset_of_components comps in
+  let ws = stamp_once comps in
   let pi = ref 0 in
   for s = 0 to tab.n - 1 do
     if
       tab.bids.(s) >= 0
       && tab.nus.(s) <= info.nu
       && (info.conn = tab.conns.(s)
-         || s_value t comps bits tab.comps.(s) >= info.nu)
+         || s_value t comps ws.marks ws.epoch tab.comps.(s) >= info.nu)
     then incr pi
   done;
   tab.live - !pi
@@ -521,7 +468,8 @@ let max_requirement_victims t ~link =
 type probe = {
   pt : t;
   pinfo : backup_info;
-  pbits : int array option;
+  powner : int; (* stamp owner token, unique to this probe *)
+  pextent : int; (* [stamp_extent] of the candidate's components *)
   mutable pstamp : int; (* [req_memo] valid while this matches [pt.stamp] *)
   req_memo : (int, float) Hashtbl.t; (* link -> required_with *)
 }
@@ -531,7 +479,8 @@ let probe t info =
   {
     pt = t;
     pinfo = info;
-    pbits = bitset_of_components info.primary_components;
+    powner = Atomic.fetch_and_add next_owner 1;
+    pextent = stamp_extent info.primary_components;
     pstamp = t.stamp;
     req_memo = Hashtbl.create 16;
   }
@@ -547,9 +496,20 @@ let probe_required p ~link =
     let tab = table p.pt link in
     let r =
       if Hashtbl.mem tab.index p.pinfo.backup then tab.requirement
-      else admission_scan p.pt tab p.pinfo p.pbits
+      else
+        admission_scan p.pt tab p.pinfo
+          (stamp ~owner:p.powner ~extent:p.pextent
+             p.pinfo.primary_components)
     in
     Hashtbl.add p.req_memo link r;
     r
 
-let probe_upper_bound p ~link = upper_bound p.pt ~link p.pinfo
+(* Conservative O(1) ceiling on {!probe_required}: the candidate's own term
+   is at most bw + Σ bw(registered), and every existing contribution grows
+   by at most bw.  Used by admission fast-accept — when even the ceiling
+   fits the link, the exact scan is skipped (the verdict is the same
+   because the exact requirement is no larger). *)
+let probe_upper_bound p ~link =
+  let tab = table p.pt link in
+  if Hashtbl.mem tab.index p.pinfo.backup then tab.requirement
+  else p.pinfo.bw +. Float.max tab.sum_bw tab.requirement

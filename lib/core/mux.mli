@@ -13,30 +13,30 @@
 
     Updates are incremental: registering or removing one backup touches
     only pairwise terms with that backup (the O(n) scheme of Section 6).
-    The engine keeps the hot path scalable on large networks:
+    The hot path runs on flat data only:
 
-    - primary-component overlap is counted sparsely: the candidate (a
-      probe's backup, or the backup being registered) is packed into a
-      dense bitset (native-int words) once per probe or {!register} call,
-      and each peer's sorted component array is tested against it bit by
-      bit, in O(|peer components|) whatever the bitset's width;
-    - the [(1-λ)^c] power table is memoized per engine; S values
-      themselves are not cached: an overlap count costs a few dozen bit
-      tests, and no overlap state outlives the {!register} call or the
-      {!probe} that built it;
-    - each link's spare requirement is maintained incrementally in a
-      lazy-deletion max-heap over per-backup contributions, so
-      register/unregister cost O(log n) for the max update instead of a
-      full-table rescan (the tests recompute it from first principles
-      over {!on_link} after every update);
     - per-link tables are structure-of-arrays: each registered backup
       occupies a dense slot and the admission-scan fields (ν, bw, cached
       Π bandwidth, the primary's component array, shared with the
       backup's other links) live in parallel flat arrays, so the inner
       loops walk contiguous memory instead of hashtable buckets;
-    - a per-link running Σbw feeds the O(1) {!upper_bound} ceiling, which
-      lets admission fast-accept skip the exact scan entirely on
-      uncontended links.
+    - primary-component overlap is counted against one per-domain stamp
+      array: the candidate (a probe's backup, or the backup being
+      registered) writes the current epoch at each of its components,
+      and each peer's component array is tested against it in
+      O(|peer components|); a probe re-stamps only when a
+      {!register} or another candidate stamped in between.  Candidates
+      with a negative encoding or one of 65536 or more fall back to
+      {!shared_count};
+    - S values are not cached: an overlap count costs a few dozen array
+      reads.  The [(1-λ)^c] power table is memoized per engine, and a
+      {!probe} memoizes its per-link answers until the next update;
+    - each link's spare requirement is refreshed during the slot walk
+      that {!register} and {!unregister} already make to update Π (tables
+      hold a few dozen entries, so no heap beats this walk);
+    - a per-link running Σbw feeds an O(1) ceiling
+      ({!probe_upper_bound}) that lets admission fast-accept skip the
+      exact scan on uncontended links.
 
     All results are bit-identical to the pre-optimization full scans. *)
 
@@ -49,26 +49,21 @@ type backup_info = {
   primary_components : int array;  (** sorted encoded components of the primary *)
 }
 
-val encode_component : Net.Component.t -> int
 val encode_components : Net.Component.Set.t -> int array
 (** Sorted encoding for fast intersection counting. *)
 
 val shared_count : int array -> int array -> int
 (** Intersection size of two sorted, duplicate-free encoded-component
     arrays (reference two-pointer merge; the engine uses it only for
-    candidates whose encodings do not fit a bitset). *)
+    candidates whose encodings do not fit the stamp array). *)
 
-val bitset_of_components : int array -> int array option
-(** Pack a duplicate-free encoded-component array into a fixed-width
-    bitset (63 bits per native-int word).  [None] when an element is
-    negative or beyond the bitset range (65536), in which case callers
-    fall back to {!shared_count}. *)
-
-val shared_count_sparse : int array -> int array -> int
-(** [shared_count_sparse bits peer]: how many of [peer]'s components are
-    set in [bits], in O(|peer|).  Equals {!shared_count} [a peer] when
-    [bits] is [bitset_of_components a], for any duplicate-free [peer]
-    (negative or out-of-range elements simply do not count). *)
+val stamped_count : int array -> int array -> int option
+(** [stamped_count a peer]: how many of [peer]'s components are in [a],
+    counted through the stamp array the engine scans with.  [None] when
+    an element of [a] is negative or [>= 65536] (the engine then uses
+    {!shared_count}); otherwise [Some (shared_count a peer)] for any
+    duplicate-free [a] and [peer] (negative or out-of-range peer elements
+    simply do not count). *)
 
 type t
 
@@ -98,17 +93,8 @@ val required_with : t -> link:int -> backup_info -> float
 (** What the spare requirement would become if the backup were added —
     used by admission control during backup routing; does not modify the
     table.  For repeated probes of one candidate across many links (the
-    establishment inner loop), build a {!probe} instead: it packs the
-    candidate's bitset once and memoizes per-link answers. *)
-
-val upper_bound : t -> link:int -> backup_info -> float
-(** O(1) conservative ceiling on {!required_with}: when the backup is not
-    yet on the link, [bw + max (Σ bw registered) requirement], which is
-    never less than the exact scan's answer; for a registered backup, the
-    current requirement (matching {!required_with}).  Admission can
-    therefore fast-accept on the ceiling and fall back to the exact scan
-    only when the ceiling does not fit — the accept/reject verdict is
-    unchanged. *)
+    establishment inner loop), build a {!probe} instead: it stamps the
+    candidate's components once and memoizes per-link answers. *)
 
 val on_link : t -> link:int -> backup_info list
 val mem : t -> link:int -> backup:int -> bool
@@ -141,8 +127,9 @@ val max_requirement_victims : t -> link:int -> int list
 (** {2 Candidate admission probes}
 
     A probe fixes one candidate backup and answers admission questions for
-    it on any link: it packs the candidate's component bitset once and
-    memoizes per-link answers.  The memo is dropped automatically when
+    it on any link: it stamps the candidate's components once (again only
+    after another candidate stamped in between) and memoizes per-link
+    answers.  The memo is dropped automatically when
     any registration changes, so a probe may be kept across table
     mutations; it simply recomputes on first use afterwards. *)
 
@@ -155,4 +142,9 @@ val probe_required : probe -> link:int -> float
     per link. *)
 
 val probe_upper_bound : probe -> link:int -> float
-(** {!upper_bound} for the probe's candidate (O(1), not memoized). *)
+(** O(1) conservative ceiling on {!probe_required}, not memoized: when
+    the candidate is not yet on the link, [bw + max (Σ bw registered)
+    requirement], which is never less than the exact scan's answer; for a
+    registered candidate, the current requirement.  Admission can
+    therefore fast-accept on the ceiling and fall back to the exact scan
+    only when the ceiling does not fit — the verdict is unchanged. *)

@@ -32,8 +32,10 @@ let float_repr f =
     let s = Printf.sprintf "%.15g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let to_string ?indent t =
-  let buf = Buffer.create 256 in
+(* Render [t] into [buf].  [spill buf] runs after every array element and
+   object member, so a channel writer can pass the bytes on in chunks
+   instead of holding the whole document. *)
+let render buf ~spill ?indent t =
   let pad depth =
     match indent with
     | None -> ()
@@ -57,7 +59,8 @@ let to_string ?indent t =
         (fun i x ->
           if i > 0 then Buffer.add_char buf ',';
           pad (depth + 1);
-          emit (depth + 1) x)
+          emit (depth + 1) x;
+          spill buf)
         xs;
       pad depth;
       Buffer.add_char buf ']'
@@ -70,13 +73,31 @@ let to_string ?indent t =
           pad (depth + 1);
           escape_string buf k;
           Buffer.add_string buf (if indent = None then ":" else ": ");
-          emit (depth + 1) v)
+          emit (depth + 1) v;
+          spill buf)
         kvs;
       pad depth;
       Buffer.add_char buf '}'
   in
-  emit 0 t;
+  emit 0 t
+
+let to_string ?indent t =
+  let buf = Buffer.create 256 in
+  render buf ~spill:ignore ?indent t;
   Buffer.contents buf
+
+let spill_bytes = 65536
+
+let output ?indent oc t =
+  let buf = Buffer.create 256 in
+  let spill buf =
+    if Buffer.length buf >= spill_bytes then begin
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf
+    end
+  in
+  render buf ~spill ?indent t;
+  Buffer.output_buffer oc buf
 
 (* ---------- parsing ---------- *)
 

@@ -22,6 +22,10 @@ val to_string : ?indent:int -> t -> string
     without it the output is compact.  Deterministic: object members
     print in the order given. *)
 
+val output : ?indent:int -> out_channel -> t -> unit
+(** [output oc t] writes exactly the bytes of {!to_string} [t] to [oc],
+    without building the string first. *)
+
 val of_string : string -> (t, string) result
 (** Parse a JSON document.  Rejects trailing garbage.  Errors carry a
     byte offset and a short description. *)

@@ -178,14 +178,12 @@ let tagged_to_json (scenario, time, ev) =
       (("scenario", Json.Int scenario) :: ("time", Json.Float time) :: fields)
   | j -> j
 
-let events_to_jsonl events =
-  let buf = Buffer.create 4096 in
+let events_to_jsonl oc events =
   List.iter
     (fun e ->
-      Buffer.add_string buf (Json.to_string (tagged_to_json e));
-      Buffer.add_char buf '\n')
-    events;
-  Buffer.contents buf
+      Json.output oc (tagged_to_json e);
+      output_char oc '\n')
+    events
 
 (* ---------- event-log importers ---------- *)
 

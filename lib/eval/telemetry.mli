@@ -13,9 +13,10 @@ val event_to_json : Sim.Event.t -> Json.t
 val event_of_json : Json.t -> (Sim.Event.t, string) result
 (** Inverse of {!event_to_json}. *)
 
-val events_to_jsonl : (int * float * Sim.Event.t) list -> string
-(** One compact JSON object per line for each (scenario, time, event)
-    triple, with ["scenario"] and ["time"] members prepended. *)
+val events_to_jsonl : out_channel -> (int * float * Sim.Event.t) list -> unit
+(** Write one compact JSON object per line for each (scenario, time,
+    event) triple, with ["scenario"] and ["time"] members prepended.
+    Streams line by line: the log is never rendered as one string. *)
 
 val events_to_chrome :
   ?prof:Sim.Prof.report -> (int * float * Sim.Event.t) list -> Json.t

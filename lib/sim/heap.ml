@@ -67,10 +67,6 @@ let pop_exn t =
   | Some x -> x
   | None -> invalid_arg "Heap.pop_exn: empty heap"
 
-let clear t =
-  t.size <- 0;
-  t.data <- [||]
-
 let to_sorted_list t =
   let copy = { cmp = t.cmp; data = Array.sub t.data 0 t.size; size = t.size } in
   let rec drain acc =

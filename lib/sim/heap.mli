@@ -23,7 +23,5 @@ val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty heap. *)
 
-val clear : 'a t -> unit
-
 val to_sorted_list : 'a t -> 'a list
 (** Non-destructive: elements in ascending order. *)

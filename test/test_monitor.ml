@@ -327,7 +327,10 @@ let test_tampered_trace_detected () =
 let test_jsonl_roundtrip_through_audit () =
   let events = conn6_recovery_events () in
   let parsed =
-    match Eval.Telemetry.events_of_jsonl (Eval.Telemetry.events_to_jsonl events) with
+    match
+      Eval.Telemetry.events_of_jsonl
+        (Capture.output (fun oc -> Eval.Telemetry.events_to_jsonl oc events))
+    with
     | Ok evs -> evs
     | Error e -> Alcotest.failf "jsonl reparse: %s" e
   in

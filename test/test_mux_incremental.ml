@@ -1,18 +1,20 @@
-(* Fuzz the optimized multiplexing engine (sparse bitset overlap, pow
-   memo, incremental max-heap spare accounting) against the naive
-   full-recompute reference in [Mux_ref]: after every register /
+(* Fuzz the multiplexing engine (stamped overlap counting, pow memo,
+   probe memos, requirement refreshed during the update walk) against the
+   naive full-recompute reference in [Mux_ref]: after every register /
    unregister the touched link's spare requirement must match, and after
    arbitrary register / unregister / required_with sequences on random
    topologies every observable — spare requirement, Π sizes, conflict
    sets, Ψ, admission what-ifs — must match the reference EXACTLY
    (bandwidths are dyadic rationals, so sums are order-independent and
-   float equality is legitimate). *)
+   float equality is legitimate).  Unit cases pin the stamp array's
+   ownership (interleaved probes and registrations, growth) and the
+   requirement after removals. *)
 
 let lambda = 1e-4
 
 let bandwidths = [| 0.5; 1.0; 1.5; 2.0; 3.0 |]
 
-(* Component families: plain small encodings, encodings beyond the bitset
+(* Component families: plain small encodings, encodings beyond the stamp
    range (merge-scan fallback), and negative encodings (also fallback). *)
 let components_of ~family ~variant =
   let base = family * 10 in
@@ -214,15 +216,21 @@ let prop_probe_matches =
         (List.filteri (fun i _ -> i < 12) ops);
       true)
 
-(* The sparse count (candidate bitset x peer array) agrees with the
-   reference merge.  Elements cluster on the 63-bit word boundaries, and
-   peers reach past the candidate's last word and below zero. *)
-let prop_sparse_overlap =
-  let boundary = [| 0; 1; 61; 62; 63; 64; 65; 124; 125; 126; 127; 188; 189 |] in
-  let elem = QCheck.Gen.(frequency [ (1, oneofa boundary); (2, int_range 0 200) ]) in
+(* The stamped count agrees with the reference merge.  Candidates reach
+   the top of the stamp range, so the stamp array grows between cases, and
+   peers reach past it and below zero. *)
+let prop_stamped_overlap =
+  let edge = [| 0; 1; 62; 63; 64; 126; 127; 65_534; 65_535 |] in
+  let elem = QCheck.Gen.(frequency [ (1, oneofa edge); (3, int_range 0 200) ]) in
   let peer_elem =
     QCheck.Gen.(
-      frequency [ (4, elem); (1, int_range 201 2000); (1, int_range (-5) (-1)) ])
+      frequency
+        [
+          (4, elem);
+          (1, int_range 201 2000);
+          (1, int_range 65_536 70_000);
+          (1, int_range (-5) (-1));
+        ])
   in
   let sorted_arr g =
     QCheck.Gen.(
@@ -230,36 +238,31 @@ let prop_sparse_overlap =
         (fun l -> Array.of_list (List.sort_uniq Int.compare l))
         (list_size (int_range 0 40) g))
   in
-  QCheck.Test.make ~name:"shared_count_sparse == shared_count" ~count:500
+  QCheck.Test.make ~name:"stamped_count == shared_count" ~count:500
     (QCheck.make
        ~print:(fun (a, b) ->
          Printf.sprintf "[%s] [%s]"
            (String.concat ";" (List.map string_of_int (Array.to_list a)))
            (String.concat ";" (List.map string_of_int (Array.to_list b))))
        (QCheck.Gen.pair (sorted_arr elem) (sorted_arr peer_elem)))
-    (fun (a, b) ->
-      let bits = Option.get (Bcp.Mux.bitset_of_components a) in
-      Bcp.Mux.shared_count_sparse bits b = Bcp.Mux.shared_count a b)
+    (fun (a, b) -> Bcp.Mux.stamped_count a b = Some (Bcp.Mux.shared_count a b))
 
 (* ---------------- unit cases ---------------- *)
 
-let test_bitset_fallbacks () =
-  Alcotest.(check bool)
-    "negative components have no bitset" true
-    (Bcp.Mux.bitset_of_components [| -4; 2; 8 |] = None);
-  Alcotest.(check bool)
-    "out-of-range components have no bitset" true
-    (Bcp.Mux.bitset_of_components [| 2; 70_000 |] = None);
-  Alcotest.(check bool)
-    "empty set packs to the empty bitset" true
-    (Bcp.Mux.bitset_of_components [||] = Some [||]);
-  (* word-boundary encodings (bit 62/63) must round-trip *)
-  let a = [| 0; 62; 63; 125; 126 |] and b = [| 62; 63; 64; 126 |] in
-  Alcotest.(check int)
-    "boundary overlap" 3
-    (Bcp.Mux.shared_count_sparse
-       (Option.get (Bcp.Mux.bitset_of_components a))
-       b)
+let test_stamped_fallbacks () =
+  let count = Alcotest.(option int) in
+  Alcotest.check count "negative components fall back to the merge" None
+    (Bcp.Mux.stamped_count [| -4; 2; 8 |] [| 2; 8 |]);
+  Alcotest.check count "out-of-range components fall back to the merge" None
+    (Bcp.Mux.stamped_count [| 2; 65_536 |] [| 2 |]);
+  Alcotest.check count "the last stampable encoding still stamps" (Some 1)
+    (Bcp.Mux.stamped_count [| 3; 65_535 |] [| -1; 65_535; 65_536 |]);
+  Alcotest.check count "empty candidate overlaps nothing" (Some 0)
+    (Bcp.Mux.stamped_count [||] [| 0; 1; 2 |]);
+  (* encodings around the 63-bit word boundaries of the former packed
+     bitsets *)
+  Alcotest.check count "boundary overlap" (Some 3)
+    (Bcp.Mux.stamped_count [| 0; 62; 63; 125; 126 |] [| 62; 63; 64; 126 |])
 
 let test_descriptive_lookup_errors () =
   let m = Bcp.Mux.create (Net.Builders.line ~nodes:2 ~capacity:10.0) ~lambda in
@@ -315,11 +318,11 @@ let test_bid_recycling_no_stale_cache () =
   Alcotest.(check (float 0.0)) "recycled id re-evaluated" 1.0
     (Bcp.Mux.spare_requirement m ~link:0)
 
-(* Lazy-deletion heap generation collision: bury a big contribution under
-   a bigger one, unregister it (stale heap item), re-register the same
-   bid (generation counter resets), then remove the cover.  The stale
-   item's generation matches the reborn bid's, so a buggy heap would
-   report the dead 10.0 instead of the live 1.0. *)
+(* A reused backup id carries only its new contribution: bury a big
+   contribution under a bigger one, unregister it, re-register the same
+   bid with a small bandwidth, then remove the cover.  The requirement
+   must be the live 1.0, never the dead 10.0 (the engine once kept a
+   lazy-deletion heap whose stale items could match a reborn bid). *)
 let test_heap_gen_collision () =
   let m = Bcp.Mux.create (Net.Builders.ring ~nodes:4 ~capacity:100.0) ~lambda in
   let info ~bid ~conn ~bw ~comps =
@@ -344,11 +347,11 @@ let test_heap_gen_collision () =
     (Mux_ref.requirement m ~link)
     (Bcp.Mux.spare_requirement m ~link)
 
-(* The registrant's bitset belongs to one register call: A on links 0 and
+(* The registrant's stamps belong to one register call: A on links 0 and
    2 with B registered in between, then A' (A's id, another primary) on
-   link 3.  Every primary sits past the first 63-bit word, and each link
-   holds a peer whose verdict flips if the registrant's bits are stale. *)
-let test_registrant_bitset_per_call () =
+   link 3.  Each link holds a peer whose verdict flips if the registrant's
+   stamps are stale. *)
+let test_registrant_stamps_per_call () =
   let m = Bcp.Mux.create (Net.Builders.ring ~nodes:4 ~capacity:100.0) ~lambda in
   let nu = Reliability.Combinatorial.nu_of_degree ~lambda 1 in
   let mk bid comps =
@@ -387,24 +390,128 @@ let test_registrant_bitset_per_call () =
   step "A' on 3 (shares z)" ~link:3 (mk 1 z) ~expected:2.0;
   List.iter (fun link -> matches_reference "final" ~link) [ 0; 1; 2; 3 ]
 
+(* Connection-distinct backups at degree 1: identical primaries conflict,
+   disjoint ones multiplex. *)
+let solo ~bid ?(bw = 1.0) comps =
+  {
+    Bcp.Mux.backup = bid;
+    conn = 100 + bid;
+    serial = 1;
+    nu = Reliability.Combinatorial.nu_of_degree ~lambda 1;
+    bw;
+    primary_components = comps;
+  }
+
+let x = [| 0; 2; 4 |]
+let y = [| 6; 8; 10 |]
+let z = [| 12; 14; 16 |]
+
+(* Removing the max contributor leaves exactly the next max; the last
+   removal leaves exactly +0.0 and no victims. *)
+let test_requirement_after_removals () =
+  let m = Bcp.Mux.create (Net.Builders.ring ~nodes:4 ~capacity:100.0) ~lambda in
+  let link = 0 in
+  let check what ~expected ~victims =
+    let got = Bcp.Mux.spare_requirement m ~link in
+    Alcotest.(check (float 0.0))
+      (what ^ ": incremental = recompute")
+      (Mux_ref.requirement m ~link) got;
+    Alcotest.(check int64)
+      (what ^ ": requirement bits")
+      (Int64.bits_of_float expected) (Int64.bits_of_float got);
+    Alcotest.(check (list int))
+      (what ^ ": victims") victims
+      (Bcp.Mux.max_requirement_victims m ~link)
+  in
+  (* A alone on z; B and C share x, so each carries the other *)
+  Bcp.Mux.register m ~link (solo ~bid:1 ~bw:3.0 z);
+  Bcp.Mux.register m ~link (solo ~bid:2 ~bw:2.0 x);
+  Bcp.Mux.register m ~link (solo ~bid:3 ~bw:1.5 x);
+  check "full" ~expected:3.5 ~victims:[ 2; 3 ];
+  Bcp.Mux.unregister m ~link ~backup:2;
+  check "max contributor gone" ~expected:3.0 ~victims:[ 1 ];
+  Bcp.Mux.unregister m ~link ~backup:1;
+  check "next max gone" ~expected:1.5 ~victims:[ 3 ];
+  Bcp.Mux.unregister m ~link ~backup:3;
+  check "empty" ~expected:0.0 ~victims:[]
+
+(* [probe_required] against the reference and the one-shot
+   [required_with]; the reference comes first, as it stamps nothing. *)
+let check_probe m what p cand ~link ~expected =
+  let got = Bcp.Mux.probe_required p ~link in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "%s: link %d reference" what link)
+    (Mux_ref.required_with_naive ~lambda (Bcp.Mux.on_link m ~link) cand)
+    got;
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "%s: link %d value" what link)
+    expected got;
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "%s: link %d required_with" what link)
+    (Bcp.Mux.required_with m ~link cand)
+    got
+
+(* Two live probes take turns on the stamp array, with registrations in
+   between: each scan must count against its own candidate. *)
+let test_interleaved_probes () =
+  let m = Bcp.Mux.create (Net.Builders.ring ~nodes:4 ~capacity:100.0) ~lambda in
+  Bcp.Mux.register m ~link:0 (solo ~bid:10 x);
+  Bcp.Mux.register m ~link:1 (solo ~bid:11 y);
+  let a = solo ~bid:1 x and b = solo ~bid:2 y in
+  let pa = Bcp.Mux.probe m a and pb = Bcp.Mux.probe m b in
+  check_probe m "A" pa a ~link:0 ~expected:2.0;
+  Bcp.Mux.register m ~link:3 (solo ~bid:20 z);
+  check_probe m "B after a register" pb b ~link:0 ~expected:1.0;
+  check_probe m "A after B" pa a ~link:1 ~expected:1.0;
+  Bcp.Mux.register m ~link:2 (solo ~bid:21 y);
+  check_probe m "B after a register" pb b ~link:1 ~expected:2.0;
+  check_probe m "A again" pa a ~link:0 ~expected:2.0;
+  check_probe m "B on the new peer" pb b ~link:2 ~expected:2.0;
+  Bcp.Mux.register m ~link:3 (solo ~bid:22 z);
+  check_probe m "B right after a register" pb b ~link:1 ~expected:2.0
+
+(* A registrant whose top encoding lies past every earlier one grows the
+   stamp array between two scans of a live probe; the probe must stamp
+   the new array before its next scan.  Runs in a fresh domain, whose
+   stamp array starts empty. *)
+let test_stamp_array_growth () =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let m =
+           Bcp.Mux.create (Net.Builders.ring ~nodes:4 ~capacity:100.0) ~lambda
+         in
+         Bcp.Mux.register m ~link:0 (solo ~bid:10 x);
+         Bcp.Mux.register m ~link:1 (solo ~bid:11 x);
+         let a = solo ~bid:1 x in
+         let pa = Bcp.Mux.probe m a in
+         check_probe m "before growth" pa a ~link:0 ~expected:2.0;
+         Bcp.Mux.register m ~link:2
+           (solo ~bid:12 [| 50_000; 50_002; 50_004 |]);
+         check_probe m "after growth" pa a ~link:1 ~expected:2.0))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
   Alcotest.run "mux_incremental"
     [
       ( "reference",
-        qsuite [ prop_matches_reference; prop_probe_matches; prop_sparse_overlap ]
+        qsuite
+          [ prop_matches_reference; prop_probe_matches; prop_stamped_overlap ]
       );
       ( "units",
         [
-          Alcotest.test_case "bitset fallbacks" `Quick test_bitset_fallbacks;
+          Alcotest.test_case "stamped fallbacks" `Quick test_stamped_fallbacks;
           Alcotest.test_case "descriptive lookup errors" `Quick
             test_descriptive_lookup_errors;
           Alcotest.test_case "bid recycling vs S-cache" `Quick
             test_bid_recycling_no_stale_cache;
           Alcotest.test_case "heap generation collision" `Quick
             test_heap_gen_collision;
-          Alcotest.test_case "registrant bitset per call" `Quick
-            test_registrant_bitset_per_call;
+          Alcotest.test_case "registrant stamps per call" `Quick
+            test_registrant_stamps_per_call;
+          Alcotest.test_case "requirement after removals" `Quick
+            test_requirement_after_removals;
+          Alcotest.test_case "interleaved probes" `Quick test_interleaved_probes;
+          Alcotest.test_case "stamp array growth" `Quick test_stamp_array_growth;
         ] );
     ]

@@ -126,10 +126,11 @@ let scenario_trace ?schedule () =
   Bcp.Simnet.fail_link sim ~at:0.01 3;
   Bcp.Simnet.run ~until:0.2 sim;
   Bcp.Simnet.finalize sim;
-  Eval.Telemetry.events_to_jsonl
-    (List.map
-       (fun (t, ev) -> (0, t, ev))
-       (Sim.Trace.events (Bcp.Simnet.trace sim)))
+  Capture.output (fun oc ->
+      Eval.Telemetry.events_to_jsonl oc
+        (List.map
+           (fun (t, ev) -> (0, t, ev))
+           (Sim.Trace.events (Bcp.Simnet.trace sim))))
 
 let test_disabled_schedule_byte_identical () =
   let bare = scenario_trace () in

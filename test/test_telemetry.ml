@@ -148,7 +148,9 @@ let test_metrics_json_roundtrip () =
 
 let test_exporters_shape () =
   let events = List.mapi (fun i ev -> (i, 0.001 *. float_of_int i, ev)) all_events in
-  let jsonl = Eval.Telemetry.events_to_jsonl events in
+  let jsonl =
+    Capture.output (fun oc -> Eval.Telemetry.events_to_jsonl oc events)
+  in
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' jsonl)
   in
@@ -175,6 +177,54 @@ let test_exporters_shape () =
       (List.length te)
 
 (* ---------- instrumented recovery sweep ---------- *)
+
+(* Channel output is byte-identical to the string rendering: a doc with
+   every [Json] constructor against the bytes the Buffer-based printer
+   produced before the printers were shared, and a JSONL log against one
+   [to_string] per line. *)
+let every_constructor =
+  Eval.Json.(
+    Obj
+      [
+        ("null", Null);
+        ("bools", List [ Bool true; Bool false ]);
+        ("ints", List [ Int 0; Int (-42); Int max_int ]);
+        ( "floats",
+          List
+            [
+              Float 1.0; Float (-0.5); Float 0.1; Float 1e15; Float 1e300;
+              Float 3.141592653589793; Float nan; Float infinity;
+            ] );
+        ("string", String "q\" b\\ n\n t\t r\r bell\007 \xce\xbb");
+        ("empty list", List []);
+        ("empty obj", Obj []);
+        ("nested", Obj [ ("a", List [ Obj [ ("b", Null) ] ]) ]);
+      ])
+
+let compact_rendering =
+  "{\"null\":null,\"bools\":[true,false],\"ints\":[0,-42,4611686018427387903],\"floats\":[1.0,-0.5,0.1,1e+15,1e+300,3.1415926535897931,null,null],\"string\":\"q\\\" b\\\\ n\\n t\\t r\\r bell\\u0007 \206\187\",\"empty list\":[],\"empty obj\":{},\"nested\":{\"a\":[{\"b\":null}]}}"
+
+let indented_rendering =
+  "{\n  \"null\": null,\n  \"bools\": [\n    true,\n    false\n  ],\n  \"ints\": [\n    0,\n    -42,\n    4611686018427387903\n  ],\n  \"floats\": [\n    1.0,\n    -0.5,\n    0.1,\n    1e+15,\n    1e+300,\n    3.1415926535897931,\n    null,\n    null\n  ],\n  \"string\": \"q\\\" b\\\\ n\\n t\\t r\\r bell\\u0007 \206\187\",\n  \"empty list\": [],\n  \"empty obj\": {},\n  \"nested\": {\n    \"a\": [\n      {\n        \"b\": null\n      }\n    ]\n  }\n}"
+
+let test_channel_output_identical () =
+  List.iter
+    (fun (what, indent, expected) ->
+      Alcotest.(check string)
+        (what ^ " to_string") expected
+        (Eval.Json.to_string ?indent every_constructor);
+      Alcotest.(check string)
+        (what ^ " output") expected
+        (Capture.output (fun oc -> Eval.Json.output ?indent oc every_constructor)))
+    [ ("compact", None, compact_rendering); ("indented", Some 2, indented_rendering) ];
+  let events = List.mapi (fun i ev -> (i, 0.25 *. float_of_int i, ev)) all_events in
+  Alcotest.(check string)
+    "jsonl = one to_string per line"
+    (String.concat ""
+       (List.map
+          (fun e -> Eval.Json.to_string (Eval.Telemetry.tagged_to_json e) ^ "\n")
+          events))
+    (Capture.output (fun oc -> Eval.Telemetry.events_to_jsonl oc events))
 
 let torus4 () =
   Eval.Setup.build ~seed:42 ~backups:1 ~mux_degree:3 Eval.Setup.Torus4
@@ -329,6 +379,8 @@ let () =
           Alcotest.test_case "metrics round-trip" `Quick
             test_metrics_json_roundtrip;
           Alcotest.test_case "exporter shapes" `Quick test_exporters_shape;
+          Alcotest.test_case "channel output = string rendering" `Quick
+            test_channel_output_identical;
         ] );
       ( "recovery",
         [
