@@ -128,7 +128,7 @@ let part1 () =
   hr "FIGURE 3: Markov reliability models vs combinatorial P_r";
   table (fun () ->
       Eval.Reliability_cmp.report
-        (Eval.Reliability_cmp.compute ~hops:[ 1; 2; 4; 7; 10; 14 ] ()))
+        (Eval.Reliability_cmp.compute ~hops:[ 1; 2; 4; 7; 10; 14 ]))
 
 (* ------------- Part 2: reduced 4x4 suite (CI bench-smoke) ------------- *)
 
@@ -177,7 +177,7 @@ let part2 () =
   hr "FIGURE 3: Markov reliability models vs combinatorial P_r";
   table (fun () ->
       Eval.Reliability_cmp.report
-        (Eval.Reliability_cmp.compute ~hops:[ 1; 2; 4; 7; 10; 14 ] ()))
+        (Eval.Reliability_cmp.compute ~hops:[ 1; 2; 4; 7; 10; 14 ]))
 
 (* ------------- Scaling suite: 4x4 -> 8x8 -> 16x16 at fixed load ------- *)
 
@@ -196,7 +196,7 @@ let build_tier (label, net) =
 
 (* Establishes a fixed request sample on the loaded scaling netstates and
    tears each request down again with [Netstate.remove_dconn], once with
-   the routing acceleration on and once under [set_oracle_disabled] —
+   the routing acceleration on and once with [~reference:true] —
    identical paths, different work.  Admission-check counts and the
    path-digest comparison are deterministic table cells, gated against
    the committed baseline. *)
@@ -249,15 +249,14 @@ let routing_micro runs =
     (* Ids far above the established connections' 0 .. n-1, and each
        request is removed before the next, so every request meets the
        loaded state exactly as the scaling run left it. *)
-    let run_mode disabled =
-      Routing.Shortest.set_oracle_disabled disabled;
+    let run_mode reference =
       let checks0 = admission_checks () in
       let digests =
         List.mapi
           (fun i (r : Workload.Generator.request) ->
             let conn_id = 10_000_000 + i in
             match
-              Bcp.Establish.establish ns ~conn_id
+              Bcp.Establish.establish ~reference ns ~conn_id
                 {
                   Bcp.Establish.src = r.Workload.Generator.src;
                   dst = r.dst;
@@ -278,7 +277,6 @@ let routing_micro runs =
     in
     let oracle_digests, oracle_probes = run_mode false in
     let ref_digests, ref_probes = run_mode true in
-    Routing.Shortest.set_oracle_disabled false;
     (label, oracle_probes, ref_probes, oracle_digests = ref_digests)
   in
   let rows = with_profiler (fun () -> List.map measure tiers) in

@@ -1029,7 +1029,7 @@ let churn_cmd =
       $ max_blocking_arg $ churn_json_arg)
 
 let run_markov ctx () =
-  let rows = Eval.Reliability_cmp.compute ~hops:[ 1; 2; 4; 7; 10; 14 ] () in
+  let rows = Eval.Reliability_cmp.compute ~hops:[ 1; 2; 4; 7; 10; 14 ] in
   emit ctx (Eval.Reliability_cmp.report rows)
 
 let markov_cmd =

@@ -24,16 +24,14 @@ type stream_state = {
 
 type t = {
   sim : Simnet.t;
-  hop_delay : Rtchan.Rmtp.Hop_delay.t;
   schedulers : Rtchan.Link_scheduler.t array; (* one transmitter per link *)
   streams : (int, stream_state) Hashtbl.t;
 }
 
-let attach ?(hop_delay = Rtchan.Rmtp.Hop_delay.default) sim =
+let attach sim =
   let topo = Netstate.topology (Simnet.netstate sim) in
   {
     sim;
-    hop_delay;
     schedulers =
       Array.init (Net.Topology.num_links topo) (fun l ->
           Rtchan.Link_scheduler.create
@@ -100,8 +98,8 @@ let rec hop t s ~conn ~serial ~path ~sent_at ~bits ~pos =
       Rtchan.Link_scheduler.enqueue t.schedulers.(link) ~now ~bits
     in
     let arrival =
-      departure +. t.hop_delay.Rtchan.Rmtp.Hop_delay.propagation
-      +. t.hop_delay.Rtchan.Rmtp.Hop_delay.processing
+      departure +. Rtchan.Rmtp.Hop_delay.default.propagation
+      +. Rtchan.Rmtp.Hop_delay.default.processing
     in
     ignore
       (Sim.Engine.schedule engine ~at:arrival (fun () ->
@@ -137,7 +135,7 @@ let send_one t s ~conn ~bits =
         record_loss s ~sent_at
       | Some path -> hop t s ~conn ~serial ~path ~sent_at ~bits ~pos:0))
 
-let stream t ~conn ?(message_bytes = 1000) ~rate ~start ~stop () =
+let stream t ~conn ~rate ~start ~stop () =
   if rate <= 0.0 then invalid_arg "Dataplane.stream: non-positive rate";
   if stop <= start then invalid_arg "Dataplane.stream: empty interval";
   let ns = Simnet.netstate t.sim in
@@ -146,7 +144,7 @@ let stream t ~conn ?(message_bytes = 1000) ~rate ~start ~stop () =
   let s = state_for t conn in
   let engine = Simnet.engine t.sim in
   let period = 1.0 /. rate in
-  let bits = 8 * message_bytes in
+  let bits = 8 * 1000 in
   let rec tick at =
     if at < stop then
       ignore

@@ -30,19 +30,19 @@ type stats = {
 
 type t
 
-val attach : ?hop_delay:Rtchan.Rmtp.Hop_delay.t -> Simnet.t -> t
-(** Share the simulator's clock and state; create before [Simnet.run]. *)
+val attach : Simnet.t -> t
+(** Share the simulator's clock and state, with the per-hop delays of
+    {!Rtchan.Rmtp.Hop_delay.default}; create before [Simnet.run]. *)
 
 val stream :
   t ->
   conn:int ->
-  ?message_bytes:int ->
   rate:float ->
   start:float ->
   stop:float ->
   unit ->
   unit
-(** Emit messages at [rate] per second during \[start, stop).
+(** Emit 1000-byte messages at [rate] per second during \[start, stop).
     @raise Invalid_argument for an unknown connection or bad interval. *)
 
 val stats : t -> conn:int -> stats

@@ -46,4 +46,3 @@ val standby_deficit : t -> int
 (** How many standby backups are missing relative to [target_backups]. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_backup_state : Format.formatter -> backup_state -> unit

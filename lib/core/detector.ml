@@ -26,7 +26,6 @@ let create params ~now =
   { params; last_beat = now; state = Healthy }
 
 let state t = t.state
-let last_beat t = t.last_beat
 
 let beat t ~now =
   t.last_beat <- Float.max t.last_beat now;

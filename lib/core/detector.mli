@@ -49,4 +49,3 @@ val check : t -> now:float -> [ `Fine | `Suspected | `Confirmed ]
     once per failure episode (re-armed by {!beat}). *)
 
 val state : t -> state
-val last_beat : t -> float

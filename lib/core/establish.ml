@@ -46,14 +46,14 @@ let get_cost_ws num_links =
   ws
 
 (* Admission checks against a link's mutable state, summed over the
-   primary search ({!Rtchan.Rnmp.route}) and every backup search. *)
+   primary search ({!Rtchan.Rnmp.establish}) and every backup search. *)
 let admission_checks = Sim.Prof.counter "establish.admission_checks"
 
 (* Route one backup disjoint from [avoid], admissible at threshold [nu],
    optionally avoiding failed components.  [strategy] picks between the
    paper's shortest-path search and the spare-increment-minimising
    extension. *)
-let route_backup ?tie_break ?(strategy = Min_hops)
+let route_backup ?reference ?(strategy = Min_hops)
     ?(avoid_components = Net.Component.Set.empty) ns ~conn ~bid ~serial ~nu
     ~avoid =
   let topo = Netstate.topology ns in
@@ -103,10 +103,10 @@ let route_backup ?tie_break ?(strategy = Min_hops)
        unconstrained hop distance, which the static oracle answers in
        O(1); otherwise the masked bidirectional search runs. *)
     if Net.Component.Mask.is_empty disjoint_banned then
-      Routing.Shortest.shortest_hops topo ~src ~dst
+      Routing.Shortest.shortest_hops ?reference topo ~src ~dst
     else
       Routing.Shortest.shortest_hops ~link_ok:feasibility_link_ok
-        ~node_ok:feasibility_node_ok topo ~src ~dst
+        ~node_ok:feasibility_node_ok ?reference topo ~src ~dst
   with
   | None -> None
   | Some shortest ->
@@ -126,8 +126,8 @@ let route_backup ?tie_break ?(strategy = Min_hops)
     (match strategy with
     | Min_hops ->
       let constraints = { Routing.Disjoint.link_ok; node_ok; max_hops = Some budget } in
-      Routing.Disjoint.disjoint_avoiding ~constraints ?tie_break topo ~src ~dst
-        ~avoid
+      Routing.Disjoint.disjoint_avoiding ~constraints ?reference topo ~src
+        ~dst ~avoid
     | Min_spare_increment ->
       (* Cost of a link = extra spare bandwidth this backup would force it
          to reserve, with a small per-hop epsilon to prefer shorter paths
@@ -184,7 +184,7 @@ let detach ns conn backup =
   conn.Dconn.backups <-
     List.filter (fun b -> b.Dconn.serial <> backup.Dconn.serial) conn.Dconn.backups
 
-let establish ?tie_break ?backup_routing ns ~conn_id request =
+let establish ?reference ?backup_routing ns ~conn_id request =
   if request.backups < 0 then invalid_arg "Establish.establish: negative backups";
   if request.mux_degree < 0 then
     invalid_arg "Establish.establish: negative mux degree";
@@ -192,7 +192,7 @@ let establish ?tie_break ?backup_routing ns ~conn_id request =
   let rnmp = Netstate.rnmp ns in
   match
     Sim.Prof.span "establish.primary" (fun () ->
-        Rtchan.Rnmp.establish ?tie_break rnmp ~src:request.src ~dst:request.dst
+        Rtchan.Rnmp.establish ?reference rnmp ~src:request.src ~dst:request.dst
           ~traffic:request.traffic ~qos:request.qos)
   with
   | Error r -> Error (Primary_rejected r)
@@ -224,7 +224,7 @@ let establish ?tie_break ?backup_routing ns ~conn_id request =
         in
         match
           Sim.Prof.span "establish.backup_route" (fun () ->
-              route_backup ?tie_break ?strategy:backup_routing ns ~conn ~bid
+              route_backup ?reference ?strategy:backup_routing ns ~conn ~bid
                 ~serial ~nu ~avoid)
         with
         | None -> Error (Backup_rejected serial)
@@ -245,7 +245,7 @@ let establish ?tie_break ?backup_routing ns ~conn_id request =
       Netstate.bump ns;
       Error e)
 
-let add_backup ?tie_break ?avoid_components ns conn ~mux_degree =
+let add_backup ?avoid_components ns conn ~mux_degree =
   if mux_degree < 0 then invalid_arg "Establish.add_backup: negative mux degree";
   let nu =
     Reliability.Combinatorial.nu_of_degree ~lambda:(Netstate.lambda ns) mux_degree
@@ -264,7 +264,7 @@ let add_backup ?tie_break ?avoid_components ns conn ~mux_degree =
          conn.Dconn.backups
   in
   match
-    route_backup ?tie_break ?avoid_components ns ~conn ~bid ~serial ~nu
+    route_backup ?avoid_components ns ~conn ~bid ~serial ~nu
       ~avoid:live_paths
   with
   | None -> Error (Backup_rejected serial)
@@ -273,8 +273,8 @@ let add_backup ?tie_break ?avoid_components ns conn ~mux_degree =
     attach ns conn b;
     Ok b
 
-let rec establish_offered ?tie_break ?backup_routing ns ~conn_id request =
-  match establish ?tie_break ?backup_routing ns ~conn_id request with
+let rec establish_offered ns ~conn_id request =
+  match establish ns ~conn_id request with
   | Error e -> Error e
   | Ok conn -> Ok (conn, achieved_pr ns conn)
 
@@ -308,7 +308,7 @@ and achieved_pr ns conn =
   in
   Reliability.Combinatorial.pr_multi_backup ~lambda ~c_primary ~backups
 
-let establish_with_reliability ?tie_break ?(max_backups = 3) ns ~conn_id ~src
+let establish_with_reliability ?(max_backups = 3) ns ~conn_id ~src
     ~dst ~traffic ~qos ~pr_required =
   let lambda = Netstate.lambda ns in
   let topo = Netstate.topology ns in
@@ -318,7 +318,7 @@ let establish_with_reliability ?tie_break ?(max_backups = 3) ns ~conn_id ~src
      path in the network"). *)
   let max_degree = (2 * Net.Topology.num_nodes topo) + 1 in
   let rnmp = Netstate.rnmp ns in
-  match Rtchan.Rnmp.establish ?tie_break rnmp ~src ~dst ~traffic ~qos with
+  match Rtchan.Rnmp.establish rnmp ~src ~dst ~traffic ~qos with
   | Error r -> Error (Primary_rejected r)
   | Ok primary ->
     Netstate.bump ns;
@@ -354,7 +354,7 @@ let establish_with_reliability ?tie_break ?(max_backups = 3) ns ~conn_id ~src
             primary.Rtchan.Channel.path
             :: List.map (fun b -> b.Dconn.path) conn.Dconn.backups
           in
-          match route_backup ?tie_break ns ~conn ~bid ~serial ~nu ~avoid with
+          match route_backup ns ~conn ~bid ~serial ~nu ~avoid with
           | None -> scan (alpha - 1) best_fallback
           | Some path ->
             let b = { Dconn.bid; serial; path; nu; state = Dconn.Standby } in

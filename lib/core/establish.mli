@@ -45,17 +45,17 @@ type reject =
 val pp_reject : Format.formatter -> reject -> unit
 
 val establish :
-  ?tie_break:Sim.Prng.t ->
+  ?reference:bool ->
   ?backup_routing:backup_routing ->
   Netstate.t ->
   conn_id:int ->
   request ->
   (Dconn.t, reject) result
-(** All-or-nothing: on any rejection the network state is rolled back. *)
+(** All-or-nothing: on any rejection the network state is rolled back.
+    [reference] is passed on to every {!Routing.Shortest} search, so
+    [~reference:true] routes the same paths without oracle pruning. *)
 
 val establish_offered :
-  ?tie_break:Sim.Prng.t ->
-  ?backup_routing:backup_routing ->
   Netstate.t ->
   conn_id:int ->
   request ->
@@ -66,7 +66,6 @@ val establish_offered :
     [Netstate.remove_dconn]. *)
 
 val establish_with_reliability :
-  ?tie_break:Sim.Prng.t ->
   ?max_backups:int ->
   Netstate.t ->
   conn_id:int ->
@@ -85,7 +84,6 @@ val achieved_pr : Netstate.t -> Dconn.t -> float
     bound on the true P_r). *)
 
 val add_backup :
-  ?tie_break:Sim.Prng.t ->
   ?avoid_components:Net.Component.Set.t ->
   Netstate.t ->
   Dconn.t ->

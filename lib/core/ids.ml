@@ -27,7 +27,6 @@ let create ?(expected = 64) ~kind () =
     live = Bytes.make (max 1 expected) '\000';
   }
 
-let kind t = t.kind
 let watermark t = t.next
 let live_count t = t.next - t.free_len
 
@@ -86,7 +85,6 @@ module Ivec = struct
 
   let create () = { data = [||]; len = 0 }
   let length v = v.len
-  let get v i = v.data.(i)
 
   let push v x =
     let cap = Array.length v.data in
@@ -111,20 +109,9 @@ module Ivec = struct
 
   let clear v = v.len <- 0
 
-  (* Newest-first iteration: matches the reverse-insertion order of the
-     cons-list indexes this structure replaces. *)
-  let iter_rev v f =
-    for i = v.len - 1 downto 0 do
-      f v.data.(i)
-    done
-
   let to_list_rev v =
     let rec go i acc = if i >= v.len then acc else go (i + 1) (v.data.(i) :: acc) in
     go 0 []
-
-  let exists v x =
-    let rec go i = i < v.len && (v.data.(i) = x || go (i + 1)) in
-    go 0
 
   (* Insert [x] into an ascending-sorted vector (dedup-free: caller
      guarantees [x] is absent). *)
@@ -167,8 +154,6 @@ module Ivec = struct
   let to_sorted_list v =
     let rec go i acc = if i < 0 then acc else go (i - 1) (v.data.(i) :: acc) in
     go (v.len - 1) []
-
-  let to_array v = Array.sub v.data 0 v.len
 end
 
 (* ------------- dense-id slab: 'a array auto-grown with a default ------- *)

@@ -13,8 +13,6 @@ val create : ?expected:int -> kind:string -> unit -> t
 (** Fresh id space.  [kind] names the space in error messages ("bid",
     "channel", ...); [expected] pre-sizes internal storage. *)
 
-val kind : t -> string
-
 val watermark : t -> int
 (** Ids in [0, watermark) have been issued at least once. *)
 
@@ -45,7 +43,6 @@ module Ivec : sig
 
   val create : unit -> t
   val length : t -> int
-  val get : t -> int -> int
   val push : t -> int -> unit
 
   val remove_first : t -> int -> unit
@@ -54,13 +51,8 @@ module Ivec : sig
 
   val clear : t -> unit
 
-  val iter_rev : t -> (int -> unit) -> unit
-  (** Newest-first. *)
-
   val to_list_rev : t -> int list
   (** Newest-first list (equals the cons-list this vector mirrors). *)
-
-  val exists : t -> int -> bool
 
   val insert_sorted : t -> int -> unit
   (** Insert into an ascending-sorted vector; caller guarantees absence. *)
@@ -71,9 +63,6 @@ module Ivec : sig
 
   val mem_sorted : t -> int -> bool
   val to_sorted_list : t -> int list
-
-  val to_array : t -> int array
-  (** Snapshot in insertion (oldest-first) order. *)
 end
 
 (** Auto-growing array keyed by dense id, read as a total map: ids never

@@ -26,11 +26,10 @@ val create :
 
 val generation : t -> int
 (** Network-wide mutation counter.  Every mutator of this module bumps
-    it: {!add_dconn}, {!remove_dconn}, {!register_backup},
-    {!unregister_backup} and {!refresh_spare}.  State derived from the
-    whole network and cached under (physical netstate, generation) —
-    {!Simnet}'s channel template — is stale as soon as the generation
-    moves. *)
+    it: {!add_dconn}, {!remove_dconn}, {!register_backup} and
+    {!unregister_backup}.  State derived from the whole network and
+    cached under (physical netstate, generation) — {!Simnet}'s channel
+    template — is stale as soon as the generation moves. *)
 
 val bump : t -> unit
 (** Advance {!generation} by hand.  Code that changes the network without
@@ -72,12 +71,6 @@ val admission_probe : t -> Mux.backup_info -> Mux.probe
 val backup_admissible_probe : t -> Mux.probe -> link:int -> bool
 (** Could the link absorb the probe's candidate without violating
     primary + spare ≤ capacity?  Always true under [Brute_force]. *)
-
-val backup_info_of : t -> Dconn.t -> Dconn.backup -> Mux.backup_info
-
-val refresh_spare : t -> link:int -> unit
-(** Re-derive the link's spare reservation from the mux table (after
-    activations or closures). *)
 
 val spare_pool : t -> float array
 (** Snapshot of per-link spare bandwidth indexed by link id — the pools

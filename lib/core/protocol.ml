@@ -46,19 +46,10 @@ let serial_of_cid c = c land serial_mask
 
 type chan_state = N | P | B | U
 
-let pp_chan_state ppf s =
-  Format.pp_print_string ppf
-    (match s with N -> "N" | P -> "P" | B -> "B" | U -> "U")
-
 type be_message =
   | Rejoin_request of { channel : int }
   | Rejoin of { channel : int }
   | Closure of { channel : int }
-
-let pp_be_message ppf = function
-  | Rejoin_request { channel } -> Format.fprintf ppf "rejoin-request(ch=%d)" channel
-  | Rejoin { channel } -> Format.fprintf ppf "rejoin(ch=%d)" channel
-  | Closure { channel } -> Format.fprintf ppf "closure(ch=%d)" channel
 
 let be_channel = function
   | Rejoin_request { channel } | Rejoin { channel } | Closure { channel } ->

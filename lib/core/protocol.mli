@@ -73,8 +73,6 @@ type chan_state =
   | B  (** healthy backup *)
   | U  (** unhealthy *)
 
-val pp_chan_state : Format.formatter -> chan_state -> unit
-
 (** Non-time-critical reconfiguration messages (excluded from the RCC,
     Section 5.1). *)
 type be_message =
@@ -82,5 +80,4 @@ type be_message =
   | Rejoin of { channel : int }
   | Closure of { channel : int }
 
-val pp_be_message : Format.formatter -> be_message -> unit
 val be_channel : be_message -> int

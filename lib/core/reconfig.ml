@@ -84,13 +84,7 @@ let promote ns conn (b : Dconn.backup) =
       conn.Dconn.primary_alive <- true;
       (true, !closed_total)
 
-let commit ?(restore_protection = true) ?tie_break ?sink ns ~failed ~result =
-  let topo = Netstate.topology ns in
-  let emit conn action =
-    match sink with
-    | None -> ()
-    | Some f -> f (Sim.Event.Reconfig { conn; action })
-  in
+let commit ?(restore_protection = true) ns ~failed ~result =
   let failed_set =
     List.fold_left
       (fun s c -> Net.Component.Set.add c s)
@@ -105,7 +99,6 @@ let commit ?(restore_protection = true) ?tie_break ?sink ns ~failed ~result =
         (fun (conn, b) ->
           if b.Dconn.state = Dconn.Standby then begin
             close_backup ns conn b Dconn.Broken;
-            emit conn.Dconn.id "backup-closed";
             incr closed
           end)
         (Netstate.backups_using ns comp))
@@ -124,19 +117,16 @@ let commit ?(restore_protection = true) ?tie_break ?sink ns ~failed ~result =
             let ok, closed_here = promote ns conn b in
             closed := !closed + closed_here;
             if ok then begin
-              emit conn_id "promoted";
               incr promoted;
               incr torn_down
             end
             else begin
               (* Could not dedicate bandwidth after all: the connection
                  needs re-establishment. *)
-              emit conn_id "unrecovered";
               incr unrecovered;
               Netstate.remove_dconn ns conn_id
             end)
         | Recovery.Mux_failure | Recovery.No_healthy_backup ->
-          emit conn_id "torn-down";
           incr unrecovered;
           incr torn_down;
           Netstate.remove_dconn ns conn_id))
@@ -152,7 +142,6 @@ let commit ?(restore_protection = true) ?tie_break ?sink ns ~failed ~result =
     (fun conn ->
       if List.mem conn.Dconn.src dead_nodes || List.mem conn.Dconn.dst dead_nodes
       then begin
-        emit conn.Dconn.id "unrecovered";
         incr unrecovered;
         Netstate.remove_dconn ns conn.Dconn.id
       end)
@@ -172,23 +161,19 @@ let commit ?(restore_protection = true) ?tie_break ?sink ns ~failed ~result =
         let rec top_up deficit =
           if deficit > 0 then begin
             match
-              Establish.add_backup ?tie_break
-                ~avoid_components:failed_set ns conn ~mux_degree:degree
+              Establish.add_backup ~avoid_components:failed_set ns conn
+                ~mux_degree:degree
             with
             | Ok _ ->
-              emit conn.Dconn.id "replacement-added";
               incr replacements_added;
               top_up (deficit - 1)
-            | Error _ ->
-              emit conn.Dconn.id "replacement-failed";
-              incr replacements_failed
+            | Error _ -> incr replacements_failed
           end
         in
         if conn.Dconn.backups <> [] || conn.Dconn.target_backups > 0 then
           top_up (Dconn.standby_deficit conn))
       (Netstate.dconns ns)
   end;
-  ignore topo;
   {
     promoted = !promoted;
     torn_down = !torn_down;

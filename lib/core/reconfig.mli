@@ -30,8 +30,6 @@ type summary = {
 
 val commit :
   ?restore_protection:bool ->
-  ?tie_break:Sim.Prng.t ->
-  ?sink:(Sim.Event.t -> unit) ->
   Netstate.t ->
   failed:Net.Component.t list ->
   result:Recovery.result ->
@@ -40,9 +38,6 @@ val commit :
     [restore_protection] (default true) routes one replacement backup per
     promoted or unprotected connection at the connection's original
     multiplexing degree, avoiding the failed components.
-    [sink] receives one {!Sim.Event.Reconfig} per per-connection action
-    ("promoted", "torn-down", "backup-closed", "replacement-added",
-    "replacement-failed", "unrecovered").
 
     Connections whose primary failed and that did not recover are removed
     from the network entirely (the paper: a new channel must be

@@ -1335,8 +1335,6 @@ let set_impairment t imp =
   wire_transports t;
   apply_impairment t
 
-let impairment t = t.impair
-
 let detector_state t l =
   if Array.length t.monitors = 0 then None
   else Some (Detector.state t.monitors.(l))

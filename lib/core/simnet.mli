@@ -139,10 +139,8 @@ val rcc_messages_dropped : t -> int
 val set_impairment : t -> Failures.Impair.t -> unit
 (** Attach a link-impairment model: every RCC message and hop-by-hop ack
     on every link is routed through {!Failures.Impair.decide}.  Attaching
-    a model whose profiles are all {!Failures.Impair.perfect} leaves a
-    run bit-for-bit identical to an unimpaired one. *)
-
-val impairment : t -> Failures.Impair.t option
+    a model whose profiles impair nothing leaves a run bit-for-bit
+    identical to an unimpaired one. *)
 
 val detector_state : t -> int -> Detector.state option
 (** The heartbeat monitor state for a link ([None] under the oracle

@@ -1,6 +1,7 @@
-let priority_activation ?(seed = 42) ?(double_sample = 300)
-    ?(degrees = [ 1; 3; 5; 6 ]) network =
-  let est = Setup.build_mixed ~seed ~backups:1 ~degrees network in
+let degrees = Setup.paper_degrees
+
+let priority_activation ?(seed = 42) ?(double_sample = 300) network =
+  let est = Setup.build_mixed ~seed ~backups:1 network in
   let r =
     Report.make
       ~title:
@@ -28,17 +29,13 @@ let priority_activation ?(seed = 42) ?(double_sample = 300)
   row "priority order" priority;
   r
 
-let inhomogeneous ?(seed = 42) ?count ?(hotspot_fraction = 0.35) network =
-  let degree = 5 in
+let inhomogeneous ?(seed = 42) network =
+  let degree = 5 and hotspot_fraction = 0.35 in
   let topo = Setup.topology_of network in
-  (* Default demand scales with the network: 3000 connections on the 8x8
-     grids (the paper's hot-spot experiment), proportionally fewer on
-     the reduced 4x4 variants. *)
-  let count =
-    match count with
-    | Some c -> c
-    | None -> Setup.pair_count network * 3000 / 4032
-  in
+  (* Demand scales with the network: 3000 connections on the 8x8 grids
+     (the paper's hot-spot experiment), proportionally fewer on the
+     reduced 4x4 variants. *)
+  let count = Setup.pair_count network * 3000 / 4032 in
   let hotspots = Setup.center_nodes network in
   let requests rng =
     Workload.Generator.hotspot rng topo ~hotspots ~fraction:hotspot_fraction
@@ -125,7 +122,7 @@ let scheme_coverage ?(seed = 5) ns =
        [ Bcp.Protocol.Scheme1; Bcp.Protocol.Scheme2; Bcp.Protocol.Scheme3 ]);
   r
 
-let backup_routing ?(seed = 42) ?(degrees = [ 1; 3; 5; 6 ]) network =
+let backup_routing ?(seed = 42) network =
   let r =
     Report.make
       ~title:

@@ -7,21 +7,14 @@
     connections first protect them?  Compares arrival-order activation
     with priority-order activation per degree class. *)
 val priority_activation :
-  ?seed:int ->
-  ?double_sample:int ->
-  ?degrees:int list ->
-  Setup.network ->
-  Report.t
+  ?seed:int -> ?double_sample:int -> Setup.network -> Report.t
 
 (** E9: hot-spot traffic — the proposed per-link spare sizing vs.
     brute-force uniform spare of the same total, measured by R_fast under
-    single link and node failures. *)
-val inhomogeneous :
-  ?seed:int ->
-  ?count:int ->
-  ?hotspot_fraction:float ->
-  Setup.network ->
-  Report.t
+    single link and node failures.  35 % of the connections end at a
+    central node; 3000 connections on the 8×8 networks, scaled by pair
+    count elsewhere. *)
+val inhomogeneous : ?seed:int -> Setup.network -> Report.t
 
 (** E7 companion: per-scheme RCC traffic and informed-end coverage on a
     single link failure (Scheme 3 informs all nodes; Scheme 1/2 only one
@@ -31,5 +24,4 @@ val scheme_coverage : ?seed:int -> Bcp.Netstate.t -> Report.t
 (** Extension ablation ([HAN97b], cited in Section 7.2): spare-increment-
     minimising backup routing vs the paper's shortest-path search — spare
     bandwidth and single-failure coverage per multiplexing degree. *)
-val backup_routing :
-  ?seed:int -> ?degrees:int list -> Setup.network -> Report.t
+val backup_routing : ?seed:int -> Setup.network -> Report.t

@@ -99,7 +99,7 @@ type result = {
   total_violations : int;
 }
 
-let replay ?context ?(fail_fast = false) events =
+let replay ?context events =
   (* Group by scenario tag, preserving each stream's recording order. *)
   let streams = Hashtbl.create 16 in
   let tags = ref [] in
@@ -120,7 +120,7 @@ let replay ?context ?(fail_fast = false) events =
     List.map
       (fun sc ->
         let mon =
-          Sim.Monitor.create ?context ~decode_channel:decode_cid ~fail_fast ()
+          Sim.Monitor.create ?context ~decode_channel:decode_cid ()
         in
         Queue.iter
           (fun (time, ev) -> Sim.Monitor.feed mon ~time ev)

@@ -42,7 +42,6 @@ type result = {
 
 val replay :
   ?context:Sim.Monitor.context ->
-  ?fail_fast:bool ->
   (int * float * Sim.Event.t) list ->
   result
 (** Feed every event to its scenario's monitor (fresh per scenario,

@@ -146,22 +146,21 @@ let bcp_total_recovery_rate ?seed ns model =
     ( Sim.Stats.ratio !fast !affected,
       Sim.Stats.ratio (!fast + !slow) !affected )
 
-let build_with ~seed ~backups ~mux_degree ~bandwidth network =
+let build_with ~seed ~backups ~mux_degree network =
   let topo = Setup.topology_of network in
   let ns = Bcp.Netstate.create topo () in
   let rng = Sim.Prng.create seed in
   let requests =
     Workload.Generator.shuffled rng
-      (Workload.Generator.all_pairs ~bandwidth ~backups ~mux_degree topo)
+      (Workload.Generator.all_pairs ~backups ~mux_degree topo)
   in
   Setup.establish_all ns requests
 
-let compare ?(seed = 42) ?(double_sample = 300) ?(mux_degree = 3)
-    ?(bandwidth = 1.0) network =
+let compare ?(seed = 42) ?(double_sample = 300) network =
   (* The proposed scheme: one backup per connection. *)
-  let bcp = build_with ~seed ~backups:1 ~mux_degree ~bandwidth network in
+  let bcp = build_with ~seed ~backups:1 ~mux_degree:3 network in
   (* Reactive: same demand, no backups, no spare. *)
-  let reactive = build_with ~seed ~backups:0 ~mux_degree:0 ~bandwidth network in
+  let reactive = build_with ~seed ~backups:0 ~mux_degree:0 network in
   List.map
     (fun model ->
       let fast, total = bcp_total_recovery_rate ~seed bcp.Setup.ns model in

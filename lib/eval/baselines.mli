@@ -38,15 +38,9 @@ val bcp_total_recovery_rate :
     the connections whose backups all failed. *)
 
 val compare :
-  ?seed:int ->
-  ?double_sample:int ->
-  ?mux_degree:int ->
-  ?bandwidth:float ->
-  Setup.network ->
-  comparison list
-(** [bandwidth] (default 1.0 Mbps) scales the per-connection demand; at
-    higher loads the reactive scheme starts losing connections to capacity
-    contention (the Figure 1 situation) while BCP's planned spare keeps
-    its guarantee. *)
+  ?seed:int -> ?double_sample:int -> Setup.network -> comparison list
+(** All ordered pairs at 1 Mbps each: BCP with one backup at
+    multiplexing degree 3 against reactive re-establishment without
+    backups. *)
 
 val report : Setup.network -> comparison list -> Report.t

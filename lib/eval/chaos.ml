@@ -191,9 +191,9 @@ let report ?(title = "Chaos sweep: recovery vs control-plane impairment")
     outcomes;
   r
 
-let sweep ?obs ?(seed = 11) ?(backups = 1) ?(mux_degree = 3) ?scenario_count
-    ?horizon ?(detector = `Oracle) ?levels network =
-  let est = Setup.build ?obs ~seed ~backups ~mux_degree network in
+let sweep ?obs ?(seed = 11) ?scenario_count ?horizon ?(detector = `Oracle)
+    ?levels network =
+  let est = Setup.build ?obs ~seed ~backups:1 ~mux_degree:3 network in
   let outcomes =
     run ?obs ~seed ?scenario_count ?horizon ~detector ?levels est.Setup.ns
   in

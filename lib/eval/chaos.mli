@@ -21,10 +21,6 @@ val level :
   ?dup:float -> ?jitter:float -> ?gray_frac:float -> float -> level
 (** [level loss] with a generated label. *)
 
-val default_levels : level list
-(** Clean baseline, a 5→30% loss ladder (with proportional duplication
-    and jitter), and two gray-failure mixes. *)
-
 type outcome = {
   level : level;
   scenarios : int;
@@ -49,10 +45,12 @@ val run :
   Bcp.Netstate.t ->
   outcome list
 (** Simulate every level over the same seeded set of single-link
-    scenarios on an established network.  [horizon] is how long each run
-    is driven past the fault (default 250 ms, safely below the rejoin
-    timer).  With [obs], every simulation records typed telemetry, added
-    to the collector under a level-major tag
+    scenarios on an established network.  The default [levels] are a
+    clean baseline, a 5→30% loss ladder (with proportional duplication
+    and jitter), and two gray-failure mixes.  [horizon] is how long each
+    run is driven past the fault (default 250 ms, safely below the
+    rejoin timer).  With [obs], every simulation records typed telemetry,
+    added to the collector under a level-major tag
     ([level_index * scenario_count + scenario_index]), so every simulated
     run keeps a distinct stream. *)
 
@@ -61,14 +59,13 @@ val report : ?title:string -> outcome list -> Report.t
 val sweep :
   ?obs:Telemetry.collector ->
   ?seed:int ->
-  ?backups:int ->
-  ?mux_degree:int ->
   ?scenario_count:int ->
   ?horizon:float ->
   ?detector:[ `Oracle | `Heartbeat ] ->
   ?levels:level list ->
   Setup.network ->
   Report.t
-(** Build the standard evaluation network, {!run}, and tabulate.  [obs]
+(** Build the standard evaluation network (one backup per connection,
+    multiplexing degree 3), {!run}, and tabulate.  [obs]
     observes both: establishment through {!Setup.build}, then the
     sweep. *)

@@ -408,19 +408,6 @@ let windows_report ?title o =
     o.windows;
   r
 
-let sweep ?seed ?events ?offered ?mean_holding ?bandwidth ?hop_slack ?backups
-    ?mux_degree ?fault_every ?horizon ?detector ?windows network =
-  let outcomes =
-    run ?seed ?events ?offered ?mean_holding ?bandwidth ?hop_slack ?backups
-      ?mux_degree ?fault_every ?horizon ?detector ?windows network
-  in
-  ( summary_report
-      ~title:
-        (Printf.sprintf "Steady-state churn (%s)"
-           (Setup.network_label network))
-      outcomes,
-    outcomes )
-
 (* ---------- JSON (schema bcp-churn/v1) ---------- *)
 
 let window_to_json w =

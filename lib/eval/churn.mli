@@ -91,23 +91,6 @@ val windows_report : ?title:string -> outcome -> Report.t
     when several sweeps share an offered-load level (e.g. bench tiers,
     whose JSON tables are matched by title in the compare gate). *)
 
-val sweep :
-  ?seed:int ->
-  ?events:int ->
-  ?offered:float list ->
-  ?mean_holding:float ->
-  ?bandwidth:float ->
-  ?hop_slack:int ->
-  ?backups:int ->
-  ?mux_degree:int ->
-  ?fault_every:float ->
-  ?horizon:float ->
-  ?detector:[ `Oracle | `Heartbeat ] ->
-  ?windows:int ->
-  Setup.network ->
-  Report.t * outcome list
-(** Convenience: {!run} plus its titled summary report. *)
-
 val report_to_json :
   seed:int ->
   events:int ->

@@ -20,11 +20,12 @@ let pick_long_conn ns ~hops =
       && Bcp.Dconn.standby_backups c <> [])
     conns
 
-let run ?(seed = 42) ?(rate = 2000.0) ?(hops = 6) network =
+let run ?(seed = 42) network =
+  let rate = 2000.0 in
   let est = Setup.build ~seed ~backups:1 ~mux_degree:3 network in
   let ns = est.Setup.ns in
   let conn =
-    match pick_long_conn ns ~hops with
+    match pick_long_conn ns ~hops:6 with
     | Some c -> c
     | None -> (
       match pick_long_conn ns ~hops:4 with

@@ -18,15 +18,10 @@ type row = {
   mean_latency : float;  (** delivered messages, s *)
 }
 
-val run :
-  ?seed:int ->
-  ?rate:float ->
-  ?hops:int ->
-  Setup.network ->
-  row list
+val run : ?seed:int -> Setup.network -> row list
 (** Builds the network with background traffic (mux=3), picks a
-    connection with at least [hops] (default 6) primary hops, and runs one
-    protocol simulation per failure position at [rate] (default 2000
-    msg/s, a 16 Mbps stream of 1 kB messages). *)
+    connection with at least 6 primary hops (4 if there is none), and
+    runs one protocol simulation per failure position at 2000 msg/s (a
+    16 Mbps stream of 1 kB messages). *)
 
 val report : row list -> Report.t

@@ -1,6 +1,6 @@
 type config = { backups : int; mux_degree : int }
 
-let default_configs =
+let configs =
   [
     { backups = 1; mux_degree = 1 };
     { backups = 1; mux_degree = 3 };
@@ -8,8 +8,8 @@ let default_configs =
     { backups = 2; mux_degree = 6 };
   ]
 
-let sweep ?(seed = 42) ?(ks = [ 1; 2; 3; 4; 5; 6; 7; 8 ])
-    ?(scenarios_per_k = 100) ?(configs = default_configs) network =
+let sweep ?(seed = 42) network =
+  let ks = [ 1; 2; 3; 4; 5; 6; 7; 8 ] and scenarios_per_k = 100 in
   let built =
     Sim.Pool.map
       (fun c ->
@@ -83,8 +83,9 @@ let sweep ?(seed = 42) ?(ks = [ 1; 2; 3; 4; 5; 6; 7; 8 ])
    this variant runs every k-link burst through the event-driven protocol
    simulator instead (one configuration, reduced defaults), so audited
    traces exist for burst failures too. *)
-let simulate ?obs ?(seed = 42) ?(ks = [ 1; 2; 4 ]) ?(scenarios_per_k = 8)
-    ?(backups = 1) ?(mux_degree = 3) network =
+let simulate ?obs ?(seed = 42) network =
+  let ks = [ 1; 2; 4 ] and scenarios_per_k = 8 in
+  let backups = 1 and mux_degree = 3 in
   let est = Setup.build ?obs ~seed ~backups ~mux_degree network in
   let ns = est.Setup.ns in
   let topo = Bcp.Netstate.topology ns in

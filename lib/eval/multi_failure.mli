@@ -5,37 +5,18 @@
     multiplexing degrees buy resilience — quantifying the "tolerating
     harsher failures" claim of Section 3.2. *)
 
-type config = {
-  backups : int;
-  mux_degree : int;
-}
-
-val sweep :
-  ?seed:int ->
-  ?ks:int list ->
-  ?scenarios_per_k:int ->
-  ?configs:config list ->
-  Setup.network ->
-  Report.t
-(** Rows = k (number of simultaneously failed links, default 1..8);
-    columns = protection configurations (default (1,1), (1,3), (1,6),
-    (2,6)); cells = R_fast over [scenarios_per_k] (default 100) sampled
-    scenarios. *)
+val sweep : ?seed:int -> Setup.network -> Report.t
+(** Rows = k (number of simultaneously failed links, 1..8); columns =
+    protection configurations (backups, degree) of (1,1), (1,3), (1,6)
+    and (2,6); cells = R_fast over 100 sampled scenarios per k. *)
 
 (** {2 Event-driven variant} *)
 
 val simulate :
-  ?obs:Telemetry.collector ->
-  ?seed:int ->
-  ?ks:int list ->
-  ?scenarios_per_k:int ->
-  ?backups:int ->
-  ?mux_degree:int ->
-  Setup.network ->
-  Report.t
+  ?obs:Telemetry.collector -> ?seed:int -> Setup.network -> Report.t
 (** {!sweep} on the event-driven protocol simulator, for one protection
-    configuration (default 1 backup, degree 3) with reduced defaults
-    (k in 1/2/4, 8 scenarios per k): the analytic engine behind {!sweep}
+    configuration (1 backup, degree 3) at a reduced size (k in 1/2/4,
+    8 scenarios per k): the analytic engine behind {!sweep}
     has no event stream, so this is the variant to observe.  With [obs],
     establishment ({!Setup.build}) and every burst simulation record
     typed telemetry; bursts are tagged k-major in sweep order. *)

@@ -7,8 +7,11 @@ type row = {
   mttf_hours : float;
 }
 
-let compute ?(lambda_per_hour = 1e-3) ?(mu_per_hour = 60.0) ?(t_hours = 1.0)
-    ~hops () =
+let lambda_per_hour = 1e-3
+let mu_per_hour = 60.0
+let t_hours = 1.0
+
+let compute ~hops =
   (* Pure per-hop computation; runs on the domain pool. *)
   Sim.Pool.map
     (fun h ->

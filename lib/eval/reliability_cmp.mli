@@ -15,15 +15,10 @@ type row = {
   mttf_hours : float;  (** mean time to service loss, Fig. 3(b) model *)
 }
 
-val compute :
-  ?lambda_per_hour:float ->
-  ?mu_per_hour:float ->
-  ?t_hours:float ->
-  hops:int list ->
-  unit ->
-  row list
-(** Defaults: component failure rate 1e-3/h (MTBF ≈ 1000 h, the paper's
-    order of magnitude), repair rate 60/h (1-minute re-establishment),
-    horizon 1 h; primary and backup disjoint and of equal length. *)
+val compute : hops:int list -> row list
+(** One row per primary length in [hops]: component failure rate 1e-3/h
+    (MTBF ≈ 1000 h, the paper's order of magnitude), repair rate 60/h
+    (1-minute re-establishment), horizon 1 h; primary and backup disjoint
+    and of equal length. *)
 
 val report : row list -> Report.t

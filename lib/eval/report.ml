@@ -13,10 +13,8 @@ let add_row t ~label ~cells =
          (List.length cells) (List.length t.columns));
   t.rows <- (label, cells) :: t.rows
 
-let default_fmt v = Printf.sprintf "%.2f" v
-
-let add_float_row t ~label ?(fmt = default_fmt) values =
-  add_row t ~label ~cells:(List.map fmt values)
+let add_float_row t ~label values =
+  add_row t ~label ~cells:(List.map (Printf.sprintf "%.2f") values)
 
 let pct v = Printf.sprintf "%.2f%%" v
 

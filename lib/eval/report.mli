@@ -10,8 +10,8 @@ val add_row : t -> label:string -> cells:string list -> unit
 (** @raise Invalid_argument if the cell count does not match the
     column count. *)
 
-val add_float_row : t -> label:string -> ?fmt:(float -> string) -> float list -> unit
-(** Cells rendered with [fmt] (default ["%.2f"]). *)
+val add_float_row : t -> label:string -> float list -> unit
+(** Cells rendered with ["%.2f"]. *)
 
 val pct : float -> string
 (** "97.27%%"-style rendering used across the tables. *)

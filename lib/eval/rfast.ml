@@ -89,10 +89,10 @@ let measure ?seed ?(order = Bcp.Recovery.By_id) ns model =
 let standard_models ?double_sample () =
   [ Single_link; Single_node; Double_node double_sample ]
 
-let degree_columns degrees = List.map (fun d -> Printf.sprintf "mux=%d" d) degrees
+let degrees = Setup.paper_degrees
+let degree_columns = List.map (fun d -> Printf.sprintf "mux=%d" d) degrees
 
-let table_same_degree ?(seed = 42) ?double_sample ?(degrees = [ 1; 3; 5; 6 ])
-    network ~backups =
+let table_same_degree ?(seed = 42) ?double_sample network ~backups =
   let runs =
     (* Establishment passes for distinct degrees are independent (each
        builds its own topology, netstate and generator). *)
@@ -147,14 +147,13 @@ let table_same_degree ?(seed = 42) ?double_sample ?(degrees = [ 1; 3; 5; 6 ])
     (standard_models ?double_sample ());
   report
 
-let table_mixed_degrees ?(seed = 42) ?double_sample ?(degrees = [ 1; 3; 5; 6 ])
-    network ~backups =
+let table_mixed_degrees ?(seed = 42) ?double_sample network ~backups =
   (* With mixed degrees the spare sizing only counts conflicts against
      no-greater-ν backups (Section 3.2), so per-connection control relies
      on priority-based activation (Section 4.3): smaller-ν connections
      claim the pools first.  The paper's Table 2 shape (mux=1 keeps its
      guarantee while mux=6 degrades) only emerges under that ordering. *)
-  let est = Setup.build_mixed ~seed ~backups ~degrees network in
+  let est = Setup.build_mixed ~seed ~backups network in
   let report =
     Report.make
       ~title:
@@ -164,7 +163,7 @@ let table_mixed_degrees ?(seed = 42) ?double_sample ?(degrees = [ 1; 3; 5; 6 ])
            backups
            (Setup.network_label network)
            (Report.pct est.Setup.spare) est.Setup.rejected)
-      ~columns:(degree_columns degrees)
+      ~columns:degree_columns
   in
   List.iter
     (fun model ->
@@ -174,8 +173,7 @@ let table_mixed_degrees ?(seed = 42) ?double_sample ?(degrees = [ 1; 3; 5; 6 ])
     (standard_models ?double_sample ());
   report
 
-let table_brute_force ?(seed = 42) ?double_sample ?(degrees = [ 1; 3; 5; 6 ])
-    network =
+let table_brute_force ?(seed = 42) ?double_sample network =
   (* Per-link uniform spare equal to the average the proposed scheme
      reserved at each degree (Section 7.4). *)
   let proposed =
@@ -188,7 +186,7 @@ let table_brute_force ?(seed = 42) ?double_sample ?(degrees = [ 1; 3; 5; 6 ])
       ~title:
         (Printf.sprintf "R_fast, brute-force multiplexing — single backup, %s"
            (Setup.network_label network))
-      ~columns:(degree_columns degrees)
+      ~columns:degree_columns
   in
   Report.add_row report ~label:"Spare bandwidth"
     ~cells:(List.map (fun (_, est) -> Report.pct est.Setup.spare) proposed);

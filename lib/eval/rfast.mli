@@ -34,15 +34,12 @@ val measure :
   model ->
   measurement
 
-val standard_models : ?double_sample:int -> unit -> model list
-(** The paper's three rows: single link, single node, double node. *)
-
-(** Table 1: one establishment per multiplexing degree; rows = spare
-    bandwidth + the three failure models. *)
+(** Table 1: one establishment per multiplexing degree of
+    {!Setup.paper_degrees}; rows = spare bandwidth + the paper's three
+    failure models (single link, single node, double node). *)
 val table_same_degree :
   ?seed:int ->
   ?double_sample:int ->
-  ?degrees:int list ->
   Setup.network ->
   backups:int ->
   Report.t
@@ -51,7 +48,6 @@ val table_same_degree :
 val table_mixed_degrees :
   ?seed:int ->
   ?double_sample:int ->
-  ?degrees:int list ->
   Setup.network ->
   backups:int ->
   Report.t
@@ -59,8 +55,4 @@ val table_mixed_degrees :
 (** Table 3: brute-force multiplexing with per-link spare equal to the
     average required by the proposed scheme at each degree. *)
 val table_brute_force :
-  ?seed:int ->
-  ?double_sample:int ->
-  ?degrees:int list ->
-  Setup.network ->
-  Report.t
+  ?seed:int -> ?double_sample:int -> Setup.network -> Report.t

@@ -24,7 +24,9 @@ let add_case report (label, load, spare, ratio, rfast, rejected) =
 
 let columns = [ "load"; "spare"; "spare/load"; "R_fast 1-link"; "rejected" ]
 
-let traffic ?(seed = 42) ?(mux_degree = 3) network =
+let mux_degree = 3
+
+let traffic ?(seed = 42) network =
   let report =
     Report.make
       ~title:
@@ -68,7 +70,7 @@ let traffic ?(seed = 42) ?(mux_degree = 3) network =
     (Sim.Pool.map (fun case -> case ()) [ uniform; mixed; hotspot ]);
   report
 
-let topology ?(seed = 42) ?(mux_degree = 3) () =
+let topology ?(seed = 42) () =
   let report =
     Report.make
       ~title:

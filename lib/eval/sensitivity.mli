@@ -5,15 +5,15 @@
     insensitive to network traffic conditions, but is more sensitive to
     network topology — less effective in sparsely-connected networks".
     {!traffic} varies the workload on a fixed topology; {!topology} fixes
-    the workload and varies connectivity. *)
+    the workload and varies connectivity.  Both run at multiplexing
+    degree 3. *)
 
-val traffic :
-  ?seed:int -> ?mux_degree:int -> Setup.network -> Report.t
+val traffic : ?seed:int -> Setup.network -> Report.t
 (** Rows: uniform 1 Mbps / mixed bandwidths {0.5, 1, 2, 4} / hot-spot
     endpoints; columns: load %, spare %, spare-per-load ratio, R_fast for
     single link failures. *)
 
-val topology : ?seed:int -> ?mux_degree:int -> unit -> Report.t
+val topology : ?seed:int -> unit -> Report.t
 (** Same workload density on an 8×8 torus (degree 4), 8×8 mesh (degree
     2–4), a 64-node degree-3 random network, and a 64-node ring (degree
     2): multiplexing efficiency per topology. *)

@@ -102,10 +102,10 @@ let establish_all ?backup_routing ?(progress_every = 250) ?on_progress ns
     spare = Bcp.Netstate.spare_fraction ns;
   }
 
-let build ?(seed = 42) ?(backups = 1) ?(mux_degree = 1) ?(lambda = 1e-4)
-    ?(policy = Bcp.Netstate.Multiplexed) ?backup_routing ?obs network =
+let build ?(seed = 42) ?(backups = 1) ?(mux_degree = 1) ?backup_routing ?obs
+    network =
   let topo = topology_of network in
-  let ns = Bcp.Netstate.create ~lambda ~policy topo () in
+  let ns = Bcp.Netstate.create topo () in
   Option.iter
     (fun c ->
       Bcp.Mux.set_event_sink (Bcp.Netstate.mux ns)
@@ -118,24 +118,24 @@ let build ?(seed = 42) ?(backups = 1) ?(mux_degree = 1) ?(lambda = 1e-4)
   in
   establish_all ?backup_routing ns requests
 
-let build_scaled ?(seed = 42) ?(backups = 1) ?(mux_degree = 3) ?(lambda = 1e-4)
-    ?(per_node = 8) ?backup_routing network =
+let build_scaled ?(seed = 42) ?(backups = 1) ?(mux_degree = 3) network =
   let topo = topology_of network in
-  let ns = Bcp.Netstate.create ~lambda topo () in
+  let ns = Bcp.Netstate.create topo () in
   let rng = Sim.Prng.create seed in
-  let count = per_node * Net.Topology.num_nodes topo in
+  let count = 8 * Net.Topology.num_nodes topo in
   let requests =
     Workload.Generator.random_pairs rng ~backups ~mux_degree topo ~count
   in
-  establish_all ?backup_routing ns requests
+  establish_all ns requests
 
-let build_mixed ?(seed = 42) ?(backups = 1) ?(degrees = [ 1; 3; 5; 6 ])
-    ?(lambda = 1e-4) network =
+let paper_degrees = [ 1; 3; 5; 6 ]
+
+let build_mixed ?(seed = 42) ?(backups = 1) network =
   let topo = topology_of network in
-  let ns = Bcp.Netstate.create ~lambda topo () in
+  let ns = Bcp.Netstate.create topo () in
   let rng = Sim.Prng.create seed in
   let requests =
-    Workload.Generator.with_mux_mix ~degrees
+    Workload.Generator.with_mux_mix ~degrees:paper_degrees
       (Workload.Generator.shuffled rng
          (Workload.Generator.all_pairs ~backups topo))
   in

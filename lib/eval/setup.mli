@@ -57,15 +57,14 @@ val build :
   ?seed:int ->
   ?backups:int ->
   ?mux_degree:int ->
-  ?lambda:float ->
-  ?policy:Bcp.Netstate.spare_policy ->
   ?backup_routing:Bcp.Establish.backup_routing ->
   ?obs:Telemetry.collector ->
   network ->
   establishment
 (** The paper's standard pass: all 4032 ordered-pair connections, 1 Mbps
     each, hop slack 2, shuffled with [seed] (default 42), uniform backup
-    count (default 1) and multiplexing degree (default 1).
+    count (default 1) and multiplexing degree (default 1), on a
+    multiplexed netstate with λ = 1e-4.
     With [obs], {!Telemetry.setup_sink} is attached to the netstate's
     multiplexing engine before establishment, so the collector receives
     one {!Sim.Event.Mux} per backup-link registration (with its |Π| / |Ψ|
@@ -75,24 +74,18 @@ val build_scaled :
   ?seed:int ->
   ?backups:int ->
   ?mux_degree:int ->
-  ?lambda:float ->
-  ?per_node:int ->
-  ?backup_routing:Bcp.Establish.backup_routing ->
   network ->
   establishment
-(** Fixed per-node offered load for the scaling tier: [per_node] (default
-    8) random distinct-pair requests per network node (1 Mbps each, hop
+(** Fixed per-node offered load for the scaling tier: 8 random
+    distinct-pair requests per network node (1 Mbps each, hop
     slack 2, uniform backup count and multiplexing degree, default
     mux degree 3), drawn from the seeded PRNG — so the workload grows
     linearly with the network while the per-node demand stays constant
     across 4×4 / 8×8 / 16×16. *)
 
-val build_mixed :
-  ?seed:int ->
-  ?backups:int ->
-  ?degrees:int list ->
-  ?lambda:float ->
-  network ->
-  establishment
-(** Section 7.3's mixed-degree pass (default degrees 1/3/5/6 round-robin
-    over the shuffled request list). *)
+val paper_degrees : int list
+(** The multiplexing degrees of the paper's tables: 1, 3, 5 and 6. *)
+
+val build_mixed : ?seed:int -> ?backups:int -> network -> establishment
+(** Section 7.3's mixed-degree pass: {!paper_degrees} round-robin over
+    the shuffled request list. *)

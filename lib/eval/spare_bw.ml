@@ -4,7 +4,7 @@ type series = {
   points : (float * float) list;
 }
 
-let run ?(seed = 42) ?(degrees = [ 0; 1; 3; 5; 6 ]) network ~backups =
+let run ?(seed = 42) network ~backups =
   (* One independent establishment pass per degree: each runs on its own
      netstate, so the sweep maps over the domain pool. *)
   Sim.Pool.map
@@ -25,7 +25,7 @@ let run ?(seed = 42) ?(degrees = [ 0; 1; 3; 5; 6 ]) network ~backups =
       in
       let points = List.rev ((est.Setup.load, est.Setup.spare) :: !points) in
       { degree; rejected = est.Setup.rejected; points })
-    degrees
+    (0 :: Setup.paper_degrees)
 
 let report network ~backups series =
   let columns =

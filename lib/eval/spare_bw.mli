@@ -10,13 +10,8 @@ type series = {
   points : (float * float) list;  (** (load %, spare %) in load order *)
 }
 
-val run :
-  ?seed:int ->
-  ?degrees:int list ->
-  Setup.network ->
-  backups:int ->
-  series list
-(** Default degrees: 0, 1, 3, 5, 6 (the paper's plotted set). *)
+val run : ?seed:int -> Setup.network -> backups:int -> series list
+(** One series per degree 0, 1, 3, 5, 6 (the paper's plotted set). *)
 
 val report : Setup.network -> backups:int -> series list -> Report.t
 (** Rows = network-load checkpoints; one column per degree. *)

@@ -14,8 +14,7 @@ let strategy_of_string = function
 let seed_chain ~seed lineage =
   List.fold_left (fun s i -> Sim.Prng.derive ~seed:s ~index:i) seed lineage
 
-let plan_of_lineage ~seed ~strategy ?(max_faults = 3) ?(horizon = 0.25) topo
-    lineage =
+let plan_of_lineage ~seed ~strategy ~max_faults ~horizon topo lineage =
   match lineage with
   | [] -> invalid_arg "Swarm.plan_of_lineage: empty lineage"
   | i0 :: rest ->

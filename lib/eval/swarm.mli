@@ -30,13 +30,14 @@ val strategy_of_string : string -> strategy option
 val plan_of_lineage :
   seed:int ->
   strategy:strategy ->
-  ?max_faults:int ->
-  ?horizon:float ->
+  max_faults:int ->
+  horizon:float ->
   Net.Topology.t ->
   int list ->
   Failures.Plan.t
-(** Rebuild the exact plan a summary line refers to.  [Random] lineages
-    are always singletons (random roots are never mutated).
+(** Rebuild the exact plan a summary line refers to, given the
+    [max_faults] and [horizon] of its {!run}.  [Random] lineages are
+    always singletons (random roots are never mutated).
     @raise Invalid_argument on an empty lineage. *)
 
 type violation_report = {

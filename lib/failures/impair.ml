@@ -32,8 +32,6 @@ type t = {
   default : profile;
   per_link : (int, profile) Hashtbl.t;
   mutable drops : int;
-  mutable dups : int;
-  mutable passed : int;
 }
 
 let create ?(seed = 0) ?(default = perfect) () =
@@ -42,8 +40,6 @@ let create ?(seed = 0) ?(default = perfect) () =
     default;
     per_link = Hashtbl.create 16;
     drops = 0;
-    dups = 0;
-    passed = 0;
   }
 
 let set_link t ~link profile = Hashtbl.replace t.per_link link profile
@@ -52,8 +48,6 @@ let profile_of t ~link =
   Option.value ~default:t.default (Hashtbl.find_opt t.per_link link)
 
 let drops t = t.drops
-let dups t = t.dups
-let passed t = t.passed
 
 let flap_down flap ~now =
   match flap with
@@ -78,12 +72,8 @@ let decide t ~link ~dir:_ ~bytes:_ ~now =
     []
   end
   else begin
-    t.passed <- t.passed + 1;
     let delay () = if p.jitter > 0.0 then Sim.Prng.float t.rng p.jitter else 0.0 in
     let first = delay () in
-    if p.dup > 0.0 && Sim.Prng.float t.rng 1.0 < p.dup then begin
-      t.dups <- t.dups + 1;
-      [ first; delay () ]
-    end
+    if p.dup > 0.0 && Sim.Prng.float t.rng 1.0 < p.dup then [ first; delay () ]
     else [ first ]
   end

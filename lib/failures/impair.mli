@@ -31,9 +31,6 @@ type profile = {
   flap : flap option;  (** periodic silent outages *)
 }
 
-val perfect : profile
-(** No impairment at all (the pre-impairment transport behaviour). *)
-
 val make :
   ?loss:float ->
   ?dup:float ->
@@ -52,9 +49,10 @@ type t
     overrides. *)
 
 val create : ?seed:int -> ?default:profile -> unit -> t
+(** [default] (no impairment unless given) applies to every link without
+    a {!set_link} override. *)
 
 val set_link : t -> link:int -> profile -> unit
-val profile_of : t -> link:int -> profile
 
 val decide :
   t ->
@@ -71,5 +69,3 @@ val decide :
 (** {2 Counters} *)
 
 val drops : t -> int
-val dups : t -> int
-val passed : t -> int

@@ -212,14 +212,3 @@ let to_json p =
     (json_float p.impair.Impair.jitter)
     (String.concat "," (List.map string_of_int p.gray_links))
     (Sim.Schedule.profile_to_json p.perturb)
-
-let pp ppf p =
-  Format.fprintf ppf "%s:" p.label;
-  List.iter
-    (fun f ->
-      Format.fprintf ppf " %s@%.3f%s" (Net.Component.to_string f.component)
-        f.fail_at
-        (match f.repair_at with
-        | None -> ""
-        | Some r -> Printf.sprintf "(repair %.3f)" r))
-    p.faults

@@ -52,5 +52,3 @@ val random_chaos : Sim.Prng.t -> Net.Topology.t -> t
 val to_json : t -> string
 (** Compact self-describing JSON object (label, faults, impairment,
     gray links, perturbation) for summary files and artifacts. *)
-
-val pp : Format.formatter -> t -> unit

@@ -91,5 +91,3 @@ let random_links rng topo ~count =
   if count > m then invalid_arg "Scenario.random_links: count exceeds links";
   let ids = Sim.Prng.sample_without_replacement rng count m in
   multi topo (List.map (fun l -> Net.Component.Link l) ids)
-
-let pp ppf t = Format.pp_print_string ppf t.label

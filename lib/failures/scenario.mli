@@ -13,7 +13,6 @@ type t = {
 val single_link : Net.Topology.t -> int -> t
 val single_node : Net.Topology.t -> int -> t
 val double_node : Net.Topology.t -> int -> int -> t
-val multi : Net.Topology.t -> Net.Component.t list -> t
 
 val effective_components : Net.Topology.t -> t -> Net.Component.t list
 (** The directly failed components plus every link incident to a failed
@@ -30,5 +29,3 @@ val sampled_double_nodes : Sim.Prng.t -> Net.Topology.t -> count:int -> t list
 
 val random_links : Sim.Prng.t -> Net.Topology.t -> count:int -> t
 (** One scenario with [count] distinct failed links. *)
-
-val pp : Format.formatter -> t -> unit

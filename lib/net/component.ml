@@ -11,7 +11,6 @@ let compare a b =
   | c -> c
 
 let equal a b = compare a b = 0
-let hash t = (tag t * 0x1000003) lxor index t
 let is_node = function Node _ -> true | Link _ -> false
 let is_link = function Link _ -> true | Node _ -> false
 
@@ -64,7 +63,6 @@ module Mask = struct
 
   let add_set t s = Set.iter (add t) s
   let is_empty t = t.n_touched = 0
-  let mem t c = Bytes.get t.bytes (encode c) = '\001'
   let mem_node t v = Bytes.unsafe_get t.bytes (2 * v) = '\001'
   let mem_link t l = Bytes.unsafe_get t.bytes ((2 * l) + 1) = '\001'
 

@@ -10,7 +10,6 @@ type t =
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val is_node : t -> bool
 val is_link : t -> bool
 val pp : Format.formatter -> t -> unit
@@ -23,21 +22,17 @@ val inter_card : Set.t -> Set.t -> int
 (** Cardinality of the intersection, without building it. *)
 
 (** Flat component set for routing inner loops: byte-per-component with an
-    O(members) [reset].  Reusable scratch — create once, reset per
-    search. *)
+    O(members) reset.  Reusable scratch, reset on every acquisition. *)
 module Mask : sig
   type mask
 
-  val create : num_nodes:int -> num_links:int -> mask
   val add : mask -> t -> unit
   val add_set : mask -> Set.t -> unit
   val is_empty : mask -> bool
   (** No component added since the last reset. *)
 
-  val mem : mask -> t -> bool
   val mem_node : mask -> int -> bool
   val mem_link : mask -> int -> bool
-  val reset : mask -> unit
 
   val scratch : num_nodes:int -> num_links:int -> mask
   (** Domain-local reusable mask, reset on every call.  At most one live

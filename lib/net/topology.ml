@@ -133,10 +133,3 @@ let neighbors t v =
 let degree t v =
   check_node t v "query";
   List.length t.out.(v)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>topology: %d nodes, %d links@," t.num_nodes t.num_links;
-  iter_links t (fun l ->
-      Format.fprintf ppf "  link %d: %d -> %d (%g Mbps)@," l.id l.src l.dst
-        l.capacity);
-  Format.fprintf ppf "@]"

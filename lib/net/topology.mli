@@ -62,5 +62,3 @@ val neighbors : t -> int -> int list
 
 val degree : t -> int -> int
 (** Out-degree in links. *)
-
-val pp : Format.formatter -> t -> unit

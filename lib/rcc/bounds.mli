@@ -5,13 +5,8 @@ val s_max_requirement :
 (** Minimum [S^RCC_max] so every link's worst-case control burst fits one
     RCC message: x · y over the worst link pair. *)
 
-val failure_reporting_delay_bound : k:int -> d_max:float -> float
-(** (K−1)·D^RCC_max where K is the hop count of the connection's
-    longest-route channel. *)
-
-val activation_retrial_delay_bound : k:int -> backups:int -> d_max:float -> float
-(** 2(b−1)(K−1)·D^RCC_max. *)
-
 val recovery_delay_bound : k:int -> backups:int -> d_max:float -> float
-(** Γ ≤ failure-reporting bound + activation-retrial bound.
+(** Γ ≤ (K−1)·D^RCC_max + 2(b−1)(K−1)·D^RCC_max: the failure-reporting
+    bound, where K is the hop count of the connection's longest-route
+    channel, plus the activation-retrial bound over its b backups.
     @raise Invalid_argument if [k < 1] or [backups < 1]. *)

@@ -82,8 +82,6 @@ let create ?impair engine ~params ~link ~deliver =
     dropped = 0;
   }
 
-let link t = t.link
-let alive t = t.alive
 let in_flight t = Itbl.length t.unacked
 let stats_sent t = t.sent
 let stats_delivered t = t.delivered

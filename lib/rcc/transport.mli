@@ -50,8 +50,6 @@ val create :
 (** RCC over the given link; [deliver] runs once per control message that
     reaches the far end (after dedup). *)
 
-val link : t -> int
-
 val send : t -> Control.t -> unit
 (** Queue a control message.  Identical messages already waiting are not
     queued twice (the paper: duplicate reports are discarded).
@@ -72,8 +70,6 @@ val set_alive : t -> bool -> unit
     survive short outages (repair scenarios).  On the dead->alive
     transition, receiver dedup state that can no longer match a
     retransmission is pruned. *)
-
-val alive : t -> bool
 
 val set_impairment : t -> impairment option -> unit
 (** Attach (or detach) the delivery hook; [None] restores the exact

@@ -14,8 +14,6 @@ let add_rate t ~src ~dst rate =
   if rate < 0.0 then invalid_arg "Markov.add_rate: negative rate";
   t.q.(src).(dst) <- t.q.(src).(dst) +. rate
 
-let num_states t = t.n
-
 (* Generator with diagonal = -(row sum). *)
 let generator t =
   let g = Array.map Array.copy t.q in

@@ -18,8 +18,6 @@ val add_rate : t -> src:int -> dst:int -> float -> unit
     @raise Invalid_argument on out-of-range states, [src = dst], or a
     negative rate. *)
 
-val num_states : t -> int
-
 val transient : t -> initial:float array -> t_end:float -> float array
 (** State distribution at [t_end] starting from [initial]
     (uniformization, truncated at 1e-12 tail mass).

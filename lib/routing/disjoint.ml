@@ -30,22 +30,18 @@ let narrowed topo cs avoid =
   in
   (link_ok, node_ok)
 
-let disjoint_avoiding ?(constraints = unconstrained) ?tie_break topo ~src ~dst
+let disjoint_avoiding ?(constraints = unconstrained) ?reference topo ~src ~dst
     ~avoid =
   let link_ok, node_ok = narrowed topo constraints avoid in
   Shortest.shortest_path ~link_ok ~node_ok ?max_hops:constraints.max_hops
-    ?tie_break topo ~src ~dst
+    ?reference topo ~src ~dst
 
-let sequential_disjoint ?(constraints = unconstrained) ?tie_break topo ~src
-    ~dst ~count =
+let sequential_disjoint ?(constraints = unconstrained) topo ~src ~dst ~count =
   if count < 0 then invalid_arg "Disjoint.sequential_disjoint: negative count";
   let rec route acc k =
     if k = 0 then List.rev acc
     else
-      match
-        disjoint_avoiding ~constraints ?tie_break topo ~src ~dst
-          ~avoid:acc
-      with
+      match disjoint_avoiding ~constraints topo ~src ~dst ~avoid:acc with
       | None -> List.rev acc
       | Some p -> route (p :: acc) (k - 1)
   in

@@ -16,7 +16,6 @@ val unconstrained : constraints
 
 val sequential_disjoint :
   ?constraints:constraints ->
-  ?tie_break:Sim.Prng.t ->
   Net.Topology.t ->
   src:int ->
   dst:int ->
@@ -28,14 +27,15 @@ val sequential_disjoint :
 
 val disjoint_avoiding :
   ?constraints:constraints ->
-  ?tie_break:Sim.Prng.t ->
+  ?reference:bool ->
   Net.Topology.t ->
   src:int ->
   dst:int ->
   avoid:Net.Path.t list ->
   Net.Path.t option
 (** One shortest admissible path interior-disjoint from every path in
-    [avoid] (used to route one more backup for an existing connection). *)
+    [avoid] (used to route one more backup for an existing connection).
+    [reference] is passed on to {!Shortest.shortest_path}. *)
 
 val max_disjoint_bound : Net.Topology.t -> src:int -> dst:int -> int
 (** Cheap upper bound on the number of interior-disjoint paths:

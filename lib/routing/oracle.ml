@@ -27,8 +27,6 @@ type t = {
    which the [max_nodes] guard keeps below the sentinel. *)
 let unreachable = 0xFFFF
 let max_nodes = 0xFFFF
-
-let unreachable_value = unreachable
 let stride t = t.stride
 let raw t = t.data
 

@@ -9,15 +9,12 @@
 
 type t
 
-val max_nodes : int
-(** Topologies with [num_nodes >= max_nodes] cannot be encoded in int16
-    distances; {!for_topo} raises and {!for_topo_opt} returns [None]. *)
-
 val for_topo : Net.Topology.t -> t
 (** The oracle for this topology, building it on first use.  Memoised on
     physical equality plus the link count at build time, so mutating the
-    topology with [add_link] invalidates the cached entry.
-    @raise Invalid_argument when [num_nodes >= max_nodes]. *)
+    topology with [add_link] invalidates the cached entry.  Topologies
+    with 65 535 nodes or more cannot be encoded in int16 distances.
+    @raise Invalid_argument when [num_nodes >= 65535]. *)
 
 val for_topo_opt : Net.Topology.t -> t option
 (** {!for_topo}, but [None] instead of raising on oversized topologies. *)
@@ -39,8 +36,5 @@ val stride : t -> int
 val raw :
   t -> (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The backing matrix for hot loops: entry [dst * stride + v] is the
-    hop distance from [v] to [dst], {!unreachable_value} when there is
-    no path.  Read-only. *)
-
-val unreachable_value : int
-(** Sentinel stored in {!raw} for unreachable pairs (0xFFFF). *)
+    hop distance from [v] to [dst], 0xFFFF when there is no path.
+    Read-only. *)

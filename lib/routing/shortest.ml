@@ -1,15 +1,6 @@
 let all_links_ok _ = true
 let all_nodes_ok _ = true
 
-(* Global kill switch for oracle-backed pruning and O(1) lookups, used by
-   the routing micro-benchmark and the equivalence fuzzers to run the
-   unaccelerated reference implementation on demand.  Pruning is a pure
-   optimisation — outputs are byte-identical either way — so flipping
-   this never changes results, only work done. *)
-let oracle_disabled = Atomic.make false
-let set_oracle_disabled b = Atomic.set oracle_disabled b
-let oracle_enabled () = not (Atomic.get oracle_disabled)
-
 (* Reusable per-domain BFS workspace.  Visitation is epoch-stamped
    ([stamp.(v) = epoch] means "seen this search"), so starting a search
    costs one integer bump instead of clearing three O(n) arrays; the
@@ -108,11 +99,9 @@ let hop_distance_to topo ~dst =
    constrained one, so no feasible ≤-budget path is lost; and because a
    pruned node could never appear on a surviving path, the stamping
    order — hence parents, hence the returned path — is byte-identical to
-   the unpruned search.  Pruning is disabled under [tie_break]: the
-   shuffle draws one PRNG sample per expanded node, so skipping nodes
-   would shift the random stream. *)
+   the unpruned search.  [reference] turns the pruning off. *)
 let search ?(link_ok = all_links_ok) ?(node_ok = all_nodes_ok) ?max_hops
-    ?tie_break topo ~src ~dst =
+    ~reference topo ~src ~dst =
   if src = dst then Some []
   else begin
     let n = Net.Topology.num_nodes topo in
@@ -127,7 +116,7 @@ let search ?(link_ok = all_links_ok) ?(node_ok = all_nodes_ok) ?max_hops
     let budget = match max_hops with Some b -> b | None -> max_int in
     let oracle =
       match max_hops with
-      | Some _ when Option.is_none tie_break && oracle_enabled () -> (
+      | Some _ when not reference -> (
         match Oracle.for_topo_opt topo with
         | Some o -> Some (Oracle.raw o, dst * Oracle.stride o)
         | None -> None)
@@ -168,16 +157,11 @@ let search ?(link_ok = all_links_ok) ?(node_ok = all_nodes_ok) ?max_hops
       let u = queue.(!head) in
       incr head;
       if dist.(u) < budget then begin
-        match tie_break with
-        | None ->
-            let out = Net.Topology.out_array topo u in
-            for i = 0 to Array.length out - 1 do
-              let id = Array.unsafe_get out i in
-              visit u id (Net.Topology.link_unsafe topo id)
-            done
-        | Some rng ->
-            let out = Sim.Prng.shuffle_list rng (Net.Topology.out_links topo u) in
-            List.iter (fun id -> visit u id (Net.Topology.link_unsafe topo id)) out
+        let out = Net.Topology.out_array topo u in
+        for i = 0 to Array.length out - 1 do
+          let id = Array.unsafe_get out i in
+          visit u id (Net.Topology.link_unsafe topo id)
+        done
       end
     done;
     if !pruned > 0 then Sim.Prof.count ~by:!pruned "route.pruned";
@@ -193,8 +177,9 @@ let search ?(link_ok = all_links_ok) ?(node_ok = all_nodes_ok) ?max_hops
     end
   end
 
-let shortest_path ?link_ok ?node_ok ?max_hops ?tie_break topo ~src ~dst =
-  match search ?link_ok ?node_ok ?max_hops ?tie_break topo ~src ~dst with
+let shortest_path ?link_ok ?node_ok ?max_hops ?(reference = false) topo ~src
+    ~dst =
+  match search ?link_ok ?node_ok ?max_hops ~reference topo ~src ~dst with
   | None -> None
   | Some links -> Some (Net.Path.make topo ~src ~dst ~links)
 
@@ -295,17 +280,17 @@ let bidirectional_hops ~link_ok ~node_ok topo ~src ~dst =
     if !best = max_int then None else Some !best
   end
 
-let shortest_hops ?link_ok ?node_ok topo ~src ~dst =
-  let reference () =
-    match search ?link_ok ?node_ok topo ~src ~dst with
+let shortest_hops ?link_ok ?node_ok ?(reference = false) topo ~src ~dst =
+  let one_sided () =
+    match search ?link_ok ?node_ok ~reference:true topo ~src ~dst with
     | None -> None
     | Some links -> Some (List.length links)
   in
-  if not (oracle_enabled ()) then reference ()
+  if reference then one_sided ()
   else if Option.is_none link_ok && Option.is_none node_ok then
     (* Unconstrained feasibility query: the oracle answers in O(1). *)
     match Oracle.for_topo_opt topo with
-    | None -> reference ()
+    | None -> one_sided ()
     | Some o ->
       Sim.Prof.count "route.oracle_hits";
       let d = Oracle.distance o ~src ~dst in

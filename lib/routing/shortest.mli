@@ -16,21 +16,23 @@ val shortest_path :
   ?link_ok:(Net.Topology.link -> bool) ->
   ?node_ok:(int -> bool) ->
   ?max_hops:int ->
-  ?tie_break:Sim.Prng.t ->
+  ?reference:bool ->
   Net.Topology.t ->
   src:int ->
   dst:int ->
   Net.Path.t option
 (** Minimum-hop path from [src] to [dst] among links satisfying [link_ok]
     and intermediate nodes satisfying [node_ok] (endpoints are exempt from
-    [node_ok]).  [max_hops] bounds the accepted path length.  With
-    [tie_break], equal-cost choices are randomised (deterministically by
-    the given PRNG); otherwise the lowest link id wins, so results are
-    stable. *)
+    [node_ok]).  [max_hops] bounds the accepted path length.  Among
+    equal-cost choices the lowest link id wins, so results are stable.
+    A budgeted search skips every node the {!Oracle} bound rules out;
+    [~reference:true] runs the unpruned reference search instead, which
+    returns the same path with more admission checks. *)
 
 val shortest_hops :
   ?link_ok:(Net.Topology.link -> bool) ->
   ?node_ok:(int -> bool) ->
+  ?reference:bool ->
   Net.Topology.t ->
   src:int ->
   dst:int ->
@@ -38,13 +40,6 @@ val shortest_hops :
 (** Hop count of the constrained shortest path, without materialising it.
     Without predicates this is an O(1) {!Oracle} lookup; with predicates
     it runs a bidirectional level-synchronised BFS.  Both return exactly
-    what the one-sided reference search would. *)
-
-val set_oracle_disabled : bool -> unit
-(** [set_oracle_disabled true] makes {!shortest_path}/{!shortest_hops}
-    run the unaccelerated reference implementation (no pruning, no O(1)
-    lookups, no bidirectional search).  Outputs are byte-identical either
-    way — this exists so benchmarks and equivalence fuzzers can compare
-    the accelerated kernel against the reference.  Global (affects all
-    domains); defaults to enabled. *)
+    what the one-sided reference search would; [~reference:true] runs
+    that search. *)
 

@@ -11,10 +11,3 @@ let bandwidth t = Traffic.bandwidth t.traffic
 let hops t = Net.Path.hops t.path
 let src t = t.path.Net.Path.src
 let dst t = t.path.Net.Path.dst
-
-let crosses topo t c = Net.Path.uses_component topo t.path c
-
-let disabled_by topo t failed = List.exists (crosses topo t) failed
-
-let pp ppf t =
-  Format.fprintf ppf "ch#%d %a bw=%.2f" t.id Net.Path.pp t.path (bandwidth t)

@@ -14,11 +14,3 @@ val bandwidth : t -> float
 val hops : t -> int
 val src : t -> int
 val dst : t -> int
-
-val crosses : Net.Topology.t -> t -> Net.Component.t -> bool
-(** Does the channel's path use the component (endpoint nodes included)? *)
-
-val disabled_by : Net.Topology.t -> t -> Net.Component.t list -> bool
-(** Is some failed component on the channel's path (endpoints included)? *)
-
-val pp : Format.formatter -> t -> unit

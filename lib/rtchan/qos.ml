@@ -12,8 +12,3 @@ let default = { hop_slack = 2; delay_bound = None }
 let max_hops t ~shortest =
   if shortest < 0 then invalid_arg "Qos.max_hops: negative shortest";
   shortest + t.hop_slack
-
-let pp ppf t =
-  match t.delay_bound with
-  | None -> Format.fprintf ppf "{slack %d hops}" t.hop_slack
-  | Some d -> Format.fprintf ppf "{slack %d hops, bound %gs}" t.hop_slack d

@@ -21,5 +21,3 @@ val default : t
 val max_hops : t -> shortest:int -> int
 (** Hop budget for a channel whose unconstrained shortest route has
     [shortest] hops. *)
-
-val pp : Format.formatter -> t -> unit

@@ -12,7 +12,6 @@ let create topo =
   let n = Net.Topology.num_links topo in
   { topo; primary = Array.make n 0.0; spare = Array.make n 0.0 }
 
-let topology t = t.topo
 let capacity t id = (Net.Topology.link t.topo id).Net.Topology.capacity
 let primary t id = t.primary.(id)
 let spare t id = t.spare.(id)
@@ -71,7 +70,3 @@ let network_load t =
 let spare_fraction t =
   let cap = total_capacity t in
   if cap <= 0.0 then 0.0 else 100.0 *. total_spare t /. cap
-
-let pp_link t ppf id =
-  Format.fprintf ppf "link %d: cap %.1f, primary %.1f, spare %.1f, free %.1f" id
-    (capacity t id) t.primary.(id) t.spare.(id) (free t id)

@@ -16,7 +16,6 @@ type t
 val create : Net.Topology.t -> t
 (** All pools empty. *)
 
-val topology : t -> Net.Topology.t
 val capacity : t -> int -> float
 val primary : t -> int -> float
 val spare : t -> int -> float
@@ -53,5 +52,3 @@ val network_load : t -> float
 val spare_fraction : t -> float
 (** 100 × total spare bandwidth / total capacity ("average spare-bandwidth
     reservation"). *)
-
-val pp_link : t -> Format.formatter -> int -> unit

@@ -31,10 +31,6 @@ module Regulator = struct
       t.last_refill <- now +. wait;
       now +. wait
     end
-
-  let reset t =
-    t.tokens <- float_of_int t.traffic.Traffic.burst;
-    t.last_refill <- 0.0
 end
 
 module Hop_delay = struct

@@ -16,8 +16,6 @@ module Regulator : sig
   (** Time at which the next message may enter the network: [now] if a
       token is available, else the moment one accrues.  Calling this
       consumes the token (the caller is committing to send). *)
-
-  val reset : t -> unit
 end
 
 (** Per-hop delay model for scheduled real-time messages. *)
@@ -38,10 +36,6 @@ module Hop_delay : sig
       transmission × (contention + 1) + propagation + processing.  This is
       the standard fixed-priority bound the paper's admission control
       family assumes. *)
-
-  val path_delay_bound :
-    t -> Traffic.t -> Net.Topology.t -> Net.Path.t -> contention:int -> float
-  (** Sum of per-hop worst cases along the path. *)
 end
 
 val delay_test :
@@ -52,6 +46,7 @@ val delay_test :
   Net.Path.t ->
   contention:int ->
   bool
-(** Does the path's worst-case delay meet the channel's absolute bound?
-    Vacuously true when the client gave no bound (hop slack already
+(** Does the path's worst-case delay (the sum of the per-hop
+    {!Hop_delay.forwarding_delay} bounds) meet the channel's absolute
+    bound?  Vacuously true when the client gave no bound (hop slack already
     enforced at routing time). *)

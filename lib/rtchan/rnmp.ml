@@ -26,11 +26,6 @@ let create topo =
 let topology t = t.topo
 let resources t = t.resources
 
-let admission_test t path bw =
-  List.for_all
-    (fun id -> Resource.can_reserve_primary t.resources id bw)
-    (Net.Path.links path)
-
 let index_add tbl key v =
   let cur = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
   Hashtbl.replace tbl key (v :: cur)
@@ -61,9 +56,9 @@ let unregister t ch =
    name. *)
 let admission_checks = Sim.Prof.counter "establish.admission_checks"
 
-let route ?tie_break t ~src ~dst ~traffic ~qos =
+let route ?reference t ~src ~dst ~traffic ~qos =
   let bw = Traffic.bandwidth traffic in
-  match Routing.Shortest.shortest_hops t.topo ~src ~dst with
+  match Routing.Shortest.shortest_hops ?reference t.topo ~src ~dst with
   | None -> Error No_route
   | Some shortest ->
     let budget = Qos.max_hops qos ~shortest in
@@ -72,8 +67,8 @@ let route ?tie_break t ~src ~dst ~traffic ~qos =
       Resource.can_reserve_primary t.resources l.Net.Topology.id bw
     in
     (match
-       Routing.Shortest.shortest_path ~link_ok ~max_hops:budget ?tie_break t.topo ~src
-         ~dst
+       Routing.Shortest.shortest_path ~link_ok ~max_hops:budget ?reference
+         t.topo ~src ~dst
      with
     | Some p -> Ok p
     | None -> Error No_bandwidth)
@@ -88,8 +83,8 @@ let establish_on_path t ~path ~traffic ~qos =
   end
   else Error No_bandwidth
 
-let establish ?tie_break t ~src ~dst ~traffic ~qos =
-  match route ?tie_break t ~src ~dst ~traffic ~qos with
+let establish ?reference t ~src ~dst ~traffic ~qos =
+  match route ?reference t ~src ~dst ~traffic ~qos with
   | Error e -> Error e
   | Ok path -> establish_on_path t ~path ~traffic ~qos
 
@@ -101,9 +96,7 @@ let teardown t id =
       (Channel.bandwidth ch);
     unregister t ch
 
-let find t id = Hashtbl.find_opt t.channels id
 let channel_count t = Hashtbl.length t.channels
-let channels t = Hashtbl.fold (fun _ ch acc -> ch :: acc) t.channels []
 
 let channels_on_link t l = Option.value ~default:[] (Hashtbl.find_opt t.on_link l)
 

@@ -19,29 +19,18 @@ type reject_reason =
 
 val pp_reject : Format.formatter -> reject_reason -> unit
 
-val admission_test : t -> Net.Path.t -> float -> bool
-(** Would reserving [bw] on every link of the path keep the invariant? *)
-
-val route :
-  ?tie_break:Sim.Prng.t ->
-  t ->
-  src:int ->
-  dst:int ->
-  traffic:Traffic.t ->
-  qos:Qos.t ->
-  (Net.Path.t, reject_reason) result
-(** Shortest path among links with enough free bandwidth, within the QoS
-    hop budget relative to the *unconstrained* shortest route. *)
-
 val establish :
-  ?tie_break:Sim.Prng.t ->
+  ?reference:bool ->
   t ->
   src:int ->
   dst:int ->
   traffic:Traffic.t ->
   qos:Qos.t ->
   (Channel.t, reject_reason) result
-(** Route + reserve + register. *)
+(** Route + reserve + register.  The route is the shortest path among
+    links with enough free bandwidth, within the QoS hop budget relative
+    to the *unconstrained* shortest route.  [reference] is passed on to
+    the {!Routing.Shortest} searches. *)
 
 val establish_on_path :
   t -> path:Net.Path.t -> traffic:Traffic.t -> qos:Qos.t ->
@@ -53,13 +42,9 @@ val teardown : t -> Channel.id -> unit
 (** Release the channel's bandwidth and unregister it.  Unknown ids are
     ignored (teardown is idempotent, matching soft-state semantics). *)
 
-val find : t -> Channel.id -> Channel.t option
 val channel_count : t -> int
-val channels : t -> Channel.t list
 
 val channels_on_link : t -> int -> Channel.id list
-val channels_through_node : t -> int -> Channel.id list
-(** Channels whose path uses the node, endpoints included. *)
 
 val channels_disabled_by : t -> Net.Component.t list -> Channel.id list
 (** Deduplicated ids of channels whose path crosses any failed component. *)

@@ -20,7 +20,3 @@ let message_transmission_time t ~link_capacity =
   if link_capacity <= 0.0 then
     invalid_arg "Traffic.message_transmission_time: non-positive capacity";
   float_of_int (t.max_msg_size * 8) /. (link_capacity *. 1_000_000.0)
-
-let pp ppf t =
-  Format.fprintf ppf "{msg<=%dB, rate<=%.1f/s, burst %d, %.3f Mbps}"
-    t.max_msg_size t.max_msg_rate t.burst (bandwidth t)

@@ -28,5 +28,3 @@ val bandwidth : t -> float
 val message_transmission_time : t -> link_capacity:float -> float
 (** Seconds to clock one maximum-size message onto a link of the given
     Mbps capacity. *)
-
-val pp : Format.formatter -> t -> unit

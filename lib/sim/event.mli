@@ -84,5 +84,4 @@ val type_tag : t -> string
 (** Stable constructor tag: "chan", "rcc", "detector", "activation",
     "rejoin-timer", "reconfig", "mux", "fault", "lifecycle". *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -46,20 +46,21 @@ let counter t ?(labels = []) name =
   | C c -> c
   | _ -> assert false
 
-let gauge t ?(labels = []) name =
-  match register t { name; labels } (G { value = 0.0 }) with
+let gauge t name =
+  match register t { name; labels = [] } (G { value = 0.0 }) with
   | G g -> g
   | _ -> assert false
 
-let default_timer_lo = 0.0
-let default_timer_hi = 0.1
-let default_timer_bins = 64
-
-let timer t ?(labels = []) ?(lo = default_timer_lo) ?(hi = default_timer_hi)
-    ?(bins = default_timer_bins) name =
+(* Every timer has the same histogram shape, so merged histograms line
+   up bin for bin. *)
+let timer t name =
   match
-    register t { name; labels }
-      (T { sample = Stats.Sample.create (); hist = Stats.Histogram.create ~lo ~hi ~bins })
+    register t { name; labels = [] }
+      (T
+         {
+           sample = Stats.Sample.create ();
+           hist = Stats.Histogram.create ~lo:0.0 ~hi:0.1 ~bins:64;
+         })
   with
   | T tm -> tm
   | _ -> assert false
@@ -132,15 +133,10 @@ let merge_into ~into src =
         incr ~by:c.count dst
       | G g ->
         (* Last writer wins; callers merge in a deterministic order. *)
-        let dst = gauge into ~labels:k.labels k.name in
+        let dst = gauge into k.name in
         set dst g.value
       | T tm ->
-        let edges = Stats.Histogram.bin_edges tm.hist in
-        let lo = edges.(0) and hi = edges.(Array.length edges - 1) in
-        let dst =
-          timer into ~labels:k.labels ~lo ~hi
-            ~bins:(Array.length edges - 1) k.name
-        in
+        let dst = timer into k.name in
         (* One blit + one counts-add instead of re-observing every sample
            (which re-sorted and re-binned the whole series per merge). *)
         Stats.Sample.append ~into:dst.sample tm.sample;

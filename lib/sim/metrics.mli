@@ -26,19 +26,12 @@ val counter : t -> ?labels:(string * string) list -> string -> counter
     a handle once (on its first use) and keep it; do not look it up per
     observation. *)
 
-val gauge : t -> ?labels:(string * string) list -> string -> gauge
+val gauge : t -> string -> gauge
 
-val timer :
-  t ->
-  ?labels:(string * string) list ->
-  ?lo:float ->
-  ?hi:float ->
-  ?bins:int ->
-  string ->
-  timer
-(** Timer backed by a {!Stats.Histogram} over \[[lo], [hi]\] (defaults
-    0–100 ms, 64 bins; observations outside clamp into the edge bins)
-    plus a {!Stats.Sample} for exact percentiles. *)
+val timer : t -> string -> timer
+(** Timer backed by a {!Stats.Histogram} over 0–100 ms in 64 bins
+    (observations outside clamp into the edge bins) plus a
+    {!Stats.Sample} for exact percentiles. *)
 
 val incr : ?by:int -> counter -> unit
 val count : counter -> int

@@ -17,9 +17,6 @@ val create : jobs:int -> t
     caller participates as the remaining worker).
     @raise Invalid_argument if [jobs < 1]. *)
 
-val jobs : t -> int
-(** Configured parallelism (including the calling domain). *)
-
 exception Task_failed of { worker : int; task : int; error : exn }
 (** A task of a parallel map raised [error].  [task] is the index into
     the mapped array (for scenario sweeps, the scenario index) and
@@ -39,10 +36,6 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_array] over lists. *)
-
-val shutdown : t -> unit
-(** Join the worker domains.  The pool must be idle; subsequent maps on
-    a shut-down pool run sequentially. *)
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] on a fresh pool and shuts it down

@@ -13,8 +13,6 @@ let mix64 z =
 
 let create seed = { state = mix64 (Int64.of_int seed) }
 
-let copy t = { state = t.state }
-
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state

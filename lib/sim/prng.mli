@@ -11,9 +11,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from a 63-bit seed. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t]; streams from
     the parent and the child are statistically independent. *)

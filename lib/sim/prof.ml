@@ -360,12 +360,12 @@ let report () =
   in
   { wall_ns; spans; counters; raw_spans; dropped_spans = !dropped }
 
-let print_top ?(top = 12) ppf =
+let print_top ppf =
   let r = report () in
   let by_self =
     List.sort (fun a b -> Float.compare b.self_ns a.self_ns) r.spans
   in
-  let shown = List.filteri (fun i _ -> i < top) by_self in
+  let shown = List.filteri (fun i _ -> i < 12) by_self in
   Format.fprintf ppf "@[<v>profile: %.1f ms wall, %d span names, %d counters@,"
     (r.wall_ns /. 1e6) (List.length r.spans) (List.length r.counters);
   Format.fprintf ppf "%-28s %10s %12s %12s %12s@," "span" "count" "self ms"

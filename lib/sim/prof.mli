@@ -110,5 +110,6 @@ val report : unit -> report
     time.  Values (times, per-domain attribution) are wall-clock facts
     and naturally vary run to run. *)
 
-val print_top : ?top:int -> Format.formatter -> unit
-(** Hot-span table, sorted by self time, plus nonzero counters. *)
+val print_top : Format.formatter -> unit
+(** Hot-span table: the 12 spans with the most self time, plus nonzero
+    counters. *)

@@ -42,8 +42,6 @@ type t = { profile : profile; rng : Prng.t; mutable perturbed : int }
 
 let create ?(seed = 0) profile = { profile; rng = Prng.create seed; perturbed = 0 }
 
-let profile t = t.profile
-
 let perturbed t = t.perturbed
 
 (* One axis of the profile.  Consumes PRNG draws only when the axis is

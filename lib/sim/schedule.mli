@@ -44,8 +44,6 @@ type t
 val create : ?seed:int -> profile -> t
 (** Fresh perturbation source (default [seed] 0). *)
 
-val profile : t -> profile
-
 val perturbed : t -> int
 (** Number of events actually delayed so far. *)
 

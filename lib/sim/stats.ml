@@ -21,7 +21,6 @@ module Running = struct
   let count t = t.n
   let mean t = if t.n = 0 then 0.0 else t.mean
   let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
   let min t = t.min
   let max t = t.max
 
@@ -152,10 +151,6 @@ module Histogram = struct
     Array.init (bins + 1) (fun i ->
         t.lo +. (float_of_int i *. (t.hi -. t.lo) /. float_of_int bins))
 end
-
-let mean_of_list = function
-  | [] -> 0.0
-  | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 
 let ratio num den =
   if den = 0 then 0.0 else 100.0 *. float_of_int num /. float_of_int den

@@ -13,7 +13,6 @@ module Running : sig
   val variance : t -> float
   (** Unbiased sample variance; 0 with fewer than two samples. *)
 
-  val stddev : t -> float
   val min : t -> float
   (** +inf on an empty accumulator. *)
 
@@ -39,8 +38,6 @@ module Sample : sig
   val median : t -> float
   val max : t -> float
   val min : t -> float
-  val to_array : t -> float array
-  (** Sorted copy of the samples. *)
 
   val append : into:t -> t -> unit
   (** Append [src]'s samples to [into] in their original insertion order
@@ -64,9 +61,6 @@ module Histogram : sig
   (** Add [src]'s bucket counts into [into].
       @raise Invalid_argument unless both histograms share lo/hi/bins. *)
 end
-
-val mean_of_list : float list -> float
-(** 0 on the empty list. *)
 
 val ratio : int -> int -> float
 (** [ratio num den] = 100·num/den as a percentage; 0 if [den] = 0. *)

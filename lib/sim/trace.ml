@@ -135,6 +135,3 @@ let clear t =
   t.nevents <- 0
 
 let pp_entry ppf e = Format.fprintf ppf "[%10.6f] %-18s %s" e.time e.tag e.detail
-
-let dump ppf t =
-  List.iter (fun e -> Format.fprintf ppf "%a@." pp_entry e) (entries t)

@@ -47,8 +47,6 @@ val clear : t -> unit
 
 val pp_entry : Format.formatter -> entry -> unit
 
-val dump : Format.formatter -> t -> unit
-
 (** {1 Typed events} *)
 
 val set_events : t -> bool -> unit

@@ -7,24 +7,25 @@ type request = {
   backups : int;
 }
 
-let make_request ~bandwidth ~hop_slack ~backups ~mux_degree ~src ~dst =
+(* Every generated request allows a hop slack of 2. *)
+let make_request ~bandwidth ~backups ~mux_degree ~src ~dst =
   {
     src;
     dst;
     traffic = Rtchan.Traffic.of_bandwidth bandwidth;
-    qos = Rtchan.Qos.make ~hop_slack ();
+    qos = Rtchan.Qos.default;
     mux_degree;
     backups;
   }
 
-let all_pairs ?(bandwidth = 1.0) ?(hop_slack = 2) ?(backups = 1) ?(mux_degree = 1)
-    topo =
+let all_pairs ?(backups = 1) ?(mux_degree = 1) topo =
   let n = Net.Topology.num_nodes topo in
   let out = ref [] in
   for src = n - 1 downto 0 do
     for dst = n - 1 downto 0 do
       if src <> dst then
-        out := make_request ~bandwidth ~hop_slack ~backups ~mux_degree ~src ~dst :: !out
+        out :=
+          make_request ~bandwidth:1.0 ~backups ~mux_degree ~src ~dst :: !out
     done
   done;
   !out
@@ -59,16 +60,16 @@ let distinct_pair rng n =
   in
   (src, draw ())
 
-let random_pairs rng ?(bandwidth = 1.0) ?(hop_slack = 2) ?(backups = 1)
-    ?(mux_degree = 1) topo ~count =
+let random_pairs rng ?(bandwidth = 1.0) ?(backups = 1) ?(mux_degree = 1) topo
+    ~count =
   let n = Net.Topology.num_nodes topo in
   if n < 2 then invalid_arg "Generator.random_pairs: need two nodes";
   List.init count (fun _ ->
       let src, dst = distinct_pair rng n in
-      make_request ~bandwidth ~hop_slack ~backups ~mux_degree ~src ~dst)
+      make_request ~bandwidth ~backups ~mux_degree ~src ~dst)
 
-let hotspot rng ?(bandwidth = 1.0) ?(hop_slack = 2) ?(backups = 1)
-    ?(mux_degree = 1) topo ~hotspots ~fraction ~count =
+let hotspot rng ?(backups = 1) ?(mux_degree = 1) topo ~hotspots ~fraction
+    ~count =
   if hotspots = [] then invalid_arg "Generator.hotspot: no hotspot nodes";
   if fraction < 0.0 || fraction > 1.0 then
     invalid_arg "Generator.hotspot: fraction outside [0,1]";
@@ -81,9 +82,9 @@ let hotspot rng ?(bandwidth = 1.0) ?(hop_slack = 2) ?(backups = 1)
           let src = Sim.Prng.int rng n in
           if src = dst then draw () else src
         in
-        make_request ~bandwidth ~hop_slack ~backups ~mux_degree ~src:(draw ()) ~dst
+        make_request ~bandwidth:1.0 ~backups ~mux_degree ~src:(draw ()) ~dst
       end
       else begin
         let src, dst = distinct_pair rng n in
-        make_request ~bandwidth ~hop_slack ~backups ~mux_degree ~src ~dst
+        make_request ~bandwidth:1.0 ~backups ~mux_degree ~src ~dst
       end)

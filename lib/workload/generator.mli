@@ -16,14 +16,10 @@ type request = {
 }
 
 val all_pairs :
-  ?bandwidth:float ->
-  ?hop_slack:int ->
-  ?backups:int ->
-  ?mux_degree:int ->
-  Net.Topology.t ->
-  request list
-(** One request per ordered node pair, in (src, dst) lexicographic order.
-    Defaults: 1 Mbps, slack 2, 1 backup, mux degree 1. *)
+  ?backups:int -> ?mux_degree:int -> Net.Topology.t -> request list
+(** One 1 Mbps request per ordered node pair, in (src, dst) lexicographic
+    order.  Every generated request has QoS {!Rtchan.Qos.default} (hop
+    slack 2).  Defaults: 1 backup, mux degree 1. *)
 
 val shuffled : Sim.Prng.t -> request list -> request list
 
@@ -40,7 +36,6 @@ val distinct_pair : Sim.Prng.t -> int -> int * int
 val random_pairs :
   Sim.Prng.t ->
   ?bandwidth:float ->
-  ?hop_slack:int ->
   ?backups:int ->
   ?mux_degree:int ->
   Net.Topology.t ->
@@ -50,8 +45,6 @@ val random_pairs :
 
 val hotspot :
   Sim.Prng.t ->
-  ?bandwidth:float ->
-  ?hop_slack:int ->
   ?backups:int ->
   ?mux_degree:int ->
   Net.Topology.t ->
@@ -60,5 +53,5 @@ val hotspot :
   count:int ->
   request list
 (** [fraction] of the requests terminate at a uniformly drawn hotspot
-    node; the rest are uniform pairs.  Models the inhomogeneous traffic
-    of Section 7.1's last paragraph. *)
+    node; the rest are uniform pairs, all at 1 Mbps.  Models the
+    inhomogeneous traffic of Section 7.1's last paragraph. *)

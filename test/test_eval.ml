@@ -103,7 +103,7 @@ let test_rfast_degree_accessor () =
     (Eval.Rfast.r_fast_deg m 3)
 
 let test_reliability_rows () =
-  let rows = Eval.Reliability_cmp.compute ~hops:[ 1; 4 ] () in
+  let rows = Eval.Reliability_cmp.compute ~hops:[ 1; 4 ] in
   Alcotest.(check int) "two rows" 2 (List.length rows);
   List.iter
     (fun (row : Eval.Reliability_cmp.row) ->

@@ -20,12 +20,6 @@ let random_topo rng =
   done;
   t
 
-(* Run [f] with the acceleration toggled off, restoring it on the way
-   out so a failing property cannot poison later tests. *)
-let with_reference f =
-  Routing.Shortest.set_oracle_disabled true;
-  Fun.protect ~finally:(fun () -> Routing.Shortest.set_oracle_disabled false) f
-
 (* ---------- units ---------- *)
 
 let test_matches_bfs () =
@@ -108,6 +102,73 @@ let test_bfs_distances_fresh_array () =
   let d3 = Routing.Shortest.hop_distance t ~src:5 in
   Alcotest.(check bool) "caller mutation invisible" true (d3.(0) <> 12345 || d3 != d2)
 
+(* The routing micro tier's claim on a small loaded state: establishing a
+   seeded request sample and removing each request again routes the same
+   primary and backups link for link with and without oracle pruning,
+   and pruning never adds admission checks. *)
+let test_pruned_establish_matches_reference () =
+  let ns = (Eval.Setup.build Eval.Setup.Torus4).Eval.Setup.ns in
+  let requests =
+    Workload.Generator.random_pairs (Sim.Prng.create 1009) ~backups:1
+      ~mux_degree:3 (Bcp.Netstate.topology ns) ~count:64
+  in
+  let paths (conn : Bcp.Dconn.t) =
+    ( Net.Path.links conn.Bcp.Dconn.primary.Rtchan.Channel.path,
+      List.map
+        (fun (b : Bcp.Dconn.backup) -> Net.Path.links b.Bcp.Dconn.path)
+        conn.Bcp.Dconn.backups )
+  in
+  let checks () =
+    Option.value ~default:0
+      (List.assoc_opt "establish.admission_checks"
+         (Sim.Prof.report ()).Sim.Prof.counters)
+  in
+  let run reference =
+    Sim.Prof.reset ();
+    let routed =
+      List.mapi
+        (fun i (r : Workload.Generator.request) ->
+          let conn_id = 1_000_000 + i in
+          match
+            Bcp.Establish.establish ~reference ns ~conn_id
+              {
+                Bcp.Establish.src = r.Workload.Generator.src;
+                dst = r.dst;
+                traffic = r.traffic;
+                qos = r.qos;
+                backups = r.backups;
+                mux_degree = r.mux_degree;
+              }
+          with
+          | Ok conn ->
+            let p = paths conn in
+            Bcp.Netstate.remove_dconn ns conn_id;
+            Some p
+          | Error _ -> None)
+        requests
+    in
+    (routed, checks ())
+  in
+  Sim.Prof.enable ();
+  let (pruned, pruned_checks), (reference, reference_checks) =
+    Fun.protect
+      ~finally:(fun () ->
+        Sim.Prof.disable ();
+        Sim.Prof.reset ())
+      (fun () ->
+        let p = run false in
+        (p, run true))
+  in
+  Alcotest.(check bool) "some requests admitted" true
+    (List.exists Option.is_some pruned);
+  Alcotest.(check bool) "identical paths, link for link" true
+    (pruned = reference);
+  Alcotest.(check bool)
+    (Printf.sprintf "admission checks %d (pruned) <= %d (reference)"
+       pruned_checks reference_checks)
+    true
+    (pruned_checks <= reference_checks)
+
 (* ---------- equivalence fuzz ---------- *)
 
 (* One random scenario: topology, banned nodes/links, endpoints, budget. *)
@@ -129,12 +190,12 @@ let prop_pruned_search_byte_identical =
   QCheck.Test.make ~name:"pruned budgeted search = reference, link for link"
     ~count:300 QCheck.small_nat (fun seed ->
       let topo, link_ok, node_ok, src, dst, budget = scenario seed in
-      let run () =
-        Routing.Shortest.shortest_path ~link_ok ~node_ok ~max_hops:budget topo
-          ~src ~dst
+      let run reference =
+        Routing.Shortest.shortest_path ~link_ok ~node_ok ~max_hops:budget
+          ~reference topo ~src ~dst
       in
-      let reference = with_reference run in
-      let accelerated = run () in
+      let reference = run true in
+      let accelerated = run false in
       Option.map Net.Path.links accelerated
       = Option.map Net.Path.links reference)
 
@@ -142,11 +203,12 @@ let prop_shortest_hops_equal =
   QCheck.Test.make ~name:"bidirectional shortest_hops = reference search"
     ~count:300 QCheck.small_nat (fun seed ->
       let topo, link_ok, node_ok, src, dst, _ = scenario seed in
-      let run () =
-        ( Routing.Shortest.shortest_hops ~link_ok ~node_ok topo ~src ~dst,
-          Routing.Shortest.shortest_hops topo ~src ~dst )
+      let run reference =
+        ( Routing.Shortest.shortest_hops ~link_ok ~node_ok ~reference topo ~src
+            ~dst,
+          Routing.Shortest.shortest_hops ~reference topo ~src ~dst )
       in
-      with_reference run = run ())
+      run true = run false)
 
 let prop_oracle_equals_fresh_bfs =
   QCheck.Test.make ~name:"oracle distances = fresh BFS" ~count:100
@@ -178,6 +240,8 @@ let () =
             test_cross_domain_sharing;
           Alcotest.test_case "hop_distance arrays are fresh" `Quick
             test_bfs_distances_fresh_array;
+          Alcotest.test_case "pruned establish = reference on loaded 4x4"
+            `Quick test_pruned_establish_matches_reference;
         ] );
       qsuite "equivalence"
         [

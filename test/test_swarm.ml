@@ -221,8 +221,8 @@ let test_plan_random_chaos_baseline () =
 let test_plan_of_lineage () =
   let plan lineage =
     Failures.Plan.to_json
-      (Eval.Swarm.plan_of_lineage ~seed:11 ~strategy:Eval.Swarm.Coverage torus4
-         lineage)
+      (Eval.Swarm.plan_of_lineage ~seed:11 ~strategy:Eval.Swarm.Coverage
+         ~max_faults:3 ~horizon:0.25 torus4 lineage)
   in
   Alcotest.(check string) "lineage replays exactly" (plan [ 3; 0; 1 ])
     (plan [ 3; 0; 1 ]);
@@ -231,15 +231,16 @@ let test_plan_of_lineage () =
   Alcotest.(check bool) "different roots diverge" false
     (String.equal (plan [ 3 ]) (plan [ 4 ]));
   (match
-     (Eval.Swarm.plan_of_lineage ~seed:11 ~strategy:Eval.Swarm.Random torus4
-        [ 2 ])
+     (Eval.Swarm.plan_of_lineage ~seed:11 ~strategy:Eval.Swarm.Random
+        ~max_faults:3 ~horizon:0.25 torus4 [ 2 ])
        .Failures.Plan.faults
    with
   | [ _ ] -> ()
   | fs -> Alcotest.failf "random root should hold 1 fault, got %d"
             (List.length fs));
   match
-    Eval.Swarm.plan_of_lineage ~seed:11 ~strategy:Eval.Swarm.Coverage torus4 []
+    Eval.Swarm.plan_of_lineage ~seed:11 ~strategy:Eval.Swarm.Coverage
+      ~max_faults:3 ~horizon:0.25 torus4 []
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty lineage should be rejected"
