@@ -93,7 +93,6 @@ type t = {
   monitor : Sim.Monitor.t option;
   metrics : Sim.Metrics.t;
   counters : Sim.Metrics.counter option array; (* slot -> handle *)
-  reconfig_counters : (string, Sim.Metrics.counter) Hashtbl.t;
   mutable phases_observed : bool;
 }
 
@@ -113,10 +112,10 @@ let pf = Format.fprintf
 
 (* ---------- per-event counters ---------- *)
 
-(* Every event kind but [Reconfig] has a fixed, finite label set, so its
-   counter gets a slot: the (name, labels) key below is registered on
-   the slot's first event and its handle kept, so the registry sees the
-   same keys in the same order as one lookup per event would give. *)
+(* Every event kind has a fixed, finite label set, so its counter gets a
+   slot: the (name, labels) key below is registered on the slot's first
+   event and its handle kept, so the registry sees the same keys in the
+   same order as one lookup per event would give. *)
 let chan_states = [| Sim.Event.N; P; B; U |]
 let rcc_ops = [| Sim.Event.Send; Retransmit; Deliver; Ack; Drop |]
 let detector_signals = [| Sim.Event.Suspect; Confirm; Clear |]
@@ -124,9 +123,10 @@ let timer_ops = [| Sim.Event.Started; Cancelled; Expired |]
 let mux_ops = [| Sim.Event.Register; Unregister |]
 let lifecycle_ops = [| Sim.Event.Arrive; Admit; Block; Depart; Readmit |]
 
-let index_of arr x =
-  let rec go i = if arr.(i) == x then i else go (i + 1) in
-  go 0
+(* A top-level loop, not a local closure: [emit] runs it for every event,
+   and a closure over [arr] and [x] would be allocated on each call. *)
+let rec index_from arr x i = if arr.(i) == x then i else index_from arr x (i + 1)
+let index_of arr x = index_from arr x 0
 
 let transition_slot = 0
 let rcc_slot = transition_slot + 16
@@ -179,20 +179,6 @@ let incr_slot t slot =
   in
   Sim.Metrics.incr c
 
-let incr_reconfig t action =
-  let c =
-    match Hashtbl.find_opt t.reconfig_counters action with
-    | Some c -> c
-    | None ->
-      let c =
-        Sim.Metrics.counter t.metrics ~labels:[ ("action", action) ]
-          "bcp.reconfig"
-      in
-      Hashtbl.replace t.reconfig_counters action c;
-      c
-  in
-  Sim.Metrics.incr c
-
 (* Record one typed event and bump its registry counter.  The whole body
    is behind [t.telemetry], so untraced runs pay a single branch. *)
 let emit t ev =
@@ -212,7 +198,6 @@ let emit t ev =
     | Sim.Event.Activation _ -> incr_slot t activation_slot
     | Sim.Event.Rejoin_timer { op; _ } ->
       incr_slot t (rejoin_slot + index_of timer_ops op)
-    | Sim.Event.Reconfig { action; _ } -> incr_reconfig t action
     | Sim.Event.Mux { op; _ } -> incr_slot t (mux_slot + index_of mux_ops op)
     | Sim.Event.Fault { up; _ } -> incr_slot t (fault_slot + Bool.to_int up)
     | Sim.Event.Lifecycle { op; _ } ->
@@ -420,7 +405,6 @@ let create ?(config = Protocol.default_config) ?(telemetry = false) ?monitor ns
       monitor;
       metrics = Sim.Metrics.create ();
       counters = Array.make (Array.length slot_keys) None;
-      reconfig_counters = Hashtbl.create 4;
       phases_observed = false;
     }
   in
@@ -445,8 +429,8 @@ let rec wire_transports t =
             ~deliver:(fun c ->
               if t.node_alive.(lk.Net.Topology.dst) then
                 handle_control t lk.Net.Topology.dst ~via:l c));
-    if t.telemetry then
-      Array.iter (fun tr -> Rcc.Transport.set_event_sink tr (Some (emit t))) t.rcc;
+    let sink ~link ~op ~seq ~bytes = rcc_step t ~link ~op ~seq ~bytes in
+    Array.iter (fun tr -> Rcc.Transport.set_sink tr sink) t.rcc;
     apply_impairment t;
     match t.cfg.Protocol.detector with
     | Protocol.Heartbeat hb -> start_heartbeats t hb
@@ -480,9 +464,6 @@ and start_heartbeats t hb =
   t.monitors <- Array.init m (fun _ -> Detector.create hb ~now);
   t.hb_beats <- Array.make m 0;
   t.sender_reported <- Array.make m false;
-  Array.iteri
-    (fun l tr -> Rcc.Transport.set_drop_handler tr (fun () -> sender_drop t l))
-    t.rcc;
   let period = hb.Detector.period in
   (* Each link's two tick closures are built once and re-armed by
      themselves.  The send tick arms its successor before sending, so the
@@ -539,6 +520,19 @@ and hb_check t l =
       emit t
         (Sim.Event.Detector { node = dst; link = l; signal = Sim.Event.Suspect })
     | `Fine -> ()
+
+(* One RCC step of link [link], reported by its transport as plain ints:
+   the typed stream gets it as an [Rcc] event without building one, and
+   in heartbeat mode a drop is the sender-side failure signal. *)
+and rcc_step t ~link ~op ~seq ~bytes =
+  if t.telemetry then begin
+    Sim.Trace.record_rcc t.trace ~time:(now t) ~link ~op ~seq ~bytes;
+    (match t.monitor with Some m -> Sim.Monitor.feed_rcc m op | None -> ());
+    incr_slot t (rcc_slot + index_of rcc_ops op)
+  end;
+  match op with
+  | Sim.Event.Drop when Array.length t.monitors > 0 -> sender_drop t link
+  | _ -> ()
 
 and sender_drop t l =
   if not t.sender_reported.(l) then begin

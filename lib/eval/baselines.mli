@@ -21,21 +21,18 @@ type comparison = {
   reactive_spare : float;  (** always 0 *)
 }
 
-val reactive_recovery_rate :
-  ?seed:int ->
-  Bcp.Netstate.t ->
-  Rfast.model ->
-  float
+val reactive_recovery_rate : Bcp.Netstate.t -> Rfast.model -> float
 (** Recovery rate when every affected connection re-routes from scratch:
     for each scenario, disrupted connections (end-node failures excluded)
     release their old bandwidth and, in id order, attempt a fresh
     admissible route avoiding the failed components within their original
-    QoS hop budget.  The network state is restored after each scenario. *)
+    QoS hop budget.  The network state is restored after each scenario.
+    A sampled double-node model draws its scenarios with seed 7. *)
 
-val bcp_total_recovery_rate :
-  ?seed:int -> Bcp.Netstate.t -> Rfast.model -> float * float
+val bcp_total_recovery_rate : Bcp.Netstate.t -> Rfast.model -> float * float
 (** (fast, fast+slow): fast recovery via backups plus re-establishment of
-    the connections whose backups all failed. *)
+    the connections whose backups all failed.  A sampled double-node
+    model draws its scenarios with seed 7. *)
 
 val compare :
   ?seed:int -> ?double_sample:int -> Setup.network -> comparison list

@@ -156,8 +156,7 @@ let detector_label = function
 
 let ms v = Printf.sprintf "%.3f ms" (1000.0 *. v)
 
-let report ?(title = "Chaos sweep: recovery vs control-plane impairment")
-    outcomes =
+let titled_report ~title outcomes =
   let r =
     Report.make ~title
       ~columns:
@@ -191,13 +190,16 @@ let report ?(title = "Chaos sweep: recovery vs control-plane impairment")
     outcomes;
   r
 
+let report =
+  titled_report ~title:"Chaos sweep: recovery vs control-plane impairment"
+
 let sweep ?obs ?(seed = 11) ?scenario_count ?horizon ?(detector = `Oracle)
     ?levels network =
   let est = Setup.build ?obs ~seed ~backups:1 ~mux_degree:3 network in
   let outcomes =
     run ?obs ~seed ?scenario_count ?horizon ~detector ?levels est.Setup.ns
   in
-  report
+  titled_report
     ~title:
       (Printf.sprintf "Chaos sweep (%s, %s)"
          (Setup.network_label network)

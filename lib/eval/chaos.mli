@@ -54,7 +54,9 @@ val run :
     ([level_index * scenario_count + scenario_index]), so every simulated
     run keeps a distinct stream. *)
 
-val report : ?title:string -> outcome list -> Report.t
+val report : outcome list -> Report.t
+(** Tabulate outcomes under the title "Chaos sweep: recovery vs
+    control-plane impairment". *)
 
 val sweep :
   ?obs:Telemetry.collector ->

@@ -61,8 +61,8 @@ let phases_of_snapshot snapshot =
     switch = phase_of snapshot "phase.switch";
   }
 
-let measure ?obs ?(config = Bcp.Protocol.default_config) ?(seed = 11)
-    ?(scenario_count = 16) ?(node_failures = true) ns =
+let measure_with ~config ?obs ?(seed = 11) ?(scenario_count = 16)
+    ?(node_failures = true) ns =
   let topo = Bcp.Netstate.topology ns in
   let rng = Sim.Prng.create seed in
   let links =
@@ -216,12 +216,16 @@ let phases_to_json (ph : phases) =
   in
   Json.Obj (List.map (fun (label, p) -> (label, phase p)) (phase_rows ph))
 
+let measure ?obs ?seed ?scenario_count ?node_failures ns =
+  measure_with ~config:Bcp.Protocol.default_config ?obs ?seed ?scenario_count
+    ?node_failures ns
+
 let compare_schemes ?(seed = 11) ?(scenario_count = 8) ns =
   let stats =
     List.map
       (fun scheme ->
         let config = { Bcp.Protocol.default_config with scheme } in
-        measure ~config ~seed ~scenario_count ~node_failures:false ns)
+        measure_with ~config ~seed ~scenario_count ~node_failures:false ns)
       [ Bcp.Protocol.Scheme1; Bcp.Protocol.Scheme2; Bcp.Protocol.Scheme3 ]
   in
   report stats

@@ -25,7 +25,6 @@ val scheme_label : Bcp.Protocol.scheme -> string
 
 val measure :
   ?obs:Telemetry.collector ->
-  ?config:Bcp.Protocol.config ->
   ?seed:int ->
   ?scenario_count:int ->
   ?node_failures:bool ->
@@ -33,8 +32,9 @@ val measure :
   stats
 (** Samples [scenario_count] (default 16) single-link (plus single-node
     when [node_failures], default true) scenarios, one fresh protocol
-    simulation each.  With [obs], every simulation records typed
-    telemetry, added to the collector under its scenario index. *)
+    simulation each, under {!Bcp.Protocol.default_config}.  With [obs],
+    every simulation records typed telemetry, added to the collector
+    under its scenario index. *)
 
 (** {2 Telemetry}
 

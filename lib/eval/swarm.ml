@@ -75,7 +75,7 @@ let detector_label = function `Oracle -> "oracle" | `Heartbeat -> "heartbeat"
 
 (* ---------- artifacts ---------- *)
 
-let artifact_of ~seed ~strategy ~lineage ~plan ~replay_context ?context
+let artifact_with ~context ~seed ~strategy ~lineage ~plan ~replay_context
     (o : Minimize.outcome) =
   let audit =
     Audit.replay ?context:(if replay_context then context else None) o.events
@@ -110,6 +110,8 @@ let artifact_of ~seed ~strategy ~lineage ~plan ~replay_context ?context
             ] );
         ("trace", Json.List (List.map Telemetry.tagged_to_json o.events));
       ])
+
+let artifact_of = artifact_with ~context:None
 
 (* ---------- one scenario ---------- *)
 
@@ -219,8 +221,8 @@ let run_one ~obs ~seed ~strategy ~max_faults ~horizon ~config ~context
           replays = outcome.Minimize.replays;
           replay_context;
           artifact =
-            artifact_of ~seed ~strategy ~lineage ~plan ~replay_context ~context
-              outcome;
+            artifact_with ~context:(Some context) ~seed ~strategy ~lineage
+              ~plan ~replay_context outcome;
         }
   in
   {

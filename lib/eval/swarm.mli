@@ -80,14 +80,14 @@ val artifact_of :
   lineage:int list ->
   plan:Failures.Plan.t ->
   replay_context:bool ->
-  ?context:Sim.Monitor.context ->
   Minimize.outcome ->
   Json.t
 (** Package a minimized violation as a self-contained [bcp-audit/v1]
     document: the audit result of replaying the minimized stream, plus a
     ["swarm"] section (seed, lineage, plan, minimization stats) and the
     embedded ["trace"] member {!Audit.load_trace} knows how to replay.
-    [context] is only consulted when [replay_context] is set. *)
+    The stream is replayed without a network context; [replay_context]
+    is only recorded. *)
 
 val run :
   ?obs:Telemetry.collector ->

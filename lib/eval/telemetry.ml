@@ -78,8 +78,6 @@ let event_to_json ev =
         ("channel", Json.Int channel);
         ("op", Json.String (Sim.Event.timer_op_to_string op));
       ]
-    | Sim.Event.Reconfig { conn; action } ->
-      [ ("conn", Json.Int conn); ("action", Json.String action) ]
     | Sim.Event.Mux { link; backup; op; pi; psi } ->
       [
         ("link", Json.Int link);
@@ -140,10 +138,6 @@ let event_of_json j =
     let* channel = int_field "channel" j in
     let* op = enum_field "op" Sim.Event.timer_op_of_string j in
     Ok (Sim.Event.Rejoin_timer { node; channel; op })
-  | "reconfig" ->
-    let* conn = int_field "conn" j in
-    let* action = string_field "action" j in
-    Ok (Sim.Event.Reconfig { conn; action })
   | "mux" ->
     let* link = int_field "link" j in
     let* backup = int_field "backup" j in
@@ -236,7 +230,7 @@ let event_tid = function
   | Sim.Event.Rejoin_timer { node; _ } ->
     node
   | Sim.Event.Rcc { link; _ } | Sim.Event.Mux { link; _ } -> link
-  | Sim.Event.Reconfig { conn; _ } | Sim.Event.Lifecycle { conn; _ } -> conn
+  | Sim.Event.Lifecycle { conn; _ } -> conn
   | Sim.Event.Fault { component = Sim.Event.Node v; _ } -> v
   | Sim.Event.Fault { component = Sim.Event.Link l; _ } -> l
 

@@ -24,7 +24,18 @@ let ack_bytes = 8
 
 type rcc_message = { seq : int; payload : Control.t list; bytes : int }
 
-module Itbl = Hashtbl.Make (Int)
+(* Sequence numbers are small non-negative ints: the identity is a good
+   hash for them and much cheaper than the polymorphic one. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+type sink = link:int -> op:Sim.Event.rcc_op -> seq:int -> bytes:int -> unit
+
+let no_sink ~link:_ ~op:_ ~seq:_ ~bytes:_ = ()
 
 type t = {
   engine : Sim.Engine.t;
@@ -33,18 +44,28 @@ type t = {
   deliver : Control.t -> unit;
   mutable alive : bool;
   mutable impair : impairment option;
-  mutable on_drop : unit -> unit;
-  mutable on_event : (Sim.Event.t -> unit) option;
+  mutable sink : sink;
   queue : Control.t Queue.t;
   pending : (Control.t, unit) Hashtbl.t;
       (* dedup of queued messages; heartbeats, unique by their beat
          number, skip it *)
-  unacked : Sim.Engine.handle Itbl.t;
-      (* seq -> retransmit timer of a message awaiting its hop-by-hop ack;
-         each retransmission re-arms it *)
+  (* Sender-side state of the seqs in [lo, next_seq), at slot
+     [seq land (capacity - 1)] of three arrays of one power-of-two
+     capacity: a seq below [lo] is neither unacked nor airborne, and [lo]
+     moves up past every such seq. *)
+  mutable lo : int;
+  mutable armed : Bytes.t; (* '\001': the message awaits its ack *)
+  mutable timer : Sim.Engine.handle array;
+      (* the armed message's retransmit timer; each retransmission
+         re-arms it.  Empty until the first timer gives a fill value. *)
+  mutable airborne : int array; (* copies scheduled but not yet landed *)
+  mutable unacked : int;
   seen : unit Itbl.t; (* receiver-side dedup *)
-  seen_order : int Queue.t; (* arrival order, for window eviction *)
-  airborne : int Itbl.t; (* seq -> copies scheduled but not yet landed *)
+  mutable order : int array;
+      (* ring of the seqs in [seen], in arrival order, for window
+         eviction; grown by doubling up to [seen_window] *)
+  mutable order_head : int;
+  mutable order_len : int;
   mutable next_seq : int;
   mutable next_eligible : float;
   mutable pump_scheduled : bool;
@@ -66,14 +87,18 @@ let create ?impair engine ~params ~link ~deliver =
     deliver;
     alive = true;
     impair;
-    on_drop = (fun () -> ());
-    on_event = None;
+    sink = no_sink;
     queue = Queue.create ();
-    pending = Hashtbl.create 64;
-    unacked = Itbl.create 16;
+    pending = Hashtbl.create 8;
+    lo = 0;
+    armed = Bytes.make 8 '\000';
+    timer = [||];
+    airborne = Array.make 8 0;
+    unacked = 0;
     seen = Itbl.create 16;
-    seen_order = Queue.create ();
-    airborne = Itbl.create 16;
+    order = [||];
+    order_head = 0;
+    order_len = 0;
     next_seq = 0;
     next_eligible = 0.0;
     pump_scheduled = false;
@@ -82,20 +107,15 @@ let create ?impair engine ~params ~link ~deliver =
     dropped = 0;
   }
 
-let in_flight t = Itbl.length t.unacked
+let in_flight t = t.unacked
 let stats_sent t = t.sent
 let stats_delivered t = t.delivered
 let stats_dropped t = t.dropped
 let seen_size t = Itbl.length t.seen
 
 let set_impairment t i = t.impair <- i
-let set_drop_handler t f = t.on_drop <- f
-let set_event_sink t s = t.on_event <- s
-
-let emit t ~op ~seq ~bytes =
-  match t.on_event with
-  | None -> ()
-  | Some f -> f (Sim.Event.Rcc { link = t.link; op; seq; bytes })
+let set_sink t f = t.sink <- f
+let emit t ~op ~seq ~bytes = t.sink ~link:t.link ~op ~seq ~bytes
 
 (* Delivery latency: a fraction of the worst case that grows with the RCC
    message size, so the D_max bound is respected but not trivially equal. *)
@@ -111,26 +131,94 @@ let copies t ~dir ~bytes =
   | None -> [ 0.0 ]
   | Some f -> f ~dir ~bytes ~now:(Sim.Engine.now t.engine)
 
+(* ---------- per-seq sender state ---------- *)
+
+let slot t seq = seq land (Array.length t.airborne - 1)
+let is_armed t seq = Bytes.unsafe_get t.armed (slot t seq) <> '\000'
+
+(* Take seq [next_seq] into the window, doubling the arrays when the
+   window fills them. *)
+let open_seq t =
+  let cap = Array.length t.airborne in
+  if t.next_seq - t.lo = cap then begin
+    let mask = (2 * cap) - 1 in
+    let armed = Bytes.make (2 * cap) '\000' and air = Array.make (2 * cap) 0 in
+    let timer =
+      if Array.length t.timer = 0 then [||]
+      else Array.make (2 * cap) t.timer.(0)
+    in
+    for seq = t.lo to t.next_seq - 1 do
+      Bytes.set armed (seq land mask) (Bytes.get t.armed (slot t seq));
+      air.(seq land mask) <- t.airborne.(slot t seq);
+      if Array.length timer > 0 then timer.(seq land mask) <- t.timer.(slot t seq)
+    done;
+    t.armed <- armed;
+    t.airborne <- air;
+    t.timer <- timer
+  end;
+  Bytes.set t.armed (slot t t.next_seq) '\000';
+  t.airborne.(slot t t.next_seq) <- 0
+
+let settle t =
+  while
+    t.lo < t.next_seq && (not (is_armed t t.lo)) && t.airborne.(slot t t.lo) = 0
+  do
+    t.lo <- t.lo + 1
+  done
+
+let unacked t seq = seq >= t.lo && seq < t.next_seq && is_armed t seq
+
+let arm t seq h =
+  if Array.length t.timer = 0 then
+    t.timer <- Array.make (Array.length t.airborne) h;
+  t.timer.(slot t seq) <- h;
+  if not (is_armed t seq) then begin
+    Bytes.set t.armed (slot t seq) '\001';
+    t.unacked <- t.unacked + 1
+  end
+
+let disarm t seq =
+  Bytes.set t.armed (slot t seq) '\000';
+  t.unacked <- t.unacked - 1;
+  settle t
+
 let note_airborne t seq delta =
-  let n = delta + Option.value ~default:0 (Itbl.find_opt t.airborne seq) in
-  if n <= 0 then Itbl.remove t.airborne seq else Itbl.replace t.airborne seq n
+  let i = slot t seq in
+  t.airborne.(i) <- t.airborne.(i) + delta;
+  if t.airborne.(i) = 0 then settle t
 
 let send_count = Sim.Prof.counter "rcc.send"
 let deliver_count = Sim.Prof.counter "rcc.deliver"
 
+let order_slot t i = (t.order_head + i) mod Array.length t.order
+
+let remember t seq =
+  let cap = Array.length t.order in
+  if t.order_len = cap then begin
+    let ring = Array.make (min t.params.seen_window (max 16 (2 * cap))) 0 in
+    for i = 0 to t.order_len - 1 do
+      ring.(i) <- t.order.(order_slot t i)
+    done;
+    t.order <- ring;
+    t.order_head <- 0
+  end;
+  t.order.(order_slot t t.order_len) <- seq;
+  t.order_len <- t.order_len + 1
+
 let receive t (m : rcc_message) =
   if not (Itbl.mem t.seen m.seq) then begin
     emit t ~op:Sim.Event.Deliver ~seq:m.seq ~bytes:m.bytes;
-    Itbl.add t.seen m.seq ();
-    Queue.add m.seq t.seen_order;
     (* Sliding-window bound on the dedup table: a seq old enough to be
        evicted can no longer be retransmitted (the sender has either been
        acked or has given up long before [seen_window] newer messages
        went by). *)
-    while Queue.length t.seen_order > t.params.seen_window do
-      let old = Queue.pop t.seen_order in
-      Itbl.remove t.seen old
-    done;
+    if t.order_len = t.params.seen_window then begin
+      Itbl.remove t.seen t.order.(t.order_head);
+      t.order_head <- order_slot t 1;
+      t.order_len <- t.order_len - 1
+    end;
+    Itbl.add t.seen m.seq ();
+    remember t m.seq;
     List.iter
       (fun c ->
         t.delivered <- t.delivered + 1;
@@ -142,12 +230,11 @@ let receive t (m : rcc_message) =
 (* The first ack withdraws the retransmit timer: left armed it would
    fire [retransmit_timeout] later only to find the message acked. *)
 let ack_received t seq =
-  match Itbl.find_opt t.unacked seq with
-  | None -> ()
-  | Some timer ->
+  if unacked t seq then begin
     emit t ~op:Sim.Event.Ack ~seq ~bytes:ack_bytes;
-    Sim.Engine.cancel t.engine timer;
-    Itbl.remove t.unacked seq
+    Sim.Engine.cancel t.engine t.timer.(slot t seq);
+    disarm t seq
+  end
 
 (* The hop-by-hop ack traverses the same impaired link in the reverse
    direction: it can be lost or duplicated like any other transmission,
@@ -191,12 +278,11 @@ let rec transmit t (m : rcc_message) ~attempt =
   Sim.Engine.schedule_after ~klass:Sim.Engine.Timer t.engine
     ~delay:t.params.retransmit_timeout (fun () ->
       if attempt >= t.params.max_retransmits then begin
-        Itbl.remove t.unacked m.seq;
+        disarm t m.seq;
         t.dropped <- t.dropped + 1;
-        emit t ~op:Sim.Event.Drop ~seq:m.seq ~bytes:m.bytes;
-        t.on_drop ()
+        emit t ~op:Sim.Event.Drop ~seq:m.seq ~bytes:m.bytes
       end
-      else Itbl.replace t.unacked m.seq (transmit t m ~attempt:(attempt + 1)))
+      else arm t m.seq (transmit t m ~attempt:(attempt + 1)))
 
 let is_heartbeat = function Control.Heartbeat _ -> true | _ -> false
 
@@ -221,9 +307,10 @@ let rec pump t =
   if not (Queue.is_empty t.queue) then begin
     let payload, bytes = pack t in
     let m = { seq = t.next_seq; payload; bytes } in
+    open_seq t;
     t.next_seq <- t.next_seq + 1;
     t.next_eligible <- Sim.Engine.now t.engine +. (1.0 /. t.params.r_max);
-    Itbl.replace t.unacked m.seq (transmit t m ~attempt:1);
+    arm t m.seq (transmit t m ~attempt:1);
     schedule_pump t
   end
 
@@ -264,17 +351,18 @@ let send t c =
    never re-admitting a duplicate. *)
 let prune_seen t =
   let stale seq =
-    (not (Itbl.mem t.unacked seq)) && not (Itbl.mem t.airborne seq)
+    seq < t.lo || ((not (is_armed t seq)) && t.airborne.(slot t seq) = 0)
   in
-  if Queue.length t.seen_order > 0 then begin
-    let keep = Queue.create () in
-    Queue.iter
-      (fun seq ->
-        if stale seq then Itbl.remove t.seen seq else Queue.add seq keep)
-      t.seen_order;
-    Queue.clear t.seen_order;
-    Queue.transfer keep t.seen_order
-  end
+  let kept = ref 0 in
+  for i = 0 to t.order_len - 1 do
+    let seq = t.order.(order_slot t i) in
+    if stale seq then Itbl.remove t.seen seq
+    else begin
+      t.order.(order_slot t !kept) <- seq;
+      incr kept
+    end
+  done;
+  t.order_len <- !kept
 
 let set_alive t b =
   let was = t.alive in

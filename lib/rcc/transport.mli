@@ -75,17 +75,18 @@ val set_impairment : t -> impairment option -> unit
 (** Attach (or detach) the delivery hook; [None] restores the exact
     unimpaired behaviour. *)
 
-val set_drop_handler : t -> (unit -> unit) -> unit
-(** Called each time an RCC message is abandoned after
-    [max_retransmits].  A persistent absence of acknowledgments is the
-    sender-side failure signal the heartbeat detector consumes. *)
-
-val set_event_sink : t -> (Sim.Event.t -> unit) option -> unit
-(** Telemetry hook: when set, every RCC-message lifecycle step emits a
-    {!Sim.Event.Rcc} ([Send] on first transmission, [Retransmit] on
+type sink = link:int -> op:Sim.Event.rcc_op -> seq:int -> bytes:int -> unit
+(** Receives every RCC-message lifecycle step as the fields of a
+    {!Sim.Event.Rcc}: [Send] on first transmission, [Retransmit] on
     resends, [Deliver] once per message accepted after dedup, [Ack] when
-    an acknowledgment lands, [Drop] on retransmit exhaustion).  [None]
-    (the default) is free: no events are constructed. *)
+    an acknowledgment lands, [Drop] when a message is abandoned after
+    [max_retransmits].  A persistent run of drops is the sender-side
+    failure signal the heartbeat detector consumes. *)
+
+val set_sink : t -> sink -> unit
+(** Replace the step sink (default: one that ignores every step).  The
+    transport passes the fields as plain arguments, so reporting a step
+    allocates nothing. *)
 
 val in_flight : t -> int
 (** RCC messages sent but not yet acknowledged. *)

@@ -94,7 +94,6 @@ type t =
   | Detector of { node : int; link : int; signal : detector_signal }
   | Activation of { node : int; conn : int; serial : int; channel : int }
   | Rejoin_timer of { node : int; channel : int; op : timer_op }
-  | Reconfig of { conn : int; action : string }
   | Mux of { link : int; backup : int; op : mux_op; pi : int; psi : int }
   | Fault of { component : component; up : bool }
   | Lifecycle of { conn : int; op : lifecycle_op; active : int }
@@ -105,7 +104,6 @@ let type_tag = function
   | Detector _ -> "detector"
   | Activation _ -> "activation"
   | Rejoin_timer _ -> "rejoin-timer"
-  | Reconfig _ -> "reconfig"
   | Mux _ -> "mux"
   | Fault _ -> "fault"
   | Lifecycle _ -> "lifecycle"
@@ -126,8 +124,6 @@ let pp ppf = function
   | Rejoin_timer { node; channel; op } ->
     Format.fprintf ppf "rejoin-timer(node=%d, ch=%d, %s)" node channel
       (timer_op_to_string op)
-  | Reconfig { conn; action } ->
-    Format.fprintf ppf "reconfig(conn=%d, %s)" conn action
   | Mux { link; backup; op; pi; psi } ->
     Format.fprintf ppf "mux(link=%d, backup=%d, %s, pi=%d, psi=%d)" link backup
       (mux_op_to_string op) pi psi

@@ -68,10 +68,6 @@ type t =
       (** an end node committed to a backup and started the activation
           wave *)
   | Rejoin_timer of { node : int; channel : int; op : timer_op }
-  | Reconfig of { conn : int; action : string }
-      (** resource reconfiguration steps: "promoted", "torn-down",
-          "backup-closed", "replacement-added", "replacement-failed",
-          "unrecovered" *)
   | Mux of { link : int; backup : int; op : mux_op; pi : int; psi : int }
       (** multiplexing-table update with the resulting |Π| and |Ψ| of the
           backup on that link *)
@@ -82,6 +78,6 @@ type t =
 
 val type_tag : t -> string
 (** Stable constructor tag: "chan", "rcc", "detector", "activation",
-    "rejoin-timer", "reconfig", "mux", "fault", "lifecycle". *)
+    "rejoin-timer", "mux", "fault", "lifecycle". *)
 
 val to_string : t -> string

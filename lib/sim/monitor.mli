@@ -111,6 +111,11 @@ val feed : t -> time:float -> Event.t -> unit
     recording order (one monitor per simulation run — shadow state does
     not transfer across runs). *)
 
+val feed_rcc : t -> Event.rcc_op -> unit
+(** [feed_rcc t op] is [feed t ~time (Rcc {op; _})] for any time, link,
+    seq and byte count: the monitor only counts RCC steps and marks their
+    op covered, so the fields need not be built. *)
+
 val finish : t -> unit
 (** End-of-stream checks: unresolved switch-before-activation pendings
     and the static link-budget audit (mux bracket, capacity).  Idempotent
@@ -151,8 +156,7 @@ val coverage : t -> string list
       with this phase signature (one letter per phase reached, ["-"]
       for a phase never observed; only populated by {!finish});
     - ["rcc:<op>"], ["det:<signal>"], ["timer:<op>"], ["mux:<op>"],
-      ["reconfig:<action>"], ["life:<op>"] — event families the monitor
-      does not invariant-check per se, but whose occurrence
-      distinguishes behaviours (a retransmission, a heartbeat confirm,
-      a rejoin-timer expiry, a replacement-failed reconfiguration, a
-      blocked churn arrival...). *)
+      ["life:<op>"] — event families the monitor does not
+      invariant-check per se, but whose occurrence distinguishes
+      behaviours (a retransmission, a heartbeat confirm, a rejoin-timer
+      expiry, a blocked churn arrival...). *)

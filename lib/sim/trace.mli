@@ -10,7 +10,10 @@
     {!Event.t} records for the telemetry exporters.  Typed recording is
     off by default and {!record_event} is a no-op until {!set_events}
     enables it, so untraced runs pay a single branch and allocate
-    nothing. *)
+    nothing.  Typed events are kept in fixed-size chunks that are never
+    copied; RCC steps, the bulk of a heartbeat run, are kept as plain
+    ints and rebuilt into {!Event.Rcc} records only when {!events} reads
+    them. *)
 
 type entry = { time : float; tag : string; detail : string }
 
@@ -52,12 +55,24 @@ val pp_entry : Format.formatter -> entry -> unit
 val set_events : t -> bool -> unit
 (** Enable / disable typed-event recording (default: disabled). *)
 
-val events_enabled : t -> bool
-
 val record_event : t -> time:float -> Event.t -> unit
 (** Append a typed event; no-op (and allocation-free) while typed
     recording is disabled.  The typed buffer is unbounded — unlike the
     string ring it never drops, so exporters see the full run. *)
+
+val record_rcc :
+  t ->
+  time:float ->
+  link:int ->
+  op:Event.rcc_op ->
+  seq:int ->
+  bytes:int ->
+  unit
+(** [record_event t ~time (Rcc {link; op; seq; bytes})] without building
+    the record.  A [link] and [bytes] in [\[0, 2{^16})] and a [seq] in
+    [\[0, 2{^27})] are packed into one int, and the call allocates
+    nothing but, once per 1024 events, a new chunk.  Other values are
+    stored boxed; {!events} returns the same event either way. *)
 
 val events : t -> (float * Event.t) list
 (** Chronological (recording order). *)

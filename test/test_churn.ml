@@ -187,24 +187,11 @@ let test_param_validation () =
   | exception Invalid_argument _ -> ())
 
 (* CLI contract of `bcp_sim churn`: usage errors exit 2, a tripped
-   --max-blocking gate exits 1, a healthy seeded run exits 0.  The
-   binary is a declared dune dependency of the test. *)
-(* Under `dune runtest` the cwd is _build/default/test; under a bare
-   `dune exec` it is the workspace root. *)
-let bcp_sim =
-  let candidates =
-    [
-      Filename.concat (Filename.concat ".." "bin") "bcp_sim.exe";
-      List.fold_left Filename.concat "_build" [ "default"; "bin"; "bcp_sim.exe" ];
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> List.hd candidates
+   --max-blocking gate exits 1, a healthy seeded run exits 0. *)
 
 let run_cli args =
   Sys.command
-    (Filename.quote bcp_sim ^ " " ^ args ^ " > "
+    (Filename.quote Cli.bcp_sim ^ " " ^ args ^ " > "
     ^ Filename.quote Filename.null)
 
 (* A file under a directory that does not exist. *)
@@ -213,8 +200,8 @@ let unwritable name =
     (Filename.concat (Filename.concat "no-such-dir" "for-bcp-sim") name)
 
 let test_cli_exit_codes () =
-  if not (Sys.file_exists bcp_sim) then
-    Alcotest.fail (Printf.sprintf "missing CLI binary %s" bcp_sim);
+  if not (Sys.file_exists Cli.bcp_sim) then
+    Alcotest.fail (Printf.sprintf "missing CLI binary %s" Cli.bcp_sim);
   Alcotest.(check int) "healthy run exits 0" 0
     (run_cli
        "churn --seed 7 --network torus4 --events 1000 --offered 2 --jobs 2");

@@ -371,6 +371,131 @@ let test_kind_string_roundtrip () =
       Sim.Monitor.Timer_misfire;
     ]
 
+(* ---------- reference twin ---------- *)
+
+let twin_context =
+  lazy
+    (Eval.Audit.context_of_netstate
+       (Eval.Setup.build Eval.Setup.Torus4).Eval.Setup.ns)
+
+let causes =
+  [| "detect"; "report"; "mux-report"; "preempted"; "mux-fail"; "activate";
+     "expire"; "closure"; "rejoin"; "preempt"; "bogus" |]
+
+let states = [| Sim.Event.N; P; B; U |]
+
+(* A random stream over the 4x4 context: channels of the context (at
+   their own path nodes, mostly), codec ids the context does not know,
+   and raw ids; transitions that mostly continue from the state the
+   stream last left the (node, channel) in; timers, activations, mux
+   updates, faults, RCC steps, detector and lifecycle signals. *)
+let gen_stream rs =
+  let ctx = Lazy.force twin_context in
+  let chans = Array.of_list ctx.Sim.Monitor.chan_ctx in
+  let bids = Array.of_list (List.map fst ctx.Sim.Monitor.mux_bw) in
+  let int lo hi = lo + Random.State.int rs (hi - lo + 1) in
+  let pick a = a.(Random.State.int rs (Array.length a)) in
+  let chance p = Random.State.float rs 1.0 < p in
+  let last = Hashtbl.create 16 in
+  let chan_node () =
+    match int 0 6 with
+    | 0 | 1 | 2 | 3 ->
+      let ci = pick chans in
+      let node =
+        if chance 0.8 then pick ci.Sim.Monitor.nodes else int 0 17
+      in
+      (ci.Sim.Monitor.channel, node)
+    | 4 | 5 -> (Bcp.Protocol.cid ~conn:(int 0 40) ~serial:(int 0 3), int 0 17)
+    | _ -> (int (-3) 5000, int 0 17)
+  in
+  let event () =
+    match int 0 19 with
+    | 0 | 1 | 2 | 3 | 4 | 5 | 6 ->
+      let channel, node = chan_node () in
+      let from_ =
+        match Hashtbl.find_opt last (node, channel) with
+        | Some s when chance 0.8 -> s
+        | _ -> pick states
+      in
+      let to_ = pick states in
+      Hashtbl.replace last (node, channel) to_;
+      Sim.Event.Chan_transition { node; channel; from_; to_; cause = pick causes }
+    | 7 | 8 ->
+      let channel, node = chan_node () in
+      Sim.Event.Rejoin_timer
+        { node; channel; op = pick [| Sim.Event.Started; Cancelled; Expired |] }
+    | 9 | 10 ->
+      let channel, node = chan_node () in
+      let conn, serial = Eval.Audit.decode_cid (abs channel) in
+      let conn, serial = if chance 0.8 then (conn, serial) else (int 0 40, int 0 3) in
+      Sim.Event.Activation { node; conn; serial; channel }
+    | 11 | 12 ->
+      Sim.Event.Mux
+        {
+          link = int 0 8;
+          backup = (if chance 0.7 && bids <> [||] then pick bids else int 0 50);
+          op = pick [| Sim.Event.Register; Unregister |];
+          pi = int (-1) 4;
+          psi = int (-1) 4;
+        }
+    | 13 ->
+      let component =
+        if chance 0.5 then Sim.Event.Node (int 0 17) else Sim.Event.Link (int 0 70)
+      in
+      Sim.Event.Fault { component; up = chance 0.3 }
+    | 14 | 15 | 16 ->
+      Sim.Event.Rcc
+        {
+          link = int 0 63;
+          op = pick [| Sim.Event.Send; Retransmit; Deliver; Ack; Drop |];
+          seq = int 0 99;
+          bytes = int 0 200;
+        }
+    | 17 ->
+      Sim.Event.Detector
+        {
+          node = int 0 15;
+          link = int 0 63;
+          signal = pick [| Sim.Event.Suspect; Confirm; Clear |];
+        }
+    | _ ->
+      Sim.Event.Lifecycle
+        {
+          conn = int 0 40;
+          op = pick [| Sim.Event.Arrive; Admit; Block; Depart; Readmit |];
+          active = int 0 9;
+        }
+  in
+  let n = int 0 250 in
+  let time = ref 0.0 in
+  let events =
+    List.init n (fun _ ->
+        time := !time +. (0.001 *. float_of_int (int 0 3));
+        (!time, event ()))
+  in
+  (chance 0.7, chance 0.7, chance 0.2, events)
+
+let arb_stream =
+  QCheck.make
+    ~print:(fun (ctx, dec, ff, evs) ->
+      Printf.sprintf "context=%b decode=%b fail_fast=%b\n%s" ctx dec ff
+        (String.concat "\n"
+           (List.map
+              (fun (t, ev) -> Printf.sprintf "%.3f %s" t (Sim.Event.to_string ev))
+              evs)))
+    gen_stream
+
+let prop_twin_random_streams =
+  QCheck.Test.make ~name:"random streams: monitor = reference" ~count:300
+    arb_stream (fun (with_ctx, with_decode, fail_fast, events) ->
+      let context = if with_ctx then Some (Lazy.force twin_context) else None in
+      let decode_channel =
+        if with_decode then Some Eval.Audit.decode_cid else None
+      in
+      match Monitor_twin.compare ?context ?decode_channel ~fail_fast events with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "reports differ in %s" what)
+
 let () =
   Alcotest.run "monitor"
     [
@@ -415,6 +540,8 @@ let () =
           Alcotest.test_case "chaos torus4 audits clean" `Quick
             test_chaos_torus4_audits_clean;
         ] );
+      ( "reference twin",
+        [ QCheck_alcotest.to_alcotest prop_twin_random_streams ] );
       ( "forensics",
         [
           Alcotest.test_case "tampered trace detected" `Quick

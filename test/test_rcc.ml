@@ -127,12 +127,8 @@ let test_transport_no_duplicate_delivery_on_lost_ack () =
 (* Every RCC lifecycle step the transport reports, with its time. *)
 let record_ops engine tr =
   let log = ref [] in
-  Rcc.Transport.set_event_sink tr
-    (Some
-       (function
-       | Sim.Event.Rcc { op; seq; _ } ->
-         log := (Sim.Event.rcc_op_to_string op, seq, Sim.Engine.now engine) :: !log
-       | _ -> ()));
+  Rcc.Transport.set_sink tr (fun ~link:_ ~op ~seq ~bytes:_ ->
+      log := (Sim.Event.rcc_op_to_string op, seq, Sim.Engine.now engine) :: !log);
   log
 
 let op_log = Alcotest.(list (triple string int (float 0.0)))
@@ -281,6 +277,100 @@ let prop_every_sent_message_delivered_once =
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
+(* Forty RCC messages outstanding at once — more than the sender's
+   initial per-seq window holds — across an outage, then duplicated and
+   reordered on the way: each is delivered once, acked, and leaves no
+   timer behind. *)
+let test_transport_many_in_flight () =
+  let engine, tr, received = make_transport () in
+  let n = 40 and gap = 2e-4 in
+  Rcc.Transport.set_alive tr false;
+  for i = 0 to n - 1 do
+    ignore
+      (Sim.Engine.schedule engine ~at:(float_of_int i *. gap) (fun () ->
+           Rcc.Transport.send tr (report i)))
+  done;
+  let peak = ref 0 in
+  ignore
+    (Sim.Engine.schedule engine ~at:(float_of_int n *. gap) (fun () ->
+         peak := Rcc.Transport.in_flight tr;
+         (* Revived: every copy now lands twice, the later ones first. *)
+         let k = ref 0 in
+         Rcc.Transport.set_impairment tr
+           (Some
+              (fun ~dir:_ ~bytes:_ ~now:_ ->
+                incr k;
+                [ 1e-3 /. float_of_int !k; 2e-4 ]));
+         Rcc.Transport.set_alive tr true));
+  Sim.Engine.run engine;
+  Alcotest.(check int) "all outstanding before revival" n !peak;
+  Alcotest.(check int) "each delivered once" n (List.length !received);
+  Alcotest.(check int) "all acked" 0 (Rcc.Transport.in_flight tr);
+  Alcotest.(check int) "none dropped" 0 (Rcc.Transport.stats_dropped tr);
+  Alcotest.(check int) "no timer left behind" 0 (Sim.Engine.pending engine)
+
+(* Sends [report i] at [i * gap] for [i < n], each its own RCC message,
+   with the [i]-th data copy offered to the link landing [extra i] late
+   (a list: one entry per copy); acks land on time. *)
+let send_spaced ?params ~n ~gap ~extra () =
+  let engine, tr, received = make_transport ?params () in
+  let k = ref 0 in
+  Rcc.Transport.set_impairment tr
+    (Some
+       (fun ~dir ~bytes:_ ~now:_ ->
+         match dir with
+         | `Ack -> [ 0.0 ]
+         | `Data ->
+           incr k;
+           extra (!k - 1)));
+  for i = 0 to n - 1 do
+    ignore
+      (Sim.Engine.schedule engine ~at:(float_of_int i *. gap) (fun () ->
+           Rcc.Transport.send tr (report i)))
+  done;
+  (engine, tr, received)
+
+let channels received =
+  List.rev_map (fun c -> Rcc.Control.channel_of c) !received
+
+(* A repair prunes only dedup entries that can never match again: twelve
+   messages land and are acked at once, each with a late duplicate still
+   airborne when the link dies and comes back.  Twelve exceeds the
+   sender's initial per-seq window, so it grows while copies are in the
+   air. *)
+let test_transport_prune_keeps_airborne () =
+  let engine, tr, received =
+    send_spaced ~n:12 ~gap:2e-4 ~extra:(fun _ -> [ 0.0; 0.02 ]) ()
+  in
+  let kept = ref (-1) in
+  ignore
+    (Sim.Engine.schedule engine ~at:0.005 (fun () ->
+         Rcc.Transport.set_alive tr false));
+  ignore
+    (Sim.Engine.schedule engine ~at:0.006 (fun () ->
+         Rcc.Transport.set_alive tr true;
+         kept := Rcc.Transport.seen_size tr));
+  Sim.Engine.run engine;
+  Alcotest.(check int) "dedup entries kept across the repair" 12 !kept;
+  Alcotest.(check (list int)) "each delivered once" (List.init 12 Fun.id)
+    (channels received)
+
+(* The dedup window evicts in arrival order, not seq order: with room for
+   two, seq 0 arriving last evicts seq 1, the earliest arrival, so seq
+   2's late duplicate is dropped and seq 1's is delivered again.  Every
+   copy lands before the 4 ms retransmit timeout. *)
+let test_transport_window_evicts_oldest_arrival () =
+  let params = { Rcc.Transport.default_params with Rcc.Transport.seen_window = 2 } in
+  let extra = function
+    | 0 -> [ 3e-3 ]
+    | 1 -> [ 0.0; 3.5e-3 ]
+    | _ -> [ 0.0; 3e-3 ]
+  in
+  let engine, _, received = send_spaced ~params ~n:3 ~gap:2e-4 ~extra () in
+  Sim.Engine.run engine;
+  Alcotest.(check (list int)) "arrival order, seq 1 again" [ 1; 2; 0; 1 ]
+    (channels received)
+
 let () =
   Alcotest.run "rcc"
     [
@@ -300,6 +390,12 @@ let () =
           Alcotest.test_case "validation" `Quick test_transport_validation;
           Alcotest.test_case "ack cancels retransmit timer" `Quick
             test_transport_ack_cancels_timer;
+          Alcotest.test_case "many in flight across an outage" `Quick
+            test_transport_many_in_flight;
+          Alcotest.test_case "repair keeps airborne dedup" `Quick
+            test_transport_prune_keeps_airborne;
+          Alcotest.test_case "window evicts oldest arrival" `Quick
+            test_transport_window_evicts_oldest_arrival;
           Alcotest.test_case "dead link retransmit schedule" `Quick
             test_transport_dead_link_schedule;
           Alcotest.test_case "inline pump = queued pump" `Quick

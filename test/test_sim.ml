@@ -535,8 +535,9 @@ let ev_b =
 
 let test_trace_events_disabled_noop () =
   let t = Sim.Trace.create () in
-  Alcotest.(check bool) "off by default" false (Sim.Trace.events_enabled t);
+  (* Off by default: nothing is recorded until [set_events]. *)
   Sim.Trace.record_event t ~time:1.0 ev_a;
+  Sim.Trace.record_rcc t ~time:1.0 ~link:0 ~op:Sim.Event.Send ~seq:0 ~bytes:8;
   Alcotest.(check int) "nothing recorded" 0 (Sim.Trace.event_count t);
   Alcotest.(check bool) "empty" true (Sim.Trace.events t = [])
 
@@ -554,7 +555,8 @@ let test_trace_events_capture () =
   | _ -> Alcotest.fail "expected two events in order");
   Sim.Trace.clear t;
   Alcotest.(check int) "clear drops events" 0 (Sim.Trace.event_count t);
-  Alcotest.(check bool) "flag survives clear" true (Sim.Trace.events_enabled t)
+  Sim.Trace.record_event t ~time:3.0 ev_a;
+  Alcotest.(check int) "flag survives clear" 1 (Sim.Trace.event_count t)
 
 let test_trace_events_growth () =
   (* Push past the initial buffer capacity to exercise doubling. *)
@@ -570,6 +572,143 @@ let test_trace_events_growth () =
     check_float "last time" 1000.0 tl;
     Alcotest.(check int) "last link" 1000 link
   | _ -> Alcotest.fail "expected Rcc event last"
+
+(* ---------- typed-event store vs the boxed reference ---------- *)
+
+type trace_op =
+  | Record of float * Sim.Event.t  (** [record_event] *)
+  | Step of float * int * Sim.Event.rcc_op * int * int
+      (** [record_rcc] with link, op, seq, bytes *)
+  | Burst of int  (** that many in-layout [record_rcc] calls *)
+  | Enable of bool
+  | Clear
+
+let rcc_ops = [| Sim.Event.Send; Retransmit; Deliver; Ack; Drop |]
+
+(* Ints on both sides of every power of two from 2^15 to 2^32, which
+   spans the packed RCC layout (16-bit link and bytes, 27-bit seq, 62
+   bits in all) and 31 bits; the ends of the int range; negatives. *)
+let edge_ints =
+  [ 0; 1; max_int; min_int; -1; -65536 ]
+  @ List.concat_map (fun k -> [ (1 lsl k) - 1; 1 lsl k ]) (List.init 18 (( + ) 15))
+
+let gen_field =
+  QCheck.Gen.(frequency [ (3, int_range 0 300); (2, oneofl edge_ints) ])
+
+let gen_time = QCheck.Gen.(map (fun n -> 0.001 *. float_of_int n) (int_range 0 100_000))
+
+let gen_event =
+  let open QCheck.Gen in
+  let state = oneofl [ Sim.Event.N; P; B; U ] in
+  oneof
+    [
+      map2
+        (fun (node, channel) (from_, to_, cause) ->
+          Sim.Event.Chan_transition { node; channel; from_; to_; cause })
+        (pair gen_field gen_field)
+        (triple state state (oneofl [ "detect"; "report"; "rejoin"; "" ]));
+      map2
+        (fun (link, seq, bytes) op -> Sim.Event.Rcc { link; op; seq; bytes })
+        (triple gen_field gen_field gen_field)
+        (oneofa rcc_ops);
+      map2
+        (fun (node, channel) op -> Sim.Event.Rejoin_timer { node; channel; op })
+        (pair gen_field gen_field)
+        (oneofl [ Sim.Event.Started; Cancelled; Expired ]);
+      map
+        (fun (v, up) ->
+          Sim.Event.Fault { component = Sim.Event.Link v; up })
+        (pair gen_field bool);
+    ]
+
+let gen_trace_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map2 (fun t ev -> Record (t, ev)) gen_time gen_event);
+      ( 6,
+        map3
+          (fun t (link, seq, bytes) op -> Step (t, link, op, seq, bytes))
+          gen_time
+          (triple gen_field gen_field gen_field)
+          (oneofa rcc_ops) );
+      (1, map (fun n -> Burst n) (int_range 1 1500));
+      (1, map (fun b -> Enable b) (frequency [ (4, return true); (1, return false) ]));
+      (1, return Clear);
+    ]
+
+let pp_trace_op = function
+  | Record (t, ev) -> Printf.sprintf "record %g %s" t (Sim.Event.to_string ev)
+  | Step (t, link, op, seq, bytes) ->
+    Printf.sprintf "rcc %g link=%d %s seq=%d bytes=%d" t link
+      (Sim.Event.rcc_op_to_string op) seq bytes
+  | Burst n -> Printf.sprintf "burst %d" n
+  | Enable b -> Printf.sprintf "enable %b" b
+  | Clear -> "clear"
+
+let arb_trace_ops =
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map pp_trace_op l))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 0 120) gen_trace_op)
+
+let prop_trace_reference =
+  QCheck.Test.make ~name:"typed events = boxed reference" ~count:200
+    arb_trace_ops (fun ops ->
+      let t = Sim.Trace.create () and r = Trace_ref.create () in
+      let same () =
+        Sim.Trace.event_count t = Trace_ref.event_count r
+        && Sim.Trace.events t = Trace_ref.events r
+      in
+      let apply = function
+        | Record (time, ev) ->
+          Sim.Trace.record_event t ~time ev;
+          Trace_ref.record_event r ~time ev
+        | Step (time, link, op, seq, bytes) ->
+          Sim.Trace.record_rcc t ~time ~link ~op ~seq ~bytes;
+          Trace_ref.record_rcc r ~time ~link ~op ~seq ~bytes
+        | Burst n ->
+          for i = 1 to n do
+            let time = float_of_int i and op = rcc_ops.(i mod 5) in
+            Sim.Trace.record_rcc t ~time ~link:(i land 255) ~op ~seq:i ~bytes:64;
+            Trace_ref.record_rcc r ~time ~link:(i land 255) ~op ~seq:i ~bytes:64
+          done
+        | Enable on ->
+          Sim.Trace.set_events t on;
+          Trace_ref.set_events r on
+        | Clear ->
+          Sim.Trace.clear t;
+          Trace_ref.clear r
+      in
+      List.for_all
+        (fun op ->
+          (* Compare the whole store before a clear drops it. *)
+          let ok = match op with Clear -> same () | _ -> true in
+          apply op;
+          ok && Sim.Trace.event_count t = Trace_ref.event_count r)
+        ops
+      && same ())
+
+(* Once the first chunk exists, in-layout RCC steps allocate nothing on
+   the minor heap but the chunk directory's rare doubling: chunks
+   themselves are too large for it. *)
+let test_trace_rcc_minor_words () =
+  let t = Sim.Trace.create () in
+  Sim.Trace.set_events t true;
+  Sim.Trace.record_rcc t ~time:1.0 ~link:0 ~op:Sim.Event.Send ~seq:0 ~bytes:8;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    Sim.Trace.record_rcc t ~time:2.0 ~link:(i land 255) ~op:Sim.Event.Deliver
+      ~seq:i ~bytes:512
+  done;
+  let words = Gc.minor_words () -. before in
+  (* 1024-entry chunks, so about ten new ones; allow 64 words each. *)
+  let bound = 64.0 *. float_of_int ((n / 1024) + 1) in
+  if words > bound then
+    Alcotest.failf "%.0f minor words for %d RCC steps (bound %.0f)" words n
+      bound;
+  Alcotest.(check int) "all kept" (n + 1) (Sim.Trace.event_count t)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -641,5 +780,8 @@ let () =
             test_trace_events_disabled_noop;
           Alcotest.test_case "events capture" `Quick test_trace_events_capture;
           Alcotest.test_case "events growth" `Quick test_trace_events_growth;
+          Alcotest.test_case "RCC steps allocate no minor words" `Quick
+            test_trace_rcc_minor_words;
+          QCheck_alcotest.to_alcotest prop_trace_reference;
         ] );
     ]

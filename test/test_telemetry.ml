@@ -81,7 +81,6 @@ let all_events =
     Sim.Event.Detector { node = 1; link = 9; signal = Sim.Event.Suspect };
     Sim.Event.Activation { node = 0; conn = 5; serial = 1; channel = 321 };
     Sim.Event.Rejoin_timer { node = 2; channel = 66; op = Sim.Event.Expired };
-    Sim.Event.Reconfig { conn = 8; action = "promoted" };
     Sim.Event.Mux { link = 4; backup = 77; op = Sim.Event.Register; pi = 2; psi = 5 };
     Sim.Event.Fault { component = Sim.Event.Node 6; up = true };
   ]
@@ -110,6 +109,43 @@ let test_event_decode_rejects_garbage () =
     (bad (Eval.Json.Obj [ ("type", Eval.Json.String "nope") ]));
   Alcotest.(check bool) "missing field" true
     (bad (Eval.Json.Obj [ ("type", Eval.Json.String "rcc") ]))
+
+(* The reconfiguration event left the vocabulary: an imported line tagged
+   "reconfig" gets the unknown-type diagnostic, and [bcp_sim audit]
+   refuses the file with exit code 2. *)
+let reconfig_line =
+  {|{"scenario":0,"time":0.01,"type":"reconfig","conn":8,"action":"promoted"}|}
+
+let test_reconfig_import_rejected () =
+  (match Eval.Json.of_string reconfig_line with
+  | Error e -> Alcotest.failf "fixture does not parse: %s" e
+  | Ok j -> (
+    match Eval.Telemetry.event_of_json j with
+    | Ok ev -> Alcotest.failf "decoded as %s" (Sim.Event.to_string ev)
+    | Error e ->
+      Alcotest.(check string) "decode diagnostic"
+        {|unknown event type "reconfig"|} e));
+  let trace = Filename.temp_file "reconfig" ".jsonl"
+  and err = Filename.temp_file "reconfig" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trace; Sys.remove err)
+    (fun () ->
+      Out_channel.with_open_text trace (fun oc ->
+          output_string oc (reconfig_line ^ "\n"));
+      let code =
+        Sys.command
+          (Printf.sprintf "%s audit --trace %s > %s 2> %s"
+             (Filename.quote Cli.bcp_sim)
+             (Filename.quote trace) (Filename.quote Filename.null)
+             (Filename.quote err))
+      in
+      Alcotest.(check int) "exit code" 2 code;
+      let msg = In_channel.with_open_text err In_channel.input_all in
+      let expected =
+        Printf.sprintf "audit: cannot load %s: line 1: unknown event type \"reconfig\"\n"
+          trace
+      in
+      Alcotest.(check string) "diagnostic" expected msg)
 
 let test_string_codecs_total () =
   let chk to_s of_s vs =
@@ -374,6 +410,8 @@ let () =
           Alcotest.test_case "event round-trip" `Quick test_event_roundtrip;
           Alcotest.test_case "decode rejects garbage" `Quick
             test_event_decode_rejects_garbage;
+          Alcotest.test_case "reconfig import rejected" `Quick
+            test_reconfig_import_rejected;
           Alcotest.test_case "string codecs total" `Quick
             test_string_codecs_total;
           Alcotest.test_case "metrics round-trip" `Quick
