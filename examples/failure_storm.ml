@@ -78,12 +78,12 @@ let () =
   let recovered = ref 0 and lost = ref 0 and excluded = ref 0 in
   List.iter
     (fun r ->
-      if r.Bcp.Simnet.excluded then incr excluded
+      if r.Bcp.Node.excluded then incr excluded
       else
-        match (r.Bcp.Simnet.resumed_at, r.Bcp.Simnet.recovered_serial) with
+        match (r.Bcp.Node.resumed_at, r.Bcp.Node.recovered_serial) with
         | Some resumed, Some _ ->
           incr recovered;
-          Sim.Stats.Sample.add disruptions (resumed -. r.Bcp.Simnet.failure_time)
+          Sim.Stats.Sample.add disruptions (resumed -. r.Bcp.Node.failure_time)
         | _ -> incr lost)
     records;
   printf "@.connections whose primary was hit: %d@." (List.length records);

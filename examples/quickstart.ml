@@ -58,14 +58,14 @@ let () =
   Bcp.Simnet.finalize sim;
   List.iter
     (fun r ->
-      let resumed = Option.get r.Bcp.Simnet.resumed_at in
+      let resumed = Option.get r.Bcp.Node.resumed_at in
       printf
         "@.protocol run: primary failed at t=%.3fs; service resumed at \
          t=%.6fs@."
-        r.Bcp.Simnet.failure_time resumed;
+        r.Bcp.Node.failure_time resumed;
       printf "service disruption: %.3f ms (backup #%d now carries traffic)@."
-        (1000.0 *. (resumed -. r.Bcp.Simnet.failure_time))
-        (Option.get r.Bcp.Simnet.recovered_serial))
+        (1000.0 *. (resumed -. r.Bcp.Node.failure_time))
+        (Option.get r.Bcp.Node.recovered_serial))
     (Bcp.Simnet.records sim);
 
   printf "@.protocol trace:@.";

@@ -73,8 +73,8 @@ let rec hop t s ~conn ~serial ~path ~sent_at ~bits ~pos =
   let nodes = Array.of_list (Net.Path.nodes topo path) in
   let hops = Net.Path.hops path in
   let node = nodes.(pos) in
-  let st = Simnet.chan_state_at t.sim ~node ~conn ~serial in
-  if not (Simnet.node_is_alive t.sim node) then begin
+  let st = Node.chan_state_at (Simnet.node t.sim) ~node ~conn ~serial in
+  if not (Simnet.alive t.sim (Net.Component.Node node)) then begin
     s.s_dead <- s.s_dead + 1;
     record_loss s ~sent_at
   end
@@ -103,7 +103,7 @@ let rec hop t s ~conn ~serial ~path ~sent_at ~bits ~pos =
     in
     ignore
       (Sim.Engine.schedule engine ~at:arrival (fun () ->
-           if Simnet.link_is_alive t.sim link then
+           if Simnet.alive t.sim (Net.Component.Link link) then
              hop t s ~conn ~serial ~path ~sent_at ~bits ~pos:(pos + 1)
            else begin
              s.s_dead <- s.s_dead + 1;
@@ -115,25 +115,20 @@ let send_one t s ~conn ~bits =
   let ns = Simnet.netstate t.sim in
   s.s_sent <- s.s_sent + 1;
   let sent_at = Sim.Engine.now (Simnet.engine t.sim) in
-  match Simnet.active_serial_at_source t.sim ~conn with
+  let path serial c =
+    if serial = 0 then Some c.Dconn.primary.Rtchan.Channel.path
+    else Option.map (fun b -> b.Dconn.path) (Dconn.find_backup c ~serial)
+  in
+  match
+    Option.bind (Node.active_serial_at_source (Simnet.node t.sim) ~conn)
+      (fun serial ->
+        Option.bind (Netstate.find ns conn) (fun c ->
+            Option.map (fun p -> (serial, p)) (path serial c)))
+  with
   | None ->
     s.s_no_channel <- s.s_no_channel + 1;
     record_loss s ~sent_at
-  | Some serial -> (
-    match Netstate.find ns conn with
-    | None ->
-      s.s_no_channel <- s.s_no_channel + 1;
-      record_loss s ~sent_at
-    | Some c ->
-      let path =
-        if serial = 0 then Some c.Dconn.primary.Rtchan.Channel.path
-        else Option.map (fun b -> b.Dconn.path) (Dconn.find_backup c ~serial)
-      in
-      (match path with
-      | None ->
-        s.s_no_channel <- s.s_no_channel + 1;
-        record_loss s ~sent_at
-      | Some path -> hop t s ~conn ~serial ~path ~sent_at ~bits ~pos:0))
+  | Some (serial, path) -> hop t s ~conn ~serial ~path ~sent_at ~bits ~pos:0
 
 let stream t ~conn ~rate ~start ~stop () =
   if rate <= 0.0 then invalid_arg "Dataplane.stream: non-positive rate";

@@ -31,9 +31,6 @@ let standby_backups t = List.filter (fun b -> b.state = Standby) t.backups
 
 let find_backup t ~serial = List.find_opt (fun b -> b.serial = serial) t.backups
 
-let next_standby ?(after = 0) t =
-  List.find_opt (fun b -> b.serial > after && b.state = Standby) t.backups
-
 let standby_deficit t = max 0 (t.target_backups - List.length (standby_backups t))
 
 let pp_backup_state ppf s =

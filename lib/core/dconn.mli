@@ -39,9 +39,6 @@ val mux_degree : t -> lambda:float -> int
 val standby_backups : t -> backup list
 val find_backup : t -> serial:int -> backup option
 
-val next_standby : ?after:int -> t -> backup option
-(** Lowest-serial standby backup with serial > [after] (default: any). *)
-
 val standby_deficit : t -> int
 (** How many standby backups are missing relative to [target_backups]. *)
 

@@ -44,13 +44,9 @@ let cid ~conn ~serial =
 let conn_of_cid c = c lsr serial_bits
 let serial_of_cid c = c land serial_mask
 
-type chan_state = N | P | B | U
+type chan_state = Sim.Event.chan_state = N | P | B | U
 
 type be_message =
   | Rejoin_request of { channel : int }
   | Rejoin of { channel : int }
   | Closure of { channel : int }
-
-let be_channel = function
-  | Rejoin_request { channel } | Rejoin { channel } | Closure { channel } ->
-    channel

@@ -66,8 +66,9 @@ val cid : conn:int -> serial:int -> int
 val conn_of_cid : int -> int
 val serial_of_cid : int -> int
 
-(** Per-node channel states of the BCP state machine (Fig. 4). *)
-type chan_state =
+(** Per-node channel states of the BCP state machine (Fig. 4), as the
+    typed event stream reports them. *)
+type chan_state = Sim.Event.chan_state =
   | N  (** non-existent *)
   | P  (** healthy primary *)
   | B  (** healthy backup *)
@@ -79,5 +80,3 @@ type be_message =
   | Rejoin_request of { channel : int }
   | Rejoin of { channel : int }
   | Closure of { channel : int }
-
-val be_channel : be_message -> int

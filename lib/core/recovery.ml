@@ -22,9 +22,9 @@ let r_fast_of_degree r degree =
 
 (* Reusable per-domain scenario workspace, in the style of
    [Routing.Shortest]'s BFS workspace.  One epoch per call:
-   - [left.(l)] is link [l]'s spare pool after this scenario's
-     activations iff [stamp.(l) = epoch]; an unstamped link still holds
-     the netstate's own spare, so no pool is ever copied;
+   - [left.(l)] is link [l]'s spare pool in this scenario iff
+     [stamp.(l) = epoch]; a link is stamped when a backup over it is
+     first tried, so no pool is ever copied whole;
    - [seen.(cid) = epoch] marks the primary channel [cid] as already
      collected, deduplicating connections hit by several components.
    The epoch only ever grows, so arrays grown mid-life (fresh zeros)
@@ -122,26 +122,17 @@ let path_healthy topo mask (path : Net.Path.t) =
   (not (Net.Component.Mask.mem_node mask path.src))
   && links_healthy topo mask path.links 0
 
-(* Link [l]'s spare pool in this scenario: the overlay if an activation
-   drew from it this epoch, the netstate's spare otherwise.  Inlined so
-   the float stays unboxed. *)
-let[@inline] pool ws res l =
-  if ws.stamp.(l) = ws.epoch then ws.left.(l) else Rtchan.Resource.spare res l
-
-let eps = 1e-9
-
-let rec fits ws res bw links i =
-  i = Array.length links
-  || (pool ws res links.(i) +. eps >= bw && fits ws res bw links (i + 1))
-
-(* Each link's pool is read before it is stamped, so the subtraction
-   sequence (and every float) is the one a fresh copy of the pools
-   would see. *)
-let draw ws res bw links =
+(* Stamp every link of [links] into this scenario's pools, an unstamped
+   one at the netstate's own spare.  Nothing changes the netstate during
+   a scenario, so every float is the one a fresh copy of the pools would
+   hold. *)
+let load ws res links =
   for i = 0 to Array.length links - 1 do
     let l = links.(i) in
-    ws.left.(l) <- pool ws res l -. bw;
-    ws.stamp.(l) <- ws.epoch
+    if ws.stamp.(l) <> ws.epoch then begin
+      ws.left.(l) <- Rtchan.Resource.spare res l;
+      ws.stamp.(l) <- ws.epoch
+    end
   done
 
 let simulate ?(order = By_id) ns ~failed =
@@ -164,7 +155,8 @@ let simulate ?(order = By_id) ns ~failed =
         considered
   in
   (* Healthy standby backups are tried in serial order; the first whose
-     every link still has [bw] of pool draws it. *)
+     every link still has [bw] of pool draws it, by [Node]'s spare-pool
+     rule. *)
   let try_activate conn =
     let bw = Dconn.bandwidth conn in
     let rec attempt any_healthy = function
@@ -173,8 +165,9 @@ let simulate ?(order = By_id) ns ~failed =
         if b.Dconn.state = Dconn.Standby && path_healthy topo mask b.Dconn.path
         then begin
           let links = b.Dconn.path.Net.Path.links in
-          if fits ws res bw links 0 then begin
-            draw ws res bw links;
+          load ws res links;
+          if Node.fits ws.left links bw then begin
+            Node.draw ws.left links bw;
             Recovered b.Dconn.serial
           end
           else attempt true rest

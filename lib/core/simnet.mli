@@ -1,16 +1,10 @@
-(** Event-driven BCP protocol simulator.
+(** Event-driven BCP simulator: the driver of {!Node}.
 
-    Instantiates one BCP daemon per node over an established {!Netstate},
-    wires a pair of RCCs onto every link, and executes the full
-    failure-recovery procedure of Section 4 with real message exchanges:
-    failure detection at neighbours, hop-by-hop failure reporting over
-    healthy path segments, backup activation (Schemes 1/2/3, optional
-    priority modes), spare-pool draws with multiplexing failures and
-    optional preemption, and soft-state resource reconfiguration (rejoin
-    timers, rejoin-request/rejoin repair, closure).
-
-    Service-disruption times are recorded per connection so the measured
-    recovery delay can be compared against the Section 5.3 bound. *)
+    Runs one {!Node} handler over an established {!Netstate} on a
+    {!Sim.Engine}, with a pair of RCCs on every link, oracle or heartbeat
+    failure detection, fault injection and the typed telemetry plane.
+    The protocol itself, and the observers of its channel states and
+    spare pools, are {!Node}'s; {!node} gives them this run's state. *)
 
 type t
 
@@ -25,13 +19,11 @@ val create :
     [config.reconfigure_netstate = true] the simulation writes back into
     it (see {!Protocol.config}).
 
-    The per-node channel entries and end-node views come from an
-    immutable channel template, built on the first [create] for a
+    The handler's {!Node.template} is built on the first [create] for a
     netstate and cached under (physical netstate,
-    {!Netstate.generation}); later [create]s for the same generation
-    reuse it, on any domain.  Each simulation keeps its own overlay of
-    channel states, timers, views and spare-pool draws, so several live
-    simulations over one netstate stay independent.
+    {!Netstate.generation}), so later [create]s for the same generation
+    reuse it, on any domain; several live simulations over one netstate
+    stay independent.
 
     [telemetry] (default [false]) turns on the typed observability
     plane: every channel-state transition, RCC message, detector signal,
@@ -50,8 +42,10 @@ val create :
 
 val engine : t -> Sim.Engine.t
 val netstate : t -> Netstate.t
-val config : t -> Protocol.config
 val trace : t -> Sim.Trace.t
+
+val node : t -> Sim.Engine.handle Node.t
+(** The protocol state this run drives, for {!Node}'s observers. *)
 
 val metrics : t -> Sim.Metrics.t
 (** The run's metric registry (empty unless [~telemetry:true]). *)
@@ -74,25 +68,8 @@ val run : ?until:float -> t -> unit
 
 (** {2 Observations} *)
 
-(** Per-connection recovery measurements. *)
-type record = {
-  conn : int;
-  failure_time : float;  (** when the primary was first hit *)
-  mutable excluded : bool;  (** an end node failed: unrecoverable *)
-  mutable detected_at : float option;
-      (** when a neighbour first detected the loss of the primary *)
-  mutable src_informed : float option;
-  mutable dst_informed : float option;
-  mutable activated_at : float option;
-      (** when an end node first committed to activating a backup *)
-  mutable activations : (int * float) list;
-      (** (serial, time) of each activation the source committed to,
-          newest first *)
-  mutable resumed_at : float option;
-      (** when the source resumed sending (service disruption ends) *)
-  mutable recovered_serial : int option;
-      (** serial verified fully activated at the end of the run *)
-}
+type record = Node.record
+(** Per-connection recovery measurements (see {!Node.record}). *)
 
 val records : t -> record list
 (** One record per connection whose primary was disabled, sorted by
@@ -106,25 +83,9 @@ val finalize : t -> unit
     [phase.activate], [phase.switch]) once — repeated calls do not
     double-count. *)
 
-val state_of : t -> conn:int -> serial:int -> Protocol.chan_state list
-(** The channel's state at every node along its path (source first). *)
-
-val fully_activated : t -> conn:int -> serial:int -> bool
-
-val pool_remaining : t -> int -> float
-(** Spare bandwidth left in a link's pool. *)
-
-val chan_state_at : t -> node:int -> conn:int -> serial:int -> Protocol.chan_state
-(** The channel's state at one node ([N] when the node holds no entry). *)
-
-val link_is_alive : t -> int -> bool
-(** Effective link health: not failed and both endpoints alive. *)
-
-val node_is_alive : t -> int -> bool
-
-val active_serial_at_source : t -> conn:int -> int option
-(** Which channel currently carries the connection's traffic: the lowest
-    serial in state [P] at the source node (the data plane sends on it). *)
+val alive : t -> Net.Component.t -> bool
+(** Effective health: a node is alive until it fails; a link, while it
+    has not failed and both its endpoints are alive. *)
 
 val rcc_messages_sent : t -> int
 (** Total RCC messages transmitted (including retransmissions). *)

@@ -100,7 +100,7 @@ let scheme_coverage ?(seed = 5) ns =
          Bcp.Simnet.finalize sim;
          let recs =
            List.filter
-             (fun rc -> not rc.Bcp.Simnet.excluded)
+             (fun rc -> not rc.Bcp.Node.excluded)
              (Bcp.Simnet.records sim)
          in
          let n = List.length recs in
@@ -110,13 +110,13 @@ let scheme_coverage ?(seed = 5) ns =
              string_of_int (Bcp.Simnet.rcc_messages_sent sim);
              string_of_int (Bcp.Simnet.control_messages_delivered sim);
              Printf.sprintf "%d/%d"
-               (count (fun rc -> rc.Bcp.Simnet.src_informed <> None))
+               (count (fun rc -> rc.Bcp.Node.src_informed <> None))
                n;
              Printf.sprintf "%d/%d"
-               (count (fun rc -> rc.Bcp.Simnet.dst_informed <> None))
+               (count (fun rc -> rc.Bcp.Node.dst_informed <> None))
                n;
              Printf.sprintf "%d/%d"
-               (count (fun rc -> rc.Bcp.Simnet.resumed_at <> None))
+               (count (fun rc -> rc.Bcp.Node.resumed_at <> None))
                n;
            ] ))
        [ Bcp.Protocol.Scheme1; Bcp.Protocol.Scheme2; Bcp.Protocol.Scheme3 ]);

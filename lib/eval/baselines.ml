@@ -50,27 +50,23 @@ let reroute ns ~failed conn =
     | Some p ->
       if Rtchan.Resource.reserve_primary_path res p bw then Some p else None)
 
-(* Run one scenario in "release failed primaries, re-route, undo" style so
-   the established network is untouched between scenarios. *)
-let scenario_reactive ns ~failed =
+(* How many of [conns] re-route around [failed], leaving the network as
+   it was: their reservations are reclaimed before re-routing (soft-state
+   teardown happens first in any reactive scheme), then the replacements
+   are released and the originals restored. *)
+let reroute_all ns ~failed conns =
   let res = Bcp.Netstate.resources ns in
-  let considered, _excluded = Bcp.Recovery.affected_conns ns ~failed in
-  let ordered =
-    List.sort (fun a b -> Int.compare a.Bcp.Dconn.id b.Bcp.Dconn.id) considered
-  in
-  (* The broken channels' reservations are reclaimed before re-routing
-     (soft-state teardown happens first in any reactive scheme). *)
+  let primary conn = conn.Bcp.Dconn.primary.Rtchan.Channel.path in
   List.iter
     (fun conn ->
-      Rtchan.Resource.release_primary_path res
-        conn.Bcp.Dconn.primary.Rtchan.Channel.path
+      Rtchan.Resource.release_primary_path res (primary conn)
         (Bcp.Dconn.bandwidth conn))
-    ordered;
+    conns;
   let rerouted =
-    List.filter_map (fun conn -> Option.map (fun p -> (conn, p)) (reroute ns ~failed conn))
-      ordered
+    List.filter_map
+      (fun conn -> Option.map (fun p -> (conn, p)) (reroute ns ~failed conn))
+      conns
   in
-  (* Undo: release replacements, restore the original reservations. *)
   List.iter
     (fun (conn, p) ->
       Rtchan.Resource.release_primary_path res p (Bcp.Dconn.bandwidth conn))
@@ -78,11 +74,19 @@ let scenario_reactive ns ~failed =
   List.iter
     (fun conn ->
       ignore
-        (Rtchan.Resource.reserve_primary_path res
-           conn.Bcp.Dconn.primary.Rtchan.Channel.path
+        (Rtchan.Resource.reserve_primary_path res (primary conn)
            (Bcp.Dconn.bandwidth conn)))
-    ordered;
-  (List.length ordered, List.length rerouted)
+    conns;
+  List.length rerouted
+
+(* Run one scenario in "release failed primaries, re-route, undo" style so
+   the established network is untouched between scenarios. *)
+let scenario_reactive ns ~failed =
+  let considered, _excluded = Bcp.Recovery.affected_conns ns ~failed in
+  let ordered =
+    List.sort (fun a b -> Int.compare a.Bcp.Dconn.id b.Bcp.Dconn.id) considered
+  in
+  (List.length ordered, reroute_all ns ~failed ordered)
 
 let reactive_rate ~seed ns model =
   let affected = ref 0 and recovered = ref 0 in
@@ -98,7 +102,6 @@ let reactive_rate ~seed ns model =
    scratch on the remaining capacity (old primary released; spare pools
    stay reserved for the surviving backups). *)
 let scenario_bcp_total ns ~failed =
-  let res = Bcp.Netstate.resources ns in
   let r = Bcp.Recovery.simulate ns ~failed in
   let losers =
     List.filter_map
@@ -109,28 +112,7 @@ let scenario_bcp_total ns ~failed =
           Bcp.Netstate.find ns conn_id)
       r.Bcp.Recovery.outcomes
   in
-  List.iter
-    (fun conn ->
-      Rtchan.Resource.release_primary_path res
-        conn.Bcp.Dconn.primary.Rtchan.Channel.path
-        (Bcp.Dconn.bandwidth conn))
-    losers;
-  let rerouted =
-    List.filter_map (fun conn -> Option.map (fun p -> (conn, p)) (reroute ns ~failed conn))
-      losers
-  in
-  List.iter
-    (fun (conn, p) ->
-      Rtchan.Resource.release_primary_path res p (Bcp.Dconn.bandwidth conn))
-    rerouted;
-  List.iter
-    (fun conn ->
-      ignore
-        (Rtchan.Resource.reserve_primary_path res
-           conn.Bcp.Dconn.primary.Rtchan.Channel.path
-           (Bcp.Dconn.bandwidth conn)))
-    losers;
-  (r.Bcp.Recovery.affected, r.Bcp.Recovery.recovered, List.length rerouted)
+  (r.Bcp.Recovery.affected, r.Bcp.Recovery.recovered, reroute_all ns ~failed losers)
 
 let bcp_total_rate ~seed ns model =
   let affected = ref 0 and fast = ref 0 and slow = ref 0 in

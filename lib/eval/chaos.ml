@@ -96,12 +96,12 @@ let run ?obs ?(seed = 11) ?(scenario_count = 16) ?(horizon = 0.25)
       let obs_affected = ref 0 and obs_disruptions = ref [] in
       List.iter
         (fun r ->
-          if not r.Bcp.Simnet.excluded then begin
+          if not r.Bcp.Node.excluded then begin
             incr obs_affected;
-            match (r.Bcp.Simnet.resumed_at, r.Bcp.Simnet.recovered_serial) with
+            match (r.Bcp.Node.resumed_at, r.Bcp.Node.recovered_serial) with
             | Some resumed, Some _ ->
               obs_disruptions :=
-                (resumed -. r.Bcp.Simnet.failure_time) :: !obs_disruptions
+                (resumed -. r.Bcp.Node.failure_time) :: !obs_disruptions
             | _ -> ()
           end)
         (Bcp.Simnet.records sim);

@@ -178,14 +178,14 @@ let run_cell ~observe ~seed ~events ~fault_every ~horizon ~detector ~windows
     let displaced = ref [] in
     List.iter
       (fun r ->
-        if not r.Bcp.Simnet.excluded then begin
+        if not r.Bcp.Node.excluded then begin
           incr affected;
-          match (r.Bcp.Simnet.resumed_at, r.Bcp.Simnet.recovered_serial) with
+          match (r.Bcp.Node.resumed_at, r.Bcp.Node.recovered_serial) with
           | Some resumed, Some _ ->
             incr recovered;
             Sim.Stats.Sample.add disruptions
-              (resumed -. r.Bcp.Simnet.failure_time)
-          | _ -> displaced := r.Bcp.Simnet.conn :: !displaced
+              (resumed -. r.Bcp.Node.failure_time)
+          | _ -> displaced := r.Bcp.Node.conn :: !displaced
         end)
       (Bcp.Simnet.records sim);
     (match metrics with

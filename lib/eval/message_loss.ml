@@ -49,10 +49,10 @@ let run ?(seed = 42) network =
       let disruption =
         List.find_map
           (fun r ->
-            if r.Bcp.Simnet.conn = conn.Bcp.Dconn.id then
+            if r.Bcp.Node.conn = conn.Bcp.Dconn.id then
               Option.map
-                (fun resumed -> resumed -. r.Bcp.Simnet.failure_time)
-                r.Bcp.Simnet.resumed_at
+                (fun resumed -> resumed -. r.Bcp.Node.failure_time)
+                r.Bcp.Node.resumed_at
             else None)
           (Bcp.Simnet.records sim)
       in

@@ -115,9 +115,9 @@ let simulate ?obs ?(seed = 42) network =
         let affected = ref 0 and recovered = ref 0 in
         List.iter
           (fun r ->
-            if not r.Bcp.Simnet.excluded then begin
+            if not r.Bcp.Node.excluded then begin
               incr affected;
-              match (r.Bcp.Simnet.resumed_at, r.Bcp.Simnet.recovered_serial) with
+              match (r.Bcp.Node.resumed_at, r.Bcp.Node.recovered_serial) with
               | Some _, Some _ -> incr recovered
               | _ -> ()
             end)

@@ -98,19 +98,19 @@ let measure_with ~config ?obs ?(seed = 11) ?(scenario_count = 16)
     let events =
       List.filter_map
         (fun r ->
-          if r.Bcp.Simnet.excluded then None
+          if r.Bcp.Node.excluded then None
           else
-            match (r.Bcp.Simnet.resumed_at, r.Bcp.Simnet.recovered_serial) with
+            match (r.Bcp.Node.resumed_at, r.Bcp.Node.recovered_serial) with
             | Some resumed, Some _ ->
               let from_detection =
-                resumed -. r.Bcp.Simnet.failure_time
+                resumed -. r.Bcp.Node.failure_time
                 -. config.Bcp.Protocol.detection_latency
               in
               let from_detection = Float.max 0.0 from_detection in
               Some
                 (`Recovered
                   ( from_detection,
-                    conn_bound ns r.Bcp.Simnet.conn
+                    conn_bound ns r.Bcp.Node.conn
                       config.Bcp.Protocol.rcc.Rcc.Transport.d_max ))
             | _ -> Some `Unrecovered)
         (Bcp.Simnet.records sim)

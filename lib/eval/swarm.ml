@@ -167,9 +167,9 @@ let run_one ~obs ~seed ~strategy ~max_faults ~horizon ~config ~context
   let rr_affected = ref 0 and rr_recovered = ref 0 in
   List.iter
     (fun r ->
-      if not r.Bcp.Simnet.excluded then begin
+      if not r.Bcp.Node.excluded then begin
         incr rr_affected;
-        match (r.Bcp.Simnet.resumed_at, r.Bcp.Simnet.recovered_serial) with
+        match (r.Bcp.Node.resumed_at, r.Bcp.Node.recovered_serial) with
         | Some _, Some _ -> incr rr_recovered
         | _ -> ()
       end)

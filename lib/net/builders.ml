@@ -18,14 +18,7 @@ let mesh ~rows ~cols ~capacity =
 
 let torus ~rows ~cols ~capacity =
   if rows <= 0 || cols <= 0 then invalid_arg "Builders.torus: empty grid";
-  let topo = Topology.create ~num_nodes:(rows * cols) in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      let v = grid_node ~cols ~row:r ~col:c in
-      if c + 1 < cols then duplex topo v (grid_node ~cols ~row:r ~col:(c + 1)) capacity;
-      if r + 1 < rows then duplex topo v (grid_node ~cols ~row:(r + 1) ~col:c) capacity
-    done
-  done;
+  let topo = mesh ~rows ~cols ~capacity in
   (* Wrap-around links; skip when the dimension is too small to add a new
      neighbour pair. *)
   if cols >= 3 then

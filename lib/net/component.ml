@@ -12,7 +12,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 let is_node = function Node _ -> true | Link _ -> false
-let is_link = function Link _ -> true | Node _ -> false
 
 let pp ppf = function
   | Node i -> Format.fprintf ppf "node:%d" i

@@ -74,8 +74,6 @@ let disjoint topo a b =
 let shared_components topo a b =
   Component.inter_card (components topo a) (components topo b)
 
-let equal a b = a.src = b.src && a.dst = b.dst && a.links = b.links
-
 let pp ppf t =
   Format.fprintf ppf "%d-[%s]->%d" t.src
     (String.concat ","

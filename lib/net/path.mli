@@ -48,5 +48,4 @@ val disjoint : Topology.t -> t -> t -> bool
 val shared_components : Topology.t -> t -> t -> int
 (** [sc(M_i, M_j)]: size of the intersection of the full component sets. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

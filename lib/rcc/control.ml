@@ -29,5 +29,3 @@ let pp ppf = function
     Format.fprintf ppf "mux-failure(ch=%d, link=%d)" channel link
   | Heartbeat { node; beat } ->
     Format.fprintf ppf "heartbeat(node=%d, beat=%d)" node beat
-
-let equal a b = a = b

@@ -35,4 +35,3 @@ val channel_of : t -> int
     constructor); [-1] for heartbeats, which concern the link itself. *)
 
 val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -12,7 +12,7 @@
     protocol layer; the string codecs ([*_to_string] / [*_of_string]) are
     total inverses of each other and are what the JSON encoders use. *)
 
-(** Per-node channel states (mirrors [Bcp.Protocol.chan_state]). *)
+(** Per-node channel states ([Bcp.Protocol.chan_state] is this type). *)
 type chan_state = N | P | B | U
 
 val chan_state_to_string : chan_state -> string

@@ -8,8 +8,6 @@ let create ~cmp = { cmp; data = [||]; size = 0 }
 
 let length t = t.size
 
-let is_empty t = t.size = 0
-
 let grow t x =
   let cap = Array.length t.data in
   if t.size = cap then begin

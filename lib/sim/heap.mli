@@ -10,8 +10,6 @@ val create : cmp:('a -> 'a -> int) -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val push : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option

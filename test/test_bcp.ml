@@ -31,10 +31,12 @@ let test_dconn_accessors () =
   Alcotest.(check (float 1e-9)) "bandwidth" 1.0 (Bcp.Dconn.bandwidth c);
   Alcotest.(check int) "mux degree" 3 (Bcp.Dconn.mux_degree c ~lambda);
   Alcotest.(check int) "two backups" 2 (List.length (Bcp.Dconn.standby_backups c));
-  (match Bcp.Dconn.next_standby c with
-  | Some b -> Alcotest.(check int) "first serial" 1 b.Bcp.Dconn.serial
-  | None -> Alcotest.fail "standby expected");
-  (match Bcp.Dconn.next_standby ~after:1 c with
+  (match Bcp.Dconn.standby_backups c with
+  | b :: _ -> Alcotest.(check int) "first serial" 1 b.Bcp.Dconn.serial
+  | [] -> Alcotest.fail "standby expected");
+  (match
+     List.find_opt (fun b -> b.Bcp.Dconn.serial > 1) (Bcp.Dconn.standby_backups c)
+   with
   | Some b -> Alcotest.(check int) "after 1" 2 b.Bcp.Dconn.serial
   | None -> Alcotest.fail "second standby expected");
   Alcotest.(check bool) "find" true (Bcp.Dconn.find_backup c ~serial:2 <> None);

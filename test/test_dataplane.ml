@@ -110,10 +110,10 @@ let test_loss_window_matches_disruption () =
   Bcp.Simnet.finalize sim;
   let st = Bcp.Dataplane.stats dp ~conn:c.Bcp.Dconn.id in
   let record =
-    List.find (fun r -> r.Bcp.Simnet.conn = c.Bcp.Dconn.id) (Bcp.Simnet.records sim)
+    List.find (fun r -> r.Bcp.Node.conn = c.Bcp.Dconn.id) (Bcp.Simnet.records sim)
   in
   let disruption =
-    Option.get record.Bcp.Simnet.resumed_at -. record.Bcp.Simnet.failure_time
+    Option.get record.Bcp.Node.resumed_at -. record.Bcp.Node.failure_time
   in
   (match (st.Bcp.Dataplane.first_loss, st.Bcp.Dataplane.last_loss) with
   | Some first, Some last ->

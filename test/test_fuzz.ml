@@ -80,27 +80,27 @@ let run_fuzz ?(impair = false) ?(heartbeat = false) ~seed ~reconfigure () =
 
 let check_pools_non_negative topo sim =
   Net.Topology.iter_links topo (fun l ->
-      if Bcp.Simnet.pool_remaining sim l.Net.Topology.id < -1e-9 then
+      if Bcp.Node.pool_remaining (Bcp.Simnet.node sim) l.Net.Topology.id < -1e-9 then
         Alcotest.failf "negative pool on link %d" l.Net.Topology.id)
 
 let check_records ns sim =
   List.iter
     (fun r ->
-      if not r.Bcp.Simnet.excluded then begin
-        match (r.Bcp.Simnet.resumed_at, r.Bcp.Simnet.recovered_serial) with
+      if not r.Bcp.Node.excluded then begin
+        match (r.Bcp.Node.resumed_at, r.Bcp.Node.recovered_serial) with
         | Some resumed, _ ->
-          if resumed < r.Bcp.Simnet.failure_time -. 1e-9 then
-            Alcotest.failf "conn %d resumed before failing" r.Bcp.Simnet.conn
+          if resumed < r.Bcp.Node.failure_time -. 1e-9 then
+            Alcotest.failf "conn %d resumed before failing" r.Bcp.Node.conn
         | None, Some serial ->
           (* A fully activated backup without a recorded resumption can
              only happen if the source's resumption record was for an
              earlier serial that later broke; accept but sanity-check the
              serial exists. *)
-          (match Bcp.Netstate.find ns r.Bcp.Simnet.conn with
+          (match Bcp.Netstate.find ns r.Bcp.Node.conn with
           | None -> ()
           | Some c ->
             if Bcp.Dconn.find_backup c ~serial = None then
-              Alcotest.failf "conn %d recovered on unknown serial" r.Bcp.Simnet.conn)
+              Alcotest.failf "conn %d recovered on unknown serial" r.Bcp.Node.conn)
         | None, None -> ()
       end)
     (Bcp.Simnet.records sim)

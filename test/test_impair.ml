@@ -224,7 +224,7 @@ let primary_link_id c =
 
 let find_record sim conn =
   match
-    List.find_opt (fun r -> r.Bcp.Simnet.conn = conn) (Bcp.Simnet.records sim)
+    List.find_opt (fun r -> r.Bcp.Node.conn = conn) (Bcp.Simnet.records sim)
   with
   | Some r -> r
   | None -> Alcotest.failf "no record for conn %d" conn
@@ -248,14 +248,14 @@ let test_zero_impairment_parity () =
   let a = run_parity_scenario ~impaired:false () in
   let b = run_parity_scenario ~impaired:true () in
   let summary sim r =
-    ( r.Bcp.Simnet.conn,
-      r.Bcp.Simnet.failure_time,
-      r.Bcp.Simnet.excluded,
-      r.Bcp.Simnet.src_informed,
-      r.Bcp.Simnet.dst_informed,
-      r.Bcp.Simnet.activations,
-      r.Bcp.Simnet.resumed_at,
-      r.Bcp.Simnet.recovered_serial,
+    ( r.Bcp.Node.conn,
+      r.Bcp.Node.failure_time,
+      r.Bcp.Node.excluded,
+      r.Bcp.Node.src_informed,
+      r.Bcp.Node.dst_informed,
+      r.Bcp.Node.activations,
+      r.Bcp.Node.resumed_at,
+      r.Bcp.Node.recovered_serial,
       Bcp.Simnet.rcc_messages_sent sim )
   in
   Alcotest.(check int) "same record count"
@@ -264,7 +264,7 @@ let test_zero_impairment_parity () =
   List.iter2
     (fun ra rb ->
       if summary a ra <> summary b rb then
-        Alcotest.failf "record for conn %d diverged" ra.Bcp.Simnet.conn)
+        Alcotest.failf "record for conn %d diverged" ra.Bcp.Node.conn)
     (Bcp.Simnet.records a) (Bcp.Simnet.records b);
   Alcotest.(check int) "identical RCC message count"
     (Bcp.Simnet.rcc_messages_sent a)
@@ -317,15 +317,15 @@ let test_recovery_under_loss () =
   Alcotest.(check bool) "some connections affected" true (records <> []);
   List.iter
     (fun r ->
-      if not r.Bcp.Simnet.excluded then begin
+      if not r.Bcp.Node.excluded then begin
         Alcotest.(check bool)
-          (Printf.sprintf "conn %d resumed despite loss" r.Bcp.Simnet.conn)
+          (Printf.sprintf "conn %d resumed despite loss" r.Bcp.Node.conn)
           true
-          (r.Bcp.Simnet.resumed_at <> None);
+          (r.Bcp.Node.resumed_at <> None);
         Alcotest.(check bool)
-          (Printf.sprintf "conn %d validated" r.Bcp.Simnet.conn)
+          (Printf.sprintf "conn %d validated" r.Bcp.Node.conn)
           true
-          (r.Bcp.Simnet.recovered_serial <> None)
+          (r.Bcp.Node.recovered_serial <> None)
       end)
     records
 
@@ -371,11 +371,11 @@ let test_heartbeat_detects_link_failure () =
   Alcotest.(check bool) "failed link monitor confirmed" true
     (Bcp.Simnet.detector_state sim l = Some Bcp.Detector.Confirmed);
   Alcotest.(check bool) "resumed without any oracle" true
-    (r.Bcp.Simnet.resumed_at <> None);
+    (r.Bcp.Node.resumed_at <> None);
   Alcotest.(check (option int)) "recovered on backup" (Some 1)
-    r.Bcp.Simnet.recovered_serial;
+    r.Bcp.Node.recovered_serial;
   (* Detection needed at least the configured miss window. *)
-  let resumed = Option.get r.Bcp.Simnet.resumed_at in
+  let resumed = Option.get r.Bcp.Node.resumed_at in
   let hb = Bcp.Detector.default_params in
   Alcotest.(check bool) "detection respects miss threshold" true
     (resumed -. 0.05
@@ -402,7 +402,7 @@ let test_heartbeat_false_positive_recovery () =
   Alcotest.(check bool) "false positive noticed on resume" true
     (Bcp.Simnet.heartbeat_recoveries sim >= 1);
   (* The link was never actually down. *)
-  Alcotest.(check bool) "link alive throughout" true (Bcp.Simnet.link_is_alive sim l)
+  Alcotest.(check bool) "link alive throughout" true (Bcp.Simnet.alive sim (Net.Component.Link l))
 
 let test_heartbeat_node_failure () =
   let ns = torus_ns () in
@@ -420,7 +420,7 @@ let test_heartbeat_node_failure () =
   Bcp.Simnet.finalize sim;
   let r = find_record sim 0 in
   Alcotest.(check bool) "recovered from node death" true
-    (r.Bcp.Simnet.resumed_at <> None && r.Bcp.Simnet.recovered_serial <> None)
+    (r.Bcp.Node.resumed_at <> None && r.Bcp.Node.recovered_serial <> None)
 
 (* ---------- chaos harness smoke ---------- *)
 

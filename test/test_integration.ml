@@ -69,7 +69,7 @@ let protocol_recovered_count ns link =
   List.length
     (List.filter
        (fun r ->
-         (not r.Bcp.Simnet.excluded) && r.Bcp.Simnet.recovered_serial <> None)
+         (not r.Bcp.Node.excluded) && r.Bcp.Node.recovered_serial <> None)
        (Bcp.Simnet.records sim))
 
 let test_static_and_protocol_agree () =

@@ -16,7 +16,7 @@ let test_component_order () =
 
 let test_component_predicates () =
   Alcotest.(check bool) "is_node" true (Net.Component.is_node (c_node 0));
-  Alcotest.(check bool) "is_link" true (Net.Component.is_link (c_link 0));
+  Alcotest.(check bool) "is_link" true (not (Net.Component.is_node (c_link 0)));
   Alcotest.(check string) "to_string" "node:4" (Net.Component.to_string (c_node 4))
 
 let test_component_inter_card () =

@@ -14,8 +14,8 @@ let test_control_accessors () =
   let act = Rcc.Control.Activation { conn = 1; serial = 2; channel = 66 } in
   Alcotest.(check int) "channel of activation" 66 (Rcc.Control.channel_of act);
   Alcotest.(check bool) "positive size" true (Rcc.Control.size_bytes act > 0);
-  Alcotest.(check bool) "equal" true (Rcc.Control.equal act act);
-  Alcotest.(check bool) "not equal" false (Rcc.Control.equal act (report 7))
+  Alcotest.(check bool) "equal" true (act = act);
+  Alcotest.(check bool) "not equal" false (act = report 7)
 
 (* ---------- Transport ---------- *)
 
@@ -34,7 +34,7 @@ let test_transport_delivers () =
   Sim.Engine.run engine;
   Alcotest.(check int) "one delivery" 1 (List.length !received);
   Alcotest.(check bool) "payload intact" true
-    (Rcc.Control.equal (List.hd !received) (report 1));
+    (List.hd !received = report 1);
   Alcotest.(check int) "no retransmissions" 1 (Rcc.Transport.stats_sent tr);
   Alcotest.(check int) "acked" 0 (Rcc.Transport.in_flight tr)
 

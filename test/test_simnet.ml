@@ -34,7 +34,7 @@ let one_conn_sim ?config ?(src = 0) ?(dst = 5) ?(backups = 1) () =
   (ns, c, sim)
 
 let find_record sim conn =
-  match List.find_opt (fun r -> r.Bcp.Simnet.conn = conn) (Bcp.Simnet.records sim) with
+  match List.find_opt (fun r -> r.Bcp.Node.conn = conn) (Bcp.Simnet.records sim) with
   | Some r -> r
   | None -> Alcotest.failf "no record for conn %d" conn
 
@@ -56,26 +56,26 @@ let test_link_failure_full_activation () =
   Bcp.Simnet.run ~until:0.1 sim;
   Bcp.Simnet.finalize sim;
   let r = find_record sim 0 in
-  Alcotest.(check bool) "resumed" true (r.Bcp.Simnet.resumed_at <> None);
+  Alcotest.(check bool) "resumed" true (r.Bcp.Node.resumed_at <> None);
   Alcotest.(check (option int)) "recovered via serial 1" (Some 1)
-    r.Bcp.Simnet.recovered_serial;
+    r.Bcp.Node.recovered_serial;
   Alcotest.(check bool) "fully activated" true
-    (Bcp.Simnet.fully_activated sim ~conn:0 ~serial:1);
+    (Bcp.Node.fully_activated (Bcp.Simnet.node sim) ~conn:0 ~serial:1);
   (* The failed primary is U at the nodes that learned of the failure. *)
-  let states = Bcp.Simnet.state_of sim ~conn:0 ~serial:0 in
+  let states = Bcp.Node.state_of (Bcp.Simnet.node sim) ~conn:0 ~serial:0 in
   Alcotest.(check bool) "primary unhealthy somewhere" true
     (List.mem Bcp.Protocol.U states)
 
 let test_recovery_within_bound () =
   let ns, c, sim = one_conn_sim ~src:0 ~dst:10 () in
-  let cfg = Bcp.Simnet.config sim in
+  let cfg = Bcp.Protocol.default_config in
   Bcp.Simnet.fail_link sim ~at:0.01 (primary_link_id c);
   Bcp.Simnet.run ~until:0.2 sim;
   Bcp.Simnet.finalize sim;
   let r = find_record sim 0 in
-  let resumed = Option.get r.Bcp.Simnet.resumed_at in
+  let resumed = Option.get r.Bcp.Node.resumed_at in
   let measured =
-    resumed -. r.Bcp.Simnet.failure_time -. cfg.Bcp.Protocol.detection_latency
+    resumed -. r.Bcp.Node.failure_time -. cfg.Bcp.Protocol.detection_latency
   in
   let k =
     List.fold_left
@@ -94,11 +94,11 @@ let test_failure_near_source_recovers_fast () =
   (* When the failed component is adjacent to the source, the source
      detects it directly: the reporting delay is ~0 (paper, Section 5.3). *)
   let _, c, sim = one_conn_sim ~src:0 ~dst:10 () in
-  let cfg = Bcp.Simnet.config sim in
+  let cfg = Bcp.Protocol.default_config in
   Bcp.Simnet.fail_link sim ~at:0.01 (primary_link_id c);
   Bcp.Simnet.run ~until:0.1 sim;
   let r = find_record sim 0 in
-  let resumed = Option.get r.Bcp.Simnet.resumed_at in
+  let resumed = Option.get r.Bcp.Node.resumed_at in
   Alcotest.(check bool) "immediate resume after detection" true
     (resumed -. 0.01 -. cfg.Bcp.Protocol.detection_latency < 1e-9)
 
@@ -115,11 +115,11 @@ let test_node_failure_and_exclusion () =
   (if mid = 1 then begin
      (* conn 1 ends at the dead node: excluded. *)
      let r1 = find_record sim 1 in
-     Alcotest.(check bool) "excluded" true r1.Bcp.Simnet.excluded
+     Alcotest.(check bool) "excluded" true r1.Bcp.Node.excluded
    end);
   let r0 = find_record sim 0 in
   Alcotest.(check bool) "transit conn recovered" true
-    (r0.Bcp.Simnet.recovered_serial <> None)
+    (r0.Bcp.Node.recovered_serial <> None)
 
 let test_backup_failure_reported_no_disruption () =
   (* Failing a backup-only component must not disrupt service, but both
@@ -131,7 +131,7 @@ let test_backup_failure_reported_no_disruption () =
   Bcp.Simnet.run ~until:0.1 sim;
   Alcotest.(check int) "no disruption records" 0
     (List.length (Bcp.Simnet.records sim));
-  let states = Bcp.Simnet.state_of sim ~conn:0 ~serial:1 in
+  let states = Bcp.Node.state_of (Bcp.Simnet.node sim) ~conn:0 ~serial:1 in
   Alcotest.(check bool) "backup unhealthy" true (List.mem Bcp.Protocol.U states)
 
 let test_activation_retrial_second_backup () =
@@ -147,20 +147,20 @@ let test_activation_retrial_second_backup () =
   Bcp.Simnet.finalize sim;
   let r = find_record sim 0 in
   Alcotest.(check (option int)) "recovered via serial 2" (Some 2)
-    r.Bcp.Simnet.recovered_serial;
+    r.Bcp.Node.recovered_serial;
   Alcotest.(check bool) "second fully active" true
-    (Bcp.Simnet.fully_activated sim ~conn:0 ~serial:2)
+    (Bcp.Node.fully_activated (Bcp.Simnet.node sim) ~conn:0 ~serial:2)
 
 let test_spare_pool_drawn () =
   let ns, c, sim = one_conn_sim () in
   let b = List.hd c.Bcp.Dconn.backups in
   let blink = List.hd (Net.Path.links b.Bcp.Dconn.path) in
-  let before = Bcp.Simnet.pool_remaining sim blink in
+  let before = Bcp.Node.pool_remaining (Bcp.Simnet.node sim) blink in
   Bcp.Simnet.fail_link sim ~at:0.01 (primary_link_id c);
   Bcp.Simnet.run ~until:0.1 sim;
   ignore ns;
   Alcotest.(check (float 1e-9)) "bw drawn from pool" (before -. 1.0)
-    (Bcp.Simnet.pool_remaining sim blink)
+    (Bcp.Node.pool_remaining (Bcp.Simnet.node sim) blink)
 
 (* ---------- schemes ---------- *)
 
@@ -182,32 +182,32 @@ let run_scheme ?(fail = `Last) scheme =
 
 let test_scheme1_dst_initiated () =
   let _, r = run_scheme Bcp.Protocol.Scheme1 in
-  Alcotest.(check bool) "dst informed" true (r.Bcp.Simnet.dst_informed <> None);
-  Alcotest.(check bool) "recovered" true (r.Bcp.Simnet.recovered_serial <> None);
-  Alcotest.(check bool) "resumed" true (r.Bcp.Simnet.resumed_at <> None)
+  Alcotest.(check bool) "dst informed" true (r.Bcp.Node.dst_informed <> None);
+  Alcotest.(check bool) "recovered" true (r.Bcp.Node.recovered_serial <> None);
+  Alcotest.(check bool) "resumed" true (r.Bcp.Node.resumed_at <> None)
 
 let test_scheme2_src_initiated () =
   (* Fail the link adjacent to the source: in Scheme 2 reports only travel
      toward the source, so the (non-adjacent) destination never learns. *)
   let _, r = run_scheme ~fail:`First Bcp.Protocol.Scheme2 in
-  Alcotest.(check bool) "src informed" true (r.Bcp.Simnet.src_informed <> None);
+  Alcotest.(check bool) "src informed" true (r.Bcp.Node.src_informed <> None);
   Alcotest.(check bool) "dst NOT informed (scheme 2)" true
-    (r.Bcp.Simnet.dst_informed = None);
-  Alcotest.(check bool) "recovered" true (r.Bcp.Simnet.recovered_serial <> None)
+    (r.Bcp.Node.dst_informed = None);
+  Alcotest.(check bool) "recovered" true (r.Bcp.Node.recovered_serial <> None)
 
 let test_scheme3_both_informed () =
   let _, r = run_scheme Bcp.Protocol.Scheme3 in
-  Alcotest.(check bool) "src informed" true (r.Bcp.Simnet.src_informed <> None);
-  Alcotest.(check bool) "dst informed" true (r.Bcp.Simnet.dst_informed <> None);
-  Alcotest.(check bool) "recovered" true (r.Bcp.Simnet.recovered_serial <> None)
+  Alcotest.(check bool) "src informed" true (r.Bcp.Node.src_informed <> None);
+  Alcotest.(check bool) "dst informed" true (r.Bcp.Node.dst_informed <> None);
+  Alcotest.(check bool) "recovered" true (r.Bcp.Node.recovered_serial <> None)
 
 let test_scheme2_resumes_faster_than_scheme1 () =
   (* With the failure near the destination, the source-initiated scheme
      resumes no later than the destination-initiated one (Section 4.2). *)
   let _, r1 = run_scheme Bcp.Protocol.Scheme1 in
   let _, r2 = run_scheme Bcp.Protocol.Scheme2 in
-  let t1 = Option.get r1.Bcp.Simnet.resumed_at in
-  let t2 = Option.get r2.Bcp.Simnet.resumed_at in
+  let t1 = Option.get r1.Bcp.Node.resumed_at in
+  let t2 = Option.get r2.Bcp.Node.resumed_at in
   Alcotest.(check bool) "scheme2 <= scheme1" true (t2 <= t1 +. 1e-12)
 
 (* ---------- multiplexing failure & preemption (bottleneck net) ---------- *)
@@ -243,10 +243,10 @@ let test_mux_failure_event_driven () =
   let ra = find_record sim 0 and rb = find_record sim 1 in
   let winners =
     List.length
-      (List.filter (fun r -> r.Bcp.Simnet.recovered_serial <> None) [ ra; rb ])
+      (List.filter (fun r -> r.Bcp.Node.recovered_serial <> None) [ ra; rb ])
   in
   Alcotest.(check int) "exactly one wins the pool" 1 winners;
-  Alcotest.(check (float 1e-9)) "pool empty" 0.0 (Bcp.Simnet.pool_remaining sim xy)
+  Alcotest.(check (float 1e-9)) "pool empty" 0.0 (Bcp.Node.pool_remaining (Bcp.Simnet.node sim) xy)
 
 let test_preemption_lets_high_priority_win () =
   let topo, (s1, s2, d1, d2, x, y) = bottleneck_duplex () in
@@ -267,7 +267,7 @@ let test_preemption_lets_high_priority_win () =
   Bcp.Simnet.finalize sim;
   let rb = find_record sim 1 in
   Alcotest.(check bool) "high priority recovered" true
-    (rb.Bcp.Simnet.recovered_serial <> None);
+    (rb.Bcp.Node.recovered_serial <> None);
   Alcotest.(check bool) "preemption recorded" true
     (Sim.Trace.find_all (Bcp.Simnet.trace sim) ~tag:"preempt" <> []);
   ignore xy
@@ -293,9 +293,9 @@ let test_delayed_activation_orders_contenders () =
   Bcp.Simnet.finalize sim;
   let ra = find_record sim 0 and rb = find_record sim 1 in
   Alcotest.(check bool) "high priority wins" true
-    (rb.Bcp.Simnet.recovered_serial <> None);
+    (rb.Bcp.Node.recovered_serial <> None);
   Alcotest.(check bool) "low priority mux-failed" true
-    (ra.Bcp.Simnet.recovered_serial = None)
+    (ra.Bcp.Node.recovered_serial = None)
 
 (* ---------- rejoin / repair / closure ---------- *)
 
@@ -310,7 +310,7 @@ let test_repair_before_timer_restores_backup () =
   Bcp.Simnet.fail_link sim ~at:0.01 flink;
   Bcp.Simnet.repair_link sim ~at:0.1 flink;
   Bcp.Simnet.run ~until:3.0 sim;
-  let states = Bcp.Simnet.state_of sim ~conn:0 ~serial:0 in
+  let states = Bcp.Node.state_of (Bcp.Simnet.node sim) ~conn:0 ~serial:0 in
   Alcotest.(check bool) "all B (repaired into backup)" true
     (List.for_all (fun s -> s = Bcp.Protocol.B) states);
   (* Rejoin trace present *)
@@ -324,7 +324,7 @@ let test_no_repair_times_out_to_n () =
   let _, c, sim = one_conn_sim ~config () in
   Bcp.Simnet.fail_link sim ~at:0.01 (primary_link_id c);
   Bcp.Simnet.run ~until:2.0 sim;
-  let states = Bcp.Simnet.state_of sim ~conn:0 ~serial:0 in
+  let states = Bcp.Node.state_of (Bcp.Simnet.node sim) ~conn:0 ~serial:0 in
   Alcotest.(check bool) "torn down everywhere informed" true
     (List.for_all (fun s -> s = Bcp.Protocol.N) states)
 
@@ -339,7 +339,7 @@ let test_late_repair_triggers_closure () =
   Bcp.Simnet.fail_link sim ~at:0.01 flink;
   Bcp.Simnet.repair_link sim ~at:1.0 flink;
   Bcp.Simnet.run ~until:3.0 sim;
-  let states = Bcp.Simnet.state_of sim ~conn:0 ~serial:0 in
+  let states = Bcp.Node.state_of (Bcp.Simnet.node sim) ~conn:0 ~serial:0 in
   Alcotest.(check bool) "still gone" true
     (List.for_all (fun s -> s = Bcp.Protocol.N) states)
 
@@ -381,7 +381,7 @@ let test_closure_on_late_rejoin () =
   Bcp.Simnet.run ~until:0.2 sim;
   let closures = Sim.Trace.find_all (Bcp.Simnet.trace sim) ~tag:"closure" in
   Alcotest.(check bool) "closure fired" true (closures <> []);
-  let states = Bcp.Simnet.state_of sim ~conn:0 ~serial:0 in
+  let states = Bcp.Node.state_of (Bcp.Simnet.node sim) ~conn:0 ~serial:0 in
   Alcotest.(check bool) "channel fully closed" true
     (List.for_all (fun st -> st = Bcp.Protocol.N) states)
 
@@ -433,9 +433,9 @@ let test_duplicate_failures_single_report_processing () =
     Bcp.Simnet.run ~until:0.2 sim;
     Bcp.Simnet.finalize sim;
     let r = find_record sim 0 in
-    Alcotest.(check bool) "still recovers" true (r.Bcp.Simnet.recovered_serial <> None);
+    Alcotest.(check bool) "still recovers" true (r.Bcp.Node.recovered_serial <> None);
     (* Exactly one activation committed at the source. *)
-    Alcotest.(check int) "single activation" 1 (List.length r.Bcp.Simnet.activations)
+    Alcotest.(check int) "single activation" 1 (List.length r.Bcp.Node.activations)
   end
 
 (* ---------- shared channel template ---------- *)
@@ -502,12 +502,12 @@ let observe ns sim =
     states =
       List.map
         (fun (conn, serial) ->
-          ((conn, serial), Bcp.Simnet.state_of sim ~conn ~serial))
+          ((conn, serial), Bcp.Node.state_of (Bcp.Simnet.node sim) ~conn ~serial))
         (channels ns);
     pools =
       List.init
         (Net.Topology.num_links (Bcp.Netstate.topology ns))
-        (Bcp.Simnet.pool_remaining sim);
+        (Bcp.Node.pool_remaining (Bcp.Simnet.node sim));
     events = Sim.Trace.events (Bcp.Simnet.trace sim);
   }
 
@@ -540,7 +540,7 @@ let test_template_aba () =
   let ns = loaded_ns () in
   let a1 = episode ns (scenario_a ns) in
   Alcotest.(check bool) "episode A recovers something" true
-    (List.exists (fun r -> r.Bcp.Simnet.recovered_serial <> None) a1.records);
+    (List.exists (fun r -> r.Bcp.Node.recovered_serial <> None) a1.records);
   let b = episode ns scenario_b in
   Alcotest.(check bool) "episode B changes other state" true
     (b.states <> a1.states);
@@ -571,7 +571,7 @@ let check_matches_netstate what ns =
         Alcotest.(check bool)
           (Printf.sprintf "%s: conn %d serial %d" what c.Bcp.Dconn.id serial)
           true
-          (Bcp.Simnet.state_of sim ~conn:c.Bcp.Dconn.id ~serial
+          (Bcp.Node.state_of (Bcp.Simnet.node sim) ~conn:c.Bcp.Dconn.id ~serial
           = List.init n (fun _ -> st))
       in
       expect 0 c.Bcp.Dconn.primary.Rtchan.Channel.path Bcp.Protocol.P;
@@ -587,7 +587,7 @@ let check_matches_netstate what ns =
     Alcotest.(check (float 0.0))
       (Printf.sprintf "%s: pool of link %d" what l)
       (Rtchan.Resource.spare res l)
-      (Bcp.Simnet.pool_remaining sim l)
+      (Bcp.Node.pool_remaining (Bcp.Simnet.node sim) l)
   done
 
 let template_builds f =
