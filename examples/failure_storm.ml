@@ -46,7 +46,7 @@ let () =
       rejoin_retry = 0.5;
     }
   in
-  let sim = Bcp.Simnet.create ~config ns in
+  let sim = Bcp.Simnet.create ~config ~telemetry:true ns in
   let horizon = 3600.0 in
   let events =
     Failures.Process.generate
@@ -99,8 +99,14 @@ let () =
       (1000.0 *. Sim.Stats.Sample.percentile disruptions 99.0)
       (1000.0 *. Sim.Stats.Sample.max disruptions);
 
-  let trace = Bcp.Simnet.trace sim in
-  let count tag = List.length (Sim.Trace.find_all trace ~tag) in
+  let count cause =
+    List.length
+      (List.filter
+         (function
+           | _, Sim.Event.Chan_transition { cause = c; _ } -> c = cause
+           | _ -> false)
+         (Sim.Trace.events (Bcp.Simnet.trace sim)))
+  in
   printf "@.protocol activity:@.";
   printf "  RCC messages sent:        %d@." (Bcp.Simnet.rcc_messages_sent sim);
   printf "  control msgs delivered:   %d@."

@@ -51,8 +51,9 @@ let () =
     (Bcp.Recovery.r_fast result);
 
   (* 4. The same failure through the real protocol: failure detection,
-        RCC failure reports, bidirectional backup activation. *)
-  let sim = Bcp.Simnet.create ns in
+        RCC failure reports, bidirectional backup activation, observed
+        through the typed event stream. *)
+  let sim = Bcp.Simnet.create ~telemetry:true ns in
   Bcp.Simnet.fail_link sim ~at:0.010 failed_link;
   Bcp.Simnet.run ~until:0.100 sim;
   Bcp.Simnet.finalize sim;
@@ -70,5 +71,5 @@ let () =
 
   printf "@.protocol trace:@.";
   List.iter
-    (fun e -> printf "  %a@." Sim.Trace.pp_entry e)
-    (Sim.Trace.entries (Bcp.Simnet.trace sim))
+    (fun (time, ev) -> printf "  [%10.6f] %s@." time (Sim.Event.to_string ev))
+    (Sim.Trace.events (Bcp.Simnet.trace sim))

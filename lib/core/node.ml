@@ -88,7 +88,6 @@ type 'h ctx = {
   node_alive : int -> bool;
   telemetry : bool;
   emit : Sim.Event.t -> unit;
-  trace : string -> (Format.formatter -> unit) -> unit;
 }
 
 type 'h t = {
@@ -112,10 +111,6 @@ type input =
   | Best_effort of Protocol.be_message
 
 let now t = t.ctx.now ()
-
-(* Trace lines are formatted when read, so every [pp] below captures
-   immutable values only. *)
-let pf = Format.fprintf
 
 (* ---------- channel state overlay ---------- *)
 
@@ -337,12 +332,10 @@ let holds t l = Option.value ~default:[] (Tbl.find_opt t.activated l)
 let hold_activation t l e = Tbl.replace t.activated l (e :: holds t l)
 
 (* The source resumes sending on [serial]. *)
-let resume t node (r : record) serial =
+let resume t (r : record) serial =
   let now = now t in
   r.resumed_at <- Some now;
-  r.activations <- (serial, now) :: r.activations;
-  t.ctx.trace "resume" (fun f ->
-      pf f "node %d: conn %d resumes on backup %d" node r.conn serial)
+  r.activations <- (serial, now) :: r.activations
 
 (* ---------- rejoin timers & soft-state teardown ---------- *)
 
@@ -370,8 +363,6 @@ let rejoin_expired t node e =
   if state t e = Protocol.U then begin
     emit_timer t node e Sim.Event.Expired;
     set_chan_state t node e Protocol.N ~cause:"expire";
-    t.ctx.trace "expire" (fun f ->
-        pf f "node %d: ch %d torn down (rejoin timer)" node e.cid);
     (* The source node applies the network-wide resource reconfiguration
        exactly once per channel. *)
     if e.pos = 0 && t.cfg.Protocol.reconfigure_netstate then
@@ -396,12 +387,9 @@ let cancel_rejoin_timer t node e =
 
 (* The channel is healthy again here: back to B, and the rejoin goes on
    toward the source, which takes the channel back as a standby. *)
-let rejoin t node e ~at_dst =
+let rejoin t node e =
   cancel_rejoin_timer t node e;
   set_chan_state t node e Protocol.B ~cause:"rejoin";
-  t.ctx.trace "rejoin" (fun f ->
-      pf f "node %d: ch %d repaired%s -> B" node e.cid
-        (if at_dst then " (dst)" else ""));
   if e.pos > 0 then
     ignore
       (t.ctx.be_send ~from_node:node ~to_node:e.pnodes.(e.pos - 1)
@@ -432,9 +420,6 @@ let rec process_failure_report t node e comp ~tag =
   | Protocol.U | Protocol.N -> () (* duplicate reports are ignored *)
   | Protocol.P | Protocol.B ->
     set_chan_state t node e Protocol.U ~cause:tag;
-    t.ctx.trace "state" (fun f ->
-        pf f "node %d: ch %d -> U (%s %a)" node e.cid tag Net.Component.pp
-          comp);
     start_rejoin_timer t node e;
     let hops = Net.Path.hops e.path in
     (match comp_bounds e comp with
@@ -446,10 +431,7 @@ let rec process_failure_report t node e comp ~tag =
     if e.pos = 0 then begin
       end_learns_failure t node e;
       (* Soft-state channel repair: the source probes the failed channel. *)
-      if hops > 0 then begin
-        t.ctx.trace "rejoin-req" (fun f -> pf f "node %d: probing ch %d" node e.cid);
-        forward_rejoin_request t node e
-      end
+      if hops > 0 then forward_rejoin_request t node e
     end;
     if e.pos = hops && hops > 0 then end_learns_failure t node e
 
@@ -486,9 +468,7 @@ and try_activate t node v =
   | Some _ -> () (* an activation is already in flight *)
   | None -> (
     match next_candidate t node v with
-    | None ->
-      t.ctx.trace "give-up" (fun f ->
-          pf f "node %d: conn %d has no usable backup" node v.tv.vconn)
+    | None -> ()
     | Some (serial, e) -> (
       v.attempting <- Some serial;
       match t.cfg.Protocol.priority with
@@ -496,13 +476,9 @@ and try_activate t node v =
         let degree =
           Float.round (e.nu /. Netstate.lambda t.ns) |> int_of_float |> max 0
         in
-        let delay = slot *. float_of_int degree in
-        t.ctx.trace "act-delay" (fun f ->
-            pf f "node %d: conn %d serial %d waits %.6fs" node v.tv.vconn
-              serial delay);
         v.pending <-
           Some
-            (t.ctx.set_timer delay (fun () ->
+            (t.ctx.set_timer (slot *. float_of_int degree) (fun () ->
                  v.pending <- None;
                  initiate_wave t node v serial))
       | Protocol.No_priority | Protocol.Preemptive ->
@@ -527,7 +503,7 @@ and initiate_wave t node v serial =
       | Some r when r.activated_at = None -> r.activated_at <- Some (now t)
       | _ -> ());
       let hops = Net.Path.hops e.path in
-      if v.tv.is_src then resume t node (ensure_record t conn) serial;
+      if v.tv.is_src then resume t (ensure_record t conn) serial;
       if hops > 0 then
         t.ctx.rcc_send ~from_node:node
           ~to_node:e.pnodes.(if v.tv.is_src then 1 else hops - 1)
@@ -556,7 +532,6 @@ and transition_to_p t node e =
   if drawn then begin
     cancel_rejoin_timer t node e;
     set_chan_state t node e Protocol.P ~cause:"activate";
-    t.ctx.trace "activate" (fun f -> pf f "node %d: ch %d -> P" node e.cid);
     true
   end
   else begin
@@ -594,8 +569,6 @@ and preempt_for t node e l =
 (* A preempted channel is handled as if disabled by a component failure
    (Section 4.3). *)
 and preempt_victim t node v l =
-  t.ctx.trace "preempt" (fun f ->
-      pf f "node %d: ch %d preempted on link %d" node v.cid l);
   set_chan_state t node v Protocol.B ~cause:"preempt"
   (* so the report processing runs *);
   process_failure_report t node v (Net.Component.Link l) ~tag:"preempted"
@@ -603,8 +576,6 @@ and preempt_victim t node v l =
 and mux_failure_at t node e =
   let hops = Net.Path.hops e.path in
   let l = if e.pos < hops then e.path.Net.Path.links.(e.pos) else -1 in
-  t.ctx.trace "mux-fail" (fun f ->
-      pf f "node %d: ch %d spare exhausted on link %d" node e.cid l);
   (match state t e with
   | Protocol.P | Protocol.B ->
     set_chan_state t node e Protocol.U ~cause:"mux-fail";
@@ -650,7 +621,7 @@ let handle_control t node ~from_ c =
              match view_of t node conn with
              | Some v when v.tv.is_src ->
                let r = ensure_record t conn in
-               if r.resumed_at = None then resume t node r serial
+               if r.resumed_at = None then resume t r serial
              | _ -> ());
           if next >= 0 && next <= Net.Path.hops e.path then
             t.ctx.rcc_send ~from_node:node ~to_node:e.pnodes.(next) c
@@ -678,24 +649,19 @@ let handle_be t node msg =
       (* At the destination the channel is repairable: answer with a
          rejoin. *)
       if state t e = Protocol.U then
-        if e.pos = hops then rejoin t node e ~at_dst:true
+        if e.pos = hops then rejoin t node e
         else forward_rejoin_request t node e
     | Protocol.Rejoin _ -> (
       match state t e with
-      | Protocol.U -> rejoin t node e ~at_dst:false
+      | Protocol.U -> rejoin t node e
       | Protocol.N ->
         (* Rejoin arrived after the timer expired: undo with a closure
            toward the destination (Fig. 6). *)
-        t.ctx.trace "closure" (fun f ->
-            pf f "node %d: ch %d rejoin too late, closing" node e.cid);
         close_downstream ()
       | Protocol.P | Protocol.B -> ())
     | Protocol.Closure _ ->
       cancel_rejoin_timer t node e;
-      if state t e <> Protocol.N then begin
-        set_chan_state t node e Protocol.N ~cause:"closure";
-        t.ctx.trace "closure" (fun f -> pf f "node %d: ch %d closed" node e.cid)
-      end;
+      set_chan_state t node e Protocol.N ~cause:"closure";
       close_downstream ())
 
 (* ---------- local failure detection ---------- *)
@@ -707,8 +673,6 @@ let detect t node comp =
         match state t e with
         | Protocol.P | Protocol.B ->
           if Net.Path.uses_component t.topo e.path comp then begin
-            t.ctx.trace "detect" (fun f ->
-                pf f "node %d: ch %d lost %a" node e.cid Net.Component.pp comp);
             (if e.serial = 0 then
                match Tbl.find_opt t.recs e.conn with
                | Some r when r.detected_at = None -> r.detected_at <- Some (now t)

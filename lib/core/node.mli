@@ -44,9 +44,9 @@ type 'h ctx = {
   cancel_timer : 'h -> unit;
   node_alive : int -> bool;
   telemetry : bool;  (** read before any event is built *)
-  emit : Sim.Event.t -> unit;  (** called only when [telemetry] holds *)
-  trace : string -> (Format.formatter -> unit) -> unit;
-      (** a tagged string-trace line, formatted when the trace is read *)
+  emit : Sim.Event.t -> unit;
+      (** called only when [telemetry] holds; the typed stream is the
+          handler's only observation channel *)
 }
 
 type 'h t

@@ -34,13 +34,6 @@ let metrics t = t.metrics
 let node t = t.node
 let now t = Sim.Engine.now t.engine
 
-(* String trace entries are formatted only when read: [pp] runs later,
-   so it must capture values (every call site's are immutable), not
-   state a later step may change. *)
-let tracef t tag pp = Sim.Trace.record_pp t.trace ~time:(now t) ~tag pp
-
-let pf = Format.fprintf
-
 (* ---------- per-event counters ---------- *)
 
 (* Every event kind has a fixed, finite label set, so its counter gets a
@@ -151,10 +144,8 @@ let refresh_link_transport t l =
 let detect t node comp = Node.handle t.node node (Node.Detect comp)
 
 (* [node]'s detector declares its adjacent link [l] failed. *)
-let confirm t node l ~why =
+let confirm t node l =
   t.hb_confirms <- t.hb_confirms + 1;
-  tracef t "hb-confirm" (fun f ->
-      pf f "node %d: link %d declared failed (%s)" node l why);
   emit t (Sim.Event.Detector { node; link = l; signal = Sim.Event.Confirm });
   detect t node (Net.Component.Link l)
 
@@ -182,9 +173,8 @@ let hb_check t l =
   let dst = lk.Net.Topology.dst in
   if t.node_alive.(dst) then
     match Detector.check t.monitors.(l) ~now:(now t) with
-    | `Confirmed -> confirm t dst l ~why:"heartbeats"
+    | `Confirmed -> confirm t dst l
     | `Suspected ->
-      tracef t "hb-suspect" (fun f -> pf f "node %d: link %d suspected" dst l);
       emit t
         (Sim.Event.Detector { node = dst; link = l; signal = Sim.Event.Suspect })
     | `Fine -> ()
@@ -230,7 +220,7 @@ let sender_drop t l =
     let src = lk.Net.Topology.src in
     if t.node_alive.(src) then begin
       t.sender_reported.(l) <- true;
-      confirm t src l ~why:"no acks"
+      confirm t src l
     end
   end
 
@@ -252,8 +242,6 @@ let hb_beat t ~via =
     match Detector.beat t.monitors.(via) ~now:(now t) with
     | `Recovered ->
       t.hb_recoveries <- t.hb_recoveries + 1;
-      tracef t "hb-recover" (fun f ->
-          pf f "link %d heartbeats resumed (repair or false positive)" via);
       let dst = (Net.Topology.link t.topo via).Net.Topology.dst in
       emit t
         (Sim.Event.Detector { node = dst; link = via; signal = Sim.Event.Clear })
@@ -300,9 +288,7 @@ let wire_transports t =
 let rcc_send t ~from_node ~to_node c =
   wire_transports t;
   match Net.Topology.find_link t.topo ~src:from_node ~dst:to_node with
-  | None ->
-    tracef t "drop" (fun f ->
-        pf f "no link %d->%d for %a" from_node to_node Rcc.Control.pp c)
+  | None -> () (* [Node] sends only to path neighbours *)
   | Some l -> Rcc.Transport.send t.rcc.(l) c
 
 let be_send t ~from_node ~to_node msg =
@@ -336,7 +322,6 @@ let context (t : t Lazy.t) engine ~telemetry =
     node_alive = (fun v -> (Lazy.force t).node_alive.(v));
     telemetry;
     emit = (fun ev -> emit (Lazy.force t) ev);
-    trace = (fun tag pp -> tracef (Lazy.force t) tag pp);
   }
 
 let templates : (Netstate.t, int * Node.template) Sim.Memo.t = Sim.Memo.create ()
@@ -413,7 +398,6 @@ let do_fail_link t l =
   if not t.link_failed.(l) then begin
     t.link_failed.(l) <- true;
     refresh_link_transport t l;
-    tracef t "fail" (fun f -> pf f "link %d down" l);
     emit t (Sim.Event.Fault { component = Sim.Event.Link l; up = false });
     Node.fault t.node (Net.Component.Link l);
     let lk = Net.Topology.link t.topo l in
@@ -424,7 +408,6 @@ let do_fail_node t v =
   wire_transports t;
   if t.node_alive.(v) then begin
     t.node_alive.(v) <- false;
-    tracef t "fail" (fun f -> pf f "node %d down" v);
     emit t (Sim.Event.Fault { component = Sim.Event.Node v; up = false });
     let incident = Net.Topology.out_links t.topo v @ Net.Topology.in_links t.topo v in
     List.iter (fun l -> refresh_link_transport t l) incident;
@@ -449,7 +432,6 @@ let repair_link t ~at l =
       if t.link_failed.(l) then begin
         t.link_failed.(l) <- false;
         refresh_link_transport t l;
-        tracef t "repair" (fun f -> pf f "link %d up" l);
         emit t (Sim.Event.Fault { component = Sim.Event.Link l; up = true })
       end)
 
@@ -458,7 +440,6 @@ let repair_node t ~at v =
       wire_transports t;
       if not t.node_alive.(v) then begin
         t.node_alive.(v) <- true;
-        tracef t "repair" (fun f -> pf f "node %d up" v);
         emit t (Sim.Event.Fault { component = Sim.Event.Node v; up = true });
         List.iter
           (fun l -> refresh_link_transport t l)

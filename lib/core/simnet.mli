@@ -43,6 +43,8 @@ val create :
 val engine : t -> Sim.Engine.t
 val netstate : t -> Netstate.t
 val trace : t -> Sim.Trace.t
+(** The run's typed event stream, its only record of protocol steps
+    (empty unless [~telemetry:true]). *)
 
 val node : t -> Sim.Engine.handle Node.t
 (** The protocol state this run drives, for {!Node}'s observers. *)

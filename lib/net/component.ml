@@ -13,11 +13,9 @@ let compare a b =
 let equal a b = compare a b = 0
 let is_node = function Node _ -> true | Link _ -> false
 
-let pp ppf = function
-  | Node i -> Format.fprintf ppf "node:%d" i
-  | Link i -> Format.fprintf ppf "link:%d" i
-
-let to_string t = Format.asprintf "%a" pp t
+let to_string = function
+  | Node i -> Printf.sprintf "node:%d" i
+  | Link i -> Printf.sprintf "link:%d" i
 
 module Set = Set.Make (struct
   type nonrec t = t

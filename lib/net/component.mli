@@ -11,7 +11,6 @@ type t =
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val is_node : t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** Sets of components, used for path overlap computations. *)

@@ -17,15 +17,3 @@ let channel_of = function
   | Activation { channel; _ } -> channel
   | Mux_failure_report { channel; _ } -> channel
   | Heartbeat _ -> -1
-
-let pp ppf = function
-  | Failure_report { channel; component } ->
-    Format.fprintf ppf "failure-report(ch=%d, %a)" channel Net.Component.pp
-      component
-  | Activation { conn; serial; channel } ->
-    Format.fprintf ppf "activation(conn=%d, serial=%d, ch=%d)" conn serial
-      channel
-  | Mux_failure_report { channel; link } ->
-    Format.fprintf ppf "mux-failure(ch=%d, link=%d)" channel link
-  | Heartbeat { node; beat } ->
-    Format.fprintf ppf "heartbeat(node=%d, beat=%d)" node beat

@@ -33,5 +33,3 @@ val size_bytes : t -> int
 val channel_of : t -> int
 (** The channel the message concerns (dedup key together with the
     constructor); [-1] for heartbeats, which concern the link itself. *)
-
-val pp : Format.formatter -> t -> unit

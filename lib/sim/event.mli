@@ -1,12 +1,10 @@
 (** Typed protocol telemetry events.
 
-    The flat string entries of {!Trace} are good enough for eyeballing a
-    run, but attributing recovery delay to protocol phases, or watching
-    spare-bandwidth and multiplexing state evolve, needs structure.  This
-    is the shared event vocabulary emitted (when enabled) by the BCP
-    daemons, the RCC transports and the multiplexing engine, and consumed
-    by the exporters (JSONL event logs, Chrome [trace_event] files) and
-    the metrics registry.
+    The one vocabulary in which a run is observed: emitted (when
+    enabled) by the BCP daemons, the RCC transports and the multiplexing
+    engine, recorded by {!Trace}, fed to {!Monitor}, and consumed by the
+    exporters (JSONL event logs, Chrome [trace_event] files) and the
+    metrics registry.
 
     Events carry plain integers so the vocabulary can live below every
     protocol layer; the string codecs ([*_to_string] / [*_of_string]) are
@@ -60,7 +58,10 @@ type t =
       channel : int;
       from_ : chan_state;
       to_ : chan_state;
-      cause : string;  (** e.g. "detect", "report", "activate", "rejoin" *)
+      cause : string;
+          (** what moved the channel: "detect", "report", "mux-report",
+              "preempted" or "mux-fail" (to U); "activate" (to P);
+              "preempt" or "rejoin" (to B); "expire" or "closure" (to N) *)
     }
   | Rcc of { link : int; op : rcc_op; seq : int; bytes : int }
   | Detector of { node : int; link : int; signal : detector_signal }

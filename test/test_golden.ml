@@ -1,15 +1,16 @@
 (* Golden event streams for seeded heartbeat episodes on the 4x4 and
    8x8 tori.
 
-   Each episode is digested four ways: the per-connection records (every
-   time to the bit), the full typed event stream of the trace, the string
-   trace, and the metrics registry as [--metrics] exports it.  The
-   digests were recorded before the heartbeat fast paths (eager engine
-   cancel, cancelled retransmit timers, the inline pump, format-on-read
-   trace entries) went in, so they pin the contract those paths keep: a
-   removed do-nothing event changes nothing else, and every remaining
-   event keeps its place in the (time, seq) order, its PRNG draws and its
-   output. *)
+   Each episode is digested three ways: the per-connection records
+   (every time to the bit), the full typed event stream of the trace, and
+   the metrics registry as [--metrics] exports it.  The digests were
+   recorded before the heartbeat fast paths (eager engine cancel,
+   cancelled retransmit timers, the inline pump) went in, so they pin the
+   contract those paths keep: a removed do-nothing event changes nothing
+   else, and every remaining event keeps its place in the (time, seq)
+   order, its PRNG draws and its output.  Each episode also runs with
+   telemetry off, and its records must match: observing a run never
+   changes it. *)
 
 let est4 = lazy (Eval.Setup.build Eval.Setup.Torus4)
 let est8 = lazy (Eval.Setup.build Eval.Setup.Torus8)
@@ -87,15 +88,6 @@ let events_digest sim =
     (Sim.Trace.events (Bcp.Simnet.trace sim));
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let trace_digest sim =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (e : Sim.Trace.entry) ->
-      Buffer.add_string b
-        (Printf.sprintf "%h|%s|%s\n" e.time e.tag e.detail))
-    (Sim.Trace.entries (Bcp.Simnet.trace sim));
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 let metrics_digest sim =
   Digest.to_hex
     (Digest.string
@@ -107,7 +99,7 @@ let metrics_digest sim =
    says at a glance whether the run itself drifted. *)
 let summary sim =
   Printf.sprintf "now=%h sent=%d delivered=%d dropped=%d confirms=%d \
-                  recoveries=%d events=%d trace=%d"
+                  recoveries=%d events=%d"
     (Sim.Engine.now (Bcp.Simnet.engine sim))
     (Bcp.Simnet.rcc_messages_sent sim)
     (Bcp.Simnet.control_messages_delivered sim)
@@ -115,7 +107,6 @@ let summary sim =
     (Bcp.Simnet.heartbeat_confirms sim)
     (Bcp.Simnet.heartbeat_recoveries sim)
     (Sim.Trace.event_count (Bcp.Simnet.trace sim))
-    (Sim.Trace.count (Bcp.Simnet.trace sim))
 
 let first_primary_link ns =
   match Bcp.Netstate.dconns ns with
@@ -134,9 +125,9 @@ let clean ?(telemetry = true) () =
 (* Loss 0.2 with duplication and jitter, plus two gray links that
    silently eat every message: retransmits, dedup, sender-side drops and
    false confirmations all run. *)
-let lossy_gray () =
+let lossy_gray ?(telemetry = true) () =
   let ns = (Lazy.force est4).Eval.Setup.ns in
-  let sim = Bcp.Simnet.create ~config:hb_config ~telemetry:true ns in
+  let sim = Bcp.Simnet.create ~config:hb_config ~telemetry ns in
   let imp =
     Failures.Impair.create ~seed:7
       ~default:(Failures.Impair.make ~loss:0.2 ~dup:0.1 ~jitter:5e-4 ())
@@ -157,9 +148,9 @@ let lossy_gray () =
    heartbeat sent while another link's pump is due at the same instant
    (at t = 0x1.5d8bece815de2p-4): pumping that beat inline would send it
    first and shift every later impairment draw. *)
-let torus8_lossy () =
+let torus8_lossy ?(telemetry = true) () =
   let ns = (Lazy.force est8).Eval.Setup.ns in
-  let sim = Bcp.Simnet.create ~config:hb_config ~telemetry:true ns in
+  let sim = Bcp.Simnet.create ~config:hb_config ~telemetry ns in
   Bcp.Simnet.set_impairment sim
     (Failures.Impair.create ~seed:(7 + 104729)
        ~default:(Failures.Impair.make ~loss:0.2 ~dup:0.1 ~jitter:5e-4 ())
@@ -169,17 +160,12 @@ let torus8_lossy () =
   Bcp.Simnet.finalize sim;
   sim
 
-(* Swarm-style: an auditing monitor, seeded scheduler perturbation of
-   messages and timers, light loss, and a node failure and a link
-   failure, both repaired. *)
-let perturbed () =
+(* Swarm-style: seeded scheduler perturbation of messages and timers,
+   light loss, and a node failure and a link failure, both repaired;
+   [perturbed] adds an auditing monitor. *)
+let perturbed_sim ?monitor () =
   let ns = (Lazy.force est4).Eval.Setup.ns in
-  let monitor =
-    Sim.Monitor.create
-      ~context:(Eval.Audit.context_of_netstate ns)
-      ~decode_channel:Eval.Audit.decode_cid ()
-  in
-  let sim = Bcp.Simnet.create ~config:hb_config ~monitor ns in
+  let sim = Bcp.Simnet.create ~config:hb_config ?monitor ns in
   let sched =
     Sim.Schedule.create ~seed:102
       (Sim.Schedule.make ~msg_delay:1e-3 ~msg_rate:0.3 ~timer_delay:1e-3
@@ -196,6 +182,16 @@ let perturbed () =
   Bcp.Simnet.repair_node sim ~at:0.055 5;
   Bcp.Simnet.run ~until:0.09 sim;
   Bcp.Simnet.finalize sim;
+  (sim, sched)
+
+let perturbed () =
+  let ns = (Lazy.force est4).Eval.Setup.ns in
+  let monitor =
+    Sim.Monitor.create
+      ~context:(Eval.Audit.context_of_netstate ns)
+      ~decode_channel:Eval.Audit.decode_cid ()
+  in
+  let sim, sched = perturbed_sim ~monitor () in
   ( sim,
     Printf.sprintf "perturbed=%d monitor=%d violations=%d coverage=%s"
       (Sim.Schedule.perturbed sched)
@@ -209,7 +205,6 @@ let check_episode name sim ~extra expected =
       ("summary", summary sim ^ extra);
       ("records", records_digest sim);
       ("events", events_digest sim);
-      ("trace", trace_digest sim);
       ("metrics", metrics_digest sim);
     ]
   in
@@ -223,10 +218,9 @@ let golden_clean =
   [
     ( "summary",
       "now=0x1.eb851eb851eb8p-5 sent=2081 delivered=1974 dropped=9 confirms=2 \
-       recoveries=0 events=6220 trace=267" );
+       recoveries=0 events=6220" );
     ("records", "18f688400d1e0fb4864263bee64e3fb1");
     ("events", "608875b4b3f84a6459e1c9143169d446");
-    ("trace", "9dfbced3416d136486b405e1b36ac742");
     ("metrics", "ada7a3c307756ac4814ba7f48318dd61");
   ]
 
@@ -234,10 +228,9 @@ let golden_lossy_gray =
   [
     ( "summary",
       "now=0x1.47ae147ae147bp-4 sent=4603 delivered=2590 dropped=75 \
-       confirms=6 recoveries=0 events=10612 trace=854" );
+       confirms=6 recoveries=0 events=10612" );
     ("records", "94d003e5a2eab9cf3870913dec4e56c7");
     ("events", "54722fa6b1d800a4001ab5425101ecca");
-    ("trace", "e64b320b4810be49f947fe67a933e09a");
     ("metrics", "af68c4036030078597a8092544b3d109");
   ]
 
@@ -245,22 +238,24 @@ let golden_perturbed =
   [
     ( "summary",
       "now=0x1.70a3d70a3d70ap-4 sent=3483 delivered=2783 dropped=42 \
-       confirms=13 recoveries=5 events=9832 trace=974 perturbed=4589 \
+       confirms=13 recoveries=5 events=9832 perturbed=4589 \
        monitor=9832 violations=0 \
        coverage=det:clear,det:confirm,det:suspect,outcome:FD---,outcome:FD-A-,outcome:FD-AS,outcome:FDR--,outcome:FDRA-,outcome:FDRAS,rcc:ack,rcc:deliver,rcc:drop,rcc:retransmit,rcc:send,timer:cancelled,timer:started,trans:B>P:activate,trans:B>U:detect,trans:B>U:report,trans:P>U:detect,trans:P>U:report,trans:U>B:rejoin" );
     ("records", "d313c79d5c5e78eecf7fc95911ef53c4");
     ("events", "dab6c2245f2552496ebc48253612ad8d");
-    ("trace", "95b57a08211187255cfebcdaab8015e0");
     ("metrics", "04890d03ad1b232e513141301500cf06");
   ]
 
 let test_clean () = check_episode "clean" (clean ()) ~extra:"" golden_clean
 
-(* Telemetry observes a run without changing it. *)
-let test_clean_untraced () =
+(* Telemetry observes a run without changing it: the episode run with
+   no event stream, no counters and no monitor keeps its records. *)
+let untraced golden run () =
   Alcotest.(check string)
-    "records without telemetry" (List.assoc "records" golden_clean)
-    (records_digest (clean ~telemetry:false ()))
+    "records without telemetry" (List.assoc "records" golden)
+    (records_digest (run ()))
+
+let test_clean_untraced = untraced golden_clean (clean ~telemetry:false)
 
 let test_lossy_gray () =
   check_episode "loss 0.2 + gray" (lossy_gray ()) ~extra:"" golden_lossy_gray
@@ -269,15 +264,23 @@ let golden_torus8_lossy =
   [
     ( "summary",
       "now=0x1.999999999999ap-4 sent=20380 delivered=14803 dropped=33 \
-       confirms=4 recoveries=0 events=51989 trace=4669" );
+       confirms=4 recoveries=0 events=51989" );
     ("records", "e0b6a1e9e55c0c729efd1306ca336b8e");
     ("events", "9ff91cefcce7fe03aef28a274bcad964");
-    ("trace", "948fa445cdd9c71b7259969f88fee798");
     ("metrics", "19daa0c4bc35abd5ff4dcfcee6c78a04");
   ]
 
 let test_torus8_lossy () =
   check_episode "torus8 loss 0.2" (torus8_lossy ()) ~extra:"" golden_torus8_lossy
+
+let test_lossy_gray_untraced =
+  untraced golden_lossy_gray (lossy_gray ~telemetry:false)
+
+let test_torus8_lossy_untraced =
+  untraced golden_torus8_lossy (torus8_lossy ~telemetry:false)
+
+let test_perturbed_untraced =
+  untraced golden_perturbed (fun () -> fst (perturbed_sim ()))
 
 let test_perturbed () =
   let sim, extra = perturbed () in
@@ -311,11 +314,16 @@ let () =
           Alcotest.test_case "clean" `Quick test_clean;
           Alcotest.test_case "clean untraced" `Quick test_clean_untraced;
           Alcotest.test_case "loss 0.2 + gray" `Quick test_lossy_gray;
+          Alcotest.test_case "loss 0.2 + gray untraced" `Quick
+            test_lossy_gray_untraced;
           Alcotest.test_case "perturbed + monitor" `Quick test_perturbed;
+          Alcotest.test_case "perturbed untraced" `Quick test_perturbed_untraced;
         ] );
       ( "torus8 heartbeat",
-        [ Alcotest.test_case "loss 0.2, same-instant pump" `Quick test_torus8_lossy ]
-      );
+        [
+          Alcotest.test_case "loss 0.2, same-instant pump" `Quick test_torus8_lossy;
+          Alcotest.test_case "loss 0.2 untraced" `Quick test_torus8_lossy_untraced;
+        ] );
       ( "monitor twin",
         [ Alcotest.test_case "recorded streams" `Quick test_twin ] );
     ]

@@ -235,7 +235,7 @@ let run_parity_scenario ~impaired () =
   let ns = torus_ns () in
   let c0 = establish_exn ns 0 (request 0 5) in
   let _c1 = establish_exn ns 1 (request 12 3 ~backups:2) in
-  let sim = Bcp.Simnet.create ns in
+  let sim = Bcp.Simnet.create ~telemetry:true ns in
   if impaired then
     Bcp.Simnet.set_impairment sim (Failures.Impair.create ~seed:99 ());
   Bcp.Simnet.fail_link sim ~at:0.01 (primary_link_id c0);
@@ -272,16 +272,15 @@ let test_zero_impairment_parity () =
   Alcotest.(check int) "identical deliveries"
     (Bcp.Simnet.control_messages_delivered a)
     (Bcp.Simnet.control_messages_delivered b);
-  (* Byte-identical traces: same events, same times, same order. *)
+  (* Byte-identical traces: same events, RCC steps included, same times,
+     same order. *)
   let dump sim =
-    String.concat "\n"
-      (List.map
-         (fun e ->
-           Printf.sprintf "%.9f %s %s" e.Sim.Trace.time e.Sim.Trace.tag
-             e.Sim.Trace.detail)
-         (Sim.Trace.entries (Bcp.Simnet.trace sim)))
+    List.map
+      (fun (time, ev) -> (time, Sim.Event.to_string ev))
+      (Sim.Trace.events (Bcp.Simnet.trace sim))
   in
-  Alcotest.(check string) "byte-identical trace" (dump a) (dump b)
+  Alcotest.(check (list (pair (float 0.0) string)))
+    "byte-identical trace" (dump a) (dump b)
 
 (* ---------- recovery under 20% control-message loss ---------- *)
 

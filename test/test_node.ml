@@ -46,7 +46,6 @@ let context f =
     node_alive = (fun _ -> true);
     telemetry = false;
     emit = (fun _ -> Alcotest.fail "an event was built with telemetry off");
-    trace = (fun _ _ -> ());
   }
 
 (* Move the clock to [until], firing every timer due by then in due

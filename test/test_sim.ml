@@ -433,100 +433,6 @@ let prop_welford_matches_naive =
 
 (* ---------- Trace ---------- *)
 
-let test_trace_roundtrip () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.record t ~time:1.0 ~tag:"a" "one";
-  let formatted = ref 0 in
-  Sim.Trace.record_pp t ~time:2.0 ~tag:"b" (fun f ->
-      incr formatted;
-      Format.fprintf f "two %d" 2);
-  Alcotest.(check int) "count" 2 (Sim.Trace.count t);
-  Alcotest.(check int) "not formatted on record" 0 !formatted;
-  let entries = Sim.Trace.entries t in
-  Alcotest.(check (list string)) "tags" [ "a"; "b" ]
-    (List.map (fun e -> e.Sim.Trace.tag) entries);
-  Alcotest.(check (list string)) "details" [ "one"; "two 2" ]
-    (List.map (fun e -> e.Sim.Trace.detail) entries);
-  Alcotest.(check int) "formatted on read" 1 !formatted;
-  Alcotest.(check int) "find_all" 1 (List.length (Sim.Trace.find_all t ~tag:"b"))
-
-(* The ring starts small and doubles up to its capacity; entries keep
-   their order across each growth and after it wraps. *)
-let test_trace_ring_growth () =
-  let t = Sim.Trace.create ~capacity:200 () in
-  let tags = [| "a"; "b"; "c" |] in
-  for i = 1 to 300 do
-    Sim.Trace.record t ~time:(float_of_int i) ~tag:tags.(i mod 3)
-      (string_of_int i);
-    if i = 150 then
-      Alcotest.(check (list string)) "before wrap"
-        (List.init 150 (fun k -> string_of_int (k + 1)))
-        (List.map (fun e -> e.Sim.Trace.detail) (Sim.Trace.entries t))
-  done;
-  Alcotest.(check (list string)) "last 200 after wrap"
-    (List.init 200 (fun k -> string_of_int (k + 101)))
-    (List.map (fun e -> e.Sim.Trace.detail) (Sim.Trace.entries t));
-  Alcotest.(check (list string)) "find_all b"
-    (List.filter_map
-       (fun k -> if k mod 3 = 1 then Some (string_of_int k) else None)
-       (List.init 200 (fun k -> k + 101)))
-    (List.map (fun e -> e.Sim.Trace.detail) (Sim.Trace.find_all t ~tag:"b"))
-
-let test_trace_ring_overflow () =
-  let t = Sim.Trace.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Sim.Trace.record t ~time:(float_of_int i) ~tag:"x" (string_of_int i)
-  done;
-  let entries = Sim.Trace.entries t in
-  Alcotest.(check int) "keeps capacity" 4 (List.length entries);
-  Alcotest.(check string) "oldest dropped" "7" (List.hd entries).Sim.Trace.detail;
-  Alcotest.(check int) "total counts all" 10 (Sim.Trace.count t)
-
-let test_trace_tag_index () =
-  (* find_all must agree with a linear scan over the live entries (same
-     entries, same oldest-first order), including across ring eviction
-     and after clear. *)
-  let t = Sim.Trace.create ~capacity:8 () in
-  let tags = [| "alpha"; "beta"; "gamma" |] in
-  for i = 0 to 29 do
-    Sim.Trace.record t ~time:(float_of_int i) ~tag:tags.(i mod 3)
-      (string_of_int i)
-  done;
-  Array.iter
-    (fun tag ->
-      let scanned =
-        List.filter (fun e -> e.Sim.Trace.tag = tag) (Sim.Trace.entries t)
-      in
-      Alcotest.(check (list string))
-        ("indexed = scanned for " ^ tag)
-        (List.map (fun e -> e.Sim.Trace.detail) scanned)
-        (List.map
-           (fun e -> e.Sim.Trace.detail)
-           (Sim.Trace.find_all t ~tag)))
-    tags;
-  Alcotest.(check int) "absent tag" 0
-    (List.length (Sim.Trace.find_all t ~tag:"delta"));
-  Sim.Trace.clear t;
-  Alcotest.(check int) "index cleared" 0
-    (List.length (Sim.Trace.find_all t ~tag:"alpha"));
-  Sim.Trace.record t ~time:0.0 ~tag:"alpha" "fresh";
-  Alcotest.(check int) "index live after clear" 1
-    (List.length (Sim.Trace.find_all t ~tag:"alpha"))
-
-let test_trace_clear () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.record t ~time:0.0 ~tag:"x" "y";
-  Sim.Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (List.length (Sim.Trace.entries t))
-
-let test_trace_create_rejects_nonpositive () =
-  Alcotest.check_raises "zero"
-    (Invalid_argument "Trace.create: capacity must be positive (got 0)")
-    (fun () -> ignore (Sim.Trace.create ~capacity:0 ()));
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Trace.create: capacity must be positive (got -3)")
-    (fun () -> ignore (Sim.Trace.create ~capacity:(-3) ()))
-
 let ev_a = Sim.Event.Fault { component = Sim.Event.Link 3; up = false }
 
 let ev_b =
@@ -547,30 +453,56 @@ let test_trace_events_capture () =
   Sim.Trace.record_event t ~time:1.0 ev_a;
   Sim.Trace.record_event t ~time:2.0 ev_b;
   Alcotest.(check int) "two events" 2 (Sim.Trace.event_count t);
-  (match Sim.Trace.events t with
+  match Sim.Trace.events t with
   | [ (t1, e1); (t2, e2) ] ->
     check_float "first time" 1.0 t1;
     check_float "second time" 2.0 t2;
     Alcotest.(check bool) "order kept" true (e1 = ev_a && e2 = ev_b)
-  | _ -> Alcotest.fail "expected two events in order");
-  Sim.Trace.clear t;
-  Alcotest.(check int) "clear drops events" 0 (Sim.Trace.event_count t);
-  Sim.Trace.record_event t ~time:3.0 ev_a;
-  Alcotest.(check int) "flag survives clear" 1 (Sim.Trace.event_count t)
+  | _ -> Alcotest.fail "expected two events in order"
 
-let test_trace_events_growth () =
-  (* Push past the initial buffer capacity to exercise doubling. *)
+(* One event of every constructor, with RCC steps inside and outside the
+   packed layout, reads back as recorded and in order. *)
+let test_trace_roundtrip () =
   let t = Sim.Trace.create () in
   Sim.Trace.set_events t true;
-  for i = 1 to 1000 do
+  let evs =
+    [
+      ev_a;
+      ev_b;
+      Sim.Event.Rcc { link = 7; op = Sim.Event.Ack; seq = 3; bytes = 8 };
+      Sim.Event.Rcc { link = 1 lsl 16; op = Sim.Event.Drop; seq = -1; bytes = 8 };
+      Sim.Event.Detector { node = 2; link = 5; signal = Sim.Event.Confirm };
+      Sim.Event.Activation { node = 0; conn = 4; serial = 1; channel = 65 };
+      Sim.Event.Rejoin_timer { node = 3; channel = 64; op = Sim.Event.Expired };
+      Sim.Event.Mux { link = 9; backup = 65; op = Sim.Event.Register; pi = 2; psi = 1 };
+      Sim.Event.Fault { component = Sim.Event.Node 6; up = true };
+      Sim.Event.Lifecycle { conn = 4; op = Sim.Event.Depart; active = 10 };
+    ]
+  in
+  List.iteri (fun i ev -> Sim.Trace.record_event t ~time:(float_of_int i) ev) evs;
+  Alcotest.(check int) "count" (List.length evs) (Sim.Trace.event_count t);
+  Alcotest.(check (list string)) "events"
+    (List.mapi (fun i ev -> Printf.sprintf "%d %s" i (Sim.Event.to_string ev)) evs)
+    (List.map
+       (fun (time, ev) ->
+         Printf.sprintf "%.0f %s" time (Sim.Event.to_string ev))
+       (Sim.Trace.events t));
+  Alcotest.(check bool) "structurally equal" true
+    (Sim.Trace.events t = List.mapi (fun i ev -> (float_of_int i, ev)) evs)
+
+let test_trace_events_growth () =
+  (* Fill several 1024-entry chunks; nothing is dropped. *)
+  let t = Sim.Trace.create () in
+  Sim.Trace.set_events t true;
+  for i = 1 to 3000 do
     Sim.Trace.record_event t ~time:(float_of_int i)
       (Sim.Event.Rcc { link = i; op = Sim.Event.Send; seq = i; bytes = 64 })
   done;
-  Alcotest.(check int) "all kept" 1000 (Sim.Trace.event_count t);
+  Alcotest.(check int) "all kept" 3000 (Sim.Trace.event_count t);
   match List.rev (Sim.Trace.events t) with
   | (tl, Sim.Event.Rcc { link; _ }) :: _ ->
-    check_float "last time" 1000.0 tl;
-    Alcotest.(check int) "last link" 1000 link
+    check_float "last time" 3000.0 tl;
+    Alcotest.(check int) "last link" 3000 link
   | _ -> Alcotest.fail "expected Rcc event last"
 
 (* ---------- typed-event store vs the boxed reference ---------- *)
@@ -581,7 +513,7 @@ type trace_op =
       (** [record_rcc] with link, op, seq, bytes *)
   | Burst of int  (** that many in-layout [record_rcc] calls *)
   | Enable of bool
-  | Clear
+  | Read  (** compare the whole store mid-sequence *)
 
 let rcc_ops = [| Sim.Event.Send; Retransmit; Deliver; Ack; Drop |]
 
@@ -634,7 +566,7 @@ let gen_trace_op =
           (oneofa rcc_ops) );
       (1, map (fun n -> Burst n) (int_range 1 1500));
       (1, map (fun b -> Enable b) (frequency [ (4, return true); (1, return false) ]));
-      (1, return Clear);
+      (1, return Read);
     ]
 
 let pp_trace_op = function
@@ -644,7 +576,7 @@ let pp_trace_op = function
       (Sim.Event.rcc_op_to_string op) seq bytes
   | Burst n -> Printf.sprintf "burst %d" n
   | Enable b -> Printf.sprintf "enable %b" b
-  | Clear -> "clear"
+  | Read -> "read"
 
 let arb_trace_ops =
   QCheck.make
@@ -676,16 +608,13 @@ let prop_trace_reference =
         | Enable on ->
           Sim.Trace.set_events t on;
           Trace_ref.set_events r on
-        | Clear ->
-          Sim.Trace.clear t;
-          Trace_ref.clear r
+        | Read -> ()
       in
       List.for_all
         (fun op ->
-          (* Compare the whole store before a clear drops it. *)
-          let ok = match op with Clear -> same () | _ -> true in
           apply op;
-          ok && Sim.Trace.event_count t = Trace_ref.event_count r)
+          (match op with Read -> same () | _ -> true)
+          && Sim.Trace.event_count t = Trace_ref.event_count r)
         ops
       && same ())
 
@@ -770,12 +699,6 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
-          Alcotest.test_case "ring overflow" `Quick test_trace_ring_overflow;
-          Alcotest.test_case "ring growth" `Quick test_trace_ring_growth;
-          Alcotest.test_case "tag index" `Quick test_trace_tag_index;
-          Alcotest.test_case "clear" `Quick test_trace_clear;
-          Alcotest.test_case "create rejects capacity <= 0" `Quick
-            test_trace_create_rejects_nonpositive;
           Alcotest.test_case "events disabled no-op" `Quick
             test_trace_events_disabled_noop;
           Alcotest.test_case "events capture" `Quick test_trace_events_capture;

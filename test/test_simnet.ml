@@ -27,11 +27,22 @@ let torus_ns ?(capacity = 10.0) () =
 let primary_link_id c =
   List.hd (Net.Path.links c.Bcp.Dconn.primary.Rtchan.Channel.path)
 
-let one_conn_sim ?config ?(src = 0) ?(dst = 5) ?(backups = 1) () =
+let one_conn_sim ?config ?telemetry ?(src = 0) ?(dst = 5) ?(backups = 1) () =
   let ns = torus_ns () in
   let c = establish_exn ns 0 (request ~backups src dst) in
-  let sim = Bcp.Simnet.create ?config ns in
+  let sim = Bcp.Simnet.create ?config ?telemetry ns in
   (ns, c, sim)
+
+(* (node, channel) of every recorded channel-state transition with
+   [cause], in stream order; the run needs [~telemetry:true]. *)
+let transitions sim ~cause =
+  List.filter_map
+    (function
+      | _, Sim.Event.Chan_transition { node; channel; cause = c; _ }
+        when c = cause ->
+        Some (node, channel)
+      | _ -> None)
+    (Sim.Trace.events (Bcp.Simnet.trace sim))
 
 let find_record sim conn =
   match List.find_opt (fun r -> r.Bcp.Node.conn = conn) (Bcp.Simnet.records sim) with
@@ -260,7 +271,7 @@ let test_preemption_lets_high_priority_win () =
     { Bcp.Protocol.default_config with Bcp.Protocol.priority = Bcp.Protocol.Preemptive }
   in
   let xy = Option.get (Net.Topology.find_link topo ~src:x ~dst:y) in
-  let sim = Bcp.Simnet.create ~config ns in
+  let sim = Bcp.Simnet.create ~config ~telemetry:true ns in
   Bcp.Simnet.fail_link sim ~at:0.01 (primary_link_id a);
   Bcp.Simnet.fail_link sim ~at:0.05 (primary_link_id b);
   Bcp.Simnet.run ~until:0.4 sim;
@@ -269,7 +280,7 @@ let test_preemption_lets_high_priority_win () =
   Alcotest.(check bool) "high priority recovered" true
     (rb.Bcp.Node.recovered_serial <> None);
   Alcotest.(check bool) "preemption recorded" true
-    (Sim.Trace.find_all (Bcp.Simnet.trace sim) ~tag:"preempt" <> []);
+    (transitions sim ~cause:"preempt" <> []);
   ignore xy
 
 let test_delayed_activation_orders_contenders () =
@@ -305,7 +316,7 @@ let test_repair_before_timer_restores_backup () =
   let config =
     { Bcp.Protocol.default_config with Bcp.Protocol.rejoin_timeout = 1.0 }
   in
-  let _, c, sim = one_conn_sim ~config () in
+  let _, c, sim = one_conn_sim ~config ~telemetry:true () in
   let flink = primary_link_id c in
   Bcp.Simnet.fail_link sim ~at:0.01 flink;
   Bcp.Simnet.repair_link sim ~at:0.1 flink;
@@ -313,9 +324,8 @@ let test_repair_before_timer_restores_backup () =
   let states = Bcp.Node.state_of (Bcp.Simnet.node sim) ~conn:0 ~serial:0 in
   Alcotest.(check bool) "all B (repaired into backup)" true
     (List.for_all (fun s -> s = Bcp.Protocol.B) states);
-  (* Rejoin trace present *)
   Alcotest.(check bool) "rejoin happened" true
-    (Sim.Trace.find_all (Bcp.Simnet.trace sim) ~tag:"rejoin" <> [])
+    (transitions sim ~cause:"rejoin" <> [])
 
 let test_no_repair_times_out_to_n () =
   let config =
@@ -372,15 +382,15 @@ let test_closure_on_late_rejoin () =
       best_effort_delay = 1e-3;
     }
   in
-  let sim = Bcp.Simnet.create ~config ns in
+  let sim = Bcp.Simnet.create ~config ~telemetry:true ns in
   (* The primary's 4th link (between nodes 3 and 4). *)
   let c = Option.get (Bcp.Netstate.find ns 0) in
   let l34 = List.nth (Net.Path.links c.Bcp.Dconn.primary.Rtchan.Channel.path) 3 in
   Bcp.Simnet.fail_link sim ~at:0.010 l34;
   Bcp.Simnet.repair_link sim ~at:0.013 l34;
   Bcp.Simnet.run ~until:0.2 sim;
-  let closures = Sim.Trace.find_all (Bcp.Simnet.trace sim) ~tag:"closure" in
-  Alcotest.(check bool) "closure fired" true (closures <> []);
+  Alcotest.(check bool) "closure fired" true
+    (transitions sim ~cause:"closure" <> []);
   let states = Bcp.Node.state_of (Bcp.Simnet.node sim) ~conn:0 ~serial:0 in
   Alcotest.(check bool) "channel fully closed" true
     (List.for_all (fun st -> st = Bcp.Protocol.N) states)
@@ -686,15 +696,13 @@ let test_detect_order () =
         c.Bcp.Dconn.backups)
     (Bcp.Netstate.dconns ns);
   let folded = Hashtbl.fold (fun cid () acc -> cid :: acc) tbl [] in
-  let sim = Bcp.Simnet.create ns in
+  let sim = Bcp.Simnet.create ~telemetry:true ns in
   Bcp.Simnet.fail_link sim ~at:0.01 link;
   Bcp.Simnet.run ~until:0.3 sim;
   let detected =
     List.filter_map
-      (fun e ->
-        Scanf.sscanf e.Sim.Trace.detail "node %d: ch %d" (fun n cid ->
-            if n = node then Some cid else None))
-      (Sim.Trace.find_all (Bcp.Simnet.trace sim) ~tag:"detect")
+      (fun (n, cid) -> if n = node then Some cid else None)
+      (transitions sim ~cause:"detect")
   in
   let expected = List.filter (fun cid -> List.mem cid detected) folded in
   Alcotest.(check bool) "several channels detected" true

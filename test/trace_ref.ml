@@ -23,7 +23,3 @@ let record_rcc t ~time ~link ~op ~seq ~bytes =
 
 let events t = List.rev t.evs
 let event_count t = t.n
-
-let clear t =
-  t.evs <- [];
-  t.n <- 0
