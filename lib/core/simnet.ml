@@ -483,14 +483,17 @@ let finalize t =
      sweeps merge the same sample sequence as serial ones. *)
   if t.telemetry && not t.phases_observed then begin
     t.phases_observed <- true;
-    let obs name v =
-      Sim.Metrics.observe (Sim.Metrics.timer t.metrics name) (Float.max 0.0 v)
-    in
+    (* Each timer is resolved on its first observation, which keeps the
+       registry's key order. *)
+    let timer name = lazy (Sim.Metrics.timer t.metrics name) in
+    let detect = timer "phase.detect" and report = timer "phase.report"
+    and activate = timer "phase.activate" and switch = timer "phase.switch" in
+    let obs tm v = Sim.Metrics.observe (Lazy.force tm) (Float.max 0.0 v) in
     List.iter
       (fun r ->
         if not r.Node.excluded then begin
           (match r.Node.detected_at with
-          | Some d -> obs "phase.detect" (d -. r.Node.failure_time)
+          | Some d -> obs detect (d -. r.Node.failure_time)
           | None -> ());
           let informed =
             match (r.Node.src_informed, r.Node.dst_informed) with
@@ -499,13 +502,13 @@ let finalize t =
             | None, None -> None
           in
           (match (r.Node.detected_at, informed) with
-          | Some d, Some i -> obs "phase.report" (i -. d)
+          | Some d, Some i -> obs report (i -. d)
           | _ -> ());
           (match (informed, r.Node.activated_at) with
-          | Some i, Some a -> obs "phase.activate" (a -. i)
+          | Some i, Some a -> obs activate (a -. i)
           | _ -> ());
           (match (r.Node.activated_at, r.Node.resumed_at) with
-          | Some a, Some res -> obs "phase.switch" (res -. a)
+          | Some a, Some res -> obs switch (res -. a)
           | _ -> ())
         end)
       records;

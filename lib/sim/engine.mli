@@ -4,7 +4,19 @@
     simulated times and executed in time order; ties break by insertion
     order (FIFO), which keeps runs reproducible.  Scheduled events can be
     cancelled, which is how soft-state timers (the paper's rejoin timers)
-    are withdrawn when a rejoin message arrives in time. *)
+    are withdrawn when a rejoin message arrives in time.
+
+    Pending events wait in a binary heap or in one of a few fixed-delay
+    lanes.  A lane is a FIFO of {!schedule_after} events that share one
+    delay and that the perturbation hook left on time.  The clock never
+    decreases and adding a fixed delay is monotone in IEEE arithmetic, so
+    a lane is already in (time, insertion) order; dispatch takes the
+    earliest of the heap top and the lane heads, which is the order a
+    single heap would give, event for event.  A lane event is scheduled,
+    cancelled and dispatched in O(1): a cancelled one is skipped when it
+    reaches its lane's head.  The heap keeps {!schedule} events,
+    perturbed events, and delays that find neither their own lane nor an
+    empty lane to take over. *)
 
 type t
 
@@ -35,12 +47,13 @@ val set_perturb : t -> (klass -> delay:float -> float) option -> unit
 
 val schedule : ?klass:klass -> t -> at:float -> (unit -> unit) -> handle
 (** [schedule t ~at f] runs [f] when the clock reaches [at]
-    ([klass] defaults to [Internal]; see {!set_perturb}).
-    @raise Invalid_argument if [at] is in the past. *)
+    ([klass] defaults to [Internal]; see {!set_perturb}).  [at] may be
+    [infinity].
+    @raise Invalid_argument if [at] is in the past or NaN. *)
 
 val schedule_after : ?klass:klass -> t -> delay:float -> (unit -> unit) -> handle
-(** [schedule_after t ~delay f] = [schedule t ~at:(now t +. delay) f];
-    [delay] must be non-negative. *)
+(** [schedule_after t ~delay f] = [schedule t ~at:(now t +. delay) f].
+    @raise Invalid_argument if [delay] is negative or NaN. *)
 
 val cancel : t -> handle -> unit
 (** Cancel a pending event: it leaves the queue at once, so it is never

@@ -162,6 +162,36 @@ let test_engine_schedule_in_past_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* NaN compares false against everything, so a plain [at < now] check
+   lets it through and [run ~until] then stops at it for good. *)
+let test_engine_nan_rejected () =
+  let e = Sim.Engine.create () in
+  let raises f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "NaN time" true
+    (raises (fun () -> Sim.Engine.schedule e ~at:Float.nan (fun () -> ())));
+  Alcotest.(check bool) "NaN delay" true
+    (raises (fun () -> Sim.Engine.schedule_after e ~delay:Float.nan (fun () -> ())));
+  Alcotest.(check bool) "negative delay" true
+    (raises (fun () -> Sim.Engine.schedule_after e ~delay:(-1.0) (fun () -> ())));
+  Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending e);
+  let log = ref [] in
+  ignore (Sim.Engine.schedule e ~at:Float.infinity (fun () -> log := "at" :: !log));
+  ignore
+    (Sim.Engine.schedule_after e ~delay:Float.infinity (fun () ->
+         log := "after" :: !log));
+  ignore (Sim.Engine.schedule e ~at:1.0 (fun () -> log := "one" :: !log));
+  Sim.Engine.run ~until:2.0 e;
+  Alcotest.(check (list string)) "finite event runs" [ "one" ] !log;
+  Sim.Engine.run e;
+  Alcotest.(check (list string)) "+inf is legal, FIFO at +inf"
+    [ "one"; "at"; "after" ] (List.rev !log);
+  check_float "clock" Float.infinity (Sim.Engine.now e)
+
 let test_engine_nested_scheduling () =
   let e = Sim.Engine.create () in
   let log = ref [] in
@@ -220,59 +250,104 @@ let test_engine_due_now () =
 
 (* Model test: random schedule / cancel / step / run-until sequences
    against a sorted-list reference.  Delays are multiples of 0.25 so
-   ties are common; a scheduled event may schedule one child when it
-   fires; a cancel names any event ever scheduled (pending, fired,
-   cancelled, or with its slot since reused). *)
+   ties are common, and there are more distinct delays than the engine
+   has lanes, so lanes are re-keyed and some delays fall back to the
+   heap.  Events are scheduled relative ([schedule_after]) or absolute
+   ([schedule ~at]); a relative event may schedule one child when it
+   fires.  A cancel names any event ever scheduled (pending, fired,
+   cancelled, or with its slot since reused), or the event due next,
+   which sits at a lane head or the heap top.  Some sequences run under
+   a perturbation hook that delays every other [Timer] by 0.5 and
+   returns a negative extra, which must be ignored, for [Message]. *)
 type engine_cmd =
-  | Sched of int * int option  (** delay in quarters, child delay *)
+  | Sched of int * Sim.Engine.klass * int option
+      (** delay in quarters, class, child delay *)
+  | At of int * Sim.Engine.klass  (** absolute, in quarters past now *)
   | Cancel of int  (** event index, modulo the events so far *)
+  | Cancel_next
   | Step
   | Run_until of int  (** horizon in quarters past now *)
 
+let klass_name = function
+  | Sim.Engine.Message -> "msg"
+  | Sim.Engine.Timer -> "timer"
+  | Sim.Engine.Internal -> "int"
+
 let pp_engine_cmd = function
-  | Sched (d, None) -> Printf.sprintf "Sched %d" d
-  | Sched (d, Some c) -> Printf.sprintf "Sched %d->%d" d c
+  | Sched (d, k, None) -> Printf.sprintf "Sched %d %s" d (klass_name k)
+  | Sched (d, k, Some c) -> Printf.sprintf "Sched %d %s->%d" d (klass_name k) c
+  | At (d, k) -> Printf.sprintf "At +%d %s" d (klass_name k)
   | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Cancel_next -> "Cancel_next"
   | Step -> "Step"
   | Run_until d -> Printf.sprintf "Run_until %d" d
 
 let engine_cmds =
   let open QCheck.Gen in
+  let klass = oneofl [ Sim.Engine.Message; Sim.Engine.Timer; Sim.Engine.Internal ] in
   let cmd =
     frequency
       [
         ( 5,
-          map2
-            (fun d c -> Sched (d, c))
-            (int_range 0 8)
+          map3
+            (fun d k c -> Sched (d, k, c))
+            (int_range 0 12) klass
             (opt ~ratio:0.3 (int_range 0 4)) );
+        (1, map2 (fun d k -> At (d, k)) (int_range 0 12) klass);
         (3, map (fun k -> Cancel k) (int_range 0 1_000));
+        (1, return Cancel_next);
         (2, return Step);
         (1, map (fun d -> Run_until d) (int_range 0 6));
       ]
   in
   QCheck.make
-    ~print:(fun l -> String.concat "; " (List.map pp_engine_cmd l))
-    ~shrink:QCheck.Shrink.list
-    (list_size (int_range 0 200) cmd)
+    ~print:(fun (perturbed, l) ->
+      Printf.sprintf "perturbed=%b: %s" perturbed
+        (String.concat "; " (List.map pp_engine_cmd l)))
+    ~shrink:QCheck.Shrink.(pair bool list)
+    (pair bool (list_size (int_range 0 200) cmd))
 
 type model_ev = { m_at : float; m_seq : int; m_id : int; m_child : int option }
 
 let quarter n = 0.25 *. float_of_int n
 
+(* Every other [Timer] gets 0.5 extra; a [Message] gets a negative
+   extra, which leaves it on time. *)
+let every_other_timer () =
+  let timers = ref 0 in
+  fun klass ~delay:_ ->
+    match klass with
+    | Sim.Engine.Timer ->
+      incr timers;
+      if !timers land 1 = 1 then 0.5 else 0.0
+    | Sim.Engine.Message | Sim.Engine.Internal -> -1.0
+
 let prop_engine_model =
   QCheck.Test.make ~name:"engine = sorted-list reference" ~count:500
-    engine_cmds (fun cmds ->
+    engine_cmds (fun (perturbed, cmds) ->
       (* Reference. *)
       let clock = ref 0.0 and seq = ref 0 and ids = ref 0 in
       let pending = ref [] and mlog = ref [] in
+      let m_extra =
+        if perturbed then begin
+          let hook = every_other_timer () in
+          fun klass ->
+            match klass with
+            | Sim.Engine.Internal -> 0.0
+            | k -> Float.max 0.0 (hook k ~delay:0.0)
+        end
+        else fun _ -> 0.0
+      in
       let before a b = a.m_at < b.m_at || (a.m_at = b.m_at && a.m_seq < b.m_seq) in
       let rec insert ev = function
         | [] -> [ ev ]
         | x :: rest as l -> if before ev x then ev :: l else x :: insert ev rest
       in
-      let m_sched d child =
-        let ev = { m_at = !clock +. quarter d; m_seq = !seq; m_id = !ids; m_child = child } in
+      let m_sched ?(klass = Sim.Engine.Internal) d child =
+        let at = !clock +. quarter d in
+        let extra = m_extra klass in
+        let at = if extra > 0.0 then at +. extra else at in
+        let ev = { m_at = at; m_seq = !seq; m_id = !ids; m_child = child } in
         incr seq;
         incr ids;
         pending := insert ev !pending
@@ -288,16 +363,31 @@ let prop_engine_model =
       in
       (* Engine under test. *)
       let e = Sim.Engine.create () in
+      if perturbed then Sim.Engine.set_perturb e (Some (every_other_timer ()));
       let handles = Hashtbl.create 64 and elog = ref [] and eids = ref 0 in
-      let rec e_sched d child =
+      let rec e_sched ?klass d child =
         let id = !eids in
         incr eids;
         let h =
-          Sim.Engine.schedule_after e ~delay:(quarter d) (fun () ->
+          Sim.Engine.schedule_after ?klass e ~delay:(quarter d) (fun () ->
               elog := id :: !elog;
               Option.iter (fun c -> e_sched c None) child)
         in
         Hashtbl.replace handles id h
+      in
+      let e_at klass d =
+        let id = !eids in
+        incr eids;
+        let h =
+          Sim.Engine.schedule ~klass e
+            ~at:(Sim.Engine.now e +. quarter d)
+            (fun () -> elog := id :: !elog)
+        in
+        Hashtbl.replace handles id h
+      in
+      let cancel id =
+        pending := List.filter (fun ev -> ev.m_id <> id) !pending;
+        Sim.Engine.cancel e (Hashtbl.find handles id)
       in
       let agree label =
         if !elog <> !mlog then QCheck.Test.fail_reportf "%s: dispatch order" label;
@@ -313,15 +403,15 @@ let prop_engine_model =
       List.iter
         (fun cmd ->
           (match cmd with
-          | Sched (d, child) ->
-            m_sched d child;
-            e_sched d child
-          | Cancel k ->
-            if !ids > 0 then begin
-              let id = k mod !ids in
-              pending := List.filter (fun ev -> ev.m_id <> id) !pending;
-              Sim.Engine.cancel e (Hashtbl.find handles id)
-            end
+          | Sched (d, klass, child) ->
+            m_sched ~klass d child;
+            e_sched ~klass d child
+          | At (d, klass) ->
+            m_sched ~klass d None;
+            e_at klass d
+          | Cancel k -> if !ids > 0 then cancel (k mod !ids)
+          | Cancel_next -> (
+            match !pending with ev :: _ -> cancel ev.m_id | [] -> ())
           | Step ->
             let had = !pending <> [] in
             m_step ();
@@ -676,6 +766,8 @@ let () =
             test_engine_cancel_idempotent;
           Alcotest.test_case "past rejected" `Quick
             test_engine_schedule_in_past_rejected;
+          Alcotest.test_case "NaN rejected, +inf legal" `Quick
+            test_engine_nan_rejected;
           Alcotest.test_case "nested scheduling" `Quick
             test_engine_nested_scheduling;
           Alcotest.test_case "run until" `Quick test_engine_run_until;
