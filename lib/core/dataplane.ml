@@ -167,13 +167,5 @@ let stats t ~conn =
   | Some s -> stats_of s
   | None -> raise Not_found
 
-let all_stats t =
-  List.sort
-    (fun a b -> Int.compare a.conn b.conn)
-    (Hashtbl.fold (fun _ s acc -> stats_of s :: acc) t.streams [])
-
 let loss_count st =
   st.lost_no_channel + st.lost_dead_component + st.lost_not_activated
-
-let loss_fraction st =
-  if st.sent = 0 then 0.0 else float_of_int (loss_count st) /. float_of_int st.sent

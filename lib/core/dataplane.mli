@@ -48,7 +48,4 @@ val stream :
 val stats : t -> conn:int -> stats
 (** @raise Not_found if no stream was attached for the connection. *)
 
-val all_stats : t -> stats list
-
 val loss_count : stats -> int
-val loss_fraction : stats -> float

@@ -453,10 +453,10 @@ let inject t ~at (sc : Failures.Scenario.t) =
       | Net.Component.Node v -> fail_node t ~at v)
     sc.Failures.Scenario.components
 
-let run ?until t =
+let run ~until t =
   Sim.Prof.span "simnet.run" @@ fun () ->
   wire_transports t;
-  Sim.Engine.run ?until t.engine
+  Sim.Engine.run ~until t.engine
 
 (* ---------- observations ---------- *)
 
@@ -537,10 +537,6 @@ let set_impairment t imp =
   t.impair <- Some imp;
   wire_transports t;
   apply_impairment t
-
-let detector_state t l =
-  if Array.length t.monitors = 0 then None
-  else Some (Detector.state t.monitors.(l))
 
 let heartbeat_confirms t = t.hb_confirms
 let heartbeat_recoveries t = t.hb_recoveries

@@ -63,10 +63,10 @@ val repair_node : t -> at:float -> int -> unit
 
 val inject : t -> at:float -> Failures.Scenario.t -> unit
 
-val run : ?until:float -> t -> unit
-(** Drive the event loop.  Under [Protocol.Heartbeat] detection the
-    keepalive streams never cease, so [~until] is mandatory in practice
-    (without it the run never quiesces). *)
+val run : until:float -> t -> unit
+(** Drive the event loop to simulated time [until].  Under
+    [Protocol.Heartbeat] detection the keepalive streams never cease, so
+    a run has no natural end. *)
 
 (** {2 Observations} *)
 
@@ -75,8 +75,8 @@ type record = Node.record
 
 val records : t -> record list
 (** One record per connection whose primary was disabled, sorted by
-    connection id.  Call {!finalize} (or {!run} to quiescence) first so
-    [recovered_serial] is validated. *)
+    connection id.  Call {!finalize} first so [recovered_serial] is
+    validated. *)
 
 val finalize : t -> unit
 (** Validate activations: for each record, set [recovered_serial] to the
@@ -104,10 +104,6 @@ val set_impairment : t -> Failures.Impair.t -> unit
     on every link is routed through {!Failures.Impair.decide}.  Attaching
     a model whose profiles impair nothing leaves a run bit-for-bit
     identical to an unimpaired one. *)
-
-val detector_state : t -> int -> Detector.state option
-(** The heartbeat monitor state for a link ([None] under the oracle
-    detector or before the simulation is wired). *)
 
 val heartbeat_confirms : t -> int
 (** Heartbeat-mode failure confirmations (receiver miss-threshold plus

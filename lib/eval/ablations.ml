@@ -94,21 +94,17 @@ let scheme_coverage ?(seed = 5) ns =
     (Sim.Pool.map
        (fun scheme ->
          let config = { Bcp.Protocol.default_config with scheme } in
-         let sim = Bcp.Simnet.create ~config ns in
-         Bcp.Simnet.fail_link sim ~at:0.01 link;
-         Bcp.Simnet.run ~until:0.1 sim;
-         Bcp.Simnet.finalize sim;
-         let recs =
-           List.filter
-             (fun rc -> not rc.Bcp.Node.excluded)
-             (Bcp.Simnet.records sim)
+         let o =
+           Episode.run ~config ~until:0.1 ns
+             (Failures.Plan.of_scenario ~at:0.01
+                (Failures.Scenario.single_link topo link))
          in
-         let n = List.length recs in
-         let count f = List.length (List.filter f recs) in
+         let n = List.length o.affected in
+         let count f = List.length (List.filter f o.affected) in
          ( Recovery_delay.scheme_label scheme,
            [
-             string_of_int (Bcp.Simnet.rcc_messages_sent sim);
-             string_of_int (Bcp.Simnet.control_messages_delivered sim);
+             string_of_int o.rcc_sent;
+             string_of_int o.rcc_delivered;
              Printf.sprintf "%d/%d"
                (count (fun rc -> rc.Bcp.Node.src_informed <> None))
                n;

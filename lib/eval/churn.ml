@@ -44,14 +44,6 @@ type outcome = {
   windows : window list;
 }
 
-let config_for = function
-  | `Oracle -> Bcp.Protocol.default_config
-  | `Heartbeat ->
-    {
-      Bcp.Protocol.default_config with
-      Bcp.Protocol.detector = Bcp.Protocol.Heartbeat Bcp.Detector.default_params;
-    }
-
 let detector_label = function `Oracle -> "oracle" | `Heartbeat -> "heartbeat"
 
 (* Mux-table pressure snapshot: total and max per-link registration
@@ -86,7 +78,7 @@ let establish_request_of (r : Workload.Generator.request) =
    [fault_every] sim seconds (0 = none).  Fully self-contained (own
    netstate, own PRNG streams derived from the cell seed), so cells run
    on the domain pool and merge deterministically in cell order. *)
-let run_cell ~observe ~seed ~events ~fault_every ~horizon ~detector ~windows
+let run_cell ~obs ~seed ~events ~fault_every ~horizon ~detector ~windows
     ~network ~cell params =
   Sim.Prof.span "churn.cell" @@ fun () ->
   let topo = Setup.topology_of network in
@@ -94,8 +86,8 @@ let run_cell ~observe ~seed ~events ~fault_every ~horizon ~detector ~windows
   let cseed = Sim.Prng.derive ~seed ~index:cell in
   let driver = Workload.Churn.create ~seed:cseed topo params in
   let erng = Sim.Prng.create (Sim.Prng.derive ~seed:cseed ~index:104729) in
-  let config = config_for detector in
-  let metrics = if observe then Some (Sim.Metrics.create ()) else None in
+  let config = Episode.config detector in
+  let metrics = Option.map (fun _ -> Sim.Metrics.create ()) obs in
   let timed = ref [] in
   let life op conn =
     match metrics with
@@ -160,10 +152,11 @@ let run_cell ~observe ~seed ~events ~fault_every ~horizon ~detector ~windows
         ~context:(Audit.context_of_netstate ns)
         ~decode_channel:Audit.decode_cid ()
     in
-    let sim = Bcp.Simnet.create ~config ~monitor ns in
-    Bcp.Simnet.inject sim ~at:0.01 (Failures.Scenario.single_link topo link);
-    Bcp.Simnet.run ~until:(0.01 +. horizon) sim;
-    Bcp.Simnet.finalize sim;
+    let o =
+      Episode.run ?obs ~monitor ~config ~until:(0.01 +. horizon) ns
+        (Failures.Plan.of_scenario ~at:0.01
+           (Failures.Scenario.single_link topo link))
+    in
     List.iter
       (fun v ->
         violations :=
@@ -175,32 +168,20 @@ let run_cell ~observe ~seed ~events ~fault_every ~horizon ~detector ~windows
           }
           :: !violations)
       (Sim.Monitor.violations monitor);
-    let displaced = ref [] in
+    affected := !affected + List.length o.affected;
+    recovered := !recovered + List.length o.recovered;
+    List.iter (fun (_, d) -> Sim.Stats.Sample.add disruptions d) o.recovered;
+    (match (metrics, o.run) with
+    | Some m, Some (episode_metrics, events) ->
+      Sim.Metrics.merge_into ~into:m episode_metrics;
+      List.iter (fun (t, ev) -> timed := (at +. t, ev) :: !timed) events
+    | _ -> ());
     List.iter
-      (fun r ->
-        if not r.Bcp.Node.excluded then begin
-          incr affected;
-          match (r.Bcp.Node.resumed_at, r.Bcp.Node.recovered_serial) with
-          | Some resumed, Some _ ->
-            incr recovered;
-            Sim.Stats.Sample.add disruptions
-              (resumed -. r.Bcp.Node.failure_time)
-          | _ -> displaced := r.Bcp.Node.conn :: !displaced
-        end)
-      (Bcp.Simnet.records sim);
-    (match metrics with
-    | Some m ->
-      Sim.Metrics.merge_into ~into:m (Bcp.Simnet.metrics sim);
-      List.iter
-        (fun (t, ev) -> timed := (at +. t, ev) :: !timed)
-        (Sim.Trace.events (Bcp.Simnet.trace sim))
-    | None -> ());
-    List.iter
-      (fun old_id ->
-        match Bcp.Netstate.find ns old_id with
+      (fun (r : Bcp.Simnet.record) ->
+        match Bcp.Netstate.find ns r.conn with
         | None -> ()
         | Some dc ->
-          Bcp.Netstate.remove_dconn ns old_id;
+          Bcp.Netstate.remove_dconn ns r.conn;
           let conn = Workload.Churn.fresh_conn driver in
           let req =
             {
@@ -220,7 +201,7 @@ let run_cell ~observe ~seed ~events ~fault_every ~horizon ~detector ~windows
             Workload.Churn.admit driver ~conn;
             life Sim.Event.Readmit conn
           | Error _ -> incr readmit_blocked))
-      (List.rev !displaced)
+      o.unrecovered
   in
   let next_fault = ref (if fault_every > 0.0 then fault_every else infinity) in
   while Workload.Churn.emitted driver < events do
@@ -310,7 +291,7 @@ let run ?obs ?(seed = 42) ?(events = 20_000) ?(offered = [ 2.0; 4.0; 6.0 ])
   let results =
     Sim.Pool.map
       (fun (cell, params) ->
-        run_cell ~observe:(obs <> None) ~seed ~events ~fault_every ~horizon
+        run_cell ~obs ~seed ~events ~fault_every ~horizon
           ~detector ~windows ~network ~cell params)
       cells
   in

@@ -35,7 +35,9 @@ let run ?(seed = 42) network =
   let plinks = Net.Path.links conn.Bcp.Dconn.primary.Rtchan.Channel.path in
   let t_fail = 0.050 in
   let t_stop = 0.150 in
-  (* One independent data-plane simulation per failed-link position. *)
+  (* One independent data-plane simulation per failed-link position, not
+     through [Episode.run]: the data plane must attach and schedule its
+     stream before the fault, and [Episode.run] takes no set-up hook. *)
   Sim.Pool.map
     (fun (idx, link) ->
       let sim = Bcp.Simnet.create ns in

@@ -103,34 +103,22 @@ let simulate ?obs ?(seed = 42) network =
   List.iteri
     (fun ki k ->
       let rng = Sim.Prng.create (seed + (1000 * k)) in
-      let scenarios = ref [] in
-      for _ = 1 to scenarios_per_k do
-        scenarios := Failures.Scenario.random_links rng topo ~count:k :: !scenarios
-      done;
+      let scenarios =
+        List.init scenarios_per_k (fun _ ->
+            Failures.Scenario.random_links rng topo ~count:k)
+      in
       let observe sc =
-        let sim = Bcp.Simnet.create ~telemetry:(obs <> None) ns in
-        Bcp.Simnet.inject sim ~at:t_fail sc;
-        Bcp.Simnet.run ~until:(t_fail +. 0.25) sim;
-        Bcp.Simnet.finalize sim;
-        let affected = ref 0 and recovered = ref 0 in
-        List.iter
-          (fun r ->
-            if not r.Bcp.Node.excluded then begin
-              incr affected;
-              match (r.Bcp.Node.resumed_at, r.Bcp.Node.recovered_serial) with
-              | Some _, Some _ -> incr recovered
-              | _ -> ()
-            end)
-          (Bcp.Simnet.records sim);
-        (!affected, !recovered, Telemetry.capture obs sim)
+        Episode.run ?obs ~config:Bcp.Protocol.default_config
+          ~until:(t_fail +. 0.25) ns
+          (Failures.Plan.of_scenario ~at:t_fail sc)
       in
       let affected = ref 0 and recovered = ref 0 in
       List.iteri
-        (fun si (aff, rec_, run) ->
-          affected := !affected + aff;
-          recovered := !recovered + rec_;
-          Telemetry.add obs ~tag:((ki * scenarios_per_k) + si) run)
-        (Sim.Pool.map observe (List.rev !scenarios));
+        (fun si (o : Episode.outcome) ->
+          affected := !affected + List.length o.affected;
+          recovered := !recovered + List.length o.recovered;
+          Telemetry.add obs ~tag:((ki * scenarios_per_k) + si) o.run)
+        (Sim.Pool.map observe scenarios);
       Report.add_row report
         ~label:(Printf.sprintf "k = %d" k)
         ~cells:

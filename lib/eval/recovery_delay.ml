@@ -66,12 +66,11 @@ let measure_with ~config ?obs ?(seed = 11) ?(scenario_count = 16)
   let topo = Bcp.Netstate.topology ns in
   let rng = Sim.Prng.create seed in
   let links =
-    Sim.Prng.sample_without_replacement rng scenario_count
-      (Net.Topology.num_links topo)
+    Sim.Prng.sample_at_most rng scenario_count (Net.Topology.num_links topo)
   in
   let nodes =
     if node_failures then
-      Sim.Prng.sample_without_replacement rng
+      Sim.Prng.sample_at_most rng
         (max 1 (scenario_count / 4))
         (Net.Topology.num_nodes topo)
     else []
@@ -80,74 +79,55 @@ let measure_with ~config ?obs ?(seed = 11) ?(scenario_count = 16)
     List.map (fun l -> Failures.Scenario.single_link topo l) links
     @ List.map (fun v -> Failures.Scenario.single_node topo v) nodes
   in
+  let t_fail = 0.01 in
+  (* Stop before the rejoin timers tear anything down. *)
+  let until = t_fail +. (0.5 *. config.Bcp.Protocol.rejoin_timeout) in
+  (* Each scenario simulates against the read-only netstate on the domain
+     pool; [Sim.Pool.map] keeps scenario order, so the statistics and the
+     telemetry merge are byte-identical under any [--jobs]. *)
+  let outcomes =
+    Sim.Pool.map
+      (fun sc ->
+        Episode.run ?obs ~config ~until ns
+          (Failures.Plan.of_scenario ~at:t_fail sc))
+      scenarios
+  in
   let delays = Sim.Stats.Sample.create () in
   let bounds = Sim.Stats.Running.create () in
-  let within = ref 0 and samples = ref 0 and unrecovered = ref 0 in
-  let rcc_sent = ref 0 in
-  let t_fail = 0.01 in
-  (* Each scenario runs its own event-driven simulation against the
-     (read-only) established netstate, so the sweep maps over the domain
-     pool; merging the per-scenario observations in scenario order makes
-     the statistics byte-identical to the sequential sweep. *)
-  let observe sc =
-    let sim = Bcp.Simnet.create ~config ~telemetry:(obs <> None) ns in
-    Bcp.Simnet.inject sim ~at:t_fail sc;
-    (* Stop before the rejoin timers tear anything down. *)
-    Bcp.Simnet.run ~until:(t_fail +. (0.5 *. config.Bcp.Protocol.rejoin_timeout)) sim;
-    Bcp.Simnet.finalize sim;
-    let events =
-      List.filter_map
-        (fun r ->
-          if r.Bcp.Node.excluded then None
-          else
-            match (r.Bcp.Node.resumed_at, r.Bcp.Node.recovered_serial) with
-            | Some resumed, Some _ ->
-              let from_detection =
-                resumed -. r.Bcp.Node.failure_time
-                -. config.Bcp.Protocol.detection_latency
-              in
-              let from_detection = Float.max 0.0 from_detection in
-              Some
-                (`Recovered
-                  ( from_detection,
-                    conn_bound ns r.Bcp.Node.conn
-                      config.Bcp.Protocol.rcc.Rcc.Transport.d_max ))
-            | _ -> Some `Unrecovered)
-        (Bcp.Simnet.records sim)
-    in
-    (Bcp.Simnet.rcc_messages_sent sim, events, Telemetry.capture obs sim)
-  in
-  (* [Sim.Pool.map] preserves scenario order, so both the delay statistics
-     and the telemetry merge below are byte-identical under [--jobs N]. *)
+  let within = ref 0 in
   List.iteri
-    (fun idx (sent, events, run) ->
-      rcc_sent := !rcc_sent + sent;
+    (fun idx (o : Episode.outcome) ->
       List.iter
-        (function
-          | `Recovered (from_detection, bound) -> (
-            Sim.Stats.Sample.add delays from_detection;
-            incr samples;
-            match bound with
-            | None -> ()
-            | Some b ->
-              Sim.Stats.Running.add bounds b;
-              if from_detection <= b +. 1e-12 then incr within)
-          | `Unrecovered -> incr unrecovered)
-        events;
-      Telemetry.add obs ~tag:idx run)
-    (Sim.Pool.map observe scenarios);
+        (fun (r, disruption) ->
+          let from_detection =
+            Float.max 0.0 (disruption -. config.Bcp.Protocol.detection_latency)
+          in
+          Sim.Stats.Sample.add delays from_detection;
+          match
+            conn_bound ns r.Bcp.Node.conn
+              config.Bcp.Protocol.rcc.Rcc.Transport.d_max
+          with
+          | None -> ()
+          | Some b ->
+            Sim.Stats.Running.add bounds b;
+            if from_detection <= b +. 1e-12 then incr within)
+        o.recovered;
+      Telemetry.add obs ~tag:idx o.run)
+    outcomes;
+  let samples = Sim.Stats.Sample.count delays in
+  let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
   {
     scheme = config.Bcp.Protocol.scheme;
     scenarios = List.length scenarios;
-    samples = !samples;
-    unrecovered = !unrecovered;
-    mean = (if !samples = 0 then 0.0 else Sim.Stats.Sample.mean delays);
-    p50 = (if !samples = 0 then 0.0 else Sim.Stats.Sample.median delays);
-    p99 = (if !samples = 0 then 0.0 else Sim.Stats.Sample.percentile delays 99.0);
-    max = (if !samples = 0 then 0.0 else Sim.Stats.Sample.max delays);
+    samples;
+    unrecovered = sum (fun o -> List.length o.Episode.unrecovered);
+    mean = (if samples = 0 then 0.0 else Sim.Stats.Sample.mean delays);
+    p50 = (if samples = 0 then 0.0 else Sim.Stats.Sample.median delays);
+    p99 = (if samples = 0 then 0.0 else Sim.Stats.Sample.percentile delays 99.0);
+    max = (if samples = 0 then 0.0 else Sim.Stats.Sample.max delays);
     mean_bound = Sim.Stats.Running.mean bounds;
-    within_bound_pct = Sim.Stats.ratio !within !samples;
-    rcc_sent = !rcc_sent;
+    within_bound_pct = Sim.Stats.ratio !within samples;
+    rcc_sent = sum (fun o -> o.Episode.rcc_sent);
   }
 
 let ms v = Printf.sprintf "%.3f ms" (1000.0 *. v)

@@ -63,14 +63,6 @@ type report = {
   violations : violation_report list;
 }
 
-let config_for = function
-  | `Oracle -> Bcp.Protocol.default_config
-  | `Heartbeat ->
-    {
-      Bcp.Protocol.default_config with
-      Bcp.Protocol.detector = Bcp.Protocol.Heartbeat Bcp.Detector.default_params;
-    }
-
 let detector_label = function `Oracle -> "oracle" | `Heartbeat -> "heartbeat"
 
 (* ---------- artifacts ---------- *)
@@ -117,11 +109,8 @@ let artifact_of = artifact_with ~context:None
 
 type run_result = {
   rr_coverage : string list;
-  rr_affected : int;
-  rr_recovered : int;
-  rr_perturbed : int;
   rr_violation : violation_report option;
-  rr_run : Telemetry.run option;
+  rr_episode : Episode.outcome;
 }
 
 let run_one ~obs ~seed ~strategy ~max_faults ~horizon ~config ~context
@@ -131,49 +120,13 @@ let run_one ~obs ~seed ~strategy ~max_faults ~horizon ~config ~context
   let monitor =
     Sim.Monitor.create ~context ~decode_channel:Audit.decode_cid ()
   in
-  let sim = Bcp.Simnet.create ~config ~monitor ns in
-  let sched =
-    Sim.Schedule.create
-      ~seed:(Sim.Prng.derive ~seed:plan_seed ~index:102)
-      plan.Failures.Plan.perturb
+  let o =
+    Episode.run ?obs ~monitor
+      ~seeds:
+        ( Sim.Prng.derive ~seed:plan_seed ~index:101,
+          Sim.Prng.derive ~seed:plan_seed ~index:102 )
+      ~config ~until:horizon ns plan
   in
-  Sim.Schedule.attach sched (Bcp.Simnet.engine sim);
-  let imp =
-    Failures.Impair.create
-      ~seed:(Sim.Prng.derive ~seed:plan_seed ~index:101)
-      ~default:plan.Failures.Plan.impair ()
-  in
-  List.iter
-    (fun gl ->
-      Failures.Impair.set_link imp ~link:gl (Failures.Impair.make ~gray:true ()))
-    plan.Failures.Plan.gray_links;
-  Bcp.Simnet.set_impairment sim imp;
-  List.iter
-    (fun (f : Failures.Plan.fault) ->
-      match f.Failures.Plan.component with
-      | Net.Component.Link l ->
-        Bcp.Simnet.fail_link sim ~at:f.Failures.Plan.fail_at l;
-        Option.iter
-          (fun r -> Bcp.Simnet.repair_link sim ~at:r l)
-          f.Failures.Plan.repair_at
-      | Net.Component.Node v ->
-        Bcp.Simnet.fail_node sim ~at:f.Failures.Plan.fail_at v;
-        Option.iter
-          (fun r -> Bcp.Simnet.repair_node sim ~at:r v)
-          f.Failures.Plan.repair_at)
-    plan.Failures.Plan.faults;
-  Bcp.Simnet.run ~until:horizon sim;
-  Bcp.Simnet.finalize sim;
-  let rr_affected = ref 0 and rr_recovered = ref 0 in
-  List.iter
-    (fun r ->
-      if not r.Bcp.Node.excluded then begin
-        incr rr_affected;
-        match (r.Bcp.Node.resumed_at, r.Bcp.Node.recovered_serial) with
-        | Some _, Some _ -> incr rr_recovered
-        | _ -> ()
-      end)
-    (Bcp.Simnet.records sim);
   let rr_violation =
     match Sim.Monitor.violations monitor with
     | [] -> None
@@ -181,7 +134,7 @@ let run_one ~obs ~seed ~strategy ~max_faults ~horizon ~config ~context
       let events =
         List.map
           (fun (time, ev) -> (exec_idx, time, ev))
-          (Sim.Trace.events (Bcp.Simnet.trace sim))
+          (Sim.Trace.events o.trace)
       in
       let kind = v0.Sim.Monitor.kind in
       (* Minimize against the same oracle a bare [bcp_sim audit] replay
@@ -225,17 +178,7 @@ let run_one ~obs ~seed ~strategy ~max_faults ~horizon ~config ~context
               ~plan ~replay_context outcome;
         }
   in
-  {
-    rr_coverage = Sim.Monitor.coverage monitor;
-    rr_affected = !rr_affected;
-    rr_recovered = !rr_recovered;
-    rr_perturbed = Sim.Schedule.perturbed sched;
-    rr_violation;
-    (* The monitor already forces the typed-telemetry plane on, so this
-       only reads what every swarm run records anyway — the summary is
-       byte-identical whether or not the caller observes. *)
-    rr_run = Telemetry.capture obs sim;
-  }
+  { rr_coverage = Sim.Monitor.coverage monitor; rr_violation; rr_episode = o }
 
 (* ---------- the swarm loop ---------- *)
 
@@ -246,7 +189,7 @@ let run ?obs ?(seed = 11) ?(budget = 64) ?(strategy = Coverage)
     ?(network = "") ns =
   if budget < 1 then invalid_arg "Swarm.run: budget < 1";
   let topo = Bcp.Netstate.topology ns in
-  let config = config_for detector in
+  let config = Episode.config detector in
   let context = Audit.context_of_netstate ns in
   let cov = Hashtbl.create 256 in
   let curve = ref [] in
@@ -287,10 +230,13 @@ let run ?obs ?(seed = 11) ?(budget = 64) ?(strategy = Coverage)
           List.filter (fun k -> not (Hashtbl.mem cov k)) rr.rr_coverage
         in
         List.iter (fun k -> Hashtbl.replace cov k ()) fresh;
-        affected := !affected + rr.rr_affected;
-        recovered := !recovered + rr.rr_recovered;
-        perturbed := !perturbed + rr.rr_perturbed;
-        Telemetry.add obs ~tag:exec_idx rr.rr_run;
+        affected := !affected + List.length rr.rr_episode.affected;
+        recovered := !recovered + List.length rr.rr_episode.recovered;
+        perturbed := !perturbed + rr.rr_episode.perturbed;
+        (* The monitor already forces the typed-telemetry plane on, so
+           observing reads what every swarm run records anyway: the
+           summary is byte-identical whether or not the caller observes. *)
+        Telemetry.add obs ~tag:exec_idx rr.rr_episode.run;
         (match rr.rr_violation with
         | Some v -> violations := v :: !violations
         | None -> ());

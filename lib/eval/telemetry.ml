@@ -450,11 +450,6 @@ type run = Sim.Metrics.t * (float * Sim.Event.t) list
 
 let create () = { registry = Sim.Metrics.create (); rev_events = [] }
 
-let capture obs sim =
-  Option.map
-    (fun _ -> (Bcp.Simnet.metrics sim, Sim.Trace.events (Bcp.Simnet.trace sim)))
-    obs
-
 let add obs ~tag run =
   match (obs, run) with
   | Some c, Some (metrics, events) ->

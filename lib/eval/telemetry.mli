@@ -65,7 +65,8 @@ val prof_to_json : Sim.Prof.report -> Json.t
     The one observer every event-driven experiment takes, as its [?obs]
     argument: a merged metrics registry and the tagged event stream.
     Experiments simulate their scenarios on {!Sim.Pool}, each with a
-    private registry and trace, and {!add} the finished runs in scenario
+    private registry and trace ({!Episode.run} returns them as a {!run}),
+    and {!add} the finished runs in scenario
     order, so what a collector holds is byte-identical under any
     {!Sim.Pool.set_jobs} setting.  Observation is passive: an
     experiment's result is the same with or without [?obs]. *)
@@ -77,10 +78,6 @@ type run = Sim.Metrics.t * (float * Sim.Event.t) list
     list. *)
 
 val create : unit -> collector
-
-val capture : collector option -> Bcp.Simnet.t -> run option
-(** A finished simulation's registry and trace when observing, [None]
-    otherwise.  Safe on a pool domain: it only reads the simulation. *)
 
 val add : collector option -> tag:int -> run option -> unit
 (** Merge one run: fold its registry into the collector's

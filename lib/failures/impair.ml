@@ -34,7 +34,7 @@ type t = {
   mutable drops : int;
 }
 
-let create ?(seed = 0) ?(default = perfect) () =
+let create ~seed ?(default = perfect) () =
   {
     rng = Sim.Prng.create seed;
     default;

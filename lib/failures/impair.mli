@@ -48,9 +48,10 @@ type t
 (** A seeded impairment model: a default profile plus per-link
     overrides. *)
 
-val create : ?seed:int -> ?default:profile -> unit -> t
-(** [default] (no impairment unless given) applies to every link without
-    a {!set_link} override. *)
+val create : seed:int -> ?default:profile -> unit -> t
+(** A model drawing from the PRNG stream [seed].  [default] (no
+    impairment unless given) applies to every link without a {!set_link}
+    override. *)
 
 val set_link : t -> link:int -> profile -> unit
 

@@ -81,7 +81,7 @@ let generate rng topo ?(max_faults = 3) ?(horizon = default_horizon) () =
   let n = Net.Topology.num_nodes topo in
   let k = min (1 + Sim.Prng.int rng max_faults) m in
   let links = Sim.Prng.sample_without_replacement rng k m in
-  let nodes = Sim.Prng.sample_without_replacement rng (min k n) n in
+  let nodes = Sim.Prng.sample_at_most rng k n in
   let nnodes = List.length nodes in
   let faults =
     List.mapi
@@ -176,6 +176,11 @@ let mutate rng topo p =
     in
     finish p.faults p.impair gray_links p.perturb
   | _ -> finish (shift_fault rng p.faults) p.impair p.gray_links p.perturb
+
+let of_scenario ~at (sc : Scenario.t) =
+  let fault component = { component; fail_at = at; repair_at = None } in
+  { label = sc.label; faults = List.map fault sc.components;
+    impair = Impair.make (); gray_links = []; perturb = Sim.Schedule.disabled }
 
 let random_chaos rng topo =
   let m = Net.Topology.num_links topo in

@@ -42,6 +42,10 @@ val mutate : Sim.Prng.t -> Net.Topology.t -> t -> t
     profile.  The result is always a valid plan (at least one fault,
     times within the generation window). *)
 
+val of_scenario : at:float -> Scenario.t -> t
+(** The scenario's components all failing at [at], in scenario order,
+    never repaired, with no impairment and {!Sim.Schedule.disabled}. *)
+
 val random_chaos : Sim.Prng.t -> Net.Topology.t -> t
 (** The pure-random baseline the swarm is compared against: a single
     link failure at the standard injection time composed with a ladder

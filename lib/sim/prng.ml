@@ -85,3 +85,5 @@ let sample_without_replacement t k n =
     a.(j) <- tmp
   done;
   Array.to_list (Array.sub a 0 k)
+
+let sample_at_most t k n = sample_without_replacement t (min k n) n

@@ -49,3 +49,7 @@ val pick : t -> 'a array -> 'a
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] is [k] distinct values drawn
     uniformly from \[0, n); requires [k <= n]. *)
+
+val sample_at_most : t -> int -> int -> int list
+(** [sample_at_most t k n] is [sample_without_replacement t (min k n) n]:
+    a sample of [k] that stops at the whole population. *)

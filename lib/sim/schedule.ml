@@ -40,7 +40,7 @@ let profile_to_json p =
 
 type t = { profile : profile; rng : Prng.t; mutable perturbed : int }
 
-let create ?(seed = 0) profile = { profile; rng = Prng.create seed; perturbed = 0 }
+let create ~seed profile = { profile; rng = Prng.create seed; perturbed = 0 }
 
 let perturbed t = t.perturbed
 

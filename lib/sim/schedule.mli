@@ -41,8 +41,8 @@ val profile_to_json : profile -> string
 
 type t
 
-val create : ?seed:int -> profile -> t
-(** Fresh perturbation source (default [seed] 0). *)
+val create : seed:int -> profile -> t
+(** Fresh perturbation source drawing from the PRNG stream [seed]. *)
 
 val perturbed : t -> int
 (** Number of events actually delayed so far. *)

@@ -70,7 +70,6 @@ let test_lossless_when_healthy () =
   Alcotest.(check int) "sent 100" 100 st.Bcp.Dataplane.sent;
   Alcotest.(check int) "all delivered" 100 st.Bcp.Dataplane.delivered;
   Alcotest.(check int) "no loss" 0 (Bcp.Dataplane.loss_count st);
-  Alcotest.(check (float 1e-12)) "loss fraction" 0.0 (Bcp.Dataplane.loss_fraction st);
   (* Latency is positive and far below a millisecond per hop here. *)
   let mean = Sim.Stats.Sample.mean st.Bcp.Dataplane.latencies in
   Alcotest.(check bool) "latency sane" true (mean > 0.0 && mean < 1e-2)
@@ -170,12 +169,13 @@ let test_multiple_streams () =
   Bcp.Dataplane.stream dp ~conn:c1.Bcp.Dconn.id ~rate:500.0 ~start:0.0 ~stop:0.1 ();
   Bcp.Dataplane.stream dp ~conn:c2.Bcp.Dconn.id ~rate:500.0 ~start:0.0 ~stop:0.1 ();
   Bcp.Simnet.run ~until:0.2 sim;
-  Alcotest.(check int) "two stat records" 2 (List.length (Bcp.Dataplane.all_stats dp));
   List.iter
-    (fun st ->
+    (fun c ->
+      let st = Bcp.Dataplane.stats dp ~conn:c.Bcp.Dconn.id in
+      Alcotest.(check int) "own record" c.Bcp.Dconn.id st.Bcp.Dataplane.conn;
       Alcotest.(check int) "each lossless" 0 (Bcp.Dataplane.loss_count st);
       Alcotest.(check int) "each complete" 50 st.Bcp.Dataplane.delivered)
-    (Bcp.Dataplane.all_stats dp)
+    [ c1; c2 ]
 
 let () =
   Alcotest.run "dataplane"
