@@ -269,7 +269,7 @@ let obs_term =
     const (fun show_metrics trace_out ->
         let collector =
           if show_metrics || trace_out <> None then
-            Some (Eval.Telemetry.create ())
+            Some (Eval.Telemetry.create ~events:(trace_out <> None))
           else None
         in
         { collector; show_metrics; trace_out })
@@ -643,7 +643,7 @@ let run_audit network seed scenarios detector loss gray trace_file filters
       (* Live mode: a seeded chaos sweep (single level — clean unless
          --loss is given) with the full network context for the
          link-budget checks. *)
-      let obs = Eval.Telemetry.create () in
+      let obs = Eval.Telemetry.create ~events:true in
       let levels =
         match chaos_levels loss gray with
         | None -> Some [ Eval.Chaos.level 0.0 ]

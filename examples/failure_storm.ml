@@ -82,7 +82,7 @@ let () =
   let episode =
     (* [~obs] turns the typed event stream on; the collector itself is
        not read. *)
-    Eval.Episode.run ~obs:(Eval.Telemetry.create ()) ~config
+    Eval.Episode.run ~obs:(Eval.Telemetry.create ~events:false) ~config
       ~until:(horizon +. 60.0) ns plan
   in
 

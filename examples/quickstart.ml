@@ -56,7 +56,7 @@ let () =
   let episode =
     (* [~obs] turns the typed event stream on; the collector itself is
        not read. *)
-    Eval.Episode.run ~obs:(Eval.Telemetry.create ())
+    Eval.Episode.run ~obs:(Eval.Telemetry.create ~events:false)
       ~config:Bcp.Protocol.default_config ~until:0.100 ns
       (Failures.Plan.of_scenario ~at:0.010
          (Failures.Scenario.single_link topo failed_link))

@@ -84,7 +84,6 @@ module Ivec = struct
   type t = { mutable data : int array; mutable len : int }
 
   let create () = { data = [||]; len = 0 }
-  let length v = v.len
 
   let push v x =
     let cap = Array.length v.data in
@@ -107,53 +106,9 @@ module Ivec = struct
       v.len <- v.len - 1
     end
 
-  let clear v = v.len <- 0
-
   let to_list_rev v =
     let rec go i acc = if i >= v.len then acc else go (i + 1) (v.data.(i) :: acc) in
     go 0 []
-
-  (* Insert [x] into an ascending-sorted vector (dedup-free: caller
-     guarantees [x] is absent). *)
-  let insert_sorted v x =
-    push v x;
-    let i = ref (v.len - 1) in
-    while !i > 0 && v.data.(!i - 1) > x do
-      v.data.(!i) <- v.data.(!i - 1);
-      decr i
-    done;
-    v.data.(!i) <- x
-
-  (* Remove [x] from an ascending-sorted vector; no-op when absent. *)
-  let remove_sorted v x =
-    let rec bsearch lo hi =
-      if lo >= hi then -1
-      else begin
-        let mid = (lo + hi) / 2 in
-        if v.data.(mid) = x then mid
-        else if v.data.(mid) < x then bsearch (mid + 1) hi
-        else bsearch lo mid
-      end
-    in
-    let i = bsearch 0 v.len in
-    if i >= 0 then begin
-      Array.blit v.data (i + 1) v.data i (v.len - i - 1);
-      v.len <- v.len - 1
-    end
-
-  let mem_sorted v x =
-    let rec bsearch lo hi =
-      lo < hi
-      &&
-      let mid = (lo + hi) / 2 in
-      v.data.(mid) = x
-      || (if v.data.(mid) < x then bsearch (mid + 1) hi else bsearch lo mid)
-    in
-    bsearch 0 v.len
-
-  let to_sorted_list v =
-    let rec go i acc = if i < 0 then acc else go (i - 1) (v.data.(i) :: acc) in
-    go (v.len - 1) []
 end
 
 (* ------------- dense-id slab: 'a array auto-grown with a default ------- *)

@@ -35,34 +35,21 @@ val release : t -> int -> unit
     @raise Invalid_argument on out-of-range or double release. *)
 
 (** Growable int vector, the flat mirror of the cons-list indexes it
-    replaces: [push] appends, [iter_rev] visits newest-first (the old
+    replaces: [push] appends, [to_list_rev] reads newest-first (the old
     reverse-insertion order), [remove_first] is the order-preserving
     filter. *)
 module Ivec : sig
   type t
 
   val create : unit -> t
-  val length : t -> int
   val push : t -> int -> unit
 
   val remove_first : t -> int -> unit
   (** Remove the first occurrence, preserving the remaining order; no-op
       when absent. *)
 
-  val clear : t -> unit
-
   val to_list_rev : t -> int list
   (** Newest-first list (equals the cons-list this vector mirrors). *)
-
-  val insert_sorted : t -> int -> unit
-  (** Insert into an ascending-sorted vector; caller guarantees absence. *)
-
-  val remove_sorted : t -> int -> unit
-  (** Binary-search removal from an ascending-sorted vector; no-op when
-      absent. *)
-
-  val mem_sorted : t -> int -> bool
-  val to_sorted_list : t -> int list
 end
 
 (** Auto-growing array keyed by dense id, read as a total map: ids never

@@ -19,9 +19,9 @@ let encode_components set =
   a
 
 (* Reference intersection count: two-pointer merge over the sorted encoded
-   arrays.  Kept as the fallback for candidates whose encodings do not fit
-   the stamp array and as the oracle the stamped count is tested
-   against. *)
+   arrays.  The engine counts through its primary index instead and uses
+   this only for peers the index does not hold; tests check the index
+   against it. *)
 let shared_count (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
   let rec go i j acc =
@@ -32,93 +32,55 @@ let shared_count (a : int array) (b : int array) =
   in
   go 0 0 0
 
-(* ---------------- stamped overlap counting ---------------- *)
-
-let max_stamped = 65536 (* stamp array cap: bounds memory for hostile encodings *)
-
-(* Per-domain stamp array, in the epoch idiom of [Establish.cost_ws]:
-   [marks.(c) = epoch] exactly for the components of the candidate stamped
-   last, and [owner] names that candidate — a probe's token, or [0] for a
-   one-shot candidate ({!register}, {!required_with}) that nothing reuses.
-   [epoch < 0] marks the merge fallback. *)
-type stamps = {
-  mutable marks : int array;
-  mutable epoch : int;
-  mutable owner : int;
-}
-
-let stamps_key =
-  Domain.DLS.new_key (fun () -> { marks = [||]; epoch = 0; owner = 0 })
-
-let merge_fallback = { marks = [||]; epoch = -1; owner = 0 }
-let next_owner = Atomic.make 1
-
-(* Stamp-array length [a] needs (its largest encoding + 1), or [-1] when
-   an element is negative or beyond the stamp range. *)
-let stamp_extent a =
-  let lo = ref 0 and hi = ref (-1) in
-  for k = 0 to Array.length a - 1 do
-    let c = a.(k) in
-    if c < !lo then lo := c;
-    if c > !hi then hi := c
-  done;
-  if !lo < 0 || !hi >= max_stamped then -1 else !hi + 1
-
-(* This domain's stamps holding [comps], stamped afresh unless [owner]
-   (non-zero) stamped them last; {!merge_fallback} when [extent < 0]. *)
-let stamp ~owner ~extent comps =
-  if extent < 0 then merge_fallback
-  else begin
-    let ws = Domain.DLS.get stamps_key in
-    if owner = 0 || ws.owner <> owner then begin
-      let len = Array.length ws.marks in
-      if extent > len then begin
-        ws.marks <- Array.make (min max_stamped (max extent (2 * len))) 0;
-        ws.epoch <- 0
-      end;
-      ws.epoch <- ws.epoch + 1;
-      let marks = ws.marks and e = ws.epoch in
-      for k = 0 to Array.length comps - 1 do
-        Array.unsafe_set marks (Array.unsafe_get comps k) e
-      done;
-      ws.owner <- owner
-    end;
-    ws
-  end
-
-(* One test per peer component: O(|peer|).  Peer components outside the
-   stamp array (negative or past its end) cannot be the candidate's, so any
-   peer encoding is counted exactly. *)
-let[@inline] stamped_overlap (marks : int array) (epoch : int) peer =
-  let len = Array.length marks in
-  let acc = ref 0 in
-  for k = 0 to Array.length peer - 1 do
-    let c = Array.unsafe_get peer k in
-    if c >= 0 && c < len && Array.unsafe_get marks c = epoch then incr acc
-  done;
-  !acc
-
-(* The stamps of a one-shot candidate. *)
-let stamp_once comps = stamp ~owner:0 ~extent:(stamp_extent comps) comps
-
-let stamped_count a peer =
-  let ws = stamp_once a in
-  if ws.epoch < 0 then None else Some (stamped_overlap ws.marks ws.epoch peer)
-
 let register_count = Sim.Prof.counter "mux.register"
 let unregister_count = Sim.Prof.counter "mux.unregister"
 let probe_count = Sim.Prof.counter "mux.probe"
 let scan_count = Sim.Prof.counter "mux.scan"
 let scan_slots_count = Sim.Prof.counter "mux.scan_slots"
 let s_values_count = Sim.Prof.counter "mux.s_values"
+let index_walk_count = Sim.Prof.counter "mux.index_walk"
+
+(* Int-keyed tables (backup ids, link ids): monomorphic equality and no
+   C hash call.  Neither table is iterated, so bucket order is free. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (x : int) = x land max_int
+end)
+
+let same_comps (a : int array) (b : int array) =
+  a == b
+  ||
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go k = k = n || (a.(k) = b.(k) && go (k + 1)) in
+  go 0
+
+(* Component arrays by content: registrations with equal primaries share
+   one index entry. *)
+module Ctbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = same_comps
+
+  let hash (a : int array) =
+    let h = ref (Array.length a) in
+    for k = 0 to Array.length a - 1 do
+      h := (!h * 31) + a.(k)
+    done;
+    !h land max_int
+end)
 
 (* Per-link table, structure-of-arrays: each registered backup occupies a
    slot; parallel arrays hold the admission-scan hot fields (ν, bw, cached
-   Π bandwidth) so the inner loops walk flat memory instead of chasing
-   hashtable buckets.  [bids.(s) = -1] marks a free slot; freed slots are
-   recycled LIFO so the live region stays dense under churn.  [index] maps
-   a backup id to its slot — ids are network-global and sparse on any one
-   link, so lookups stay a hashtable while all per-entry state is flat. *)
+   Π bandwidth, the primary's index entry) so the inner loops walk flat
+   memory instead of chasing hashtable buckets.  [bids.(s) = -1] marks a
+   free slot; freed slots are recycled LIFO so the live region stays dense
+   under churn.  [index] maps a backup id to its slot — ids are
+   network-global and sparse on any one link, so lookups stay a hashtable
+   while all per-entry state is flat. *)
 type link_table = {
   mutable n : int; (* slot watermark: slots in [0, n) exist *)
   mutable bids : int array; (* -1 = free *)
@@ -130,8 +92,10 @@ type link_table = {
   mutable comps : int array array;
       (* sorted encoded primary components, shared by every link the
          backup is registered on *)
-  mutable pis : Ids.Ivec.t array; (* Π as an ascending-sorted bid vector *)
-  index : (int, int) Hashtbl.t; (* backup id -> slot *)
+  mutable eids : int array; (* primary index entry of [comps], -1 = none *)
+  mutable pis : int array array; (* Π: ascending bids, first [pin.(s)] valid *)
+  mutable pin : int array; (* |Π| *)
+  index : int Itbl.t; (* backup id -> slot *)
   mutable free : int array;
   mutable free_len : int;
   mutable live : int; (* registered backups *)
@@ -139,17 +103,38 @@ type link_table = {
   mutable requirement : float; (* cached spare requirement *)
 }
 
+(* The primary index: one entry per distinct registered component array
+   whose encodings all lie in [0, ncomp), refcounted by the slots holding
+   it, and per encoding the entries containing it ([post.(c)], first
+   [plen.(c)] valid, unordered).  [version] changes whenever an entry id
+   takes a new array; values come from the process-wide {!versions}, so a
+   version names one index state of one engine. *)
 type t = {
   tables : link_table array;
   lambda : float;
   mutable sink : (Sim.Event.t -> unit) option;
   pows : float array; (* (1-λ)^c for small c *)
-  mutable stamp : int; (* bumped on every register/unregister *)
+  mutable updates : int; (* bumped on every register/unregister *)
+  placed : int Itbl.t; (* backup id -> links holding it, when > 0 *)
+  ncomp : int;
+  post : int array array;
+  plen : int array;
+  entry_ids : Ids.t;
+  mutable ecomps : int array array; (* entry -> its component array *)
+  mutable erefs : int array; (* entry -> slots holding it; 0 = free *)
+  by_comps : int Ctbl.t;
+  mutable version : int;
 }
+
+let versions = Atomic.make 0
 
 let create topo ~lambda =
   if lambda <= 0.0 || lambda >= 1.0 then
     invalid_arg "Mux.create: lambda must be in (0, 1)";
+  (* Node v encodes as 2v, link l as 2l + 1. *)
+  let ncomp =
+    2 * max (Net.Topology.num_nodes topo) (Net.Topology.num_links topo)
+  in
   {
     tables =
       Array.init (Net.Topology.num_links topo) (fun _ ->
@@ -162,8 +147,10 @@ let create topo ~lambda =
             bws = [||];
             pi_bws = [||];
             comps = [||];
+            eids = [||];
             pis = [||];
-            index = Hashtbl.create 16;
+            pin = [||];
+            index = Itbl.create 16;
             free = [||];
             free_len = 0;
             live = 0;
@@ -178,10 +165,17 @@ let create topo ~lambda =
       Array.init
         (max 64 ((4 * Net.Topology.num_nodes topo) + 8))
         (fun c -> (1.0 -. lambda) ** float_of_int c);
-    stamp = 0;
+    updates = 0;
+    placed = Itbl.create 1024;
+    ncomp;
+    post = Array.make ncomp [||];
+    plen = Array.make ncomp 0;
+    entry_ids = Ids.create ~kind:"mux entry" ();
+    ecomps = [||];
+    erefs = [||];
+    by_comps = Ctbl.create 64;
+    version = Atomic.fetch_and_add versions 1;
   }
-
-let lambda t = t.lambda
 
 let set_event_sink t s = t.sink <- s
 
@@ -195,6 +189,136 @@ let table t link =
     invalid_arg (Printf.sprintf "Mux: unknown link %d" link);
   t.tables.(link)
 
+(* ---------------- overlap counts ---------------- *)
+
+(* Per-domain count scratch.  After a count for candidate [cand] at index
+   version [valid_at], entry [e] shares [acc.(e) - base] components with
+   [cand] when that is [>= 0], and none otherwise: each count raises
+   [base] past every value an earlier count can have left, so entries it
+   does not reach read as zero without clearing the array. *)
+type counts = {
+  mutable acc : int array;
+  mutable base : int;
+  mutable cand : int array;
+  mutable valid_at : int;
+}
+
+let counts_key =
+  Domain.DLS.new_key (fun () ->
+      { acc = [||]; base = 1; cand = [||]; valid_at = -1 })
+
+(* Walk the postings of [comps]' indexable encodings once, adding one to
+   every entry per shared component.  A count leaves values of at most
+   [base + |cand|], which sets the next [base]. *)
+let recount t ws comps =
+  let need = Ids.watermark t.entry_ids in
+  if Array.length ws.acc < need then
+    ws.acc <- Array.make (max need (2 * Array.length ws.acc)) 0;
+  let base = ws.base + Array.length ws.cand + 1 in
+  ws.base <- base;
+  ws.cand <- comps;
+  ws.valid_at <- t.version;
+  let acc = ws.acc and walked = ref 0 in
+  for k = 0 to Array.length comps - 1 do
+    let c = Array.unsafe_get comps k in
+    if c >= 0 && c < t.ncomp then begin
+      let ids = Array.unsafe_get t.post c and n = Array.unsafe_get t.plen c in
+      walked := !walked + n;
+      for i = 0 to n - 1 do
+        let e = Array.unsafe_get ids i in
+        let v = Array.unsafe_get acc e in
+        Array.unsafe_set acc e (if v >= base then v + 1 else base + 1)
+      done
+    end
+  done;
+  Sim.Prof.incr ~by:!walked index_walk_count
+
+(* This domain's counts for [comps] against the current index, recounted
+   only when they were taken for other components or an older version:
+   the registration that follows a probe of the same primary reuses the
+   probe's counts. *)
+let counts_for t comps =
+  let ws = Domain.DLS.get counts_key in
+  if ws.valid_at <> t.version || not (same_comps ws.cand comps) then
+    recount t ws comps;
+  ws
+
+let indexable t comps =
+  let ok = ref true in
+  for k = 0 to Array.length comps - 1 do
+    let c = comps.(k) in
+    if c < 0 || c >= t.ncomp then ok := false
+  done;
+  !ok
+
+let grow_ints a need =
+  let na = Array.make (max need (2 * Array.length a)) 0 in
+  Array.blit a 0 na 0 (Array.length a);
+  na
+
+(* A new entry moves the index to a fresh version.  This domain's counts,
+   if they were current, stay current: the new entry's overlap with their
+   candidate is one merge. *)
+let add_entry t comps =
+  let e = Ids.fresh t.entry_ids in
+  if e >= Array.length t.erefs then begin
+    t.erefs <- grow_ints t.erefs (e + 1);
+    let na = Array.make (Array.length t.erefs) [||] in
+    Array.blit t.ecomps 0 na 0 (Array.length t.ecomps);
+    t.ecomps <- na
+  end;
+  t.ecomps.(e) <- comps;
+  Ctbl.replace t.by_comps comps e;
+  for k = 0 to Array.length comps - 1 do
+    let c = comps.(k) in
+    let n = t.plen.(c) in
+    if n = Array.length t.post.(c) then t.post.(c) <- grow_ints t.post.(c) 4;
+    t.post.(c).(n) <- e;
+    t.plen.(c) <- n + 1
+  done;
+  let before = t.version in
+  t.version <- Atomic.fetch_and_add versions 1;
+  let ws = Domain.DLS.get counts_key in
+  if ws.valid_at = before then begin
+    if e >= Array.length ws.acc then ws.acc <- grow_ints ws.acc (e + 1);
+    ws.acc.(e) <- ws.base + shared_count ws.cand comps;
+    ws.valid_at <- t.version
+  end;
+  e
+
+(* The entry for [comps] with one more holder, or [-1] when an encoding
+   lies outside the index (such peers are counted by {!shared_count}). *)
+let acquire_entry t comps =
+  if not (indexable t comps) then -1
+  else begin
+    let e =
+      match Ctbl.find_opt t.by_comps comps with
+      | Some e -> e
+      | None -> add_entry t comps
+    in
+    t.erefs.(e) <- t.erefs.(e) + 1;
+    e
+  end
+
+let release_entry t e =
+  if e >= 0 then begin
+    let r = t.erefs.(e) - 1 in
+    t.erefs.(e) <- r;
+    if r = 0 then begin
+      let comps = t.ecomps.(e) in
+      for k = 0 to Array.length comps - 1 do
+        let c = comps.(k) in
+        let ids = t.post.(c) and n = t.plen.(c) - 1 in
+        let rec find i = if ids.(i) = e then i else find (i + 1) in
+        ids.(find 0) <- ids.(n);
+        t.plen.(c) <- n
+      done;
+      Ctbl.remove t.by_comps comps;
+      t.ecomps.(e) <- [||];
+      Ids.release t.entry_ids e
+    end
+  end
+
 (* (1-λ)^c from the table [create] fills (λ is fixed at creation).
    Computed with the same [Float.pow] expression as
    {!Reliability.Combinatorial.survival}, so tabulated and direct S-values
@@ -205,13 +329,16 @@ let[@inline] pow t c =
   else (1.0 -. t.lambda) ** float_of_int c
 
 (* S(candidate, peer), in the same expression shape as
-   [Combinatorial.s_activation].  [marks]/[epoch] hold the candidate's
-   stamps; [epoch < 0] counts by merging [comps] instead. *)
-let[@inline] s_value t comps marks epoch peer =
+   [Combinatorial.s_activation].  [acc]/[base] hold the candidate's
+   counts; [e] is the peer's index entry, or [-1] to merge [peer]. *)
+let[@inline] s_value t comps acc base e peer =
   let c_i = Array.length comps and c_j = Array.length peer in
   let sc =
-    if epoch < 0 then shared_count comps peer
-    else stamped_overlap marks epoch peer
+    if e >= 0 then begin
+      let v = Array.unsafe_get acc e - base in
+      if v >= 0 then v else 0
+    end
+    else shared_count comps peer
   in
   1.0 -. (pow t c_i +. pow t c_j -. pow t ((c_i + c_j) - sc))
 
@@ -240,12 +367,50 @@ let grow_table tab =
   tab.bws <- gi 0.0 tab.bws;
   tab.pi_bws <- gi 0.0 tab.pi_bws;
   tab.comps <- gi [||] tab.comps;
-  let npis = Array.make ncap (Ids.Ivec.create ()) in
-  Array.blit tab.pis 0 npis 0 cap;
-  for i = cap to ncap - 1 do
-    npis.(i) <- Ids.Ivec.create ()
+  tab.eids <- gi (-1) tab.eids;
+  tab.pis <- gi [||] tab.pis;
+  tab.pin <- gi 0 tab.pin
+
+(* Π of slot [s] as a sorted prefix of [tab.pis.(s)]: [pi_insert] keeps
+   the order (the caller guarantees [x] is absent), [pi_find] is a binary
+   search returning [-1] when [x] is absent. *)
+let pi_insert tab s x =
+  let n = tab.pin.(s) in
+  let a =
+    let a = tab.pis.(s) in
+    if n < Array.length a then a
+    else begin
+      let na = Array.make (max 4 (2 * n)) 0 in
+      Array.blit a 0 na 0 n;
+      tab.pis.(s) <- na;
+      na
+    end
+  in
+  let i = ref n in
+  while !i > 0 && a.(!i - 1) > x do
+    a.(!i) <- a.(!i - 1);
+    decr i
   done;
-  tab.pis <- npis
+  a.(!i) <- x;
+  tab.pin.(s) <- n + 1
+
+let pi_find tab s x =
+  let a = tab.pis.(s) in
+  let rec go lo hi =
+    if lo >= hi then -1
+    else begin
+      let mid = (lo + hi) lsr 1 in
+      let v = a.(mid) in
+      if v = x then mid else if v < x then go (mid + 1) hi else go lo mid
+    end
+  in
+  go 0 tab.pin.(s)
+
+let pi_remove tab s i =
+  let n = tab.pin.(s) - 1 in
+  let a = tab.pis.(s) in
+  Array.blit a (i + 1) a i (n - i);
+  tab.pin.(s) <- n
 
 let alloc_slot tab =
   if tab.free_len > 0 then begin
@@ -259,10 +424,14 @@ let alloc_slot tab =
     s
   end
 
+(* A freed slot lets go of its Π array: under churn most slots are free
+   at some point, and keeping their arrays would hold memory for nothing. *)
 let free_slot tab s =
   tab.bids.(s) <- -1;
   tab.comps.(s) <- [||];
-  Ids.Ivec.clear tab.pis.(s);
+  tab.eids.(s) <- -1;
+  tab.pis.(s) <- [||];
+  tab.pin.(s) <- 0;
   if tab.free_len = Array.length tab.free then begin
     let nf = Array.make (max 8 (2 * tab.free_len)) 0 in
     Array.blit tab.free 0 nf 0 tab.free_len;
@@ -273,17 +442,19 @@ let free_slot tab s =
 
 (* Register and unregister already visit every slot to update Π, so each
    takes the new requirement as the largest live contribution on the way:
-   [Float.max 0.0] of it, or [0.0] on an empty link. *)
+   [Float.max 0.0] of it, or [0.0] on an empty link.  The registrant's
+   counts serve every link of its path: joining the index adds at most one
+   entry, which keeps them current. *)
 let register t ~link info =
   Sim.Prof.incr register_count;
   let tab = table t link in
-  if Hashtbl.mem tab.index info.backup then
+  if Itbl.mem tab.index info.backup then
     invalid_arg
       (Printf.sprintf "Mux.register: backup %d already on link %d" info.backup
          link);
   let comps = info.primary_components in
-  let ws = stamp_once comps in
-  let marks = ws.marks and epoch = ws.epoch in
+  let ws = counts_for t comps in
+  let acc = ws.acc and base = ws.base in
   let slot = alloc_slot tab in
   tab.bids.(slot) <- info.backup;
   tab.conns.(slot) <- info.conn;
@@ -292,7 +463,6 @@ let register t ~link info =
   tab.bws.(slot) <- info.bw;
   tab.pi_bws.(slot) <- 0.0;
   tab.comps.(slot) <- comps;
-  let fresh_pi = tab.pis.(slot) in
   let s_values = ref 0 in
   let req = ref neg_infinity in
   for s = 0 to tab.n - 1 do
@@ -304,15 +474,15 @@ let register t ~link info =
         if same || not (below || above) then 0.0
         else begin
           incr s_values;
-          s_value t comps marks epoch tab.comps.(s)
+          s_value t comps acc base tab.eids.(s) tab.comps.(s)
         end
       in
       if below && (same || sv >= info.nu) then begin
-        Ids.Ivec.insert_sorted fresh_pi tab.bids.(s);
+        pi_insert tab slot tab.bids.(s);
         tab.pi_bws.(slot) <- tab.pi_bws.(slot) +. tab.bws.(s)
       end;
       if above && (same || sv >= nu_s) then begin
-        Ids.Ivec.insert_sorted tab.pis.(s) info.backup;
+        pi_insert tab s info.backup;
         tab.pi_bws.(s) <- tab.pi_bws.(s) +. info.bw
       end;
       let c = contribution tab s in
@@ -320,33 +490,41 @@ let register t ~link info =
     end
   done;
   Sim.Prof.incr ~by:!s_values s_values_count;
-  Hashtbl.add tab.index info.backup slot;
+  tab.eids.(slot) <- acquire_entry t comps;
+  Itbl.add tab.index info.backup slot;
+  Itbl.replace t.placed info.backup
+    (1 + Option.value ~default:0 (Itbl.find_opt t.placed info.backup));
   tab.live <- tab.live + 1;
   tab.sum_bw <- tab.sum_bw +. info.bw;
   tab.requirement <- Float.max 0.0 (Float.max !req (contribution tab slot));
-  t.stamp <- t.stamp + 1;
+  t.updates <- t.updates + 1;
   emit t ~link ~backup:info.backup ~op:Sim.Event.Register
-    ~pi:(Ids.Ivec.length fresh_pi)
-    ~psi:(tab.live - Ids.Ivec.length fresh_pi - 1)
+    ~pi:tab.pin.(slot)
+    ~psi:(tab.live - tab.pin.(slot) - 1)
 
 let unregister t ~link ~backup =
   let tab = table t link in
-  match Hashtbl.find_opt tab.index backup with
+  match Itbl.find_opt tab.index backup with
   | None -> ()
   | Some victim ->
     Sim.Prof.incr unregister_count;
     let vbw = tab.bws.(victim) in
-    let pi = Ids.Ivec.length tab.pis.(victim) in
+    let pi = tab.pin.(victim) in
     let psi = tab.live - pi - 1 in
-    Hashtbl.remove tab.index backup;
+    Itbl.remove tab.index backup;
+    (match Itbl.find_opt t.placed backup with
+    | Some 1 | None -> Itbl.remove t.placed backup
+    | Some k -> Itbl.replace t.placed backup (k - 1));
     tab.live <- tab.live - 1;
     tab.sum_bw <- tab.sum_bw -. vbw;
+    release_entry t tab.eids.(victim);
     free_slot tab victim;
     let req = ref neg_infinity in
     for s = 0 to tab.n - 1 do
       if tab.bids.(s) >= 0 then begin
-        if Ids.Ivec.mem_sorted tab.pis.(s) backup then begin
-          Ids.Ivec.remove_sorted tab.pis.(s) backup;
+        let i = pi_find tab s backup in
+        if i >= 0 then begin
+          pi_remove tab s i;
           tab.pi_bws.(s) <- tab.pi_bws.(s) -. vbw
         end;
         let c = contribution tab s in
@@ -354,16 +532,16 @@ let unregister t ~link ~backup =
       end
     done;
     tab.requirement <- Float.max 0.0 !req;
-    t.stamp <- t.stamp + 1;
+    t.updates <- t.updates + 1;
     emit t ~link ~backup ~op:Sim.Event.Unregister ~pi ~psi
 
 let spare_requirement t ~link = (table t link).requirement
 
 (* Exact admission scan: what the requirement would become with [info]
-   added.  [ws] holds the stamps of its components. *)
+   added.  [ws] holds the counts of its components. *)
 let admission_scan t tab info ws =
   let comps = info.primary_components in
-  let marks = ws.marks and epoch = ws.epoch in
+  let acc = ws.acc and base = ws.base in
   let own = ref info.bw in
   let req = ref tab.requirement in
   let s_values = ref 0 in
@@ -376,7 +554,7 @@ let admission_scan t tab info ws =
         if same || not (below || above) then 0.0
         else begin
           incr s_values;
-          s_value t comps marks epoch tab.comps.(s)
+          s_value t comps acc base tab.eids.(s) tab.comps.(s)
         end
       in
       if below && (same || sv >= info.nu) then own := !own +. tab.bws.(s);
@@ -393,8 +571,8 @@ let admission_scan t tab info ws =
 
 let required_with t ~link info =
   let tab = table t link in
-  if Hashtbl.mem tab.index info.backup then tab.requirement
-  else admission_scan t tab info (stamp_once info.primary_components)
+  if Itbl.mem tab.index info.backup then tab.requirement
+  else admission_scan t tab info (counts_for t info.primary_components)
 
 let info_of_slot tab s =
   {
@@ -414,43 +592,45 @@ let on_link t ~link =
   done;
   !acc
 
-let mem t ~link ~backup = Hashtbl.mem (table t link).index backup
+let mem t ~link ~backup = Itbl.mem (table t link).index backup
 
 let count_on t ~link = (table t link).live
 
 let find_slot t ~link ~backup =
-  match Hashtbl.find_opt (table t link).index backup with
+  match Itbl.find_opt (table t link).index backup with
   | Some s -> s
   | None ->
     invalid_arg (Printf.sprintf "Mux: backup %d not on link %d" backup link)
 
 let pi_size t ~link ~backup =
   let tab = table t link in
-  Ids.Ivec.length tab.pis.(find_slot t ~link ~backup)
+  tab.pin.(find_slot t ~link ~backup)
 
 let psi_size t ~link ~backup =
   let tab = table t link in
   let s = find_slot t ~link ~backup in
-  tab.live - Ids.Ivec.length tab.pis.(s) - 1
+  tab.live - tab.pin.(s) - 1
 
 let psi_size_with t ~link info =
   let tab = table t link in
   let comps = info.primary_components in
-  let ws = stamp_once comps in
+  let ws = counts_for t comps in
   let pi = ref 0 in
   for s = 0 to tab.n - 1 do
     if
       tab.bids.(s) >= 0
       && tab.nus.(s) <= info.nu
       && (info.conn = tab.conns.(s)
-         || s_value t comps ws.marks ws.epoch tab.comps.(s) >= info.nu)
+         || s_value t comps ws.acc ws.base tab.eids.(s) tab.comps.(s)
+            >= info.nu)
     then incr pi
   done;
   tab.live - !pi
 
 let conflict_set t ~link ~backup =
   let tab = table t link in
-  Ids.Ivec.to_sorted_list tab.pis.(find_slot t ~link ~backup)
+  let s = find_slot t ~link ~backup in
+  Array.to_list (Array.sub tab.pis.(s) 0 tab.pin.(s))
 
 let max_requirement_victims t ~link =
   let tab = table t link in
@@ -468,10 +648,10 @@ let max_requirement_victims t ~link =
 type probe = {
   pt : t;
   pinfo : backup_info;
-  powner : int; (* stamp owner token, unique to this probe *)
-  pextent : int; (* [stamp_extent] of the candidate's components *)
-  mutable pstamp : int; (* [req_memo] valid while this matches [pt.stamp] *)
-  req_memo : (int, float) Hashtbl.t; (* link -> required_with *)
+  mutable pupdates : int;
+      (* the fields below hold while this matches [pt.updates] *)
+  mutable pplaced : bool; (* the candidate is registered on some link *)
+  req_memo : float Itbl.t; (* link -> required_with *)
 }
 
 let probe t info =
@@ -479,29 +659,35 @@ let probe t info =
   {
     pt = t;
     pinfo = info;
-    powner = Atomic.fetch_and_add next_owner 1;
-    pextent = stamp_extent info.primary_components;
-    pstamp = t.stamp;
-    req_memo = Hashtbl.create 16;
+    pupdates = t.updates;
+    pplaced = Itbl.mem t.placed info.backup;
+    req_memo = Itbl.create 16;
   }
 
+let refresh p =
+  if p.pupdates <> p.pt.updates then begin
+    Itbl.reset p.req_memo;
+    p.pplaced <- Itbl.mem p.pt.placed p.pinfo.backup;
+    p.pupdates <- p.pt.updates
+  end
+
+(* The link's requirement when the candidate is already on it, which only
+   a candidate registered somewhere can be. *)
+let[@inline] placed_on p tab = p.pplaced && Itbl.mem tab.index p.pinfo.backup
+
 let probe_required p ~link =
-  if p.pstamp <> p.pt.stamp then begin
-    Hashtbl.reset p.req_memo;
-    p.pstamp <- p.pt.stamp
-  end;
-  match Hashtbl.find_opt p.req_memo link with
+  refresh p;
+  match Itbl.find_opt p.req_memo link with
   | Some r -> r
   | None ->
     let tab = table p.pt link in
     let r =
-      if Hashtbl.mem tab.index p.pinfo.backup then tab.requirement
+      if placed_on p tab then tab.requirement
       else
         admission_scan p.pt tab p.pinfo
-          (stamp ~owner:p.powner ~extent:p.pextent
-             p.pinfo.primary_components)
+          (counts_for p.pt p.pinfo.primary_components)
     in
-    Hashtbl.add p.req_memo link r;
+    Itbl.add p.req_memo link r;
     r
 
 (* Conservative O(1) ceiling on {!probe_required}: the candidate's own term
@@ -510,6 +696,7 @@ let probe_required p ~link =
    fits the link, the exact scan is skipped (the verdict is the same
    because the exact requirement is no larger). *)
 let probe_upper_bound p ~link =
+  refresh p;
   let tab = table p.pt link in
-  if Hashtbl.mem tab.index p.pinfo.backup then tab.requirement
+  if placed_on p tab then tab.requirement
   else p.pinfo.bw +. Float.max tab.sum_bw tab.requirement

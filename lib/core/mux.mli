@@ -17,20 +17,28 @@
 
     - per-link tables are structure-of-arrays: each registered backup
       occupies a dense slot and the admission-scan fields (ν, bw, cached
-      Π bandwidth, the primary's component array, shared with the
-      backup's other links) live in parallel flat arrays, so the inner
-      loops walk contiguous memory instead of hashtable buckets;
-    - primary-component overlap is counted against one per-domain stamp
-      array: the candidate (a probe's backup, or the backup being
-      registered) writes the current epoch at each of its components,
-      and each peer's component array is tested against it in
-      O(|peer components|); a probe re-stamps only when a
-      {!register} or another candidate stamped in between.  Candidates
-      with a negative encoding or one of 65536 or more fall back to
-      {!shared_count};
-    - S values are not cached: an overlap count costs a few dozen array
-      reads.  The [(1-λ)^c] power table is memoized per engine, and a
-      {!probe} memoizes its per-link answers until the next update;
+      Π bandwidth and Π itself as a sorted int array, the primary's
+      component array, shared with the backup's other links, and its
+      index entry) live in parallel flat arrays, so the inner loops walk
+      contiguous memory instead of hashtable buckets;
+    - primary-component overlap comes from an inverted index over the
+      registered primaries: each distinct component array is one entry,
+      refcounted by the slots holding it, and each encoded component
+      lists the entries containing it.  A candidate (a probe's backup, or
+      the backup being registered) walks the lists of its own components
+      once, adding into a per-domain count array that a rising epoch base
+      clears in O(1); every S value then reads its shared count in O(1).
+      The counts are reused while the index has no new entry and the
+      candidate keeps its components, so a probe counts once, and the
+      registration that follows it reuses its counts on every link of the
+      path.  Peers with an encoding outside the index (negative, or at
+      least [2 · max(nodes, links)]) are counted by {!shared_count};
+    - S values are not cached: in a torus16 churn of 8 000 events
+      (CI's mux work counters) the counts walk 2.41 M index entries for
+      2.25 M S values, about one entry per S value where a scan used to
+      test each of the peer's ≈17 components.  The [(1-λ)^c] power table
+      is memoized per engine, and a {!probe} memoizes its per-link
+      answers until the next update;
     - each link's spare requirement is refreshed during the slot walk
       that {!register} and {!unregister} already make to update Π (tables
       hold a few dozen entries, so no heap beats this walk);
@@ -46,7 +54,10 @@ type backup_info = {
   serial : int;  (** backup serial within the connection *)
   nu : float;  (** multiplexing threshold ν *)
   bw : float;  (** bandwidth to draw upon activation, Mbps *)
-  primary_components : int array;  (** sorted encoded components of the primary *)
+  primary_components : int array;
+      (** sorted, duplicate-free encoded components of the primary; the
+          engine keeps the array itself, so it must not be mutated once
+          passed in *)
 }
 
 val encode_components : Net.Component.Set.t -> int array
@@ -54,24 +65,14 @@ val encode_components : Net.Component.Set.t -> int array
 
 val shared_count : int array -> int array -> int
 (** Intersection size of two sorted, duplicate-free encoded-component
-    arrays (reference two-pointer merge; the engine uses it only for
-    candidates whose encodings do not fit the stamp array). *)
-
-val stamped_count : int array -> int array -> int option
-(** [stamped_count a peer]: how many of [peer]'s components are in [a],
-    counted through the stamp array the engine scans with.  [None] when
-    an element of [a] is negative or [>= 65536] (the engine then uses
-    {!shared_count}); otherwise [Some (shared_count a peer)] for any
-    duplicate-free [a] and [peer] (negative or out-of-range peer elements
-    simply do not count). *)
+    arrays (reference two-pointer merge; the engine uses it only for peers
+    outside its primary index). *)
 
 type t
 
 val create : Net.Topology.t -> lambda:float -> t
 (** [lambda]: per-component failure probability per time unit, the λ in
     S(B_i, B_j). *)
-
-val lambda : t -> float
 
 val set_event_sink : t -> (Sim.Event.t -> unit) option -> unit
 (** Telemetry hook: when set, {!register} and {!unregister} emit a
@@ -93,8 +94,8 @@ val required_with : t -> link:int -> backup_info -> float
 (** What the spare requirement would become if the backup were added —
     used by admission control during backup routing; does not modify the
     table.  For repeated probes of one candidate across many links (the
-    establishment inner loop), build a {!probe} instead: it stamps the
-    candidate's components once and memoizes per-link answers. *)
+    establishment inner loop), build a {!probe} instead: it memoizes
+    per-link answers. *)
 
 val on_link : t -> link:int -> backup_info list
 val mem : t -> link:int -> backup:int -> bool
@@ -127,9 +128,10 @@ val max_requirement_victims : t -> link:int -> int list
 (** {2 Candidate admission probes}
 
     A probe fixes one candidate backup and answers admission questions for
-    it on any link: it stamps the candidate's components once (again only
-    after another candidate stamped in between) and memoizes per-link
-    answers.  The memo is dropped automatically when
+    it on any link: it counts the candidate's overlaps once (again only
+    after another candidate counted in this domain or a new primary
+    entered the index) and memoizes per-link answers.  The memo is
+    dropped automatically when
     any registration changes, so a probe may be kept across table
     mutations; it simply recomputes on first use afterwards. *)
 

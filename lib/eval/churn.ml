@@ -88,6 +88,9 @@ let run_cell ~obs ~seed ~events ~fault_every ~horizon ~detector ~windows
   let erng = Sim.Prng.create (Sim.Prng.derive ~seed:cseed ~index:104729) in
   let config = Episode.config detector in
   let metrics = Option.map (fun _ -> Sim.Metrics.create ()) obs in
+  (* Events are kept only for a collector that keeps them: a heartbeat
+     fault episode records tens of thousands. *)
+  let keep_events = Option.fold ~none:false ~some:Telemetry.keeps_events obs in
   let timed = ref [] in
   let life op conn =
     match metrics with
@@ -97,11 +100,12 @@ let run_cell ~obs ~seed ~events ~fault_every ~horizon ~detector ~windows
         (Sim.Metrics.counter m
            ~labels:[ ("op", Sim.Event.lifecycle_op_to_string op) ]
            "workload.lifecycle");
-      timed :=
-        ( Workload.Churn.now driver,
-          Sim.Event.Lifecycle
-            { conn; op; active = Workload.Churn.active driver } )
-        :: !timed
+      if keep_events then
+        timed :=
+          ( Workload.Churn.now driver,
+            Sim.Event.Lifecycle
+              { conn; op; active = Workload.Churn.active driver } )
+          :: !timed
   in
   let arrivals = ref 0 and admitted = ref 0 and blocked = ref 0 in
   let departures = ref 0 and readmitted = ref 0 and readmit_blocked = ref 0 in

@@ -81,6 +81,8 @@ let run ?obs ?monitor ?(seeds = (0, 0)) ~config ~until ns
     trace;
     run =
       Option.map
-        (fun _ -> (Bcp.Simnet.metrics sim, Sim.Trace.events trace))
+        (fun c ->
+          ( Bcp.Simnet.metrics sim,
+            if Telemetry.keeps_events c then Sim.Trace.events trace else [] ))
         obs;
   }

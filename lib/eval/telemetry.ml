@@ -443,22 +443,29 @@ let metrics_report snapshot =
 
 type collector = {
   registry : Sim.Metrics.t;
+  keep_events : bool;
   mutable rev_events : (int * float * Sim.Event.t) list;
 }
 
 type run = Sim.Metrics.t * (float * Sim.Event.t) list
 
-let create () = { registry = Sim.Metrics.create (); rev_events = [] }
+let create ~events =
+  { registry = Sim.Metrics.create (); keep_events = events; rev_events = [] }
+
+let keeps_events c = c.keep_events
 
 let add obs ~tag run =
   match (obs, run) with
   | Some c, Some (metrics, events) ->
     Sim.Metrics.merge_into ~into:c.registry metrics;
-    List.iter
-      (fun (time, ev) -> c.rev_events <- (tag, time, ev) :: c.rev_events)
-      events
+    if c.keep_events then
+      List.iter
+        (fun (time, ev) -> c.rev_events <- (tag, time, ev) :: c.rev_events)
+        events
   | _ -> ()
 
-let setup_sink c ev = c.rev_events <- (-1, 0.0, ev) :: c.rev_events
+let setup_sink c ev =
+  if c.keep_events then c.rev_events <- (-1, 0.0, ev) :: c.rev_events
+
 let metrics c = Sim.Metrics.snapshot c.registry
 let events c = List.rev c.rev_events

@@ -77,20 +77,28 @@ type run = Sim.Metrics.t * (float * Sim.Event.t) list
 (** One finished scenario: its private registry and its [(time, event)]
     list. *)
 
-val create : unit -> collector
+val create : events:bool -> collector
+(** [events]: keep the tagged event stream ({!events}).  Without it the
+    collector holds only the merged registry, and the experiments that
+    feed it build no event lists, so a long observed run costs memory in
+    proportion to its metrics, not to its events. *)
+
+val keeps_events : collector -> bool
 
 val add : collector option -> tag:int -> run option -> unit
 (** Merge one run: fold its registry into the collector's
-    ({!Sim.Metrics.merge_into}) and append its events under the scenario
-    tag [tag].  A no-op unless both options are [Some]. *)
+    ({!Sim.Metrics.merge_into}) and, when it keeps events, append its
+    events under the scenario tag [tag].  A no-op unless both options are
+    [Some]. *)
 
 val setup_sink : collector -> Sim.Event.t -> unit
 (** Sink for establishment-time multiplexing updates ({!Setup.build}):
     appends each event under the pseudo-scenario tag [-1] at time
-    [0.0]. *)
+    [0.0] when the collector keeps events. *)
 
 val metrics : collector -> Sim.Metrics.snapshot
 (** Snapshot of the merged registry. *)
 
 val events : collector -> (int * float * Sim.Event.t) list
-(** [(tag, time, event)] triples in merge order. *)
+(** [(tag, time, event)] triples in merge order; empty unless the
+    collector keeps events. *)

@@ -4,12 +4,17 @@ let pp_reject ppf = function
   | No_route -> Format.pp_print_string ppf "no admissible route"
   | No_bandwidth -> Format.pp_print_string ppf "insufficient bandwidth"
 
+(* Drop the first [x] from an id list, comparing ints only. *)
+let rec remove_id (x : int) = function
+  | [] -> []
+  | y :: rest -> if y = x then rest else y :: remove_id x rest
+
 type t = {
   topo : Net.Topology.t;
   resources : Resource.t;
   channels : (Channel.id, Channel.t) Hashtbl.t;
-  on_link : (int, Channel.id list) Hashtbl.t;
-  through_node : (int, Channel.id list) Hashtbl.t;
+  on_link : Channel.id list array; (* link id -> channels, newest first *)
+  through_node : Channel.id list array; (* node id -> channels, newest first *)
   mutable next_id : Channel.id;
 }
 
@@ -18,37 +23,31 @@ let create topo =
     topo;
     resources = Resource.create topo;
     channels = Hashtbl.create 1024;
-    on_link = Hashtbl.create 256;
-    through_node = Hashtbl.create 256;
+    on_link = Array.make (Net.Topology.num_links topo) [];
+    through_node = Array.make (Net.Topology.num_nodes topo) [];
     next_id = 0;
   }
 
-let topology t = t.topo
 let resources t = t.resources
 
-let index_add tbl key v =
-  let cur = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-  Hashtbl.replace tbl key (v :: cur)
-
-let index_remove tbl key v =
-  match Hashtbl.find_opt tbl key with
-  | None -> ()
-  | Some l -> Hashtbl.replace tbl key (List.filter (fun x -> x <> v) l)
-
 let register t ch =
-  Hashtbl.replace t.channels ch.Channel.id ch;
-  List.iter (fun l -> index_add t.on_link l ch.Channel.id) (Net.Path.links ch.Channel.path);
+  let id = ch.Channel.id in
+  Hashtbl.replace t.channels id ch;
   List.iter
-    (fun v -> index_add t.through_node v ch.Channel.id)
+    (fun l -> t.on_link.(l) <- id :: t.on_link.(l))
+    (Net.Path.links ch.Channel.path);
+  List.iter
+    (fun v -> t.through_node.(v) <- id :: t.through_node.(v))
     (Net.Path.nodes t.topo ch.Channel.path)
 
 let unregister t ch =
-  Hashtbl.remove t.channels ch.Channel.id;
+  let id = ch.Channel.id in
+  Hashtbl.remove t.channels id;
   List.iter
-    (fun l -> index_remove t.on_link l ch.Channel.id)
+    (fun l -> t.on_link.(l) <- remove_id id t.on_link.(l))
     (Net.Path.links ch.Channel.path);
   List.iter
-    (fun v -> index_remove t.through_node v ch.Channel.id)
+    (fun v -> t.through_node.(v) <- remove_id id t.through_node.(v))
     (Net.Path.nodes t.topo ch.Channel.path)
 
 (* One admission check per bandwidth test of the primary search; the
@@ -98,10 +97,11 @@ let teardown t id =
 
 let channel_count t = Hashtbl.length t.channels
 
-let channels_on_link t l = Option.value ~default:[] (Hashtbl.find_opt t.on_link l)
+let channels_in index i =
+  if i < 0 || i >= Array.length index then [] else index.(i)
 
-let channels_through_node t v =
-  Option.value ~default:[] (Hashtbl.find_opt t.through_node v)
+let channels_on_link t l = channels_in t.on_link l
+let channels_through_node t v = channels_in t.through_node v
 
 let channels_disabled_by t failed =
   let ids =

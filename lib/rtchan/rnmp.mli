@@ -1,7 +1,8 @@
 (** Real-time Network Manager Protocol: admission, establishment and
     teardown of primary real-time channels (Section 2).
 
-    Holds the channel registry and the per-link channel index.  Backup
+    Holds the channel registry and the per-link and per-node channel
+    indexes: flat arrays indexed by link and node id.  Backup
     channels are managed above this layer by BCP; RNMP only sees the
     primaries' bandwidth (a backup "costs nothing" until activation, the
     spare pool is sized by BCP). *)
@@ -10,7 +11,6 @@ type t
 
 val create : Net.Topology.t -> t
 
-val topology : t -> Net.Topology.t
 val resources : t -> Resource.t
 
 type reject_reason =
@@ -45,6 +45,12 @@ val teardown : t -> Channel.id -> unit
 val channel_count : t -> int
 
 val channels_on_link : t -> int -> Channel.id list
+(** Ids of the channels crossing the link, newest first; [[]] for an
+    unknown link. *)
+
+val channels_through_node : t -> int -> Channel.id list
+(** Ids of the channels whose path visits the node (end nodes included),
+    newest first; [[]] for an unknown node. *)
 
 val channels_disabled_by : t -> Net.Component.t list -> Channel.id list
 (** Deduplicated ids of channels whose path crosses any failed component. *)

@@ -3,8 +3,9 @@
    principles — pairwise S-values, no bitsets, caches or heap — so the
    incremental engine can be checked against it after every update.
    [requirement] reads the link's backups through the public
-   [Mux.on_link]; the list functions also serve as a model for tests that
-   track the expected table themselves. *)
+   [Mux.on_link], at the λ the engine was created with; the list
+   functions also serve as a model for tests that track the expected
+   table themselves. *)
 
 let s_naive ~lambda (a : Bcp.Mux.backup_info) (b : Bcp.Mux.backup_info) =
   let sc = Bcp.Mux.shared_count a.primary_components b.primary_components in
@@ -46,13 +47,13 @@ let required_with_naive ~lambda entries (cand : Bcp.Mux.backup_info) =
   then requirement_naive ~lambda entries
   else requirement_naive ~lambda (entries @ [ cand ])
 
-let requirement m ~link =
-  requirement_naive ~lambda:(Bcp.Mux.lambda m) (Bcp.Mux.on_link m ~link)
+let requirement ~lambda m ~link =
+  requirement_naive ~lambda (Bcp.Mux.on_link m ~link)
 
 (* [Some (incremental, reference)] when the engine's maintained spare
    requirement on [link] differs from the recompute.  Exact comparison:
    the tests use bandwidths whose sums are order-independent. *)
-let mismatch m ~link =
+let mismatch ~lambda m ~link =
   let got = Bcp.Mux.spare_requirement m ~link in
-  let expected = requirement m ~link in
+  let expected = requirement ~lambda m ~link in
   if got = expected then None else Some (got, expected)

@@ -43,7 +43,7 @@ let test_scheme_coverage () =
     [ ("report", text (Eval.Ablations.scheme_coverage ~seed:5 (ns4 ()))) ]
 
 let chaos_case name ~detector ?levels expected () =
-  let obs = Eval.Telemetry.create () in
+  let obs = Eval.Telemetry.create ~events:true in
   let outcomes =
     Eval.Chaos.run ~obs ~seed:11 ~scenario_count:3 ~detector ?levels (ns4 ())
   in
@@ -78,7 +78,7 @@ let test_chaos_heartbeat =
     ]
 
 let test_churn () =
-  let obs = Eval.Telemetry.create () in
+  let obs = Eval.Telemetry.create ~events:true in
   let outcomes =
     Eval.Churn.run ~obs ~seed:3 ~events:1500 ~offered:[ 4.0 ] ~fault_every:5.0
       ~windows:4 Eval.Setup.Torus4
@@ -107,7 +107,7 @@ let test_message_loss () =
     [ ("values", values rows); ("report", text (Eval.Message_loss.report rows)) ]
 
 let test_multi_failure () =
-  let obs = Eval.Telemetry.create () in
+  let obs = Eval.Telemetry.create ~events:true in
   let r = Eval.Multi_failure.simulate ~obs ~seed:42 Eval.Setup.Torus4 in
   check "multi failure"
     [
@@ -117,7 +117,7 @@ let test_multi_failure () =
     [ ("report", text r); ("telemetry", telemetry obs) ]
 
 let test_recovery_delay () =
-  let obs = Eval.Telemetry.create () in
+  let obs = Eval.Telemetry.create ~events:true in
   let stats =
     Eval.Recovery_delay.measure ~obs ~seed:11 ~scenario_count:6 (ns4 ())
   in
@@ -142,7 +142,7 @@ let test_compare_schemes () =
     [ ("report", text r) ]
 
 let swarm_case name ~detector expected () =
-  let obs = Eval.Telemetry.create () in
+  let obs = Eval.Telemetry.create ~events:true in
   let r = Eval.Swarm.run ~obs ~seed:11 ~budget:8 ~detector (ns4 ()) in
   check name expected
     [

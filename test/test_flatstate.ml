@@ -99,7 +99,7 @@ let request_of pairs i =
 let check_all_links ns ~after =
   let mux = Bcp.Netstate.mux ns in
   for link = 0 to Net.Topology.num_links (Bcp.Netstate.topology ns) - 1 do
-    match Mux_ref.mismatch mux ~link with
+    match Mux_ref.mismatch ~lambda:(Bcp.Netstate.lambda ns) mux ~link with
     | None -> ()
     | Some (got, expected) ->
       QCheck.Test.fail_reportf

@@ -265,7 +265,7 @@ let test_live_simnet_clean () =
 let test_chaos_torus4_audits_clean () =
   (* The acceptance bar: a seeded chaos sweep with impairment > 0 replays
      through the auditor with zero violations. *)
-  let obs = Eval.Telemetry.create () in
+  let obs = Eval.Telemetry.create ~events:true in
   let est =
     Eval.Setup.build ~obs ~seed:42 ~backups:1 ~mux_degree:3 Eval.Setup.Torus4
   in

@@ -1,28 +1,39 @@
-(* Fuzz the multiplexing engine (stamped overlap counting, pow memo,
-   probe memos, requirement refreshed during the update walk) against the
-   naive full-recompute reference in [Mux_ref]: after every register /
-   unregister the touched link's spare requirement must match, and after
-   arbitrary register / unregister / required_with sequences on random
-   topologies every observable — spare requirement, Π sizes, conflict
-   sets, Ψ, admission what-ifs — must match the reference EXACTLY
-   (bandwidths are dyadic rationals, so sums are order-independent and
-   float equality is legitimate).  Unit cases pin the stamp array's
-   ownership (interleaved probes and registrations, growth) and the
-   requirement after removals. *)
+(* Fuzz the multiplexing engine (overlap counts through the primary
+   index, pow memo, probe memos, requirement refreshed during the update
+   walk) against the naive full-recompute reference in [Mux_ref]: after
+   every register / unregister / probe the spare requirements and every
+   live probe's answers must match, and after arbitrary register /
+   unregister / required_with sequences every observable — spare
+   requirement, Π sizes, conflict sets, Ψ, admission what-ifs — must
+   match the reference EXACTLY (bandwidths are dyadic rationals, so sums
+   are order-independent and float equality is legitimate).  The overlap
+   count the engine reads for a pair is recovered exactly from Ψ at two
+   S thresholds and checked against [Mux.shared_count]; unit cases pin
+   the index's edge encodings, count reuse across interleaved probes and
+   registrations, and the requirement after removals. *)
 
 let lambda = 1e-4
 
 let bandwidths = [| 0.5; 1.0; 1.5; 2.0; 3.0 |]
 
-(* Component families: plain small encodings, encodings beyond the stamp
-   range (merge-scan fallback), and negative encodings (also fallback). *)
+(* The fuzzed engines run on a 40-node ring: encodings in [0, 80) are
+   indexed, and ops use only its first few links, so tables stay
+   crowded. *)
+let ring40 () = Net.Builders.ring ~nodes:40 ~capacity:100.0
+
+(* Component families: indexed encodings, the last indexed encoding (79),
+   encodings past the index (the first one, 80, and far beyond) and
+   negative encodings; an array holding either of the last two kinds is
+   counted by merging. *)
 let components_of ~family ~variant =
   let base = family * 10 in
   let cs =
-    match variant mod 3 with
+    match variant mod 5 with
     | 0 -> [ base; base + 2; base + 4 ]
     | 1 -> [ base; base + 2; 70_000 + base ]
-    | _ -> [ -6 + family; base + 2; base + 4 ]
+    | 2 -> [ -6 + family; base + 2; base + 4 ]
+    | 3 -> [ base + 2; base + 4; 79 ]
+    | _ -> [ base; 80 ]
   in
   let a = Array.of_list (List.sort_uniq Int.compare cs) in
   a
@@ -85,7 +96,7 @@ let check_int what expected got =
 
 (* The touched link against the recompute, after a register/unregister. *)
 let check_link m ~link =
-  match Mux_ref.mismatch m ~link with
+  match Mux_ref.mismatch ~lambda m ~link with
   | None -> ()
   | Some (got, expected) ->
     QCheck.Test.fail_reportf
@@ -95,9 +106,8 @@ let check_link m ~link =
 let prop_matches_reference =
   QCheck.Test.make ~name:"incremental mux == naive full recompute" ~count:150
     arbitrary_ops (fun (nodes, ops) ->
-      let topo = Net.Builders.ring ~nodes ~capacity:100.0 in
-      let nlinks = Net.Topology.num_links topo in
-      let m = Bcp.Mux.create topo ~lambda in
+      let nlinks = nodes in
+      let m = Bcp.Mux.create (ring40 ()) ~lambda in
       let model = Hashtbl.create 16 in
       (* link -> infos, insertion order *)
       let entries link =
@@ -149,7 +159,7 @@ let prop_matches_reference =
         check_exact
           (Printf.sprintf "on_link recompute link %d" link)
           (requirement_naive es)
-          (Mux_ref.requirement m ~link);
+          (Mux_ref.requirement ~lambda m ~link);
         check_int
           (Printf.sprintf "count link %d" link)
           (List.length es)
@@ -182,9 +192,8 @@ let prop_matches_reference =
 let prop_probe_matches =
   QCheck.Test.make ~name:"probe == required_with across mutations"
     ~count:100 arbitrary_ops (fun (nodes, ops) ->
-      let topo = Net.Builders.ring ~nodes ~capacity:100.0 in
-      let nlinks = Net.Topology.num_links topo in
-      let m = Bcp.Mux.create topo ~lambda in
+      let nlinks = nodes in
+      let m = Bcp.Mux.create (ring40 ()) ~lambda in
       let cand = info_of ~bid:999 ~degree:3 ~family:2 ~variant:0 ~bw_idx:1 in
       let probe = Bcp.Mux.probe m cand in
       let audit () =
@@ -211,58 +220,172 @@ let prop_probe_matches =
               Bcp.Mux.register m ~link
                 (info_of ~bid:o.bid ~degree:o.degree ~family:o.family
                    ~variant:o.variant ~bw_idx:o.bw_idx));
-          (* every mutation bumps the stamp: the probe must recompute *)
+          (* every mutation drops the memo: the probe must recompute *)
           audit ())
         (List.filteri (fun i _ -> i < 12) ops);
       true)
 
-(* The stamped count agrees with the reference merge.  Candidates reach
-   the top of the stamp range, so the stamp array grows between cases, and
-   peers reach past it and below zero. *)
-let prop_stamped_overlap =
-  let edge = [| 0; 1; 62; 63; 64; 126; 127; 65_534; 65_535 |] in
-  let elem = QCheck.Gen.(frequency [ (1, oneofa edge); (3, int_range 0 200) ]) in
-  let peer_elem =
+(* ---------------- overlap counts through the index ---------------- *)
+
+(* S with the engine's expression, for any shared count (the reference
+   [s_activation] rejects counts past the smaller array). *)
+let s_expr ~c_i ~c_j ~sc =
+  let p = 1.0 -. lambda in
+  1.0
+  -. ((p ** float_of_int c_i)
+     +. (p ** float_of_int c_j)
+     -. (p ** float_of_int (c_i + c_j - sc)))
+
+(* Whether the overlap count the engine reads between candidate [cand]
+   and the one backup on [link] (registered with ν = -∞ under another
+   connection) is [k]: the peer is in the candidate's Π exactly when
+   S(engine count) ≥ ν, and S grows strictly with the count, so Ψ at the
+   thresholds S(k) and S(k + 1) pins the count. *)
+let engine_count_is m ~link ~peer_len cand k =
+  let psi nu =
+    Bcp.Mux.psi_size_with m ~link
+      {
+        Bcp.Mux.backup = 1_000_000;
+        conn = 1_000_000;
+        serial = 1;
+        nu;
+        bw = 1.0;
+        primary_components = cand;
+      }
+  in
+  let c_i = Array.length cand and c_j = peer_len in
+  psi (s_expr ~c_i ~c_j ~sc:k) = 0 && psi (s_expr ~c_i ~c_j ~sc:(k + 1)) = 1
+
+let peer_info ~bid ~conn comps =
+  {
+    Bcp.Mux.backup = bid;
+    conn;
+    serial = 1;
+    nu = neg_infinity;
+    bw = 1.0;
+    primary_components = comps;
+  }
+
+(* A 64-node ring: encodings in [0, 128) are indexed. *)
+let ring64 () = Net.Builders.ring ~nodes:64 ~capacity:100.0
+
+let sorted_arr g =
+  QCheck.Gen.(
+    map
+      (fun l -> Array.of_list (List.sort_uniq Int.compare l))
+      (list_size (int_range 0 24) g))
+
+let print_arr a =
+  "[" ^ String.concat ";" (List.map string_of_int (Array.to_list a)) ^ "]"
+
+(* The engine's count equals the reference merge for every peer, with
+   one backup id carrying a different array on every link, one array on
+   two links and an equal copy on a third (shared index entries), and
+   again after some registrations leave and others take their links
+   (entry refcounts and reused entry ids).  Candidates
+   and peers reach the index's last encoding, the first past it, far past
+   it and below zero. *)
+let prop_index_count =
+  let edge = [| 0; 1; 62; 63; 64; 126; 127; 128; 129; 65_535; 65_536 |] in
+  let cand_elem =
     QCheck.Gen.(
       frequency
-        [
-          (4, elem);
-          (1, int_range 201 2000);
-          (1, int_range 65_536 70_000);
-          (1, int_range (-5) (-1));
-        ])
+        [ (1, oneofa edge); (4, int_range 0 127); (1, int_range (-5) (-1)) ])
   in
-  let sorted_arr g =
+  let in_range =
     QCheck.Gen.(
-      map
-        (fun l -> Array.of_list (List.sort_uniq Int.compare l))
-        (list_size (int_range 0 40) g))
+      frequency [ (1, oneofa [| 0; 1; 126; 127 |]); (6, int_range 0 127) ])
   in
-  QCheck.Test.make ~name:"stamped_count == shared_count" ~count:500
+  (* one peer in four holds an encoding outside the index *)
+  let peer =
+    QCheck.Gen.(
+      pair (int_range 0 3)
+        (pair (sorted_arr in_range) (oneofl [ -3; 128; 70_000 ]))
+      |> map (fun (kind, (a, outside)) ->
+             if kind > 0 then a
+             else
+               Array.of_list
+                 (List.sort_uniq Int.compare (outside :: Array.to_list a))))
+  in
+  QCheck.Test.make ~name:"index count == shared_count" ~count:300
     (QCheck.make
-       ~print:(fun (a, b) ->
-         Printf.sprintf "[%s] [%s]"
-           (String.concat ";" (List.map string_of_int (Array.to_list a)))
-           (String.concat ";" (List.map string_of_int (Array.to_list b))))
-       (QCheck.Gen.pair (sorted_arr elem) (sorted_arr peer_elem)))
-    (fun (a, b) -> Bcp.Mux.stamped_count a b = Some (Bcp.Mux.shared_count a b))
+       ~print:(fun (a, ps, drop) ->
+         Printf.sprintf "cand %s peers %s drop %d" (print_arr a)
+           (String.concat " " (List.map print_arr ps))
+           drop)
+       QCheck.Gen.(
+         triple (sorted_arr cand_elem)
+           (list_size (int_range 1 6) peer)
+           (int_range 0 6)))
+    (fun (cand, peers, drop) ->
+      let m = Bcp.Mux.create (ring64 ()) ~lambda in
+      let peers = Array.of_list peers in
+      let n = Array.length peers in
+      (* peer i on link i, all under backup id 7; peer 0's array also on
+         link n, registered right after link 0 (as on the links of one
+         path), and an equal copy on link n + 1, registered last *)
+      let links =
+        (0, peers.(0)) :: (n, peers.(0))
+        :: List.init (n - 1) (fun i -> (i + 1, peers.(i + 1)))
+        @ [ (n + 1, Array.copy peers.(0)) ]
+      in
+      List.iter
+        (fun (link, p) ->
+          Bcp.Mux.register m ~link (peer_info ~bid:7 ~conn:(100 + link) p))
+        links;
+      let check live =
+        List.iter
+          (fun (link, p) ->
+            let k = Bcp.Mux.shared_count cand p in
+            if not (engine_count_is m ~link ~peer_len:(Array.length p) cand k)
+            then
+              QCheck.Test.fail_reportf "link %d: engine count is not %d" link k)
+          live
+      in
+      check links;
+      (* the first [drop] registrations leave; each link they free takes a
+         new array under a new id, which may reuse a freed entry *)
+      let gone = List.filteri (fun i _ -> i < drop) links
+      and kept = List.filteri (fun i _ -> i >= drop) links in
+      List.iter (fun (link, _) -> Bcp.Mux.unregister m ~link ~backup:7) gone;
+      let again =
+        List.map
+          (fun (link, p) ->
+            let n = Array.length p in
+            (link, if n > 0 then Array.sub p 1 (n - 1) else [| 5 |]))
+          gone
+      in
+      List.iter
+        (fun (link, p) ->
+          Bcp.Mux.register m ~link (peer_info ~bid:8 ~conn:(200 + link) p))
+        again;
+      check (kept @ again);
+      true)
 
 (* ---------------- unit cases ---------------- *)
 
-let test_stamped_fallbacks () =
-  let count = Alcotest.(option int) in
-  Alcotest.check count "negative components fall back to the merge" None
-    (Bcp.Mux.stamped_count [| -4; 2; 8 |] [| 2; 8 |]);
-  Alcotest.check count "out-of-range components fall back to the merge" None
-    (Bcp.Mux.stamped_count [| 2; 65_536 |] [| 2 |]);
-  Alcotest.check count "the last stampable encoding still stamps" (Some 1)
-    (Bcp.Mux.stamped_count [| 3; 65_535 |] [| -1; 65_535; 65_536 |]);
-  Alcotest.check count "empty candidate overlaps nothing" (Some 0)
-    (Bcp.Mux.stamped_count [||] [| 0; 1; 2 |]);
+(* Edge encodings on a 64-node ring (indexed range [0, 128)), each count
+   read back through the engine. *)
+let test_index_count_edges () =
+  let case what cand peer expected =
+    let m = Bcp.Mux.create (ring64 ()) ~lambda in
+    Bcp.Mux.register m ~link:0 (peer_info ~bid:1 ~conn:1 peer);
+    Alcotest.(check int) (what ^ ": reference") expected
+      (Bcp.Mux.shared_count cand peer);
+    Alcotest.(check bool) what true
+      (engine_count_is m ~link:0 ~peer_len:(Array.length peer) cand expected)
+  in
+  case "negative candidate encodings are skipped" [| -4; 2; 8 |] [| 2; 8 |] 2;
+  case "candidate encodings past the index are skipped" [| 2; 128 |] [| 2 |] 1;
+  case "far past the index" [| 2; 65_536 |] [| 2; 127 |] 1;
+  case "the last indexed encoding counts" [| 3; 127 |] [| 127 |] 1;
+  case "a peer past the index is merged" [| 3; 127; 128 |] [| -1; 127; 128 |] 2;
+  case "a negative peer is merged" [| -1; 3 |] [| -1; 3; 5 |] 2;
+  case "empty candidate overlaps nothing" [||] [| 0; 1; 2 |] 0;
+  case "empty peer overlaps nothing" [| 0; 1; 2 |] [||] 0;
   (* encodings around the 63-bit word boundaries of the former packed
      bitsets *)
-  Alcotest.check count "boundary overlap" (Some 3)
-    (Bcp.Mux.stamped_count [| 0; 62; 63; 125; 126 |] [| 62; 63; 64; 126 |])
+  case "boundary overlap" [| 0; 62; 63; 125; 126 |] [| 62; 63; 64; 126 |] 3
 
 let test_descriptive_lookup_errors () =
   let m = Bcp.Mux.create (Net.Builders.line ~nodes:2 ~capacity:10.0) ~lambda in
@@ -285,7 +408,7 @@ let test_descriptive_lookup_errors () =
 (* A backup id recycled with a different primary must be re-evaluated
    against its new primary, not the one it was first registered with. *)
 let test_bid_recycling_no_stale_cache () =
-  let m = Bcp.Mux.create (Net.Builders.line ~nodes:2 ~capacity:10.0) ~lambda in
+  let m = Bcp.Mux.create (ring64 ()) ~lambda in
   let nu = Reliability.Combinatorial.nu_of_degree ~lambda 1 in
   let mk bid cs =
     {
@@ -300,7 +423,7 @@ let test_bid_recycling_no_stale_cache () =
   let matches_reference what =
     Alcotest.(check (float 0.0))
       (what ^ ": incremental = recompute")
-      (Mux_ref.requirement m ~link:0)
+      (Mux_ref.requirement ~lambda m ~link:0)
       (Bcp.Mux.spare_requirement m ~link:0)
   in
   Bcp.Mux.register m ~link:0 (mk 1 [ 0; 2; 4 ]);
@@ -324,7 +447,7 @@ let test_bid_recycling_no_stale_cache () =
    must be the live 1.0, never the dead 10.0 (the engine once kept a
    lazy-deletion heap whose stale items could match a reborn bid). *)
 let test_heap_gen_collision () =
-  let m = Bcp.Mux.create (Net.Builders.ring ~nodes:4 ~capacity:100.0) ~lambda in
+  let m = Bcp.Mux.create (ring64 ()) ~lambda in
   let info ~bid ~conn ~bw ~comps =
     {
       Bcp.Mux.backup = bid;
@@ -344,15 +467,17 @@ let test_heap_gen_collision () =
   Bcp.Mux.unregister m ~link ~backup:2;
   Alcotest.(check (float 0.0))
     "incremental requirement survives bid-generation reuse"
-    (Mux_ref.requirement m ~link)
+    (Mux_ref.requirement ~lambda m ~link)
     (Bcp.Mux.spare_requirement m ~link)
 
-(* The registrant's stamps belong to one register call: A on links 0 and
-   2 with B registered in between, then A' (A's id, another primary) on
+(* The registrant's counts belong to its own array: A on links 0 and 2
+   with B registered in between, then A' (A's id, another primary) on
    link 3.  Each link holds a peer whose verdict flips if the registrant's
-   stamps are stale. *)
+   counts are stale.  A 128-node ring indexes every encoding used. *)
 let test_registrant_stamps_per_call () =
-  let m = Bcp.Mux.create (Net.Builders.ring ~nodes:4 ~capacity:100.0) ~lambda in
+  let m =
+    Bcp.Mux.create (Net.Builders.ring ~nodes:128 ~capacity:100.0) ~lambda
+  in
   let nu = Reliability.Combinatorial.nu_of_degree ~lambda 1 in
   let mk bid comps =
     {
@@ -368,7 +493,7 @@ let test_registrant_stamps_per_call () =
   let matches_reference what ~link =
     Alcotest.(check (float 0.0))
       (Printf.sprintf "%s: link %d incremental = recompute" what link)
-      (Mux_ref.requirement m ~link)
+      (Mux_ref.requirement ~lambda m ~link)
       (Bcp.Mux.spare_requirement m ~link)
   in
   let step what ~link info ~expected =
@@ -409,13 +534,13 @@ let z = [| 12; 14; 16 |]
 (* Removing the max contributor leaves exactly the next max; the last
    removal leaves exactly +0.0 and no victims. *)
 let test_requirement_after_removals () =
-  let m = Bcp.Mux.create (Net.Builders.ring ~nodes:4 ~capacity:100.0) ~lambda in
+  let m = Bcp.Mux.create (ring64 ()) ~lambda in
   let link = 0 in
   let check what ~expected ~victims =
     let got = Bcp.Mux.spare_requirement m ~link in
     Alcotest.(check (float 0.0))
       (what ^ ": incremental = recompute")
-      (Mux_ref.requirement m ~link) got;
+      (Mux_ref.requirement ~lambda m ~link) got;
     Alcotest.(check int64)
       (what ^ ": requirement bits")
       (Int64.bits_of_float expected) (Int64.bits_of_float got);
@@ -436,25 +561,29 @@ let test_requirement_after_removals () =
   check "empty" ~expected:0.0 ~victims:[]
 
 (* [probe_required] against the reference and the one-shot
-   [required_with]; the reference comes first, as it stamps nothing. *)
-let check_probe m what p cand ~link ~expected =
+   [required_with]; the reference comes first, as it counts nothing. *)
+let check_probe_ref m what p cand ~link =
   let got = Bcp.Mux.probe_required p ~link in
   Alcotest.(check (float 0.0))
     (Printf.sprintf "%s: link %d reference" what link)
     (Mux_ref.required_with_naive ~lambda (Bcp.Mux.on_link m ~link) cand)
     got;
   Alcotest.(check (float 0.0))
-    (Printf.sprintf "%s: link %d value" what link)
-    expected got;
-  Alcotest.(check (float 0.0))
     (Printf.sprintf "%s: link %d required_with" what link)
     (Bcp.Mux.required_with m ~link cand)
-    got
+    got;
+  got
 
-(* Two live probes take turns on the stamp array, with registrations in
-   between: each scan must count against its own candidate. *)
+let check_probe m what p cand ~link ~expected =
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "%s: link %d value" what link)
+    expected
+    (check_probe_ref m what p cand ~link)
+
+(* Two live probes take turns on the count scratch, with registrations
+   in between: each scan must count against its own candidate. *)
 let test_interleaved_probes () =
-  let m = Bcp.Mux.create (Net.Builders.ring ~nodes:4 ~capacity:100.0) ~lambda in
+  let m = Bcp.Mux.create (ring64 ()) ~lambda in
   Bcp.Mux.register m ~link:0 (solo ~bid:10 x);
   Bcp.Mux.register m ~link:1 (solo ~bid:11 y);
   let a = solo ~bid:1 x and b = solo ~bid:2 y in
@@ -470,24 +599,105 @@ let test_interleaved_probes () =
   Bcp.Mux.register m ~link:3 (solo ~bid:22 z);
   check_probe m "B right after a register" pb b ~link:1 ~expected:2.0
 
-(* A registrant whose top encoding lies past every earlier one grows the
-   stamp array between two scans of a live probe; the probe must stamp
-   the new array before its next scan.  Runs in a fresh domain, whose
-   stamp array starts empty. *)
-let test_stamp_array_growth () =
+(* Counts live in per-domain scratch.  The main domain counts for a
+   candidate; then, in a fresh domain whose scratch starts empty, a probe
+   of the same candidate array counts, and 40 registrations add entries
+   (the scratch grows while the probe's counts stay current) whose
+   arrays share one component with the candidate, which flips each
+   verdict at degree 1; the probe's next scans must see them.  Back in
+   the main domain, the first probe's counts predate those entries and
+   must be retaken. *)
+let test_count_in_fresh_domain () =
+  let m = Bcp.Mux.create (ring64 ()) ~lambda in
+  let a = solo ~bid:1 x in
+  Bcp.Mux.register m ~link:0 (solo ~bid:10 x);
+  let pa = Bcp.Mux.probe m a in
+  check_probe m "main domain" pa a ~link:0 ~expected:2.0;
   Domain.join
     (Domain.spawn (fun () ->
-         let m =
-           Bcp.Mux.create (Net.Builders.ring ~nodes:4 ~capacity:100.0) ~lambda
-         in
-         Bcp.Mux.register m ~link:0 (solo ~bid:10 x);
-         Bcp.Mux.register m ~link:1 (solo ~bid:11 x);
-         let a = solo ~bid:1 x in
-         let pa = Bcp.Mux.probe m a in
-         check_probe m "before growth" pa a ~link:0 ~expected:2.0;
-         Bcp.Mux.register m ~link:2
-           (solo ~bid:12 [| 50_000; 50_002; 50_004 |]);
-         check_probe m "after growth" pa a ~link:1 ~expected:2.0))
+         let pb = Bcp.Mux.probe m a in
+         check_probe m "before growth" pb a ~link:0 ~expected:2.0;
+         for i = 1 to 40 do
+           Bcp.Mux.register m ~link:(1 + (i mod 8))
+             (solo ~bid:(100 + i) [| 0; 20 + (2 * i); 21 + (2 * i) |])
+         done;
+         for link = 1 to 8 do
+           check_probe m "after growth" pb a ~link ~expected:6.0
+         done));
+  for link = 1 to 8 do
+    check_probe m "main domain after growth" pa a ~link ~expected:6.0
+  done
+
+(* Counts belong to one engine: a candidate counted on one engine, then
+   scanned on another that gained entries meanwhile, counts again. *)
+let test_counts_follow_their_engine () =
+  let m1 = Bcp.Mux.create (ring64 ()) ~lambda
+  and m2 = Bcp.Mux.create (ring64 ()) ~lambda in
+  let a = solo ~bid:1 x in
+  Bcp.Mux.register m1 ~link:0 (solo ~bid:10 y);
+  Bcp.Mux.register m2 ~link:0 (solo ~bid:10 y);
+  let p1 = Bcp.Mux.probe m1 a and p2 = Bcp.Mux.probe m2 a in
+  check_probe m1 "engine 1" p1 a ~link:0 ~expected:1.0;
+  check_probe m2 "engine 2" p2 a ~link:0 ~expected:1.0;
+  Bcp.Mux.register m1 ~link:1 (solo ~bid:11 z);
+  Bcp.Mux.register m2 ~link:1 (solo ~bid:11 x);
+  check_probe m1 "engine 1 after a register" p1 a ~link:1 ~expected:1.0;
+  check_probe m2 "engine 2 after a register" p2 a ~link:1 ~expected:2.0
+
+(* Register / unregister / probe sequences, checked against the
+   reference after every step: every link's requirement, and every live
+   probe's answer on every link (at most four probes live at once, so
+   their scans interleave with each other and with the updates). *)
+let prop_sequence_matches_reference =
+  QCheck.Test.make ~name:"register/unregister/probe == reference at every step"
+    ~count:100 arbitrary_ops (fun (nodes, ops) ->
+      let nlinks = nodes in
+      let m = Bcp.Mux.create (ring40 ()) ~lambda in
+      let model = Hashtbl.create 16 in
+      let entries link =
+        Option.value ~default:[] (Hashtbl.find_opt model link)
+      in
+      let probes = ref [] in
+      let audit step =
+        for link = 0 to nlinks - 1 do
+          check_link m ~link;
+          List.iter
+            (fun (cand, p) ->
+              check_exact
+                (Printf.sprintf "step %d: probe %d on link %d" step
+                   cand.Bcp.Mux.backup link)
+                (required_with_naive (entries link) cand)
+                (Bcp.Mux.probe_required p ~link))
+            !probes
+        done
+      in
+      List.iteri
+        (fun step o ->
+          let link = o.link mod nlinks in
+          let info =
+            info_of ~bid:o.bid ~degree:o.degree ~family:o.family
+              ~variant:o.variant ~bw_idx:o.bw_idx
+          in
+          (match o.kind with
+          | 0 | 1 ->
+            if not (Bcp.Mux.mem m ~link ~backup:o.bid) then begin
+              Bcp.Mux.register m ~link info;
+              Hashtbl.replace model link (entries link @ [ info ])
+            end
+          | 2 ->
+            Bcp.Mux.unregister m ~link ~backup:o.bid;
+            Hashtbl.replace model link
+              (List.filter
+                 (fun (e : Bcp.Mux.backup_info) -> e.backup <> o.bid)
+                 (entries link))
+          | _ ->
+            let cand = { info with Bcp.Mux.backup = 100 + step } in
+            probes :=
+              (cand, Bcp.Mux.probe m cand)
+              :: List.filteri (fun i _ -> i < 3) !probes);
+          audit step)
+        ops;
+      true)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -496,11 +706,17 @@ let () =
     [
       ( "reference",
         qsuite
-          [ prop_matches_reference; prop_probe_matches; prop_stamped_overlap ]
+          [
+            prop_matches_reference;
+            prop_probe_matches;
+            prop_index_count;
+            prop_sequence_matches_reference;
+          ]
       );
       ( "units",
         [
-          Alcotest.test_case "stamped fallbacks" `Quick test_stamped_fallbacks;
+          Alcotest.test_case "index count edge cases" `Quick
+            test_index_count_edges;
           Alcotest.test_case "descriptive lookup errors" `Quick
             test_descriptive_lookup_errors;
           Alcotest.test_case "bid recycling vs S-cache" `Quick
@@ -512,6 +728,9 @@ let () =
           Alcotest.test_case "requirement after removals" `Quick
             test_requirement_after_removals;
           Alcotest.test_case "interleaved probes" `Quick test_interleaved_probes;
-          Alcotest.test_case "stamp array growth" `Quick test_stamp_array_growth;
+          Alcotest.test_case "count in a fresh domain" `Quick
+            test_count_in_fresh_domain;
+          Alcotest.test_case "counts follow their engine" `Quick
+            test_counts_follow_their_engine;
         ] );
     ]

@@ -160,12 +160,13 @@ let test_rnmp_hop_slack_respected () =
   Alcotest.(check int) "detour within slack" 3 (Rtchan.Channel.hops ch2)
 
 let test_rnmp_disabled_by () =
-  let m = Rtchan.Rnmp.create (mesh33 ()) in
+  let topo = mesh33 () in
+  let m = Rtchan.Rnmp.create topo in
   let ch =
     Result.get_ok
       (Rtchan.Rnmp.establish m ~src:0 ~dst:2 ~traffic:bw1 ~qos:Rtchan.Qos.default)
   in
-  let mid = List.nth (Net.Path.nodes (Rtchan.Rnmp.topology m) ch.Rtchan.Channel.path) 1 in
+  let mid = List.nth (Net.Path.nodes topo ch.Rtchan.Channel.path) 1 in
   Alcotest.(check (list int)) "disabled by middle node" [ ch.Rtchan.Channel.id ]
     (Rtchan.Rnmp.channels_disabled_by m [ Net.Component.Node mid ]);
   Alcotest.(check (list int)) "not disabled by far node" []
@@ -237,6 +238,90 @@ let prop_establish_teardown_conserves =
         Rtchan.Resource.total_primary (Rtchan.Rnmp.resources m) = 0.0
         && Rtchan.Rnmp.channel_count m = 0)
 
+(* RNMP's link and node indexes against a list model: after every
+   establish or teardown, each link's and node's channels, newest first,
+   and the channels a random component set disables, equal what the
+   model's paths say.  Ops: [(true, (src, dst))] establishes on a 3x3
+   torus; [(false, (k, _))] tears down the k-th oldest live channel (or a
+   dead id, which must be ignored). *)
+let prop_rnmp_index_model =
+  QCheck.Test.make ~name:"link/node indexes = list model" ~count:100
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 1 60)
+           (pair bool (pair (int_bound 8) (int_bound 8))))
+        (list_of_size Gen.(int_range 0 4) (pair bool (int_bound 17))))
+    (fun (ops, failed) ->
+      let topo = Net.Builders.torus ~rows:3 ~cols:3 ~capacity:1000.0 in
+      let m = Rtchan.Rnmp.create topo in
+      (* live channels, newest first: (id, links, nodes) *)
+      let model = ref [] in
+      let failed =
+        List.map
+          (fun (is_link, i) ->
+            if is_link then Net.Component.Link i
+            else Net.Component.Node (i mod 9))
+          failed
+      in
+      let check step =
+        let ids pick =
+          List.map (fun (id, _, _) -> id) (List.filter pick !model)
+        in
+        for l = 0 to Net.Topology.num_links topo - 1 do
+          if
+            Rtchan.Rnmp.channels_on_link m l
+            <> ids (fun (_, links, _) -> List.mem l links)
+          then QCheck.Test.fail_reportf "step %d: link %d" step l
+        done;
+        for v = 0 to Net.Topology.num_nodes topo - 1 do
+          if
+            Rtchan.Rnmp.channels_through_node m v
+            <> ids (fun (_, _, nodes) -> List.mem v nodes)
+          then QCheck.Test.fail_reportf "step %d: node %d" step v
+        done;
+        let disabled =
+          ids (fun (_, links, nodes) ->
+              List.exists
+                (function
+                  | Net.Component.Link l -> List.mem l links
+                  | Net.Component.Node v -> List.mem v nodes)
+                failed)
+        in
+        if
+          Rtchan.Rnmp.channels_disabled_by m failed
+          <> List.sort_uniq Int.compare disabled
+        then QCheck.Test.fail_reportf "step %d: disabled_by" step;
+        if Rtchan.Rnmp.channel_count m <> List.length !model then
+          QCheck.Test.fail_reportf "step %d: channel count" step
+      in
+      List.iteri
+        (fun step (establish, (a, b)) ->
+          (if establish then begin
+             if a <> b then
+               match
+                 Rtchan.Rnmp.establish m ~src:a ~dst:b ~traffic:bw1
+                   ~qos:Rtchan.Qos.default
+               with
+               | Error _ -> QCheck.Test.fail_reportf "step %d: rejected" step
+               | Ok ch ->
+                 let p = ch.Rtchan.Channel.path in
+                 model :=
+                   ( ch.Rtchan.Channel.id,
+                     Net.Path.links p,
+                     Net.Path.nodes topo p )
+                   :: !model
+           end
+           else
+             let oldest_first = List.rev !model in
+             match List.nth_opt oldest_first a with
+             | Some (id, _, _) ->
+               Rtchan.Rnmp.teardown m id;
+               model := List.filter (fun (i, _, _) -> i <> id) !model
+             | None -> Rtchan.Rnmp.teardown m (1000 + a));
+          check step)
+        ops;
+      true)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -277,5 +362,6 @@ let () =
           Alcotest.test_case "hop delay bound" `Quick test_hop_delay_bound;
           Alcotest.test_case "delay test" `Quick test_delay_test;
         ] );
-      qsuite "props" [ prop_establish_teardown_conserves ];
+      qsuite "props"
+        [ prop_establish_teardown_conserves; prop_rnmp_index_model ];
     ]

@@ -268,7 +268,7 @@ let torus4 () =
 let sweep ?(jobs = 1) () =
   Sim.Pool.set_jobs jobs;
   let est = torus4 () in
-  let obs = Eval.Telemetry.create () in
+  let obs = Eval.Telemetry.create ~events:true in
   let stats =
     Eval.Recovery_delay.measure ~obs ~seed:11 ~scenario_count:4
       est.Eval.Setup.ns
@@ -321,7 +321,7 @@ let test_recovery_telemetry_parallel_identical () =
     (Eval.Telemetry.events obs_s = Eval.Telemetry.events obs_p)
 
 let test_setup_mux_sink () =
-  let obs = Eval.Telemetry.create () in
+  let obs = Eval.Telemetry.create ~events:true in
   let est =
     Eval.Setup.build ~obs ~seed:42 ~backups:1 ~mux_degree:3 Eval.Setup.Torus4
   in
@@ -378,7 +378,7 @@ let test_observation_passive (Experiment run) () =
   let plain = run () in
   let observed jobs =
     Sim.Pool.set_jobs jobs;
-    let obs = Eval.Telemetry.create () in
+    let obs = Eval.Telemetry.create ~events:true in
     let outcome = run ~obs () in
     Sim.Pool.set_jobs 1;
     (outcome, Eval.Telemetry.metrics obs, Eval.Telemetry.events obs)
