@@ -49,13 +49,18 @@ let get_cost_ws num_links =
    primary search ({!Rtchan.Rnmp.establish}) and every backup search. *)
 let admission_checks = Sim.Prof.counter "establish.admission_checks"
 
+(* The connection's primary, encoded once for every admission probe and
+   registration of its backups. *)
+let primary_components ns conn =
+  Mux.encode_path (Netstate.topology ns) conn.Dconn.primary.Rtchan.Channel.path
+
 (* Route one backup disjoint from [avoid], admissible at threshold [nu],
    optionally avoiding failed components.  [strategy] picks between the
    paper's shortest-path search and the spare-increment-minimising
    extension. *)
 let route_backup ?reference ?(strategy = Min_hops)
-    ?(avoid_components = Net.Component.Set.empty) ns ~conn ~bid ~serial ~nu
-    ~avoid =
+    ?(avoid_components = Net.Component.Set.empty) ns ~conn ~components ~bid
+    ~serial ~nu ~avoid =
   let topo = Netstate.topology ns in
   let src = conn.Dconn.src and dst = conn.Dconn.dst in
   let info =
@@ -65,9 +70,7 @@ let route_backup ?reference ?(strategy = Min_hops)
       serial;
       nu;
       bw = Dconn.bandwidth conn;
-      primary_components =
-        Mux.encode_components
-          (Net.Path.components topo conn.Dconn.primary.Rtchan.Channel.path);
+      primary_components = components;
     }
   in
   (* One admission probe per candidate: every link's conflict prefilter
@@ -86,12 +89,15 @@ let route_backup ?reference ?(strategy = Min_hops)
   let num_nodes = Net.Topology.num_nodes topo in
   let num_links = Net.Topology.num_links topo in
   let disjoint_banned = Net.Component.Mask.scratch ~num_nodes ~num_links in
-  Net.Component.Mask.add_set disjoint_banned avoid_components;
-  List.iter
-    (fun p ->
-      Net.Component.Mask.add_set disjoint_banned
-        (Net.Path.interior_components topo p))
-    avoid;
+  (* An id outside the topology lies on no path. *)
+  let in_range = function
+    | Net.Component.Node v -> v >= 0 && v < num_nodes
+    | Net.Component.Link l -> l >= 0 && l < num_links
+  in
+  Net.Component.Set.iter
+    (fun c -> if in_range c then Net.Component.Mask.add disjoint_banned c)
+    avoid_components;
+  List.iter (fun p -> Net.Path.mask_interior topo p disjoint_banned) avoid;
   let feasibility_link_ok l =
     not (Net.Component.Mask.mem_link disjoint_banned l.Net.Topology.id)
   in
@@ -134,11 +140,7 @@ let route_backup ?reference ?(strategy = Min_hops)
          among equals.  Interior components of the connection's other
          channels stay off limits. *)
       let banned = Net.Component.Mask.scratch ~num_nodes ~num_links in
-      List.iter
-        (fun p ->
-          Net.Component.Mask.add_set banned
-            (Net.Path.interior_components topo p))
-        avoid;
+      List.iter (fun p -> Net.Path.mask_interior topo p banned) avoid;
       let mux = Netstate.mux ns in
       let epsilon_hop = 1e-6 *. Float.max 1.0 info.Mux.bw in
       let ws = get_cost_ws num_links in
@@ -174,10 +176,10 @@ let route_backup ?reference ?(strategy = Min_hops)
 (* Add a routed backup to the connection and the network tables.  The
    span isolates the registration share of establishment (mux table
    insertion dominates it) from the routing searches around it. *)
-let attach ns conn backup =
+let attach ns conn backup ~components =
   Sim.Prof.span "establish.register" @@ fun () ->
   conn.Dconn.backups <- conn.Dconn.backups @ [ backup ];
-  Netstate.register_backup ns conn backup
+  Netstate.register_backup ns conn backup ~primary_components:components
 
 let detach ns conn backup =
   Netstate.unregister_backup ns conn backup;
@@ -215,6 +217,7 @@ let establish ?reference ?backup_routing ns ~conn_id request =
       Reliability.Combinatorial.nu_of_degree ~lambda:(Netstate.lambda ns)
         request.mux_degree
     in
+    let components = primary_components ns conn in
     let rec add_backups serial =
       if serial > request.backups then Ok ()
       else begin
@@ -224,13 +227,13 @@ let establish ?reference ?backup_routing ns ~conn_id request =
         in
         match
           Sim.Prof.span "establish.backup_route" (fun () ->
-              route_backup ?reference ?strategy:backup_routing ns ~conn ~bid
-                ~serial ~nu ~avoid)
+              route_backup ?reference ?strategy:backup_routing ns ~conn
+                ~components ~bid ~serial ~nu ~avoid)
         with
         | None -> Error (Backup_rejected serial)
         | Some path ->
           let b = { Dconn.bid; serial; path; nu; state = Dconn.Standby } in
-          attach ns conn b;
+          attach ns conn b ~components;
           add_backups (serial + 1)
       end
     in
@@ -263,14 +266,15 @@ let add_backup ?avoid_components ns conn ~mux_degree =
            | Dconn.Broken | Dconn.Closed -> None)
          conn.Dconn.backups
   in
+  let components = primary_components ns conn in
   match
-    route_backup ?avoid_components ns ~conn ~bid ~serial ~nu
+    route_backup ?avoid_components ns ~conn ~components ~bid ~serial ~nu
       ~avoid:live_paths
   with
   | None -> Error (Backup_rejected serial)
   | Some path ->
     let b = { Dconn.bid; serial; path; nu; state = Dconn.Standby } in
-    attach ns conn b;
+    attach ns conn b ~components;
     Ok b
 
 let rec establish_offered ns ~conn_id request =
@@ -335,6 +339,7 @@ let establish_with_reliability ?(max_backups = 3) ns ~conn_id ~src
         target_backups = max_backups;
       }
     in
+    let components = primary_components ns conn in
     let rollback () =
       List.iter (fun b -> Netstate.unregister_backup ns conn b) conn.Dconn.backups;
       Rtchan.Rnmp.teardown rnmp primary.Rtchan.Channel.id;
@@ -354,11 +359,11 @@ let establish_with_reliability ?(max_backups = 3) ns ~conn_id ~src
             primary.Rtchan.Channel.path
             :: List.map (fun b -> b.Dconn.path) conn.Dconn.backups
           in
-          match route_backup ns ~conn ~bid ~serial ~nu ~avoid with
+          match route_backup ns ~conn ~components ~bid ~serial ~nu ~avoid with
           | None -> scan (alpha - 1) best_fallback
           | Some path ->
             let b = { Dconn.bid; serial; path; nu; state = Dconn.Standby } in
-            attach ns conn b;
+            attach ns conn b ~components;
             let pr = achieved_pr ns conn in
             if Reliability.Combinatorial.pr_requirement_met ~required:pr_required ~achieved:pr
             then Some (b, pr, true)
@@ -388,7 +393,7 @@ let establish_with_reliability ?(max_backups = 3) ns ~conn_id ~src
         | Some (b, _, false) ->
           (* Keep the most protective feasible backup and try to close the
              gap with another one. *)
-          attach ns conn b;
+          attach ns conn b ~components;
           grow (serial + 1)
     in
     if

@@ -7,16 +7,27 @@ type backup_info = {
   primary_components : int array;
 }
 
-let encode_component = function
-  | Net.Component.Node v -> 2 * v
-  | Net.Component.Link l -> (2 * l) + 1
-
-let encode_components set =
-  let a =
-    Array.of_list (List.map encode_component (Net.Component.Set.elements set))
-  in
+(* The path's nodes (its source, then the node each link enters) as
+   [2v] and its links as [2l + 1], sorted, with any repeat dropped: the
+   encoding of [Net.Path.components], built without the set. *)
+let encode_path topo (p : Net.Path.t) =
+  let links = p.Net.Path.links in
+  let h = Array.length links in
+  let a = Array.make ((2 * h) + 1) (2 * p.Net.Path.src) in
+  for i = 0 to h - 1 do
+    let l = links.(i) in
+    a.((2 * i) + 1) <- (2 * l) + 1;
+    a.((2 * i) + 2) <- 2 * (Net.Topology.link_unsafe topo l).Net.Topology.dst
+  done;
   Array.sort Int.compare a;
-  a
+  let n = ref 1 in
+  for i = 1 to Array.length a - 1 do
+    if a.(i) <> a.(!n - 1) then begin
+      a.(!n) <- a.(i);
+      incr n
+    end
+  done;
+  if !n = Array.length a then a else Array.sub a 0 !n
 
 (* Reference intersection count: two-pointer merge over the sorted encoded
    arrays.  The engine counts through its primary index instead and uses

@@ -60,8 +60,10 @@ type backup_info = {
           passed in *)
 }
 
-val encode_components : Net.Component.Set.t -> int array
-(** Sorted encoding for fast intersection counting. *)
+val encode_path : Net.Topology.t -> Net.Path.t -> int array
+(** The path's components ({!Net.Path.components}: every node, endpoints
+    included, and every link), encoded as a sorted, duplicate-free array
+    for fast intersection counting. *)
 
 val shared_count : int array -> int array -> int
 (** Intersection size of two sorted, duplicate-free encoded-component

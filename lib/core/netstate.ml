@@ -70,16 +70,14 @@ let generation t = t.generation
 
 let bump t = t.generation <- t.generation + 1
 
-let backup_info_of t (conn : Dconn.t) (b : Dconn.backup) =
+let backup_info_of (conn : Dconn.t) (b : Dconn.backup) ~primary_components =
   {
     Mux.backup = b.Dconn.bid;
     conn = conn.Dconn.id;
     serial = b.Dconn.serial;
     nu = b.Dconn.nu;
     bw = Dconn.bandwidth conn;
-    primary_components =
-      Mux.encode_components
-        (Net.Path.components t.topo conn.Dconn.primary.Rtchan.Channel.path);
+    primary_components;
   }
 
 let refresh_spare t ~link =
@@ -90,9 +88,9 @@ let refresh_spare t ~link =
     let req = Mux.spare_requirement t.mux ~link in
     Rtchan.Resource.set_spare (resources t) link req
 
-let register_backup t conn (b : Dconn.backup) =
+let register_backup t conn (b : Dconn.backup) ~primary_components =
   bump t;
-  let info = backup_info_of t conn b in
+  let info = backup_info_of conn b ~primary_components in
   List.iter
     (fun link ->
       Mux.register t.mux ~link info;
@@ -149,6 +147,12 @@ let remove_dconn t id =
     Ids.Slab.clear_id t.by_primary conn.Dconn.primary.Rtchan.Channel.id;
     Hashtbl.remove t.dconns id
 
+let replace_primary t (conn : Dconn.t) ch =
+  bump t;
+  Ids.Slab.clear_id t.by_primary conn.Dconn.primary.Rtchan.Channel.id;
+  conn.Dconn.primary <- ch;
+  Ids.Slab.set t.by_primary ch.Rtchan.Channel.id (Some conn)
+
 let find t id = Hashtbl.find_opt t.dconns id
 let dconns t = Hashtbl.fold (fun _ c acc -> c :: acc) t.dconns []
 let dconn_count t = Hashtbl.length t.dconns
@@ -158,16 +162,31 @@ let spare_pool t =
       Rtchan.Resource.spare (resources t) l)
 
 let backups_using t comp =
-  let bids =
+  let index, i =
     match comp with
-    | Net.Component.Link l -> Ids.Ivec.to_list_rev t.backups_on_link.(l)
-    | Net.Component.Node v -> Ids.Ivec.to_list_rev t.backups_through_node.(v)
+    | Net.Component.Link l -> (t.backups_on_link, l)
+    | Net.Component.Node v -> (t.backups_through_node, v)
   in
-  List.filter_map (fun bid -> Ids.Slab.get t.by_bid bid) bids
+  (* An id outside the topology lies on no path. *)
+  if i < 0 || i >= Array.length index then []
+  else
+    List.filter_map
+      (fun bid -> Ids.Slab.get t.by_bid bid)
+      (Ids.Ivec.to_list_rev index.(i))
 
+(* RNMP lists a component's channels newest first, and channel ids are
+   issued in increasing order, so each list is strictly descending: the
+   consing fold yields them ascending with no sort. *)
 let conns_with_primary_on t comp =
-  let ids = Rtchan.Rnmp.channels_disabled_by t.rnmp [ comp ] in
-  List.filter_map (fun cid -> Ids.Slab.get t.by_primary cid) ids
+  let ids =
+    match comp with
+    | Net.Component.Link l -> Rtchan.Rnmp.channels_on_link t.rnmp l
+    | Net.Component.Node v -> Rtchan.Rnmp.channels_through_node t.rnmp v
+  in
+  List.fold_left
+    (fun acc cid ->
+      match Ids.Slab.get t.by_primary cid with Some c -> c :: acc | None -> acc)
+    [] ids
 
 let network_load t = Rtchan.Resource.network_load (resources t)
 let spare_fraction t = Rtchan.Resource.spare_fraction (resources t)

@@ -26,8 +26,8 @@ val create :
 
 val generation : t -> int
 (** Network-wide mutation counter.  Every mutator of this module bumps
-    it: {!add_dconn}, {!remove_dconn}, {!register_backup} and
-    {!unregister_backup}.  State derived from the whole network and
+    it: {!add_dconn}, {!remove_dconn}, {!replace_primary},
+    {!register_backup} and {!unregister_backup}.  State derived from the whole network and
     cached under (physical netstate, generation) — {!Simnet}'s channel
     template — is stale as soon as the generation moves. *)
 
@@ -52,13 +52,23 @@ val remove_dconn : t -> int -> unit
 (** Tear down a connection completely: primary bandwidth, every backup's
     multiplexing registration, and the registry entry. *)
 
+val replace_primary : t -> Dconn.t -> Rtchan.Channel.t -> unit
+(** Make an established channel the registered connection's primary (a
+    promoted backup, Section 4.4), so {!conns_with_primary_on} finds the
+    connection on the new primary's components and no longer on the old
+    one's. *)
+
 val find : t -> int -> Dconn.t option
 val dconns : t -> Dconn.t list
 val dconn_count : t -> int
 
-val register_backup : t -> Dconn.t -> Dconn.backup -> unit
+val register_backup :
+  t -> Dconn.t -> Dconn.backup -> primary_components:int array -> unit
 (** Enter a routed backup into the multiplexing tables of every link on
-    its path and update the links' spare reservations per the policy. *)
+    its path and update the links' spare reservations per the policy.
+    [primary_components] is {!Mux.encode_path} of the connection's
+    primary, encoded once by the caller for its admission probes and
+    this registration. *)
 
 val unregister_backup : t -> Dconn.t -> Dconn.backup -> unit
 (** Remove from the tables and shrink spare reservations accordingly. *)
@@ -77,10 +87,13 @@ val spare_pool : t -> float array
     backups draw from during recovery. *)
 
 val backups_using : t -> Net.Component.t -> (Dconn.t * Dconn.backup) list
-(** Backups whose path crosses the component. *)
+(** Backups whose path crosses the component, newest first; [[]] for a
+    component outside the topology.  Every [Standby] backup is listed on
+    each node and link of its path. *)
 
 val conns_with_primary_on : t -> Net.Component.t -> Dconn.t list
-(** Connections whose primary path crosses the component. *)
+(** Connections whose primary path crosses the component, by ascending
+    primary channel id; [[]] for a component outside the topology. *)
 
 val network_load : t -> float
 val spare_fraction : t -> float

@@ -80,7 +80,7 @@ let promote ns conn (b : Dconn.backup) =
     with
     | Error _ -> (false, !closed_total)
     | Ok ch ->
-      conn.Dconn.primary <- ch;
+      Netstate.replace_primary ns conn ch;
       conn.Dconn.primary_alive <- true;
       (true, !closed_total)
 

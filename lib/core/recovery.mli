@@ -10,7 +10,21 @@
     netstate itself.  Many failure scenarios can therefore be evaluated on
     one established network, and {!simulate} and {!affected_conns} may run
     concurrently on several domains over one shared netstate (as long as
-    nothing mutates it meanwhile). *)
+    nothing mutates it meanwhile).
+
+    A scenario's work is proportional to what the failure touches, read
+    from the failed components' own indexes.  The affected connections
+    come from RNMP's per-component channel lists, which are already in
+    descending channel-id order, so no sort is needed.  The backups
+    broken by the failure are the ones {!Netstate.backups_using} lists on
+    the failed components.  They are stamped with the scenario's epoch, and
+    a standby backup is healthy iff it is unstamped, so no candidate
+    backup's path is walked.  On the 20 480 single-link and single-node
+    scenarios of the loaded 64×64 torus (perfbench rfast64), a scenario
+    takes ≈12 µs in-process, against ≈21 µs when each candidate backup's
+    path was walked and the affected channels sorted (2-vCPU Xeon,
+    OCaml 5.1.1, dev profile).  Pool loading, fit and draw over the
+    tried backups' links are most of what is left. *)
 
 (** Order in which failed connections attempt activation. *)
 type order =
@@ -48,9 +62,15 @@ val simulate :
 (** Activate the affected connections' healthy standby backups one
     connection at a time in [order], each drawing its bandwidth from every
     link of the first backup whose links all still have it.  A scenario
-    allocates only in proportion to the connections it affects. *)
+    allocates only in proportion to the connections it affects.  Each
+    call adds to the [Sim.Prof] counters [recovery.scenarios],
+    [recovery.affected], [recovery.excluded], [recovery.backups_tried]
+    (healthy standby backups whose pools were tested) and
+    [recovery.activations]. *)
 
 val affected_conns :
   Netstate.t -> failed:Net.Component.t list -> Dconn.t list * int
 (** Connections whose primary is disabled (excluded end-node failures
-    removed), and the number excluded. *)
+    removed), and the number excluded.  They are listed in [failed]
+    order, by ascending primary channel id within one component, each at
+    its first occurrence. *)

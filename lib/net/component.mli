@@ -25,7 +25,6 @@ module Mask : sig
   type mask
 
   val add : mask -> t -> unit
-  val add_set : mask -> Set.t -> unit
   val is_empty : mask -> bool
   (** No component added since the last reset. *)
 

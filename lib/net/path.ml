@@ -59,6 +59,15 @@ let interior_components topo t =
   in
   Array.fold_left (fun acc id -> Component.Set.add (Component.Link id) acc) s t.links
 
+let mask_interior topo t mask =
+  let h = hops t in
+  for i = 0 to h - 1 do
+    Component.Mask.add mask (Component.Link t.links.(i));
+    if i < h - 1 then
+      Component.Mask.add mask
+        (Component.Node (Topology.link topo t.links.(i)).Topology.dst)
+  done
+
 let uses_link t id = Array.exists (fun l -> l = id) t.links
 
 let uses_node topo t v =

@@ -32,9 +32,11 @@ val components : Topology.t -> t -> Component.Set.t
     paper's component set of a channel, so [Component.Set.cardinal]
     equals [c(M)] = 2·hops + 1. *)
 
-val interior_components : Topology.t -> t -> Component.Set.t
-(** Components whose failure disables the channel without disabling an
-    end system: all links plus intermediate nodes. *)
+val mask_interior : Topology.t -> t -> Component.Mask.mask -> unit
+(** Add the path's interior components to the mask: those whose failure
+    disables the channel without disabling an end system, that is every
+    link plus the intermediate nodes.  Read straight off the link array,
+    with no set built. *)
 
 val uses_component : Topology.t -> t -> Component.t -> bool
 val uses_link : t -> int -> bool

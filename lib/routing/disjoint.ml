@@ -17,10 +17,7 @@ let narrowed topo cs avoid =
       ~num_nodes:(Net.Topology.num_nodes topo)
       ~num_links:(Net.Topology.num_links topo)
   in
-  List.iter
-    (fun p ->
-      Net.Component.Mask.add_set banned (Net.Path.interior_components topo p))
-    avoid;
+  List.iter (fun p -> Net.Path.mask_interior topo p banned) avoid;
   let link_ok l =
     cs.link_ok l
     && not (Net.Component.Mask.mem_link banned l.Net.Topology.id)

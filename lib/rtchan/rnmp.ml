@@ -102,13 +102,3 @@ let channels_in index i =
 
 let channels_on_link t l = channels_in t.on_link l
 let channels_through_node t v = channels_in t.through_node v
-
-let channels_disabled_by t failed =
-  let ids =
-    List.concat_map
-      (function
-        | Net.Component.Link l -> channels_on_link t l
-        | Net.Component.Node v -> channels_through_node t v)
-      failed
-  in
-  List.sort_uniq Int.compare ids

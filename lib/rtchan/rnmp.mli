@@ -45,12 +45,10 @@ val teardown : t -> Channel.id -> unit
 val channel_count : t -> int
 
 val channels_on_link : t -> int -> Channel.id list
-(** Ids of the channels crossing the link, newest first; [[]] for an
-    unknown link. *)
+(** Ids of the channels crossing the link, newest first (ids are issued
+    in increasing order, so the list is strictly decreasing); [[]] for
+    an unknown link. *)
 
 val channels_through_node : t -> int -> Channel.id list
 (** Ids of the channels whose path visits the node (end nodes included),
-    newest first; [[]] for an unknown node. *)
-
-val channels_disabled_by : t -> Net.Component.t list -> Channel.id list
-(** Deduplicated ids of channels whose path crosses any failed component. *)
+    newest first, so strictly decreasing; [[]] for an unknown node. *)

@@ -1,8 +1,9 @@
 (* Reference twin of [Bcp.Recovery]'s scenario engine: the list- and
-   Set-based implementation it replaced, kept verbatim so the fuzzers in
+   Set-based implementation it replaced, so the fuzzers in
    [test_recovery] can require full [result] equality against the
-   overlay/mask engine.  Slow by design: it copies every spare pool and
-   builds a component set per candidate backup. *)
+   stamped engine.  Slow by design: it copies every spare pool, builds a
+   component set per candidate backup, and finds affected connections
+   from RNMP's channel lists, not from the netstate's indexes. *)
 
 open Bcp
 open Recovery
@@ -12,10 +13,22 @@ let failed_nodes failed =
     (function Net.Component.Node v -> Some v | Net.Component.Link _ -> None)
     failed
 
+(* Per component in [failed] order, the connections whose current primary
+   crosses it by ascending primary channel id: RNMP's disabled-channel
+   query against a table of every registered connection's primary, so
+   the netstate's own primary index is not consulted. *)
 let affected_conns ns ~failed =
   let dead_nodes = failed_nodes failed in
+  let by_primary = Hashtbl.create 64 in
+  List.iter
+    (fun conn -> Hashtbl.replace by_primary conn.Dconn.primary.Rtchan.Channel.id conn)
+    (Netstate.dconns ns);
   let candidates =
-    List.concat_map (fun c -> Netstate.conns_with_primary_on ns c) failed
+    List.concat_map
+      (fun c ->
+        List.filter_map (Hashtbl.find_opt by_primary)
+          (Rnmp_ref.channels_disabled_by (Netstate.rnmp ns) [ c ]))
+      failed
   in
   let seen = Hashtbl.create 64 in
   let distinct =

@@ -165,6 +165,23 @@ let test_conns_with_primary_on () =
   Alcotest.(check int) "one" 1 (List.length found);
   Alcotest.(check int) "id" 0 (List.hd found).Bcp.Dconn.id
 
+let test_indexes_outside_topology () =
+  let ns = ns44 () in
+  ignore (establish_exn ns 0 (request ~backups:1 0 5));
+  List.iter
+    (fun comp ->
+      let name = Net.Component.to_string comp in
+      Alcotest.(check int) ("no backups on " ^ name) 0
+        (List.length (Bcp.Netstate.backups_using ns comp));
+      Alcotest.(check int) ("no primaries on " ^ name) 0
+        (List.length (Bcp.Netstate.conns_with_primary_on ns comp)))
+    [
+      Net.Component.Link 9999;
+      Net.Component.Link (-1);
+      Net.Component.Node 9999;
+      Net.Component.Node (-1);
+    ]
+
 let test_add_backup_after_establishment () =
   let ns = ns44 () in
   let c = establish_exn ns 0 (request ~backups:1 0 5) in
@@ -323,6 +340,8 @@ let () =
           Alcotest.test_case "backups_using" `Quick test_backups_using_index;
           Alcotest.test_case "conns_with_primary_on" `Quick
             test_conns_with_primary_on;
+          Alcotest.test_case "indexes outside the topology" `Quick
+            test_indexes_outside_topology;
           Alcotest.test_case "add_backup" `Quick test_add_backup_after_establishment;
         ] );
       ( "reliability-negotiation",

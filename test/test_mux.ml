@@ -26,8 +26,17 @@ let nu_of d = Reliability.Combinatorial.nu_of_degree ~lambda d
 let test_encode_components () =
   let t = Net.Builders.line ~nodes:3 ~capacity:1.0 in
   let p = Net.Path.make t ~src:0 ~dst:2 ~links:[ 0; 2 ] in
-  let enc = Bcp.Mux.encode_components (Net.Path.components t p) in
+  let enc = Bcp.Mux.encode_path t p in
   Alcotest.(check int) "c(M) = 2 hops + 1" 5 (Array.length enc);
+  Alcotest.(check (array int)) "encodes the component set"
+    (Array.of_list
+       (List.sort Int.compare
+          (List.map
+             (function
+               | Net.Component.Node v -> 2 * v
+               | Net.Component.Link l -> (2 * l) + 1)
+             (Net.Component.Set.elements (Net.Path.components t p)))))
+    enc;
   (* Sorted and distinct *)
   let sorted = Array.copy enc in
   Array.sort Int.compare sorted;

@@ -161,10 +161,20 @@ let test_path_components () =
   Alcotest.(check int) "component count" 7 (Net.Component.Set.cardinal comps);
   Alcotest.(check bool) "endpoint included" true
     (Net.Component.Set.mem (c_node 0) comps);
-  let interior = Net.Path.interior_components t p in
-  Alcotest.(check int) "interior count" 5 (Net.Component.Set.cardinal interior);
+  let interior =
+    Net.Component.Mask.scratch ~num_nodes:(Net.Topology.num_nodes t)
+      ~num_links:(Net.Topology.num_links t)
+  in
+  Net.Path.mask_interior t p interior;
+  let members =
+    List.filter (Net.Component.Mask.mem_node interior)
+      (List.init (Net.Topology.num_nodes t) Fun.id)
+    @ List.filter (Net.Component.Mask.mem_link interior)
+        (List.init (Net.Topology.num_links t) Fun.id)
+  in
+  Alcotest.(check int) "interior count" 5 (List.length members);
   Alcotest.(check bool) "endpoints not interior" false
-    (Net.Component.Set.mem (c_node 0) interior)
+    (Net.Component.Mask.mem_node interior 0 || Net.Component.Mask.mem_node interior 3)
 
 let test_path_uses () =
   let t = line4 () in

