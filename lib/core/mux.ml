@@ -50,6 +50,7 @@ let scan_count = Sim.Prof.counter "mux.scan"
 let scan_slots_count = Sim.Prof.counter "mux.scan_slots"
 let s_values_count = Sim.Prof.counter "mux.s_values"
 let index_walk_count = Sim.Prof.counter "mux.index_walk"
+let unregister_walk_count = Sim.Prof.counter "mux.unregister_walk"
 
 (* Int-keyed tables (backup ids, link ids): monomorphic equality and no
    C hash call.  Neither table is iterated, so bucket order is free. *)
@@ -104,7 +105,6 @@ type link_table = {
       (* sorted encoded primary components, shared by every link the
          backup is registered on *)
   mutable eids : int array; (* primary index entry of [comps], -1 = none *)
-  mutable pis : int array array; (* Π: ascending bids, first [pin.(s)] valid *)
   mutable pin : int array; (* |Π| *)
   index : int Itbl.t; (* backup id -> slot *)
   mutable free : int array;
@@ -159,7 +159,6 @@ let create topo ~lambda =
             pi_bws = [||];
             comps = [||];
             eids = [||];
-            pis = [||];
             pin = [||];
             index = Itbl.create 16;
             free = [||];
@@ -214,14 +213,21 @@ type counts = {
   mutable valid_at : int;
 }
 
-let counts_key =
+let new_counts () =
   Domain.DLS.new_key (fun () ->
       { acc = [||]; base = 1; cand = [||]; valid_at = -1 })
 
+(* Admission and registration count into [counts_key]; removals count the
+   victim's primary into [victim_key], so a teardown between a probe and
+   its registration leaves the probe's counts in place. *)
+let counts_key = new_counts ()
+let victim_key = new_counts ()
+
 (* Walk the postings of [comps]' indexable encodings once, adding one to
-   every entry per shared component.  A count leaves values of at most
-   [base + |cand|], which sets the next [base]. *)
-let recount t ws comps =
+   every entry per shared component, and add the entries walked to
+   [walk].  A count leaves values of at most [base + |cand|], which sets
+   the next [base]. *)
+let recount t ws comps walk =
   let need = Ids.watermark t.entry_ids in
   if Array.length ws.acc < need then
     ws.acc <- Array.make (max need (2 * Array.length ws.acc)) 0;
@@ -242,17 +248,20 @@ let recount t ws comps =
       done
     end
   done;
-  Sim.Prof.incr ~by:!walked index_walk_count
+  Sim.Prof.incr ~by:!walked walk
 
-(* This domain's counts for [comps] against the current index, recounted
-   only when they were taken for other components or an older version:
-   the registration that follows a probe of the same primary reuses the
-   probe's counts. *)
-let counts_for t comps =
-  let ws = Domain.DLS.get counts_key in
+(* This domain's counts in [key] for [comps] against the current index,
+   recounted only when they were taken for other components or an older
+   version: the registration that follows a probe of the same primary
+   reuses the probe's counts, and each removal of one backup from the
+   links of its path reuses the first removal's. *)
+let counts_in key walk t comps =
+  let ws = Domain.DLS.get key in
   if ws.valid_at <> t.version || not (same_comps ws.cand comps) then
-    recount t ws comps;
+    recount t ws comps walk;
   ws
+
+let counts_for t comps = counts_in counts_key index_walk_count t comps
 
 let indexable t comps =
   let ok = ref true in
@@ -359,7 +368,11 @@ let[@inline] s_value t comps acc base e peer =
    and [admission_scan] test both directions from one S, computed up front
    exactly when one of the tests reads it: for a peer of another
    connection whose ν is ordered against the candidate's (any non-NaN
-   ν). *)
+   ν).  No slot stores its Π: [unregister] applies the same rule to the
+   victim and each remaining slot.  S is symmetric bit for bit, since the
+   count is an intersection size and [pow c_i +. pow c_j] commutes in
+   IEEE arithmetic, so removal decides exactly what registration did,
+   whichever of the two came first. *)
 
 let[@inline] contribution tab s = tab.bws.(s) +. tab.pi_bws.(s)
 
@@ -379,49 +392,7 @@ let grow_table tab =
   tab.pi_bws <- gi 0.0 tab.pi_bws;
   tab.comps <- gi [||] tab.comps;
   tab.eids <- gi (-1) tab.eids;
-  tab.pis <- gi [||] tab.pis;
   tab.pin <- gi 0 tab.pin
-
-(* Π of slot [s] as a sorted prefix of [tab.pis.(s)]: [pi_insert] keeps
-   the order (the caller guarantees [x] is absent), [pi_find] is a binary
-   search returning [-1] when [x] is absent. *)
-let pi_insert tab s x =
-  let n = tab.pin.(s) in
-  let a =
-    let a = tab.pis.(s) in
-    if n < Array.length a then a
-    else begin
-      let na = Array.make (max 4 (2 * n)) 0 in
-      Array.blit a 0 na 0 n;
-      tab.pis.(s) <- na;
-      na
-    end
-  in
-  let i = ref n in
-  while !i > 0 && a.(!i - 1) > x do
-    a.(!i) <- a.(!i - 1);
-    decr i
-  done;
-  a.(!i) <- x;
-  tab.pin.(s) <- n + 1
-
-let pi_find tab s x =
-  let a = tab.pis.(s) in
-  let rec go lo hi =
-    if lo >= hi then -1
-    else begin
-      let mid = (lo + hi) lsr 1 in
-      let v = a.(mid) in
-      if v = x then mid else if v < x then go (mid + 1) hi else go lo mid
-    end
-  in
-  go 0 tab.pin.(s)
-
-let pi_remove tab s i =
-  let n = tab.pin.(s) - 1 in
-  let a = tab.pis.(s) in
-  Array.blit a (i + 1) a i (n - i);
-  tab.pin.(s) <- n
 
 let alloc_slot tab =
   if tab.free_len > 0 then begin
@@ -435,13 +406,13 @@ let alloc_slot tab =
     s
   end
 
-(* A freed slot lets go of its Π array: under churn most slots are free
-   at some point, and keeping their arrays would hold memory for nothing. *)
+(* A freed slot lets go of its primary's array: under churn most slots
+   are free at some point, and keeping the arrays would hold memory for
+   nothing. *)
 let free_slot tab s =
   tab.bids.(s) <- -1;
   tab.comps.(s) <- [||];
   tab.eids.(s) <- -1;
-  tab.pis.(s) <- [||];
   tab.pin.(s) <- 0;
   if tab.free_len = Array.length tab.free then begin
     let nf = Array.make (max 8 (2 * tab.free_len)) 0 in
@@ -451,11 +422,11 @@ let free_slot tab s =
   tab.free.(tab.free_len) <- s;
   tab.free_len <- tab.free_len + 1
 
-(* Register and unregister already visit every slot to update Π, so each
-   takes the new requirement as the largest live contribution on the way:
-   [Float.max 0.0] of it, or [0.0] on an empty link.  The registrant's
-   counts serve every link of its path: joining the index adds at most one
-   entry, which keeps them current. *)
+(* Register and unregister already visit every slot to update |Π| and
+   Σbw(Π), so each takes the new requirement as the largest live
+   contribution on the way: [Float.max 0.0] of it, or [0.0] on an empty
+   link.  The registrant's counts serve every link of its path: joining
+   the index adds at most one entry, which keeps them current. *)
 let register t ~link info =
   Sim.Prof.incr register_count;
   let tab = table t link in
@@ -489,11 +460,11 @@ let register t ~link info =
         end
       in
       if below && (same || sv >= info.nu) then begin
-        pi_insert tab slot tab.bids.(s);
+        tab.pin.(slot) <- tab.pin.(slot) + 1;
         tab.pi_bws.(slot) <- tab.pi_bws.(slot) +. tab.bws.(s)
       end;
       if above && (same || sv >= nu_s) then begin
-        pi_insert tab s info.backup;
+        tab.pin.(s) <- tab.pin.(s) + 1;
         tab.pi_bws.(s) <- tab.pi_bws.(s) +. info.bw
       end;
       let c = contribution tab s in
@@ -519,7 +490,10 @@ let unregister t ~link ~backup =
   | None -> ()
   | Some victim ->
     Sim.Prof.incr unregister_count;
-    let vbw = tab.bws.(victim) in
+    let vbw = tab.bws.(victim)
+    and vnu = tab.nus.(victim)
+    and vconn = tab.conns.(victim)
+    and comps = tab.comps.(victim) in
     let pi = tab.pin.(victim) in
     let psi = tab.live - pi - 1 in
     Itbl.remove tab.index backup;
@@ -530,12 +504,18 @@ let unregister t ~link ~backup =
     tab.sum_bw <- tab.sum_bw -. vbw;
     release_entry t tab.eids.(victim);
     free_slot tab victim;
+    let ws = counts_in victim_key unregister_walk_count t comps in
+    let acc = ws.acc and base = ws.base in
     let req = ref neg_infinity in
     for s = 0 to tab.n - 1 do
       if tab.bids.(s) >= 0 then begin
-        let i = pi_find tab s backup in
-        if i >= 0 then begin
-          pi_remove tab s i;
+        let nu_s = tab.nus.(s) in
+        if
+          vnu <= nu_s
+          && (vconn = tab.conns.(s)
+             || s_value t comps acc base tab.eids.(s) tab.comps.(s) >= nu_s)
+        then begin
+          tab.pin.(s) <- tab.pin.(s) - 1;
           tab.pi_bws.(s) <- tab.pi_bws.(s) -. vbw
         end;
         let c = contribution tab s in
@@ -613,10 +593,6 @@ let find_slot t ~link ~backup =
   | None ->
     invalid_arg (Printf.sprintf "Mux: backup %d not on link %d" backup link)
 
-let pi_size t ~link ~backup =
-  let tab = table t link in
-  tab.pin.(find_slot t ~link ~backup)
-
 let psi_size t ~link ~backup =
   let tab = table t link in
   let s = find_slot t ~link ~backup in
@@ -637,11 +613,6 @@ let psi_size_with t ~link info =
     then incr pi
   done;
   tab.live - !pi
-
-let conflict_set t ~link ~backup =
-  let tab = table t link in
-  let s = find_slot t ~link ~backup in
-  Array.to_list (Array.sub tab.pis.(s) 0 tab.pin.(s))
 
 let max_requirement_victims t ~link =
   let tab = table t link in

@@ -1,10 +1,12 @@
 (** Backup multiplexing (Section 3.2): per-link sharing of spare bandwidth
     among backups whose primaries are unlikely to fail simultaneously.
 
-    For every link ℓ and every backup [B_i] on it, the engine maintains
-    the non-multiplexable set Π(B_i, ℓ) — backups [B_j] with ν_j ≤ ν_i
-    whose simultaneous-activation probability [S(B_i, B_j)] is at least
-    ν_i.  The spare bandwidth to reserve at ℓ is
+    For every link ℓ and every backup [B_i] on it, the non-multiplexable
+    set Π(B_i, ℓ) holds the backups [B_j] with ν_j ≤ ν_i that belong to
+    the same connection or whose simultaneous-activation probability
+    [S(B_i, B_j)] is at least ν_i.  The engine keeps only |Π| and
+    Σbw(Π) per backup; membership is this rule, applied again when a
+    backup leaves.  The spare bandwidth to reserve at ℓ is
 
       max over B_i on ℓ of  bw(B_i) + Σ_{B_j ∈ Π(B_i, ℓ)} bw(B_j),
 
@@ -17,10 +19,10 @@
 
     - per-link tables are structure-of-arrays: each registered backup
       occupies a dense slot and the admission-scan fields (ν, bw, cached
-      Π bandwidth and Π itself as a sorted int array, the primary's
-      component array, shared with the backup's other links, and its
-      index entry) live in parallel flat arrays, so the inner loops walk
-      contiguous memory instead of hashtable buckets;
+      Π bandwidth and |Π|, the primary's component array, shared with
+      the backup's other links, and its index entry) live in parallel
+      flat arrays, so the inner loops walk contiguous memory instead of
+      hashtable buckets;
     - primary-component overlap comes from an inverted index over the
       registered primaries: each distinct component array is one entry,
       refcounted by the slots holding it, and each encoded component
@@ -31,8 +33,11 @@
       The counts are reused while the index has no new entry and the
       candidate keeps its components, so a probe counts once, and the
       registration that follows it reuses its counts on every link of the
-      path.  Peers with an encoding outside the index (negative, or at
-      least [2 · max(nodes, links)]) are counted by {!shared_count};
+      path.  A removal counts the victim's primary into a second
+      scratch, and that count serves the backup's removal from every
+      link of its path.  Peers with an encoding outside the index
+      (negative, or at least [2 · max(nodes, links)]) are counted by
+      {!shared_count};
     - S values are not cached: in a torus16 churn of 8 000 events
       (CI's mux work counters) the counts walk 2.41 M index entries for
       2.25 M S values, about one entry per S value where a scan used to
@@ -40,8 +45,9 @@
       is memoized per engine, and a {!probe} memoizes its per-link
       answers until the next update;
     - each link's spare requirement is refreshed during the slot walk
-      that {!register} and {!unregister} already make to update Π (tables
-      hold a few dozen entries, so no heap beats this walk);
+      that {!register} and {!unregister} already make to update each
+      slot's |Π| and Σbw(Π) (tables hold a few dozen entries, so no heap
+      beats this walk);
     - a per-link running Σbw feeds an O(1) ceiling
       ({!probe_upper_bound}) that lets admission fast-accept skip the
       exact scan on uncontended links.
@@ -103,11 +109,6 @@ val on_link : t -> link:int -> backup_info list
 val mem : t -> link:int -> backup:int -> bool
 val count_on : t -> link:int -> int
 
-val pi_size : t -> link:int -> backup:int -> int
-(** |Π(B_i, ℓ)|.
-    @raise Invalid_argument naming the link and backup id when the backup
-    is not registered on the link. *)
-
 val psi_size : t -> link:int -> backup:int -> int
 (** |Ψ(B_i, ℓ)| = (backups on ℓ) − |Π(B_i, ℓ)| − 1.
     @raise Invalid_argument naming the link and backup id when the backup
@@ -116,11 +117,6 @@ val psi_size : t -> link:int -> backup:int -> int
 val psi_size_with : t -> link:int -> backup_info -> int
 (** |Ψ| the given backup would have if registered on the link (the
     forward-pass computation of the negotiated establishment scheme). *)
-
-val conflict_set : t -> link:int -> backup:int -> int list
-(** Backup ids in Π(B_i, ℓ).
-    @raise Invalid_argument naming the link and backup id when the backup
-    is not registered on the link. *)
 
 val max_requirement_victims : t -> link:int -> int list
 (** Backup ids realising the current spare requirement (the ones whose

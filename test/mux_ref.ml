@@ -3,9 +3,9 @@
    principles — pairwise S-values, no bitsets, caches or heap — so the
    incremental engine can be checked against it after every update.
    [requirement] reads the link's backups through the public
-   [Mux.on_link], at the λ the engine was created with; the list
-   functions also serve as a model for tests that track the expected
-   table themselves. *)
+   [Mux.on_link], at the λ the engine was created with, and so does
+   [conflict_set]; the list functions also serve as a model for tests
+   that track the expected table themselves. *)
 
 let s_naive ~lambda (a : Bcp.Mux.backup_info) (b : Bcp.Mux.backup_info) =
   let sc = Bcp.Mux.shared_count a.primary_components b.primary_components in
@@ -49,6 +49,22 @@ let required_with_naive ~lambda entries (cand : Bcp.Mux.backup_info) =
 
 let requirement ~lambda m ~link =
   requirement_naive ~lambda (Bcp.Mux.on_link m ~link)
+
+(* Π(B, ℓ) by the rule over the link's current backups, as ascending ids.
+   @raise Not_found when the backup is not on the link. *)
+let conflict_set ~lambda m ~link ~backup =
+  let entries = Bcp.Mux.on_link m ~link in
+  let a =
+    List.find (fun (e : Bcp.Mux.backup_info) -> e.backup = backup) entries
+  in
+  List.sort Int.compare
+    (List.map
+       (fun (b : Bcp.Mux.backup_info) -> b.backup)
+       (pi_naive ~lambda entries a))
+
+(* |Π(B, ℓ)| as the engine keeps it: the link's backups outside Ψ and B. *)
+let pi_size m ~link ~backup =
+  Bcp.Mux.count_on m ~link - Bcp.Mux.psi_size m ~link ~backup - 1
 
 (* [Some (incremental, reference)] when the engine's maintained spare
    requirement on [link] differs from the recompute.  Exact comparison:

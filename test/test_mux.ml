@@ -59,7 +59,7 @@ let test_disjoint_primaries_multiplex () =
   Bcp.Mux.register m ~link:0 (info ~backup:1 ~nu:(nu_of 1) ~bw:1.0 [ 0; 2; 4 ]);
   Bcp.Mux.register m ~link:0 (info ~backup:2 ~nu:(nu_of 1) ~bw:1.0 [ 10; 12; 14 ]);
   Alcotest.(check (float 1e-9)) "spare = 1" 1.0 (Bcp.Mux.spare_requirement m ~link:0);
-  Alcotest.(check int) "pi empty" 0 (Bcp.Mux.pi_size m ~link:0 ~backup:1);
+  Alcotest.(check int) "pi empty" 0 (Mux_ref.pi_size m ~link:0 ~backup:1);
   Alcotest.(check int) "psi has the peer" 1 (Bcp.Mux.psi_size m ~link:0 ~backup:1)
 
 let test_overlapping_primaries_conflict () =
@@ -69,10 +69,10 @@ let test_overlapping_primaries_conflict () =
   Bcp.Mux.register m ~link:0 (info ~backup:1 ~nu:(nu_of 1) ~bw:1.0 [ 0; 2; 4; 6; 8 ]);
   Bcp.Mux.register m ~link:0 (info ~backup:2 ~nu:(nu_of 1) ~bw:1.0 [ 4; 6; 8; 10; 12 ]);
   Alcotest.(check (float 1e-9)) "spare = 2" 2.0 (Bcp.Mux.spare_requirement m ~link:0);
-  Alcotest.(check int) "pi" 1 (Bcp.Mux.pi_size m ~link:0 ~backup:1);
+  Alcotest.(check int) "pi" 1 (Mux_ref.pi_size m ~link:0 ~backup:1);
   Alcotest.(check int) "psi" 0 (Bcp.Mux.psi_size m ~link:0 ~backup:1);
   Alcotest.(check (list int)) "conflict set" [ 2 ]
-    (Bcp.Mux.conflict_set m ~link:0 ~backup:1)
+    (Mux_ref.conflict_set ~lambda m ~link:0 ~backup:1)
 
 let test_degree_threshold_boundary () =
   (* sc = 3 shared components: S ≈ 3λ.  Multiplexed iff S < ν, so degree 3
@@ -119,9 +119,9 @@ let test_degree_restriction_in_pi () =
   Bcp.Mux.register m ~link:0 (info ~backup:2 ~nu:(nu_of 6) ~bw:1.0 shared);
   (* backup 2's Π considers only ν ≤ 6λ peers with S ≥ 6λ: backup 1 has
      ν = 1λ ≤ 6λ and S ≈ 5λ < 6λ, so it is multiplexable from 2's view. *)
-  Alcotest.(check int) "pi of high-degree" 0 (Bcp.Mux.pi_size m ~link:0 ~backup:2);
+  Alcotest.(check int) "pi of high-degree" 0 (Mux_ref.pi_size m ~link:0 ~backup:2);
   (* backup 1's Π considers only ν ≤ 1λ peers: backup 2 is out of scope. *)
-  Alcotest.(check int) "pi of low-degree" 0 (Bcp.Mux.pi_size m ~link:0 ~backup:1);
+  Alcotest.(check int) "pi of low-degree" 0 (Mux_ref.pi_size m ~link:0 ~backup:1);
   Alcotest.(check (float 1e-9)) "spare stays 1" 1.0
     (Bcp.Mux.spare_requirement m ~link:0)
 
@@ -154,6 +154,82 @@ let test_unregister_restores () =
   Alcotest.(check int) "count" 1 (Bcp.Mux.count_on m ~link:0);
   (* Unknown removal is a no-op. *)
   Bcp.Mux.unregister m ~link:0 ~backup:42
+
+(* Removal decides Π membership by the rule, as registration did.  The
+   victim (connection 1, ν = 3λ) sits among peers registered before and
+   after it, of its own connection, of equal ν, and with primaries the
+   index does not hold (an encoding past it, or negative).  It leaves
+   the Π of every peer it conflicts with; for every other peer it was
+   in Ψ, which shrinks by one. *)
+let test_unregister_by_rule () =
+  (* 64 nodes: encodings in [0, 128) are indexed *)
+  let m =
+    Bcp.Mux.create (Net.Builders.ring ~nodes:64 ~capacity:100.0) ~lambda
+  in
+  let mk ~backup ~conn ~degree ~bw cs =
+    { (info ~backup ~nu:(nu_of degree) ~bw cs) with Bcp.Mux.conn }
+  in
+  let victim = mk ~backup:10 ~conn:1 ~degree:3 ~bw:2.0 [ 0; 2; 4; 6; 8 ] in
+  (* (peer, whether the victim is in its Π) *)
+  let before =
+    [
+      (mk ~backup:1 ~conn:2 ~degree:3 ~bw:1.0 [ 0; 2; 4; 6; 10 ], true);
+      (mk ~backup:2 ~conn:1 ~degree:6 ~bw:0.5 [ 20; 22; 24 ], true);
+    ]
+  and after =
+    [
+      (* lower ν: the victim is outside its Π despite a shared primary *)
+      (mk ~backup:3 ~conn:3 ~degree:1 ~bw:1.5 [ 0; 2; 4; 6; 8 ], false);
+      (mk ~backup:4 ~conn:4 ~degree:3 ~bw:1.0 [ 0; 2; 4; 6; 200 ], true);
+      (mk ~backup:5 ~conn:5 ~degree:3 ~bw:3.0 [ -3; 30; 32 ], false);
+      (mk ~backup:6 ~conn:1 ~degree:3 ~bw:0.5 [ -1; 40; 42 ], true);
+      (mk ~backup:7 ~conn:7 ~degree:3 ~bw:1.0 [ -2; 0; 2; 4; 6 ], true);
+      (* higher ν than the victim, S ≈ 4λ below it: outside its Π *)
+      (mk ~backup:8 ~conn:8 ~degree:6 ~bw:0.5 [ 0; 2; 4; 6; 12 ], false);
+    ]
+  in
+  let peers = before @ after in
+  List.iter (fun (p, _) -> Bcp.Mux.register m ~link:0 p) before;
+  Bcp.Mux.register m ~link:0 victim;
+  List.iter (fun (p, _) -> Bcp.Mux.register m ~link:0 p) after;
+  let psi (p : Bcp.Mux.backup_info) =
+    Bcp.Mux.psi_size m ~link:0 ~backup:p.backup
+  in
+  let check_link what =
+    List.iter
+      (fun ((p : Bcp.Mux.backup_info), _) ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: psi of %d = rule" what p.backup)
+          (Bcp.Mux.count_on m ~link:0
+          - List.length
+              (Mux_ref.conflict_set ~lambda m ~link:0 ~backup:p.backup)
+          - 1)
+          (psi p))
+      peers;
+    Alcotest.(check int64)
+      (what ^ ": requirement = recompute")
+      (Int64.bits_of_float (Mux_ref.requirement ~lambda m ~link:0))
+      (Int64.bits_of_float (Bcp.Mux.spare_requirement m ~link:0))
+  in
+  check_link "registered";
+  List.iter
+    (fun ((p : Bcp.Mux.backup_info), in_pi) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "victim in the Pi of %d" p.backup)
+        in_pi
+        (List.mem victim.backup
+           (Mux_ref.conflict_set ~lambda m ~link:0 ~backup:p.backup)))
+    peers;
+  let psi_before = List.map (fun (p, _) -> psi p) peers in
+  Bcp.Mux.unregister m ~link:0 ~backup:victim.backup;
+  check_link "removed";
+  List.iter2
+    (fun ((p : Bcp.Mux.backup_info), in_pi) was ->
+      Alcotest.(check int)
+        (Printf.sprintf "psi of %d after the removal" p.backup)
+        (if in_pi then was else was - 1)
+        (psi p))
+    peers psi_before
 
 let test_register_duplicate_rejected () =
   let m = Bcp.Mux.create (topo ()) ~lambda in
@@ -242,7 +318,7 @@ let prop_pi_psi_partition =
       let partition_ok =
         List.for_all
           (fun i ->
-            Bcp.Mux.pi_size m ~link:0 ~backup:i
+            List.length (Mux_ref.conflict_set ~lambda m ~link:0 ~backup:i)
             + Bcp.Mux.psi_size m ~link:0 ~backup:i
             + 1
             = n)
@@ -281,6 +357,7 @@ let () =
           Alcotest.test_case "what-if = actual" `Quick
             test_required_with_matches_register;
           Alcotest.test_case "unregister restores" `Quick test_unregister_restores;
+          Alcotest.test_case "unregister by rule" `Quick test_unregister_by_rule;
           Alcotest.test_case "duplicate rejected" `Quick
             test_register_duplicate_rejected;
           Alcotest.test_case "psi_size_with" `Quick test_psi_size_with;

@@ -4,9 +4,11 @@
    every register / unregister / probe the spare requirements and every
    live probe's answers must match, and after arbitrary register /
    unregister / required_with sequences every observable — spare
-   requirement, Π sizes, conflict sets, Ψ, admission what-ifs — must
-   match the reference EXACTLY (bandwidths are dyadic rationals, so sums
-   are order-independent and float equality is legitimate).  The overlap
+   requirement, Ψ, the conflict sets [Mux.on_link] yields, admission
+   what-ifs — must match the reference EXACTLY (bandwidths are dyadic
+   rationals, so sums are order-independent and float equality is
+   legitimate).  Ψ on the touched link is also checked after every
+   removal, since removal decides Π membership by rule.  The overlap
    count the engine reads for a pair is recovered exactly from Ψ at two
    S thresholds and checked against [Mux.shared_count]; unit cases pin
    the index's edge encodings, count reuse across interleaved probes and
@@ -103,6 +105,16 @@ let check_link m ~link =
       "link %d: incremental requirement %.17g, reference %.17g" link got
       expected
 
+(* Ψ of every backup in [es], the model of [link], against the rule. *)
+let check_psi m ~link es =
+  List.iter
+    (fun (e : Bcp.Mux.backup_info) ->
+      check_int
+        (Printf.sprintf "psi_size link %d bid %d" link e.backup)
+        (List.length es - List.length (pi_naive es e) - 1)
+        (Bcp.Mux.psi_size m ~link ~backup:e.backup))
+    es
+
 let prop_matches_reference =
   QCheck.Test.make ~name:"incremental mux == naive full recompute" ~count:150
     arbitrary_ops (fun (nodes, ops) ->
@@ -138,7 +150,9 @@ let prop_matches_reference =
             Hashtbl.replace model link
               (List.filter
                  (fun (e : Bcp.Mux.backup_info) -> e.backup <> o.bid)
-                 (entries link))
+                 (entries link));
+            (* each removal on its own: a later one cannot hide it *)
+            check_psi m ~link (entries link)
           | _ ->
             let cand =
               info_of ~bid:(100 + o.bid) ~degree:o.degree ~family:o.family
@@ -164,22 +178,18 @@ let prop_matches_reference =
           (Printf.sprintf "count link %d" link)
           (List.length es)
           (Bcp.Mux.count_on m ~link);
+        check_psi m ~link es;
         List.iter
           (fun (e : Bcp.Mux.backup_info) ->
-            let pi = pi_naive es e in
-            check_int
-              (Printf.sprintf "pi_size link %d bid %d" link e.backup)
-              (List.length pi)
-              (Bcp.Mux.pi_size m ~link ~backup:e.backup);
-            check_int
-              (Printf.sprintf "psi_size link %d bid %d" link e.backup)
-              (List.length es - List.length pi - 1)
-              (Bcp.Mux.psi_size m ~link ~backup:e.backup);
             let expected_set =
               List.sort_uniq Int.compare
-                (List.map (fun (b : Bcp.Mux.backup_info) -> b.backup) pi)
+                (List.map
+                   (fun (b : Bcp.Mux.backup_info) -> b.backup)
+                   (pi_naive es e))
             in
-            if expected_set <> Bcp.Mux.conflict_set m ~link ~backup:e.backup
+            if
+              expected_set
+              <> Mux_ref.conflict_set ~lambda m ~link ~backup:e.backup
             then
               QCheck.Test.fail_reportf "conflict_set link %d bid %d" link
                 e.backup)
@@ -396,14 +406,8 @@ let test_descriptive_lookup_errors () =
     with Invalid_argument msg -> msg
   in
   Alcotest.(check string)
-    "pi_size names link and backup" "Mux: backup 7 not on link 0"
-    (expect_msg (fun () -> Bcp.Mux.pi_size m ~link:0 ~backup:7));
-  Alcotest.(check string)
     "psi_size names link and backup" "Mux: backup 9 not on link 1"
-    (expect_msg (fun () -> Bcp.Mux.psi_size m ~link:1 ~backup:9));
-  Alcotest.(check string)
-    "conflict_set names link and backup" "Mux: backup 3 not on link 0"
-    (expect_msg (fun () -> Bcp.Mux.conflict_set m ~link:0 ~backup:3))
+    (expect_msg (fun () -> Bcp.Mux.psi_size m ~link:1 ~backup:9))
 
 (* A backup id recycled with a different primary must be re-evaluated
    against its new primary, not the one it was first registered with. *)
