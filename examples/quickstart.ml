@@ -7,6 +7,25 @@
 
 let printf = Format.printf
 
+(* One line per connection: its endpoints and bandwidth, the primary's
+   path, then each backup as #serial(path,state). *)
+let pp_conn ppf (t : Bcp.Dconn.t) =
+  let state = function
+    | Bcp.Dconn.Standby -> "standby"
+    | Activated -> "activated"
+    | Broken -> "broken"
+    | Closed -> "closed"
+  in
+  Format.fprintf ppf "@[conn#%d %d->%d bw=%.2f primary=%a backups=[%a]@]"
+    t.id t.src t.dst (Bcp.Dconn.bandwidth t) Net.Path.pp
+    t.primary.Rtchan.Channel.path
+    (Format.pp_print_list
+       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+       (fun ppf (b : Bcp.Dconn.backup) ->
+         Format.fprintf ppf "#%d(%a,%s)" b.serial Net.Path.pp b.path
+           (state b.state)))
+    t.backups
+
 let () =
   (* 1. A 4x4 torus with 100 Mbps links. *)
   let topo = Net.Builders.torus ~rows:4 ~cols:4 ~capacity:100.0 in
@@ -33,7 +52,7 @@ let () =
     | Ok c -> c
     | Error e -> Format.kasprintf failwith "rejected: %a" Bcp.Establish.pp_reject e
   in
-  printf "@.established D-connection: %a@." Bcp.Dconn.pp conn;
+  printf "@.established D-connection: %a@." pp_conn conn;
   printf "achieved P_r (per time unit): %.9f@." (Bcp.Establish.achieved_pr ns conn);
   printf "network load %.2f%%, spare bandwidth %.2f%%@."
     (Bcp.Netstate.network_load ns)

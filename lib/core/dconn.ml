@@ -32,21 +32,3 @@ let standby_backups t = List.filter (fun b -> b.state = Standby) t.backups
 let find_backup t ~serial = List.find_opt (fun b -> b.serial = serial) t.backups
 
 let standby_deficit t = max 0 (t.target_backups - List.length (standby_backups t))
-
-let pp_backup_state ppf s =
-  Format.pp_print_string ppf
-    (match s with
-    | Standby -> "standby"
-    | Activated -> "activated"
-    | Broken -> "broken"
-    | Closed -> "closed")
-
-let pp ppf t =
-  Format.fprintf ppf "@[conn#%d %d->%d bw=%.2f primary=%a backups=[%a]@]" t.id
-    t.src t.dst (bandwidth t) Net.Path.pp t.primary.Rtchan.Channel.path
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       (fun ppf b ->
-         Format.fprintf ppf "#%d(%a,%a)" b.serial Net.Path.pp b.path
-           pp_backup_state b.state))
-    t.backups

@@ -41,5 +41,3 @@ val find_backup : t -> serial:int -> backup option
 
 val standby_deficit : t -> int
 (** How many standby backups are missing relative to [target_backups]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -73,10 +73,10 @@ let route_backup ?reference ?(strategy = Min_hops)
       primary_components = components;
     }
   in
-  (* One admission probe per candidate: every link's conflict prefilter
-     (bitset overlap + S-values against the link's table) runs once per
-     candidate, however many times the routing search relaxes the link. *)
-  let probe = Netstate.admission_probe ns info in
+  (* One admission probe per candidate: its overlap counts against the
+     primary index are taken once, however many links the routing search
+     relaxes. *)
+  let probe = Mux.probe (Netstate.mux ns) info in
   (* The QoS hop budget is relative to the shortest path available *to
      this channel*: disjoint from the connection's other channels and
      clear of failed components (Section 7: "not longer than the

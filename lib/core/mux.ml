@@ -31,8 +31,8 @@ let encode_path topo (p : Net.Path.t) =
 
 (* Reference intersection count: two-pointer merge over the sorted encoded
    arrays.  The engine counts through its primary index instead and uses
-   this only for peers the index does not hold; tests check the index
-   against it. *)
+   this only to count a new index entry against current counts; tests
+   check the index against it. *)
 let shared_count (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
   let rec go i j acc =
@@ -52,8 +52,8 @@ let s_values_count = Sim.Prof.counter "mux.s_values"
 let index_walk_count = Sim.Prof.counter "mux.index_walk"
 let unregister_walk_count = Sim.Prof.counter "mux.unregister_walk"
 
-(* Int-keyed tables (backup ids, link ids): monomorphic equality and no
-   C hash call.  Neither table is iterated, so bucket order is free. *)
+(* Backup id -> slot tables: monomorphic equality and no C hash call.
+   They are never iterated, so bucket order is free. *)
 module Itbl = Hashtbl.Make (struct
   type t = int
 
@@ -104,7 +104,7 @@ type link_table = {
   mutable comps : int array array;
       (* sorted encoded primary components, shared by every link the
          backup is registered on *)
-  mutable eids : int array; (* primary index entry of [comps], -1 = none *)
+  mutable eids : int array; (* primary index entry of [comps] *)
   mutable pin : int array; (* |Π| *)
   index : int Itbl.t; (* backup id -> slot *)
   mutable free : int array;
@@ -115,7 +115,7 @@ type link_table = {
 }
 
 (* The primary index: one entry per distinct registered component array
-   whose encodings all lie in [0, ncomp), refcounted by the slots holding
+   (every encoding lies in [0, ncomp)), refcounted by the slots holding
    it, and per encoding the entries containing it ([post.(c)], first
    [plen.(c)] valid, unordered).  [version] changes whenever an entry id
    takes a new array; values come from the process-wide {!versions}, so a
@@ -125,8 +125,6 @@ type t = {
   lambda : float;
   mutable sink : (Sim.Event.t -> unit) option;
   pows : float array; (* (1-λ)^c for small c *)
-  mutable updates : int; (* bumped on every register/unregister *)
-  placed : int Itbl.t; (* backup id -> links holding it, when > 0 *)
   ncomp : int;
   post : int array array;
   plen : int array;
@@ -175,8 +173,6 @@ let create topo ~lambda =
       Array.init
         (max 64 ((4 * Net.Topology.num_nodes topo) + 8))
         (fun c -> (1.0 -. lambda) ** float_of_int c);
-    updates = 0;
-    placed = Itbl.create 1024;
     ncomp;
     post = Array.make ncomp [||];
     plen = Array.make ncomp 0;
@@ -223,7 +219,7 @@ let new_counts () =
 let counts_key = new_counts ()
 let victim_key = new_counts ()
 
-(* Walk the postings of [comps]' indexable encodings once, adding one to
+(* Walk the postings of [comps]' encodings once, adding one to
    every entry per shared component, and add the entries walked to
    [walk].  A count leaves values of at most [base + |cand|], which sets
    the next [base]. *)
@@ -238,15 +234,13 @@ let recount t ws comps walk =
   let acc = ws.acc and walked = ref 0 in
   for k = 0 to Array.length comps - 1 do
     let c = Array.unsafe_get comps k in
-    if c >= 0 && c < t.ncomp then begin
-      let ids = Array.unsafe_get t.post c and n = Array.unsafe_get t.plen c in
-      walked := !walked + n;
-      for i = 0 to n - 1 do
-        let e = Array.unsafe_get ids i in
-        let v = Array.unsafe_get acc e in
-        Array.unsafe_set acc e (if v >= base then v + 1 else base + 1)
-      done
-    end
+    let ids = Array.unsafe_get t.post c and n = Array.unsafe_get t.plen c in
+    walked := !walked + n;
+    for i = 0 to n - 1 do
+      let e = Array.unsafe_get ids i in
+      let v = Array.unsafe_get acc e in
+      Array.unsafe_set acc e (if v >= base then v + 1 else base + 1)
+    done
   done;
   Sim.Prof.incr ~by:!walked walk
 
@@ -263,13 +257,16 @@ let counts_in key walk t comps =
 
 let counts_for t comps = counts_in counts_key index_walk_count t comps
 
-let indexable t comps =
-  let ok = ref true in
+(* Every array the engine counts or indexes passed this check on entry
+   ({!register}, {!probe}): [recount] reads the postings unchecked. *)
+let check_encodings t ~fn comps =
   for k = 0 to Array.length comps - 1 do
     let c = comps.(k) in
-    if c < 0 || c >= t.ncomp then ok := false
-  done;
-  !ok
+    if c < 0 || c >= t.ncomp then
+      invalid_arg
+        (Printf.sprintf "Mux.%s: encoding %d outside the index [0, %d)" fn c
+           t.ncomp)
+  done
 
 let grow_ints a need =
   let na = Array.make (max need (2 * Array.length a)) 0 in
@@ -306,37 +303,31 @@ let add_entry t comps =
   end;
   e
 
-(* The entry for [comps] with one more holder, or [-1] when an encoding
-   lies outside the index (such peers are counted by {!shared_count}). *)
+(* The entry for [comps] with one more holder. *)
 let acquire_entry t comps =
-  if not (indexable t comps) then -1
-  else begin
-    let e =
-      match Ctbl.find_opt t.by_comps comps with
-      | Some e -> e
-      | None -> add_entry t comps
-    in
-    t.erefs.(e) <- t.erefs.(e) + 1;
-    e
-  end
+  let e =
+    match Ctbl.find_opt t.by_comps comps with
+    | Some e -> e
+    | None -> add_entry t comps
+  in
+  t.erefs.(e) <- t.erefs.(e) + 1;
+  e
 
 let release_entry t e =
-  if e >= 0 then begin
-    let r = t.erefs.(e) - 1 in
-    t.erefs.(e) <- r;
-    if r = 0 then begin
-      let comps = t.ecomps.(e) in
-      for k = 0 to Array.length comps - 1 do
-        let c = comps.(k) in
-        let ids = t.post.(c) and n = t.plen.(c) - 1 in
-        let rec find i = if ids.(i) = e then i else find (i + 1) in
-        ids.(find 0) <- ids.(n);
-        t.plen.(c) <- n
-      done;
-      Ctbl.remove t.by_comps comps;
-      t.ecomps.(e) <- [||];
-      Ids.release t.entry_ids e
-    end
+  let r = t.erefs.(e) - 1 in
+  t.erefs.(e) <- r;
+  if r = 0 then begin
+    let comps = t.ecomps.(e) in
+    for k = 0 to Array.length comps - 1 do
+      let c = comps.(k) in
+      let ids = t.post.(c) and n = t.plen.(c) - 1 in
+      let rec find i = if ids.(i) = e then i else find (i + 1) in
+      ids.(find 0) <- ids.(n);
+      t.plen.(c) <- n
+    done;
+    Ctbl.remove t.by_comps comps;
+    t.ecomps.(e) <- [||];
+    Ids.release t.entry_ids e
   end
 
 (* (1-λ)^c from the table [create] fills (λ is fixed at creation).
@@ -350,16 +341,11 @@ let[@inline] pow t c =
 
 (* S(candidate, peer), in the same expression shape as
    [Combinatorial.s_activation].  [acc]/[base] hold the candidate's
-   counts; [e] is the peer's index entry, or [-1] to merge [peer]. *)
+   counts; [e] is the peer's index entry. *)
 let[@inline] s_value t comps acc base e peer =
   let c_i = Array.length comps and c_j = Array.length peer in
-  let sc =
-    if e >= 0 then begin
-      let v = Array.unsafe_get acc e - base in
-      if v >= 0 then v else 0
-    end
-    else shared_count comps peer
-  in
+  let v = Array.unsafe_get acc e - base in
+  let sc = if v >= 0 then v else 0 in
   1.0 -. (pow t c_i +. pow t c_j -. pow t ((c_i + c_j) - sc))
 
 (* Two backups of the same connection protect the same primary: they are
@@ -412,7 +398,6 @@ let alloc_slot tab =
 let free_slot tab s =
   tab.bids.(s) <- -1;
   tab.comps.(s) <- [||];
-  tab.eids.(s) <- -1;
   tab.pin.(s) <- 0;
   if tab.free_len = Array.length tab.free then begin
     let nf = Array.make (max 8 (2 * tab.free_len)) 0 in
@@ -435,6 +420,7 @@ let register t ~link info =
       (Printf.sprintf "Mux.register: backup %d already on link %d" info.backup
          link);
   let comps = info.primary_components in
+  check_encodings t ~fn:"register" comps;
   let ws = counts_for t comps in
   let acc = ws.acc and base = ws.base in
   let slot = alloc_slot tab in
@@ -474,12 +460,9 @@ let register t ~link info =
   Sim.Prof.incr ~by:!s_values s_values_count;
   tab.eids.(slot) <- acquire_entry t comps;
   Itbl.add tab.index info.backup slot;
-  Itbl.replace t.placed info.backup
-    (1 + Option.value ~default:0 (Itbl.find_opt t.placed info.backup));
   tab.live <- tab.live + 1;
   tab.sum_bw <- tab.sum_bw +. info.bw;
   tab.requirement <- Float.max 0.0 (Float.max !req (contribution tab slot));
-  t.updates <- t.updates + 1;
   emit t ~link ~backup:info.backup ~op:Sim.Event.Register
     ~pi:tab.pin.(slot)
     ~psi:(tab.live - tab.pin.(slot) - 1)
@@ -497,9 +480,6 @@ let unregister t ~link ~backup =
     let pi = tab.pin.(victim) in
     let psi = tab.live - pi - 1 in
     Itbl.remove tab.index backup;
-    (match Itbl.find_opt t.placed backup with
-    | Some 1 | None -> Itbl.remove t.placed backup
-    | Some k -> Itbl.replace t.placed backup (k - 1));
     tab.live <- tab.live - 1;
     tab.sum_bw <- tab.sum_bw -. vbw;
     release_entry t tab.eids.(victim);
@@ -523,7 +503,6 @@ let unregister t ~link ~backup =
       end
     done;
     tab.requirement <- Float.max 0.0 !req;
-    t.updates <- t.updates + 1;
     emit t ~link ~backup ~op:Sim.Event.Unregister ~pi ~psi
 
 let spare_requirement t ~link = (table t link).requirement
@@ -560,11 +539,6 @@ let admission_scan t tab info ws =
   Sim.Prof.incr ~by:!s_values s_values_count;
   Float.max !own !req
 
-let required_with t ~link info =
-  let tab = table t link in
-  if Itbl.mem tab.index info.backup then tab.requirement
-  else admission_scan t tab info (counts_for t info.primary_components)
-
 let info_of_slot tab s =
   {
     backup = tab.bids.(s);
@@ -598,22 +572,6 @@ let psi_size t ~link ~backup =
   let s = find_slot t ~link ~backup in
   tab.live - tab.pin.(s) - 1
 
-let psi_size_with t ~link info =
-  let tab = table t link in
-  let comps = info.primary_components in
-  let ws = counts_for t comps in
-  let pi = ref 0 in
-  for s = 0 to tab.n - 1 do
-    if
-      tab.bids.(s) >= 0
-      && tab.nus.(s) <= info.nu
-      && (info.conn = tab.conns.(s)
-         || s_value t comps ws.acc ws.base tab.eids.(s) tab.comps.(s)
-            >= info.nu)
-    then incr pi
-  done;
-  tab.live - !pi
-
 let max_requirement_victims t ~link =
   let tab = table t link in
   let out = ref [] in
@@ -627,50 +585,19 @@ let max_requirement_victims t ~link =
 
 (* ---------------- candidate admission probes ---------------- *)
 
-type probe = {
-  pt : t;
-  pinfo : backup_info;
-  mutable pupdates : int;
-      (* the fields below hold while this matches [pt.updates] *)
-  mutable pplaced : bool; (* the candidate is registered on some link *)
-  req_memo : float Itbl.t; (* link -> required_with *)
-}
+(* A probe holds a candidate that is on no link, so every question is the
+   admission scan; its counts come from the domain's scratch and are
+   retaken only when another array or a newer index was counted since. *)
+type probe = { pt : t; pinfo : backup_info }
 
 let probe t info =
+  check_encodings t ~fn:"probe" info.primary_components;
   Sim.Prof.incr probe_count;
-  {
-    pt = t;
-    pinfo = info;
-    pupdates = t.updates;
-    pplaced = Itbl.mem t.placed info.backup;
-    req_memo = Itbl.create 16;
-  }
-
-let refresh p =
-  if p.pupdates <> p.pt.updates then begin
-    Itbl.reset p.req_memo;
-    p.pplaced <- Itbl.mem p.pt.placed p.pinfo.backup;
-    p.pupdates <- p.pt.updates
-  end
-
-(* The link's requirement when the candidate is already on it, which only
-   a candidate registered somewhere can be. *)
-let[@inline] placed_on p tab = p.pplaced && Itbl.mem tab.index p.pinfo.backup
+  { pt = t; pinfo = info }
 
 let probe_required p ~link =
-  refresh p;
-  match Itbl.find_opt p.req_memo link with
-  | Some r -> r
-  | None ->
-    let tab = table p.pt link in
-    let r =
-      if placed_on p tab then tab.requirement
-      else
-        admission_scan p.pt tab p.pinfo
-          (counts_for p.pt p.pinfo.primary_components)
-    in
-    Itbl.add p.req_memo link r;
-    r
+  admission_scan p.pt (table p.pt link) p.pinfo
+    (counts_for p.pt p.pinfo.primary_components)
 
 (* Conservative O(1) ceiling on {!probe_required}: the candidate's own term
    is at most bw + Σ bw(registered), and every existing contribution grows
@@ -678,7 +605,5 @@ let probe_required p ~link =
    fits the link, the exact scan is skipped (the verdict is the same
    because the exact requirement is no larger). *)
 let probe_upper_bound p ~link =
-  refresh p;
   let tab = table p.pt link in
-  if placed_on p tab then tab.requirement
-  else p.pinfo.bw +. Float.max tab.sum_bw tab.requirement
+  p.pinfo.bw +. Float.max tab.sum_bw tab.requirement

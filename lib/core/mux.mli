@@ -26,24 +26,23 @@
     - primary-component overlap comes from an inverted index over the
       registered primaries: each distinct component array is one entry,
       refcounted by the slots holding it, and each encoded component
-      lists the entries containing it.  A candidate (a probe's backup, or
-      the backup being registered) walks the lists of its own components
-      once, adding into a per-domain count array that a rising epoch base
-      clears in O(1); every S value then reads its shared count in O(1).
-      The counts are reused while the index has no new entry and the
-      candidate keeps its components, so a probe counts once, and the
-      registration that follows it reuses its counts on every link of the
-      path.  A removal counts the victim's primary into a second
-      scratch, and that count serves the backup's removal from every
-      link of its path.  Peers with an encoding outside the index
-      (negative, or at least [2 · max(nodes, links)]) are counted by
-      {!shared_count};
+      lists the entries containing it.  Every encoding lies in
+      [[0, 2 · max(nodes, links))], the range {!encode_path} yields on
+      the engine's topology; {!register} and {!probe} reject any other.
+      A candidate (a probe's backup, or the backup being registered)
+      walks the lists of its own components once, adding into a
+      per-domain count array that a rising epoch base clears in O(1);
+      every S value then reads its shared count in O(1).  The counts are
+      reused while the index has no new entry and the candidate keeps
+      its components, so a probe counts once, and the registration that
+      follows it reuses its counts on every link of the path.  A removal
+      counts the victim's primary into a second scratch, and that count
+      serves the backup's removal from every link of its path;
     - S values are not cached: in a torus16 churn of 8 000 events
       (CI's mux work counters) the counts walk 2.41 M index entries for
       2.25 M S values, about one entry per S value where a scan used to
       test each of the peer's ≈17 components.  The [(1-λ)^c] power table
-      is memoized per engine, and a {!probe} memoizes its per-link
-      answers until the next update;
+      is memoized per engine;
     - each link's spare requirement is refreshed during the slot walk
       that {!register} and {!unregister} already make to update each
       slot's |Π| and Σbw(Π) (tables hold a few dozen entries, so no heap
@@ -73,8 +72,8 @@ val encode_path : Net.Topology.t -> Net.Path.t -> int array
 
 val shared_count : int array -> int array -> int
 (** Intersection size of two sorted, duplicate-free encoded-component
-    arrays (reference two-pointer merge; the engine uses it only for peers
-    outside its primary index). *)
+    arrays (reference two-pointer merge; the engine uses it only to count
+    a new index entry against the current candidate). *)
 
 type t
 
@@ -90,20 +89,14 @@ val set_event_sink : t -> (Sim.Event.t -> unit) option -> unit
 
 val register : t -> link:int -> backup_info -> unit
 (** Add a backup to a link's table.
-    @raise Invalid_argument if the backup id is already on the link. *)
+    @raise Invalid_argument if the backup id is already on the link, or
+    naming the first encoding of its primary outside the index. *)
 
 val unregister : t -> link:int -> backup:int -> unit
 (** Remove; unknown ids are ignored. *)
 
 val spare_requirement : t -> link:int -> float
 (** Current spare bandwidth needed at the link (0 when no backups). *)
-
-val required_with : t -> link:int -> backup_info -> float
-(** What the spare requirement would become if the backup were added —
-    used by admission control during backup routing; does not modify the
-    table.  For repeated probes of one candidate across many links (the
-    establishment inner loop), build a {!probe} instead: it memoizes
-    per-link answers. *)
 
 val on_link : t -> link:int -> backup_info list
 val mem : t -> link:int -> backup:int -> bool
@@ -114,10 +107,6 @@ val psi_size : t -> link:int -> backup:int -> int
     @raise Invalid_argument naming the link and backup id when the backup
     is not registered on the link. *)
 
-val psi_size_with : t -> link:int -> backup_info -> int
-(** |Ψ| the given backup would have if registered on the link (the
-    forward-pass computation of the negotiated establishment scheme). *)
-
 val max_requirement_victims : t -> link:int -> int list
 (** Backup ids realising the current spare requirement (the ones whose
     Π-set drives the max) — candidates for closure during resource
@@ -125,26 +114,26 @@ val max_requirement_victims : t -> link:int -> int list
 
 (** {2 Candidate admission probes}
 
-    A probe fixes one candidate backup and answers admission questions for
-    it on any link: it counts the candidate's overlaps once (again only
-    after another candidate counted in this domain or a new primary
-    entered the index) and memoizes per-link answers.  The memo is
-    dropped automatically when
-    any registration changes, so a probe may be kept across table
-    mutations; it simply recomputes on first use afterwards. *)
+    A probe fixes one candidate backup that is on no link (a fresh
+    backup id) and answers admission questions for it on any link,
+    reading the tables as they are at each call, so it may be kept
+    across registrations and removals.  Its overlap counts are taken
+    once and retaken only after another candidate counted in this
+    domain or a new primary entered the index. *)
 
 type probe
 
 val probe : t -> backup_info -> probe
+(** @raise Invalid_argument naming the first encoding of the candidate's
+    primary outside the index. *)
 
 val probe_required : probe -> link:int -> float
-(** Same result as {!required_with} for the probe's candidate, memoized
-    per link. *)
+(** What the link's spare requirement would become with the candidate
+    added; does not modify the table. *)
 
 val probe_upper_bound : probe -> link:int -> float
-(** O(1) conservative ceiling on {!probe_required}, not memoized: when
-    the candidate is not yet on the link, [bw + max (Σ bw registered)
-    requirement], which is never less than the exact scan's answer; for a
-    registered candidate, the current requirement.  Admission can
-    therefore fast-accept on the ceiling and fall back to the exact scan
-    only when the ceiling does not fit — the verdict is unchanged. *)
+(** O(1) conservative ceiling on {!probe_required}:
+    [bw + max (Σ bw registered) requirement], which is never less than
+    the exact scan's answer.  Admission can therefore fast-accept on the
+    ceiling and fall back to the exact scan only when the ceiling does
+    not fit — the verdict is unchanged. *)

@@ -1,9 +1,5 @@
 type spare_policy = Multiplexed | Brute_force of float
 
-(* Dense-id allocation layer shared by the flat tables (re-exported for
-   callers assembling their own slabs). *)
-module Ids = Ids
-
 type t = {
   topo : Net.Topology.t;
   rnmp : Rtchan.Rnmp.t;
@@ -115,8 +111,6 @@ let unregister_backup t conn (b : Dconn.backup) =
     (Net.Path.nodes t.topo b.Dconn.path);
   ignore conn;
   Ids.Slab.clear_id t.by_bid b.Dconn.bid
-
-let admission_probe t info = Mux.probe t.mux info
 
 (* Admission fast-accepts on the O(1) conservative ceiling and falls back
    to the exact O(entries) scan only when the ceiling does not fit; the

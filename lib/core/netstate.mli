@@ -12,11 +12,6 @@ type spare_policy =
       (** Section 7.4 baseline: the same fixed spare (Mbps) on every link,
           regardless of network status *)
 
-(** Dense-id allocation (watermark + LIFO recycling) and the flat
-    vector/slab containers the state tables are built on, re-exported for
-    callers assembling their own dense-id structures. *)
-module Ids = Ids
-
 type t
 
 val create :
@@ -73,13 +68,8 @@ val register_backup :
 val unregister_backup : t -> Dconn.t -> Dconn.backup -> unit
 (** Remove from the tables and shrink spare reservations accordingly. *)
 
-val admission_probe : t -> Mux.backup_info -> Mux.probe
-(** Batched admission for one candidate backup across many links: the
-    returned probe packs the candidate's bitset once and memoizes
-    per-link answers, so routing searches probe once per candidate. *)
-
 val backup_admissible_probe : t -> Mux.probe -> link:int -> bool
-(** Could the link absorb the probe's candidate without violating
+(** Could the link absorb the {!Mux.probe}'s candidate without violating
     primary + spare ≤ capacity?  Always true under [Brute_force]. *)
 
 val spare_pool : t -> float array

@@ -39,6 +39,11 @@ let requirement_naive ~lambda entries =
       if c > acc then c else acc)
     0.0 entries
 
+(* |Ψ| a candidate on no link would have once registered beside
+   [entries]. *)
+let psi_size_with ~lambda entries (cand : Bcp.Mux.backup_info) =
+  List.length entries - List.length (pi_naive ~lambda entries cand)
+
 let required_with_naive ~lambda entries (cand : Bcp.Mux.backup_info) =
   if
     List.exists

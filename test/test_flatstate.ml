@@ -20,32 +20,32 @@ let contains ~sub s =
 (* ---------------- dense-id interning units ---------------- *)
 
 let test_ids_stability () =
-  let ids = Bcp.Netstate.Ids.create ~kind:"unit" () in
+  let ids = Bcp.Ids.create ~kind:"unit" () in
   for expect = 0 to 99 do
-    Alcotest.(check int) "dense ascending" expect (Bcp.Netstate.Ids.fresh ids)
+    Alcotest.(check int) "dense ascending" expect (Bcp.Ids.fresh ids)
   done;
-  Alcotest.(check int) "watermark" 100 (Bcp.Netstate.Ids.watermark ids);
-  Alcotest.(check int) "live" 100 (Bcp.Netstate.Ids.live_count ids)
+  Alcotest.(check int) "watermark" 100 (Bcp.Ids.watermark ids);
+  Alcotest.(check int) "live" 100 (Bcp.Ids.live_count ids)
 
 let test_ids_recycling () =
-  let ids = Bcp.Netstate.Ids.create ~kind:"unit" () in
-  let _a = Bcp.Netstate.Ids.fresh ids in
-  let b = Bcp.Netstate.Ids.fresh ids in
-  let c = Bcp.Netstate.Ids.fresh ids in
-  Bcp.Netstate.Ids.release ids b;
-  Bcp.Netstate.Ids.release ids c;
+  let ids = Bcp.Ids.create ~kind:"unit" () in
+  let _a = Bcp.Ids.fresh ids in
+  let b = Bcp.Ids.fresh ids in
+  let c = Bcp.Ids.fresh ids in
+  Bcp.Ids.release ids b;
+  Bcp.Ids.release ids c;
   (* LIFO: the most recently released id comes back first, keeping the
      live set dense under churn. *)
-  Alcotest.(check int) "lifo first" c (Bcp.Netstate.Ids.fresh ids);
-  Alcotest.(check int) "lifo second" b (Bcp.Netstate.Ids.fresh ids);
-  Alcotest.(check int) "watermark unchanged" 3 (Bcp.Netstate.Ids.watermark ids);
-  Alcotest.(check bool) "mem live" true (Bcp.Netstate.Ids.mem ids b);
-  Bcp.Netstate.Ids.release ids b;
-  Alcotest.(check bool) "mem released" false (Bcp.Netstate.Ids.mem ids b)
+  Alcotest.(check int) "lifo first" c (Bcp.Ids.fresh ids);
+  Alcotest.(check int) "lifo second" b (Bcp.Ids.fresh ids);
+  Alcotest.(check int) "watermark unchanged" 3 (Bcp.Ids.watermark ids);
+  Alcotest.(check bool) "mem live" true (Bcp.Ids.mem ids b);
+  Bcp.Ids.release ids b;
+  Alcotest.(check bool) "mem released" false (Bcp.Ids.mem ids b)
 
 let test_ids_errors () =
-  let ids = Bcp.Netstate.Ids.create ~kind:"bid" () in
-  ignore (Bcp.Netstate.Ids.fresh ids);
+  let ids = Bcp.Ids.create ~kind:"bid" () in
+  ignore (Bcp.Ids.fresh ids);
   let expect_invalid ~id f =
     match f () with
     | exception Invalid_argument msg ->
@@ -55,9 +55,9 @@ let test_ids_errors () =
         (contains ~sub:"bid" msg && contains ~sub:id msg)
     | _ -> Alcotest.fail "expected Invalid_argument"
   in
-  expect_invalid ~id:"7" (fun () -> Bcp.Netstate.Ids.check ids 7);
-  expect_invalid ~id:"-1" (fun () -> Bcp.Netstate.Ids.check ids (-1));
-  expect_invalid ~id:"3" (fun () -> Bcp.Netstate.Ids.release ids 3)
+  expect_invalid ~id:"7" (fun () -> Bcp.Ids.check ids 7);
+  expect_invalid ~id:"-1" (fun () -> Bcp.Ids.check ids (-1));
+  expect_invalid ~id:"3" (fun () -> Bcp.Ids.release ids 3)
 
 (* ---------------- scenario-prefix equivalence ---------------- *)
 

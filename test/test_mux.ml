@@ -2,7 +2,12 @@
    spare sizing, incremental updates, degree-restricted conflicts. *)
 
 let lambda = 1e-4
-let topo () = Net.Builders.line ~nodes:2 ~capacity:100.0 (* one link: id 0 *)
+
+(* The cases use link 0 only.  A 64-node ring (128 simplex links)
+   indexes encodings [0, 256), which covers every synthetic primary
+   below, so each overlap is counted through the engine's primary index
+   as on a real network. *)
+let topo () = Net.Builders.ring ~nodes:64 ~capacity:100.0
 
 (* Encoded component arrays for synthetic primaries.  Component k of
    "path family f" is unique across families unless explicitly shared. *)
@@ -136,7 +141,9 @@ let test_required_with_matches_register () =
   in
   List.iter (Bcp.Mux.register m ~link:0) existing;
   let candidate = info ~backup:9 ~nu:(nu_of 3) ~bw:1.0 [ 8; 10; 12; 30; 32 ] in
-  let predicted = Bcp.Mux.required_with m ~link:0 candidate in
+  let predicted =
+    Bcp.Mux.probe_required (Bcp.Mux.probe m candidate) ~link:0
+  in
   Bcp.Mux.register m ~link:0 candidate;
   Alcotest.(check (float 1e-9)) "what-if = actual" predicted
     (Bcp.Mux.spare_requirement m ~link:0)
@@ -157,15 +164,12 @@ let test_unregister_restores () =
 
 (* Removal decides Π membership by the rule, as registration did.  The
    victim (connection 1, ν = 3λ) sits among peers registered before and
-   after it, of its own connection, of equal ν, and with primaries the
-   index does not hold (an encoding past it, or negative).  It leaves
-   the Π of every peer it conflicts with; for every other peer it was
-   in Ψ, which shrinks by one. *)
+   after it, of its own connection, of equal ν, and with primaries
+   reaching the index's first and last encodings.  It leaves the Π of
+   every peer it conflicts with; for every other peer it was in Ψ, which
+   shrinks by one. *)
 let test_unregister_by_rule () =
-  (* 64 nodes: encodings in [0, 128) are indexed *)
-  let m =
-    Bcp.Mux.create (Net.Builders.ring ~nodes:64 ~capacity:100.0) ~lambda
-  in
+  let m = Bcp.Mux.create (topo ()) ~lambda in
   let mk ~backup ~conn ~degree ~bw cs =
     { (info ~backup ~nu:(nu_of degree) ~bw cs) with Bcp.Mux.conn }
   in
@@ -180,10 +184,10 @@ let test_unregister_by_rule () =
     [
       (* lower ν: the victim is outside its Π despite a shared primary *)
       (mk ~backup:3 ~conn:3 ~degree:1 ~bw:1.5 [ 0; 2; 4; 6; 8 ], false);
-      (mk ~backup:4 ~conn:4 ~degree:3 ~bw:1.0 [ 0; 2; 4; 6; 200 ], true);
-      (mk ~backup:5 ~conn:5 ~degree:3 ~bw:3.0 [ -3; 30; 32 ], false);
-      (mk ~backup:6 ~conn:1 ~degree:3 ~bw:0.5 [ -1; 40; 42 ], true);
-      (mk ~backup:7 ~conn:7 ~degree:3 ~bw:1.0 [ -2; 0; 2; 4; 6 ], true);
+      (mk ~backup:4 ~conn:4 ~degree:3 ~bw:1.0 [ 0; 2; 4; 6; 255 ], true);
+      (mk ~backup:5 ~conn:5 ~degree:3 ~bw:3.0 [ 30; 32; 33 ], false);
+      (mk ~backup:6 ~conn:1 ~degree:3 ~bw:0.5 [ 40; 41; 42 ], true);
+      (mk ~backup:7 ~conn:7 ~degree:3 ~bw:1.0 [ 0; 1; 2; 4; 6 ], true);
       (* higher ν than the victim, S ≈ 4λ below it: outside its Π *)
       (mk ~backup:8 ~conn:8 ~degree:6 ~bw:0.5 [ 0; 2; 4; 6; 12 ], false);
     ]
@@ -244,7 +248,8 @@ let test_psi_size_with () =
   Bcp.Mux.register m ~link:0 (info ~backup:2 ~nu:(nu_of 6) ~bw:1.0 [ 10; 12; 14 ]);
   let candidate = info ~backup:9 ~nu:(nu_of 6) ~bw:1.0 [ 20; 22; 24 ] in
   (* Everything is mutually disjoint: the candidate would share with both. *)
-  Alcotest.(check int) "psi with" 2 (Bcp.Mux.psi_size_with m ~link:0 candidate);
+  Alcotest.(check int) "psi with" 2
+    (Mux_ref.psi_size_with ~lambda (Bcp.Mux.on_link m ~link:0) candidate);
   Bcp.Mux.register m ~link:0 candidate;
   Alcotest.(check int) "psi after" 2 (Bcp.Mux.psi_size m ~link:0 ~backup:9)
 

@@ -1,41 +1,42 @@
 (* Fuzz the multiplexing engine (overlap counts through the primary
-   index, pow memo, probe memos, requirement refreshed during the update
-   walk) against the naive full-recompute reference in [Mux_ref]: after
-   every register / unregister / probe the spare requirements and every
-   live probe's answers must match, and after arbitrary register /
-   unregister / required_with sequences every observable — spare
-   requirement, Ψ, the conflict sets [Mux.on_link] yields, admission
-   what-ifs — must match the reference EXACTLY (bandwidths are dyadic
-   rationals, so sums are order-independent and float equality is
-   legitimate).  Ψ on the touched link is also checked after every
-   removal, since removal decides Π membership by rule.  The overlap
-   count the engine reads for a pair is recovered exactly from Ψ at two
-   S thresholds and checked against [Mux.shared_count]; unit cases pin
-   the index's edge encodings, count reuse across interleaved probes and
-   registrations, and the requirement after removals. *)
+   index, pow memo, requirement refreshed during the update walk) against
+   the naive full-recompute reference in [Mux_ref]: after every register /
+   unregister / probe the spare requirements and every live probe's
+   answers must match, and after arbitrary register / unregister / probe
+   sequences every observable — spare requirement, Ψ, the conflict sets
+   [Mux.on_link] yields, admission what-ifs — must match the reference
+   EXACTLY (bandwidths are dyadic rationals, so sums are
+   order-independent and float equality is legitimate).  Ψ on the
+   touched link is also checked after every removal, since removal
+   decides Π membership by rule.  The overlap count the engine reads for
+   a pair is recovered exactly from a probe's answer at two S thresholds
+   and checked against [Mux.shared_count]; primaries with an encoding
+   outside the index must be rejected by [register] and [probe]; unit
+   cases pin the index's edge encodings, count reuse across interleaved
+   probes and registrations, and the requirement after removals. *)
 
 let lambda = 1e-4
 
 let bandwidths = [| 0.5; 1.0; 1.5; 2.0; 3.0 |]
 
-(* The fuzzed engines run on a 40-node ring: encodings in [0, 80) are
-   indexed, and ops use only its first few links, so tables stay
-   crowded. *)
+(* The fuzzed engines run on a 40-node ring (80 simplex links):
+   encodings in [0, 160) are indexed, and ops use only its first few
+   links, so tables stay crowded. *)
 let ring40 () = Net.Builders.ring ~nodes:40 ~capacity:100.0
 
-(* Component families: indexed encodings, the last indexed encoding (79),
-   encodings past the index (the first one, 80, and far beyond) and
-   negative encodings; an array holding either of the last two kinds is
-   counted by merging. *)
+(* Component families over the indexed range: even encodings per family,
+   odd encodings that only one family holds (low ones, and ones just past
+   the families' even range), the last indexed encoding (159), which
+   every family can share, and the first (0), which family 0 holds too. *)
 let components_of ~family ~variant =
   let base = family * 10 in
   let cs =
     match variant mod 5 with
     | 0 -> [ base; base + 2; base + 4 ]
-    | 1 -> [ base; base + 2; 70_000 + base ]
-    | 2 -> [ -6 + family; base + 2; base + 4 ]
-    | 3 -> [ base + 2; base + 4; 79 ]
-    | _ -> [ base; 80 ]
+    | 1 -> [ base; base + 2; 61 + (2 * family) ]
+    | 2 -> [ 1 + (2 * family); base + 2; base + 4 ]
+    | 3 -> [ base + 2; base + 4; 159 ]
+    | _ -> [ 0; base ]
   in
   let a = Array.of_list (List.sort_uniq Int.compare cs) in
   a
@@ -59,7 +60,7 @@ let required_with_naive = Mux_ref.required_with_naive ~lambda
 (* ---------------- op sequences ---------------- *)
 
 type op = {
-  kind : int; (* 0,1: register; 2: unregister; 3: required_with probe *)
+  kind : int; (* 0,1: register; 2: unregister; 3: probe *)
   link : int;
   bid : int;
   degree : int;
@@ -159,9 +160,9 @@ let prop_matches_reference =
                 ~variant:o.variant ~bw_idx:o.bw_idx
             in
             check_exact
-              (Printf.sprintf "required_with link %d" link)
+              (Printf.sprintf "probe_required link %d" link)
               (required_with_naive (entries link) cand)
-              (Bcp.Mux.required_with m ~link cand))
+              (Bcp.Mux.probe_required (Bcp.Mux.probe m cand) ~link))
         ops;
       (* Final audit of every observable on every link. *)
       for link = 0 to nlinks - 1 do
@@ -197,8 +198,8 @@ let prop_matches_reference =
       done;
       true)
 
-(* Probes must answer exactly like the unbatched required_with, including
-   after table mutations invalidate their memos. *)
+(* One probe of a fresh candidate, held while the tables change, must
+   answer like the naive recompute over the link's current backups. *)
 let prop_probe_matches =
   QCheck.Test.make ~name:"probe == required_with across mutations"
     ~count:100 arbitrary_ops (fun (nodes, ops) ->
@@ -208,14 +209,17 @@ let prop_probe_matches =
       let probe = Bcp.Mux.probe m cand in
       let audit () =
         for link = 0 to nlinks - 1 do
+          let expected =
+            required_with_naive (Bcp.Mux.on_link m ~link) cand
+          in
           check_exact
             (Printf.sprintf "probe_required link %d" link)
-            (Bcp.Mux.required_with m ~link cand)
+            expected
             (Bcp.Mux.probe_required probe ~link);
-          (* repeated call hits the memo and must not drift *)
+          (* a repeated call reuses the counts and must not drift *)
           check_exact
-            (Printf.sprintf "probe_required memo link %d" link)
-            (Bcp.Mux.required_with m ~link cand)
+            (Printf.sprintf "probe_required again link %d" link)
+            expected
             (Bcp.Mux.probe_required probe ~link)
         done
       in
@@ -230,7 +234,7 @@ let prop_probe_matches =
               Bcp.Mux.register m ~link
                 (info_of ~bid:o.bid ~degree:o.degree ~family:o.family
                    ~variant:o.variant ~bw_idx:o.bw_idx));
-          (* every mutation drops the memo: the probe must recompute *)
+          (* the probe reads the tables as they are now *)
           audit ())
         (List.filteri (fun i _ -> i < 12) ops);
       true)
@@ -247,24 +251,28 @@ let s_expr ~c_i ~c_j ~sc =
      -. (p ** float_of_int (c_i + c_j - sc)))
 
 (* Whether the overlap count the engine reads between candidate [cand]
-   and the one backup on [link] (registered with ν = -∞ under another
-   connection) is [k]: the peer is in the candidate's Π exactly when
-   S(engine count) ≥ ν, and S grows strictly with the count, so Ψ at the
-   thresholds S(k) and S(k + 1) pins the count. *)
+   and the one backup on [link] (registered with ν = -∞ and bandwidth 1
+   under another connection) is [k]: the peer is in the candidate's Π
+   exactly when S(engine count) ≥ ν, which makes the candidate's own
+   term, and so the probe's answer, 2 rather than 1; S grows strictly
+   with the count, so the answers at the thresholds S(k) and S(k + 1)
+   pin the count. *)
 let engine_count_is m ~link ~peer_len cand k =
-  let psi nu =
-    Bcp.Mux.psi_size_with m ~link
-      {
-        Bcp.Mux.backup = 1_000_000;
-        conn = 1_000_000;
-        serial = 1;
-        nu;
-        bw = 1.0;
-        primary_components = cand;
-      }
+  let required nu =
+    Bcp.Mux.probe_required ~link
+      (Bcp.Mux.probe m
+         {
+           Bcp.Mux.backup = 1_000_000;
+           conn = 1_000_000;
+           serial = 1;
+           nu;
+           bw = 1.0;
+           primary_components = cand;
+         })
   in
   let c_i = Array.length cand and c_j = peer_len in
-  psi (s_expr ~c_i ~c_j ~sc:k) = 0 && psi (s_expr ~c_i ~c_j ~sc:(k + 1)) = 1
+  required (s_expr ~c_i ~c_j ~sc:k) = 2.0
+  && required (s_expr ~c_i ~c_j ~sc:(k + 1)) = 1.0
 
 let peer_info ~bid ~conn comps =
   {
@@ -276,7 +284,8 @@ let peer_info ~bid ~conn comps =
     primary_components = comps;
   }
 
-(* A 64-node ring: encodings in [0, 128) are indexed. *)
+(* A 64-node ring (128 simplex links): encodings in [0, 256)
+   are indexed. *)
 let ring64 () = Net.Builders.ring ~nodes:64 ~capacity:100.0
 
 let sorted_arr g =
@@ -288,35 +297,22 @@ let sorted_arr g =
 let print_arr a =
   "[" ^ String.concat ";" (List.map string_of_int (Array.to_list a)) ^ "]"
 
+(* Encodings of the 64-node ring's index, with its first and last ones
+   and those around multiples of 63 drawn more often. *)
+let in_index =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofa [| 0; 1; 62; 63; 64; 126; 127; 128; 254; 255 |]);
+        (6, int_range 0 255);
+      ])
+
 (* The engine's count equals the reference merge for every peer, with
    one backup id carrying a different array on every link, one array on
    two links and an equal copy on a third (shared index entries), and
    again after some registrations leave and others take their links
-   (entry refcounts and reused entry ids).  Candidates
-   and peers reach the index's last encoding, the first past it, far past
-   it and below zero. *)
+   (entry refcounts and reused entry ids). *)
 let prop_index_count =
-  let edge = [| 0; 1; 62; 63; 64; 126; 127; 128; 129; 65_535; 65_536 |] in
-  let cand_elem =
-    QCheck.Gen.(
-      frequency
-        [ (1, oneofa edge); (4, int_range 0 127); (1, int_range (-5) (-1)) ])
-  in
-  let in_range =
-    QCheck.Gen.(
-      frequency [ (1, oneofa [| 0; 1; 126; 127 |]); (6, int_range 0 127) ])
-  in
-  (* one peer in four holds an encoding outside the index *)
-  let peer =
-    QCheck.Gen.(
-      pair (int_range 0 3)
-        (pair (sorted_arr in_range) (oneofl [ -3; 128; 70_000 ]))
-      |> map (fun (kind, (a, outside)) ->
-             if kind > 0 then a
-             else
-               Array.of_list
-                 (List.sort_uniq Int.compare (outside :: Array.to_list a))))
-  in
   QCheck.Test.make ~name:"index count == shared_count" ~count:300
     (QCheck.make
        ~print:(fun (a, ps, drop) ->
@@ -324,8 +320,8 @@ let prop_index_count =
            (String.concat " " (List.map print_arr ps))
            drop)
        QCheck.Gen.(
-         triple (sorted_arr cand_elem)
-           (list_size (int_range 1 6) peer)
+         triple (sorted_arr in_index)
+           (list_size (int_range 1 6) (sorted_arr in_index))
            (int_range 0 6)))
     (fun (cand, peers, drop) ->
       let m = Bcp.Mux.create (ring64 ()) ~lambda in
@@ -372,9 +368,68 @@ let prop_index_count =
       check (kept @ again);
       true)
 
+(* A primary with one encoding below or past the index is rejected by
+   [register] and [probe], and the rejected call leaves the engine as it
+   was: the link keeps its backups and requirement, and a probe of the
+   array's indexed part still answers like the reference. *)
+let prop_outside_rejected =
+  let outside =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, int_range (-5) (-1));
+          (2, oneofa [| 256; 257; 65_535; 65_536 |]);
+          (1, int_range 256 300);
+        ])
+  in
+  QCheck.Test.make ~name:"encodings outside the index are rejected"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (a, bad, ps) ->
+         Printf.sprintf "cand %s outside %d peers %s" (print_arr a) bad
+           (String.concat " " (List.map print_arr ps)))
+       QCheck.Gen.(
+         triple (sorted_arr in_index) outside
+           (list_size (int_range 0 4) (sorted_arr in_index))))
+    (fun (a, bad, peers) ->
+      let m = Bcp.Mux.create (ring64 ()) ~lambda in
+      List.iteri
+        (fun i p ->
+          Bcp.Mux.register m ~link:0 (peer_info ~bid:i ~conn:(100 + i) p))
+        peers;
+      let before = Bcp.Mux.spare_requirement m ~link:0 in
+      let with_bad =
+        Array.of_list (List.sort_uniq Int.compare (bad :: Array.to_list a))
+      in
+      let raises f =
+        match f () with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      if
+        not
+          (raises (fun () ->
+               Bcp.Mux.register m ~link:0
+                 (peer_info ~bid:50 ~conn:50 with_bad)))
+      then QCheck.Test.fail_reportf "register accepted encoding %d" bad;
+      if
+        not
+          (raises (fun () ->
+               ignore (Bcp.Mux.probe m (peer_info ~bid:51 ~conn:51 with_bad))))
+      then QCheck.Test.fail_reportf "probe accepted encoding %d" bad;
+      check_int "count after the rejections" (List.length peers)
+        (Bcp.Mux.count_on m ~link:0);
+      check_exact "requirement after the rejections" before
+        (Bcp.Mux.spare_requirement m ~link:0);
+      let cand = { (peer_info ~bid:52 ~conn:52 a) with Bcp.Mux.nu = 1e-4 } in
+      check_exact "probe of the indexed part"
+        (required_with_naive (Bcp.Mux.on_link m ~link:0) cand)
+        (Bcp.Mux.probe_required (Bcp.Mux.probe m cand) ~link:0);
+      true)
+
 (* ---------------- unit cases ---------------- *)
 
-(* Edge encodings on a 64-node ring (indexed range [0, 128)), each count
+(* Edge encodings on a 64-node ring (indexed range [0, 256)), each count
    read back through the engine. *)
 let test_index_count_edges () =
   let case what cand peer expected =
@@ -385,12 +440,9 @@ let test_index_count_edges () =
     Alcotest.(check bool) what true
       (engine_count_is m ~link:0 ~peer_len:(Array.length peer) cand expected)
   in
-  case "negative candidate encodings are skipped" [| -4; 2; 8 |] [| 2; 8 |] 2;
-  case "candidate encodings past the index are skipped" [| 2; 128 |] [| 2 |] 1;
-  case "far past the index" [| 2; 65_536 |] [| 2; 127 |] 1;
-  case "the last indexed encoding counts" [| 3; 127 |] [| 127 |] 1;
-  case "a peer past the index is merged" [| 3; 127; 128 |] [| -1; 127; 128 |] 2;
-  case "a negative peer is merged" [| -1; 3 |] [| -1; 3; 5 |] 2;
+  case "the first indexed encoding counts" [| 0; 3 |] [| 0; 5 |] 1;
+  case "the last indexed encoding counts" [| 3; 255 |] [| 255 |] 1;
+  case "both ends of the index" [| 0; 2; 255 |] [| 0; 3; 255 |] 2;
   case "empty candidate overlaps nothing" [||] [| 0; 1; 2 |] 0;
   case "empty peer overlaps nothing" [| 0; 1; 2 |] [||] 0;
   (* encodings around the 63-bit word boundaries of the former packed
@@ -407,7 +459,18 @@ let test_descriptive_lookup_errors () =
   in
   Alcotest.(check string)
     "psi_size names link and backup" "Mux: backup 9 not on link 1"
-    (expect_msg (fun () -> Bcp.Mux.psi_size m ~link:1 ~backup:9))
+    (expect_msg (fun () -> Bcp.Mux.psi_size m ~link:1 ~backup:9));
+  (* two nodes, two links: encodings [0, 4) are indexed *)
+  Alcotest.(check string)
+    "register names the encoding"
+    "Mux.register: encoding 4 outside the index [0, 4)"
+    (expect_msg (fun () ->
+         Bcp.Mux.register m ~link:0 (peer_info ~bid:1 ~conn:1 [| 0; 4 |])));
+  Alcotest.(check string)
+    "probe names the encoding"
+    "Mux.probe: encoding -1 outside the index [0, 4)"
+    (expect_msg (fun () ->
+         Bcp.Mux.probe m (peer_info ~bid:1 ~conn:1 [| -1; 0 |])))
 
 (* A backup id recycled with a different primary must be re-evaluated
    against its new primary, not the one it was first registered with. *)
@@ -564,25 +627,16 @@ let test_requirement_after_removals () =
   Bcp.Mux.unregister m ~link ~backup:3;
   check "empty" ~expected:0.0 ~victims:[]
 
-(* [probe_required] against the reference and the one-shot
-   [required_with]; the reference comes first, as it counts nothing. *)
-let check_probe_ref m what p cand ~link =
+(* [probe_required] against the reference and the expected value. *)
+let check_probe m what p cand ~link ~expected =
   let got = Bcp.Mux.probe_required p ~link in
   Alcotest.(check (float 0.0))
     (Printf.sprintf "%s: link %d reference" what link)
     (Mux_ref.required_with_naive ~lambda (Bcp.Mux.on_link m ~link) cand)
     got;
   Alcotest.(check (float 0.0))
-    (Printf.sprintf "%s: link %d required_with" what link)
-    (Bcp.Mux.required_with m ~link cand)
-    got;
-  got
-
-let check_probe m what p cand ~link ~expected =
-  Alcotest.(check (float 0.0))
     (Printf.sprintf "%s: link %d value" what link)
-    expected
-    (check_probe_ref m what p cand ~link)
+    expected got
 
 (* Two live probes take turns on the count scratch, with registrations
    in between: each scan must count against its own candidate. *)
@@ -714,6 +768,7 @@ let () =
             prop_matches_reference;
             prop_probe_matches;
             prop_index_count;
+            prop_outside_rejected;
             prop_sequence_matches_reference;
           ]
       );
