@@ -80,7 +80,7 @@ let () =
   List.iteri
     (fun i ch ->
       if Net.Path.uses_node topo ch.Rtchan.Channel.path x then begin
-        Rtchan.Rnmp.teardown rnmp ch.Rtchan.Channel.id;
+        Rtchan.Rnmp.teardown rnmp ch;
         let src = Rtchan.Channel.src ch and dst = Rtchan.Channel.dst ch in
         let link_ok (l : Net.Topology.link) =
           l.Net.Topology.src <> x && l.Net.Topology.dst <> x

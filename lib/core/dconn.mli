@@ -25,6 +25,9 @@ type t = {
   mutable primary : Rtchan.Channel.t;
   mutable backups : backup list;  (** ascending serial *)
   mutable primary_alive : bool;
+      (** the primary holds its bandwidth reservation; true on creation,
+          cleared by {!Netstate.release_primary} and set again by
+          {!Netstate.replace_primary} *)
   target_backups : int;
       (** the protection level the client asked for; reconfiguration
           re-provisions standby backups up to this count *)

@@ -138,10 +138,14 @@ let route_backup ?reference ?(strategy = Min_hops)
       (* Cost of a link = extra spare bandwidth this backup would force it
          to reserve, with a small per-hop epsilon to prefer shorter paths
          among equals.  Interior components of the connection's other
-         channels stay off limits. *)
+         channels stay off limits.  One exact scan gives both the
+         admission verdict and the increment: the verdict equals
+         [Netstate.backup_admissible_probe]'s, whose ceiling only
+         fast-accepts what the exact requirement accepts too. *)
       let banned = Net.Component.Mask.scratch ~num_nodes ~num_links in
       List.iter (fun p -> Net.Path.mask_interior topo p banned) avoid;
       let mux = Netstate.mux ns in
+      let res = Netstate.resources ns in
       let epsilon_hop = 1e-6 *. Float.max 1.0 info.Mux.bw in
       let ws = get_cost_ws num_links in
       let epoch = ws.cepoch in
@@ -151,16 +155,19 @@ let route_backup ?reference ?(strategy = Min_hops)
           ws.cstamp.(id) <- epoch;
           ws.ccost.(id) <-
             (if Net.Component.Mask.mem_link banned id then -1.0
-             else if not (link_ok l) then -1.0
+             else if
+               Net.Component.Set.mem (Net.Component.Link id) avoid_components
+             then -1.0
              else begin
-               let increment =
-                 match Netstate.policy ns with
-                 | Netstate.Brute_force _ -> 0.0
-                 | Netstate.Multiplexed ->
-                   Mux.probe_required probe ~link:id
-                   -. Mux.spare_requirement mux ~link:id
-               in
-               Float.max 0.0 increment +. epsilon_hop
+               Sim.Prof.incr admission_checks;
+               match Netstate.policy ns with
+               | Netstate.Brute_force _ -> epsilon_hop
+               | Netstate.Multiplexed ->
+                 let required = Mux.probe_required probe ~link:id in
+                 if Rtchan.Resource.can_set_spare res id required then
+                   Float.max 0.0 (required -. Mux.spare_requirement mux ~link:id)
+                   +. epsilon_hop
+                 else -1.0
              end)
         end;
         let c = ws.ccost.(id) in
@@ -191,15 +198,13 @@ let establish ?reference ?backup_routing ns ~conn_id request =
   if request.mux_degree < 0 then
     invalid_arg "Establish.establish: negative mux degree";
   Sim.Prof.span "establish.serial" @@ fun () ->
-  let rnmp = Netstate.rnmp ns in
   match
     Sim.Prof.span "establish.primary" (fun () ->
-        Rtchan.Rnmp.establish ?reference rnmp ~src:request.src ~dst:request.dst
-          ~traffic:request.traffic ~qos:request.qos)
+        Rtchan.Rnmp.establish ?reference (Netstate.rnmp ns) ~src:request.src
+          ~dst:request.dst ~traffic:request.traffic ~qos:request.qos)
   with
   | Error r -> Error (Primary_rejected r)
   | Ok primary ->
-    Netstate.bump ns;
     let conn =
       {
         Dconn.id = conn_id;
@@ -244,8 +249,7 @@ let establish ?reference ?backup_routing ns ~conn_id request =
     | Error e ->
       (* Roll back everything reserved for this connection. *)
       List.iter (fun b -> Netstate.unregister_backup ns conn b) conn.Dconn.backups;
-      Rtchan.Rnmp.teardown rnmp primary.Rtchan.Channel.id;
-      Netstate.bump ns;
+      Netstate.release_primary ns conn;
       Error e)
 
 let add_backup ?avoid_components ns conn ~mux_degree =
@@ -321,11 +325,9 @@ let establish_with_reliability ?(max_backups = 3) ns ~conn_id ~src
      of classes are not greater than the length of the longest possible
      path in the network"). *)
   let max_degree = (2 * Net.Topology.num_nodes topo) + 1 in
-  let rnmp = Netstate.rnmp ns in
-  match Rtchan.Rnmp.establish rnmp ~src ~dst ~traffic ~qos with
+  match Rtchan.Rnmp.establish (Netstate.rnmp ns) ~src ~dst ~traffic ~qos with
   | Error r -> Error (Primary_rejected r)
   | Ok primary ->
-    Netstate.bump ns;
     let conn =
       {
         Dconn.id = conn_id;
@@ -342,8 +344,7 @@ let establish_with_reliability ?(max_backups = 3) ns ~conn_id ~src
     let components = primary_components ns conn in
     let rollback () =
       List.iter (fun b -> Netstate.unregister_backup ns conn b) conn.Dconn.backups;
-      Rtchan.Rnmp.teardown rnmp primary.Rtchan.Channel.id;
-      Netstate.bump ns
+      Netstate.release_primary ns conn
     in
     (* Try to attach one more backup: scan degrees from largest (cheapest)
        to smallest, keeping the largest degree whose resulting P_r meets

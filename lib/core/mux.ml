@@ -128,7 +128,8 @@ type t = {
   ncomp : int;
   post : int array array;
   plen : int array;
-  entry_ids : Ids.t;
+  mutable enext : int; (* entry ids in [0, enext) have been issued *)
+  mutable efree : int list; (* released entry ids, most recent first *)
   mutable ecomps : int array array; (* entry -> its component array *)
   mutable erefs : int array; (* entry -> slots holding it; 0 = free *)
   by_comps : int Ctbl.t;
@@ -176,7 +177,8 @@ let create topo ~lambda =
     ncomp;
     post = Array.make ncomp [||];
     plen = Array.make ncomp 0;
-    entry_ids = Ids.create ~kind:"mux entry" ();
+    enext = 0;
+    efree = [];
     ecomps = [||];
     erefs = [||];
     by_comps = Ctbl.create 64;
@@ -224,7 +226,7 @@ let victim_key = new_counts ()
    [walk].  A count leaves values of at most [base + |cand|], which sets
    the next [base]. *)
 let recount t ws comps walk =
-  let need = Ids.watermark t.entry_ids in
+  let need = t.enext in
   if Array.length ws.acc < need then
     ws.acc <- Array.make (max need (2 * Array.length ws.acc)) 0;
   let base = ws.base + Array.length ws.cand + 1 in
@@ -277,7 +279,16 @@ let grow_ints a need =
    if they were current, stay current: the new entry's overlap with their
    candidate is one merge. *)
 let add_entry t comps =
-  let e = Ids.fresh t.entry_ids in
+  (* The most recently released id first, so ids stay dense under churn. *)
+  let e =
+    match t.efree with
+    | e :: rest ->
+      t.efree <- rest;
+      e
+    | [] ->
+      t.enext <- t.enext + 1;
+      t.enext - 1
+  in
   if e >= Array.length t.erefs then begin
     t.erefs <- grow_ints t.erefs (e + 1);
     let na = Array.make (Array.length t.erefs) [||] in
@@ -314,6 +325,8 @@ let acquire_entry t comps =
   e
 
 let release_entry t e =
+  if t.erefs.(e) <= 0 then
+    invalid_arg (Printf.sprintf "Mux: entry %d released twice" e);
   let r = t.erefs.(e) - 1 in
   t.erefs.(e) <- r;
   if r = 0 then begin
@@ -327,7 +340,7 @@ let release_entry t e =
     done;
     Ctbl.remove t.by_comps comps;
     t.ecomps.(e) <- [||];
-    Ids.release t.entry_ids e
+    t.efree <- e :: t.efree
   end
 
 (* (1-λ)^c from the table [create] fills (λ is fixed at creation).

@@ -1,5 +1,35 @@
 type spare_policy = Multiplexed | Brute_force of float
 
+(* What sits on one link or node, oldest first.  [push] appends and
+   [drop] removes in place, keeping the others' order, so neither
+   allocates once the array has grown: removing from a list copies every
+   newer entry, which on churn16 doubled the words promoted per op.
+   Slots past [len] hold no entry of their own. *)
+type 'a vec = { mutable items : 'a array; mutable len : int }
+
+let push v x =
+  if v.len = Array.length v.items then begin
+    let items = Array.make (max 8 (2 * v.len)) x in
+    Array.blit v.items 0 items 0 v.len;
+    v.items <- items
+  end;
+  v.items.(v.len) <- x;
+  v.len <- v.len + 1
+
+(* Remove the first entry [is_x] accepts; no-op when there is none. *)
+let drop v is_x =
+  let rec find i =
+    if i >= v.len then -1 else if is_x v.items.(i) then i else find (i + 1)
+  in
+  let i = find 0 in
+  if i >= 0 then begin
+    Array.blit v.items (i + 1) v.items i (v.len - i - 1);
+    v.len <- v.len - 1;
+    if v.len = 0 then v.items <- [||] else v.items.(v.len) <- v.items.(0)
+  end
+
+type 'a index = { on_link : 'a vec array; through_node : 'a vec array }
+
 type t = {
   topo : Net.Topology.t;
   rnmp : Rtchan.Rnmp.t;
@@ -7,22 +37,28 @@ type t = {
   policy : spare_policy;
   lambda : float;
   dconns : (int, Dconn.t) Hashtbl.t;
-  (* Flat indexes keyed by dense ids: backup ids come from [bid_ids] (a
-     pure watermark — never released, so the bid stream is stable),
-     primary channel ids from RNMP's own counter, links and nodes from the
-     topology.  The per-link/per-node bid vectors mirror the old cons-list
-     indexes: push = cons, newest-first iteration preserved by
-     [Ivec.to_list_rev]. *)
-  bid_ids : Ids.t;
-  by_bid : (Dconn.t * Dconn.backup) option Ids.Slab.t;
-  by_primary : Dconn.t option Ids.Slab.t; (* primary channel id -> conn *)
-  backups_on_link : Ids.Ivec.t array; (* link -> bids, insertion order *)
-  backups_through_node : Ids.Ivec.t array;
+  (* The connections whose primary holds its reservation, and every
+     registered backup with its connection (one pair per backup, shared by
+     each vector it is on).  Primary channel ids are issued in increasing
+     order, and a primary is placed before the next id is issued, so each
+     primary vector is strictly ascending by channel id. *)
+  primaries : Dconn.t index;
+  backups : (Dconn.t * Dconn.backup) index;
+  (* Backup ids are never recycled: they appear in telemetry, traces and
+     benchmark artifacts, so the stream is a plain counter. *)
+  mutable next_bid : int;
   (* Bumped by every mutator below, so state derived from the whole
      network (the event-driven simulator's channel template) can be
      cached under (physical netstate, generation). *)
   mutable generation : int;
 }
+
+let create_index topo =
+  let vecs n = Array.init n (fun _ -> { items = [||]; len = 0 }) in
+  {
+    on_link = vecs (Net.Topology.num_links topo);
+    through_node = vecs (Net.Topology.num_nodes topo);
+  }
 
 let create ?(lambda = 1e-4) ?(policy = Multiplexed) topo () =
   let rnmp = Rtchan.Rnmp.create topo in
@@ -33,7 +69,6 @@ let create ?(lambda = 1e-4) ?(policy = Multiplexed) topo () =
     Net.Topology.iter_links topo (fun l ->
         Rtchan.Resource.set_spare (Rtchan.Rnmp.resources rnmp) l.Net.Topology.id
           (Float.min spare l.Net.Topology.capacity)));
-  let num_links = Net.Topology.num_links topo in
   {
     topo;
     rnmp;
@@ -41,13 +76,9 @@ let create ?(lambda = 1e-4) ?(policy = Multiplexed) topo () =
     policy;
     lambda;
     dconns = Hashtbl.create 1024;
-    bid_ids = Ids.create ~expected:1024 ~kind:"backup" ();
-    by_bid = Ids.Slab.create ~expected:1024 ~kind:"by_bid" ~default:None ();
-    by_primary =
-      Ids.Slab.create ~expected:1024 ~kind:"by_primary" ~default:None ();
-    backups_on_link = Array.init num_links (fun _ -> Ids.Ivec.create ());
-    backups_through_node =
-      Array.init (Net.Topology.num_nodes topo) (fun _ -> Ids.Ivec.create ());
+    primaries = create_index topo;
+    backups = create_index topo;
+    next_bid = 0;
     generation = 0;
   }
 
@@ -58,13 +89,26 @@ let mux t = t.mux
 let lambda t = t.lambda
 let policy t = t.policy
 
-(* Backup ids are never recycled: they appear in telemetry, traces and
-   benchmark artifacts, so the stream must be a pure watermark. *)
-let fresh_backup_id t = Ids.fresh t.bid_ids
+let fresh_backup_id t =
+  let bid = t.next_bid in
+  t.next_bid <- bid + 1;
+  bid
 
 let generation t = t.generation
 
 let bump t = t.generation <- t.generation + 1
+
+let place t index path x =
+  List.iter (fun l -> push index.on_link.(l) x) (Net.Path.links path);
+  List.iter
+    (fun v -> push index.through_node.(v) x)
+    (Net.Path.nodes t.topo path)
+
+let unplace t index path is_x =
+  List.iter (fun l -> drop index.on_link.(l) is_x) (Net.Path.links path);
+  List.iter
+    (fun v -> drop index.through_node.(v) is_x)
+    (Net.Path.nodes t.topo path)
 
 let backup_info_of (conn : Dconn.t) (b : Dconn.backup) ~primary_components =
   {
@@ -90,27 +134,18 @@ let register_backup t conn (b : Dconn.backup) ~primary_components =
   List.iter
     (fun link ->
       Mux.register t.mux ~link info;
-      refresh_spare t ~link;
-      Ids.Ivec.push t.backups_on_link.(link) b.Dconn.bid)
+      refresh_spare t ~link)
     (Net.Path.links b.Dconn.path);
-  List.iter
-    (fun v -> Ids.Ivec.push t.backups_through_node.(v) b.Dconn.bid)
-    (Net.Path.nodes t.topo b.Dconn.path);
-  Ids.Slab.set t.by_bid b.Dconn.bid (Some (conn, b))
+  place t t.backups b.Dconn.path (conn, b)
 
-let unregister_backup t conn (b : Dconn.backup) =
+let unregister_backup t (_ : Dconn.t) (b : Dconn.backup) =
   bump t;
   List.iter
     (fun link ->
       Mux.unregister t.mux ~link ~backup:b.Dconn.bid;
-      refresh_spare t ~link;
-      Ids.Ivec.remove_first t.backups_on_link.(link) b.Dconn.bid)
+      refresh_spare t ~link)
     (Net.Path.links b.Dconn.path);
-  List.iter
-    (fun v -> Ids.Ivec.remove_first t.backups_through_node.(v) b.Dconn.bid)
-    (Net.Path.nodes t.topo b.Dconn.path);
-  ignore conn;
-  Ids.Slab.clear_id t.by_bid b.Dconn.bid
+  unplace t t.backups b.Dconn.path (fun (_, b') -> b'.Dconn.bid = b.Dconn.bid)
 
 (* Admission fast-accepts on the O(1) conservative ceiling and falls back
    to the exact O(entries) scan only when the ceiling does not fit; the
@@ -129,7 +164,19 @@ let add_dconn t conn =
     invalid_arg (Printf.sprintf "Netstate.add_dconn: duplicate id %d" conn.Dconn.id);
   Hashtbl.replace t.dconns conn.Dconn.id conn;
   bump t;
-  Ids.Slab.set t.by_primary conn.Dconn.primary.Rtchan.Channel.id (Some conn)
+  if conn.Dconn.primary_alive then
+    place t t.primaries conn.Dconn.primary.Rtchan.Channel.path conn
+
+(* An establishment rolling back releases a primary that was never
+   placed; [unplace] then finds nothing to drop. *)
+let release_primary t (conn : Dconn.t) =
+  if conn.Dconn.primary_alive then begin
+    bump t;
+    conn.Dconn.primary_alive <- false;
+    Rtchan.Rnmp.teardown t.rnmp conn.Dconn.primary;
+    unplace t t.primaries conn.Dconn.primary.Rtchan.Channel.path (fun c ->
+        c == conn)
+  end
 
 let remove_dconn t id =
   match Hashtbl.find_opt t.dconns id with
@@ -137,50 +184,45 @@ let remove_dconn t id =
   | Some conn ->
     bump t;
     List.iter (fun b -> unregister_backup t conn b) conn.Dconn.backups;
-    Rtchan.Rnmp.teardown t.rnmp conn.Dconn.primary.Rtchan.Channel.id;
-    Ids.Slab.clear_id t.by_primary conn.Dconn.primary.Rtchan.Channel.id;
+    release_primary t conn;
     Hashtbl.remove t.dconns id
 
 let replace_primary t (conn : Dconn.t) ch =
-  bump t;
-  Ids.Slab.clear_id t.by_primary conn.Dconn.primary.Rtchan.Channel.id;
+  release_primary t conn;
   conn.Dconn.primary <- ch;
-  Ids.Slab.set t.by_primary ch.Rtchan.Channel.id (Some conn)
+  conn.Dconn.primary_alive <- true;
+  place t t.primaries ch.Rtchan.Channel.path conn
 
 let find t id = Hashtbl.find_opt t.dconns id
 let dconns t = Hashtbl.fold (fun _ c acc -> c :: acc) t.dconns []
-let dconn_count t = Hashtbl.length t.dconns
 
 let spare_pool t =
   Array.init (Net.Topology.num_links t.topo) (fun l ->
       Rtchan.Resource.spare (resources t) l)
 
-let backups_using t comp =
-  let index, i =
+(* An id outside the topology lies on no path. *)
+let on index comp =
+  let vecs, i =
     match comp with
-    | Net.Component.Link l -> (t.backups_on_link, l)
-    | Net.Component.Node v -> (t.backups_through_node, v)
+    | Net.Component.Link l -> (index.on_link, l)
+    | Net.Component.Node v -> (index.through_node, v)
   in
-  (* An id outside the topology lies on no path. *)
-  if i < 0 || i >= Array.length index then []
-  else
-    List.filter_map
-      (fun bid -> Ids.Slab.get t.by_bid bid)
-      (Ids.Ivec.to_list_rev index.(i))
+  if i < 0 || i >= Array.length vecs then { items = [||]; len = 0 }
+  else vecs.(i)
 
-(* RNMP lists a component's channels newest first, and channel ids are
-   issued in increasing order, so each list is strictly descending: the
-   consing fold yields them ascending with no sort. *)
-let conns_with_primary_on t comp =
-  let ids =
-    match comp with
-    | Net.Component.Link l -> Rtchan.Rnmp.channels_on_link t.rnmp l
-    | Net.Component.Node v -> Rtchan.Rnmp.channels_through_node t.rnmp v
+let backups_using t comp =
+  let v = on t.backups comp in
+  let rec newest_first i acc =
+    if i >= v.len then acc else newest_first (i + 1) (v.items.(i) :: acc)
   in
-  List.fold_left
-    (fun acc cid ->
-      match Ids.Slab.get t.by_primary cid with Some c -> c :: acc | None -> acc)
-    [] ids
+  newest_first 0 []
+
+let conns_with_primary_on t comp =
+  let v = on t.primaries comp in
+  let rec ascending i acc =
+    if i < 0 then acc else ascending (i - 1) (v.items.(i) :: acc)
+  in
+  ascending (v.len - 1) []
 
 let network_load t = Rtchan.Resource.network_load (resources t)
 let spare_fraction t = Rtchan.Resource.spare_fraction (resources t)

@@ -1,5 +1,8 @@
 (** Central BCP network state: topology, primary-channel reservations
-    (RNMP), the backup-multiplexing tables, and the D-connection registry.
+    (RNMP), the backup-multiplexing tables, the D-connection registry, and
+    the only record of where connections sit: per link and per node, the
+    connections whose primary holds its reservation there and the
+    registered backups crossing it.
 
     This is the "planning" layer shared by the static evaluation engine
     (Tables 1–3, Figure 9) and the event-driven protocol simulator. *)
@@ -21,15 +24,11 @@ val create :
 
 val generation : t -> int
 (** Network-wide mutation counter.  Every mutator of this module bumps
-    it: {!add_dconn}, {!remove_dconn}, {!replace_primary},
-    {!register_backup} and {!unregister_backup}.  State derived from the whole network and
-    cached under (physical netstate, generation) — {!Simnet}'s channel
-    template — is stale as soon as the generation moves. *)
-
-val bump : t -> unit
-(** Advance {!generation} by hand.  Code that changes the network without
-    going through this module's mutators — reserving or releasing primary
-    bandwidth via RNMP directly — must call it. *)
+    it: {!add_dconn}, {!remove_dconn}, {!release_primary},
+    {!replace_primary}, {!register_backup} and {!unregister_backup}.
+    State derived from the whole network and cached under (physical
+    netstate, generation) — {!Simnet}'s channel template — is stale as
+    soon as the generation moves. *)
 
 val topology : t -> Net.Topology.t
 val rnmp : t -> Rtchan.Rnmp.t
@@ -41,21 +40,31 @@ val policy : t -> spare_policy
 val fresh_backup_id : t -> int
 
 val add_dconn : t -> Dconn.t -> unit
-(** Register an established connection (used by {!Establish}). *)
+(** Register an established connection (used by {!Establish}) and place
+    its primary, whose bandwidth RNMP has just reserved, in the primary
+    index.  Place it before RNMP issues the next channel id. *)
 
 val remove_dconn : t -> int -> unit
-(** Tear down a connection completely: primary bandwidth, every backup's
-    multiplexing registration, and the registry entry. *)
+(** Tear down a connection completely: every backup's multiplexing
+    registration, the primary ({!release_primary}), and the registry
+    entry. *)
+
+val release_primary : t -> Dconn.t -> unit
+(** Release the connection's primary bandwidth and take it out of the
+    primary index; a registered connection stays registered.  Clears
+    [primary_alive]; a no-op once it is clear, so releasing twice
+    releases once.  Also rolls back a primary reserved for a connection
+    that was never added. *)
 
 val replace_primary : t -> Dconn.t -> Rtchan.Channel.t -> unit
-(** Make an established channel the registered connection's primary (a
-    promoted backup, Section 4.4), so {!conns_with_primary_on} finds the
-    connection on the new primary's components and no longer on the old
-    one's. *)
+(** Make a channel RNMP has just established the registered connection's
+    primary (a promoted backup, Section 4.4), releasing the old primary if
+    it still holds its reservation, so {!conns_with_primary_on} lists the
+    connection newest on the new primary's components and no longer on
+    the old one's. *)
 
 val find : t -> int -> Dconn.t option
 val dconns : t -> Dconn.t list
-val dconn_count : t -> int
 
 val register_backup :
   t -> Dconn.t -> Dconn.backup -> primary_components:int array -> unit
@@ -77,13 +86,15 @@ val spare_pool : t -> float array
     backups draw from during recovery. *)
 
 val backups_using : t -> Net.Component.t -> (Dconn.t * Dconn.backup) list
-(** Backups whose path crosses the component, newest first; [[]] for a
-    component outside the topology.  Every [Standby] backup is listed on
-    each node and link of its path. *)
+(** Registered backups whose path crosses the component, newest first;
+    [[]] for a component outside the topology.  Every [Standby] backup is
+    listed on each node and link of its path.  The list is a fresh
+    snapshot, so later mutations do not change it. *)
 
 val conns_with_primary_on : t -> Net.Component.t -> Dconn.t list
-(** Connections whose primary path crosses the component, by ascending
-    primary channel id; [[]] for a component outside the topology. *)
+(** Registered connections whose primary crosses the component and holds
+    its reservation, by ascending primary channel id; [[]] for a component
+    outside the topology. *)
 
 val network_load : t -> float
 val spare_fraction : t -> float

@@ -343,11 +343,7 @@ let reconfigure_teardown t e =
   match Netstate.find t.ns e.conn with
   | None -> ()
   | Some conn ->
-    if e.serial = 0 then begin
-      Rtchan.Rnmp.teardown (Netstate.rnmp t.ns) conn.Dconn.primary.Rtchan.Channel.id;
-      Netstate.bump t.ns;
-      conn.Dconn.primary_alive <- false
-    end
+    if e.serial = 0 then Netstate.release_primary t.ns conn
     else begin
       match Dconn.find_backup conn ~serial:e.serial with
       | None -> ()

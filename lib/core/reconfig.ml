@@ -54,9 +54,8 @@ let shrink_spare_until_fits ns ~link ~bw =
   (ok, !closed)
 
 let promote ns conn (b : Dconn.backup) =
-  let rnmp = Netstate.rnmp ns in
   (* Release the failed primary's reservation... *)
-  Rtchan.Rnmp.teardown rnmp conn.Dconn.primary.Rtchan.Channel.id;
+  Netstate.release_primary ns conn;
   (* ...free the backup's own spare share... *)
   Netstate.unregister_backup ns conn b;
   b.Dconn.state <- Dconn.Activated;
@@ -75,13 +74,12 @@ let promote ns conn (b : Dconn.backup) =
   if not room then (false, !closed_total)
   else
     match
-      Rtchan.Rnmp.establish_on_path rnmp ~path:b.Dconn.path
+      Rtchan.Rnmp.establish_on_path (Netstate.rnmp ns) ~path:b.Dconn.path
         ~traffic:conn.Dconn.traffic ~qos:conn.Dconn.qos
     with
     | Error _ -> (false, !closed_total)
     | Ok ch ->
       Netstate.replace_primary ns conn ch;
-      conn.Dconn.primary_alive <- true;
       (true, !closed_total)
 
 let commit ?(restore_protection = true) ns ~failed ~result =

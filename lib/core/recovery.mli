@@ -14,8 +14,8 @@
 
     A scenario's work is proportional to what the failure touches, read
     from the failed components' own indexes.  The affected connections
-    come from RNMP's per-component channel lists, which are already in
-    descending channel-id order, so no sort is needed.  The backups
+    come from {!Netstate.conns_with_primary_on}, already in ascending
+    channel-id order, so no sort is needed.  The backups
     broken by the failure are the ones {!Netstate.backups_using} lists on
     the failed components.  They are stamped with the scenario's epoch, and
     a standby backup is healthy iff it is unstamped, so no candidate

@@ -19,11 +19,9 @@ let scenarios_of ~seed ns model =
 let failed_components sc = sc.Failures.Scenario.components
 
 (* Try to route a replacement channel for [conn] on the surviving
-   capacity, avoiding [failed]; reserve it if found.  Returns the
-   reserved path. *)
-let reroute ns ~failed conn =
+   capacity in [res], avoiding [failed]; reserve it if found. *)
+let reroute ns res ~failed conn =
   let topo = Bcp.Netstate.topology ns in
-  let res = Bcp.Netstate.resources ns in
   let bw = Bcp.Dconn.bandwidth conn in
   let failed_set =
     List.fold_left
@@ -39,48 +37,32 @@ let reroute ns ~failed conn =
     Routing.Shortest.shortest_hops topo ~src:conn.Bcp.Dconn.src
       ~dst:conn.Bcp.Dconn.dst
   with
-  | None -> None
+  | None -> false
   | Some shortest ->
     let budget = Rtchan.Qos.max_hops conn.Bcp.Dconn.qos ~shortest in
     (match
        Routing.Shortest.shortest_path ~link_ok ~node_ok ~max_hops:budget topo
          ~src:conn.Bcp.Dconn.src ~dst:conn.Bcp.Dconn.dst
      with
-    | None -> None
-    | Some p ->
-      if Rtchan.Resource.reserve_primary_path res p bw then Some p else None)
+    | None -> false
+    | Some p -> Rtchan.Resource.reserve_primary_path res p bw)
 
-(* How many of [conns] re-route around [failed], leaving the network as
-   it was: their reservations are reclaimed before re-routing (soft-state
-   teardown happens first in any reactive scheme), then the replacements
-   are released and the originals restored. *)
+(* How many of [conns] re-route around [failed].  Their reservations are
+   reclaimed before re-routing (soft-state teardown happens first in any
+   reactive scheme), all on a copy of the network's pools, so the
+   network is left as it was. *)
 let reroute_all ns ~failed conns =
-  let res = Bcp.Netstate.resources ns in
-  let primary conn = conn.Bcp.Dconn.primary.Rtchan.Channel.path in
+  let res = Rtchan.Resource.copy (Bcp.Netstate.resources ns) in
   List.iter
     (fun conn ->
-      Rtchan.Resource.release_primary_path res (primary conn)
-        (Bcp.Dconn.bandwidth conn))
+      Rtchan.Resource.release_primary_path res
+        conn.Bcp.Dconn.primary.Rtchan.Channel.path (Bcp.Dconn.bandwidth conn))
     conns;
-  let rerouted =
-    List.filter_map
-      (fun conn -> Option.map (fun p -> (conn, p)) (reroute ns ~failed conn))
-      conns
-  in
-  List.iter
-    (fun (conn, p) ->
-      Rtchan.Resource.release_primary_path res p (Bcp.Dconn.bandwidth conn))
-    rerouted;
-  List.iter
-    (fun conn ->
-      ignore
-        (Rtchan.Resource.reserve_primary_path res (primary conn)
-           (Bcp.Dconn.bandwidth conn)))
-    conns;
-  List.length rerouted
+  List.length (List.filter (reroute ns res ~failed) conns)
 
-(* Run one scenario in "release failed primaries, re-route, undo" style so
-   the established network is untouched between scenarios. *)
+(* Run one scenario in "release failed primaries, re-route" style on a
+   copy of the pools, so the established network is untouched between
+   scenarios. *)
 let scenario_reactive ns ~failed =
   let considered, _excluded = Bcp.Recovery.affected_conns ns ~failed in
   let ordered =

@@ -26,7 +26,8 @@ val reactive_recovery_rate : Bcp.Netstate.t -> Rfast.model -> float
     for each scenario, disrupted connections (end-node failures excluded)
     release their old bandwidth and, in id order, attempt a fresh
     admissible route avoiding the failed components within their original
-    QoS hop budget.  The network state is restored after each scenario.
+    QoS hop budget, on a copy of the network's pools, so the network
+    state is left untouched.
     A sampled double-node model draws its scenarios with seed 7. *)
 
 val bcp_total_recovery_rate : Bcp.Netstate.t -> Rfast.model -> float * float

@@ -104,10 +104,10 @@ let topology ?(seed = 42) () =
 
 let s_max_audit ns params =
   let topo = Bcp.Netstate.topology ns in
-  let rnmp = Bcp.Netstate.rnmp ns in
   let mux = Bcp.Netstate.mux ns in
   let channels_on l =
-    List.length (Rtchan.Rnmp.channels_on_link rnmp l) + Bcp.Mux.count_on mux ~link:l
+    List.length (Bcp.Netstate.conns_with_primary_on ns (Net.Component.Link l))
+    + Bcp.Mux.count_on mux ~link:l
   in
   (* Worst link pair: the two simplex links between one node pair. *)
   let worst = ref 0 and worst_pair = ref (-1, -1) in

@@ -12,6 +12,8 @@ let create topo =
   let n = Net.Topology.num_links topo in
   { topo; primary = Array.make n 0.0; spare = Array.make n 0.0 }
 
+let copy t = { t with primary = Array.copy t.primary; spare = Array.copy t.spare }
+
 let capacity t id = (Net.Topology.link t.topo id).Net.Topology.capacity
 let primary t id = t.primary.(id)
 let spare t id = t.spare.(id)

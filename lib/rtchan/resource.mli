@@ -16,6 +16,10 @@ type t
 val create : Net.Topology.t -> t
 (** All pools empty. *)
 
+val copy : t -> t
+(** Every pool as it is now, independent of [t] from then on: what-if
+    reservations on the copy leave [t] untouched. *)
+
 val capacity : t -> int -> float
 val primary : t -> int -> float
 val spare : t -> int -> float

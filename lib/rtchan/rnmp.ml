@@ -4,51 +4,15 @@ let pp_reject ppf = function
   | No_route -> Format.pp_print_string ppf "no admissible route"
   | No_bandwidth -> Format.pp_print_string ppf "insufficient bandwidth"
 
-(* Drop the first [x] from an id list, comparing ints only. *)
-let rec remove_id (x : int) = function
-  | [] -> []
-  | y :: rest -> if y = x then rest else y :: remove_id x rest
-
 type t = {
   topo : Net.Topology.t;
   resources : Resource.t;
-  channels : (Channel.id, Channel.t) Hashtbl.t;
-  on_link : Channel.id list array; (* link id -> channels, newest first *)
-  through_node : Channel.id list array; (* node id -> channels, newest first *)
   mutable next_id : Channel.id;
 }
 
-let create topo =
-  {
-    topo;
-    resources = Resource.create topo;
-    channels = Hashtbl.create 1024;
-    on_link = Array.make (Net.Topology.num_links topo) [];
-    through_node = Array.make (Net.Topology.num_nodes topo) [];
-    next_id = 0;
-  }
+let create topo = { topo; resources = Resource.create topo; next_id = 0 }
 
 let resources t = t.resources
-
-let register t ch =
-  let id = ch.Channel.id in
-  Hashtbl.replace t.channels id ch;
-  List.iter
-    (fun l -> t.on_link.(l) <- id :: t.on_link.(l))
-    (Net.Path.links ch.Channel.path);
-  List.iter
-    (fun v -> t.through_node.(v) <- id :: t.through_node.(v))
-    (Net.Path.nodes t.topo ch.Channel.path)
-
-let unregister t ch =
-  let id = ch.Channel.id in
-  Hashtbl.remove t.channels id;
-  List.iter
-    (fun l -> t.on_link.(l) <- remove_id id t.on_link.(l))
-    (Net.Path.links ch.Channel.path);
-  List.iter
-    (fun v -> t.through_node.(v) <- remove_id id t.through_node.(v))
-    (Net.Path.nodes t.topo ch.Channel.path)
 
 (* One admission check per bandwidth test of the primary search; the
    backup searches of D-connection establishment count into the same
@@ -77,7 +41,6 @@ let establish_on_path t ~path ~traffic ~qos =
   if Resource.reserve_primary_path t.resources path bw then begin
     let ch = { Channel.id = t.next_id; path; traffic; qos } in
     t.next_id <- t.next_id + 1;
-    register t ch;
     Ok ch
   end
   else Error No_bandwidth
@@ -87,18 +50,6 @@ let establish ?reference t ~src ~dst ~traffic ~qos =
   | Error e -> Error e
   | Ok path -> establish_on_path t ~path ~traffic ~qos
 
-let teardown t id =
-  match Hashtbl.find_opt t.channels id with
-  | None -> ()
-  | Some ch ->
-    Resource.release_primary_path t.resources ch.Channel.path
-      (Channel.bandwidth ch);
-    unregister t ch
-
-let channel_count t = Hashtbl.length t.channels
-
-let channels_in index i =
-  if i < 0 || i >= Array.length index then [] else index.(i)
-
-let channels_on_link t l = channels_in t.on_link l
-let channels_through_node t v = channels_in t.through_node v
+let teardown t ch =
+  Resource.release_primary_path t.resources ch.Channel.path
+    (Channel.bandwidth ch)

@@ -1,9 +1,9 @@
 (** Real-time Network Manager Protocol: admission, establishment and
     teardown of primary real-time channels (Section 2).
 
-    Holds the channel registry and the per-link and per-node channel
-    indexes: flat arrays indexed by link and node id.  Backup
-    channels are managed above this layer by BCP; RNMP only sees the
+    Routes primaries, issues their channel ids in increasing order and
+    reserves their bandwidth.  Which channel sits where is kept above this
+    layer by BCP's netstate, as are the backups; RNMP only sees the
     primaries' bandwidth (a backup "costs nothing" until activation, the
     spare pool is sized by BCP). *)
 
@@ -27,7 +27,7 @@ val establish :
   traffic:Traffic.t ->
   qos:Qos.t ->
   (Channel.t, reject_reason) result
-(** Route + reserve + register.  The route is the shortest path among
+(** Route + reserve.  The route is the shortest path among
     links with enough free bandwidth, within the QoS hop budget relative
     to the *unconstrained* shortest route.  [reference] is passed on to
     the {!Routing.Shortest} searches. *)
@@ -35,20 +35,9 @@ val establish :
 val establish_on_path :
   t -> path:Net.Path.t -> traffic:Traffic.t -> qos:Qos.t ->
   (Channel.t, reject_reason) result
-(** Reserve + register on a caller-chosen path (used by BCP activation,
+(** Reserve on a caller-chosen path (used by BCP activation,
     which converts a backup's spare share into a dedicated reservation). *)
 
-val teardown : t -> Channel.id -> unit
-(** Release the channel's bandwidth and unregister it.  Unknown ids are
-    ignored (teardown is idempotent, matching soft-state semantics). *)
-
-val channel_count : t -> int
-
-val channels_on_link : t -> int -> Channel.id list
-(** Ids of the channels crossing the link, newest first (ids are issued
-    in increasing order, so the list is strictly decreasing); [[]] for
-    an unknown link. *)
-
-val channels_through_node : t -> int -> Channel.id list
-(** Ids of the channels whose path visits the node (end nodes included),
-    newest first, so strictly decreasing; [[]] for an unknown node. *)
+val teardown : t -> Channel.t -> unit
+(** Release the channel's bandwidth.  Not idempotent: each established
+    channel is torn down at most once (BCP's netstate guards this). *)

@@ -66,7 +66,6 @@ let rec worker_loop t ~worker ~last_gen =
   end
 
 let create ~jobs =
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   let t =
     {
       jobs;
@@ -156,8 +155,6 @@ let map_array t f xs =
       out
   end
 
-let map_list t f xs = Array.to_list (map_array t f (Array.of_list xs))
-
 let shutdown t =
   Mutex.lock t.mutex;
   t.stop <- true;
@@ -165,10 +162,6 @@ let shutdown t =
   Mutex.unlock t.mutex;
   List.iter Domain.join t.domains;
   t.domains <- []
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* ---------- process-global pool ---------- *)
 
@@ -197,5 +190,5 @@ let map f xs =
         global := Some p;
         p
     in
-    map_list p f xs
+    Array.to_list (map_array p f (Array.of_list xs))
   end

@@ -7,46 +7,19 @@
     byte-identical to a sequential left fold regardless of how the
     domains interleave.  Callers that need randomness inside a task must
     derive a per-index seed (see {!Prng.derive}) instead of threading one
-    generator across tasks. *)
-
-type t
-(** A pool of worker domains plus the calling domain. *)
-
-val create : jobs:int -> t
-(** [create ~jobs] spawns [jobs - 1] worker domains ([jobs >= 1]; the
-    caller participates as the remaining worker).
-    @raise Invalid_argument if [jobs < 1]. *)
-
-exception Task_failed of { worker : int; task : int; error : exn }
-(** A task of a parallel map raised [error].  [task] is the index into
-    the mapped array (for scenario sweeps, the scenario index) and
-    [worker] the pool domain that ran it (0 = the calling domain, -1 =
-    run inline by a nested map), so a failure names exactly which
-    scenario on which domain died.  A printer is registered. *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving parallel map.  Tasks are dealt one index at a time
-    to idle domains; [f] runs concurrently, so it must not mutate shared
-    state.  If one or more tasks raise, every task still runs to
-    completion and the exception of the {e lowest} index is re-raised in
-    the caller as {!Task_failed} (deterministic regardless of
-    scheduling; the original backtrace is preserved).  Calls from inside
-    a running task degrade to a sequential map instead of
-    deadlocking. *)
-
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_array] over lists. *)
-
-val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] on a fresh pool and shuts it down
-    afterwards (also on exception). *)
-
-(** {1 Process-global pool}
+    generator across tasks.
 
     The evaluation modules route their per-scenario loops through
     {!map}, which runs on a process-wide pool sized by {!set_jobs}
     (default 1, i.e. plain sequential [List.map]).  CLIs translate their
     [--jobs N] flag into [set_jobs n]. *)
+
+exception Task_failed of { worker : int; task : int; error : exn }
+(** A task of a parallel map raised [error].  [task] is the index into
+    the mapped list (for scenario sweeps, the scenario index) and
+    [worker] the pool domain that ran it (0 = the calling domain, -1 =
+    run inline by a nested map), so a failure names exactly which
+    scenario on which domain died.  A printer is registered. *)
 
 val set_jobs : int -> unit
 (** Resize the global pool ([n >= 1]).  Shuts the previous pool down.
@@ -56,5 +29,12 @@ val current_jobs : unit -> int
 (** Current global parallelism (1 unless [set_jobs] was called). *)
 
 val map : ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving map on the global pool; sequential when
-    [current_jobs () = 1]. *)
+(** Order-preserving map on the global pool; a plain [List.map] when
+    [current_jobs () = 1].  Otherwise tasks are dealt one index at a time
+    to idle domains; [f] runs concurrently, so it must not mutate shared
+    state.  If one or more tasks raise, every task still runs to
+    completion and the exception of the {e lowest} index is re-raised in
+    the caller as {!Task_failed} (deterministic regardless of
+    scheduling; the original backtrace is preserved).  Calls from inside
+    a running task run inline, in index order, instead of
+    deadlocking. *)

@@ -3,7 +3,8 @@
    [test_recovery] can require full [result] equality against the
    stamped engine.  Slow by design: it copies every spare pool, builds a
    component set per candidate backup, and finds affected connections
-   from RNMP's channel lists, not from the netstate's indexes. *)
+   by scanning every registered connection, not from the netstate's
+   indexes. *)
 
 open Bcp
 open Recovery
@@ -14,21 +15,13 @@ let failed_nodes failed =
     failed
 
 (* Per component in [failed] order, the connections whose current primary
-   crosses it by ascending primary channel id: RNMP's disabled-channel
-   query against a table of every registered connection's primary, so
-   the netstate's own primary index is not consulted. *)
+   crosses it by ascending primary channel id, found by a scan of every
+   registered connection, so the netstate's own primary index is not
+   consulted. *)
 let affected_conns ns ~failed =
   let dead_nodes = failed_nodes failed in
-  let by_primary = Hashtbl.create 64 in
-  List.iter
-    (fun conn -> Hashtbl.replace by_primary conn.Dconn.primary.Rtchan.Channel.id conn)
-    (Netstate.dconns ns);
   let candidates =
-    List.concat_map
-      (fun c ->
-        List.filter_map (Hashtbl.find_opt by_primary)
-          (Rnmp_ref.channels_disabled_by (Netstate.rnmp ns) [ c ]))
-      failed
+    List.concat_map (Netstate_ref.conns_with_primary_on ns) failed
   in
   let seen = Hashtbl.create 64 in
   let distinct =

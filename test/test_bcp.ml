@@ -102,7 +102,7 @@ let test_establish_rollback_on_backup_failure () =
   let res = Bcp.Netstate.resources ns in
   Alcotest.(check (float 1e-9)) "no primary left" 0.0 (Rtchan.Resource.total_primary res);
   Alcotest.(check (float 1e-9)) "no spare left" 0.0 (Rtchan.Resource.total_spare res);
-  Alcotest.(check int) "no dconn" 0 (Bcp.Netstate.dconn_count ns)
+  Alcotest.(check int) "no dconn" 0 (List.length (Bcp.Netstate.dconns ns))
 
 let test_establish_zero_backups () =
   let ns = ns44 () in
@@ -118,7 +118,7 @@ let test_remove_dconn_releases_everything () =
   let res = Bcp.Netstate.resources ns in
   Alcotest.(check (float 1e-9)) "primary released" 0.0 (Rtchan.Resource.total_primary res);
   Alcotest.(check (float 1e-9)) "spare released" 0.0 (Rtchan.Resource.total_spare res);
-  Alcotest.(check int) "gone" 0 (Bcp.Netstate.dconn_count ns);
+  Alcotest.(check int) "gone" 0 (List.length (Bcp.Netstate.dconns ns));
   (* Idempotent. *)
   Bcp.Netstate.remove_dconn ns c.Bcp.Dconn.id
 

@@ -1,5 +1,6 @@
-(* Flat state layout: dense-id interning units plus QCheck equivalence of
-   the flat admission/mux hot path against a from-scratch reference.
+(* Flat state layout: the netstate's placement indexes against a scan of
+   its registered connections, plus QCheck equivalence of the flat
+   admission/mux hot path against a from-scratch reference.
 
    The equivalence property drives random scenario prefixes (establish /
    add-backup / remove / drain) through a netstate and, after every op,
@@ -12,52 +13,243 @@
 
 let bw1 = Rtchan.Traffic.of_bandwidth 1.0
 
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+(* ---------------- the netstate's placement indexes ---------------- *)
 
-(* ---------------- dense-id interning units ---------------- *)
-
-let test_ids_stability () =
-  let ids = Bcp.Ids.create ~kind:"unit" () in
-  for expect = 0 to 99 do
-    Alcotest.(check int) "dense ascending" expect (Bcp.Ids.fresh ids)
-  done;
-  Alcotest.(check int) "watermark" 100 (Bcp.Ids.watermark ids);
-  Alcotest.(check int) "live" 100 (Bcp.Ids.live_count ids)
-
-let test_ids_recycling () =
-  let ids = Bcp.Ids.create ~kind:"unit" () in
-  let _a = Bcp.Ids.fresh ids in
-  let b = Bcp.Ids.fresh ids in
-  let c = Bcp.Ids.fresh ids in
-  Bcp.Ids.release ids b;
-  Bcp.Ids.release ids c;
-  (* LIFO: the most recently released id comes back first, keeping the
-     live set dense under churn. *)
-  Alcotest.(check int) "lifo first" c (Bcp.Ids.fresh ids);
-  Alcotest.(check int) "lifo second" b (Bcp.Ids.fresh ids);
-  Alcotest.(check int) "watermark unchanged" 3 (Bcp.Ids.watermark ids);
-  Alcotest.(check bool) "mem live" true (Bcp.Ids.mem ids b);
-  Bcp.Ids.release ids b;
-  Alcotest.(check bool) "mem released" false (Bcp.Ids.mem ids b)
-
-let test_ids_errors () =
-  let ids = Bcp.Ids.create ~kind:"bid" () in
-  ignore (Bcp.Ids.fresh ids);
-  let expect_invalid ~id f =
-    match f () with
-    | exception Invalid_argument msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%S names the space and id %s" msg id)
-        true
-        (contains ~sub:"bid" msg && contains ~sub:id msg)
-    | _ -> Alcotest.fail "expected Invalid_argument"
+let test_bids_dense () =
+  let ns =
+    Bcp.Netstate.create (Net.Builders.ring ~nodes:4 ~capacity:10.0) ()
   in
-  expect_invalid ~id:"7" (fun () -> Bcp.Ids.check ids 7);
-  expect_invalid ~id:"-1" (fun () -> Bcp.Ids.check ids (-1));
-  expect_invalid ~id:"3" (fun () -> Bcp.Ids.release ids 3)
+  for expect = 0 to 99 do
+    Alcotest.(check int) "dense ascending" expect
+      (Bcp.Netstate.fresh_backup_id ns)
+  done
+
+let request ?(backups = 1) src dst =
+  {
+    Bcp.Establish.src;
+    dst;
+    traffic = bw1;
+    qos = Rtchan.Qos.default;
+    backups;
+    mux_degree = 1;
+  }
+
+let establish_exn ns conn_id req =
+  match Bcp.Establish.establish ns ~conn_id req with
+  | Ok c -> c
+  | Error e ->
+    Alcotest.failf "establish %d: %a" conn_id Bcp.Establish.pp_reject e
+
+let total_primary ns =
+  Rtchan.Resource.total_primary (Bcp.Netstate.resources ns)
+
+let primary_path (c : Bcp.Dconn.t) = c.Bcp.Dconn.primary.Rtchan.Channel.path
+
+let components ns path =
+  Net.Component.Set.elements
+    (Net.Path.components (Bcp.Netstate.topology ns) path)
+
+let listed ns c comp =
+  List.memq c (Bcp.Netstate.conns_with_primary_on ns comp)
+
+let test_primary_disabled_by_node () =
+  let topo = Net.Builders.mesh ~rows:3 ~cols:3 ~capacity:10.0 in
+  let ns = Bcp.Netstate.create topo () in
+  let c = establish_exn ns 0 (request ~backups:0 0 2) in
+  let mid = List.nth (Net.Path.nodes topo (primary_path c)) 1 in
+  Alcotest.(check bool) "listed on the middle node" true
+    (listed ns c (Net.Component.Node mid));
+  Alcotest.(check bool) "not on a far node" false
+    (listed ns c (Net.Component.Node 7));
+  Alcotest.(check int) "nothing outside the topology" 0
+    (List.length
+       (Bcp.Netstate.conns_with_primary_on ns (Net.Component.Node 99)))
+
+let test_release_twice () =
+  let ns =
+    Bcp.Netstate.create (Net.Builders.torus ~rows:3 ~cols:3 ~capacity:10.0) ()
+  in
+  let other = establish_exn ns 1 (request 4 0) in
+  let c = establish_exn ns 0 (request 0 4) in
+  let hops c = float_of_int (Net.Path.hops (primary_path c)) in
+  Bcp.Netstate.release_primary ns c;
+  Alcotest.(check (float 0.0)) "released once" (hops other) (total_primary ns);
+  Bcp.Netstate.release_primary ns c;
+  Alcotest.(check (float 0.0)) "second release is a no-op" (hops other)
+    (total_primary ns);
+  Alcotest.(check bool) "still registered" true (Bcp.Netstate.find ns 0 <> None);
+  Alcotest.(check bool) "off the primary index" false
+    (List.exists (listed ns c) (components ns (primary_path c)));
+  Bcp.Netstate.remove_dconn ns 0;
+  Alcotest.(check (float 0.0)) "remove releases nothing more" (hops other)
+    (total_primary ns)
+
+(* A primary link fails and nobody repairs it: the source's rejoin timer
+   expires and the soft-state teardown releases the primary. *)
+let test_torn_down_stays_registered () =
+  let ns =
+    Bcp.Netstate.create (Net.Builders.torus ~rows:4 ~cols:4 ~capacity:10.0) ()
+  in
+  let c = establish_exn ns 0 (request 0 5) in
+  let config =
+    {
+      Bcp.Protocol.default_config with
+      Bcp.Protocol.rejoin_timeout = 0.05;
+      reconfigure_netstate = true;
+    }
+  in
+  let sim = Bcp.Simnet.create ~config ns in
+  Bcp.Simnet.fail_link sim ~at:0.01 (List.hd (Net.Path.links (primary_path c)));
+  Bcp.Simnet.run ~until:1.0 sim;
+  Alcotest.(check bool) "primary released" false c.Bcp.Dconn.primary_alive;
+  Alcotest.(check bool) "still registered" true (Bcp.Netstate.find ns 0 <> None);
+  Alcotest.(check bool) "off the primary index" false
+    (List.exists (listed ns c) (components ns (primary_path c)));
+  Alcotest.(check (float 0.0)) "no primary bandwidth left" 0.0
+    (total_primary ns)
+
+(* Connection 0 is the oldest; a failure on a link only its primary
+   uses promotes its backup, and the new primary, the newest channel,
+   comes last on every component it crosses, after older primaries. *)
+let test_promoted_listed_newest () =
+  let ns =
+    Bcp.Netstate.create (Net.Builders.torus ~rows:4 ~cols:4 ~capacity:10.0) ()
+  in
+  let a = establish_exn ns 0 (request 0 2) in
+  List.iteri
+    (fun i (src, dst) -> ignore (establish_exn ns (i + 1) (request src dst)))
+    [ (1, 3); (4, 6); (8, 10); (5, 13); (2, 14); (12, 3) ];
+  let only_a l =
+    List.map (fun c -> c.Bcp.Dconn.id)
+      (Bcp.Netstate.conns_with_primary_on ns (Net.Component.Link l))
+    = [ 0 ]
+  in
+  let l = List.find only_a (Net.Path.links (primary_path a)) in
+  let failed = [ Net.Component.Link l ] in
+  let result = Bcp.Recovery.simulate ns ~failed in
+  let summary = Bcp.Reconfig.commit ~restore_protection:false ns ~failed ~result in
+  Alcotest.(check int) "one promotion" 1 summary.Bcp.Reconfig.promoted;
+  let shared = ref 0 in
+  List.iter
+    (fun comp ->
+      match List.rev (Bcp.Netstate.conns_with_primary_on ns comp) with
+      | newest :: older ->
+        Alcotest.(check bool) "promoted connection newest" true (newest == a);
+        if older <> [] then incr shared
+      | [] -> Alcotest.fail "promoted primary not listed")
+    (components ns (primary_path a));
+  Alcotest.(check bool) "shares a component with older primaries" true
+    (!shared > 0)
+
+(* The netstate's link and node indexes against a list model read off
+   [Netstate.dconns] ([Netstate_ref]): after every step, each link's and
+   node's primaries (ascending channel id) and backups (newest first)
+   equal the scan's, and each link's reserved primary bandwidth is one
+   unit per live primary crossing it.  Steps establish (rejections roll
+   back), remove a connection, commit a failure through [Reconfig], or
+   let [Simnet]'s soft-state teardown write a failure back. *)
+type index_op =
+  | Open of int * int
+  | Close of int
+  | Commit of bool * int
+  | Teardown of bool * int
+
+let gen_index_ops =
+  QCheck.Gen.(
+    list_size (int_range 5 30)
+      (frequency
+         [
+           (6, map2 (fun a b -> Open (a, b)) (int_bound 15) (int_bound 15));
+           (2, map (fun i -> Close i) (int_bound 1000));
+           (1, map2 (fun l i -> Commit (l, i)) bool (int_bound 63));
+           (1, map2 (fun l i -> Teardown (l, i)) bool (int_bound 63));
+         ]))
+
+let index_ops =
+  QCheck.make
+    ~print:(fun l -> Printf.sprintf "<%d ops>" (List.length l))
+    gen_index_ops
+
+let check_index ns ~step =
+  let topo = Bcp.Netstate.topology ns in
+  let conn_ids = List.map (fun c -> c.Bcp.Dconn.id) in
+  let bids = List.map (fun (c, b) -> (c.Bcp.Dconn.id, b.Bcp.Dconn.bid)) in
+  let check comp =
+    if
+      conn_ids (Bcp.Netstate.conns_with_primary_on ns comp)
+      <> conn_ids (Netstate_ref.conns_with_primary_on ns comp)
+    then
+      QCheck.Test.fail_reportf "step %d: primaries on %s" step
+        (Net.Component.to_string comp);
+    if
+      bids (Bcp.Netstate.backups_using ns comp)
+      <> bids (Netstate_ref.backups_using ns comp)
+    then
+      QCheck.Test.fail_reportf "step %d: backups on %s" step
+        (Net.Component.to_string comp)
+  in
+  for l = 0 to Net.Topology.num_links topo - 1 do
+    check (Net.Component.Link l);
+    let live =
+      List.length (Netstate_ref.conns_with_primary_on ns (Net.Component.Link l))
+    in
+    if
+      Rtchan.Resource.primary (Bcp.Netstate.resources ns) l
+      <> float_of_int live
+    then QCheck.Test.fail_reportf "step %d: link %d reservation" step l
+  done;
+  for v = 0 to Net.Topology.num_nodes topo - 1 do
+    check (Net.Component.Node v)
+  done;
+  check (Net.Component.Link (Net.Topology.num_links topo))
+
+let prop_index_model =
+  QCheck.Test.make ~name:"link/node indexes = list model" ~count:100 index_ops
+    (fun ops ->
+      let topo = Net.Builders.torus ~rows:4 ~cols:4 ~capacity:6.0 in
+      let ns = Bcp.Netstate.create topo () in
+      let comp is_link i =
+        if is_link then Net.Component.Link (i mod Net.Topology.num_links topo)
+        else Net.Component.Node (i mod Net.Topology.num_nodes topo)
+      in
+      let config =
+        {
+          Bcp.Protocol.default_config with
+          Bcp.Protocol.rejoin_timeout = 0.05;
+          reconfigure_netstate = true;
+        }
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Open (a, b) ->
+            if a <> b then
+              ignore
+                (Bcp.Establish.establish ns ~conn_id:step
+                   (request ~backups:(1 + (step mod 2)) a b))
+          | Close i -> (
+            match
+              List.sort
+                (fun a b -> Int.compare a.Bcp.Dconn.id b.Bcp.Dconn.id)
+                (Bcp.Netstate.dconns ns)
+            with
+            | [] -> ()
+            | l ->
+              Bcp.Netstate.remove_dconn ns
+                (List.nth l (i mod List.length l)).Bcp.Dconn.id)
+          | Commit (is_link, i) ->
+            let failed = [ comp is_link i ] in
+            let result = Bcp.Recovery.simulate ns ~failed in
+            ignore (Bcp.Reconfig.commit ns ~failed ~result)
+          | Teardown (is_link, i) ->
+            let sim = Bcp.Simnet.create ~config ns in
+            (match comp is_link i with
+            | Net.Component.Link l -> Bcp.Simnet.fail_link sim ~at:0.01 l
+            | Net.Component.Node v -> Bcp.Simnet.fail_node sim ~at:0.01 v);
+            Bcp.Simnet.run ~until:0.5 sim);
+          check_index ns ~step)
+        ops;
+      true)
 
 (* ---------------- scenario-prefix equivalence ---------------- *)
 
@@ -230,13 +422,20 @@ let () =
   Alcotest.run "flatstate"
     [
       ( "ids",
+        [ Alcotest.test_case "fresh is dense ascending" `Quick test_bids_dense ]
+      );
+      ( "index",
         [
-          Alcotest.test_case "fresh is dense ascending" `Quick
-            test_ids_stability;
-          Alcotest.test_case "release recycles LIFO" `Quick test_ids_recycling;
-          Alcotest.test_case "errors name the space and id" `Quick
-            test_ids_errors;
+          Alcotest.test_case "primary disabled by a node" `Quick
+            test_primary_disabled_by_node;
+          Alcotest.test_case "releasing a primary twice is a no-op" `Quick
+            test_release_twice;
+          Alcotest.test_case "torn-down primary stays registered" `Quick
+            test_torn_down_stays_registered;
+          Alcotest.test_case "promoted primary listed newest" `Quick
+            test_promoted_listed_newest;
         ] );
+      ("props", [ QCheck_alcotest.to_alcotest prop_index_model ]);
       ( "equivalence",
         List.map QCheck_alcotest.to_alcotest
           [ prop_flat_equals_reference; prop_establish_remove_restores ] );

@@ -150,7 +150,7 @@ let test_teardown_all_returns_to_empty () =
   let res = Bcp.Netstate.resources ns in
   Alcotest.(check (float 1e-6)) "no primary" 0.0 (Rtchan.Resource.total_primary res);
   Alcotest.(check (float 1e-6)) "no spare" 0.0 (Rtchan.Resource.total_spare res);
-  Alcotest.(check int) "no conns" 0 (Bcp.Netstate.dconn_count ns);
+  Alcotest.(check int) "no conns" 0 (List.length (Bcp.Netstate.dconns ns));
   let mux = Bcp.Netstate.mux ns in
   Net.Topology.iter_links topo (fun l ->
       Alcotest.(check int) "mux tables empty" 0

@@ -5,24 +5,28 @@
 
 (* ---------- Pool unit tests ---------- *)
 
+(* Run [f] with the global pool at [jobs] domains, back to 1 after. *)
+let with_jobs jobs f =
+  Sim.Pool.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Sim.Pool.set_jobs 1) f
+
 let test_pool_ordering () =
-  Sim.Pool.with_pool ~jobs:4 (fun p ->
+  with_jobs 4 (fun () ->
       let xs = List.init 100 Fun.id in
-      let ys = Sim.Pool.map_list p (fun x -> x * x) xs in
+      let ys = Sim.Pool.map (fun x -> x * x) xs in
       Alcotest.(check (list int)) "order preserved" (List.map (fun x -> x * x) xs) ys;
-      let arr = Array.init 37 string_of_int in
-      let out = Sim.Pool.map_array p (fun s -> s ^ "!") arr in
-      Alcotest.(check (array string)) "array order preserved"
-        (Array.map (fun s -> s ^ "!") arr)
-        out)
+      let strs = List.init 37 string_of_int in
+      Alcotest.(check (list string)) "strings in order"
+        (List.map (fun s -> s ^ "!") strs)
+        (Sim.Pool.map (fun s -> s ^ "!") strs))
 
 let test_pool_exception () =
-  Sim.Pool.with_pool ~jobs:3 (fun p ->
+  with_jobs 3 (fun () ->
       (* The exception of the lowest-index failing task is re-raised,
          wrapped so the failing task index (and the worker that ran it)
          survive into the report. *)
       match
-        Sim.Pool.map_list p
+        Sim.Pool.map
           (fun x -> if x mod 4 = 3 then failwith (string_of_int x) else x)
           (List.init 32 Fun.id)
       with
@@ -37,10 +41,10 @@ let test_pool_exception () =
 let test_pool_reuse () =
   (* The same pool must serve many consecutive maps (domains are reused,
      not respawned), including empty and singleton inputs. *)
-  Sim.Pool.with_pool ~jobs:4 (fun p ->
+  with_jobs 4 (fun () ->
       for round = 1 to 50 do
         let xs = List.init (round mod 7) (fun i -> i + round) in
-        let ys = Sim.Pool.map_list p (fun x -> x + 1) xs in
+        let ys = Sim.Pool.map (fun x -> x + 1) xs in
         Alcotest.(check (list int))
           (Printf.sprintf "round %d" round)
           (List.map (fun x -> x + 1) xs)
@@ -48,29 +52,34 @@ let test_pool_reuse () =
       done)
 
 let test_pool_reentrant () =
-  (* A map inside a task must not deadlock: it degrades to inline
-     sequential execution. *)
-  Sim.Pool.with_pool ~jobs:2 (fun p ->
+  (* A map inside a task must not deadlock: it runs inline, on the
+     calling domain (worker -1 in a failure report). *)
+  with_jobs 2 (fun () ->
       let ys =
-        Sim.Pool.map_list p
+        Sim.Pool.map
           (fun x ->
-            List.fold_left ( + ) 0
-              (Sim.Pool.map_list p (fun y -> x * y) [ 1; 2; 3 ]))
+            List.fold_left ( + ) 0 (Sim.Pool.map (fun y -> x * y) [ 1; 2; 3 ]))
           [ 1; 2; 3; 4 ]
       in
-      Alcotest.(check (list int)) "nested map" [ 6; 12; 18; 24 ] ys)
+      Alcotest.(check (list int)) "nested map" [ 6; 12; 18; 24 ] ys;
+      match
+        Sim.Pool.map
+          (fun x -> Sim.Pool.map (fun _ -> failwith "inner") [ x ])
+          [ 1; 2 ]
+      with
+      | _ -> Alcotest.fail "expected Task_failed"
+      | exception
+          Sim.Pool.Task_failed { error = Sim.Pool.Task_failed { worker; _ }; _ }
+        ->
+        Alcotest.(check int) "nested task ran inline" (-1) worker)
 
 let test_pool_validation () =
-  Alcotest.(check bool) "jobs 0 rejected" true
-    (try
-       ignore (Sim.Pool.create ~jobs:0);
-       false
-     with Invalid_argument _ -> true);
   Alcotest.(check bool) "set_jobs 0 rejected" true
     (try
        Sim.Pool.set_jobs 0;
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "jobs unchanged" 1 (Sim.Pool.current_jobs ())
 
 let test_prng_derive () =
   let a = Sim.Prng.derive ~seed:42 ~index:0 in

@@ -116,7 +116,7 @@ let test_unrecovered_removed () =
   let result = Bcp.Recovery.simulate ns ~failed in
   let s = Bcp.Reconfig.commit ns ~failed ~result in
   Alcotest.(check int) "unrecovered" 1 s.Bcp.Reconfig.unrecovered;
-  Alcotest.(check int) "gone" 0 (Bcp.Netstate.dconn_count ns);
+  Alcotest.(check int) "gone" 0 (List.length (Bcp.Netstate.dconns ns));
   let res = Bcp.Netstate.resources ns in
   Alcotest.(check (float 1e-6)) "all bandwidth released" 0.0
     (Rtchan.Resource.total_primary res +. Rtchan.Resource.total_spare res)
@@ -128,7 +128,7 @@ let test_end_node_failure_releases () =
   let result = Bcp.Recovery.simulate ns ~failed in
   let s = Bcp.Reconfig.commit ns ~failed ~result in
   Alcotest.(check int) "unrecoverable" 1 s.Bcp.Reconfig.unrecovered;
-  Alcotest.(check int) "removed" 0 (Bcp.Netstate.dconn_count ns)
+  Alcotest.(check int) "removed" 0 (List.length (Bcp.Netstate.dconns ns))
 
 let test_broken_backups_closed () =
   let ns = torus_ns () in
@@ -187,14 +187,14 @@ let test_many_conns_consistency () =
            (request ~mux_degree:3 r.Workload.Generator.src r.Workload.Generator.dst)))
     (List.filteri (fun i _ -> i < 120)
        (Workload.Generator.shuffled rng (Workload.Generator.all_pairs topo)));
-  let before = Bcp.Netstate.dconn_count ns in
+  let before = List.length (Bcp.Netstate.dconns ns) in
   let failed = [ Net.Component.Node 5 ] in
   let result = Bcp.Recovery.simulate ns ~failed in
   let s = Bcp.Reconfig.commit ns ~failed ~result in
   check_invariants ns;
   Alcotest.(check int) "conn count consistent"
     (before - s.Bcp.Reconfig.unrecovered)
-    (Bcp.Netstate.dconn_count ns);
+    (List.length (Bcp.Netstate.dconns ns));
   (* Promoted connections have live primaries avoiding the dead node. *)
   List.iter
     (fun conn ->
