@@ -82,10 +82,11 @@ let () =
       if Net.Path.uses_node topo ch.Rtchan.Channel.path x then begin
         Rtchan.Rnmp.teardown rnmp ch;
         let src = Rtchan.Channel.src ch and dst = Rtchan.Channel.dst ch in
-        let link_ok (l : Net.Topology.link) =
+        let link_ok id =
+          let l = Net.Topology.link topo id in
           l.Net.Topology.src <> x && l.Net.Topology.dst <> x
           && Rtchan.Resource.can_reserve_primary (Rtchan.Rnmp.resources rnmp)
-               l.Net.Topology.id 1.0
+               id 1.0
         in
         let budget =
           Rtchan.Qos.max_hops Rtchan.Qos.default

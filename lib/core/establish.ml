@@ -98,8 +98,8 @@ let route_backup ?reference ?(strategy = Min_hops)
     (fun c -> if in_range c then Net.Component.Mask.add disjoint_banned c)
     avoid_components;
   List.iter (fun p -> Net.Path.mask_interior topo p disjoint_banned) avoid;
-  let feasibility_link_ok l =
-    not (Net.Component.Mask.mem_link disjoint_banned l.Net.Topology.id)
+  let feasibility_link_ok id =
+    not (Net.Component.Mask.mem_link disjoint_banned id)
   in
   let feasibility_node_ok v =
     not (Net.Component.Mask.mem_node disjoint_banned v)
@@ -117,17 +117,20 @@ let route_backup ?reference ?(strategy = Min_hops)
   | None -> None
   | Some shortest ->
     let budget = Rtchan.Qos.max_hops conn.Dconn.qos ~shortest in
-    let link_ok l =
+    (* Establishment avoids nothing: [avoids] skips the set tests there,
+       each of which would allocate its component. *)
+    let avoids = not (Net.Component.Set.is_empty avoid_components) in
+    let link_ok id =
       (not
-         (Net.Component.Set.mem
-            (Net.Component.Link l.Net.Topology.id)
-            avoid_components))
+         (avoids
+         && Net.Component.Set.mem (Net.Component.Link id) avoid_components))
       &&
       (Sim.Prof.incr admission_checks;
-       Netstate.backup_admissible_probe ns probe ~link:l.Net.Topology.id)
+       Netstate.backup_admissible_probe ns probe ~link:id)
     in
     let node_ok v =
-      not (Net.Component.Set.mem (Net.Component.Node v) avoid_components)
+      not
+        (avoids && Net.Component.Set.mem (Net.Component.Node v) avoid_components)
     in
     (match strategy with
     | Min_hops ->
@@ -149,14 +152,14 @@ let route_backup ?reference ?(strategy = Min_hops)
       let epsilon_hop = 1e-6 *. Float.max 1.0 info.Mux.bw in
       let ws = get_cost_ws num_links in
       let epoch = ws.cepoch in
-      let cost l =
-        let id = l.Net.Topology.id in
+      let cost id =
         if ws.cstamp.(id) <> epoch then begin
           ws.cstamp.(id) <- epoch;
           ws.ccost.(id) <-
             (if Net.Component.Mask.mem_link banned id then -1.0
              else if
-               Net.Component.Set.mem (Net.Component.Link id) avoid_components
+               avoids
+               && Net.Component.Set.mem (Net.Component.Link id) avoid_components
              then -1.0
              else begin
                Sim.Prof.incr admission_checks;

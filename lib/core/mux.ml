@@ -17,7 +17,7 @@ let encode_path topo (p : Net.Path.t) =
   for i = 0 to h - 1 do
     let l = links.(i) in
     a.((2 * i) + 1) <- (2 * l) + 1;
-    a.((2 * i) + 2) <- 2 * (Net.Topology.link_unsafe topo l).Net.Topology.dst
+    a.((2 * i) + 2) <- 2 * (Net.Topology.link topo l).Net.Topology.dst
   done;
   Array.sort Int.compare a;
   let n = ref 1 in
@@ -110,8 +110,6 @@ type link_table = {
   mutable free : int array;
   mutable free_len : int;
   mutable live : int; (* registered backups *)
-  mutable sum_bw : float; (* Σ bw over registered backups (exact) *)
-  mutable requirement : float; (* cached spare requirement *)
 }
 
 (* The primary index: one entry per distinct registered component array
@@ -122,6 +120,12 @@ type link_table = {
    version names one index state of one engine. *)
 type t = {
   tables : link_table array;
+  (* Per link, flat and unboxed: the O(1) admission ceiling reads only
+     these two arrays.  A mutable float field of [link_table] would be a
+     boxed float behind the table pointer, and each update would
+     allocate. *)
+  sum_bw : float array; (* Σ bw over registered backups (exact) *)
+  requirement : float array; (* cached spare requirement *)
   lambda : float;
   mutable sink : (Sim.Event.t -> unit) option;
   pows : float array; (* (1-λ)^c for small c *)
@@ -163,9 +167,9 @@ let create topo ~lambda =
             free = [||];
             free_len = 0;
             live = 0;
-            sum_bw = 0.0;
-            requirement = 0.0;
           });
+    sum_bw = Array.make (Net.Topology.num_links topo) 0.0;
+    requirement = Array.make (Net.Topology.num_links topo) 0.0;
     lambda;
     sink = None;
     (* Covers every exponent in practice: it is bounded by the component
@@ -192,9 +196,12 @@ let emit t ~link ~backup ~op ~pi ~psi =
   | None -> ()
   | Some f -> f (Sim.Event.Mux { link; backup; op; pi; psi })
 
-let table t link =
+let check_link t link =
   if link < 0 || link >= Array.length t.tables then
-    invalid_arg (Printf.sprintf "Mux: unknown link %d" link);
+    invalid_arg (Printf.sprintf "Mux: unknown link %d" link)
+
+let table t link =
+  check_link t link;
   t.tables.(link)
 
 (* ---------------- overlap counts ---------------- *)
@@ -474,8 +481,9 @@ let register t ~link info =
   tab.eids.(slot) <- acquire_entry t comps;
   Itbl.add tab.index info.backup slot;
   tab.live <- tab.live + 1;
-  tab.sum_bw <- tab.sum_bw +. info.bw;
-  tab.requirement <- Float.max 0.0 (Float.max !req (contribution tab slot));
+  t.sum_bw.(link) <- t.sum_bw.(link) +. info.bw;
+  t.requirement.(link) <-
+    Float.max 0.0 (Float.max !req (contribution tab slot));
   emit t ~link ~backup:info.backup ~op:Sim.Event.Register
     ~pi:tab.pin.(slot)
     ~psi:(tab.live - tab.pin.(slot) - 1)
@@ -494,7 +502,7 @@ let unregister t ~link ~backup =
     let psi = tab.live - pi - 1 in
     Itbl.remove tab.index backup;
     tab.live <- tab.live - 1;
-    tab.sum_bw <- tab.sum_bw -. vbw;
+    t.sum_bw.(link) <- t.sum_bw.(link) -. vbw;
     release_entry t tab.eids.(victim);
     free_slot tab victim;
     let ws = counts_in victim_key unregister_walk_count t comps in
@@ -515,18 +523,21 @@ let unregister t ~link ~backup =
         if c > !req then req := c
       end
     done;
-    tab.requirement <- Float.max 0.0 !req;
+    t.requirement.(link) <- Float.max 0.0 !req;
     emit t ~link ~backup ~op:Sim.Event.Unregister ~pi ~psi
 
-let spare_requirement t ~link = (table t link).requirement
+let spare_requirement t ~link =
+  check_link t link;
+  t.requirement.(link)
 
 (* Exact admission scan: what the requirement would become with [info]
-   added.  [ws] holds the counts of its components. *)
-let admission_scan t tab info ws =
+   added on [link].  [ws] holds the counts of its components. *)
+let admission_scan t ~link info ws =
+  let tab = table t link in
   let comps = info.primary_components in
   let acc = ws.acc and base = ws.base in
   let own = ref info.bw in
-  let req = ref tab.requirement in
+  let req = ref t.requirement.(link) in
   let s_values = ref 0 in
   for s = 0 to tab.n - 1 do
     if tab.bids.(s) >= 0 then begin
@@ -591,7 +602,7 @@ let max_requirement_victims t ~link =
   for s = 0 to tab.n - 1 do
     if
       tab.bids.(s) >= 0
-      && Float.abs (contribution tab s -. tab.requirement) < 1e-9
+      && Float.abs (contribution tab s -. t.requirement.(link)) < 1e-9
     then out := tab.bids.(s) :: !out
   done;
   List.sort Int.compare !out
@@ -609,7 +620,7 @@ let probe t info =
   { pt = t; pinfo = info }
 
 let probe_required p ~link =
-  admission_scan p.pt (table p.pt link) p.pinfo
+  admission_scan p.pt ~link p.pinfo
     (counts_for p.pt p.pinfo.primary_components)
 
 (* Conservative O(1) ceiling on {!probe_required}: the candidate's own term
@@ -618,5 +629,6 @@ let probe_required p ~link =
    fits the link, the exact scan is skipped (the verdict is the same
    because the exact requirement is no larger). *)
 let probe_upper_bound p ~link =
-  let tab = table p.pt link in
-  p.pinfo.bw +. Float.max tab.sum_bw tab.requirement
+  let t = p.pt in
+  check_link t link;
+  p.pinfo.bw +. Float.max t.sum_bw.(link) t.requirement.(link)

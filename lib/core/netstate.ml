@@ -33,6 +33,7 @@ type 'a index = { on_link : 'a vec array; through_node : 'a vec array }
 type t = {
   topo : Net.Topology.t;
   rnmp : Rtchan.Rnmp.t;
+  res : Rtchan.Resource.t; (* RNMP's, read by every admission check *)
   mux : Mux.t;
   policy : spare_policy;
   lambda : float;
@@ -72,6 +73,7 @@ let create ?(lambda = 1e-4) ?(policy = Multiplexed) topo () =
   {
     topo;
     rnmp;
+    res = Rtchan.Rnmp.resources rnmp;
     mux = Mux.create topo ~lambda;
     policy;
     lambda;
@@ -84,7 +86,7 @@ let create ?(lambda = 1e-4) ?(policy = Multiplexed) topo () =
 
 let topology t = t.topo
 let rnmp t = t.rnmp
-let resources t = Rtchan.Rnmp.resources t.rnmp
+let resources t = t.res
 let mux t = t.mux
 let lambda t = t.lambda
 let policy t = t.policy
@@ -155,9 +157,9 @@ let backup_admissible_probe t probe ~link =
   match t.policy with
   | Brute_force _ -> true
   | Multiplexed ->
-    let res = resources t in
-    Rtchan.Resource.can_set_spare res link (Mux.probe_upper_bound probe ~link)
-    || Rtchan.Resource.can_set_spare res link (Mux.probe_required probe ~link)
+    Rtchan.Resource.can_set_spare t.res link (Mux.probe_upper_bound probe ~link)
+    || Rtchan.Resource.can_set_spare t.res link
+         (Mux.probe_required probe ~link)
 
 let add_dconn t conn =
   if Hashtbl.mem t.dconns conn.Dconn.id then
@@ -183,7 +185,11 @@ let remove_dconn t id =
   | None -> ()
   | Some conn ->
     bump t;
-    List.iter (fun b -> unregister_backup t conn b) conn.Dconn.backups;
+    (* Only a [Standby] backup is still registered: closing, breaking or
+       promoting one unregistered it already. *)
+    List.iter
+      (fun b -> if b.Dconn.state = Dconn.Standby then unregister_backup t conn b)
+      conn.Dconn.backups;
     release_primary t conn;
     Hashtbl.remove t.dconns id
 

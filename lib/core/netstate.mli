@@ -4,6 +4,12 @@
     connections whose primary holds its reservation there and the
     registered backups crossing it.
 
+    Invariant: a registered connection's backup is in the {!Mux} tables
+    of its path's links (and in {!backups_using}) iff its state is
+    [Standby].  Whatever takes a backup out of [Standby] unregisters it
+    ({!Reconfig} closing or promoting it, a soft-state teardown in
+    {!Node}), and nothing registers it again.
+
     This is the "planning" layer shared by the static evaluation engine
     (Tables 1–3, Figure 9) and the event-driven protocol simulator. *)
 
@@ -45,9 +51,9 @@ val add_dconn : t -> Dconn.t -> unit
     index.  Place it before RNMP issues the next channel id. *)
 
 val remove_dconn : t -> int -> unit
-(** Tear down a connection completely: every backup's multiplexing
-    registration, the primary ({!release_primary}), and the registry
-    entry. *)
+(** Tear down a connection completely: the multiplexing registration of
+    every [Standby] backup (the only ones still registered), the primary
+    ({!release_primary}), and the registry entry. *)
 
 val release_primary : t -> Dconn.t -> unit
 (** Release the connection's primary bandwidth and take it out of the

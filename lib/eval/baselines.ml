@@ -28,9 +28,9 @@ let reroute ns res ~failed conn =
       (fun s c -> Net.Component.Set.add c s)
       Net.Component.Set.empty failed
   in
-  let link_ok l =
-    (not (Net.Component.Set.mem (Net.Component.Link l.Net.Topology.id) failed_set))
-    && Rtchan.Resource.can_reserve_primary res l.Net.Topology.id bw
+  let link_ok id =
+    (not (Net.Component.Set.mem (Net.Component.Link id) failed_set))
+    && Rtchan.Resource.can_reserve_primary res id bw
   in
   let node_ok v = not (Net.Component.Set.mem (Net.Component.Node v) failed_set) in
   match

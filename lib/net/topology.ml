@@ -1,19 +1,22 @@
 type link = { id : int; src : int; dst : int; capacity : float }
 
+type csr = { off : int array; link : int array; peer : int array }
+
+(* Both directions of the CSR adjacency and the link count they were
+   built at.  They sit in one immutable record behind one mutable field,
+   so a single store publishes both to other domains. *)
+type adjacency = { at_links : int; out_csr : csr; in_csr : csr }
+
 type t = {
   num_nodes : int;
   mutable links : link array;
   mutable num_links : int;
   out : int list array; (* reversed insertion order; normalised on read *)
   in_ : int list array;
-  (* Flat adjacency cache for the routing hot path: per-node int arrays in
-     insertion order, rebuilt lazily after the topology grows.
-     [adj_links] records the link count the cache was built at; -1 means
-     stale. *)
-  mutable out_arr : int array array;
-  mutable in_arr : int array array;
-  mutable adj_links : int;
+  mutable adj : adjacency; (* stale once [at_links <> num_links] *)
 }
+
+let no_csr = { off = [||]; link = [||]; peer = [||] }
 
 let create ~num_nodes =
   if num_nodes <= 0 then invalid_arg "Topology.create: need at least one node";
@@ -23,9 +26,7 @@ let create ~num_nodes =
     num_links = 0;
     out = Array.make num_nodes [];
     in_ = Array.make num_nodes [];
-    out_arr = [||];
-    in_arr = [||];
-    adj_links = -1;
+    adj = { at_links = -1; out_csr = no_csr; in_csr = no_csr };
   }
 
 let check_node t v name =
@@ -50,7 +51,6 @@ let add_link t ~src ~dst ~capacity =
   t.num_links <- t.num_links + 1;
   t.out.(src) <- id :: t.out.(src);
   t.in_.(dst) <- id :: t.in_.(dst);
-  t.adj_links <- -1;
   id
 
 let add_duplex t ~a ~b ~capacity =
@@ -74,27 +74,49 @@ let in_links t v =
   check_node t v "query";
   List.rev t.in_.(v)
 
-(* Flat adjacency, in the same insertion order as {!out_links} /
-   {!in_links} but without the per-call [List.rev] allocation.  The
-   returned arrays are shared — callers must not mutate them. *)
-let refresh_adjacency t =
-  t.out_arr <- Array.map (fun l -> Array.of_list (List.rev l)) t.out;
-  t.in_arr <- Array.map (fun l -> Array.of_list (List.rev l)) t.in_;
-  t.adj_links <- t.num_links
+(* One direction of the CSR adjacency: [key] names the node a link is
+   listed under, [peer_of] its other end.  Filling in ascending link id
+   keeps each node's run in insertion order, the order of {!out_links}
+   and {!in_links}. *)
+let build_csr t ~key ~peer_of =
+  let n = t.num_nodes and m = t.num_links in
+  let off = Array.make (n + 1) 0 in
+  for i = 0 to m - 1 do
+    let v = key t.links.(i) in
+    off.(v + 1) <- off.(v + 1) + 1
+  done;
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  let next = Array.sub off 0 n in
+  let link = Array.make m 0 and peer = Array.make m 0 in
+  for i = 0 to m - 1 do
+    let l = t.links.(i) in
+    let v = key l in
+    let k = next.(v) in
+    link.(k) <- i;
+    peer.(k) <- peer_of l;
+    next.(v) <- k + 1
+  done;
+  { off; link; peer }
 
-let out_array t v =
-  check_node t v "query";
-  if t.adj_links <> t.num_links then refresh_adjacency t;
-  t.out_arr.(v)
+let adjacency t =
+  let a = t.adj in
+  if a.at_links = t.num_links then a
+  else begin
+    let a =
+      {
+        at_links = t.num_links;
+        out_csr = build_csr t ~key:(fun l -> l.src) ~peer_of:(fun l -> l.dst);
+        in_csr = build_csr t ~key:(fun l -> l.dst) ~peer_of:(fun l -> l.src);
+      }
+    in
+    t.adj <- a;
+    a
+  end
 
-let in_array t v =
-  check_node t v "query";
-  if t.adj_links <> t.num_links then refresh_adjacency t;
-  t.in_arr.(v)
-
-(* Unchecked link read for inner routing loops; [id] must come from an
-   adjacency array of this topology. *)
-let link_unsafe t id = Array.unsafe_get t.links id
+let out_csr t = (adjacency t).out_csr
+let in_csr t = (adjacency t).in_csr
 
 let find_link t ~src ~dst =
   check_node t src "source";

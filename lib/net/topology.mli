@@ -37,16 +37,22 @@ val out_links : t -> int -> int list
 val in_links : t -> int -> int list
 (** Ids of links entering a node. *)
 
-val out_array : t -> int -> int array
-(** Flat view of {!out_links} in the same order, cached per topology so
-    routing inner loops allocate nothing.  The array is shared: callers
-    must not mutate it, and it is invalidated by {!add_link}. *)
+(** Compressed sparse row adjacency of one direction: node [v]'s links
+    are [link.(i)] for [i] in [[off.(v), off.(v + 1))], in the order of
+    {!out_links} (or {!in_links}), and [peer.(i)] is the far end of
+    [link.(i)]: its destination in {!out_csr}, its source in {!in_csr}.
+    Routing inner loops read these three int arrays and no link record. *)
+type csr = { off : int array; link : int array; peer : int array }
 
-val in_array : t -> int -> int array
-(** Flat view of {!in_links}; same sharing contract as {!out_array}. *)
+val out_csr : t -> csr
+(** Out-links of every node, built on first use after the topology last
+    grew and then shared: callers must not mutate the arrays.  Both
+    directions are published together, so a domain reading one sees the
+    other built at the same link count. *)
 
-val link_unsafe : t -> int -> link
-(** Unchecked {!link}, for ids taken from {!out_array}/{!in_array}. *)
+val in_csr : t -> csr
+(** In-links of every node; [peer] holds each link's source.  Same
+    sharing contract as {!out_csr}. *)
 
 val find_link : t -> src:int -> dst:int -> int option
 (** Some id of a link from [src] to [dst] (the first added), if any. *)

@@ -1,6 +1,8 @@
 (* Dijkstra over the layered graph (node, hops used) so that a hop budget
    can be enforced exactly while minimising real-valued cost.  With budget
-   H the state space is |V|·(H+1), tiny for the networks simulated here. *)
+   H the state space is |V|·(H+1), tiny for the networks simulated here.
+   Edges come from the out-link CSR in insertion order and costs are
+   asked by link id, so a relaxation reads no link record. *)
 
 type state = { cost : float; node : int; hops : int; seq : int }
 
@@ -23,6 +25,7 @@ let shortest_path ~cost ?(node_ok = fun _ -> true) ?max_hops topo ~src ~dst =
   else begin
     let best = Array.make_matrix n (budget + 1) infinity in
     let parent = Array.make_matrix n (budget + 1) (-1) in
+    let { Net.Topology.off; link; peer } = Net.Topology.out_csr topo in
     let heap = Sim.Heap.create ~cmp:compare_states in
     let seq = ref 0 in
     let push cost node hops =
@@ -43,24 +46,22 @@ let shortest_path ~cost ?(node_ok = fun _ -> true) ?max_hops topo ~src ~dst =
         end
         else if s.cost <= best.(s.node).(s.hops) +. 1e-15 && s.hops < budget
         then
-          List.iter
-            (fun id ->
-              let l = Net.Topology.link topo id in
-              let v = l.Net.Topology.dst in
-              if v = dst || node_ok v then
-                match cost l with
-                | None -> ()
-                | Some w ->
-                  if w < 0.0 then
-                    invalid_arg "Dijkstra.shortest_path: negative cost";
-                  let nc = s.cost +. w in
-                  let nh = s.hops + 1 in
-                  if nc < best.(v).(nh) -. 1e-15 then begin
-                    best.(v).(nh) <- nc;
-                    parent.(v).(nh) <- id;
-                    push nc v nh
-                  end)
-            (Net.Topology.out_links topo s.node)
+          for i = off.(s.node) to off.(s.node + 1) - 1 do
+            let v = peer.(i) in
+            if v = dst || node_ok v then
+              match cost link.(i) with
+              | None -> ()
+              | Some w ->
+                if w < 0.0 then
+                  invalid_arg "Dijkstra.shortest_path: negative cost";
+                let nc = s.cost +. w in
+                let nh = s.hops + 1 in
+                if nc < best.(v).(nh) -. 1e-15 then begin
+                  best.(v).(nh) <- nc;
+                  parent.(v).(nh) <- link.(i);
+                  push nc v nh
+                end
+          done
     done;
     match !answer with
     | None -> None

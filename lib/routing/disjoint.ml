@@ -1,5 +1,5 @@
 type constraints = {
-  link_ok : Net.Topology.link -> bool;
+  link_ok : int -> bool;
   node_ok : int -> bool;
   max_hops : int option;
 }
@@ -18,10 +18,7 @@ let narrowed topo cs avoid =
       ~num_links:(Net.Topology.num_links topo)
   in
   List.iter (fun p -> Net.Path.mask_interior topo p banned) avoid;
-  let link_ok l =
-    cs.link_ok l
-    && not (Net.Component.Mask.mem_link banned l.Net.Topology.id)
-  in
+  let link_ok id = cs.link_ok id && not (Net.Component.Mask.mem_link banned id) in
   let node_ok v =
     cs.node_ok v && not (Net.Component.Mask.mem_node banned v)
   in

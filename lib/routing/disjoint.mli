@@ -7,7 +7,7 @@
     connection (references [WHA90, SID91]). *)
 
 type constraints = {
-  link_ok : Net.Topology.link -> bool;  (** admission per link *)
+  link_ok : int -> bool;  (** admission per link id *)
   node_ok : int -> bool;  (** admission for intermediate nodes *)
   max_hops : int option;  (** QoS hop budget, [None] = unbounded *)
 }

@@ -9,10 +9,11 @@
 
    The matrix is a Bigarray so it lives outside the OCaml heap: at 64x64
    (4096 nodes) it is 4096^2 * 2 bytes = 32 MiB that the GC never scans,
-   and domains share it read-only without copies.  Construction is lazy
-   and memoised per topology in a small registry keyed by physical
-   equality plus the link count at build time, so a topology mutated by
-   [add_link] after an oracle was built gets a fresh one. *)
+   and domains share it read-only without copies.  The whole matrix is
+   built on first use, over the in-link CSR so the BFS reads only flat
+   int arrays, and memoised per topology in a small registry keyed by
+   physical equality plus the link count at build time, so a topology
+   mutated by [add_link] after an oracle was built gets a fresh one. *)
 
 type matrix =
   (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -44,6 +45,7 @@ let build topo =
   in
   Bigarray.Array1.fill data unreachable;
   let queue = Array.make (max n 1) 0 in
+  let { Net.Topology.off; peer; _ } = Net.Topology.in_csr topo in
   for dst = 0 to n - 1 do
     (* Reverse BFS from [dst]: distances *to* dst along link direction. *)
     let base = dst * n in
@@ -51,16 +53,14 @@ let build topo =
     queue.(0) <- dst;
     let head = ref 0 and tail = ref 1 in
     while !head < !tail do
-      let u = queue.(!head) in
+      let u = Array.unsafe_get queue !head in
       incr head;
       let du1 = Bigarray.Array1.unsafe_get data (base + u) + 1 in
-      let inl = Net.Topology.in_array topo u in
-      for i = 0 to Array.length inl - 1 do
-        let l = Net.Topology.link_unsafe topo (Array.unsafe_get inl i) in
-        let v = l.Net.Topology.src in
+      for i = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
+        let v = Array.unsafe_get peer i in
         if Bigarray.Array1.unsafe_get data (base + v) = unreachable then begin
           Bigarray.Array1.unsafe_set data (base + v) du1;
-          queue.(!tail) <- v;
+          Array.unsafe_set queue !tail v;
           incr tail
         end
       done

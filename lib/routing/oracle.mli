@@ -1,7 +1,8 @@
 (** All-pairs static hop-distance oracle over an immutable topology.
 
-    A dense int16 matrix of unconstrained hop distances, built lazily
-    (one reverse BFS per destination) and memoised per topology.  The
+    A dense int16 matrix of unconstrained hop distances, built whole on
+    first use (one reverse BFS per destination, every row filled) and
+    memoised per topology.  The
     matrix is a Bigarray outside the OCaml heap, shared read-only across
     domains.  Static distances lower-bound every admission-constrained
     distance, so {!Shortest} uses them both to prune budgeted searches

@@ -47,9 +47,9 @@ let get_ws n =
   ws.epoch <- ws.epoch + 1;
   ws
 
-(* Unconstrained BFS through the epoch-stamped workspace; only the
-   returned distance array is allocated. *)
-let bfs_distances topo ~start ~links_of ~endpoint_of =
+(* Unconstrained BFS over one CSR direction through the epoch-stamped
+   workspace; only the returned distance array is allocated. *)
+let bfs_distances topo ~start { Net.Topology.off; peer; _ } =
   let n = Net.Topology.num_nodes topo in
   let ws = get_ws n in
   let epoch = ws.epoch in
@@ -62,32 +62,27 @@ let bfs_distances topo ~start ~links_of ~endpoint_of =
     let u = queue.(!head) in
     incr head;
     let du1 = Array.unsafe_get dist u + 1 in
-    Array.iter
-      (fun id ->
-        let v = endpoint_of (Net.Topology.link_unsafe topo id) in
-        if Array.unsafe_get stamp v <> epoch then begin
-          Array.unsafe_set stamp v epoch;
-          Array.unsafe_set dist v du1;
-          queue.(!tail) <- v;
-          incr tail
-        end)
-      (links_of u)
+    for i = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
+      let v = Array.unsafe_get peer i in
+      if Array.unsafe_get stamp v <> epoch then begin
+        Array.unsafe_set stamp v epoch;
+        Array.unsafe_set dist v du1;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
   done;
   Array.init n (fun v -> if stamp.(v) = epoch then dist.(v) else max_int)
 
 let hop_distance topo ~src =
-  bfs_distances topo ~start:src
-    ~links_of:(Net.Topology.out_array topo)
-    ~endpoint_of:(fun l -> l.Net.Topology.dst)
+  bfs_distances topo ~start:src (Net.Topology.out_csr topo)
 
 let hop_distance_to topo ~dst =
-  bfs_distances topo ~start:dst
-    ~links_of:(Net.Topology.in_array topo)
-    ~endpoint_of:(fun l -> l.Net.Topology.src)
+  bfs_distances topo ~start:dst (Net.Topology.in_csr topo)
 
 (* BFS with admission predicates.  All hops cost 1, so plain BFS finds a
    minimum-hop path; parent links reconstruct it.  The scan runs over the
-   cached flat adjacency and the epoch-stamped workspace, so a search on
+   CSR adjacency and the epoch-stamped workspace, so a search on
    an already-visited topology allocates only the returned path.
 
    With a finite [max_hops] budget the static oracle turns this into a
@@ -99,7 +94,9 @@ let hop_distance_to topo ~dst =
    constrained one, so no feasible ≤-budget path is lost; and because a
    pruned node could never appear on a surviving path, the stamping
    order — hence parents, hence the returned path — is byte-identical to
-   the unpruned search.  [reference] turns the pruning off. *)
+   the unpruned search.  [reference] turns the pruning off.  Each relaxed
+   edge reads its link id and far end from the out-link CSR; [link_ok]
+   takes the id, so no link record is loaded. *)
 let search ?(link_ok = all_links_ok) ?(node_ok = all_nodes_ok) ?max_hops
     ~reference topo ~src ~dst =
   if src = dst then Some []
@@ -124,8 +121,8 @@ let search ?(link_ok = all_links_ok) ?(node_ok = all_nodes_ok) ?max_hops
     in
     let pruned = ref 0 in
     let found = ref false in
-    let visit u id l =
-      let v = l.Net.Topology.dst in
+    let { Net.Topology.off; link; peer } = Net.Topology.out_csr topo in
+    let visit u id v =
       if Array.unsafe_get stamp v <> epoch then begin
         let keep =
           match oracle with
@@ -141,7 +138,7 @@ let search ?(link_ok = all_links_ok) ?(node_ok = all_nodes_ok) ?max_hops
             end
             else true
         in
-        if keep && link_ok l && (v = dst || node_ok v) then begin
+        if keep && link_ok id && (v = dst || node_ok v) then begin
           Array.unsafe_set stamp v epoch;
           Array.unsafe_set dist v (Array.unsafe_get dist u + 1);
           Array.unsafe_set parent v id;
@@ -156,13 +153,10 @@ let search ?(link_ok = all_links_ok) ?(node_ok = all_nodes_ok) ?max_hops
     while (not !found) && !head < !tail do
       let u = queue.(!head) in
       incr head;
-      if dist.(u) < budget then begin
-        let out = Net.Topology.out_array topo u in
-        for i = 0 to Array.length out - 1 do
-          let id = Array.unsafe_get out i in
-          visit u id (Net.Topology.link_unsafe topo id)
+      if dist.(u) < budget then
+        for i = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
+          visit u (Array.unsafe_get link i) (Array.unsafe_get peer i)
         done
-      end
     done;
     if !pruned > 0 then Sim.Prof.count ~by:!pruned "route.pruned";
     if stamp.(dst) <> epoch || dist.(dst) > budget then None
@@ -213,18 +207,17 @@ let bidirectional_hops ~link_ok ~node_ok topo ~src ~dst =
     let flo = ref 0 and fhi = ref 1 and flevel = ref 0 in
     let blo = ref 0 and bhi = ref 1 and blevel = ref 0 in
     let best = ref max_int in
+    let out = Net.Topology.out_csr topo and inl = Net.Topology.in_csr topo in
     let expand_forward () =
       let tail = ref !fhi in
       for qi = !flo to !fhi - 1 do
         let u = fqueue.(qi) in
         let du1 = Array.unsafe_get fdist u + 1 in
-        let out = Net.Topology.out_array topo u in
-        for i = 0 to Array.length out - 1 do
-          let l = Net.Topology.link_unsafe topo (Array.unsafe_get out i) in
-          let v = l.Net.Topology.dst in
+        for i = Array.unsafe_get out.off u to Array.unsafe_get out.off (u + 1) - 1 do
+          let v = Array.unsafe_get out.peer i in
           if
             Array.unsafe_get fstamp v <> epoch
-            && link_ok l
+            && link_ok (Array.unsafe_get out.link i)
             && (v = dst || node_ok v)
           then begin
             Array.unsafe_set fstamp v epoch;
@@ -247,13 +240,11 @@ let bidirectional_hops ~link_ok ~node_ok topo ~src ~dst =
       for qi = !blo to !bhi - 1 do
         let u = bqueue.(qi) in
         let du1 = Array.unsafe_get bdist u + 1 in
-        let inl = Net.Topology.in_array topo u in
-        for i = 0 to Array.length inl - 1 do
-          let l = Net.Topology.link_unsafe topo (Array.unsafe_get inl i) in
-          let v = l.Net.Topology.src in
+        for i = Array.unsafe_get inl.off u to Array.unsafe_get inl.off (u + 1) - 1 do
+          let v = Array.unsafe_get inl.peer i in
           if
             Array.unsafe_get bstamp v <> epoch
-            && link_ok l
+            && link_ok (Array.unsafe_get inl.link i)
             && (v = src || node_ok v)
           then begin
             Array.unsafe_set bstamp v epoch;

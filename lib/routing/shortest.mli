@@ -13,7 +13,7 @@ val hop_distance_to : Net.Topology.t -> dst:int -> int array
 (** Hop distances from every node *to* [dst] (BFS over reversed links). *)
 
 val shortest_path :
-  ?link_ok:(Net.Topology.link -> bool) ->
+  ?link_ok:(int -> bool) ->
   ?node_ok:(int -> bool) ->
   ?max_hops:int ->
   ?reference:bool ->
@@ -21,16 +21,16 @@ val shortest_path :
   src:int ->
   dst:int ->
   Net.Path.t option
-(** Minimum-hop path from [src] to [dst] among links satisfying [link_ok]
-    and intermediate nodes satisfying [node_ok] (endpoints are exempt from
-    [node_ok]).  [max_hops] bounds the accepted path length.  Among
+(** Minimum-hop path from [src] to [dst] among links whose id satisfies
+    [link_ok] and intermediate nodes satisfying [node_ok] (endpoints are
+    exempt from [node_ok]).  [max_hops] bounds the accepted path length.  Among
     equal-cost choices the lowest link id wins, so results are stable.
     A budgeted search skips every node the {!Oracle} bound rules out;
     [~reference:true] runs the unpruned reference search instead, which
     returns the same path with more admission checks. *)
 
 val shortest_hops :
-  ?link_ok:(Net.Topology.link -> bool) ->
+  ?link_ok:(int -> bool) ->
   ?node_ok:(int -> bool) ->
   ?reference:bool ->
   Net.Topology.t ->

@@ -1,5 +1,8 @@
+(* Capacities are copied out of the link records into a flat array, so
+   an admission test reads three unboxed floats at one index.  [cap] is
+   never written, so copies share it. *)
 type t = {
-  topo : Net.Topology.t;
+  cap : float array;
   primary : float array;
   spare : float array;
 }
@@ -10,17 +13,22 @@ let eps = 1e-9
 
 let create topo =
   let n = Net.Topology.num_links topo in
-  { topo; primary = Array.make n 0.0; spare = Array.make n 0.0 }
+  {
+    cap =
+      Array.init n (fun id -> (Net.Topology.link topo id).Net.Topology.capacity);
+    primary = Array.make n 0.0;
+    spare = Array.make n 0.0;
+  }
 
 let copy t = { t with primary = Array.copy t.primary; spare = Array.copy t.spare }
 
-let capacity t id = (Net.Topology.link t.topo id).Net.Topology.capacity
+let capacity t id = t.cap.(id)
 let primary t id = t.primary.(id)
 let spare t id = t.spare.(id)
-let free t id = capacity t id -. t.primary.(id) -. t.spare.(id)
+let free t id = t.cap.(id) -. t.primary.(id) -. t.spare.(id)
 
 let can_reserve_primary t id bw =
-  bw >= 0.0 && t.primary.(id) +. bw +. t.spare.(id) <= capacity t id +. eps
+  bw >= 0.0 && t.primary.(id) +. bw +. t.spare.(id) <= t.cap.(id) +. eps
 
 let reserve_primary t id bw =
   if not (can_reserve_primary t id bw) then
@@ -35,7 +43,7 @@ let release_primary t id bw =
     invalid_arg "Resource.release_primary: releasing more than reserved";
   t.primary.(id) <- Float.max 0.0 (t.primary.(id) -. bw)
 
-let can_set_spare t id bw = bw >= 0.0 && t.primary.(id) +. bw <= capacity t id +. eps
+let can_set_spare t id bw = bw >= 0.0 && t.primary.(id) +. bw <= t.cap.(id) +. eps
 
 let set_spare t id bw =
   if not (can_set_spare t id bw) then
@@ -55,13 +63,12 @@ let reserve_primary_path t path bw =
 let release_primary_path t path bw =
   List.iter (fun id -> release_primary t id bw) (Net.Path.links path)
 
-let total_capacity t = Net.Topology.total_capacity t.topo
-
 let sum a =
   let s = ref 0.0 in
   Array.iter (fun x -> s := !s +. x) a;
   !s
 
+let total_capacity t = sum t.cap
 let total_primary t = sum t.primary
 let total_spare t = sum t.spare
 

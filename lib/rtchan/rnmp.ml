@@ -25,9 +25,9 @@ let route ?reference t ~src ~dst ~traffic ~qos =
   | None -> Error No_route
   | Some shortest ->
     let budget = Qos.max_hops qos ~shortest in
-    let link_ok l =
+    let link_ok id =
       Sim.Prof.incr admission_checks;
-      Resource.can_reserve_primary t.resources l.Net.Topology.id bw
+      Resource.can_reserve_primary t.resources id bw
     in
     (match
        Routing.Shortest.shortest_path ~link_ok ~max_hops:budget ?reference

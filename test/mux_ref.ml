@@ -52,6 +52,14 @@ let required_with_naive ~lambda entries (cand : Bcp.Mux.backup_info) =
   then requirement_naive ~lambda entries
   else requirement_naive ~lambda (entries @ [ cand ])
 
+(* {!Bcp.Mux.probe_upper_bound}'s ceiling for a candidate beside
+   [entries]: its bw plus the larger of their Σ bw and requirement. *)
+let upper_bound_naive ~lambda entries (cand : Bcp.Mux.backup_info) =
+  let sum_bw =
+    List.fold_left (fun s (e : Bcp.Mux.backup_info) -> s +. e.bw) 0.0 entries
+  in
+  cand.bw +. Float.max sum_bw (requirement_naive ~lambda entries)
+
 let requirement ~lambda m ~link =
   requirement_naive ~lambda (Bcp.Mux.on_link m ~link)
 

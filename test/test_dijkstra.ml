@@ -31,9 +31,7 @@ let test_avoids_expensive_links () =
   let _ = Net.Topology.add_link t ~src:0 ~dst:3 ~capacity:1.0 in
   let _ = Net.Topology.add_link t ~src:3 ~dst:4 ~capacity:1.0 in
   let _ = Net.Topology.add_link t ~src:4 ~dst:2 ~capacity:1.0 in
-  let cost l =
-    if l.Net.Topology.id = l12 then Some 10.0 else Some 1.0
-  in
+  let cost id = if id = l12 then Some 10.0 else Some 1.0 in
   (match Routing.Dijkstra.shortest_path ~cost t ~src:0 ~dst:2 with
   | None -> Alcotest.fail "path expected"
   | Some (p, c) ->
@@ -48,7 +46,7 @@ let test_avoids_expensive_links () =
 
 let test_excluded_links_and_nodes () =
   let t = mesh33 () in
-  let cost l = if l.Net.Topology.id = 0 then None else Some 1.0 in
+  let cost id = if id = 0 then None else Some 1.0 in
   (match Routing.Dijkstra.shortest_path ~cost t ~src:0 ~dst:8 with
   | None -> Alcotest.fail "path expected"
   | Some (p, _) -> Alcotest.(check bool) "avoids link 0" false (Net.Path.uses_link p 0));
@@ -188,7 +186,7 @@ let prop_dijkstra_matches_bruteforce =
       in
       (* Deterministic pseudo-random positive link costs. *)
       let cost_of id = 1.0 +. float_of_int ((id * 2654435761) mod 97) /. 10.0 in
-      let cost (l : Net.Topology.link) = Some (cost_of l.Net.Topology.id) in
+      let cost id = Some (cost_of id) in
       let brute =
         List.fold_left
           (fun best links ->

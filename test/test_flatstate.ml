@@ -201,7 +201,33 @@ let check_index ns ~step =
   for v = 0 to Net.Topology.num_nodes topo - 1 do
     check (Net.Component.Node v)
   done;
-  check (Net.Component.Link (Net.Topology.num_links topo))
+  check (Net.Component.Link (Net.Topology.num_links topo));
+  (* A backup is in the mux on the links of its path iff it is
+     [Standby], and the mux holds no backup of a removed connection. *)
+  let mux = Bcp.Netstate.mux ns in
+  let standby_entries = ref 0 in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun b ->
+          let standby = b.Bcp.Dconn.state = Bcp.Dconn.Standby in
+          List.iter
+            (fun link ->
+              if standby then incr standby_entries;
+              if Bcp.Mux.mem mux ~link ~backup:b.Bcp.Dconn.bid <> standby then
+                QCheck.Test.fail_reportf
+                  "step %d: backup %d (standby %b) in the mux on link %d: %b"
+                  step b.Bcp.Dconn.bid standby link (not standby))
+            (Net.Path.links b.Bcp.Dconn.path))
+        c.Bcp.Dconn.backups)
+    (Bcp.Netstate.dconns ns);
+  let entries = ref 0 in
+  for link = 0 to Net.Topology.num_links topo - 1 do
+    entries := !entries + Bcp.Mux.count_on mux ~link
+  done;
+  if !entries <> !standby_entries then
+    QCheck.Test.fail_reportf "step %d: %d mux entries, %d standby backup links"
+      step !entries !standby_entries
 
 let prop_index_model =
   QCheck.Test.make ~name:"link/node indexes = list model" ~count:100 index_ops

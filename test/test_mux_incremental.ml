@@ -704,7 +704,7 @@ let test_counts_follow_their_engine () =
 
 (* Register / unregister / probe sequences, checked against the
    reference after every step: every link's requirement, and every live
-   probe's answer on every link (at most four probes live at once, so
+   probe's answer and O(1) ceiling on every link (at most four probes live at once, so
    their scans interleave with each other and with the updates). *)
 let prop_sequence_matches_reference =
   QCheck.Test.make ~name:"register/unregister/probe == reference at every step"
@@ -719,13 +719,26 @@ let prop_sequence_matches_reference =
       let audit step =
         for link = 0 to nlinks - 1 do
           check_link m ~link;
+          check_exact
+            (Printf.sprintf "step %d: requirement link %d" step link)
+            (requirement_naive (entries link))
+            (Bcp.Mux.spare_requirement m ~link);
           List.iter
             (fun (cand, p) ->
-              check_exact
-                (Printf.sprintf "step %d: probe %d on link %d" step
-                   cand.Bcp.Mux.backup link)
-                (required_with_naive (entries link) cand)
-                (Bcp.Mux.probe_required p ~link))
+              let what =
+                Printf.sprintf "step %d: probe %d on link %d" step
+                  cand.Bcp.Mux.backup link
+              in
+              let required = Bcp.Mux.probe_required p ~link in
+              check_exact what (required_with_naive (entries link) cand)
+                required;
+              let ceiling = Bcp.Mux.probe_upper_bound p ~link in
+              check_exact (what ^ " ceiling")
+                (Mux_ref.upper_bound_naive ~lambda (entries link) cand)
+                ceiling;
+              if ceiling < required then
+                QCheck.Test.fail_reportf "%s: ceiling %.17g below %.17g" what
+                  ceiling required)
             !probes
         done
       in

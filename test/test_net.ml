@@ -249,6 +249,53 @@ let prop_path_queries_match_components =
                Net.Path.uses_component t p c = Net.Component.Set.mem c comps)
              all)
 
+(* Property: on random multigraphs (parallel links allowed), both CSR
+   directions list each node's links as [out_links]/[in_links] do, in the
+   same order, with [peer] the link's destination (out) or source (in).
+   A second batch of [add_link]s after the first read must invalidate the
+   CSR built for the first. *)
+let prop_csr_matches_lists =
+  let edges = QCheck.(small_list (pair small_nat small_nat)) in
+  QCheck.Test.make ~name:"CSR adjacency = out_links/in_links" ~count:200
+    QCheck.(triple (int_range 2 8) edges edges)
+    (fun (n, first, second) ->
+      let t = Net.Topology.create ~num_nodes:n in
+      let add =
+        List.iter (fun (a, b) ->
+            let a = a mod n and b = b mod n in
+            if a <> b then
+              ignore (Net.Topology.add_link t ~src:a ~dst:b ~capacity:1.0))
+      in
+      let agrees csr links_of far =
+        let { Net.Topology.off; link; peer } = csr in
+        let m = Net.Topology.num_links t in
+        Array.length off = n + 1
+        && off.(0) = 0
+        && off.(n) = m
+        && Array.length link = m
+        && Array.length peer = m
+        && List.for_all
+             (fun v ->
+               let run =
+                 List.init (max 0 (off.(v + 1) - off.(v))) (fun k -> off.(v) + k)
+               in
+               List.map (fun i -> link.(i)) run = links_of t v
+               && List.for_all
+                    (fun i -> peer.(i) = far (Net.Topology.link t link.(i)))
+                    run)
+             (List.init n Fun.id)
+      in
+      let both () =
+        agrees (Net.Topology.out_csr t) Net.Topology.out_links (fun l ->
+            l.Net.Topology.dst)
+        && agrees (Net.Topology.in_csr t) Net.Topology.in_links (fun l ->
+               l.Net.Topology.src)
+      in
+      add first;
+      let before = both () in
+      add second;
+      before && both ())
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -265,6 +312,7 @@ let () =
           Alcotest.test_case "build" `Quick test_topology_build;
           Alcotest.test_case "adjacency" `Quick test_topology_adjacency;
           Alcotest.test_case "validation" `Quick test_topology_validation;
+          QCheck_alcotest.to_alcotest prop_csr_matches_lists;
         ] );
       ( "builders",
         [

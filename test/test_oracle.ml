@@ -180,7 +180,7 @@ let scenario seed =
   let node_banned = Array.init n (fun _ -> Sim.Prng.int rng 8 = 0) in
   let link_banned = Array.init m (fun _ -> Sim.Prng.int rng 8 = 0) in
   let node_ok v = not node_banned.(v) in
-  let link_ok (l : Net.Topology.link) = not link_banned.(l.Net.Topology.id) in
+  let link_ok id = not link_banned.(id) in
   let src = Sim.Prng.int rng n in
   let dst = (src + 1 + Sim.Prng.int rng (n - 1)) mod n in
   let budget = 1 + Sim.Prng.int rng (n + 2) in
@@ -210,6 +210,26 @@ let prop_shortest_hops_equal =
       in
       run true = run false)
 
+(* Hop distances to [dst] by a BFS over the [in_links] lists and link
+   records, not the CSR that the oracle and [hop_distance_to] read. *)
+let distances_to_by_lists topo ~dst =
+  let d = Array.make (Net.Topology.num_nodes topo) max_int in
+  let queue = Queue.create () in
+  d.(dst) <- 0;
+  Queue.push dst queue;
+  while not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    List.iter
+      (fun id ->
+        let v = (Net.Topology.link topo id).Net.Topology.src in
+        if d.(v) = max_int then begin
+          d.(v) <- d.(u) + 1;
+          Queue.push v queue
+        end)
+      (Net.Topology.in_links topo u)
+  done;
+  d
+
 let prop_oracle_equals_fresh_bfs =
   QCheck.Test.make ~name:"oracle distances = fresh BFS" ~count:100
     QCheck.small_nat (fun seed ->
@@ -217,11 +237,14 @@ let prop_oracle_equals_fresh_bfs =
       let topo = random_topo rng in
       let o = Routing.Oracle.for_topo topo in
       let n = Net.Topology.num_nodes topo in
-      let dst = Sim.Prng.int rng n in
-      let d = Routing.Shortest.hop_distance_to topo ~dst in
-      Array.for_all
-        (fun v -> Routing.Oracle.distance o ~src:v ~dst = d.(v))
-        (Array.init n Fun.id))
+      List.for_all
+        (fun dst ->
+          let d = distances_to_by_lists topo ~dst in
+          Routing.Shortest.hop_distance_to topo ~dst = d
+          && Array.for_all
+               (fun v -> Routing.Oracle.distance o ~src:v ~dst = d.(v))
+               (Array.init n Fun.id))
+        (List.init n Fun.id))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 

@@ -40,7 +40,7 @@ let test_shortest_path_self () =
 let test_shortest_with_link_filter () =
   let t = Net.Builders.line ~nodes:3 ~capacity:10.0 in
   (* Ban the only forward link 0->1 (id 0). *)
-  let link_ok (l : Net.Topology.link) = l.Net.Topology.id <> 0 in
+  let link_ok id = id <> 0 in
   Alcotest.(check bool) "unroutable" true
     (Routing.Shortest.shortest_path ~link_ok t ~src:0 ~dst:2 = None)
 
