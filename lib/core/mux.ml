@@ -52,8 +52,8 @@ let s_values_count = Sim.Prof.counter "mux.s_values"
 let index_walk_count = Sim.Prof.counter "mux.index_walk"
 let unregister_walk_count = Sim.Prof.counter "mux.unregister_walk"
 
-(* Backup id -> slot tables: monomorphic equality and no C hash call.
-   They are never iterated, so bucket order is free. *)
+(* Backup id -> handle table: monomorphic equality and no C hash call.
+   It is never iterated, so bucket order is free. *)
 module Itbl = Hashtbl.Make (struct
   type t = int
 
@@ -85,35 +85,28 @@ module Ctbl = Hashtbl.Make (struct
     !h land max_int
 end)
 
-(* Per-link table, structure-of-arrays: each registered backup occupies a
-   slot; parallel arrays hold the admission-scan hot fields (ν, bw, cached
-   Π bandwidth, the primary's index entry) so the inner loops walk flat
-   memory instead of chasing hashtable buckets.  [bids.(s) = -1] marks a
-   free slot; freed slots are recycled LIFO so the live region stays dense
-   under churn.  [index] maps a backup id to its slot — ids are
-   network-global and sparse on any one link, so lookups stay a hashtable
-   while all per-entry state is flat. *)
+(* Per-link table: each backup on the link occupies a slot holding its
+   handle in the backup store, its |Π| and its Σbw(Π) on this link, the
+   only per-link state the §3.2 rule leaves.  [hs.(s) = -1] marks a free
+   slot; freed slots are recycled LIFO so the live region stays dense
+   under churn. *)
 type link_table = {
   mutable n : int; (* slot watermark: slots in [0, n) exist *)
-  mutable bids : int array; (* -1 = free *)
-  mutable conns : int array;
-  mutable serials : int array;
-  mutable nus : float array;
-  mutable bws : float array;
-  mutable pi_bws : float array; (* cached Σ bw over Π *)
-  mutable comps : int array array;
-      (* sorted encoded primary components, shared by every link the
-         backup is registered on *)
-  mutable eids : int array; (* primary index entry of [comps] *)
+  mutable hs : int array; (* handle; -1 = free *)
   mutable pin : int array; (* |Π| *)
-  index : int Itbl.t; (* backup id -> slot *)
+  mutable pi_bws : float array; (* Σ bw over Π *)
   mutable free : int array;
   mutable free_len : int;
   mutable live : int; (* registered backups *)
 }
 
-(* The primary index: one entry per distinct registered component array
-   (every encoding lies in [0, ncomp)), refcounted by the slots holding
+(* The backup store: one record per registered backup, whatever the
+   number of links it is on, in parallel arrays indexed by a dense handle
+   that [handles] maps each backup id to.  Handles are recycled LIFO when
+   a backup leaves its last link.  [bids.(h) = -1] marks a free handle.
+
+   The primary index: one entry per distinct registered component array
+   (every encoding lies in [0, ncomp)), refcounted by the backups holding
    it, and per encoding the entries containing it ([post.(c)], first
    [plen.(c)] valid, unordered).  [version] changes whenever an entry id
    takes a new array; values come from the process-wide {!versions}, so a
@@ -129,13 +122,27 @@ type t = {
   lambda : float;
   mutable sink : (Sim.Event.t -> unit) option;
   pows : float array; (* (1-λ)^c for small c *)
+  handles : int Itbl.t; (* backup id -> handle *)
+  mutable hnext : int; (* handles in [0, hnext) have been issued *)
+  mutable hfree : int array;
+  mutable hfree_len : int;
+  mutable bids : int array; (* -1 = free *)
+  mutable conns : int array;
+  mutable serials : int array;
+  mutable nus : float array;
+  mutable bws : float array;
+  mutable comps : int array array;
+      (* sorted encoded primary components, as passed to [register] *)
+  mutable ncomps : int array; (* length of [comps] *)
+  mutable eids : int array; (* primary index entry of [comps] *)
+  mutable held : int array; (* links the backup is on *)
   ncomp : int;
   post : int array array;
   plen : int array;
   mutable enext : int; (* entry ids in [0, enext) have been issued *)
   mutable efree : int list; (* released entry ids, most recent first *)
   mutable ecomps : int array array; (* entry -> its component array *)
-  mutable erefs : int array; (* entry -> slots holding it; 0 = free *)
+  mutable erefs : int array; (* entry -> backups holding it; 0 = free *)
   by_comps : int Ctbl.t;
   mutable version : int;
 }
@@ -154,16 +161,9 @@ let create topo ~lambda =
       Array.init (Net.Topology.num_links topo) (fun _ ->
           {
             n = 0;
-            bids = [||];
-            conns = [||];
-            serials = [||];
-            nus = [||];
-            bws = [||];
-            pi_bws = [||];
-            comps = [||];
-            eids = [||];
+            hs = [||];
             pin = [||];
-            index = Itbl.create 16;
+            pi_bws = [||];
             free = [||];
             free_len = 0;
             live = 0;
@@ -178,6 +178,19 @@ let create topo ~lambda =
       Array.init
         (max 64 ((4 * Net.Topology.num_nodes topo) + 8))
         (fun c -> (1.0 -. lambda) ** float_of_int c);
+    handles = Itbl.create 64;
+    hnext = 0;
+    hfree = [||];
+    hfree_len = 0;
+    bids = [||];
+    conns = [||];
+    serials = [||];
+    nus = [||];
+    bws = [||];
+    comps = [||];
+    ncomps = [||];
+    eids = [||];
+    held = [||];
     ncomp;
     post = Array.make ncomp [||];
     plen = Array.make ncomp 0;
@@ -277,10 +290,13 @@ let check_encodings t ~fn comps =
            t.ncomp)
   done
 
-let grow_ints a need =
-  let na = Array.make (max need (2 * Array.length a)) 0 in
+(* [a] copied into a fresh array of [n] cells, the new ones [default]. *)
+let grow_to n default a =
+  let na = Array.make n default in
   Array.blit a 0 na 0 (Array.length a);
   na
+
+let grow_ints a need = grow_to (max need (2 * Array.length a)) 0 a
 
 (* A new entry moves the index to a fresh version.  This domain's counts,
    if they were current, stay current: the new entry's overlap with their
@@ -298,9 +314,7 @@ let add_entry t comps =
   in
   if e >= Array.length t.erefs then begin
     t.erefs <- grow_ints t.erefs (e + 1);
-    let na = Array.make (Array.length t.erefs) [||] in
-    Array.blit t.ecomps 0 na 0 (Array.length t.ecomps);
-    t.ecomps <- na
+    t.ecomps <- grow_to (Array.length t.erefs) [||] t.ecomps
   end;
   t.ecomps.(e) <- comps;
   Ctbl.replace t.by_comps comps e;
@@ -353,17 +367,17 @@ let release_entry t e =
 (* (1-λ)^c from the table [create] fills (λ is fixed at creation).
    Computed with the same [Float.pow] expression as
    {!Reliability.Combinatorial.survival}, so tabulated and direct S-values
-   are bit-identical.  This, [s_value] and [contribution] are inlined so
+   are bit-identical.  This and [s_value] are inlined so
    the scan loops keep their floats unboxed: no allocation per peer. *)
 let[@inline] pow t c =
   if c < Array.length t.pows then t.pows.(c)
   else (1.0 -. t.lambda) ** float_of_int c
 
 (* S(candidate, peer), in the same expression shape as
-   [Combinatorial.s_activation].  [acc]/[base] hold the candidate's
-   counts; [e] is the peer's index entry. *)
-let[@inline] s_value t comps acc base e peer =
-  let c_i = Array.length comps and c_j = Array.length peer in
+   [Combinatorial.s_activation].  [acc]/[base] hold the counts of the
+   candidate's [c_i] components; [e] is the peer's index entry and [c_j]
+   its component count. *)
+let[@inline] s_value t c_i acc base e c_j =
   let v = Array.unsafe_get acc e - base in
   let sc = if v >= 0 then v else 0 in
   1.0 -. (pow t c_i +. pow t c_j -. pow t ((c_i + c_j) - sc))
@@ -380,25 +394,17 @@ let[@inline] s_value t comps acc base e peer =
    IEEE arithmetic, so removal decides exactly what registration did,
    whichever of the two came first. *)
 
-let[@inline] contribution tab s = tab.bws.(s) +. tab.pi_bws.(s)
+(* [a] with [x] pushed at [len], grown when full: a LIFO free list. *)
+let push_free a len x =
+  let a = if len = Array.length a then grow_ints a (max 8 (len + 1)) else a in
+  a.(len) <- x;
+  a
 
 let grow_table tab =
-  let cap = Array.length tab.bids in
-  let ncap = max 8 (2 * cap) in
-  let gi default a =
-    let na = Array.make ncap default in
-    Array.blit a 0 na 0 cap;
-    na
-  in
-  tab.bids <- gi (-1) tab.bids;
-  tab.conns <- gi 0 tab.conns;
-  tab.serials <- gi 0 tab.serials;
-  tab.nus <- gi 0.0 tab.nus;
-  tab.bws <- gi 0.0 tab.bws;
-  tab.pi_bws <- gi 0.0 tab.pi_bws;
-  tab.comps <- gi [||] tab.comps;
-  tab.eids <- gi (-1) tab.eids;
-  tab.pin <- gi 0 tab.pin
+  let n = max 8 (2 * Array.length tab.hs) in
+  tab.hs <- grow_to n (-1) tab.hs;
+  tab.pin <- grow_to n 0 tab.pin;
+  tab.pi_bws <- grow_to n 0.0 tab.pi_bws
 
 let alloc_slot tab =
   if tab.free_len > 0 then begin
@@ -406,125 +412,209 @@ let alloc_slot tab =
     tab.free.(tab.free_len)
   end
   else begin
-    if tab.n = Array.length tab.bids then grow_table tab;
+    if tab.n = Array.length tab.hs then grow_table tab;
     let s = tab.n in
     tab.n <- tab.n + 1;
     s
   end
 
-(* A freed slot lets go of its primary's array: under churn most slots
-   are free at some point, and keeping the arrays would hold memory for
-   nothing. *)
 let free_slot tab s =
-  tab.bids.(s) <- -1;
-  tab.comps.(s) <- [||];
-  tab.pin.(s) <- 0;
-  if tab.free_len = Array.length tab.free then begin
-    let nf = Array.make (max 8 (2 * tab.free_len)) 0 in
-    Array.blit tab.free 0 nf 0 tab.free_len;
-    tab.free <- nf
-  end;
-  tab.free.(tab.free_len) <- s;
+  tab.hs.(s) <- -1;
+  tab.free <- push_free tab.free tab.free_len s;
   tab.free_len <- tab.free_len + 1
+
+(* The slot holding handle [h] on this table, or -1. *)
+let slot_of tab h =
+  let rec go s =
+    if s >= tab.n then -1 else if tab.hs.(s) = h then s else go (s + 1)
+  in
+  go 0
+
+(* The slot of backup [backup] on [link], or -1. *)
+let slot_on t ~link ~backup =
+  let tab = table t link in
+  match Itbl.find_opt t.handles backup with
+  | Some h -> slot_of tab h
+  | None -> -1
+
+let grow_store t =
+  let n = max 64 (2 * Array.length t.bids) in
+  t.bids <- grow_to n (-1) t.bids;
+  t.conns <- grow_to n 0 t.conns;
+  t.serials <- grow_to n 0 t.serials;
+  t.nus <- grow_to n 0.0 t.nus;
+  t.bws <- grow_to n 0.0 t.bws;
+  t.comps <- grow_to n [||] t.comps;
+  t.ncomps <- grow_to n 0 t.ncomps;
+  t.eids <- grow_to n (-1) t.eids;
+  t.held <- grow_to n 0 t.held
+
+(* A store record for [info], on no link yet and with no index entry. *)
+let new_record t info =
+  let h =
+    if t.hfree_len > 0 then begin
+      t.hfree_len <- t.hfree_len - 1;
+      t.hfree.(t.hfree_len)
+    end
+    else begin
+      if t.hnext = Array.length t.bids then grow_store t;
+      t.hnext <- t.hnext + 1;
+      t.hnext - 1
+    end
+  in
+  t.bids.(h) <- info.backup;
+  t.conns.(h) <- info.conn;
+  t.serials.(h) <- info.serial;
+  t.nus.(h) <- info.nu;
+  t.bws.(h) <- info.bw;
+  t.comps.(h) <- info.primary_components;
+  t.ncomps.(h) <- Array.length info.primary_components;
+  t.held.(h) <- 0;
+  Itbl.add t.handles info.backup h;
+  h
+
+(* A freed record lets go of its primary's array: under churn most
+   handles are free at some point, and keeping the arrays would hold
+   memory for nothing. *)
+let free_record t h =
+  Itbl.remove t.handles t.bids.(h);
+  t.bids.(h) <- -1;
+  t.comps.(h) <- [||];
+  t.eids.(h) <- -1;
+  t.hfree <- push_free t.hfree t.hfree_len h;
+  t.hfree_len <- t.hfree_len + 1
+
+let same_record t h info =
+  t.conns.(h) = info.conn
+  && t.serials.(h) = info.serial
+  && Float.equal t.nus.(h) info.nu
+  && Float.equal t.bws.(h) info.bw
+  && same_comps t.comps.(h) info.primary_components
 
 (* Register and unregister already visit every slot to update |Π| and
    Σbw(Π), so each takes the new requirement as the largest live
    contribution on the way: [Float.max 0.0] of it, or [0.0] on an empty
    link.  The registrant's counts serve every link of its path: joining
-   the index adds at most one entry, which keeps them current. *)
+   the index adds at most one entry, which keeps them current.  Only the
+   first link of a backup checks its encodings and takes its index
+   entry; the others check that the record is the stored one. *)
 let register t ~link info =
   Sim.Prof.incr register_count;
   let tab = table t link in
-  if Itbl.mem tab.index info.backup then
-    invalid_arg
-      (Printf.sprintf "Mux.register: backup %d already on link %d" info.backup
-         link);
   let comps = info.primary_components in
-  check_encodings t ~fn:"register" comps;
+  let h, fresh =
+    match Itbl.find_opt t.handles info.backup with
+    | Some h ->
+      if slot_of tab h >= 0 then
+        invalid_arg
+          (Printf.sprintf "Mux.register: backup %d already on link %d"
+             info.backup link);
+      if not (same_record t h info) then
+        invalid_arg
+          (Printf.sprintf
+             "Mux.register: backup %d is registered with another record"
+             info.backup);
+      (h, false)
+    | None ->
+      check_encodings t ~fn:"register" comps;
+      (new_record t info, true)
+  in
   let ws = counts_for t comps in
   let acc = ws.acc and base = ws.base in
   let slot = alloc_slot tab in
-  tab.bids.(slot) <- info.backup;
-  tab.conns.(slot) <- info.conn;
-  tab.serials.(slot) <- info.serial;
-  tab.nus.(slot) <- info.nu;
-  tab.bws.(slot) <- info.bw;
+  tab.hs.(slot) <- h;
+  tab.pin.(slot) <- 0;
   tab.pi_bws.(slot) <- 0.0;
-  tab.comps.(slot) <- comps;
+  let hs = tab.hs and pin = tab.pin and pi_bws = tab.pi_bws in
+  let nus = t.nus and conns = t.conns and bws = t.bws in
+  let eids = t.eids and ncomps = t.ncomps in
+  let c_i = Array.length comps in
   let s_values = ref 0 in
   let req = ref neg_infinity in
   for s = 0 to tab.n - 1 do
-    if s <> slot && tab.bids.(s) >= 0 then begin
-      let nu_s = tab.nus.(s) in
+    let p = hs.(s) in
+    if s <> slot && p >= 0 then begin
+      let nu_s = nus.(p) in
       let below = nu_s <= info.nu and above = info.nu <= nu_s in
-      let same = info.conn = tab.conns.(s) in
+      let same = info.conn = conns.(p) in
       let sv =
         if same || not (below || above) then 0.0
         else begin
           incr s_values;
-          s_value t comps acc base tab.eids.(s) tab.comps.(s)
+          s_value t c_i acc base eids.(p) ncomps.(p)
         end
       in
       if below && (same || sv >= info.nu) then begin
-        tab.pin.(slot) <- tab.pin.(slot) + 1;
-        tab.pi_bws.(slot) <- tab.pi_bws.(slot) +. tab.bws.(s)
+        pin.(slot) <- pin.(slot) + 1;
+        pi_bws.(slot) <- pi_bws.(slot) +. bws.(p)
       end;
       if above && (same || sv >= nu_s) then begin
-        tab.pin.(s) <- tab.pin.(s) + 1;
-        tab.pi_bws.(s) <- tab.pi_bws.(s) +. info.bw
+        pin.(s) <- pin.(s) + 1;
+        pi_bws.(s) <- pi_bws.(s) +. info.bw
       end;
-      let c = contribution tab s in
+      let c = bws.(p) +. pi_bws.(s) in
       if c > !req then req := c
     end
   done;
   Sim.Prof.incr ~by:!s_values s_values_count;
-  tab.eids.(slot) <- acquire_entry t comps;
-  Itbl.add tab.index info.backup slot;
+  if fresh then t.eids.(h) <- acquire_entry t comps;
+  t.held.(h) <- t.held.(h) + 1;
   tab.live <- tab.live + 1;
   t.sum_bw.(link) <- t.sum_bw.(link) +. info.bw;
   t.requirement.(link) <-
-    Float.max 0.0 (Float.max !req (contribution tab slot));
-  emit t ~link ~backup:info.backup ~op:Sim.Event.Register
-    ~pi:tab.pin.(slot)
-    ~psi:(tab.live - tab.pin.(slot) - 1)
+    Float.max 0.0 (Float.max !req (info.bw +. pi_bws.(slot)));
+  emit t ~link ~backup:info.backup ~op:Sim.Event.Register ~pi:pin.(slot)
+    ~psi:(tab.live - pin.(slot) - 1)
 
 let unregister t ~link ~backup =
   let tab = table t link in
-  match Itbl.find_opt tab.index backup with
+  match Itbl.find_opt t.handles backup with
   | None -> ()
-  | Some victim ->
-    Sim.Prof.incr unregister_count;
-    let vbw = tab.bws.(victim)
-    and vnu = tab.nus.(victim)
-    and vconn = tab.conns.(victim)
-    and comps = tab.comps.(victim) in
-    let pi = tab.pin.(victim) in
-    let psi = tab.live - pi - 1 in
-    Itbl.remove tab.index backup;
-    tab.live <- tab.live - 1;
-    t.sum_bw.(link) <- t.sum_bw.(link) -. vbw;
-    release_entry t tab.eids.(victim);
-    free_slot tab victim;
-    let ws = counts_in victim_key unregister_walk_count t comps in
-    let acc = ws.acc and base = ws.base in
-    let req = ref neg_infinity in
-    for s = 0 to tab.n - 1 do
-      if tab.bids.(s) >= 0 then begin
-        let nu_s = tab.nus.(s) in
-        if
-          vnu <= nu_s
-          && (vconn = tab.conns.(s)
-             || s_value t comps acc base tab.eids.(s) tab.comps.(s) >= nu_s)
-        then begin
-          tab.pin.(s) <- tab.pin.(s) - 1;
-          tab.pi_bws.(s) <- tab.pi_bws.(s) -. vbw
-        end;
-        let c = contribution tab s in
-        if c > !req then req := c
-      end
-    done;
-    t.requirement.(link) <- Float.max 0.0 !req;
-    emit t ~link ~backup ~op:Sim.Event.Unregister ~pi ~psi
+  | Some h ->
+    let victim = slot_of tab h in
+    if victim >= 0 then begin
+      Sim.Prof.incr unregister_count;
+      let vbw = t.bws.(h)
+      and vnu = t.nus.(h)
+      and vconn = t.conns.(h)
+      and comps = t.comps.(h) in
+      let pi = tab.pin.(victim) in
+      let psi = tab.live - pi - 1 in
+      tab.live <- tab.live - 1;
+      t.sum_bw.(link) <- t.sum_bw.(link) -. vbw;
+      free_slot tab victim;
+      let held = t.held.(h) - 1 in
+      t.held.(h) <- held;
+      if held = 0 then begin
+        release_entry t t.eids.(h);
+        free_record t h
+      end;
+      let ws = counts_in victim_key unregister_walk_count t comps in
+      let acc = ws.acc and base = ws.base in
+      let hs = tab.hs and pin = tab.pin and pi_bws = tab.pi_bws in
+      let nus = t.nus and conns = t.conns and bws = t.bws in
+      let eids = t.eids and ncomps = t.ncomps in
+      let c_v = Array.length comps in
+      let req = ref neg_infinity in
+      for s = 0 to tab.n - 1 do
+        let p = hs.(s) in
+        if p >= 0 then begin
+          let nu_s = nus.(p) in
+          if
+            vnu <= nu_s
+            && (vconn = conns.(p)
+               || s_value t c_v acc base eids.(p) ncomps.(p) >= nu_s)
+          then begin
+            pin.(s) <- pin.(s) - 1;
+            pi_bws.(s) <- pi_bws.(s) -. vbw
+          end;
+          let c = bws.(p) +. pi_bws.(s) in
+          if c > !req then req := c
+        end
+      done;
+      t.requirement.(link) <- Float.max 0.0 !req;
+      emit t ~link ~backup ~op:Sim.Event.Unregister ~pi ~psi
+    end
 
 let spare_requirement t ~link =
   check_link t link;
@@ -534,26 +624,30 @@ let spare_requirement t ~link =
    added on [link].  [ws] holds the counts of its components. *)
 let admission_scan t ~link info ws =
   let tab = table t link in
-  let comps = info.primary_components in
   let acc = ws.acc and base = ws.base in
+  let hs = tab.hs and pi_bws = tab.pi_bws in
+  let nus = t.nus and conns = t.conns and bws = t.bws in
+  let eids = t.eids and ncomps = t.ncomps in
+  let c_i = Array.length info.primary_components in
   let own = ref info.bw in
   let req = ref t.requirement.(link) in
   let s_values = ref 0 in
   for s = 0 to tab.n - 1 do
-    if tab.bids.(s) >= 0 then begin
-      let nu_s = tab.nus.(s) in
+    let p = hs.(s) in
+    if p >= 0 then begin
+      let nu_s = nus.(p) in
       let below = nu_s <= info.nu and above = info.nu <= nu_s in
-      let same = info.conn = tab.conns.(s) in
+      let same = info.conn = conns.(p) in
       let sv =
         if same || not (below || above) then 0.0
         else begin
           incr s_values;
-          s_value t comps acc base tab.eids.(s) tab.comps.(s)
+          s_value t c_i acc base eids.(p) ncomps.(p)
         end
       in
-      if below && (same || sv >= info.nu) then own := !own +. tab.bws.(s);
+      if below && (same || sv >= info.nu) then own := !own +. bws.(p);
       if above && (same || sv >= nu_s) then begin
-        let c = contribution tab s +. info.bw in
+        let c = bws.(p) +. pi_bws.(s) +. info.bw in
         if c > !req then req := c
       end
     end
@@ -563,47 +657,45 @@ let admission_scan t ~link info ws =
   Sim.Prof.incr ~by:!s_values s_values_count;
   Float.max !own !req
 
-let info_of_slot tab s =
-  {
-    backup = tab.bids.(s);
-    conn = tab.conns.(s);
-    serial = tab.serials.(s);
-    nu = tab.nus.(s);
-    bw = tab.bws.(s);
-    primary_components = tab.comps.(s);
-  }
-
 let on_link t ~link =
   let tab = table t link in
   let acc = ref [] in
   for s = tab.n - 1 downto 0 do
-    if tab.bids.(s) >= 0 then acc := info_of_slot tab s :: !acc
+    let h = tab.hs.(s) in
+    if h >= 0 then
+      acc :=
+        {
+          backup = t.bids.(h);
+          conn = t.conns.(h);
+          serial = t.serials.(h);
+          nu = t.nus.(h);
+          bw = t.bws.(h);
+          primary_components = t.comps.(h);
+        }
+        :: !acc
   done;
   !acc
 
-let mem t ~link ~backup = Itbl.mem (table t link).index backup
+let mem t ~link ~backup = slot_on t ~link ~backup >= 0
 
 let count_on t ~link = (table t link).live
 
-let find_slot t ~link ~backup =
-  match Itbl.find_opt (table t link).index backup with
-  | Some s -> s
-  | None ->
-    invalid_arg (Printf.sprintf "Mux: backup %d not on link %d" backup link)
-
 let psi_size t ~link ~backup =
-  let tab = table t link in
-  let s = find_slot t ~link ~backup in
+  let s = slot_on t ~link ~backup in
+  if s < 0 then
+    invalid_arg (Printf.sprintf "Mux: backup %d not on link %d" backup link);
+  let tab = t.tables.(link) in
   tab.live - tab.pin.(s) - 1
 
 let max_requirement_victims t ~link =
   let tab = table t link in
   let out = ref [] in
   for s = 0 to tab.n - 1 do
+    let h = tab.hs.(s) in
     if
-      tab.bids.(s) >= 0
-      && Float.abs (contribution tab s -. t.requirement.(link)) < 1e-9
-    then out := tab.bids.(s) :: !out
+      h >= 0
+      && Float.abs (t.bws.(h) +. tab.pi_bws.(s) -. t.requirement.(link)) < 1e-9
+    then out := t.bids.(h) :: !out
   done;
   List.sort Int.compare !out
 

@@ -5,7 +5,7 @@
     set Π(B_i, ℓ) holds the backups [B_j] with ν_j ≤ ν_i that belong to
     the same connection or whose simultaneous-activation probability
     [S(B_i, B_j)] is at least ν_i.  The engine keeps only |Π| and
-    Σbw(Π) per backup; membership is this rule, applied again when a
+    Σbw(Π) per backup and link; membership is this rule, applied again when a
     backup leaves.  The spare bandwidth to reserve at ℓ is
 
       max over B_i on ℓ of  bw(B_i) + Σ_{B_j ∈ Π(B_i, ℓ)} bw(B_j),
@@ -17,15 +17,23 @@
     only pairwise terms with that backup (the O(n) scheme of Section 6).
     The hot path runs on flat data only:
 
-    - per-link tables are structure-of-arrays: each registered backup
-      occupies a dense slot and the admission-scan fields (ν, bw, cached
-      Π bandwidth and |Π|, the primary's component array, shared with
-      the backup's other links, and its index entry) live in parallel
-      flat arrays, so the inner loops walk contiguous memory instead of
-      hashtable buckets;
+    - a backup store keeps one record per registered backup, however
+      many links it is on: its id, connection, serial, ν, bw, primary
+      component array and component count, the primary's index entry
+      and the number of links holding it, in parallel flat arrays
+      indexed by a dense handle.  One engine-wide table maps a backup id
+      to its handle.  A record is freed, and its handle reused, when the
+      backup leaves its last link;
+    - each link's table keeps, per slot, only the backup's handle, its
+      |Π| and its Σbw(Π) on that link, three flat arrays with LIFO slot
+      reuse, so a scan walks the slots in order and reads each peer's ν,
+      bw, connection and entry from the store.  No per-link index maps
+      ids to slots: a backup is found on a link by scanning the link's
+      handles, a walk of a few dozen ints that the register and
+      unregister walks already outweigh;
     - primary-component overlap comes from an inverted index over the
       registered primaries: each distinct component array is one entry,
-      refcounted by the slots holding it, and each encoded component
+      refcounted by the backups holding it, and each encoded component
       lists the entries containing it.  Every encoding lies in
       [[0, 2 · max(nodes, links))], the range {!encode_path} yields on
       the engine's topology; {!register} and {!probe} reject any other.
@@ -88,12 +96,19 @@ val set_event_sink : t -> (Sim.Event.t -> unit) option -> unit
     before removal).  [None] (the default) costs nothing. *)
 
 val register : t -> link:int -> backup_info -> unit
-(** Add a backup to a link's table.
-    @raise Invalid_argument if the backup id is already on the link, or
-    naming the first encoding of its primary outside the index. *)
+(** Add a backup to a link's table.  One record per backup: while a
+    backup id is on some link, every link it is registered on takes the
+    record it was first registered with (equal fields, and an equal
+    component array).  Once the backup has left every link, its id may
+    come back with another record.
+    @raise Invalid_argument if the backup id is already on the link, if
+    it is on another link with another record, or naming the first
+    encoding of its primary outside the index; the engine is left as it
+    was. *)
 
 val unregister : t -> link:int -> backup:int -> unit
-(** Remove; unknown ids are ignored. *)
+(** Remove; ids not on the link are ignored.  Removal from the last link
+    a backup is on frees its record. *)
 
 val spare_requirement : t -> link:int -> float
 (** Current spare bandwidth needed at the link (0 when no backups). *)

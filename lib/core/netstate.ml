@@ -100,17 +100,20 @@ let generation t = t.generation
 
 let bump t = t.generation <- t.generation + 1
 
-let place t index path x =
-  List.iter (fun l -> push index.on_link.(l) x) (Net.Path.links path);
-  List.iter
-    (fun v -> push index.through_node.(v) x)
-    (Net.Path.nodes t.topo path)
+(* [f] on each link of the path, then on each of its nodes: the source,
+   then the node each link enters.  Read off the link array, with no
+   list built. *)
+let iter_path t index path f =
+  let links = path.Net.Path.links in
+  Array.iter (fun l -> f index.on_link.(l)) links;
+  f index.through_node.(path.Net.Path.src);
+  Array.iter
+    (fun l ->
+      f index.through_node.((Net.Topology.link t.topo l).Net.Topology.dst))
+    links
 
-let unplace t index path is_x =
-  List.iter (fun l -> drop index.on_link.(l) is_x) (Net.Path.links path);
-  List.iter
-    (fun v -> drop index.through_node.(v) is_x)
-    (Net.Path.nodes t.topo path)
+let place t index path x = iter_path t index path (fun v -> push v x)
+let unplace t index path is_x = iter_path t index path (fun v -> drop v is_x)
 
 let backup_info_of (conn : Dconn.t) (b : Dconn.backup) ~primary_components =
   {
@@ -133,20 +136,20 @@ let refresh_spare t ~link =
 let register_backup t conn (b : Dconn.backup) ~primary_components =
   bump t;
   let info = backup_info_of conn b ~primary_components in
-  List.iter
+  Array.iter
     (fun link ->
       Mux.register t.mux ~link info;
       refresh_spare t ~link)
-    (Net.Path.links b.Dconn.path);
+    b.Dconn.path.Net.Path.links;
   place t t.backups b.Dconn.path (conn, b)
 
 let unregister_backup t (_ : Dconn.t) (b : Dconn.backup) =
   bump t;
-  List.iter
+  Array.iter
     (fun link ->
       Mux.unregister t.mux ~link ~backup:b.Dconn.bid;
       refresh_spare t ~link)
-    (Net.Path.links b.Dconn.path);
+    b.Dconn.path.Net.Path.links;
   unplace t t.backups b.Dconn.path (fun (_, b') -> b'.Dconn.bid = b.Dconn.bid)
 
 (* Admission fast-accepts on the O(1) conservative ceiling and falls back

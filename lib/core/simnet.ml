@@ -328,13 +328,12 @@ let templates : (Netstate.t, int * Node.template) Sim.Memo.t = Sim.Memo.create (
 
 let template_of ns =
   let generation = Netstate.generation ns in
-  match Sim.Memo.find templates ns with
-  | Some (g, tpl) when g = generation -> tpl
-  | _ ->
-    Sim.Prof.count "simnet.template_builds";
-    let tpl = Node.template ns in
-    Sim.Memo.set templates ns (generation, tpl);
-    tpl
+  snd
+    (Sim.Memo.find_or_build templates ns
+       ~current:(fun (g, _) -> g = generation)
+       (fun () ->
+         Sim.Prof.count "simnet.template_builds";
+         (generation, Node.template ns)))
 
 let create ?(config = Protocol.default_config) ?(telemetry = false) ?monitor ns
     =

@@ -1,8 +1,23 @@
-type ('k, 'v) t = ('k, 'v) Ephemeron.K1.t option Atomic.t
+type ('k, 'v) t = {
+  slot : ('k, 'v) Ephemeron.K1.t option Atomic.t;
+  lock : Mutex.t; (* held by a build *)
+}
 
-let create () = Atomic.make None
+let create () = { slot = Atomic.make None; lock = Mutex.create () }
 
-let find t k =
-  match Atomic.get t with None -> None | Some e -> Ephemeron.K1.query e k
+let query t k =
+  match Atomic.get t.slot with None -> None | Some e -> Ephemeron.K1.query e k
 
-let set t k v = Atomic.set t (Some (Ephemeron.K1.make k v))
+(* The lock-free read serves every hit; a miss re-checks under the lock,
+   so domains that miss together build once. *)
+let find_or_build t k ~current build =
+  match query t k with
+  | Some v when current v -> v
+  | _ ->
+    Mutex.protect t.lock (fun () ->
+        match query t k with
+        | Some v when current v -> v
+        | _ ->
+          let v = build () in
+          Atomic.set t.slot (Some (Ephemeron.K1.make k v));
+          v)

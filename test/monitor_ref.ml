@@ -134,13 +134,9 @@ let memo : (context, lookups) Memo.t = Memo.create ()
 
 let lookups_of = function
   | None -> no_lookups
-  | Some c -> (
-    match Memo.find memo c with
-    | Some ix -> ix
-    | None ->
-      let ix = build_lookups c in
-      Memo.set memo c ix;
-      ix)
+  | Some c ->
+    Memo.find_or_build memo c ~current:(fun _ -> true) (fun () ->
+        build_lookups c)
 
 type t = {
   ctx : context option;

@@ -9,7 +9,8 @@
    equal the incrementally maintained value.  A second property checks
    that establishing one request and removing it again with
    [Netstate.remove_dconn] leaves the state exactly as it was, which
-   bench's routing micro tier relies on. *)
+   bench's routing micro tier relies on.  A memory case bounds the mux's
+   heap per backup-link registration on the loaded 8×8 torus. *)
 
 let bw1 = Rtchan.Traffic.of_bandwidth 1.0
 
@@ -444,6 +445,30 @@ let prop_establish_remove_restores =
       let fresh = establish_and_remove untouched ~conn_id:1_000_001 next in
       restored && after_probe = fresh && fst fresh > 0)
 
+(* ---------------- memory ---------------- *)
+
+(* The mux keeps one record per backup and, per link, only a handle, |Π|
+   and Σbw(Π) per slot: after the paper's all-pairs set-up on the 8×8
+   torus (18 480 backup-link registrations) it holds 14.7 words per
+   registration, where copying each backup's record into every link's
+   table took 26.2.  The ceiling leaves room for allocator slack only. *)
+let words_per_registration_ceiling = 16.0
+
+let test_mux_words_per_registration () =
+  let ns = (Eval.Setup.build Eval.Setup.Torus8).Eval.Setup.ns in
+  let mux = Bcp.Netstate.mux ns in
+  let registrations = ref 0 in
+  for link = 0 to Net.Topology.num_links (Bcp.Netstate.topology ns) - 1 do
+    registrations := !registrations + Bcp.Mux.count_on mux ~link
+  done;
+  let words =
+    float_of_int (Obj.reachable_words (Obj.repr mux))
+    /. float_of_int !registrations
+  in
+  if words > words_per_registration_ceiling then
+    Alcotest.failf "mux holds %.2f words per registration (ceiling %.1f)"
+      words words_per_registration_ceiling
+
 let () =
   Alcotest.run "flatstate"
     [
@@ -465,4 +490,9 @@ let () =
       ( "equivalence",
         List.map QCheck_alcotest.to_alcotest
           [ prop_flat_equals_reference; prop_establish_remove_restores ] );
+      ( "memory",
+        [
+          Alcotest.test_case "mux words per registration" `Quick
+            test_mux_words_per_registration;
+        ] );
     ]

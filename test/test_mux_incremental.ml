@@ -13,7 +13,8 @@
    and checked against [Mux.shared_count]; primaries with an encoding
    outside the index must be rejected by [register] and [probe]; unit
    cases pin the index's edge encodings, count reuse across interleaved
-   probes and registrations, and the requirement after removals. *)
+   probes and registrations, the requirement after removals and the one
+   record the engine keeps per backup. *)
 
 let lambda = 1e-4
 
@@ -52,6 +53,25 @@ let info_of ~bid ~degree ~family ~variant ~bw_idx =
     bw = bandwidths.(bw_idx mod Array.length bandwidths);
     primary_components = components_of ~family ~variant;
   }
+
+(* The engine keeps one record per backup, shared by every link it is
+   on: a registration of a bid already on some link reuses that record
+   ([on_some_link] finds it), and one of a bid on no link draws a fresh
+   record from the op. *)
+let record_for ~on_some_link ~bid ~degree ~family ~variant ~bw_idx =
+  match on_some_link bid with
+  | Some info -> info
+  | None -> info_of ~bid ~degree ~family ~variant ~bw_idx
+
+(* [on_some_link] over a per-link model of registered records. *)
+let in_model model bid =
+  Hashtbl.fold
+    (fun _ es found ->
+      match found with
+      | Some _ -> found
+      | None ->
+        List.find_opt (fun (e : Bcp.Mux.backup_info) -> e.backup = bid) es)
+    model None
 
 let pi_naive = Mux_ref.pi_naive ~lambda
 let requirement_naive = Mux_ref.requirement_naive ~lambda
@@ -138,8 +158,9 @@ let prop_matches_reference =
                    (entries link))
             then begin
               let info =
-                info_of ~bid:o.bid ~degree:o.degree ~family:o.family
-                  ~variant:o.variant ~bw_idx:o.bw_idx
+                record_for ~on_some_link:(in_model model) ~bid:o.bid
+                  ~degree:o.degree ~family:o.family ~variant:o.variant
+                  ~bw_idx:o.bw_idx
               in
               Bcp.Mux.register m ~link info;
               check_link m ~link;
@@ -223,6 +244,14 @@ let prop_probe_matches =
             (Bcp.Mux.probe_required probe ~link)
         done
       in
+      let on_some_link bid =
+        List.find_map
+          (fun link ->
+            List.find_opt
+              (fun (e : Bcp.Mux.backup_info) -> e.backup = bid)
+              (Bcp.Mux.on_link m ~link))
+          (List.init nlinks Fun.id)
+      in
       audit ();
       List.iter
         (fun o ->
@@ -232,8 +261,8 @@ let prop_probe_matches =
           | _ ->
             if not (Bcp.Mux.mem m ~link ~backup:o.bid) then
               Bcp.Mux.register m ~link
-                (info_of ~bid:o.bid ~degree:o.degree ~family:o.family
-                   ~variant:o.variant ~bw_idx:o.bw_idx));
+                (record_for ~on_some_link ~bid:o.bid ~degree:o.degree
+                   ~family:o.family ~variant:o.variant ~bw_idx:o.bw_idx));
           (* the probe reads the tables as they are now *)
           audit ())
         (List.filteri (fun i _ -> i < 12) ops);
@@ -308,10 +337,10 @@ let in_index =
       ])
 
 (* The engine's count equals the reference merge for every peer, with
-   one backup id carrying a different array on every link, one array on
-   two links and an equal copy on a third (shared index entries), and
-   again after some registrations leave and others take their links
-   (entry refcounts and reused entry ids). *)
+   one array on two links under one backup id, an equal copy on a third
+   under another (shared index entries), and again after some
+   registrations leave and others take their links (entry refcounts and
+   reused entry ids). *)
 let prop_index_count =
   QCheck.Test.make ~name:"index count == shared_count" ~count:300
     (QCheck.make
@@ -327,17 +356,24 @@ let prop_index_count =
       let m = Bcp.Mux.create (ring64 ()) ~lambda in
       let peers = Array.of_list peers in
       let n = Array.length peers in
-      (* peer i on link i, all under backup id 7; peer 0's array also on
+      (* peer i on link i under backup id 10 + i; peer 0 (id 7) also on
          link n, registered right after link 0 (as on the links of one
-         path), and an equal copy on link n + 1, registered last *)
+         path), and an equal copy on link n + 1 under id 9, registered
+         last *)
       let links =
         (0, peers.(0)) :: (n, peers.(0))
         :: List.init (n - 1) (fun i -> (i + 1, peers.(i + 1)))
         @ [ (n + 1, Array.copy peers.(0)) ]
       in
+      let bid_on link =
+        if link = 0 || link = n then 7
+        else if link = n + 1 then 9
+        else 10 + link
+      in
       List.iter
         (fun (link, p) ->
-          Bcp.Mux.register m ~link (peer_info ~bid:7 ~conn:(100 + link) p))
+          Bcp.Mux.register m ~link
+            (peer_info ~bid:(bid_on link) ~conn:(100 + bid_on link) p))
         links;
       let check live =
         List.iter
@@ -353,7 +389,9 @@ let prop_index_count =
          new array under a new id, which may reuse a freed entry *)
       let gone = List.filteri (fun i _ -> i < drop) links
       and kept = List.filteri (fun i _ -> i >= drop) links in
-      List.iter (fun (link, _) -> Bcp.Mux.unregister m ~link ~backup:7) gone;
+      List.iter
+        (fun (link, _) -> Bcp.Mux.unregister m ~link ~backup:(bid_on link))
+        gone;
       let again =
         List.map
           (fun (link, p) ->
@@ -363,7 +401,8 @@ let prop_index_count =
       in
       List.iter
         (fun (link, p) ->
-          Bcp.Mux.register m ~link (peer_info ~bid:8 ~conn:(200 + link) p))
+          Bcp.Mux.register m ~link
+            (peer_info ~bid:(200 + link) ~conn:(200 + link) p))
         again;
       check (kept @ again);
       true)
@@ -538,7 +577,7 @@ let test_heap_gen_collision () =
     (Bcp.Mux.spare_requirement m ~link)
 
 (* The registrant's counts belong to its own array: A on links 0 and 2
-   with B registered in between, then A' (A's id, another primary) on
+   with B registered in between, then A' (a fresh id, another primary) on
    link 3.  Each link holds a peer whose verdict flips if the registrant's
    counts are stale.  A 128-node ring indexes every encoding used. *)
 let test_registrant_stamps_per_call () =
@@ -579,7 +618,7 @@ let test_registrant_stamps_per_call () =
   step "A on 0 (shares x)" ~link:0 (mk 1 x) ~expected:2.0;
   step "B on 1 (disjoint from x)" ~link:1 (mk 2 y) ~expected:1.0;
   step "A on 2 (shares nothing with y)" ~link:2 (mk 1 x) ~expected:1.0;
-  step "A' on 3 (shares z)" ~link:3 (mk 1 z) ~expected:2.0;
+  step "A' on 3 (shares z)" ~link:3 (mk 3 z) ~expected:2.0;
   List.iter (fun link -> matches_reference "final" ~link) [ 0; 1; 2; 3 ]
 
 (* Connection-distinct backups at degree 1: identical primaries conflict,
@@ -746,8 +785,9 @@ let prop_sequence_matches_reference =
         (fun step o ->
           let link = o.link mod nlinks in
           let info =
-            info_of ~bid:o.bid ~degree:o.degree ~family:o.family
-              ~variant:o.variant ~bw_idx:o.bw_idx
+            record_for ~on_some_link:(in_model model) ~bid:o.bid
+              ~degree:o.degree ~family:o.family ~variant:o.variant
+              ~bw_idx:o.bw_idx
           in
           (match o.kind with
           | 0 | 1 ->
@@ -770,6 +810,144 @@ let prop_sequence_matches_reference =
         ops;
       true)
 
+(* Which links hold each backup, and with which record: after every op,
+   [Mux.mem] and [Mux.on_link] on every link agree with the model, for
+   every bid the ops use, including bids that were registered on other
+   links and bids that left every link and came back with a new record. *)
+let prop_membership_matches_model =
+  QCheck.Test.make ~name:"mem/on_link == model at every step" ~count:150
+    arbitrary_ops (fun (nodes, ops) ->
+      let nlinks = nodes in
+      let m = Bcp.Mux.create (ring40 ()) ~lambda in
+      let model = Hashtbl.create 16 in
+      let entries link =
+        Option.value ~default:[] (Hashtbl.find_opt model link)
+      in
+      let by_bid es =
+        List.sort
+          (fun (a : Bcp.Mux.backup_info) (b : Bcp.Mux.backup_info) ->
+            Int.compare a.backup b.backup)
+          es
+      in
+      let audit step =
+        for link = 0 to nlinks - 1 do
+          let es = entries link in
+          for bid = 0 to 7 do
+            let expected =
+              List.exists (fun (e : Bcp.Mux.backup_info) -> e.backup = bid) es
+            in
+            if Bcp.Mux.mem m ~link ~backup:bid <> expected then
+              QCheck.Test.fail_reportf "step %d: mem link %d bid %d is %b" step
+                link bid (not expected)
+          done;
+          if by_bid (Bcp.Mux.on_link m ~link) <> by_bid es then
+            QCheck.Test.fail_reportf
+              "step %d: on_link %d differs from the model" step link
+        done
+      in
+      List.iteri
+        (fun step o ->
+          let link = o.link mod nlinks in
+          (match o.kind with
+          | 0 | 1 | 3 ->
+            if not (Bcp.Mux.mem m ~link ~backup:o.bid) then begin
+              let info =
+                record_for ~on_some_link:(in_model model) ~bid:o.bid
+                  ~degree:o.degree ~family:o.family ~variant:o.variant
+                  ~bw_idx:o.bw_idx
+              in
+              Bcp.Mux.register m ~link info;
+              Hashtbl.replace model link (entries link @ [ info ])
+            end
+          | _ ->
+            Bcp.Mux.unregister m ~link ~backup:o.bid;
+            Hashtbl.replace model link
+              (List.filter
+                 (fun (e : Bcp.Mux.backup_info) -> e.backup <> o.bid)
+                 (entries link)));
+          audit step)
+        ops;
+      true)
+
+(* One record per backup: a second link may take the backup only with
+   the record it was registered with.  Another record, or the same link
+   twice, raises and leaves the engine as it was; once the backup has
+   left every link, its id may come back with a new record. *)
+let test_one_record_per_backup () =
+  let m = Bcp.Mux.create (ring64 ()) ~lambda in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  Bcp.Mux.register m ~link:0 (solo ~bid:10 x);
+  Bcp.Mux.register m ~link:1 (solo ~bid:11 y);
+  Bcp.Mux.register m ~link:0 (solo ~bid:1 x);
+  raises "another primary" (fun () ->
+      Bcp.Mux.register m ~link:1 (solo ~bid:1 y));
+  raises "another bandwidth" (fun () ->
+      Bcp.Mux.register m ~link:1 (solo ~bid:1 ~bw:2.0 x));
+  raises "another connection" (fun () ->
+      Bcp.Mux.register m ~link:1 { (solo ~bid:1 x) with Bcp.Mux.conn = 7 });
+  raises "another ν" (fun () ->
+      Bcp.Mux.register m ~link:1 { (solo ~bid:1 x) with Bcp.Mux.nu = 0.5 });
+  raises "another serial" (fun () ->
+      Bcp.Mux.register m ~link:1 { (solo ~bid:1 x) with Bcp.Mux.serial = 2 });
+  raises "the same link twice" (fun () ->
+      Bcp.Mux.register m ~link:0 (solo ~bid:1 x));
+  Alcotest.(check (list int)) "link 1 untouched" [ 11 ]
+    (List.map
+       (fun (i : Bcp.Mux.backup_info) -> i.backup)
+       (Bcp.Mux.on_link m ~link:1));
+  Alcotest.(check (float 0.0)) "link 1 requirement untouched" 1.0
+    (Bcp.Mux.spare_requirement m ~link:1);
+  Alcotest.(check (float 0.0)) "link 0 requirement" 2.0
+    (Bcp.Mux.spare_requirement m ~link:0);
+  (* an equal copy of the record is the record *)
+  Bcp.Mux.register m ~link:2 (solo ~bid:1 (Array.copy x));
+  Alcotest.(check bool) "on link 2" true (Bcp.Mux.mem m ~link:2 ~backup:1);
+  List.iter (fun link -> Bcp.Mux.unregister m ~link ~backup:1) [ 0; 2 ];
+  Bcp.Mux.register m ~link:1 (solo ~bid:1 y);
+  check_probe m "the id back with a new record"
+    (Bcp.Mux.probe m (solo ~bid:2 y))
+    (solo ~bid:2 y) ~link:1 ~expected:3.0;
+  Alcotest.(check (float 0.0)) "link 0 after the id left" 1.0
+    (Bcp.Mux.spare_requirement m ~link:0)
+
+(* A primary's index entry is held by the backups registered with it, not
+   by their slots: it stays while any of them is on some link and leaves
+   with the last one.  Read through the entries a fresh count walks
+   ([mux.index_walk]): each of [x]'s three components lists the one entry
+   while it lives, and nothing once it is gone.  Probing [y] in between
+   makes each probe of [x] count again. *)
+let test_entry_leaves_with_last_backup () =
+  Sim.Prof.reset ();
+  Sim.Prof.enable ();
+  Fun.protect ~finally:(fun () ->
+      Sim.Prof.disable ();
+      Sim.Prof.reset ())
+  @@ fun () ->
+  let m = Bcp.Mux.create (ring64 ()) ~lambda in
+  let walked () =
+    Option.value ~default:0
+      (List.assoc_opt "mux.index_walk" (Sim.Prof.report ()).Sim.Prof.counters)
+  in
+  let walk_for_x what expected =
+    ignore (Bcp.Mux.probe_required (Bcp.Mux.probe m (solo ~bid:9 y)) ~link:0);
+    let before = walked () in
+    ignore (Bcp.Mux.probe_required (Bcp.Mux.probe m (solo ~bid:8 x)) ~link:0);
+    Alcotest.(check int) what expected (walked () - before)
+  in
+  List.iter (fun link -> Bcp.Mux.register m ~link (solo ~bid:1 x)) [ 0; 1; 2 ];
+  Bcp.Mux.register m ~link:3 (solo ~bid:2 (Array.copy x));
+  walk_for_x "one shared entry" 3;
+  List.iter (fun link -> Bcp.Mux.unregister m ~link ~backup:1) [ 0; 1 ];
+  walk_for_x "kept while backup 1 is on link 2" 3;
+  Bcp.Mux.unregister m ~link:2 ~backup:1;
+  walk_for_x "kept while backup 2 holds it" 3;
+  Bcp.Mux.unregister m ~link:3 ~backup:2;
+  walk_for_x "gone with the last backup" 0
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -783,6 +961,7 @@ let () =
             prop_index_count;
             prop_outside_rejected;
             prop_sequence_matches_reference;
+            prop_membership_matches_model;
           ]
       );
       ( "units",
@@ -804,5 +983,9 @@ let () =
             test_count_in_fresh_domain;
           Alcotest.test_case "counts follow their engine" `Quick
             test_counts_follow_their_engine;
+          Alcotest.test_case "one record per backup" `Quick
+            test_one_record_per_backup;
+          Alcotest.test_case "entry leaves with the last backup" `Quick
+            test_entry_leaves_with_last_backup;
         ] );
     ]

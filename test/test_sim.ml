@@ -729,6 +729,47 @@ let test_trace_rcc_minor_words () =
       bound;
   Alcotest.(check int) "all kept" (n + 1) (Sim.Trace.event_count t)
 
+(* Two domains that miss one slot together build one value: each waits
+   at a barrier, then asks for the same key; the build spins long enough
+   that the second miss arrives while the first build runs.  A stale
+   value ([current] refuses it) is built again, once, and a hit builds
+   nothing. *)
+let test_memo_builds_once () =
+  let memo = Sim.Memo.create () and key = ref 0 in
+  let builds = Atomic.make 0 and ready = Atomic.make 0 in
+  let get ~gen =
+    Sim.Memo.find_or_build memo key
+      ~current:(fun (g, _) -> g = gen)
+      (fun () ->
+        Atomic.incr builds;
+        let t0 = Sys.time () in
+        while Sys.time () -. t0 < 0.05 do
+          Domain.cpu_relax ()
+        done;
+        (gen, Atomic.get builds))
+  in
+  let racer gen () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    get ~gen
+  in
+  let round gen =
+    let d = Domain.spawn (racer gen) in
+    let mine = racer gen () in
+    let theirs = Domain.join d in
+    Atomic.set ready 0;
+    Alcotest.(check bool) "both see one value" true (mine == theirs)
+  in
+  round 0;
+  Alcotest.(check int) "one build for two misses" 1 (Atomic.get builds);
+  ignore (get ~gen:0);
+  Alcotest.(check int) "a hit builds nothing" 1 (Atomic.get builds);
+  round 1;
+  Alcotest.(check int) "a stale value is built again once" 2
+    (Atomic.get builds)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -788,6 +829,11 @@ let () =
           Alcotest.test_case "ratio" `Quick test_ratio;
         ] );
       qsuite "stats-props" [ prop_welford_matches_naive ];
+      ( "memo",
+        [
+          Alcotest.test_case "domains that miss together build once" `Quick
+            test_memo_builds_once;
+        ] );
       ( "trace",
         [
           Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
