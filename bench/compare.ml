@@ -4,7 +4,10 @@
 
    Diffs a fresh bcp-bench/v1 results file against a committed baseline:
    every table in the baseline must appear in the fresh run with
-   identical columns, row labels and cells (the cells are the rendered
+   identical columns, row labels and cells.  Tables are matched by
+   title, and the k-th baseline table of a title with the k-th fresh
+   one, since a suite may print one title twice (the 8x8 suite's two
+   recovery-delay tables).  The cells are the rendered
    strings of the text tables, so this is the same check as a byte-diff
    of the rendered output).  Any mismatch fails the gate.  A baseline
    with no tables checks nothing, so it is an error, not a pass.
@@ -169,9 +172,10 @@ let () =
       (Option.value ~default:"<none>" f);
     exit 2);
   let fresh_tables = list_member "tables" fresh in
-  let find_fresh title =
-    List.find_opt (fun t -> table_title t = title) fresh_tables
+  let find_fresh title k =
+    List.nth_opt (List.filter (fun t -> table_title t = title) fresh_tables) k
   in
+  let seen = Hashtbl.create 16 in
   let base_tables = list_member "tables" base in
   if base_tables = [] then begin
     Printf.eprintf "compare: %s: baseline has no tables, nothing to check\n"
@@ -181,7 +185,9 @@ let () =
   List.iter
     (fun bt ->
       let title = table_title bt in
-      match find_fresh title with
+      let k = Option.value ~default:0 (Hashtbl.find_opt seen title) in
+      Hashtbl.replace seen title (k + 1);
+      match find_fresh title k with
       | None ->
         fail "%s: missing from fresh results (baseline %s)" title baseline_path;
         note ~kind:"missing-table" ~table:title ~baseline:title ~fresh:"" ()

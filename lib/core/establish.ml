@@ -54,13 +54,12 @@ let admission_checks = Sim.Prof.counter "establish.admission_checks"
 let primary_components ns conn =
   Mux.encode_path (Netstate.topology ns) conn.Dconn.primary.Rtchan.Channel.path
 
-(* Route one backup disjoint from [avoid], admissible at threshold [nu],
-   optionally avoiding failed components.  [strategy] picks between the
-   paper's shortest-path search and the spare-increment-minimising
-   extension. *)
-let route_backup ?reference ?(strategy = Min_hops)
-    ?(avoid_components = Net.Component.Set.empty) ns ~conn ~components ~bid
-    ~serial ~nu ~avoid =
+(* Route one backup interior-disjoint from [avoid] and clear of
+   [avoid_components], admissible at threshold [nu].  [strategy] picks
+   between the paper's shortest-path search and the
+   spare-increment-minimising extension. *)
+let route_backup ?reference ?(strategy = Min_hops) ?(avoid_components = []) ns
+    ~conn ~components ~bid ~serial ~nu ~avoid =
   let topo = Netstate.topology ns in
   let src = conn.Dconn.src and dst = conn.Dconn.dst in
   let info =
@@ -77,76 +76,56 @@ let route_backup ?reference ?(strategy = Min_hops)
      primary index are taken once, however many links the routing search
      relaxes. *)
   let probe = Mux.probe (Netstate.mux ns) info in
-  (* The QoS hop budget is relative to the shortest path available *to
-     this channel*: disjoint from the connection's other channels and
-     clear of failed components (Section 7: "not longer than the
-     shortest-possible path by more than 2 hops").  Using the
-     unconstrained shortest here would make a third disjoint channel
-     infeasible for many torus node pairs the paper evaluates.  The banned
-     set lives in the domain-local mask scratch; it is dead once the
-     feasibility search below returns (later searches re-acquire the
-     scratch). *)
+  (* One banned-component mask serves all three searches below: the
+     interiors of the connection's other channels and the failed
+     components to avoid.  It lives in the domain-local scratch, which no
+     search acquires, so it stays valid until this route returns. *)
   let num_nodes = Net.Topology.num_nodes topo in
   let num_links = Net.Topology.num_links topo in
-  let disjoint_banned = Net.Component.Mask.scratch ~num_nodes ~num_links in
+  let banned = Net.Component.Mask.scratch ~num_nodes ~num_links in
   (* An id outside the topology lies on no path. *)
   let in_range = function
     | Net.Component.Node v -> v >= 0 && v < num_nodes
     | Net.Component.Link l -> l >= 0 && l < num_links
   in
-  Net.Component.Set.iter
-    (fun c -> if in_range c then Net.Component.Mask.add disjoint_banned c)
+  List.iter
+    (fun c -> if in_range c then Net.Component.Mask.add banned c)
     avoid_components;
-  List.iter (fun p -> Net.Path.mask_interior topo p disjoint_banned) avoid;
-  let feasibility_link_ok id =
-    not (Net.Component.Mask.mem_link disjoint_banned id)
-  in
-  let feasibility_node_ok v =
-    not (Net.Component.Mask.mem_node disjoint_banned v)
-  in
+  List.iter (fun p -> Net.Path.mask_interior topo p banned) avoid;
+  let clear_link id = not (Net.Component.Mask.mem_link banned id) in
+  let node_ok v = not (Net.Component.Mask.mem_node banned v) in
+  (* The QoS hop budget is relative to the shortest path available *to
+     this channel*: disjoint from the connection's other channels and
+     clear of failed components (Section 7: "not longer than the
+     shortest-possible path by more than 2 hops").  Using the
+     unconstrained shortest here would make a third disjoint channel
+     infeasible for many torus node pairs the paper evaluates. *)
   match
-    (* With nothing banned the feasibility pre-search degenerates to the
-       unconstrained hop distance, which the static oracle answers in
-       O(1); otherwise the masked bidirectional search runs. *)
-    if Net.Component.Mask.is_empty disjoint_banned then
-      Routing.Shortest.shortest_hops ?reference topo ~src ~dst
-    else
-      Routing.Shortest.shortest_hops ~link_ok:feasibility_link_ok
-        ~node_ok:feasibility_node_ok ?reference topo ~src ~dst
+    Routing.Shortest.shortest_hops ~link_ok:clear_link ~node_ok ?reference topo
+      ~src ~dst
   with
   | None -> None
-  | Some shortest ->
+  | Some shortest -> (
     let budget = Rtchan.Qos.max_hops conn.Dconn.qos ~shortest in
-    (* Establishment avoids nothing: [avoids] skips the set tests there,
-       each of which would allocate its component. *)
-    let avoids = not (Net.Component.Set.is_empty avoid_components) in
-    let link_ok id =
-      (not
-         (avoids
-         && Net.Component.Set.mem (Net.Component.Link id) avoid_components))
-      &&
-      (Sim.Prof.incr admission_checks;
-       Netstate.backup_admissible_probe ns probe ~link:id)
-    in
-    let node_ok v =
-      not
-        (avoids && Net.Component.Set.mem (Net.Component.Node v) avoid_components)
-    in
-    (match strategy with
+    match strategy with
     | Min_hops ->
-      let constraints = { Routing.Disjoint.link_ok; node_ok; max_hops = Some budget } in
-      Routing.Disjoint.disjoint_avoiding ~constraints ?reference topo ~src
-        ~dst ~avoid
+      (* The admission probe runs before the mask test, so every link the
+         search relaxes is probed and counted, banned or not. *)
+      let link_ok id =
+        (Sim.Prof.incr admission_checks;
+         Netstate.backup_admissible_probe ns probe ~link:id)
+        && clear_link id
+      in
+      Routing.Shortest.shortest_path ~link_ok ~node_ok ~max_hops:budget
+        ?reference topo ~src ~dst
     | Min_spare_increment ->
       (* Cost of a link = extra spare bandwidth this backup would force it
          to reserve, with a small per-hop epsilon to prefer shorter paths
-         among equals.  Interior components of the connection's other
-         channels stay off limits.  One exact scan gives both the
-         admission verdict and the increment: the verdict equals
+         among equals.  Banned links cost nothing to reject: the mask is
+         tested before the probe.  One exact scan gives both the admission
+         verdict and the increment: the verdict equals
          [Netstate.backup_admissible_probe]'s, whose ceiling only
          fast-accepts what the exact requirement accepts too. *)
-      let banned = Net.Component.Mask.scratch ~num_nodes ~num_links in
-      List.iter (fun p -> Net.Path.mask_interior topo p banned) avoid;
       let mux = Netstate.mux ns in
       let res = Netstate.resources ns in
       let epsilon_hop = 1e-6 *. Float.max 1.0 info.Mux.bw in
@@ -156,11 +135,7 @@ let route_backup ?reference ?(strategy = Min_hops)
         if ws.cstamp.(id) <> epoch then begin
           ws.cstamp.(id) <- epoch;
           ws.ccost.(id) <-
-            (if Net.Component.Mask.mem_link banned id then -1.0
-             else if
-               avoids
-               && Net.Component.Set.mem (Net.Component.Link id) avoid_components
-             then -1.0
+            (if not (clear_link id) then -1.0
              else begin
                Sim.Prof.incr admission_checks;
                match Netstate.policy ns with
@@ -175,9 +150,6 @@ let route_backup ?reference ?(strategy = Min_hops)
         end;
         let c = ws.ccost.(id) in
         if c < 0.0 then None else Some c
-      in
-      let node_ok v =
-        node_ok v && not (Net.Component.Mask.mem_node banned v)
       in
       Option.map fst
         (Routing.Dijkstra.shortest_path ~cost ~node_ok ~max_hops:budget topo
@@ -196,6 +168,59 @@ let detach ns conn backup =
   conn.Dconn.backups <-
     List.filter (fun b -> b.Dconn.serial <> backup.Dconn.serial) conn.Dconn.backups
 
+(* Route one more standby backup for [conn] under a fresh id, disjoint
+   from its primary and its live backups, and attach it; [None] when no
+   admissible route exists. *)
+let add_standby ?reference ?strategy ?avoid_components ns conn ~components
+    ~serial ~nu =
+  let bid = Netstate.fresh_backup_id ns in
+  let avoid =
+    conn.Dconn.primary.Rtchan.Channel.path
+    :: List.filter_map
+         (fun b ->
+           match b.Dconn.state with
+           | Dconn.Standby | Dconn.Activated -> Some b.Dconn.path
+           | Dconn.Broken | Dconn.Closed -> None)
+         conn.Dconn.backups
+  in
+  match
+    Sim.Prof.span "establish.backup_route" (fun () ->
+        route_backup ?reference ?strategy ?avoid_components ns ~conn
+          ~components ~bid ~serial ~nu ~avoid)
+  with
+  | None -> None
+  | Some path ->
+    let b = { Dconn.bid; serial; path; nu; state = Dconn.Standby } in
+    attach ns conn b ~components;
+    Some b
+
+(* Build the connection around its admitted primary and let [grow] attach
+   its backups: on [Ok] the connection joins the network state, on
+   [Error] everything reserved for it is rolled back. *)
+let with_conn ns ~conn_id ~src ~dst ~traffic ~qos ~target_backups primary grow
+    =
+  let conn =
+    {
+      Dconn.id = conn_id;
+      src;
+      dst;
+      traffic;
+      qos;
+      primary;
+      backups = [];
+      primary_alive = true;
+      target_backups;
+    }
+  in
+  match grow conn with
+  | Ok _ as ok ->
+    Netstate.add_dconn ns conn;
+    ok
+  | Error _ as e ->
+    List.iter (fun b -> Netstate.unregister_backup ns conn b) conn.Dconn.backups;
+    Netstate.release_primary ns conn;
+    e
+
 let establish ?reference ?backup_routing ns ~conn_id request =
   if request.backups < 0 then invalid_arg "Establish.establish: negative backups";
   if request.mux_degree < 0 then
@@ -208,52 +233,26 @@ let establish ?reference ?backup_routing ns ~conn_id request =
   with
   | Error r -> Error (Primary_rejected r)
   | Ok primary ->
-    let conn =
-      {
-        Dconn.id = conn_id;
-        src = request.src;
-        dst = request.dst;
-        traffic = request.traffic;
-        qos = request.qos;
-        primary;
-        backups = [];
-        primary_alive = true;
-        target_backups = request.backups;
-      }
-    in
+    with_conn ns ~conn_id ~src:request.src ~dst:request.dst
+      ~traffic:request.traffic ~qos:request.qos ~target_backups:request.backups
+      primary
+    @@ fun conn ->
     let nu =
       Reliability.Combinatorial.nu_of_degree ~lambda:(Netstate.lambda ns)
         request.mux_degree
     in
     let components = primary_components ns conn in
     let rec add_backups serial =
-      if serial > request.backups then Ok ()
-      else begin
-        let bid = Netstate.fresh_backup_id ns in
-        let avoid =
-          primary.Rtchan.Channel.path :: List.map (fun b -> b.Dconn.path) conn.Dconn.backups
-        in
+      if serial > request.backups then Ok conn
+      else
         match
-          Sim.Prof.span "establish.backup_route" (fun () ->
-              route_backup ?reference ?strategy:backup_routing ns ~conn
-                ~components ~bid ~serial ~nu ~avoid)
+          add_standby ?reference ?strategy:backup_routing ns conn ~components
+            ~serial ~nu
         with
         | None -> Error (Backup_rejected serial)
-        | Some path ->
-          let b = { Dconn.bid; serial; path; nu; state = Dconn.Standby } in
-          attach ns conn b ~components;
-          add_backups (serial + 1)
-      end
+        | Some _ -> add_backups (serial + 1)
     in
-    (match add_backups 1 with
-    | Ok () ->
-      Netstate.add_dconn ns conn;
-      Ok conn
-    | Error e ->
-      (* Roll back everything reserved for this connection. *)
-      List.iter (fun b -> Netstate.unregister_backup ns conn b) conn.Dconn.backups;
-      Netstate.release_primary ns conn;
-      Error e)
+    add_backups 1
 
 let add_backup ?avoid_components ns conn ~mux_degree =
   if mux_degree < 0 then invalid_arg "Establish.add_backup: negative mux degree";
@@ -263,48 +262,23 @@ let add_backup ?avoid_components ns conn ~mux_degree =
   let serial =
     1 + List.fold_left (fun m b -> max m b.Dconn.serial) 0 conn.Dconn.backups
   in
-  let bid = Netstate.fresh_backup_id ns in
-  let live_paths =
-    conn.Dconn.primary.Rtchan.Channel.path
-    :: List.filter_map
-         (fun b ->
-           match b.Dconn.state with
-           | Dconn.Standby | Dconn.Activated -> Some b.Dconn.path
-           | Dconn.Broken | Dconn.Closed -> None)
-         conn.Dconn.backups
-  in
-  let components = primary_components ns conn in
   match
-    route_backup ?avoid_components ns ~conn ~components ~bid ~serial ~nu
-      ~avoid:live_paths
+    add_standby ?avoid_components ns conn ~components:(primary_components ns conn)
+      ~serial ~nu
   with
   | None -> Error (Backup_rejected serial)
-  | Some path ->
-    let b = { Dconn.bid; serial; path; nu; state = Dconn.Standby } in
-    attach ns conn b ~components;
-    Ok b
+  | Some b -> Ok b
 
-let rec establish_offered ns ~conn_id request =
-  match establish ns ~conn_id request with
-  | Error e -> Error e
-  | Ok conn -> Ok (conn, achieved_pr ns conn)
-
-and achieved_pr ns conn =
+(* A path's component count is the length of its encoded array. *)
+let achieved_pr ns conn =
   let topo = Netstate.topology ns in
-  let lambda = Netstate.lambda ns in
   let mux = Netstate.mux ns in
-  let c_primary =
-    Net.Component.Set.cardinal
-      (Net.Path.components topo conn.Dconn.primary.Rtchan.Channel.path)
-  in
+  let count path = Array.length (Mux.encode_path topo path) in
   let backups =
     List.filter_map
       (fun b ->
         if b.Dconn.state <> Dconn.Standby then None
         else begin
-          let c_b =
-            Net.Component.Set.cardinal (Net.Path.components topo b.Dconn.path)
-          in
           let psi_sizes =
             List.map
               (fun link -> Mux.psi_size mux ~link ~backup:b.Dconn.bid)
@@ -313,11 +287,18 @@ and achieved_pr ns conn =
           let p_muxf =
             Reliability.Combinatorial.p_muxf_bound ~nu:b.Dconn.nu ~psi_sizes
           in
-          Some (c_b, p_muxf)
+          Some (count b.Dconn.path, p_muxf)
         end)
       conn.Dconn.backups
   in
-  Reliability.Combinatorial.pr_multi_backup ~lambda ~c_primary ~backups
+  Reliability.Combinatorial.pr_multi_backup ~lambda:(Netstate.lambda ns)
+    ~c_primary:(count conn.Dconn.primary.Rtchan.Channel.path)
+    ~backups
+
+let establish_offered ns ~conn_id request =
+  match establish ns ~conn_id request with
+  | Error e -> Error e
+  | Ok conn -> Ok (conn, achieved_pr ns conn)
 
 let establish_with_reliability ?(max_backups = 3) ns ~conn_id ~src
     ~dst ~traffic ~qos ~pr_required =
@@ -331,24 +312,10 @@ let establish_with_reliability ?(max_backups = 3) ns ~conn_id ~src
   match Rtchan.Rnmp.establish (Netstate.rnmp ns) ~src ~dst ~traffic ~qos with
   | Error r -> Error (Primary_rejected r)
   | Ok primary ->
-    let conn =
-      {
-        Dconn.id = conn_id;
-        src;
-        dst;
-        traffic;
-        qos;
-        primary;
-        backups = [];
-        primary_alive = true;
-        target_backups = max_backups;
-      }
-    in
+    with_conn ns ~conn_id ~src ~dst ~traffic ~qos ~target_backups:max_backups
+      primary
+    @@ fun conn ->
     let components = primary_components ns conn in
-    let rollback () =
-      List.iter (fun b -> Netstate.unregister_backup ns conn b) conn.Dconn.backups;
-      Netstate.release_primary ns conn
-    in
     (* Try to attach one more backup: scan degrees from largest (cheapest)
        to smallest, keeping the largest degree whose resulting P_r meets
        the requirement; if none does, keep the smallest feasible degree
@@ -358,16 +325,9 @@ let establish_with_reliability ?(max_backups = 3) ns ~conn_id ~src
         if alpha < 1 then best_fallback
         else begin
           let nu = Reliability.Combinatorial.nu_of_degree ~lambda alpha in
-          let bid = Netstate.fresh_backup_id ns in
-          let avoid =
-            primary.Rtchan.Channel.path
-            :: List.map (fun b -> b.Dconn.path) conn.Dconn.backups
-          in
-          match route_backup ns ~conn ~components ~bid ~serial ~nu ~avoid with
+          match add_standby ns conn ~components ~serial ~nu with
           | None -> scan (alpha - 1) best_fallback
-          | Some path ->
-            let b = { Dconn.bid; serial; path; nu; state = Dconn.Standby } in
-            attach ns conn b ~components;
+          | Some b ->
             let pr = achieved_pr ns conn in
             if Reliability.Combinatorial.pr_requirement_met ~required:pr_required ~achieved:pr
             then Some (b, pr, true)
@@ -379,32 +339,20 @@ let establish_with_reliability ?(max_backups = 3) ns ~conn_id ~src
       in
       scan max_degree None
     in
+    let unreachable () = Error (Reliability_unreachable (achieved_pr ns conn)) in
     let rec grow serial =
-      if serial > max_backups then begin
-        let best = achieved_pr ns conn in
-        rollback ();
-        Error (Reliability_unreachable best)
-      end
+      if serial > max_backups then unreachable ()
       else
         match try_add serial with
-        | None ->
-          let best = achieved_pr ns conn in
-          rollback ();
-          Error (Reliability_unreachable best)
-        | Some (_, pr, true) ->
-          Netstate.add_dconn ns conn;
-          Ok (conn, pr)
+        | None -> unreachable ()
+        | Some (_, pr, true) -> Ok (conn, pr)
         | Some (b, _, false) ->
           (* Keep the most protective feasible backup and try to close the
              gap with another one. *)
           attach ns conn b ~components;
           grow (serial + 1)
     in
-    if
-      Reliability.Combinatorial.pr_requirement_met ~required:pr_required
-        ~achieved:(achieved_pr ns conn)
-    then begin
-      Netstate.add_dconn ns conn;
-      Ok (conn, achieved_pr ns conn)
-    end
+    let pr = achieved_pr ns conn in
+    if Reliability.Combinatorial.pr_requirement_met ~required:pr_required ~achieved:pr
+    then Ok (conn, pr)
     else grow 1

@@ -3,12 +3,16 @@
     Channels are routed by sequential shortest-path search: the primary
     over a shortest admissible path, then each backup disjointly from the
     primary and from earlier backups, every path within the QoS hop
-    budget.  Spare bandwidth for backups is admitted and reserved through
-    the multiplexing engine.  Connections are established one at a time:
-    each request is routed against the state its predecessors left.
-    Every admission check of a link, in the primary search and in each
-    backup search, adds one to the [Sim.Prof] counter
-    [establish.admission_checks].
+    budget.  One banned-component mask per backup route (the interiors
+    of the connection's other channels, plus any components to avoid)
+    serves its feasibility hop count, its search and, under
+    {!Min_spare_increment}, its link costs.  Spare bandwidth for backups
+    is admitted and reserved through the multiplexing engine.
+    Connections are established one at a time: each request is routed
+    against the state its predecessors left.  Every admission check of
+    a link, in the primary search and in each backup search, adds one to
+    the [Sim.Prof] counter [establish.admission_checks]; a {!Min_hops}
+    backup search probes a link before testing the mask.
 
     Two client interfaces are provided, mirroring Section 3.4:
     {!establish} (the "loose" scheme: the client fixes the backup count
@@ -84,11 +88,14 @@ val achieved_pr : Netstate.t -> Dconn.t -> float
     bound on the true P_r). *)
 
 val add_backup :
-  ?avoid_components:Net.Component.Set.t ->
+  ?avoid_components:Net.Component.t list ->
   Netstate.t ->
   Dconn.t ->
   mux_degree:int ->
   (Dconn.backup, reject) result
-(** Route and register one more backup for an existing connection, steering
-    clear of [avoid_components] (used by resource reconfiguration after
-    failures, which must not route replacements over dead components). *)
+(** Route and register one more backup for an existing connection,
+    disjoint from its primary and its standby or activated backups and
+    steering clear of [avoid_components] (used by resource
+    reconfiguration after failures, which must not route replacements
+    over dead components).  A component outside the topology lies on no
+    path and is ignored. *)

@@ -83,11 +83,6 @@ let promote ns conn (b : Dconn.backup) =
       (true, !closed_total)
 
 let commit ?(restore_protection = true) ns ~failed ~result =
-  let failed_set =
-    List.fold_left
-      (fun s c -> Net.Component.Set.add c s)
-      Net.Component.Set.empty failed
-  in
   let promoted = ref 0 and torn_down = ref 0 and closed = ref 0 in
   let unrecovered = ref 0 in
   (* 1. Close every backup whose path crosses a failed component. *)
@@ -159,7 +154,7 @@ let commit ?(restore_protection = true) ns ~failed ~result =
         let rec top_up deficit =
           if deficit > 0 then begin
             match
-              Establish.add_backup ~avoid_components:failed_set ns conn
+              Establish.add_backup ~avoid_components:failed ns conn
                 ~mux_degree:degree
             with
             | Ok _ ->

@@ -23,16 +23,11 @@ let failed_components sc = sc.Failures.Scenario.components
 let reroute ns res ~failed conn =
   let topo = Bcp.Netstate.topology ns in
   let bw = Bcp.Dconn.bandwidth conn in
-  let failed_set =
-    List.fold_left
-      (fun s c -> Net.Component.Set.add c s)
-      Net.Component.Set.empty failed
-  in
   let link_ok id =
-    (not (Net.Component.Set.mem (Net.Component.Link id) failed_set))
+    (not (List.mem (Net.Component.Link id) failed))
     && Rtchan.Resource.can_reserve_primary res id bw
   in
-  let node_ok v = not (Net.Component.Set.mem (Net.Component.Node v) failed_set) in
+  let node_ok v = not (List.mem (Net.Component.Node v) failed) in
   match
     Routing.Shortest.shortest_hops topo ~src:conn.Bcp.Dconn.src
       ~dst:conn.Bcp.Dconn.dst

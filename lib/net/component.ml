@@ -58,7 +58,6 @@ module Mask = struct
       t.n_touched <- t.n_touched + 1
     end
 
-  let is_empty t = t.n_touched = 0
   let mem_node t v = Bytes.unsafe_get t.bytes (2 * v) = '\001'
   let mem_link t l = Bytes.unsafe_get t.bytes ((2 * l) + 1) = '\001'
 

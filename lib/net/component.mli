@@ -13,21 +13,22 @@ val equal : t -> t -> bool
 val is_node : t -> bool
 val to_string : t -> string
 
-(** Sets of components, used for path overlap computations. *)
+(** Sets of components.  The libraries count and intersect a path's
+    components through [Bcp.Mux.encode_path]'s sorted arrays instead;
+    [Set], {!inter_card} and [Net.Path.components] stay as the tests'
+    reference for that encoding. *)
 module Set : Set.S with type elt = t
 
 val inter_card : Set.t -> Set.t -> int
 (** Cardinality of the intersection, without building it. *)
 
 (** Flat component set for routing inner loops: byte-per-component with an
-    O(members) reset.  Reusable scratch, reset on every acquisition. *)
+    O(members) reset.  Reusable scratch, reset on every acquisition;
+    backup routing ([Bcp.Establish]) fills one per route. *)
 module Mask : sig
   type mask
 
   val add : mask -> t -> unit
-  val is_empty : mask -> bool
-  (** No component added since the last reset. *)
-
   val mem_node : mask -> int -> bool
   val mem_link : mask -> int -> bool
 

@@ -191,6 +191,76 @@ let test_add_backup_after_establishment () =
     Alcotest.(check int) "two backups" 2 (List.length c.Bcp.Dconn.backups)
   | Error e -> Alcotest.failf "add_backup: %a" Bcp.Establish.pp_reject e)
 
+(* Backups are routed one after another, each interior-disjoint from the
+   primary and the backups before it, so with no load they come out
+   shortest first.  On an empty network a link's spare increment is the
+   same for every link, so the spare-aware search picks the same
+   lengths.  A one-hop primary has no interior node, so only the link
+   ban keeps the backups off it. *)
+let test_sequential_backups () =
+  List.iter
+    (fun (backup_routing, dst, backups) ->
+      let ns = ns44 () in
+      let topo = Bcp.Netstate.topology ns in
+      let c =
+        match
+          Bcp.Establish.establish ~backup_routing ns ~conn_id:0
+            (request ~backups 0 dst)
+        with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "establish: %a" Bcp.Establish.pp_reject e
+      in
+      let paths =
+        c.Bcp.Dconn.primary.Rtchan.Channel.path
+        :: List.map (fun b -> b.Bcp.Dconn.path) c.Bcp.Dconn.backups
+      in
+      Alcotest.(check int) "all backups routed" backups
+        (List.length c.Bcp.Dconn.backups);
+      List.iteri
+        (fun i p ->
+          List.iteri
+            (fun j q ->
+              if i < j then
+                Alcotest.(check bool) "pairwise disjoint" true
+                  (Net.Path.disjoint topo p q))
+            paths)
+        paths;
+      let hops = List.map Net.Path.hops paths in
+      Alcotest.(check (list int)) "shortest first" (List.sort Int.compare hops) hops)
+    (List.concat_map
+       (fun strategy ->
+         List.concat_map
+           (fun dst -> List.map (fun n -> (strategy, dst, n)) [ 1; 2; 3 ])
+           [ 5; 1 ])
+       [ Bcp.Establish.Min_hops; Bcp.Establish.Min_spare_increment ])
+
+(* [add_backup ~avoid_components] steers clear of every listed component
+   in the topology and ignores one outside it.  The node comes from the
+   route taken with nothing to avoid, the link from the route taken when
+   only that node is avoided. *)
+let test_add_backup_avoid_components () =
+  let backup_avoiding avoid_components =
+    let ns = ns44 () in
+    let c = establish_exn ns 0 (request ~backups:0 0 1) in
+    match Bcp.Establish.add_backup ~avoid_components ns c ~mux_degree:1 with
+    | Ok b -> (Bcp.Netstate.topology ns, c, b.Bcp.Dconn.path)
+    | Error e -> Alcotest.failf "add_backup: %a" Bcp.Establish.pp_reject e
+  in
+  let topo, _, free = backup_avoiding [] in
+  let node = List.nth (Net.Path.intermediate_nodes topo free) 0 in
+  let _, _, around_node = backup_avoiding [ Net.Component.Node node ] in
+  Alcotest.(check bool) "node avoided" false (Net.Path.uses_node topo around_node node);
+  let link = List.hd (Net.Path.links around_node) in
+  let avoid = [ Net.Component.Node node; Net.Component.Link link ] in
+  let topo, c, p = backup_avoiding (avoid @ [ Net.Component.Link 9999 ]) in
+  Alcotest.(check bool) "node still avoided" false (Net.Path.uses_node topo p node);
+  Alcotest.(check bool) "link avoided" false (Net.Path.uses_link p link);
+  Alcotest.(check bool) "disjoint from the primary" true
+    (Net.Path.disjoint topo c.Bcp.Dconn.primary.Rtchan.Channel.path p);
+  let _, _, p' = backup_avoiding avoid in
+  Alcotest.(check (list int)) "outside component ignored" (Net.Path.links p')
+    (Net.Path.links p)
+
 (* ---------- achieved P_r / negotiated establishment ---------- *)
 
 let test_achieved_pr_reasonable () =
@@ -343,6 +413,9 @@ let () =
           Alcotest.test_case "indexes outside the topology" `Quick
             test_indexes_outside_topology;
           Alcotest.test_case "add_backup" `Quick test_add_backup_after_establishment;
+          Alcotest.test_case "sequential backups" `Quick test_sequential_backups;
+          Alcotest.test_case "add_backup avoids components" `Quick
+            test_add_backup_avoid_components;
         ] );
       ( "reliability-negotiation",
         [

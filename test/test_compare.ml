@@ -25,6 +25,7 @@ let baselines =
     (fun f -> locate [ f ])
     [
       "BENCH_baseline_4x4.json";
+      "BENCH_baseline_8x8.json";
       "BENCH_baseline_churn.json";
       "BENCH_baseline_scaling.json";
     ]
@@ -123,6 +124,29 @@ let test_drifted_cell () =
   Alcotest.(check bool) "exactly one failure" true
     (contains ~sub:"\n1 failure(s) vs baseline" out)
 
+(* Two tables under one title are matched in order: the k-th baseline
+   table of a title against the k-th fresh one. *)
+let test_repeated_title () =
+  require_binary compare_exe;
+  let table label =
+    Printf.sprintf
+      {|{"title": "T", "columns": ["c"], "rows": [{"label": %S, "cells": ["1"]}]}|}
+      label
+  in
+  let doc tables =
+    write_temp ~suffix:".json"
+      (Printf.sprintf {|{"schema": "bcp-bench/v1", "tables": [%s]}|}
+         (String.concat ", " (List.map table tables)))
+  in
+  let base = doc [ "a"; "b" ] and swapped = doc [ "b"; "a" ] in
+  let same, _ = run compare_exe [ base; base ] in
+  let code, out = run compare_exe [ base; swapped ] in
+  List.iter Sys.remove [ base; swapped ];
+  Alcotest.(check int) "same order exits 0" 0 same;
+  Alcotest.(check int) "swapped order exits 1" 1 code;
+  Alcotest.(check bool) "both tables drifted" true
+    (contains ~sub:"\n2 failure(s) vs baseline" out)
+
 let test_bad_input () =
   require_binary compare_exe;
   let base = List.hd baselines in
@@ -164,6 +188,7 @@ let () =
         [
           Alcotest.test_case "baseline vs itself" `Quick test_self_match;
           Alcotest.test_case "drifted cell" `Quick test_drifted_cell;
+          Alcotest.test_case "repeated title" `Quick test_repeated_title;
           Alcotest.test_case "malformed or empty input" `Quick test_bad_input;
           Alcotest.test_case "unwritable --json" `Quick test_unwritable_json;
         ] );

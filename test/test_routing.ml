@@ -72,9 +72,33 @@ let test_shortest_hops () =
 
 (* ---------- Disjoint ---------- *)
 
+(* The paper's sequential disjoint search as [Bcp.Establish] runs it: each
+   path is a shortest path whose predicates reject the interior
+   components of the paths routed before it, held in one banned mask. *)
+let sequential_disjoint ?max_hops t ~src ~dst ~count =
+  let rec route acc k =
+    if k = 0 then List.rev acc
+    else begin
+      let banned =
+        Net.Component.Mask.scratch ~num_nodes:(Net.Topology.num_nodes t)
+          ~num_links:(Net.Topology.num_links t)
+      in
+      List.iter (fun p -> Net.Path.mask_interior t p banned) acc;
+      match
+        Routing.Shortest.shortest_path
+          ~link_ok:(fun id -> not (Net.Component.Mask.mem_link banned id))
+          ~node_ok:(fun v -> not (Net.Component.Mask.mem_node banned v))
+          ?max_hops t ~src ~dst
+      with
+      | None -> List.rev acc
+      | Some p -> route (p :: acc) (k - 1)
+    end
+  in
+  route [] count
+
 let test_sequential_disjoint_torus () =
   let t = torus44 () in
-  let paths = Routing.Disjoint.sequential_disjoint t ~src:0 ~dst:5 ~count:3 in
+  let paths = sequential_disjoint t ~src:0 ~dst:5 ~count:3 in
   Alcotest.(check int) "three disjoint paths in a torus" 3 (List.length paths);
   (* Pairwise interior-disjoint. *)
   let rec pairs = function
@@ -91,31 +115,24 @@ let test_sequential_disjoint_torus () =
 
 let test_disjoint_exhaustion () =
   let t = Net.Builders.line ~nodes:3 ~capacity:10.0 in
-  let paths = Routing.Disjoint.sequential_disjoint t ~src:0 ~dst:2 ~count:2 in
+  let paths = sequential_disjoint t ~src:0 ~dst:2 ~count:2 in
   Alcotest.(check int) "line supports one path" 1 (List.length paths)
 
 let test_disjoint_with_max_hops () =
   let t = mesh33 () in
   (* Corner pair: two disjoint 4-hop paths exist; a third would be longer. *)
-  let constraints =
-    { Routing.Disjoint.unconstrained with Routing.Disjoint.max_hops = Some 4 }
-  in
-  let paths =
-    Routing.Disjoint.sequential_disjoint ~constraints t ~src:0 ~dst:8 ~count:3
-  in
+  let paths = sequential_disjoint ~max_hops:4 t ~src:0 ~dst:8 ~count:3 in
   Alcotest.(check int) "two within budget" 2 (List.length paths)
 
 let test_disjoint_avoiding () =
   let t = torus44 () in
   let p1 = Option.get (Routing.Shortest.shortest_path t ~src:0 ~dst:5) in
-  match Routing.Disjoint.disjoint_avoiding t ~src:0 ~dst:5 ~avoid:[ p1 ] with
-  | None -> Alcotest.fail "second path exists"
-  | Some p2 -> Alcotest.(check bool) "disjoint" true (Net.Path.disjoint t p1 p2)
-
-let test_max_disjoint_bound () =
-  let t = torus44 () in
-  Alcotest.(check int) "bound = degree" 4
-    (Routing.Disjoint.max_disjoint_bound t ~src:0 ~dst:5)
+  match sequential_disjoint t ~src:0 ~dst:5 ~count:2 with
+  | [ p1'; p2 ] ->
+    Alcotest.(check (list int)) "first is the shortest path" (Net.Path.links p1)
+      (Net.Path.links p1');
+    Alcotest.(check bool) "disjoint" true (Net.Path.disjoint t p1 p2)
+  | _ -> Alcotest.fail "second path exists"
 
 (* ---------- properties ---------- *)
 
@@ -126,7 +143,7 @@ let prop_disjoint_paths_are_disjoint =
     (fun (a, b) ->
       QCheck.assume (a <> b);
       let t = torus44 () in
-      let paths = Routing.Disjoint.sequential_disjoint t ~src:a ~dst:b ~count:4 in
+      let paths = sequential_disjoint t ~src:a ~dst:b ~count:4 in
       let rec pairwise = function
         | [] -> true
         | x :: rest ->
@@ -157,7 +174,6 @@ let () =
           Alcotest.test_case "exhaustion" `Quick test_disjoint_exhaustion;
           Alcotest.test_case "with hop budget" `Quick test_disjoint_with_max_hops;
           Alcotest.test_case "avoiding" `Quick test_disjoint_avoiding;
-          Alcotest.test_case "bound" `Quick test_max_disjoint_bound;
         ] );
       qsuite "props" [ prop_disjoint_paths_are_disjoint ];
     ]
