@@ -29,20 +29,6 @@ let encode_path topo (p : Net.Path.t) =
   done;
   if !n = Array.length a then a else Array.sub a 0 !n
 
-(* Reference intersection count: two-pointer merge over the sorted encoded
-   arrays.  The engine counts through its primary index instead and uses
-   this only to count a new index entry against current counts; tests
-   check the index against it. *)
-let shared_count (a : int array) (b : int array) =
-  let la = Array.length a and lb = Array.length b in
-  let rec go i j acc =
-    if i >= la || j >= lb then acc
-    else if a.(i) = b.(j) then go (i + 1) (j + 1) (acc + 1)
-    else if a.(i) < b.(j) then go (i + 1) j acc
-    else go i (j + 1) acc
-  in
-  go 0 0 0
-
 let register_count = Sim.Prof.counter "mux.register"
 let unregister_count = Sim.Prof.counter "mux.unregister"
 let probe_count = Sim.Prof.counter "mux.probe"
@@ -86,13 +72,13 @@ module Ctbl = Hashtbl.Make (struct
 end)
 
 (* Per-link table: each backup on the link occupies a slot holding its
-   handle in the backup store, its |Π| and its Σbw(Π) on this link, the
-   only per-link state the §3.2 rule leaves.  [hs.(s) = -1] marks a free
-   slot; freed slots are recycled LIFO so the live region stays dense
-   under churn. *)
+   handle in the backup store with the handle's primary index entry, its
+   |Π| and its Σbw(Π) on this link, the only per-link state the §3.2 rule
+   leaves.  [hs.(s) = -1] marks a free slot; freed slots are recycled LIFO
+   so the live region stays dense under churn. *)
 type link_table = {
   mutable n : int; (* slot watermark: slots in [0, n) exist *)
-  mutable hs : int array; (* handle; -1 = free *)
+  mutable hs : int array; (* [pack handle entry]; -1 = free *)
   mutable pin : int array; (* |Π| *)
   mutable pi_bws : float array; (* Σ bw over Π *)
   mutable free : int array;
@@ -145,6 +131,12 @@ type t = {
   mutable erefs : int array; (* entry -> backups holding it; 0 = free *)
   by_comps : int Ctbl.t;
   mutable version : int;
+  (* The floor of the slot walks: no backup of a component count in
+     [seen] reaches S ≥ [nu_min] with one of a count in [seen] while
+     they share fewer than [k_min] components. *)
+  mutable nu_min : float; (* least ν registered or probed *)
+  mutable seen : bool array; (* component count -> registered or probed *)
+  mutable k_min : int;
 }
 
 let versions = Atomic.make 0
@@ -200,6 +192,9 @@ let create topo ~lambda =
     erefs = [||];
     by_comps = Ctbl.create 64;
     version = Atomic.fetch_and_add versions 1;
+    nu_min = infinity;
+    seen = [||];
+    k_min = max_int;
   }
 
 let set_event_sink t s = t.sink <- s
@@ -298,6 +293,18 @@ let grow_to n default a =
 
 let grow_ints a need = grow_to (max need (2 * Array.length a)) 0 a
 
+(* Intersection size of two sorted, duplicate-free arrays: a two-pointer
+   merge. *)
+let merge_count (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let rec go i j acc =
+    if i >= la || j >= lb then acc
+    else if a.(i) = b.(j) then go (i + 1) (j + 1) (acc + 1)
+    else if a.(i) < b.(j) then go (i + 1) j acc
+    else go i (j + 1) acc
+  in
+  go 0 0 0
+
 (* A new entry moves the index to a fresh version.  This domain's counts,
    if they were current, stay current: the new entry's overlap with their
    candidate is one merge. *)
@@ -330,7 +337,7 @@ let add_entry t comps =
   let ws = Domain.DLS.get counts_key in
   if ws.valid_at = before then begin
     if e >= Array.length ws.acc then ws.acc <- grow_ints ws.acc (e + 1);
-    ws.acc.(e) <- ws.base + shared_count ws.cand comps;
+    ws.acc.(e) <- ws.base + merge_count ws.cand comps;
     ws.valid_at <- t.version
   end;
   e
@@ -367,32 +374,98 @@ let release_entry t e =
 (* (1-λ)^c from the table [create] fills (λ is fixed at creation).
    Computed with the same [Float.pow] expression as
    {!Reliability.Combinatorial.survival}, so tabulated and direct S-values
-   are bit-identical.  This and [s_value] are inlined so
+   are bit-identical.  This, [s_of] and [s_value] are inlined so
    the scan loops keep their floats unboxed: no allocation per peer. *)
 let[@inline] pow t c =
   if c < Array.length t.pows then t.pows.(c)
   else (1.0 -. t.lambda) ** float_of_int c
 
-(* S(candidate, peer), in the same expression shape as
-   [Combinatorial.s_activation].  [acc]/[base] hold the counts of the
-   candidate's [c_i] components; [e] is the peer's index entry and [c_j]
-   its component count. *)
+(* S of a backup of [c_i] components and one of [c_j] sharing [sc] of
+   them, in the same expression shape as [Combinatorial.s_activation]. *)
+let[@inline] s_of t c_i c_j sc =
+  1.0 -. (pow t c_i +. pow t c_j -. pow t ((c_i + c_j) - sc))
+
+(* S(candidate, peer).  [acc]/[base] hold the counts of the candidate's
+   [c_i] components; [e] is the peer's index entry and [c_j] its
+   component count. *)
 let[@inline] s_value t c_i acc base e c_j =
   let v = Array.unsafe_get acc e - base in
-  let sc = if v >= 0 then v else 0 in
-  1.0 -. (pow t c_i +. pow t c_j -. pow t ((c_i + c_j) - sc))
+  s_of t c_i c_j (if v >= 0 then v else 0)
+
+(* ---------------- the shared-count floor ---------------- *)
+
+(* The least shared count below [cap] at which a backup of [c_i]
+   components and one of [c_j] reach S ≥ [nu], by the expression the
+   walks evaluate, or [cap] when there is none.  A count never exceeds
+   min(c_i, c_j), so min(c_i, c_j) + 1 stands for "no count does". *)
+let least_passing t c_i c_j nu cap =
+  let top = min cap (min c_i c_j + 1) in
+  let sc = ref 0 in
+  while !sc < top && not (s_of t c_i c_j !sc >= nu) do
+    incr sc
+  done;
+  !sc
+
+(* Lower [k_min] to the least passing count at [nu] of [a] paired with
+   each count seen.  This, [least_passing] and [observe] allocate nothing
+   but [seen]'s growth, so establishment allocates as it did without the
+   floor. *)
+let pair_with_seen t a nu =
+  for b = 0 to Array.length t.seen - 1 do
+    if t.seen.(b) then t.k_min <- least_passing t a b nu t.k_min
+  done
+
+(* Note a backup of ν [nu] and [c] components, registered or probed, and
+   keep [k_min] at the least passing count, at [nu_min], of every pair of
+   counts seen.  No pair reaches ν_min below its own least passing count,
+   so a slot sharing fewer than [k_min] components with the walk's backup
+   is in Π in neither direction, whatever the shape of S in the count.
+   Only a smaller ν or a new count lowers the floor, and each pair is
+   tried only below the current one. *)
+let observe t ~nu c =
+  if nu < t.nu_min then begin
+    t.nu_min <- nu;
+    for a = 0 to Array.length t.seen - 1 do
+      if t.seen.(a) then pair_with_seen t a nu
+    done
+  end;
+  if c >= Array.length t.seen then
+    t.seen <- grow_to (max (c + 1) (2 * Array.length t.seen)) false t.seen;
+  if not t.seen.(c) then begin
+    t.seen.(c) <- true;
+    pair_with_seen t c t.nu_min
+  end
+
+(* The walks' gate for counts taken at [base]: a slot whose entry's count
+   is below the result shares fewer than [k_min] components with the
+   walk's backup.  With [k_min = 0] every slot passes. *)
+let[@inline] floor_at t base = if t.k_min = 0 then min_int else base + t.k_min
 
 (* Two backups of the same connection protect the same primary: they are
    never multiplexed together (both activate when the primary dies).
-   b belongs to Π(a) iff ν_b ≤ ν_a and (same conn or S ≥ ν_a).  [register]
-   and [admission_scan] test both directions from one S, computed up front
-   exactly when one of the tests reads it: for a peer of another
-   connection whose ν is ordered against the candidate's (any non-NaN
-   ν).  No slot stores its Π: [unregister] applies the same rule to the
-   victim and each remaining slot.  S is symmetric bit for bit, since the
-   count is an intersection size and [pow c_i +. pow c_j] commutes in
-   IEEE arithmetic, so removal decides exactly what registration did,
-   whichever of the two came first. *)
+   b belongs to Π(a) iff ν_b ≤ ν_a and (same conn or S ≥ ν_a).  Each walk
+   first reads the slot's shared count and tests it against the floor;
+   a slot below it is skipped unless it belongs to the walk's connection
+   (same-connection backups need not share components), so the store is
+   read only for slots that could be in Π in either direction.
+   [register] and [admission_scan] test both directions from one S,
+   computed up front exactly when one of the tests reads it: for a peer
+   of another connection whose ν is ordered against the candidate's (any
+   non-NaN ν).  No slot stores its Π: [unregister] applies the same rule
+   to the victim and each remaining slot.  S is symmetric bit for bit,
+   since the count is an intersection size and [pow c_i +. pow c_j]
+   commutes in IEEE arithmetic, so removal decides exactly what
+   registration did, whichever of the two came first. *)
+
+(* A live slot holds [pack h e]: the backup's handle [h] in the low
+   [hbits] bits and its primary index entry [e] above them, so the gate
+   reads the slot's count with no store access.  There are never more
+   entries than records, and [grow_store] keeps handles below 2^hbits. *)
+let hbits = 31
+let hmask = (1 lsl hbits) - 1
+let[@inline] pack h e = (e lsl hbits) lor h
+let[@inline] handle_of x = x land hmask
+let[@inline] entry_of x = x lsr hbits
 
 (* [a] with [x] pushed at [len], grown when full: a LIFO free list. *)
 let push_free a len x =
@@ -426,7 +499,10 @@ let free_slot tab s =
 (* The slot holding handle [h] on this table, or -1. *)
 let slot_of tab h =
   let rec go s =
-    if s >= tab.n then -1 else if tab.hs.(s) = h then s else go (s + 1)
+    if s >= tab.n then -1
+    else
+      let x = tab.hs.(s) in
+      if x >= 0 && handle_of x = h then s else go (s + 1)
   in
   go 0
 
@@ -439,6 +515,7 @@ let slot_on t ~link ~backup =
 
 let grow_store t =
   let n = max 64 (2 * Array.length t.bids) in
+  if n > hmask then failwith "Mux: backup store past 2^31 records";
   t.bids <- grow_to n (-1) t.bids;
   t.conns <- grow_to n 0 t.conns;
   t.serials <- grow_to n 0 t.serials;
@@ -471,6 +548,7 @@ let new_record t info =
   t.ncomps.(h) <- Array.length info.primary_components;
   t.held.(h) <- 0;
   Itbl.add t.handles info.backup h;
+  observe t ~nu:info.nu (Array.length info.primary_components);
   h
 
 (* A freed record lets go of its primary's array: under churn most
@@ -491,13 +569,29 @@ let same_record t h info =
   && Float.equal t.bws.(h) info.bw
   && same_comps t.comps.(h) info.primary_components
 
-(* Register and unregister already visit every slot to update |Π| and
-   Σbw(Π), so each takes the new requirement as the largest live
-   contribution on the way: [Float.max 0.0] of it, or [0.0] on an empty
-   link.  The registrant's counts serve every link of its path: joining
-   the index adds at most one entry, which keeps them current.  Only the
-   first link of a backup checks its encodings and takes its index
-   entry; the others check that the record is the stored one. *)
+(* Set [link]'s requirement, whose table is [tab], to its largest live
+   contribution bw + Σbw(Π): [Float.max 0.0] of it, or [0.0] on an empty
+   link.  It stores rather than returns the float, which would box it. *)
+let rescan_requirement t ~link tab =
+  let req = ref neg_infinity in
+  for s = 0 to tab.n - 1 do
+    let x = tab.hs.(s) in
+    if x >= 0 then begin
+      let c = t.bws.(handle_of x) +. tab.pi_bws.(s) in
+      if c > !req then req := c
+    end
+  done;
+  t.requirement.(link) <- Float.max 0.0 !req
+
+(* Registration only adds to Σbw(Π), and removal only subtracts from it,
+   since bandwidths are finite and non-negative.  So [register] raises the
+   requirement from the slots whose Σbw(Π) grew and from the new slot, and
+   [unregister] keeps it unless the victim or a slot that shrank held it;
+   max is exact, so both equal a rescan.  The registrant's counts serve
+   every link of its path: joining the index adds at most one entry,
+   which keeps them current.  Only the first link of a backup checks its
+   record and takes its index entry; the others check that the record is
+   the stored one. *)
 let register t ~link info =
   Sim.Prof.incr register_count;
   let tab = table t link in
@@ -516,24 +610,34 @@ let register t ~link info =
              info.backup);
       (h, false)
     | None ->
+      if not (Float.is_finite info.bw && info.bw >= 0.0) then
+        invalid_arg
+          (Printf.sprintf "Mux.register: backup %d has bandwidth %g"
+             info.backup info.bw);
       check_encodings t ~fn:"register" comps;
       (new_record t info, true)
   in
   let ws = counts_for t comps in
   let acc = ws.acc and base = ws.base in
+  let thr = floor_at t base in
   let slot = alloc_slot tab in
   tab.hs.(slot) <- h;
   tab.pin.(slot) <- 0;
   tab.pi_bws.(slot) <- 0.0;
   let hs = tab.hs and pin = tab.pin and pi_bws = tab.pi_bws in
   let nus = t.nus and conns = t.conns and bws = t.bws in
-  let eids = t.eids and ncomps = t.ncomps in
+  let ncomps = t.ncomps in
   let c_i = Array.length comps in
   let s_values = ref 0 in
-  let req = ref neg_infinity in
+  let req = ref t.requirement.(link) in
   for s = 0 to tab.n - 1 do
-    let p = hs.(s) in
-    if s <> slot && p >= 0 then begin
+    let x = hs.(s) in
+    if
+      s <> slot && x >= 0
+      && (Array.unsafe_get acc (entry_of x) >= thr
+         || conns.(handle_of x) = info.conn)
+    then begin
+      let p = handle_of x in
       let nu_s = nus.(p) in
       let below = nu_s <= info.nu and above = info.nu <= nu_s in
       let same = info.conn = conns.(p) in
@@ -541,7 +645,7 @@ let register t ~link info =
         if same || not (below || above) then 0.0
         else begin
           incr s_values;
-          s_value t c_i acc base eids.(p) ncomps.(p)
+          s_value t c_i acc base (entry_of x) ncomps.(p)
         end
       in
       if below && (same || sv >= info.nu) then begin
@@ -550,14 +654,15 @@ let register t ~link info =
       end;
       if above && (same || sv >= nu_s) then begin
         pin.(s) <- pin.(s) + 1;
-        pi_bws.(s) <- pi_bws.(s) +. info.bw
-      end;
-      let c = bws.(p) +. pi_bws.(s) in
-      if c > !req then req := c
+        pi_bws.(s) <- pi_bws.(s) +. info.bw;
+        let c = bws.(p) +. pi_bws.(s) in
+        if c > !req then req := c
+      end
     end
   done;
   Sim.Prof.incr ~by:!s_values s_values_count;
   if fresh then t.eids.(h) <- acquire_entry t comps;
+  hs.(slot) <- pack h t.eids.(h);
   t.held.(h) <- t.held.(h) + 1;
   tab.live <- tab.live + 1;
   t.sum_bw.(link) <- t.sum_bw.(link) +. info.bw;
@@ -580,6 +685,8 @@ let unregister t ~link ~backup =
       and comps = t.comps.(h) in
       let pi = tab.pin.(victim) in
       let psi = tab.live - pi - 1 in
+      let old_req = t.requirement.(link) in
+      let rescan = ref (vbw +. tab.pi_bws.(victim) = old_req) in
       tab.live <- tab.live - 1;
       t.sum_bw.(link) <- t.sum_bw.(link) -. vbw;
       free_slot tab victim;
@@ -591,28 +698,32 @@ let unregister t ~link ~backup =
       end;
       let ws = counts_in victim_key unregister_walk_count t comps in
       let acc = ws.acc and base = ws.base in
+      let thr = floor_at t base in
       let hs = tab.hs and pin = tab.pin and pi_bws = tab.pi_bws in
       let nus = t.nus and conns = t.conns and bws = t.bws in
-      let eids = t.eids and ncomps = t.ncomps in
+      let ncomps = t.ncomps in
       let c_v = Array.length comps in
-      let req = ref neg_infinity in
       for s = 0 to tab.n - 1 do
-        let p = hs.(s) in
-        if p >= 0 then begin
+        let x = hs.(s) in
+        if
+          x >= 0
+          && (Array.unsafe_get acc (entry_of x) >= thr
+             || conns.(handle_of x) = vconn)
+        then begin
+          let p = handle_of x in
           let nu_s = nus.(p) in
           if
             vnu <= nu_s
             && (vconn = conns.(p)
-               || s_value t c_v acc base eids.(p) ncomps.(p) >= nu_s)
+               || s_value t c_v acc base (entry_of x) ncomps.(p) >= nu_s)
           then begin
+            if bws.(p) +. pi_bws.(s) = old_req then rescan := true;
             pin.(s) <- pin.(s) - 1;
             pi_bws.(s) <- pi_bws.(s) -. vbw
-          end;
-          let c = bws.(p) +. pi_bws.(s) in
-          if c > !req then req := c
+          end
         end
       done;
-      t.requirement.(link) <- Float.max 0.0 !req;
+      if !rescan then rescan_requirement t ~link tab;
       emit t ~link ~backup ~op:Sim.Event.Unregister ~pi ~psi
     end
 
@@ -625,16 +736,22 @@ let spare_requirement t ~link =
 let admission_scan t ~link info ws =
   let tab = table t link in
   let acc = ws.acc and base = ws.base in
+  let thr = floor_at t base in
   let hs = tab.hs and pi_bws = tab.pi_bws in
   let nus = t.nus and conns = t.conns and bws = t.bws in
-  let eids = t.eids and ncomps = t.ncomps in
+  let ncomps = t.ncomps in
   let c_i = Array.length info.primary_components in
   let own = ref info.bw in
   let req = ref t.requirement.(link) in
   let s_values = ref 0 in
   for s = 0 to tab.n - 1 do
-    let p = hs.(s) in
-    if p >= 0 then begin
+    let x = hs.(s) in
+    if
+      x >= 0
+      && (Array.unsafe_get acc (entry_of x) >= thr
+         || conns.(handle_of x) = info.conn)
+    then begin
+      let p = handle_of x in
       let nu_s = nus.(p) in
       let below = nu_s <= info.nu and above = info.nu <= nu_s in
       let same = info.conn = conns.(p) in
@@ -642,7 +759,7 @@ let admission_scan t ~link info ws =
         if same || not (below || above) then 0.0
         else begin
           incr s_values;
-          s_value t c_i acc base eids.(p) ncomps.(p)
+          s_value t c_i acc base (entry_of x) ncomps.(p)
         end
       in
       if below && (same || sv >= info.nu) then own := !own +. bws.(p);
@@ -661,8 +778,9 @@ let on_link t ~link =
   let tab = table t link in
   let acc = ref [] in
   for s = tab.n - 1 downto 0 do
-    let h = tab.hs.(s) in
-    if h >= 0 then
+    let x = tab.hs.(s) in
+    if x >= 0 then begin
+      let h = handle_of x in
       acc :=
         {
           backup = t.bids.(h);
@@ -673,10 +791,9 @@ let on_link t ~link =
           primary_components = t.comps.(h);
         }
         :: !acc
+    end
   done;
   !acc
-
-let mem t ~link ~backup = slot_on t ~link ~backup >= 0
 
 let count_on t ~link = (table t link).live
 
@@ -691,11 +808,13 @@ let max_requirement_victims t ~link =
   let tab = table t link in
   let out = ref [] in
   for s = 0 to tab.n - 1 do
-    let h = tab.hs.(s) in
-    if
-      h >= 0
-      && Float.abs (t.bws.(h) +. tab.pi_bws.(s) -. t.requirement.(link)) < 1e-9
-    then out := t.bids.(h) :: !out
+    let x = tab.hs.(s) in
+    if x >= 0 then begin
+      let h = handle_of x in
+      if
+        Float.abs (t.bws.(h) +. tab.pi_bws.(s) -. t.requirement.(link)) < 1e-9
+      then out := t.bids.(h) :: !out
+    end
   done;
   List.sort Int.compare !out
 
@@ -703,12 +822,14 @@ let max_requirement_victims t ~link =
 
 (* A probe holds a candidate that is on no link, so every question is the
    admission scan; its counts come from the domain's scratch and are
-   retaken only when another array or a newer index was counted since. *)
+   retaken only when another array or a newer index was counted since.
+   The candidate joins the floor's seen counts and ν when it is made. *)
 type probe = { pt : t; pinfo : backup_info }
 
 let probe t info =
   check_encodings t ~fn:"probe" info.primary_components;
   Sim.Prof.incr probe_count;
+  observe t ~nu:info.nu (Array.length info.primary_components);
   { pt = t; pinfo = info }
 
 let probe_required p ~link =

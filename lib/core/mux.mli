@@ -24,10 +24,11 @@
       indexed by a dense handle.  One engine-wide table maps a backup id
       to its handle.  A record is freed, and its handle reused, when the
       backup leaves its last link;
-    - each link's table keeps, per slot, only the backup's handle, its
-      |Π| and its Σbw(Π) on that link, three flat arrays with LIFO slot
-      reuse, so a scan walks the slots in order and reads each peer's ν,
-      bw, connection and entry from the store.  No per-link index maps
+    - each link's table keeps, per slot, only the backup's handle packed
+      with its primary's index entry in one int, its |Π| and its Σbw(Π)
+      on that link, three flat arrays with LIFO slot reuse, so a scan
+      walks the slots in order and reads a peer's ν, bw and connection
+      from the store only past the gate below.  No per-link index maps
       ids to slots: a backup is found on a link by scanning the link's
       handles, a walk of a few dozen ints that the register and
       unregister walks already outweigh;
@@ -46,15 +47,28 @@
       follows it reuses its counts on every link of the path.  A removal
       counts the victim's primary into a second scratch, and that count
       serves the backup's removal from every link of its path;
-    - S values are not cached: in a torus16 churn of 8 000 events
-      (CI's mux work counters) the counts walk 2.41 M index entries for
-      2.25 M S values, about one entry per S value where a scan used to
-      test each of the peer's ≈17 components.  The [(1-λ)^c] power table
-      is memoized per engine;
-    - each link's spare requirement is refreshed during the slot walk
-      that {!register} and {!unregister} already make to update each
-      slot's |Π| and Σbw(Π) (tables hold a few dozen entries, so no heap
-      beats this walk);
+    - every slot walk ({!register}, {!unregister}, the admission scan)
+      first reads the slot's shared count with the walk's backup from
+      its packed entry and skips a slot of another connection whose
+      count is below the engine's floor: the least shared count at which
+      any pair of component counts registered or probed so far reaches
+      S ≥ the least ν registered or probed so far, computed with the
+      walks' own expression.  No pair reaches ν below its own least
+      passing count, so a skipped slot is in Π in neither direction.
+      Same-connection slots are always tested.  The floor only falls,
+      when a new count or a smaller ν arrives, and a floor of 0 skips
+      nothing.  Slots past the gate get the exact S test, and S values
+      are not cached: in a torus16 churn of 8 000 events (CI's mux work
+      counters) the counts walk 2.41 M index entries, and the gate cuts
+      the S values computed from 2.25 M to 0.43 M.  The [(1-λ)^c] power
+      table is memoized per engine;
+    - each link's spare requirement is kept incrementally: {!register}
+      raises it only from the slots whose Σbw(Π) grew and from the new
+      slot, and {!unregister} rescans the table only when the victim's
+      contribution, or the old contribution of a slot that shrank,
+      equalled it.  Bandwidths are finite and non-negative, so Σbw(Π)
+      only grows on registration and only shrinks on removal, and as
+      max is exact both equal a rescan;
     - a per-link running Σbw feeds an O(1) ceiling
       ({!probe_upper_bound}) that lets admission fast-accept skip the
       exact scan on uncontended links.
@@ -78,11 +92,6 @@ val encode_path : Net.Topology.t -> Net.Path.t -> int array
     included, and every link), encoded as a sorted, duplicate-free array
     for fast intersection counting. *)
 
-val shared_count : int array -> int array -> int
-(** Intersection size of two sorted, duplicate-free encoded-component
-    arrays (reference two-pointer merge; the engine uses it only to count
-    a new index entry against the current candidate). *)
-
 type t
 
 val create : Net.Topology.t -> lambda:float -> t
@@ -102,9 +111,9 @@ val register : t -> link:int -> backup_info -> unit
     component array).  Once the backup has left every link, its id may
     come back with another record.
     @raise Invalid_argument if the backup id is already on the link, if
-    it is on another link with another record, or naming the first
-    encoding of its primary outside the index; the engine is left as it
-    was. *)
+    it is on another link with another record, if a new record's
+    bandwidth is negative, infinite or NaN, or naming the first encoding
+    of its primary outside the index; the engine is left as it was. *)
 
 val unregister : t -> link:int -> backup:int -> unit
 (** Remove; ids not on the link are ignored.  Removal from the last link
@@ -114,7 +123,6 @@ val spare_requirement : t -> link:int -> float
 (** Current spare bandwidth needed at the link (0 when no backups). *)
 
 val on_link : t -> link:int -> backup_info list
-val mem : t -> link:int -> backup:int -> bool
 val count_on : t -> link:int -> int
 
 val psi_size : t -> link:int -> backup:int -> int
@@ -139,7 +147,8 @@ val max_requirement_victims : t -> link:int -> int list
 type probe
 
 val probe : t -> backup_info -> probe
-(** @raise Invalid_argument naming the first encoding of the candidate's
+(** The candidate's component count and ν join the engine's floor.
+    @raise Invalid_argument naming the first encoding of the candidate's
     primary outside the index. *)
 
 val probe_required : probe -> link:int -> float

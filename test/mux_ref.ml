@@ -7,8 +7,27 @@
    [conflict_set]; the list functions also serve as a model for tests
    that track the expected table themselves. *)
 
+(* Intersection size of two sorted, duplicate-free encoded-component
+   arrays: a two-pointer merge, the reference for the engine's index
+   counts. *)
+let shared_count (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let rec go i j acc =
+    if i >= la || j >= lb then acc
+    else if a.(i) = b.(j) then go (i + 1) (j + 1) (acc + 1)
+    else if a.(i) < b.(j) then go (i + 1) j acc
+    else go i (j + 1) acc
+  in
+  go 0 0 0
+
+(* Is the backup registered on the link? *)
+let mem m ~link ~backup =
+  List.exists
+    (fun (e : Bcp.Mux.backup_info) -> e.backup = backup)
+    (Bcp.Mux.on_link m ~link)
+
 let s_naive ~lambda (a : Bcp.Mux.backup_info) (b : Bcp.Mux.backup_info) =
-  let sc = Bcp.Mux.shared_count a.primary_components b.primary_components in
+  let sc = shared_count a.primary_components b.primary_components in
   Reliability.Combinatorial.s_activation ~lambda
     ~c_i:(Array.length a.primary_components)
     ~c_j:(Array.length b.primary_components)

@@ -78,7 +78,7 @@ let test_establish_reserves_primary_and_spare () =
   List.iter
     (fun l ->
       Alcotest.(check bool) "registered" true
-        (Bcp.Mux.mem (Bcp.Netstate.mux ns) ~link:l ~backup:b.Bcp.Dconn.bid))
+        (Mux_ref.mem (Bcp.Netstate.mux ns) ~link:l ~backup:b.Bcp.Dconn.bid))
     (Net.Path.links b.Bcp.Dconn.path)
 
 let test_establish_hop_budget () =

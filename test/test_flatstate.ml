@@ -215,7 +215,7 @@ let check_index ns ~step =
           List.iter
             (fun link ->
               if standby then incr standby_entries;
-              if Bcp.Mux.mem mux ~link ~backup:b.Bcp.Dconn.bid <> standby then
+              if Mux_ref.mem mux ~link ~backup:b.Bcp.Dconn.bid <> standby then
                 QCheck.Test.fail_reportf
                   "step %d: backup %d (standby %b) in the mux on link %d: %b"
                   step b.Bcp.Dconn.bid standby link (not standby))
@@ -447,11 +447,12 @@ let prop_establish_remove_restores =
 
 (* ---------------- memory ---------------- *)
 
-(* The mux keeps one record per backup and, per link, only a handle, |Π|
-   and Σbw(Π) per slot: after the paper's all-pairs set-up on the 8×8
-   torus (18 480 backup-link registrations) it holds 14.7 words per
-   registration, where copying each backup's record into every link's
-   table took 26.2.  The ceiling leaves room for allocator slack only. *)
+(* The mux keeps one record per backup and, per link, only a handle
+   packed with its primary's index entry, |Π| and Σbw(Π) per slot: after
+   the paper's all-pairs set-up on the 8×8 torus (18 480 backup-link
+   registrations) it holds 14.7 words per registration, where copying
+   each backup's record into every link's table took 26.2.  The ceiling
+   leaves room for allocator slack only. *)
 let words_per_registration_ceiling = 16.0
 
 let test_mux_words_per_registration () =

