@@ -295,11 +295,6 @@ let achieved_pr ns conn =
     ~c_primary:(count conn.Dconn.primary.Rtchan.Channel.path)
     ~backups
 
-let establish_offered ns ~conn_id request =
-  match establish ns ~conn_id request with
-  | Error e -> Error e
-  | Ok conn -> Ok (conn, achieved_pr ns conn)
-
 let establish_with_reliability ?(max_backups = 3) ns ~conn_id ~src
     ~dst ~traffic ~qos ~pr_required =
   let lambda = Netstate.lambda ns in

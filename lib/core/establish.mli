@@ -16,7 +16,8 @@
 
     Two client interfaces are provided, mirroring Section 3.4:
     {!establish} (the "loose" scheme: the client fixes the backup count
-    and multiplexing degree; the achieved P_r is reported back) and
+    and multiplexing degree; {!achieved_pr} reports the resulting P_r
+    back, and the client may reject it with [Netstate.remove_dconn]) and
     {!establish_with_reliability} (the negotiated scheme: the client
     states a required P_r; BCP picks the largest multiplexing degree —
     and, if needed, extra backups — that satisfies it). *)
@@ -58,16 +59,6 @@ val establish :
 (** All-or-nothing: on any rejection the network state is rolled back.
     [reference] is passed on to every {!Routing.Shortest} search, so
     [~reference:true] routes the same paths without oracle pruning. *)
-
-val establish_offered :
-  Netstate.t ->
-  conn_id:int ->
-  request ->
-  (Dconn.t * float, reject) result
-(** Section 3.4's first scheme ("the client-specified P_r requirement is
-    met loosely"): establish with the requested configuration and report
-    the resulting P_r back; the client may accept, or reject by calling
-    [Netstate.remove_dconn]. *)
 
 val establish_with_reliability :
   ?max_backups:int ->

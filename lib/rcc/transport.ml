@@ -74,7 +74,7 @@ type t = {
   mutable dropped : int;
 }
 
-let create ?impair engine ~params ~link ~deliver =
+let create engine ~params ~link ~deliver =
   if params.s_max <= 0 then invalid_arg "Transport.create: s_max must be positive";
   if params.r_max <= 0.0 then invalid_arg "Transport.create: r_max must be positive";
   if params.d_max <= 0.0 then invalid_arg "Transport.create: d_max must be positive";
@@ -86,7 +86,7 @@ let create ?impair engine ~params ~link ~deliver =
     link;
     deliver;
     alive = true;
-    impair;
+    impair = None;
     sink = no_sink;
     queue = Queue.create ();
     pending = Hashtbl.create 8;

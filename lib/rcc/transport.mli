@@ -41,7 +41,6 @@ type impairment = dir:[ `Data | `Ack ] -> bytes:int -> now:float -> float list
 type t
 
 val create :
-  ?impair:impairment ->
   Sim.Engine.t ->
   params:params ->
   link:int ->

@@ -11,9 +11,10 @@
    (4096 nodes) it is 4096^2 * 2 bytes = 32 MiB that the GC never scans,
    and domains share it read-only without copies.  The whole matrix is
    built on first use, over the in-link CSR so the BFS reads only flat
-   int arrays, and memoised per topology in a small registry keyed by
-   physical equality plus the link count at build time, so a topology
-   mutated by [add_link] after an oracle was built gets a fresh one. *)
+   int arrays, and memoised per topology through [Sim.Memo], keyed by
+   physical equality and checked against the link count at build time:
+   an oracle lives no longer than its topology, and a topology mutated
+   by [add_link] after its oracle was built gets a fresh one. *)
 
 type matrix =
   (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -68,41 +69,12 @@ let build topo =
   done;
   { links_at_build = Net.Topology.num_links topo; stride = n; data }
 
-(* Registry: a handful of (topology, oracle) pairs behind an atomic so
-   lookups are lock-free; builds take [lock] and re-check, so concurrent
-   domains asking for the same topology build it once.  Capped so that
-   long-lived processes churning through topologies (the QCheck fuzzers)
-   do not accumulate 32 MiB matrices. *)
-let capacity = 8
-let registry : (Net.Topology.t * t) list Atomic.t = Atomic.make []
-let lock = Mutex.create ()
-
-let lookup topo =
-  let links = Net.Topology.num_links topo in
-  List.find_map
-    (fun (k, o) -> if k == topo && o.links_at_build = links then Some o else None)
-    (Atomic.get registry)
-
-let cached topo = Option.is_some (lookup topo)
+let memo : (Net.Topology.t, t) Sim.Memo.t = Sim.Memo.create ()
 
 let for_topo topo =
-  match lookup topo with
-  | Some o -> o
-  | None ->
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        match lookup topo with
-        | Some o -> o
-        | None ->
-          let o = build topo in
-          let keep =
-            List.filter (fun (k, _) -> not (k == topo)) (Atomic.get registry)
-          in
-          let keep = List.filteri (fun i _ -> i < capacity - 1) keep in
-          Atomic.set registry ((topo, o) :: keep);
-          o)
+  Sim.Memo.find_or_build memo topo
+    ~current:(fun o -> o.links_at_build = Net.Topology.num_links topo)
+    (fun () -> build topo)
 
 let for_topo_opt topo =
   if Net.Topology.num_nodes topo >= max_nodes then None

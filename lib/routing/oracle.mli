@@ -11,9 +11,10 @@
 type t
 
 val for_topo : Net.Topology.t -> t
-(** The oracle for this topology, building it on first use.  Memoised on
-    physical equality plus the link count at build time, so mutating the
-    topology with [add_link] invalidates the cached entry.  Topologies
+(** The oracle for this topology, building it on first use.  Memoised
+    through {!Sim.Memo} on physical equality plus the link count at build
+    time, so mutating the topology with [add_link] invalidates the cached
+    entry, and an oracle lives no longer than its topology.  Topologies
     with 65 535 nodes or more cannot be encoded in int16 distances.
     @raise Invalid_argument when [num_nodes >= 65535]. *)
 
@@ -23,9 +24,6 @@ val for_topo_opt : Net.Topology.t -> t option
 val warm : Net.Topology.t -> unit
 (** Force construction now (e.g. before timed or parallel phases) so the
     one-time build cost lands outside measured sections. *)
-
-val cached : Net.Topology.t -> bool
-(** Whether an oracle for this topology is already built (no build). *)
 
 val distance : t -> src:int -> dst:int -> int
 (** Unconstrained hop distance, [max_int] when unreachable.  O(1).

@@ -328,11 +328,11 @@ let test_offered_scheme () =
      reject the offer. *)
   let ns = ns44 () in
   match
-    Bcp.Establish.establish_offered ns ~conn_id:0
-      (request ~backups:1 ~mux_degree:3 0 5)
+    Bcp.Establish.establish ns ~conn_id:0 (request ~backups:1 ~mux_degree:3 0 5)
   with
   | Error e -> Alcotest.failf "offer failed: %a" Bcp.Establish.pp_reject e
-  | Ok (conn, offered) ->
+  | Ok conn ->
+    let offered = Bcp.Establish.achieved_pr ns conn in
     Alcotest.(check bool) "offer is a probability" true
       (offered > 0.0 && offered <= 1.0);
     Alcotest.(check (float 1e-15)) "offer = achieved"

@@ -77,9 +77,10 @@ let make_transport ?impair ?(params = Rcc.Transport.default_params) () =
   let engine = Sim.Engine.create () in
   let received = ref [] in
   let tr =
-    Rcc.Transport.create ?impair engine ~params ~link:0 ~deliver:(fun c ->
+    Rcc.Transport.create engine ~params ~link:0 ~deliver:(fun c ->
         received := c :: !received)
   in
+  Rcc.Transport.set_impairment tr impair;
   (engine, tr, received)
 
 let count_deliveries received ch =

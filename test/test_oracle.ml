@@ -46,13 +46,33 @@ let test_unreachable () =
   Alcotest.(check bool) "no reverse path" true
     (Routing.Oracle.distance o ~src:2 ~dst:0 = max_int)
 
+(* [f ()] and the number of [route.oracle_build] spans it ran. *)
+let with_builds f =
+  Sim.Prof.reset ();
+  Sim.Prof.enable ();
+  let x = Fun.protect ~finally:Sim.Prof.disable f in
+  let builds =
+    List.fold_left
+      (fun n (s : Sim.Prof.span_stat) ->
+        if s.name = "route.oracle_build" then n + s.count else n)
+      0 (Sim.Prof.report ()).Sim.Prof.spans
+  in
+  Sim.Prof.reset ();
+  (x, builds)
+
+(* Two live topologies looked up alternately keep one oracle each. *)
 let test_lazy_memoised () =
-  let t = torus44 () in
-  Alcotest.(check bool) "not built yet" false (Routing.Oracle.cached t);
-  let o1 = Routing.Oracle.for_topo t in
-  Alcotest.(check bool) "built now" true (Routing.Oracle.cached t);
-  let o2 = Routing.Oracle.for_topo t in
-  Alcotest.(check bool) "memoised (same matrix)" true (o1 == o2)
+  let a = torus44 () and b = torus44 () in
+  let same, builds =
+    with_builds (fun () ->
+        let oa = Routing.Oracle.for_topo a and ob = Routing.Oracle.for_topo b in
+        List.for_all
+          (fun _ ->
+            Routing.Oracle.for_topo a == oa && Routing.Oracle.for_topo b == ob)
+          [ 1; 2; 3 ])
+  in
+  Alcotest.(check bool) "memoised (same matrices)" true same;
+  Alcotest.(check int) "one build per topology" 2 builds
 
 let test_add_link_invalidates () =
   let t = Net.Topology.create ~num_nodes:3 in
@@ -61,10 +81,28 @@ let test_add_link_invalidates () =
   let o = Routing.Oracle.for_topo t in
   Alcotest.(check int) "chain" 2 (Routing.Oracle.distance o ~src:0 ~dst:2);
   ignore (Net.Topology.add_link t ~src:0 ~dst:2 ~capacity:1.0);
-  Alcotest.(check bool) "stale entry dropped" false (Routing.Oracle.cached t);
-  let o' = Routing.Oracle.for_topo t in
-  Alcotest.(check bool) "rebuilt" true (not (o == o'));
+  let (o', o''), builds =
+    with_builds (fun () ->
+        let o' = Routing.Oracle.for_topo t in
+        (o', Routing.Oracle.for_topo t))
+  in
+  Alcotest.(check int) "one rebuild" 1 builds;
+  Alcotest.(check bool) "rebuilt" true ((not (o == o')) && o' == o'');
   Alcotest.(check int) "shortcut seen" 1 (Routing.Oracle.distance o' ~src:0 ~dst:2)
+
+(* An oracle lives no longer than its topology: once the topology is
+   unreachable, major collections free its matrix. *)
+let test_dies_with_topology () =
+  let freed = ref false in
+  let[@inline never] look_up () =
+    let o = Routing.Oracle.for_topo (torus44 ()) in
+    Gc.finalise_last (fun () -> freed := true) (Routing.Oracle.raw o)
+  in
+  look_up ();
+  for _ = 1 to 4 do
+    Gc.full_major ()
+  done;
+  Alcotest.(check bool) "matrix finalised" true !freed
 
 let test_int16_guard () =
   let t = Net.Topology.create ~num_nodes:70_000 in
@@ -258,6 +296,8 @@ let () =
           Alcotest.test_case "lazy + memoised" `Quick test_lazy_memoised;
           Alcotest.test_case "add_link invalidates" `Quick
             test_add_link_invalidates;
+          Alcotest.test_case "dies with its topology" `Quick
+            test_dies_with_topology;
           Alcotest.test_case "int16 overflow guard" `Quick test_int16_guard;
           Alcotest.test_case "cross-domain sharing" `Quick
             test_cross_domain_sharing;

@@ -770,6 +770,62 @@ let test_memo_builds_once () =
   Alcotest.(check int) "a stale value is built again once" 2
     (Atomic.get builds)
 
+(* A memo over [ref] keys whose values count their builds. *)
+let counting_memo () =
+  let memo = Sim.Memo.create () and builds = ref 0 in
+  let get ?(current = fun _ -> true) key =
+    Sim.Memo.find_or_build memo key ~current (fun () ->
+        incr builds;
+        ref !key)
+  in
+  (get, builds)
+
+(* [f] gets a finaliser flag to attach to the values it makes; four full
+   majors later, whether those values were freed. *)
+let freed_after f =
+  let freed = ref false in
+  f (fun v -> Gc.finalise_last (fun () -> freed := true) v);
+  for _ = 1 to 4 do
+    Gc.full_major ()
+  done;
+  !freed
+
+let test_memo_live_keys_hit () =
+  let get, builds = counting_memo () in
+  let a = ref 1 and b = ref 2 in
+  let va = get a and vb = get b in
+  for _ = 1 to 3 do
+    Alcotest.(check bool) "a hits" true (get a == va);
+    Alcotest.(check bool) "b hits" true (get b == vb)
+  done;
+  Alcotest.(check int) "one build per key" 2 !builds
+
+let test_memo_dead_key_frees () =
+  let get, builds = counting_memo () in
+  let freed =
+    freed_after (fun watch ->
+        let[@inline never] look_up () = watch (get (ref 0)) in
+        look_up ())
+  in
+  Alcotest.(check bool) "value freed with its key" true freed;
+  (* The memo itself stays alive until here. *)
+  ignore (get (ref 1));
+  Alcotest.(check int) "one build per key" 2 !builds
+
+let test_memo_rebuild_replaces () =
+  let get, builds = counting_memo () in
+  let key = ref 0 in
+  let freed =
+    freed_after (fun watch ->
+        let[@inline never] first () = watch (get key) in
+        first ();
+        ignore (get ~current:(fun _ -> false) key))
+  in
+  Alcotest.(check bool) "stale value freed while its key lives" true freed;
+  Alcotest.(check int) "rebuilt once" 2 !builds;
+  ignore (get key);
+  Alcotest.(check int) "the new entry hits" 2 !builds
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -833,6 +889,11 @@ let () =
         [
           Alcotest.test_case "domains that miss together build once" `Quick
             test_memo_builds_once;
+          Alcotest.test_case "live keys all hit" `Quick test_memo_live_keys_hit;
+          Alcotest.test_case "a dead key frees its value" `Quick
+            test_memo_dead_key_frees;
+          Alcotest.test_case "a rebuild replaces its key's entry" `Quick
+            test_memo_rebuild_replaces;
         ] );
       ( "trace",
         [
