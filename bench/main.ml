@@ -256,15 +256,7 @@ let routing_micro runs =
           (fun i (r : Workload.Generator.request) ->
             let conn_id = 10_000_000 + i in
             match
-              Bcp.Establish.establish ~reference ns ~conn_id
-                {
-                  Bcp.Establish.src = r.Workload.Generator.src;
-                  dst = r.dst;
-                  traffic = r.traffic;
-                  qos = r.qos;
-                  backups = r.backups;
-                  mux_degree = r.mux_degree;
-                }
+              Bcp.Establish.establish ~reference ns ~conn_id r
             with
             | Ok conn ->
               let d = digest conn in

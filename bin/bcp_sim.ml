@@ -40,52 +40,72 @@ let network_arg =
            torus16 or mesh16 (large-network scaling tier), torus64 or \
            mesh64 (4096-node flat-state benchmark ladder).")
 
+(* Every numeric flag parses through [bounded]: an integer at or above a
+   floor ([int_from]) or a finite float in a range ([float_in], whose
+   lower bound is excluded with [~above]).  A malformed or out-of-range
+   value is a usage error (exit code 2) at parse time, before any set-up
+   runs; cmdliner prefixes the message with the option's name. *)
+let bounded read ok range s =
+  match read s with
+  | Some v when ok v -> Ok v
+  | Some _ -> Error (`Msg (Printf.sprintf "must be %s (got %s)" range s))
+  | None -> Error (`Msg (Printf.sprintf "invalid number %S" s))
+
+let int_from lo =
+  Arg.conv
+    ( bounded int_of_string_opt (fun n -> n >= lo) (Printf.sprintf ">= %d" lo),
+      Format.pp_print_int )
+
+let float_check ?(above = false) ?(hi = Float.infinity) lo =
+  bounded float_of_string_opt
+    (fun v ->
+      Float.is_finite v && (if above then v > lo else v >= lo) && v <= hi)
+    (Printf.sprintf "a finite number %s %g%s"
+       (if above then ">" else ">=")
+       lo
+       (if hi < Float.infinity then Printf.sprintf " and <= %g" hi else ""))
+
+let float_in ?above ?hi lo =
+  Arg.conv (float_check ?above ?hi lo, Format.pp_print_float)
+
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 let backups_arg =
   Arg.(
-    value & opt int 1
+    value
+    & opt (int_from 0) 1
     & info [ "backups"; "b" ] ~docv:"N" ~doc:"Backup channels per connection.")
 
 let double_sample_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_from 1)) None
     & info [ "double-sample" ] ~docv:"N"
         ~doc:"Sample N double-node scenarios instead of all pairs.")
+
+let scenarios_arg =
+  Arg.(
+    value
+    & opt (int_from 1) 16
+    & info [ "scenarios" ] ~docv:"N" ~doc:"Failure scenarios to simulate.")
 
 let csv_arg =
   Arg.(
     value & flag
     & info [ "csv" ] ~doc:"Emit the table as CSV instead of aligned text.")
 
-(* [--jobs 0] and negative values are rejected at parse time, so they
-   surface as a usage error (exit code 2), never a raw exception. *)
-let jobs_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "invalid job count %S" s))
-    | Some n when n < 1 ->
-      Error (`Msg (Printf.sprintf "--jobs must be >= 1 (got %d)" n))
-    | Some n -> Ok n
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let jobs_arg =
   Arg.(
-    value & opt jobs_conv 1
+    value
+    & opt (int_from 1) 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Run scenario sweeps on N domains. Reports are byte-identical \
            for every N.")
 
-let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Also write every emitted table to FILE as JSON.")
+let json_arg doc =
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 let prof_out_arg =
   Arg.(
@@ -150,7 +170,9 @@ let plain_ctx_term =
 let ctx_term =
   Term.(
     const (fun csv json ctx -> { ctx with csv; json })
-    $ csv_arg $ json_arg $ plain_ctx_term)
+    $ csv_arg
+    $ json_arg "Also write every emitted table to FILE as JSON."
+    $ plain_ctx_term)
 
 let emit ctx report =
   ctx.collected := report :: !(ctx.collected);
@@ -182,57 +204,21 @@ let finishing ctx body =
   prof_finish ctx.prof_out;
   result
 
-let scenario_count_arg =
-  Arg.(
-    value & opt int 16
-    & info [ "scenarios" ] ~docv:"N" ~doc:"Failure scenarios to simulate.")
-
-let run_fig9 ctx network backups seed =
-  let series = Eval.Spare_bw.run ~seed network ~backups in
-  emit ctx (Eval.Spare_bw.report network ~backups series)
-
-let fig9_cmd =
-  let doc = "Figure 9: spare bandwidth vs network load." in
-  Cmd.v
-    (Cmd.info "fig9" ~doc)
+(* Every table command: [body] takes the command's own flags and returns
+   what to run on the output context, which adds --csv, --json, --jobs
+   and --prof-out and is flushed after the body. *)
+let table_cmd name ~doc body =
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const (fun ctx n b s -> finishing ctx (fun () -> run_fig9 ctx n b s))
-      $ ctx_term $ network_arg $ backups_arg $ seed_arg)
+      const (fun ctx body -> finishing ctx (fun () -> body ctx))
+      $ ctx_term $ body)
 
-let run_table1 ctx network backups seed double_sample =
-  emit ctx (Eval.Rfast.table_same_degree ~seed ?double_sample network ~backups)
-
-let table1_cmd =
-  let doc = "Table 1: R_fast with uniform multiplexing degrees." in
-  Cmd.v
-    (Cmd.info "table1" ~doc)
+(* A table command whose one table depends on the network and seed only. *)
+let network_table name ~doc table =
+  table_cmd name ~doc
     Term.(
-      const (fun ctx n b s d ->
-          finishing ctx (fun () -> run_table1 ctx n b s d))
-      $ ctx_term $ network_arg $ backups_arg $ seed_arg $ double_sample_arg)
-
-let run_table2 ctx network backups seed double_sample =
-  emit ctx (Eval.Rfast.table_mixed_degrees ~seed ?double_sample network ~backups)
-
-let table2_cmd =
-  let doc = "Table 2: R_fast with mixed multiplexing degrees." in
-  Cmd.v
-    (Cmd.info "table2" ~doc)
-    Term.(
-      const (fun ctx n b s d ->
-          finishing ctx (fun () -> run_table2 ctx n b s d))
-      $ ctx_term $ network_arg $ backups_arg $ seed_arg $ double_sample_arg)
-
-let run_table3 ctx network seed double_sample =
-  emit ctx (Eval.Rfast.table_brute_force ~seed ?double_sample network)
-
-let table3_cmd =
-  let doc = "Table 3: R_fast with brute-force multiplexing." in
-  Cmd.v
-    (Cmd.info "table3" ~doc)
-    Term.(
-      const (fun ctx n s d -> finishing ctx (fun () -> run_table3 ctx n s d))
-      $ ctx_term $ network_arg $ seed_arg $ double_sample_arg)
+      const (fun network seed ctx -> emit ctx (table ~seed network))
+      $ network_arg $ seed_arg)
 
 let metrics_arg =
   Arg.(
@@ -261,8 +247,6 @@ type obs = {
   show_metrics : bool;
   trace_out : string option;
 }
-
-let no_obs = { collector = None; show_metrics = false; trace_out = None }
 
 let obs_term =
   Term.(
@@ -312,152 +296,153 @@ let finish_obs ctx obs =
         obs.trace_out)
     obs.collector
 
-let run_delay ?(obs = no_obs) ctx network backups seed scenarios =
-  let est =
-    Eval.Setup.build ?obs:obs.collector ~seed ~backups ~mux_degree:3 network
-  in
-  Printf.printf "established %d connections (rejected %d), spare %.2f%%\n\n"
-    est.Eval.Setup.established est.Eval.Setup.rejected est.Eval.Setup.spare;
-  let stats =
-    Eval.Recovery_delay.measure ?obs:obs.collector ~seed
-      ~scenario_count:scenarios est.Eval.Setup.ns
-  in
-  emit ctx (Eval.Recovery_delay.report [ stats ]);
-  finish_obs ctx obs
+let fig9_cmd =
+  table_cmd "fig9" ~doc:"Figure 9: spare bandwidth vs network load."
+    Term.(
+      const (fun network backups seed ctx ->
+          let series = Eval.Spare_bw.run ~seed network ~backups in
+          emit ctx (Eval.Spare_bw.report network ~backups series))
+      $ network_arg $ backups_arg $ seed_arg)
+
+let table1_cmd =
+  table_cmd "table1" ~doc:"Table 1: R_fast with uniform multiplexing degrees."
+    Term.(
+      const (fun network backups seed double_sample ctx ->
+          emit ctx
+            (Eval.Rfast.table_same_degree ~seed ?double_sample network ~backups))
+      $ network_arg $ backups_arg $ seed_arg $ double_sample_arg)
+
+let table2_cmd =
+  table_cmd "table2" ~doc:"Table 2: R_fast with mixed multiplexing degrees."
+    Term.(
+      const (fun network backups seed double_sample ctx ->
+          emit ctx
+            (Eval.Rfast.table_mixed_degrees ~seed ?double_sample network
+               ~backups))
+      $ network_arg $ backups_arg $ seed_arg $ double_sample_arg)
+
+let table3_cmd =
+  table_cmd "table3" ~doc:"Table 3: R_fast with brute-force multiplexing."
+    Term.(
+      const (fun network seed double_sample ctx ->
+          emit ctx (Eval.Rfast.table_brute_force ~seed ?double_sample network))
+      $ network_arg $ seed_arg $ double_sample_arg)
+
+(* [delay] is [recovery] without its telemetry flags. *)
+let delay_term obs =
+  Term.(
+    const (fun obs network backups seed scenarios ctx ->
+        let est =
+          Eval.Setup.build ?obs:obs.collector ~seed ~backups ~mux_degree:3
+            network
+        in
+        Printf.printf
+          "established %d connections (rejected %d), spare %.2f%%\n\n"
+          est.Eval.Setup.established est.Eval.Setup.rejected
+          est.Eval.Setup.spare;
+        let stats =
+          Eval.Recovery_delay.measure ?obs:obs.collector ~seed
+            ~scenario_count:scenarios est.Eval.Setup.ns
+        in
+        emit ctx (Eval.Recovery_delay.report [ stats ]);
+        finish_obs ctx obs)
+    $ obs $ network_arg $ backups_arg $ seed_arg $ scenarios_arg)
 
 let delay_cmd =
-  let doc = "Section 5.3: measured recovery delay vs the analytic bound." in
-  Cmd.v
-    (Cmd.info "delay" ~doc)
-    Term.(
-      const (fun ctx n b s sc ->
-          finishing ctx (fun () -> run_delay ctx n b s sc))
-      $ ctx_term $ network_arg $ backups_arg $ seed_arg $ scenario_count_arg)
+  table_cmd "delay"
+    ~doc:"Section 5.3: measured recovery delay vs the analytic bound."
+    (delay_term
+       (Term.const { collector = None; show_metrics = false; trace_out = None }))
 
 let recovery_cmd =
-  let doc =
-    "Recovery sweep with typed telemetry: phase breakdown \
-     (detect/report/activate/switch), metrics registry, and JSONL / Chrome \
-     trace export. Without --metrics or --trace-out this is identical to \
-     $(b,delay)."
-  in
-  Cmd.v
-    (Cmd.info "recovery" ~doc)
-    Term.(
-      const (fun ctx obs n b s sc ->
-          finishing ctx (fun () -> run_delay ~obs ctx n b s sc))
-      $ ctx_term $ obs_term $ network_arg $ backups_arg $ seed_arg
-      $ scenario_count_arg)
-
-let run_schemes ctx network seed scenarios =
-  let est = Eval.Setup.build ~seed ~backups:1 ~mux_degree:3 network in
-  emit ctx
-    (Eval.Recovery_delay.compare_schemes ~seed ~scenario_count:scenarios
-       est.Eval.Setup.ns);
-  emit ctx (Eval.Ablations.scheme_coverage ~seed est.Eval.Setup.ns)
+  table_cmd "recovery"
+    ~doc:
+      "Recovery sweep with typed telemetry: phase breakdown \
+       (detect/report/activate/switch), metrics registry, and JSONL / Chrome \
+       trace export. Without --metrics or --trace-out this is identical to \
+       $(b,delay)."
+    (delay_term obs_term)
 
 let schemes_cmd =
-  let doc = "Section 4.2: compare channel-switching Schemes 1, 2 and 3." in
-  Cmd.v
-    (Cmd.info "schemes" ~doc)
+  table_cmd "schemes"
+    ~doc:"Section 4.2: compare channel-switching Schemes 1, 2 and 3."
     Term.(
-      const (fun ctx n s sc -> finishing ctx (fun () -> run_schemes ctx n s sc))
-      $ ctx_term $ network_arg $ seed_arg $ scenario_count_arg)
-
-let run_priority ctx network seed =
-  emit ctx (Eval.Ablations.priority_activation ~seed network)
+      const (fun network seed scenarios ctx ->
+          let est = Eval.Setup.build ~seed ~backups:1 ~mux_degree:3 network in
+          emit ctx
+            (Eval.Recovery_delay.compare_schemes ~seed
+               ~scenario_count:scenarios est.Eval.Setup.ns);
+          emit ctx (Eval.Ablations.scheme_coverage ~seed est.Eval.Setup.ns))
+      $ network_arg $ seed_arg $ scenarios_arg)
 
 let priority_cmd =
-  let doc = "Section 4.3: priority-based activation under contention." in
-  Cmd.v
-    (Cmd.info "priority" ~doc)
-    Term.(
-      const (fun ctx n s -> finishing ctx (fun () -> run_priority ctx n s))
-      $ ctx_term $ network_arg $ seed_arg)
-
-let run_hotspot ctx network seed =
-  emit ctx (Eval.Ablations.inhomogeneous ~seed network)
+  network_table "priority"
+    ~doc:"Section 4.3: priority-based activation under contention."
+    (fun ~seed network -> Eval.Ablations.priority_activation ~seed network)
 
 let hotspot_cmd =
-  let doc = "Section 7.1/7.4: hot-spot traffic, proposed vs brute-force." in
-  Cmd.v
-    (Cmd.info "hotspot" ~doc)
-    Term.(
-      const (fun ctx n s -> finishing ctx (fun () -> run_hotspot ctx n s))
-      $ ctx_term $ network_arg $ seed_arg)
-
-let run_routing ctx network seed =
-  emit ctx (Eval.Ablations.backup_routing ~seed network)
+  network_table "hotspot"
+    ~doc:"Section 7.1/7.4: hot-spot traffic, proposed vs brute-force."
+    (fun ~seed network -> Eval.Ablations.inhomogeneous ~seed network)
 
 let routing_cmd =
-  let doc = "Extension: spare-increment-minimising backup routing [HAN97b]." in
-  Cmd.v
-    (Cmd.info "routing" ~doc)
-    Term.(
-      const (fun ctx n s -> finishing ctx (fun () -> run_routing ctx n s))
-      $ ctx_term $ network_arg $ seed_arg)
-
-let run_fig8 ctx network seed =
-  emit ctx (Eval.Message_loss.report (Eval.Message_loss.run ~seed network))
+  network_table "routing"
+    ~doc:"Extension: spare-increment-minimising backup routing [HAN97b]."
+    (fun ~seed network -> Eval.Ablations.backup_routing ~seed network)
 
 let fig8_cmd =
-  let doc = "Figure 8: message loss during failure recovery (data plane)." in
-  Cmd.v
-    (Cmd.info "fig8" ~doc)
-    Term.(
-      const (fun ctx n s -> finishing ctx (fun () -> run_fig8 ctx n s))
-      $ ctx_term $ network_arg $ seed_arg)
-
-let run_sensitivity ctx network seed =
-  emit ctx (Eval.Sensitivity.traffic ~seed network);
-  emit ctx (Eval.Sensitivity.topology ~seed ());
-  let est = Eval.Setup.build ~seed ~backups:1 ~mux_degree:3 network in
-  emit ctx
-    (Eval.Sensitivity.s_max_audit est.Eval.Setup.ns Rcc.Transport.default_params)
+  network_table "fig8"
+    ~doc:"Figure 8: message loss during failure recovery (data plane)."
+    (fun ~seed network ->
+      Eval.Message_loss.report (Eval.Message_loss.run ~seed network))
 
 let sensitivity_cmd =
-  let doc = "Section 7.1: traffic/topology sensitivity + S_max audit." in
-  Cmd.v
-    (Cmd.info "sensitivity" ~doc)
+  table_cmd "sensitivity"
+    ~doc:"Section 7.1: traffic/topology sensitivity + S_max audit."
     Term.(
-      const (fun ctx n s -> finishing ctx (fun () -> run_sensitivity ctx n s))
-      $ ctx_term $ network_arg $ seed_arg)
-
-let run_baseline ctx network seed double_sample =
-  let ds = Option.value ~default:300 double_sample in
-  emit ctx
-    (Eval.Baselines.report network
-       (Eval.Baselines.compare ~seed ~double_sample:ds network))
+      const (fun network seed ctx ->
+          emit ctx (Eval.Sensitivity.traffic ~seed network);
+          emit ctx (Eval.Sensitivity.topology ~seed ());
+          let est = Eval.Setup.build ~seed ~backups:1 ~mux_degree:3 network in
+          emit ctx
+            (Eval.Sensitivity.s_max_audit est.Eval.Setup.ns
+               Rcc.Transport.default_params))
+      $ network_arg $ seed_arg)
 
 let baseline_cmd =
-  let doc = "Section 8: BCP vs reactive re-establishment [BAN93]." in
-  Cmd.v
-    (Cmd.info "baseline" ~doc)
+  table_cmd "baseline" ~doc:"Section 8: BCP vs reactive re-establishment [BAN93]."
     Term.(
-      const (fun ctx n s d -> finishing ctx (fun () -> run_baseline ctx n s d))
-      $ ctx_term $ network_arg $ seed_arg $ double_sample_arg)
-
-let run_multi ?(obs = no_obs) ctx network seed =
-  (* The analytic engine has no event stream, so observing switches the
-     sweep to the event-driven simulator. *)
-  (match obs.collector with
-  | None -> emit ctx (Eval.Multi_failure.sweep ~seed network)
-  | Some c -> emit ctx (Eval.Multi_failure.simulate ~obs:c ~seed network));
-  finish_obs ctx obs
+      const (fun network seed double_sample ctx ->
+          let double_sample = Option.value ~default:300 double_sample in
+          emit ctx
+            (Eval.Baselines.report network
+               (Eval.Baselines.compare ~seed ~double_sample network)))
+      $ network_arg $ seed_arg $ double_sample_arg)
 
 let multi_cmd =
-  let doc =
-    "Extension: R_fast under k simultaneous link failures. With --metrics \
-     or --trace-out the sweep switches to the event-driven simulator \
-     (single configuration, reduced k ladder) so burst-failure traces \
-     exist for auditing."
-  in
-  Cmd.v
-    (Cmd.info "multi" ~doc)
+  table_cmd "multi"
+    ~doc:
+      "Extension: R_fast under k simultaneous link failures. With --metrics \
+       or --trace-out the sweep switches to the event-driven simulator \
+       (single configuration, reduced k ladder) so burst-failure traces \
+       exist for auditing."
     Term.(
-      const (fun ctx obs n s ->
-          finishing ctx (fun () -> run_multi ~obs ctx n s))
-      $ ctx_term $ obs_term $ network_arg $ seed_arg)
+      const (fun obs network seed ctx ->
+          (* The analytic engine has no event stream, so observing
+             switches the sweep to the event-driven simulator. *)
+          (match obs.collector with
+          | None -> emit ctx (Eval.Multi_failure.sweep ~seed network)
+          | Some c ->
+            emit ctx (Eval.Multi_failure.simulate ~obs:c ~seed network));
+          finish_obs ctx obs)
+      $ obs_term $ network_arg $ seed_arg)
+
+let markov_cmd =
+  table_cmd "markov"
+    ~doc:"Figure 3: Markov reliability models vs the combinatorial P_r."
+    (Term.const (fun ctx ->
+         let rows = Eval.Reliability_cmp.compute ~hops:[ 1; 2; 4; 7; 10; 14 ] in
+         emit ctx (Eval.Reliability_cmp.report rows)))
 
 let detector_conv =
   let parse = function
@@ -478,19 +463,10 @@ let detector_arg =
     & info [ "detector" ] ~docv:"DET"
         ~doc:"Failure detector: oracle or heartbeat.")
 
-let rate_conv what =
-  let parse s =
-    match float_of_string_opt s with
-    | Some p when p >= 0.0 && p <= 1.0 -> Ok p
-    | Some _ -> Error (`Msg (Printf.sprintf "%s must be in [0, 1]" what))
-    | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
-
 let loss_arg =
   Arg.(
     value
-    & opt (some (rate_conv "loss rate")) None
+    & opt (some (float_in ~hi:1.0 0.0)) None
     & info [ "loss" ] ~docv:"P"
         ~doc:"Run a single impairment level with this loss rate instead of \
               the default ladder.")
@@ -498,23 +474,14 @@ let loss_arg =
 let gray_arg =
   Arg.(
     value
-    & opt (rate_conv "gray fraction") 0.0
+    & opt (float_in ~hi:1.0 0.0) 0.0
     & info [ "gray" ] ~docv:"F"
         ~doc:"Gray-failure link fraction for the single level (with --loss).")
-
-let horizon_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when v > 0.0 && Float.is_finite v -> Ok v
-    | Some _ -> Error (`Msg "--horizon must be > 0 seconds")
-    | None -> Error (`Msg (Printf.sprintf "invalid horizon %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
 
 let horizon_arg =
   Arg.(
     value
-    & opt (some horizon_conv) None
+    & opt (some (float_in ~above:true 0.0)) None
     & info [ "horizon" ] ~docv:"SEC" ~doc:"Simulated time past each fault.")
 
 let chaos_levels loss gray =
@@ -523,26 +490,22 @@ let chaos_levels loss gray =
   | Some p ->
     Some [ Eval.Chaos.level p ~dup:(p /. 2.0) ~jitter:5e-4 ~gray_frac:gray ]
 
-let run_chaos ctx obs network seed scenarios detector loss gray horizon =
-  emit ctx
-    (Eval.Chaos.sweep ?obs:obs.collector ~seed ~scenario_count:scenarios
-       ?horizon ~detector ?levels:(chaos_levels loss gray) network);
-  finish_obs ctx obs
-
 let chaos_cmd =
-  let doc =
-    "Chaos sweep: R_fast, disruption time and RCC overhead vs control-plane \
-     impairment (loss/dup/jitter/gray links), with oracle or heartbeat \
-     failure detection. --metrics and --trace-out export the typed \
-     telemetry of every simulated scenario."
-  in
-  Cmd.v
-    (Cmd.info "chaos" ~doc)
+  table_cmd "chaos"
+    ~doc:
+      "Chaos sweep: R_fast, disruption time and RCC overhead vs control-plane \
+       impairment (loss/dup/jitter/gray links), with oracle or heartbeat \
+       failure detection. --metrics and --trace-out export the typed \
+       telemetry of every simulated scenario."
     Term.(
-      const (fun ctx obs n s sc d l g h ->
-          finishing ctx (fun () -> run_chaos ctx obs n s sc d l g h))
-      $ ctx_term $ obs_term $ network_arg $ seed_arg $ scenario_count_arg
-      $ detector_arg $ loss_arg $ gray_arg $ horizon_arg)
+      const (fun obs network seed scenarios detector loss gray horizon ctx ->
+          emit ctx
+            (Eval.Chaos.sweep ?obs:obs.collector ~seed
+               ~scenario_count:scenarios ?horizon ~detector
+               ?levels:(chaos_levels loss gray) network);
+          finish_obs ctx obs)
+      $ obs_term $ network_arg $ seed_arg $ scenarios_arg $ detector_arg
+      $ loss_arg $ gray_arg $ horizon_arg)
 
 (* ---------- audit ---------- *)
 
@@ -592,13 +555,6 @@ let trace_in_arg =
         ~doc:
           "Replay this trace file (JSONL or Chrome trace_event, as \
            written by --trace-out) instead of running a live sweep.")
-
-let audit_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Write the audit result to FILE (schema bcp-audit/v1).")
 
 (* Resolve link=A-B against the topology: both directed links count. *)
 let resolve_filters network filters =
@@ -684,40 +640,22 @@ let audit_cmd =
             finishing ctx (fun () -> run_audit n s sc d l g tr f j)
           in
           if result.Eval.Audit.total_violations > 0 then Stdlib.exit 1)
-      $ plain_ctx_term $ network_arg $ seed_arg $ scenario_count_arg
+      $ plain_ctx_term $ network_arg $ seed_arg $ scenarios_arg
       $ detector_arg $ loss_arg $ gray_arg $ trace_in_arg $ filter_arg
-      $ audit_json_arg)
+      $ json_arg "Write the audit result to FILE (schema bcp-audit/v1).")
 
 (* ---------- swarm ---------- *)
-
-let positive_int_conv what =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%s must be >= 1 (got %d)" what n))
-    | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let budget_arg =
   Arg.(
     value
-    & opt (positive_int_conv "--budget") 64
+    & opt (int_from 1) 64
     & info [ "budget" ] ~docv:"N" ~doc:"Number of scenarios to execute.")
-
-let wall_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when v > 0.0 -> Ok v
-    | Some _ -> Error (`Msg "--wall must be > 0 seconds")
-    | None -> Error (`Msg (Printf.sprintf "invalid wall-clock budget %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
 
 let wall_arg =
   Arg.(
     value
-    & opt (some wall_conv) None
+    & opt (some (float_in ~above:true 0.0)) None
     & info [ "wall" ] ~docv:"SECS"
         ~doc:
           "Stop starting new scenario batches after SECS wall-clock seconds \
@@ -748,7 +686,7 @@ let strategy_arg =
 let max_faults_arg =
   Arg.(
     value
-    & opt (positive_int_conv "--max-faults") 3
+    & opt (int_from 1) 3
     & info [ "max-faults" ] ~docv:"N"
         ~doc:"Maximum staged component faults per plan.")
 
@@ -760,13 +698,6 @@ let artifact_dir_arg =
         ~doc:
           "Write one replayable bcp-audit/v1 artifact per violation into \
            DIR (created if missing).")
-
-let swarm_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Write the swarm summary to FILE (schema bcp-swarm/v1).")
 
 let run_swarm ctx obs network seed budget wall strategy detector max_faults
     horizon json_out artifact_dir =
@@ -830,25 +761,26 @@ let swarm_cmd =
           if report.Eval.Swarm.violations <> [] then Stdlib.exit 1)
       $ plain_ctx_term $ obs_term $ network_arg $ seed_arg $ budget_arg
       $ wall_arg $ strategy_arg $ detector_arg $ max_faults_arg $ horizon_arg
-      $ swarm_json_arg $ artifact_dir_arg)
+      $ json_arg "Write the swarm summary to FILE (schema bcp-swarm/v1)."
+      $ artifact_dir_arg)
 
 (* ---------- churn ---------- *)
 
 let offered_conv =
+  let level = float_check ~above:true 0.0 in
   let parse s =
-    let parts = String.split_on_char ',' s in
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | p :: rest -> (
-        match float_of_string_opt (String.trim p) with
-        | Some v when v > 0.0 && Float.is_finite v -> go (v :: acc) rest
-        | _ ->
+        match level (String.trim p) with
+        | Ok v -> go (v :: acc) rest
+        | Error _ ->
           Error
             (`Msg
               (Printf.sprintf
                  "invalid offered load %S (expected positive Erlangs/node)" p)))
     in
-    match parts with
+    match String.split_on_char ',' s with
     | [] | [ "" ] -> Error (`Msg "empty offered-load ladder")
     | parts -> go [] parts
   in
@@ -870,45 +802,27 @@ let offered_arg =
 let events_arg =
   Arg.(
     value
-    & opt (positive_int_conv "--events") 20_000
+    & opt (int_from 1) 20_000
     & info [ "events" ] ~docv:"N"
         ~doc:"Connection-lifecycle events to drive per cell.")
-
-let positive_float_conv what =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when v > 0.0 && Float.is_finite v -> Ok v
-    | Some _ -> Error (`Msg (Printf.sprintf "%s must be > 0" what))
-    | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
 
 let holding_arg =
   Arg.(
     value
-    & opt (positive_float_conv "--holding") 50.0
+    & opt (float_in ~above:true 0.0) 50.0
     & info [ "holding" ] ~docv:"SEC"
         ~doc:"Mean exponential holding time, sim seconds.")
 
 let churn_bandwidth_arg =
   Arg.(
     value
-    & opt (positive_float_conv "--bandwidth") 1.0
+    & opt (float_in ~above:true 0.0) 1.0
     & info [ "bandwidth" ] ~docv:"MBPS" ~doc:"Per-connection bandwidth.")
-
-let fault_every_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when v >= 0.0 && Float.is_finite v -> Ok v
-    | Some _ -> Error (`Msg "--fault-every must be >= 0 (0 disables faults)")
-    | None -> Error (`Msg (Printf.sprintf "invalid fault interval %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
 
 let fault_every_arg =
   Arg.(
     value
-    & opt fault_every_conv 0.0
+    & opt (float_in 0.0) 0.0
     & info [ "fault-every" ] ~docv:"SEC"
         ~doc:
           "Run a transient single-link fault episode every SEC sim seconds \
@@ -917,34 +831,18 @@ let fault_every_arg =
 let windows_arg =
   Arg.(
     value
-    & opt (positive_int_conv "--windows") 8
+    & opt (int_from 1) 8
     & info [ "windows" ] ~docv:"N"
         ~doc:"Time windows per cell in the pressure breakdown.")
-
-let max_blocking_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when v >= 0.0 && v <= 100.0 -> Ok v
-    | Some _ -> Error (`Msg "--max-blocking must be a percentage in [0, 100]")
-    | None -> Error (`Msg (Printf.sprintf "invalid blocking bound %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
 
 let max_blocking_arg =
   Arg.(
     value
-    & opt (some max_blocking_conv) None
+    & opt (some (float_in ~hi:100.0 0.0)) None
     & info [ "max-blocking" ] ~docv:"PCT"
         ~doc:
           "Fail (exit 1) if any cell's blocking probability exceeds PCT \
            percent.")
-
-let churn_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Write the churn summary to FILE (schema bcp-churn/v1).")
 
 let run_churn ctx obs network seed events offered holding bandwidth backups
     fault_every horizon windows detector json_out =
@@ -1026,53 +924,8 @@ let churn_cmd =
       $ plain_ctx_term $ obs_term $ network_arg $ seed_arg $ events_arg
       $ offered_arg $ holding_arg $ churn_bandwidth_arg $ backups_arg
       $ fault_every_arg $ horizon_arg $ windows_arg $ detector_arg
-      $ max_blocking_arg $ churn_json_arg)
-
-let run_markov ctx () =
-  let rows = Eval.Reliability_cmp.compute ~hops:[ 1; 2; 4; 7; 10; 14 ] in
-  emit ctx (Eval.Reliability_cmp.report rows)
-
-let markov_cmd =
-  let doc = "Figure 3: Markov reliability models vs the combinatorial P_r." in
-  Cmd.v
-    (Cmd.info "markov" ~doc)
-    Term.(
-      const (fun ctx -> finishing ctx (fun () -> run_markov ctx ()))
-      $ ctx_term)
-
-let run_all ctx seed double_sample =
-  let ds = match double_sample with None -> Some 300 | some -> some in
-  List.iter
-    (fun network ->
-      run_fig9 ctx network 1 seed;
-      run_table1 ctx network 1 seed ds;
-      (match network with
-      | Eval.Setup.Torus8 -> run_table1 ctx network 2 seed ds
-      | _ -> ());
-      run_table2 ctx network 1 seed ds;
-      (match network with
-      | Eval.Setup.Torus8 -> run_table2 ctx network 2 seed ds
-      | _ -> ());
-      run_table3 ctx network seed ds)
-    [ Eval.Setup.Torus8; Eval.Setup.Mesh8 ];
-  run_delay ctx Eval.Setup.Torus8 1 seed 16;
-  run_schemes ctx Eval.Setup.Torus8 seed 8;
-  run_priority ctx Eval.Setup.Torus8 seed;
-  run_hotspot ctx Eval.Setup.Torus8 seed;
-  run_routing ctx Eval.Setup.Torus8 seed;
-  run_fig8 ctx Eval.Setup.Torus8 seed;
-  run_sensitivity ctx Eval.Setup.Torus8 seed;
-  run_baseline ctx Eval.Setup.Torus8 seed double_sample;
-  run_multi ctx Eval.Setup.Torus8 seed;
-  run_markov ctx ()
-
-let all_cmd =
-  let doc = "Run the complete evaluation (every table and figure)." in
-  Cmd.v
-    (Cmd.info "all" ~doc)
-    Term.(
-      const (fun ctx s d -> finishing ctx (fun () -> run_all ctx s d))
-      $ ctx_term $ seed_arg $ double_sample_arg)
+      $ max_blocking_arg
+      $ json_arg "Write the churn summary to FILE (schema bcp-churn/v1).")
 
 let () =
   let doc =
@@ -1080,8 +933,8 @@ let () =
      from Component Failures in Multi-hop Networks' (Han & Shin, SIGCOMM '97)"
   in
   let info = Cmd.info "bcp_sim" ~version:"1.0.0" ~doc in
-  (* Usage errors (unknown flags, malformed option values such as
-     [--jobs 0]) exit with code 2. *)
+  (* Usage errors (unknown flags, malformed or out-of-range option values
+     such as [--jobs 0]) exit with code 2. *)
   let code =
     Cmd.eval ~term_err:2
       (Cmd.group info
@@ -1105,7 +958,6 @@ let () =
             audit_cmd;
             swarm_cmd;
             churn_cmd;
-            all_cmd;
           ])
   in
   exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -16,17 +16,7 @@ let () =
   let established = ref 0 in
   List.iteri
     (fun i (r : Workload.Generator.request) ->
-      let request =
-        {
-          Bcp.Establish.src = r.Workload.Generator.src;
-          dst = r.Workload.Generator.dst;
-          traffic = r.traffic;
-          qos = r.qos;
-          backups = 1;
-          mux_degree = 3;
-        }
-      in
-      match Bcp.Establish.establish ns ~conn_id:i request with
+      match Bcp.Establish.establish ns ~conn_id:i { r with mux_degree = 3 } with
       | Ok _ -> incr established
       | Error _ -> ())
     (Workload.Generator.random_pairs rng topo ~count:300);

@@ -20,14 +20,7 @@ let () =
     (fun i (r : Workload.Generator.request) ->
       ignore
         (Bcp.Establish.establish ns ~conn_id:(1000 + i)
-           {
-             Bcp.Establish.src = r.Workload.Generator.src;
-             dst = r.Workload.Generator.dst;
-             traffic = r.traffic;
-             qos = r.qos;
-             backups = 1;
-             mux_degree = 5;
-           }))
+           { r with mux_degree = 5 }))
     (Workload.Generator.random_pairs rng topo ~count:250);
   printf "background: load %.2f%%, spare %.2f%%@.@."
     (Bcp.Netstate.network_load ns)

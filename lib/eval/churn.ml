@@ -63,16 +63,6 @@ let mux_pressure ns =
   done;
   (!total, !widest, !min_free)
 
-let establish_request_of (r : Workload.Generator.request) =
-  {
-    Bcp.Establish.src = r.Workload.Generator.src;
-    dst = r.dst;
-    traffic = r.traffic;
-    qos = r.qos;
-    backups = r.backups;
-    mux_degree = r.mux_degree;
-  }
-
 (* One offered-load cell: an independent netstate driven through [events]
    lifecycle events, with a transient single-link fault episode every
    [fault_every] sim seconds (0 = none).  Fully self-contained (own
@@ -214,9 +204,7 @@ let run_cell ~obs ~seed ~events ~fault_every ~horizon ~detector ~windows
       incr arrivals;
       incr w_arr;
       life Sim.Event.Arrive conn;
-      match Bcp.Establish.establish ns ~conn_id:conn
-              (establish_request_of request)
-      with
+      match Bcp.Establish.establish ns ~conn_id:conn request with
       | Ok _ ->
         incr admitted;
         Workload.Churn.admit driver ~conn;

@@ -64,16 +64,6 @@ let establish_all ?backup_routing ?(progress_every = 250) ?on_progress ns
   (* Deterministic lowest-link-id tie-breaking matches the paper's plain
      sequential shortest-path routing and its reported spare levels. *)
   let established = ref 0 and rejected = ref 0 in
-  let to_req (r : Workload.Generator.request) =
-    {
-      Bcp.Establish.src = r.Workload.Generator.src;
-      dst = r.dst;
-      traffic = r.traffic;
-      qos = r.qos;
-      backups = r.backups;
-      mux_degree = r.mux_degree;
-    }
-  in
   let note i outcome =
     (match outcome with
     | Ok _ -> incr established
@@ -92,7 +82,7 @@ let establish_all ?backup_routing ?(progress_every = 250) ?on_progress ns
       List.iteri
         (fun i r ->
           note i
-            (Bcp.Establish.establish ?backup_routing ns ~conn_id:i (to_req r)))
+            (Bcp.Establish.establish ?backup_routing ns ~conn_id:i r))
         requests);
   {
     ns;

@@ -68,6 +68,7 @@ let all_double_nodes topo =
 
 let sampled_double_nodes rng topo ~count =
   let n = Net.Topology.num_nodes topo in
+  if count < 0 then invalid_arg "Scenario.sampled_double_nodes: count < 0";
   if n < 2 then invalid_arg "Scenario.sampled_double_nodes: need two nodes";
   let seen = Hashtbl.create count in
   let rec draw acc remaining guard =

@@ -25,7 +25,9 @@ val all_double_nodes : Net.Topology.t -> t list
 (** Every unordered node pair — O(n²/2) scenarios. *)
 
 val sampled_double_nodes : Sim.Prng.t -> Net.Topology.t -> count:int -> t list
-(** Distinct random node pairs (for quick runs on large networks). *)
+(** Distinct random node pairs (for quick runs on large networks); [count]
+    0 gives [[]].
+    @raise Invalid_argument if [count < 0]. *)
 
 val random_links : Sim.Prng.t -> Net.Topology.t -> count:int -> t
 (** One scenario with [count] distinct failed links. *)

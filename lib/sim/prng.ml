@@ -75,6 +75,7 @@ let pick t a =
   a.(int t (Array.length a))
 
 let sample_without_replacement t k n =
+  if k < 0 then invalid_arg "Prng.sample_without_replacement: k < 0";
   if k > n then invalid_arg "Prng.sample_without_replacement: k > n";
   (* Partial Fisher-Yates over [0, n). *)
   let a = Array.init n (fun i -> i) in
@@ -86,4 +87,6 @@ let sample_without_replacement t k n =
   done;
   Array.to_list (Array.sub a 0 k)
 
-let sample_at_most t k n = sample_without_replacement t (min k n) n
+let sample_at_most t k n =
+  if k < 0 then invalid_arg "Prng.sample_at_most: k < 0";
+  sample_without_replacement t (min k n) n

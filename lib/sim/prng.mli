@@ -48,8 +48,10 @@ val pick : t -> 'a array -> 'a
 
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] is [k] distinct values drawn
-    uniformly from \[0, n); requires [k <= n]. *)
+    uniformly from \[0, n); requires [0 <= k <= n].
+    @raise Invalid_argument otherwise. *)
 
 val sample_at_most : t -> int -> int -> int list
 (** [sample_at_most t k n] is [sample_without_replacement t (min k n) n]:
-    a sample of [k] that stops at the whole population. *)
+    a sample of [k] that stops at the whole population.
+    @raise Invalid_argument if [k < 0]. *)

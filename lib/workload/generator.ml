@@ -1,10 +1,10 @@
-type request = {
+type request = Bcp.Establish.request = {
   src : int;
   dst : int;
   traffic : Rtchan.Traffic.t;
   qos : Rtchan.Qos.t;
-  mux_degree : int;
   backups : int;
+  mux_degree : int;
 }
 
 (* Every generated request allows a hop slack of 2. *)

@@ -6,13 +6,15 @@
     hot-spot endpoint distributions, and Section 7.3 mixes multiplexing
     degrees across connection classes. *)
 
-type request = {
+(** The establishment request itself, so a generated request goes to
+    {!Bcp.Establish.establish} as it is. *)
+type request = Bcp.Establish.request = {
   src : int;
   dst : int;
   traffic : Rtchan.Traffic.t;
   qos : Rtchan.Qos.t;
-  mux_degree : int;
   backups : int;
+  mux_degree : int;
 }
 
 val all_pairs :

@@ -3,16 +3,6 @@
 
 let torus44 () = Net.Builders.torus ~rows:4 ~cols:4 ~capacity:50.0
 
-let request_of (r : Workload.Generator.request) =
-  {
-    Bcp.Establish.src = r.Workload.Generator.src;
-    dst = r.dst;
-    traffic = r.traffic;
-    qos = r.qos;
-    backups = r.backups;
-    mux_degree = r.mux_degree;
-  }
-
 (* The empirical arrival rate of a long admit-everything run must match
    the configured Poisson rate λ = offered × nodes / mean_holding. *)
 let test_arrival_rate () =
@@ -139,7 +129,7 @@ let test_drain_returns_everything () =
   for _ = 1 to 3_000 do
     match Workload.Churn.next d with
     | Workload.Churn.Arrival { conn; request; _ } -> (
-      match Bcp.Establish.establish ns ~conn_id:conn (request_of request) with
+      match Bcp.Establish.establish ns ~conn_id:conn request with
       | Ok _ ->
         incr admitted;
         Workload.Churn.admit d ~conn

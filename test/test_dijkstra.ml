@@ -102,15 +102,7 @@ let test_min_spare_reduces_spare () =
     List.iteri
       (fun i (r : Workload.Generator.request) ->
         ignore
-          (Bcp.Establish.establish ~backup_routing:strategy ns ~conn_id:i
-             {
-               Bcp.Establish.src = r.Workload.Generator.src;
-               dst = r.Workload.Generator.dst;
-               traffic = r.traffic;
-               qos = r.qos;
-               backups = 1;
-               mux_degree = 3;
-             }))
+          (Bcp.Establish.establish ~backup_routing:strategy ns ~conn_id:i r))
       (Workload.Generator.shuffled rng
          (Workload.Generator.all_pairs ~mux_degree:3 topo));
     (Bcp.Netstate.spare_fraction (Bcp.Netstate.resources ns |> fun _ -> ns),

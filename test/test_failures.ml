@@ -25,6 +25,16 @@ let test_double_nodes () =
       | _ -> Alcotest.fail "malformed double-node scenario")
     all
 
+(* A negative count raises instead of drawing forever; 0 draws nothing. *)
+let test_sampled_double_nodes_count () =
+  let t = torus44 () in
+  let rng = Sim.Prng.create 3 in
+  Alcotest.(check int) "count 0" 0
+    (List.length (Failures.Scenario.sampled_double_nodes rng t ~count:0));
+  Alcotest.check_raises "count -3"
+    (Invalid_argument "Scenario.sampled_double_nodes: count < 0") (fun () ->
+      ignore (Failures.Scenario.sampled_double_nodes rng t ~count:(-3)))
+
 let test_sampled_double_nodes () =
   let t = torus44 () in
   let rng = Sim.Prng.create 3 in
@@ -132,6 +142,8 @@ let () =
           Alcotest.test_case "singles" `Quick test_single_scenarios;
           Alcotest.test_case "double nodes" `Quick test_double_nodes;
           Alcotest.test_case "sampled doubles" `Quick test_sampled_double_nodes;
+          Alcotest.test_case "sampled doubles, negative count" `Quick
+            test_sampled_double_nodes_count;
           Alcotest.test_case "effective components" `Quick test_effective_components;
           Alcotest.test_case "random links" `Quick test_random_links;
           Alcotest.test_case "validation" `Quick test_validation;

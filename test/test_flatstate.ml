@@ -303,12 +303,8 @@ let arb_ops =
     gen_ops
 
 let request_of pairs i =
-  let r = pairs.(i mod Array.length pairs) in
   {
-    Bcp.Establish.src = r.Workload.Generator.src;
-    dst = r.dst;
-    traffic = bw1;
-    qos = r.qos;
+    (pairs.(i mod Array.length pairs) : Workload.Generator.request) with
     backups = 1 + (i mod 2);
     mux_degree = 1 + (i mod 4);
   }

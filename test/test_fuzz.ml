@@ -12,8 +12,6 @@
    - with reconfiguration enabled, the netstate invariant
      primary + spare <= capacity survives. *)
 
-let bw1 = Rtchan.Traffic.of_bandwidth 1.0
-
 let build_network seed =
   let topo = Net.Builders.torus ~rows:4 ~cols:4 ~capacity:20.0 in
   let ns = Bcp.Netstate.create topo () in
@@ -26,14 +24,7 @@ let build_network seed =
     (fun i (r : Workload.Generator.request) ->
       ignore
         (Bcp.Establish.establish ns ~conn_id:i
-           {
-             Bcp.Establish.src = r.Workload.Generator.src;
-             dst = r.Workload.Generator.dst;
-             traffic = bw1;
-             qos = r.qos;
-             backups = 1 + (i mod 2);
-             mux_degree = 1 + (i mod 6);
-           }))
+           { r with backups = 1 + (i mod 2); mux_degree = 1 + (i mod 6) }))
     reqs;
   (topo, ns)
 

@@ -17,15 +17,7 @@ let build ~topo ~mux_degree ~backups ~count ~seed =
   List.iteri
     (fun i (r : Workload.Generator.request) ->
       match
-        Bcp.Establish.establish ns ~conn_id:i
-          {
-            Bcp.Establish.src = r.Workload.Generator.src;
-            dst = r.Workload.Generator.dst;
-            traffic = r.traffic;
-            qos = r.qos;
-            backups = r.backups;
-            mux_degree = r.mux_degree;
-          }
+        Bcp.Establish.establish ns ~conn_id:i r
       with
       | Ok _ -> incr ok
       | Error _ -> ())

@@ -168,15 +168,7 @@ let test_pruned_establish_matches_reference () =
         (fun i (r : Workload.Generator.request) ->
           let conn_id = 1_000_000 + i in
           match
-            Bcp.Establish.establish ~reference ns ~conn_id
-              {
-                Bcp.Establish.src = r.Workload.Generator.src;
-                dst = r.dst;
-                traffic = r.traffic;
-                qos = r.qos;
-                backups = r.backups;
-                mux_degree = r.mux_degree;
-              }
+            Bcp.Establish.establish ~reference ns ~conn_id r
           with
           | Ok conn ->
             let p = paths conn in

@@ -183,10 +183,10 @@ let test_many_conns_consistency () =
   List.iteri
     (fun i (r : Workload.Generator.request) ->
       ignore
-        (Bcp.Establish.establish ns ~conn_id:i
-           (request ~mux_degree:3 r.Workload.Generator.src r.Workload.Generator.dst)))
+        (Bcp.Establish.establish ns ~conn_id:i r))
     (List.filteri (fun i _ -> i < 120)
-       (Workload.Generator.shuffled rng (Workload.Generator.all_pairs topo)));
+       (Workload.Generator.shuffled rng
+          (Workload.Generator.all_pairs ~mux_degree:3 topo)));
   let before = List.length (Bcp.Netstate.dconns ns) in
   let failed = [ Net.Component.Node 5 ] in
   let result = Bcp.Recovery.simulate ns ~failed in

@@ -81,6 +81,20 @@ let test_prng_sample_without_replacement () =
     (fun v -> Alcotest.(check bool) "in range" true (v >= 0 && v < 20))
     s
 
+(* A negative count is the caller's error, named by the function. *)
+let test_prng_sample_negative () =
+  let rng = Sim.Prng.create 29 in
+  Alcotest.(check (list int)) "k = 0 is empty" []
+    (Sim.Prng.sample_without_replacement rng 0 5);
+  Alcotest.(check (list int)) "at most 0 is empty" []
+    (Sim.Prng.sample_at_most rng 0 5);
+  Alcotest.check_raises "negative k"
+    (Invalid_argument "Prng.sample_without_replacement: k < 0") (fun () ->
+      ignore (Sim.Prng.sample_without_replacement rng (-1) 5));
+  Alcotest.check_raises "negative k, at most"
+    (Invalid_argument "Prng.sample_at_most: k < 0") (fun () ->
+      ignore (Sim.Prng.sample_at_most rng (-3) 5))
+
 (* ---------- Heap ---------- *)
 
 let test_heap_sorts () =
@@ -846,6 +860,8 @@ let () =
             test_prng_split_independence;
           Alcotest.test_case "sample w/o replacement" `Quick
             test_prng_sample_without_replacement;
+          Alcotest.test_case "sample of a negative count" `Quick
+            test_prng_sample_negative;
         ] );
       ( "heap",
         [
